@@ -30,6 +30,7 @@ from .scm import (
     do_distribution,
     empirical_joint,
     exact_joint,
+    infer,
     intervene,
     marginal,
     random_scm,

@@ -27,6 +27,7 @@ from .graph import (
     dag_from_json,
     dag_to_json,
     mutilate,
+    open_backdoor_trail,
     open_trail,
     satisfies_backdoor,
     satisfies_frontdoor,
@@ -48,12 +49,10 @@ from .road_risk import (
 from .identify import EffectQuery, confounding_gap
 from .info import mutual_information
 from .scm import (
-    DiscreteScm,
     dataset_to_csv,
     do_distribution,
     empirical_joint,
-    exact_joint,
-    marginal,
+    infer,
     scm_from_json,
 )
 
@@ -105,7 +104,7 @@ def _load_graph(ref: str) -> Dag:
 def _load_model(path: str):
     """Sniff a model file: road-risk scenario or serialized SCM.
 
-    Returns (scm, dag, scenario_or_none).  Scenario documents carry a
+    Returns (scm, scenario_or_none).  Scenario documents carry a
     ``schema_version`` field; SCM documents carry ``cpt``.
     """
     doc = _load_json(path)
@@ -113,10 +112,9 @@ def _load_model(path: str):
         raise _UsageError(f"{path}: expected a JSON object")
     if "schema_version" in doc:
         s = scenario_from_json(doc)
-        return build_scenario(s), None, s
+        return build_scenario(s), s
     if "cpt" in doc:
-        scm = scm_from_json(doc)
-        return scm, scm.dag, None
+        return scm_from_json(doc), None
     raise _UsageError(f"{path}: neither a scenario nor an SCM document")
 
 
@@ -168,8 +166,9 @@ def _rule2_movable(dag: Dag, x: str, y: str, w: str) -> bool:
     return d_separated(g, {y}, {w}, {x})
 
 
-def _identify_cells(scm, dag, scenario, args):
+def _identify_cells(scm, scenario, args):
     """Resolve the identification request into (method, cells)."""
+    dag = scm.dag
     outcome = args.outcome
     pinned, swept = _parse_do(args.do)
     do_vars = [v for v in dag.topological_order if v in pinned or v in swept]
@@ -206,7 +205,7 @@ def _identify_cells(scm, dag, scenario, args):
                 cells.append((cfg, (), do_distribution(scm, outcome, cut_do)))
         return "oracle", do_vars, given, cells
 
-    joint = marginal(exact_joint(scm), set(dag.nodes) - latent)
+    joint = infer(scm, set(dag.nodes) - latent)
 
     if method in ("auto", "frontdoor") and (mediators or scenario is not None):
         if scenario is not None and not mediators:
@@ -251,25 +250,25 @@ def _identify_cells(scm, dag, scenario, args):
                 f"no admissible back-door adjustment set for do({', '.join(do_vars)}) on {outcome}"
             )
 
+    witness = None
+    if len(do_vars) == 1 and not given:
+        witness = open_backdoor_trail(dag, do_vars[0], outcome, set())
     raise CriterionNotMet(
         f"effect of do({', '.join(do_vars)}) on {outcome} is not identifiable "
-        "by the available criteria; an unblockable back-door trail remains"
+        "by the available criteria; an unblockable back-door trail remains",
+        witness=witness,
     )
 
 
 def cmd_identify(args) -> int:
-    scm, dag, scenario = _load_model(args.model)
-    if dag is None:
-        from .road_risk import scenario_dag
-
-        dag = scenario_dag(scenario)
+    scm, scenario = _load_model(args.model)
     if scenario is not None and not args.do:
         args.do = ["J_o", "D"]
     if scenario is not None and args.outcome is None:
         args.outcome = "Y_f"
     if args.outcome is None:
         raise _UsageError("--outcome is required")
-    method, do_vars, given, cells = _identify_cells(scm, dag, scenario, args)
+    method, do_vars, given, cells = _identify_cells(scm, scenario, args)
     doc = {
         "method": method,
         "outcome": args.outcome,
@@ -315,26 +314,24 @@ def cmd_simulate(args) -> int:
 
 def _scenario_report(s: RoadRiskScenario) -> dict:
     scm = build_scenario(s)
-    j = observational_joint(s)
+    j = observational_joint(s, scm=scm)
     capacity = rating_comparison(j, "Y_h", "D", "Y_f")
     gap = confounding_gap(scm, "D", "Y_f", "U")
-    pe = phyd_effect(s)
-    ne = naive_effect(s)
-    gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
+    pe = phyd_effect(s, joint=j)
+    ne = naive_effect(s, joint=j)
+    gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})), scm=scm)
     phyd_dev = max(float(np.abs(pe.table[k] - gt.table[k]).max()) for k in pe.table)
     naive_tv = max(
         0.5 * float(np.abs(ne.table[k] - gt.table[k]).sum()) for k in ne.table
     )
-    from .road_risk import scenario_dag
-
-    verdict = noise_verdict(scenario_dag(s), "Y_h", "Y_f", {"J_o", "D"})
+    verdict = noise_verdict(scm.dag, "Y_h", "Y_f", {"J_o", "D"})
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "depth": int(s.depth),
         "capacity_bits": capacity.to_json(),
         "confounding_gap_bits": gap.to_json(),
         "chain_factorization_residual": max(
-            chain_factorization_residual(s, d) for d in range(s.decision_card)
+            chain_factorization_residual(s, d, scm=scm) for d in range(s.decision_card)
         ),
         "traffic_markov_residual_bits": max(
             markov_consistency(scm, d) for d in range(s.decision_card)
@@ -359,22 +356,20 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    scm, dag, scenario = _load_model(args.model)
+    scm, scenario = _load_model(args.model)
+    dag = scm.dag
     if scenario is not None:
-        from .road_risk import scenario_dag
-
-        dag = scenario_dag(scenario)
         history = args.history or "Y_h"
         behavior = args.behavior or "D"
         outcome = args.outcome or "Y_f"
         observed = set(args.observed) if args.observed else {"J_o", "D"}
-        j = observational_joint(scenario)
+        j = observational_joint(scenario, scm=scm)
     else:
         history = args.history or "Y_h"
         behavior = args.behavior or "X_c"
         outcome = args.outcome or "Y_f"
         observed = set(args.observed or [])
-        j = marginal(exact_joint(scm), set(dag.nodes) - set(dag.latent))
+        j = infer(scm, set(dag.nodes) - set(dag.latent))
     verdict = noise_verdict(dag, history, outcome, observed)
     capacity = rating_comparison(j, history, behavior, outcome)
     _emit(

@@ -36,7 +36,7 @@ from .scm import (
     DiscreteScm,
     JointTable,
     condition,
-    exact_joint,
+    infer,
     marginal,
     mass_of,
     scm_from_json,
@@ -307,13 +307,13 @@ def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> Eliminati
 
 
 def confounding_gap(scm: DiscreteScm, x: str, y: str, u: str) -> ConfoundingGap:
-    """I(x;y), I({u,x};y) and I(u;y|x) off the full synthetic joint.
+    """I(x;y), I({u,x};y) and I(u;y|x) off the exact joint of {u, x, y}.
 
     The identity i_x_y = i_ux_y - i_u_y_given_x is verified to 1e-9.
     """
     if u not in scm.dag.latent:
         raise ParameterError(f"{u!r} is not flagged latent in the graph")
-    j = exact_joint(scm)
+    j = infer(scm, {u, x, y})
     gap = ConfoundingGap(
         i_x_y=mutual_information(j, {x}, {y}),
         i_ux_y=mutual_information(j, {u, x}, {y}),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Mapping
@@ -27,7 +28,7 @@ from .scm import (
     DiscreteScm,
     JointTable,
     condition,
-    exact_joint,
+    infer,
     intervene,
     marginal,
     mass_of,
@@ -54,6 +55,20 @@ __all__ = [
 ]
 
 SCENARIO_SCHEMA_VERSION = 1
+_CONFOUNDER_KEYS = ("u_prob", "decision_shift", "hazard")
+_FLOAT_FIELDS = (
+    "tta_thresholds", "y_h_prior", "journey_rate", "decision_base",
+    "traffic_dist", "escalation", "accident_base",
+)
+
+
+def _flatten(values):
+    """Every number in a nested tuple."""
+    for v in values:
+        if isinstance(v, tuple):
+            yield from _flatten(v)
+        else:
+            yield v
 
 
 @dataclass(frozen=True)
@@ -102,6 +117,9 @@ class RoadRiskScenario:
         self._validate()
 
     def _validate(self):
+        for name in _FLOAT_FIELDS:
+            if not all(math.isfinite(x) for x in _flatten(getattr(self, name))):
+                raise ParameterError(f"{name} must hold finite numbers")
         if self.depth < 1:
             raise ParameterError("depth must be >= 1")
         if self.decision_card < 2 or self.traffic_card < 2:
@@ -136,7 +154,10 @@ class RoadRiskScenario:
         if len(self.accident_base) != 2 or not all(0.0 <= p <= 1.0 for p in self.accident_base):
             raise ParameterError("accident_base must be two probabilities")
         cs = self.confounder_strength
-        for key in ("u_prob", "decision_shift", "hazard"):
+        unknown = set(cs) - set(_CONFOUNDER_KEYS)
+        if unknown:
+            raise ParameterError(f"unknown confounder_strength keys: {sorted(unknown)}")
+        for key in _CONFOUNDER_KEYS:
             if key not in cs or not 0.0 <= float(cs[key]) <= 1.0:
                 raise ParameterError(f"confounder_strength.{key} must be a probability")
         if max(self.accident_base) + float(cs["hazard"]) > 1.0 + 1e-12:
@@ -156,13 +177,16 @@ def tta_discretize(tta: float, thresholds) -> int:
 
     ``thresholds`` are strictly decreasing seconds t_1 > ... > t_{D+1};
     the returned index counts how many thresholds the reading falls
-    below, so boundary values land in the less perilous state.
+    below, so boundary values land in the less perilous state.  An
+    infinite reading (no collision course) is the safest state.
     """
     thresholds = tuple(float(t) for t in thresholds)
-    if not thresholds or any(x <= 0 for x in thresholds) or any(
+    if not thresholds or any(not 0 < x < math.inf for x in thresholds) or any(
         a >= b for a, b in zip(thresholds[1:], thresholds[:-1])
     ):
-        raise ParameterError("thresholds must be strictly decreasing and positive")
+        raise ParameterError("thresholds must be strictly decreasing, positive and finite")
+    if math.isnan(tta):
+        raise ParameterError("TTA must be a number, got nan")
     if tta < 0:
         raise NegativeTta(f"TTA must be nonnegative, got {tta}")
     return sum(1 for t in thresholds if tta < t)
@@ -258,16 +282,16 @@ def markov_consistency(scm: DiscreteScm, d_value: int) -> float:
     :func:`build_scenario`; a positive value flags a traffic variable
     leaking past its own stage.
     """
-    j = condition(exact_joint(scm), {"D": int(d_value)})
     states = sorted(
-        (v for v in j.vars if v.startswith("S_")), key=lambda v: int(v.split("_")[1])
+        (v for v in scm.dag.nodes if v.startswith("S_")), key=lambda v: int(v.split("_")[1])
     )
     worst = 0.0
     for i, st in enumerate(states):
         nxt = states[i + 1] if i + 1 < len(states) else "Y_f"
         t = f"T_{i}"
-        if t not in j.vars or nxt not in j.vars:
+        if t not in scm.card or nxt not in scm.card:
             continue
+        j = infer(scm, {t, st, nxt}, {"D": int(d_value)})
         worst = max(worst, conditional_mutual_information(j, {t}, {nxt}, {st}))
     return worst
 
@@ -319,9 +343,14 @@ class EffectTable:
         }
 
 
-def ground_truth_effect(s: RoadRiskScenario, q: EffectQuery) -> EffectTable:
-    """Exact interventional oracle via graph surgery on the full model."""
-    scm = build_scenario(s)
+def ground_truth_effect(
+    s: RoadRiskScenario, q: EffectQuery, *, scm: DiscreteScm | None = None
+) -> EffectTable:
+    """Exact interventional oracle via graph surgery on the full model.
+
+    ``scm``, when given, must be ``build_scenario(s)``.
+    """
+    scm = build_scenario(s) if scm is None else scm
     order = scm.dag.topological_order
     if isinstance(q.do, Mapping):
         do_vars = tuple(v for v in order if v in q.do)
@@ -333,7 +362,7 @@ def ground_truth_effect(s: RoadRiskScenario, q: EffectQuery) -> EffectTable:
     table = {}
     for cfg in do_configs:
         cut = intervene(scm, dict(zip(do_vars, (int(c) for c in cfg))))
-        j = exact_joint(cut)
+        j = infer(cut, {q.outcome, *given_vars})
         if given_vars:
             for g_cfg in np.ndindex(*(scm.card[v] for v in given_vars)):
                 g = dict(zip(given_vars, (int(c) for c in g_cfg)))
@@ -346,30 +375,36 @@ def ground_truth_effect(s: RoadRiskScenario, q: EffectQuery) -> EffectTable:
     return EffectTable(q.outcome, scm.card[q.outcome], do_vars, given_vars, table)
 
 
-def observational_joint(s: RoadRiskScenario) -> JointTable:
-    """Exact joint over the observable variables (U and traffic summed out)."""
-    scm = build_scenario(s)
-    keep = {"Y_h", "J_o", "D", "Y_f", *s.states}
-    return marginal(exact_joint(scm), keep)
+def observational_joint(s: RoadRiskScenario, *, scm: DiscreteScm | None = None) -> JointTable:
+    """Exact joint over the observable variables (U and traffic summed out).
+
+    ``scm``, when given, must be ``build_scenario(s)``.
+    """
+    scm = build_scenario(s) if scm is None else scm
+    return infer(scm, {"Y_h", "J_o", "D", "Y_f", *s.states})
 
 
-def phyd_effect(s: RoadRiskScenario) -> EffectTable:
+def phyd_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> EffectTable:
     """P(Y_f | do(J_o, D)) for every (J_o, D) pair, identified from data.
 
     Front-door adjustment through the peril-state chain on the U-free
     observational joint, stratified by the journey switch; matches the
-    surgery oracle on the canonical graph to 1e-9.
+    surgery oracle on the canonical graph to 1e-9.  ``joint``, when
+    given, must be ``observational_joint(s)``.
     """
-    j = observational_joint(s)
+    j = observational_joint(s) if joint is None else joint
     dag = scenario_dag(s)
     raw = frontdoor_adjust(j, dag, "D", "Y_f", set(s.states), given={"J_o"})
     table = {((int(g[0]), int(d)), ()): dist for (d, g), dist in raw.items()}
     return EffectTable("Y_f", 2, ("J_o", "D"), (), table)
 
 
-def naive_effect(s: RoadRiskScenario) -> EffectTable:
-    """Conditioning-based estimate P(Y_f | J_o, D), for bias comparison."""
-    j = observational_joint(s)
+def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> EffectTable:
+    """Conditioning-based estimate P(Y_f | J_o, D), for bias comparison.
+
+    ``joint``, when given, must be ``observational_joint(s)``.
+    """
+    j = observational_joint(s) if joint is None else joint
     table = {}
     for jo in range(2):
         for d in range(s.decision_card):
@@ -378,21 +413,23 @@ def naive_effect(s: RoadRiskScenario) -> EffectTable:
     return EffectTable("Y_f", 2, ("J_o", "D"), (), table)
 
 
-def chain_factorization_residual(s: RoadRiskScenario, d_value: int) -> float:
+def chain_factorization_residual(
+    s: RoadRiskScenario, d_value: int, *, scm: DiscreteScm | None = None
+) -> float:
     """Deviation of P(chain | D) from the product of stage conditionals.
 
     The chain here is S_0..S_D followed by Y_f as the accident state.
     Configurations whose conditioning events have zero mass (unreachable
-    under the absorbing encoding) are skipped.
+    under the absorbing encoding) are skipped.  ``scm``, when given,
+    must be ``build_scenario(s)``.
     """
-    scm = build_scenario(s)
-    jd = condition(exact_joint(scm), {"D": int(d_value)})
+    scm = build_scenario(s) if scm is None else scm
     chain = list(s.states) + ["Y_f"]
-    lhs = marginal(jd, set(chain))
+    lhs = infer(scm, chain, {"D": int(d_value)})
     # Stage conditionals P(next | prev, D=d) from pairwise marginals.
     pair_cond = []
     for a, b in zip(chain, chain[1:]):
-        m = marginal(jd, {a, b})
+        m = marginal(lhs, {a, b})
         p = m.probs if m.vars == (a, b) else m.probs.T
         denom = p.sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -468,7 +505,7 @@ def scenario_from_json(doc: Mapping) -> RoadRiskScenario:
         raise ParameterError(f"unknown scenario fields: {sorted(extra)}")
     try:
         return RoadRiskScenario(**{k: doc[k] for k in doc})
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"malformed scenario document: {exc}") from exc
 
 

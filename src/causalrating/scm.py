@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -33,6 +34,7 @@ __all__ = [
     "Dataset",
     "build_scm",
     "exact_joint",
+    "infer",
     "marginal",
     "condition",
     "intervene",
@@ -63,9 +65,12 @@ class JointTable:
             raise ShapeError(f"probs shape {probs.shape} != cards {self.cards}")
         if len(self.vars) != len(self.cards):
             raise ShapeError("vars and cards length mismatch")
+        total = float(probs.sum())
+        # A NaN or infinite cell makes the sum NaN or infinite.
+        if not math.isfinite(total):
+            raise NormalizationError("non-finite mass")
         if probs.size and probs.min() < -1e-12:
             raise NormalizationError(f"negative mass: {probs.min()}")
-        total = float(probs.sum())
         if abs(total - 1.0) > ROW_SUM_TOL:
             raise NormalizationError(f"mass sums to {total}, not 1")
         probs = np.clip(probs, 0.0, None)
@@ -184,6 +189,8 @@ class DiscreteScm:
                 raise ShapeError(
                     f"CPT for {v}: shape {t.shape}, expected {(n_rows, card[v])}"
                 )
+            if not np.isfinite(t).all():
+                raise NormalizationError(f"CPT for {v} has non-finite entries")
             if t.min() < 0.0 or t.max() > 1.0 + ROW_SUM_TOL:
                 raise NormalizationError(f"CPT for {v} has entries outside [0, 1]")
             bad = np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL
@@ -226,7 +233,12 @@ def build_scm(dag: Dag, card: Mapping[str, int], cpt: Mapping) -> DiscreteScm:
 
 
 def exact_joint(scm: DiscreteScm, max_cells: int = DEFAULT_CELL_CAP) -> JointTable:
-    """Exact joint over all variables, in topological order."""
+    """Exact joint over all variables, in topological order.
+
+    The dense test oracle: it materialises every cell of the state
+    space, so its cost is exponential in the number of nodes.  Queries
+    go through :func:`infer`, which never builds this table.
+    """
     order = scm.dag.topological_order
     if scm.state_space() > max_cells:
         raise StateSpaceTooLarge(
@@ -246,6 +258,109 @@ def exact_joint(scm: DiscreteScm, max_cells: int = DEFAULT_CELL_CAP) -> JointTab
             shape[pos[d]] = scm.card[d]
         joint = joint * t.reshape(shape)
     return JointTable(order, cards, joint)
+
+
+# numpy.einsum takes at most 31 operands in NumPy 1.x and 63 in 2.x.
+_MAX_OPERANDS = 31
+
+
+def _contract(factors: list, out: tuple) -> np.ndarray:
+    """Multiply ``(scope, table)`` factors and sum down to the ``out`` axes.
+
+    Subscripts are numbered per call, so only the variables of these
+    factors count toward einsum's 52-subscript limit.
+    """
+    while len(factors) > _MAX_OPERANDS:
+        head, factors = factors[:_MAX_OPERANDS], factors[_MAX_OPERANDS:]
+        scope = tuple(dict.fromkeys(u for sc, _ in head for u in sc))
+        factors.append((scope, _contract(head, scope)))
+    ids = {}
+    args = []
+    for scope, table in factors:
+        args += [table, [ids.setdefault(u, len(ids)) for u in scope]]
+    args.append([ids[u] for u in out])
+    return np.einsum(*args)
+
+
+def infer(
+    scm: DiscreteScm,
+    keep: Iterable[str],
+    evidence: Mapping[str, int] | None = None,
+    max_cells: int = DEFAULT_CELL_CAP,
+) -> JointTable:
+    """Exact P(keep | evidence) by variable elimination over the CPTs.
+
+    Returns what ``marginal(condition(exact_joint(scm), evidence), keep)``
+    returns, with ``keep`` in topological order, without building the
+    joint.  The model is pruned to the ancestors of ``keep`` and the
+    evidence (the other nodes sum to one), the evidence is sliced into
+    each CPT, and the remaining variables are summed out one at a time,
+    smallest bucket first (greedy min-size order).  Cost follows the
+    largest bucket, not the state space; a bucket or result of more than
+    ``max_cells`` cells raises :class:`StateSpaceTooLarge`.
+    """
+    evidence = {} if evidence is None else evidence
+    for var, val in evidence.items():
+        if var not in scm.card:
+            raise UnknownVariable(f"unknown variable: {var!r}")
+        if not 0 <= int(val) < scm.card[var]:
+            raise ValueOutOfRange(f"{var}={val} out of range 0..{scm.card[var] - 1}")
+    keep = set(keep)
+    if not keep:
+        raise UnknownVariable("keep set must be nonempty")
+    for v in keep:
+        if v not in scm.card or v in evidence:
+            raise UnknownVariable(f"unknown variable: {v!r}")
+
+    relevant, stack = set(), [*keep, *evidence]
+    while stack:
+        v = stack.pop()
+        if v not in relevant:
+            relevant.add(v)
+            stack.extend(scm.parents[v])
+    order = {v: i for i, v in enumerate(scm.dag.topological_order)}
+
+    def size(scope) -> int:
+        return math.prod(scm.card[u] for u in scope)
+
+    factors = []
+    for v in sorted(relevant, key=order.__getitem__):
+        scope = scm.parents[v] + (v,)
+        table = scm.cpt[v].reshape([scm.card[u] for u in scope])
+        if not evidence.keys().isdisjoint(scope):
+            table = table[tuple(int(evidence[u]) if u in evidence else slice(None) for u in scope)]
+            scope = tuple(u for u in scope if u not in evidence)
+        factors.append((scope, table))
+
+    hidden = relevant - keep - evidence.keys()
+    while hidden:
+        buckets = {v: {} for v in hidden}
+        for scope, _ in factors:
+            for u in scope:
+                if u in buckets:
+                    buckets[u].update(dict.fromkeys(scope))
+        cells = {u: size(bucket) for u, bucket in buckets.items()}
+        v = min(hidden, key=lambda u: (cells[u], order[u]))
+        if cells[v] > max_cells:
+            raise StateSpaceTooLarge(
+                f"eliminating {v} needs a factor of {cells[v]} cells, over the cap {max_cells}"
+            )
+        inside = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        out = tuple(u for u in buckets[v] if u != v)
+        factors.append((out, _contract(inside, out)))
+        hidden.discard(v)
+
+    out = tuple(sorted(keep, key=order.__getitem__))
+    if size(out) > max_cells:
+        raise StateSpaceTooLarge(f"result of {size(out)} cells exceeds cap {max_cells}")
+    probs = _contract(factors, out)
+    if evidence:
+        total = float(probs.sum())
+        if total <= 0.0:
+            raise ZeroProbabilityEvidence(f"P({dict(evidence)}) = 0")
+        probs = probs / total
+    return JointTable(out, tuple(scm.card[u] for u in out), probs)
 
 
 def intervene(scm: DiscreteScm, assignment: Mapping[str, int]) -> DiscreteScm:
@@ -274,11 +389,8 @@ def do_distribution(
     do: Mapping[str, int],
     given: Mapping[str, int] | None = None,
 ) -> np.ndarray:
-    """Surgery oracle: P(outcome | do(do), given) from the full model."""
-    j = exact_joint(intervene(scm, do))
-    if given:
-        j = condition(j, given)
-    return marginal(j, {outcome}).probs
+    """Surgery oracle: P(outcome | do(do), given) on the mutilated model."""
+    return infer(intervene(scm, do), {outcome}, given).probs
 
 
 # -- sampling ------------------------------------------------------------

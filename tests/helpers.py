@@ -1,0 +1,65 @@
+"""Shared test helpers: brute-force oracles and random-structure builders.
+
+Test modules import these from here, not from ``conftest``: a run that
+collects both ``tests`` and ``bench`` has two ``conftest`` modules, and
+only one of them can be imported under that name.
+"""
+
+import itertools
+
+import numpy as np
+
+from causalrating import Dag, DiscreteScm, JointTable, build_dag, template
+
+
+def brute_force_joint(scm: DiscreteScm) -> JointTable:
+    """Independent joint oracle: enumerate every assignment explicitly."""
+    order = scm.dag.topological_order
+    cards = tuple(scm.card[v] for v in order)
+    pos = {v: i for i, v in enumerate(order)}
+    probs = np.zeros(cards)
+    for cfg in itertools.product(*(range(c) for c in cards)):
+        p = 1.0
+        for v in order:
+            ps = scm.parents_of(v)
+            row = 0
+            for pa in ps:
+                row = row * scm.card[pa] + cfg[pos[pa]]
+            p *= scm.cpt[v][row, cfg[pos[v]]]
+        probs[cfg] = p
+    return JointTable(order, cards, probs)
+
+
+def random_joint(seed: int, cards=(2, 2, 2), names=("A", "B", "C")) -> JointTable:
+    rng = np.random.default_rng(seed)
+    mass = rng.gamma(1.0, size=cards)
+    mass = np.maximum(mass, 1e-12)
+    return JointTable(names, cards, mass / mass.sum())
+
+
+def random_dag(seed: int, n_nodes: int) -> Dag:
+    """Random DAG: each pair (i < j) gets an edge with probability 1/2."""
+    rng = np.random.default_rng(seed)
+    names = [f"N{i}" for i in range(n_nodes)]
+    edges = [
+        (names[i], names[j])
+        for i in range(n_nodes)
+        for j in range(i + 1, n_nodes)
+        if rng.random() < 0.5
+    ]
+    return build_dag(names, edges, [])
+
+
+TEMPLATE_DAGS = {
+    "Fig1a": template("Fig1a"),
+    "Fig1b": template("Fig1b"),
+    "Fig1c": template("Fig1c"),
+    "Fig1d": template("Fig1d"),
+    "Fig2a": template("Fig2a"),
+    "Fig2b": template("Fig2b"),
+    "Fig2c": template("Fig2c"),
+    "Fig3": template("Fig3"),
+    "Fig4Chain": template("Fig4Chain", 2),
+    "Fig6Canonical": template("Fig6Canonical", 2),
+}
+

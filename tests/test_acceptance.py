@@ -44,7 +44,7 @@ from causalrating import (
 )
 from causalrating.cli import main as cli_main
 
-from conftest import TEMPLATE_DAGS, random_joint
+from helpers import TEMPLATE_DAGS, random_joint
 
 
 def _verdict(num: int, title: str, failures: list):

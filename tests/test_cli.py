@@ -91,6 +91,7 @@ class TestIdentify:
         doc = json.loads(out)
         assert doc["error"]["type"] == "CriterionNotMet"
         assert "back-door" in doc["error"]["message"]
+        assert doc["error"]["witness"] == ["X_c", "U", "Y_f"]
 
     def test_mediated_frontdoor(self, capsys):
         code, out, _ = run(
@@ -217,6 +218,30 @@ class TestEvaluate:
         doc = json.loads(out)
         assert doc["confounding_gap_bits"]["i_u_y_given_x"] < 1e-9
         assert doc["naive_vs_oracle_max_tv"] < 1e-9
+
+
+    def test_depth_8_past_the_dense_joint_cap(self, capsys, tmp_path):
+        from causalrating import canonical_scenario, scenario_to_json
+
+        path = tmp_path / "depth8.json"
+        path.write_text(json.dumps(scenario_to_json(canonical_scenario(8))))
+        code, out, _ = run(capsys, "evaluate", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["depth"] == 8
+        assert doc["chain_factorization_residual"] <= 1e-9
+        assert doc["traffic_markov_residual_bits"] <= 1e-9
+        assert doc["phyd_vs_oracle_max_dev"] <= 1e-9
+
+    def test_nan_parameter_exit_2(self, capsys, tmp_path):
+        doc = json.loads(pathlib.Path(SCENARIO).read_text())
+        doc["traffic_dist"] = [float("nan"), 0.35]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "traffic_dist" in err
 
 
 class TestReport:

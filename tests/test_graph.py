@@ -23,7 +23,7 @@ from causalrating import (
     satisfies_frontdoor,
     template,
 )
-from conftest import random_dag
+from helpers import random_dag
 
 
 class TestBuildDag:

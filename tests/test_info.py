@@ -20,7 +20,7 @@ from causalrating import (
     random_scm,
     template,
 )
-from conftest import random_joint
+from helpers import random_joint
 
 
 def pair_joint(p):

@@ -69,6 +69,10 @@ class TestTtaDiscretize:
         with pytest.raises(NegativeTta):
             tta_discretize(-0.1, THRESHOLDS)
 
+    def test_nan_tta_rejected(self):
+        with pytest.raises(ParameterError):
+            tta_discretize(float("nan"), THRESHOLDS)
+
     def test_non_decreasing_thresholds_rejected(self):
         with pytest.raises(ParameterError):
             tta_discretize(1.0, (2.0, 2.0))
@@ -91,6 +95,24 @@ class TestScenarioValidation:
         s = default_scenario()
         with pytest.raises(ParameterError):
             dataclasses.replace(s, traffic_dist=(1.2, -0.2))
+
+    def test_non_finite_field_rejected(self):
+        s = default_scenario()
+        for field, value in (
+            ("traffic_dist", (float("nan"), 0.35)),
+            ("y_h_prior", (float("nan"), 0.28, 0.10)),
+            ("tta_thresholds", (float("inf"), 2.0, 1.0)),
+            ("escalation", ((s.escalation[0][0], s.escalation[0][1], (0.1, float("nan"))),
+                            s.escalation[1])),
+        ):
+            with pytest.raises(ParameterError, match=field):
+                dataclasses.replace(s, **{field: value})
+
+    def test_unknown_confounder_key_rejected(self):
+        s = default_scenario()
+        cs = {**s.confounder_strength, "bogus": 5}
+        with pytest.raises(ParameterError, match="bogus"):
+            dataclasses.replace(s, confounder_strength=cs)
 
     def test_hazard_overflow_rejected(self):
         s = default_scenario()
@@ -119,6 +141,12 @@ class TestScenarioJson:
     def test_unknown_schema_version(self):
         doc = scenario_to_json(default_scenario())
         doc["schema_version"] = 2
+        with pytest.raises(ParameterError):
+            scenario_from_json(doc)
+
+    def test_non_numeric_value_rejected(self):
+        doc = scenario_to_json(default_scenario())
+        doc["traffic_dist"] = ["a", 0.35]
         with pytest.raises(ParameterError):
             scenario_from_json(doc)
 

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalrating import (
@@ -22,6 +22,7 @@ from causalrating import (
     do_distribution,
     empirical_joint,
     exact_joint,
+    infer,
     intervene,
     marginal,
     random_scm,
@@ -31,7 +32,7 @@ from causalrating import (
     template,
 )
 from causalrating.scm import dataset_csv_text, mass_of
-from conftest import TEMPLATE_DAGS, brute_force_joint
+from helpers import TEMPLATE_DAGS, brute_force_joint, random_dag
 
 
 def copy_chain(p_a=0.5):
@@ -55,6 +56,11 @@ class TestBuildScm:
         dag = build_dag(["A", "B"], [("A", "B")], [])
         with pytest.raises(ShapeError):
             build_scm(dag, {"A": 2, "B": 2}, {"A": [[0.5, 0.5]], "B": [[1, 0]]})
+
+    def test_non_finite_cpt_rejected(self):
+        dag = build_dag(["A"], [], [])
+        with pytest.raises(NormalizationError):
+            build_scm(dag, {"A": 2}, {"A": [[float("nan"), 1.0]]})
 
     def test_negative_probability(self):
         dag = build_dag(["A"], [], [])
@@ -144,6 +150,56 @@ class TestExactJoint:
         emp = empirical_joint(ds, j.vars)
         tv = 0.5 * float(np.abs(emp.probs - j.probs).sum())
         assert tv < 0.01
+
+
+class TestJointTable:
+    def test_non_finite_mass_rejected(self):
+        with pytest.raises(NormalizationError):
+            JointTable(("A",), (2,), [float("nan"), 1.0])
+
+
+class TestInfer:
+    def test_intermediate_factor_over_cap(self):
+        # X has five root parents: summing any of them out needs a
+        # 64-cell factor, although the answer P(X) has two cells.
+        parents = [f"P{i}" for i in range(5)]
+        dag = build_dag([*parents, "X"], [(p, "X") for p in parents], [])
+        scm = random_scm(dag, 0)
+        assert infer(scm, {"X"}, max_cells=64).cards == (2,)
+        with pytest.raises(StateSpaceTooLarge):
+            infer(scm, {"X"}, max_cells=63)
+
+    def test_result_over_cap(self):
+        dag = build_dag([f"N{i}" for i in range(6)], [], [])
+        scm = random_scm(dag, 0, card=4)
+        with pytest.raises(StateSpaceTooLarge):
+            infer(scm, set(dag.nodes), max_cells=1000)
+
+    def test_zero_probability_evidence(self):
+        with pytest.raises(ZeroProbabilityEvidence):
+            infer(copy_chain(p_a=0.0), {"B"}, {"A": 1})
+
+    def test_bad_queries(self):
+        scm = copy_chain()
+        for keep, evidence in (((), {}), ({"Z"}, {}), ({"B"}, {"Z": 0}), ({"A"}, {"A": 0})):
+            with pytest.raises(UnknownVariable):
+                infer(scm, keep, evidence)
+        with pytest.raises(ValueOutOfRange):
+            infer(scm, {"B"}, {"A": 2})
+
+    def test_more_factors_than_einsum_operands(self):
+        # Naive Bayes with 70 observed features: 71 factors over {C} meet
+        # in the last product, past einsum's operand limit.
+        features = [f"F{i}" for i in range(70)]
+        dag = build_dag(["C", *features], [("C", f) for f in features], [])
+        scm = random_scm(dag, 3)
+        evidence = {f: i % 2 for i, f in enumerate(features)}
+        got = infer(scm, {"C"}, evidence)
+        log_post = np.log(scm.cpt["C"][0])
+        for f, val in evidence.items():
+            log_post = log_post + np.log(scm.cpt[f][:, val])
+        want = np.exp(log_post - log_post.max())
+        assert np.abs(got.probs - want / want.sum()).max() < 1e-12
 
 
 class TestMarginalCondition:
@@ -331,3 +387,35 @@ def test_joint_normalized_on_random_models(seed):
     j = exact_joint(scm)
     assert abs(float(j.probs.sum()) - 1.0) < 1e-9
     assert float(j.probs.min()) >= 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_infer_matches_dense_oracle(data):
+    """Variable elimination equals the dense joint on random models, with
+    and without surgery, including zero-mass evidence on a pinned node."""
+    n = data.draw(st.integers(1, 7))
+    dag = random_dag(data.draw(st.integers(0, 10_000)), n)
+    cards = {v: data.draw(st.integers(2, 3)) for v in dag.nodes}
+    scm = random_scm(dag, data.draw(st.integers(0, 10_000)), card=cards)
+    # Each node is kept, observed, intervened on, intervened on and
+    # observed, or summed out.
+    roles = dict(zip(dag.nodes, data.draw(st.lists(st.sampled_from("keodx"), min_size=n, max_size=n))))
+    keep = {v for v, r in roles.items() if r == "k"}
+    assume(keep)
+
+    def value(v):
+        return data.draw(st.integers(0, cards[v] - 1))
+
+    do = {v: value(v) for v, r in roles.items() if r in "dx"}
+    evidence = {v: value(v) for v, r in roles.items() if r in "ox"}
+    model = intervene(scm, do)
+    try:
+        want = marginal(condition(exact_joint(model), evidence), keep)
+    except ZeroProbabilityEvidence:
+        with pytest.raises(ZeroProbabilityEvidence):
+            infer(model, keep, evidence)
+        return
+    got = infer(model, keep, evidence)
+    assert got.vars == want.vars and got.cards == want.cards
+    assert np.abs(got.probs - want.probs).max() <= 1e-12
