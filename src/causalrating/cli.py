@@ -43,22 +43,18 @@ from .road_risk import (
     naive_effect,
     observational_joint,
     phyd_effect,
+    _mask_stay_home,
     scenario_from_json,
-    simulate_journeys,
 )
 from .identify import EffectQuery, confounding_gap
 from .info import mutual_information
-from .scm import (
-    dataset_to_csv,
-    do_distribution,
-    empirical_joint,
-    infer,
-    scm_from_json,
-)
+from .scm import _csv_bytes, do_distribution, infer, sample, scm_from_json
 
 REPORT_SCHEMA_VERSION = 1
 SEED_ENV_VAR = "CAUSALRATING_SEED"
 DEFAULT_SEED = 42
+# simulate draws, masks and writes this many rows at a time.
+SIMULATE_BLOCK_ROWS = 1 << 16
 
 
 class _UsageError(Exception):
@@ -68,8 +64,11 @@ class _UsageError(Exception):
 def _emit(doc, out_path=None):
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text + "\n")
 
@@ -298,14 +297,23 @@ def cmd_simulate(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
-    ds = simulate_journeys(s, args.n, seed)
-    dataset_to_csv(ds, args.out)
-    emp = empirical_joint(ds, ("Y_f",))
+    scm = build_scenario(s)
+    claims = np.zeros(2, dtype=np.int64)
+    try:
+        with open(args.out, "wb") as fh:
+            for start in range(0, args.n, SIMULATE_BLOCK_ROWS):
+                block = sample(scm, min(SIMULATE_BLOCK_ROWS, args.n - start), seed, start=start)
+                rows = np.array(block.rows)
+                _mask_stay_home(s, block.vars, rows)
+                fh.write(_csv_bytes(rows, block.vars if start == 0 else ()))
+                claims += np.bincount(rows[:, block.vars.index("Y_f")], minlength=2)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.out}: {exc}")
     summary = {
-        "n": int(len(ds)),
+        "n": int(args.n),
         "seed": int(seed),
-        "columns": list(ds.vars),
-        "empirical_accident_rate": float(emp.probs[1]),
+        "columns": list(block.vars),
+        "empirical_accident_rate": float(claims[1] / args.n),
         "out": args.out,
     }
     _emit(summary, args.summary)

@@ -6,7 +6,6 @@ nonempty ASCII identifiers.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Iterable, Mapping
 
@@ -458,14 +457,3 @@ def dag_from_json(doc: Mapping) -> Dag:
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
 
-
-def dag_dumps(dag: Dag) -> str:
-    return json.dumps(dag_to_json(dag), indent=2, sort_keys=True)
-
-
-def dag_loads(text: str) -> Dag:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"invalid JSON: {exc}") from exc
-    return dag_from_json(doc)

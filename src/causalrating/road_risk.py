@@ -32,7 +32,7 @@ from .scm import (
     intervene,
     marginal,
     mass_of,
-    sample,
+    _sample_rows,
 )
 
 __all__ = [
@@ -296,6 +296,13 @@ def markov_consistency(scm: DiscreteScm, d_value: int) -> float:
     return worst
 
 
+def _mask_stay_home(s: RoadRiskScenario, vars: tuple, rows: np.ndarray) -> None:
+    """Set the peril states of every ``J_o = 0`` row to 0, in place."""
+    home = rows[:, vars.index("J_o")] == 0
+    for st in s.states:
+        rows[:, vars.index(st)][home] = 0
+
+
 def simulate_journeys(s: RoadRiskScenario, n: int, seed: int) -> Dataset:
     """Ancestral sampling of the scenario, one journey record per row.
 
@@ -305,12 +312,10 @@ def simulate_journeys(s: RoadRiskScenario, n: int, seed: int) -> Dataset:
     states).  ``Y_f`` needs no masking; the model gates it on ``J_o``.
     """
     scm = build_scenario(s)
-    ds = sample(scm, n, seed)
-    rows = np.array(ds.rows)
-    stay_home = rows[:, ds.vars.index("J_o")] == 0
-    for st in s.states:
-        rows[stay_home, ds.vars.index(st)] = 0
-    return Dataset(ds.vars, ds.cards, rows, seed)
+    order = scm.dag.topological_order
+    rows = _sample_rows(scm, n, seed)
+    _mask_stay_home(s, order, rows)
+    return Dataset(order, tuple(scm.card[v] for v in order), rows, seed)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,6 @@ first, with parents listed in the graph's topological order by default.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -397,7 +394,8 @@ def do_distribution(
 #
 # RNG: a splitmix64-based counter generator.  The draw for node k of row
 # i is hash(seed, i, k) mapped to [0, 1); rows therefore have independent
-# derived streams and sampling is order-independent and parallelizable.
+# derived streams, and any block of rows can be drawn on its own with the
+# same values it has in one large draw.
 
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
@@ -406,19 +404,33 @@ _M2 = _U64(0x94D049BB133111EB)
 
 
 def _mix(x):
-    x = np.asarray(x, dtype=np.uint64) + _GAMMA
-    x = (x ^ (x >> _U64(30))) * _M1
-    x = (x ^ (x >> _U64(27))) * _M2
-    return x ^ (x >> _U64(31))
+    x = x + _GAMMA
+    x ^= x >> _U64(30)
+    x *= _M1
+    x ^= x >> _U64(27)
+    x *= _M2
+    x ^= x >> _U64(31)
+    return x
+
+
+def _row_keys(seed: int, rows: np.ndarray) -> np.ndarray:
+    """The part of each row's hash that all of its draws share."""
+    with np.errstate(over="ignore"):
+        return _mix(_mix(_U64(seed & 0xFFFFFFFFFFFFFFFF)) ^ rows.astype(np.uint64))
+
+
+def _keyed_uniforms(keys: np.ndarray, draw: int) -> np.ndarray:
+    """Uniforms in [0, 1) for one draw of the rows with these keys."""
+    h = _mix(keys ^ _U64(draw % (1 << 64)))
+    h >>= _U64(11)
+    u = h.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def _uniforms(seed: int, rows: np.ndarray, draw: int) -> np.ndarray:
     """Vectorized splitmix64 uniforms in [0, 1) for (seed, row, draw)."""
-    with np.errstate(over="ignore"):
-        h = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        h = _mix(h ^ rows.astype(np.uint64))
-        h = _mix(h ^ _U64(draw % (1 << 64)))
-    return (h >> _U64(11)).astype(np.float64) * (2.0**-53)
+    return _keyed_uniforms(_row_keys(seed, rows), draw)
 
 
 @dataclass(frozen=True)
@@ -449,28 +461,48 @@ class Dataset:
         return self.rows[:, self.vars.index(var)]
 
 
-def sample(scm: DiscreteScm, n: int, seed: int) -> Dataset:
-    """Ancestral sampling; bit-reproducible for a fixed seed."""
+def _sample_rows(scm: DiscreteScm, n: int, seed: int, start: int = 0) -> np.ndarray:
+    """Rows ``start..start+n-1`` of the ancestral sample, columns in
+    topological order (a writable, column-major int64 array)."""
     if n < 1:
         raise ValueOutOfRange("n must be >= 1")
+    if start < 0:
+        raise ValueOutOfRange("start must be >= 0")
     order = scm.dag.topological_order
     pos = {v: i for i, v in enumerate(order)}
-    rows = np.zeros((n, len(order)), dtype=np.int64)
-    row_ids = np.arange(n, dtype=np.uint64)
+    rows = np.empty((n, len(order)), dtype=np.int64, order="F")
+    keys = _row_keys(seed, np.arange(start, start + n, dtype=np.uint64))
+    ridx = np.empty(n, dtype=np.int64)
     for k, v in enumerate(order):
-        u = _uniforms(seed, row_ids, k)
+        u = _keyed_uniforms(keys, k)
         ps = scm.parents_of(v)
-        if ps:
-            ridx = np.zeros(n, dtype=np.int64)
-            for p in ps:
-                ridx = ridx * scm.card[p] + rows[:, pos[p]]
-        else:
-            ridx = np.zeros(n, dtype=np.int64)
-        cum = np.cumsum(scm.cpt[v], axis=1)
-        rows[:, k] = (u[:, None] >= cum[ridx, :]).sum(axis=1)
-        np.clip(rows[:, k], 0, scm.card[v] - 1, out=rows[:, k])
-    cards = tuple(scm.card[v] for v in order)
-    return Dataset(order, cards, rows, seed)
+        ridx.fill(0)
+        for p in ps:
+            ridx *= scm.card[p]
+            ridx += rows[:, pos[p]]
+        # The value is the number of cumulative thresholds at or below u.
+        # Thresholds never decrease along a row, so the last one (about 1)
+        # can only lift a count of card - 1 to card; it is left out, which
+        # caps the count at card - 1.
+        cum = np.cumsum(scm.cpt[v], axis=1).T
+        col = rows[:, k]
+        col.fill(0)
+        for j in range(scm.card[v] - 1):
+            col += u >= (cum[j][ridx] if ps else cum[j, 0])
+    return rows
+
+
+def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
+    """Ancestral sampling of rows ``start..start+n-1``; bit-reproducible
+    for a fixed seed.
+
+    Each row's draws depend only on (seed, row index, node), so
+    ``sample(scm, n, seed, start=a)`` holds rows ``a..a+n-1`` of
+    ``sample(scm, a + n, seed)``.
+    """
+    rows = _sample_rows(scm, n, seed, start)
+    order = scm.dag.topological_order
+    return Dataset(order, tuple(scm.card[v] for v in order), rows, seed)
 
 
 def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
@@ -491,25 +523,51 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
     return JointTable(vars, cards, (counts / len(d)).reshape(cards))
 
 
+def _csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
+    """The bytes ``csv.writer(fh, lineterminator="\\n")`` writes for the
+    ``header`` row, if one is given, and then ``rows.tolist()``.
+
+    ``rows`` holds non-negative integers and the header names are
+    identifiers (see :class:`Dag`), so no field needs quoting.  Each column
+    is laid out in a byte field as wide as its largest value, digits
+    right-aligned, followed by its separator; one boolean mask then drops
+    the unused leading bytes of shorter values (there are none when every
+    value has one digit).
+    """
+    n, k = rows.shape
+    widths = [len(str(int(rows[:, c].max()))) if n else 1 for c in range(k)]
+    line = np.empty((n, sum(widths) + k), dtype=np.uint8)
+    used = np.ones(line.shape, dtype=bool)
+    at = 0
+    for c, w in enumerate(widths):
+        v = rows[:, c]
+        for d in range(w):
+            # Digit d counted from the right; the leading one needs no % 10.
+            digit = v // 10**d if d else v
+            if d < w - 1:
+                digit = digit % 10
+            line[:, at + w - 1 - d] = digit + ord("0")
+            if d:
+                used[:, at + w - 1 - d] = v >= 10**d
+        line[:, at + w] = ord(",")
+        at += w + 1
+    line[:, -1] = ord("\n")
+    head = (",".join(header) + "\n").encode() if header else b""
+    return head + (line[used] if max(widths) > 1 else line).tobytes()
+
+
 def dataset_to_csv(d: Dataset, path_or_buf) -> None:
     """Write the dataset as CSV with a header row."""
-
-    def _write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(d.vars)
-        w.writerows(d.rows.tolist())
-
+    data = _csv_bytes(d.rows, d.vars)
     if isinstance(path_or_buf, (str,)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", newline="") as fh:
-            _write(fh)
+        with open(path_or_buf, "wb") as fh:
+            fh.write(data)
     else:
-        _write(path_or_buf)
+        path_or_buf.write(data.decode("ascii"))
 
 
 def dataset_csv_text(d: Dataset) -> str:
-    buf = io.StringIO()
-    dataset_to_csv(d, buf)
-    return buf.getvalue()
+    return _csv_bytes(d.rows, d.vars).decode("ascii")
 
 
 # -- random models and JSON ----------------------------------------------
@@ -556,6 +614,3 @@ def scm_from_json(doc: Mapping) -> DiscreteScm:
     except KeyError as exc:
         raise ShapeError(f"malformed SCM document: missing {exc}") from exc
 
-
-def scm_dumps(scm: DiscreteScm) -> str:
-    return json.dumps(scm_to_json(scm), indent=2, sort_keys=True)

@@ -5,6 +5,8 @@ collects both ``tests`` and ``bench`` has two ``conftest`` modules, and
 only one of them can be imported under that name.
 """
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -28,6 +30,35 @@ def brute_force_joint(scm: DiscreteScm) -> JointTable:
             p *= scm.cpt[v][row, cfg[pos[v]]]
         probs[cfg] = p
     return JointTable(order, cards, probs)
+
+
+def csv_writer_bytes(rows: np.ndarray, header=()) -> bytes:
+    """CSV oracle: what ``csv.writer`` writes for the header and the rows."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    if header:
+        w.writerow(header)
+    w.writerows(rows.tolist())
+    return buf.getvalue().encode()
+
+
+def reference_sample_rows(scm: DiscreteScm, n: int, seed: int) -> np.ndarray:
+    """Sampling oracle: every row at once, each value the number of
+    cumulative CPT thresholds at or below its uniform, clipped to the
+    cardinality."""
+    from causalrating.scm import _uniforms
+
+    order = scm.dag.topological_order
+    pos = {v: i for i, v in enumerate(order)}
+    rows = np.zeros((n, len(order)), dtype=np.int64)
+    for k, v in enumerate(order):
+        u = _uniforms(seed, np.arange(n, dtype=np.uint64), k)
+        ridx = np.zeros(n, dtype=np.int64)
+        for p in scm.parents_of(v):
+            ridx = ridx * scm.card[p] + rows[:, pos[p]]
+        cum = np.cumsum(scm.cpt[v], axis=1)
+        rows[:, k] = np.clip((u[:, None] >= cum[ridx, :]).sum(axis=1), 0, scm.card[v] - 1)
+    return rows
 
 
 def random_joint(seed: int, cards=(2, 2, 2), names=("A", "B", "C")) -> JointTable:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -30,6 +31,53 @@ def approx_equal(a, b, rel=1e-9):
     if isinstance(a, list):
         return len(a) == len(b) and all(approx_equal(x, y, rel) for x, y in zip(a, b))
     return a == b
+
+
+# SHA-256 of the CSV and the summary's accident rate of ``simulate``, by
+# (scenario, seed, n).  The digests come from the unchunked writer that
+# formatted ``rows.tolist()`` with ``csv.writer``; 3 * 2**16 + 7 rows
+# cross the boundaries of any power-of-two block up to 2**16 rows.
+GOLDEN_ROWS = 3 * (1 << 16) + 7
+SIMULATE_GOLDEN = {
+    ("default", 0, 1): ("15a257dc410bcc0ee15ef6dff1836ef1368f399b20bcb37f3f7e1d98d83d2482", 0.0),
+    ("default", 0, 196615): ("e59af65e2a5d9a9992e94387052eafcb532e901cac3cd1c26d8de632722b8205", 0.24384202629504362),
+    ("default", 17, 1): ("ab5d7871efeaf6ae8dadb86ed56817948f85fb27c666d4abea549f3a76228342", 0.0),
+    ("default", 17, 196615): ("787ae8af546147aa0568548f1b8e069ba7b22bb8bec60a4d98d8bc32aab63adb", 0.24301808102128525),
+    ("default", 42, 1): ("abdc7d834ce30030a775c9d7fd739b6f92ce3e78fbb783069db7f52e3e632e7b", 1.0),
+    ("default", 42, 196615): ("539652b51797773fe5e81c7976402faf6473b5e1350b48390f28acefef8fb239", 0.24341988149429086),
+    ("depth6", 0, 1): ("c7bcc86cefca5e16bfa05b99661bc5418e0f005aa94d1ca198f358db1392cbe0", 1.0),
+    ("depth6", 0, 196615): ("f7c7079ad3f81385cc9c26ce16dbd173b20dd382494f55550f610dd0a91966f7", 0.49159524959947104),
+    ("depth6", 17, 1): ("17a5d27734d2282464ec4f8f8ad9906107ceafc704387027e881f3b8fc5ef1ca", 1.0),
+    ("depth6", 17, 196615): ("244fe829d237171a6e246a451e03073ae69002dc1bf166e5fd55e56cb4998994", 0.4919970500724767),
+    ("depth6", 42, 1): ("5c9ed92b8b02eae2e659d397ccc942b68744d32f75e57884a576aa819b747763", 1.0),
+    ("depth6", 42, 196615): ("ea50b2ccb5d011797b6446f8f59123cbe573aaa0a5627cb255606ae834be3348", 0.491758004221448),
+    ("card12", 42, 1): ("cbebe55197c8ac527ec9d83b88ca61e997e03bdf9193080109b20e6d673be55d", 1.0),
+    ("card12", 42, 196615): ("8fcc68969003c0dbcc552d681e6f2c8a88723bd2b9fa6af82c9e9d78783def91", 0.23382753096152378),
+}
+
+
+def wide_decision_doc() -> dict:
+    """The shipped scenario with 12 decision values (two-digit ``D``)."""
+    doc = json.loads(pathlib.Path(SCENARIO).read_text())
+    w = [k + 1 for k in range(12)]
+    doc["decision_card"] = 12
+    doc["decision_base"] = [[x / 78 for x in w], [x / 78 for x in reversed(w)]]
+    doc["escalation"] = [
+        [[min(0.9, (0.05 + 0.06 * i) * (1 + d / 6) * (1 + 0.9 * t)) for t in range(2)] for d in range(12)]
+        for i in range(2)
+    ]
+    return doc
+
+
+def golden_scenario_path(name: str, tmp_path) -> str:
+    from causalrating import canonical_scenario, scenario_to_json
+
+    if name == "default":
+        return SCENARIO
+    doc = scenario_to_json(canonical_scenario(6)) if name == "depth6" else wide_decision_doc()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestTemplates:
@@ -175,6 +223,35 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_streams_in_bounded_blocks(self, capsys, tmp_path, monkeypatch):
+        import numpy as np
+
+        from causalrating import cli
+
+        sizes = []
+        real = cli.sample
+
+        def spy(scm, n, seed, **kwargs):
+            sizes.append(n)
+            return real(scm, n, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "sample", spy)
+        out = tmp_path / "j.csv"
+        code, text, _ = run(capsys, "simulate", SCENARIO, "--n", "200000", "--seed", "3", "--out", str(out))
+        assert code == 0
+        assert sum(sizes) == 200_000
+        assert max(sizes) <= 1 << 16
+        header, _, body = out.read_bytes().partition(b"\n")
+        cols = header.decode().split(",")
+        vals = np.frombuffer(body, dtype=np.uint8).reshape(200_000, 2 * len(cols))[:, ::2] - ord("0")
+        col = dict(zip(cols, vals.T))
+        assert json.loads(text) == {
+            "n": 200_000, "seed": 3, "columns": cols, "out": str(out),
+            "empirical_accident_rate": int(col["Y_f"].sum()) / 200_000,
+        }
+        home = col["J_o"] == 0
+        assert home.any() and not any(col[v][home].any() for v in cols if v.startswith("S_"))
+
     def test_seed_env_override(self, capsys, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("CAUSALRATING_SEED", "99")
@@ -182,6 +259,56 @@ class TestSimulate:
         monkeypatch.delenv("CAUSALRATING_SEED")
         run(capsys, "simulate", SCENARIO, "--n", "100", "--seed", "99", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "name,seed,n",
+        [pytest.param(*key, id=f"{key[0]}-seed{key[1]}-n{key[2]}") for key in SIMULATE_GOLDEN],
+    )
+    def test_golden_bytes(self, capsys, tmp_path, name, seed, n):
+        out = tmp_path / "journeys.csv"
+        path = golden_scenario_path(name, tmp_path)
+        code, text, _ = run(capsys, "simulate", path, "--n", str(n), "--seed", str(seed), "--out", str(out))
+        assert code == 0
+        data = out.read_bytes()
+        digest, rate = SIMULATE_GOLDEN[(name, seed, n)]
+        assert hashlib.sha256(data).hexdigest() == digest
+        header = data.partition(b"\n")[0].decode().split(",")
+        assert json.loads(text) == {
+            "n": n, "seed": seed, "columns": header, "empirical_accident_rate": rate, "out": str(out),
+        }
+        if name == "card12" and n == GOLDEN_ROWS:
+            assert b",11," in data
+
+
+class TestUnwritableOutput:
+    def test_simulate_out_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
+        from causalrating import cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking --out")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        bad = tmp_path / "missing" / "x.csv"
+        code, _, err = run(capsys, "simulate", SCENARIO, "--n", "10", "--out", str(bad))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {bad}")
+
+    def test_simulate_summary(self, capsys, tmp_path):
+        bad = tmp_path / "missing" / "s.json"
+        code, _, err = run(
+            capsys, "simulate", SCENARIO, "--n", "10",
+            "--out", str(tmp_path / "x.csv"), "--summary", str(bad),
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {bad}")
+
+    def test_evaluate_out(self, capsys, tmp_path):
+        bad = tmp_path / "missing" / "e.json"
+        code, out, err = run(capsys, "evaluate", SCENARIO, "--out", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {bad}")
 
 
 class TestEvaluate:

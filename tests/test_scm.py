@@ -31,8 +31,14 @@ from causalrating import (
     scm_to_json,
     template,
 )
-from causalrating.scm import dataset_csv_text, mass_of
-from helpers import TEMPLATE_DAGS, brute_force_joint, random_dag
+from causalrating.scm import _csv_bytes, dataset_csv_text, mass_of
+from helpers import (
+    TEMPLATE_DAGS,
+    brute_force_joint,
+    csv_writer_bytes,
+    random_dag,
+    reference_sample_rows,
+)
 
 
 def copy_chain(p_a=0.5):
@@ -354,6 +360,63 @@ class TestSampling:
         lines = text.strip().split("\n")
         assert lines[0] == "A,B"
         assert len(lines) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dag_seed=st.integers(0, 10_000),
+        n_nodes=st.integers(1, 5),
+        card=st.integers(2, 12),
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 300),
+    )
+    def test_matches_reference_sampler(self, dag_seed, n_nodes, card, seed, n):
+        scm = random_scm(random_dag(dag_seed, n_nodes), dag_seed, card=card, concentration=0.3)
+        assert np.array_equal(sample(scm, n, seed).rows, reference_sample_rows(scm, n, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dag_seed=st.integers(0, 10_000),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 500),
+        k=st.integers(1, 300),
+    )
+    def test_block_equals_slice_of_one_draw(self, dag_seed, seed, start, k):
+        scm = random_scm(random_dag(dag_seed, 4), dag_seed, card=3)
+        block = sample(scm, k, seed, start=start)
+        assert np.array_equal(block.rows, sample(scm, start + k, seed).rows[start:])
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueOutOfRange):
+            sample(copy_chain(), 5, seed=1, start=-1)
+
+
+@st.composite
+def int_matrices(draw):
+    """Non-negative int matrices, each column below a cardinality of 2..1500."""
+    cards = draw(st.lists(st.integers(2, 1500), min_size=1, max_size=6))
+    n = draw(st.integers(0, 40))
+    cols = [draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)) for c in cards]
+    return np.array(cols, dtype=np.int64).T.copy(order=draw(st.sampled_from("CF")))
+
+
+class TestCsvFormatter:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=int_matrices(), with_header=st.booleans())
+    def test_matches_csv_writer(self, rows, with_header):
+        header = tuple(f"V{i}" for i in range(rows.shape[1])) if with_header else ()
+        assert _csv_bytes(rows, header) == csv_writer_bytes(rows, header)
+
+    def test_powers_of_ten(self):
+        rows = np.array([[0, 9, 10], [99, 100, 1499], [1000, 1, 0]], dtype=np.int64)
+        assert _csv_bytes(rows) == b"0,9,10\n99,100,1499\n1000,1,0\n"
+
+    def test_dataset_to_csv_file_matches_text(self, tmp_path):
+        from causalrating import dataset_to_csv
+
+        ds = sample(random_scm(template("Fig2c"), 4, card=11), 500, seed=9)
+        dataset_to_csv(ds, tmp_path / "d.csv")
+        data = (tmp_path / "d.csv").read_bytes()
+        assert data == dataset_csv_text(ds).encode() == csv_writer_bytes(ds.rows, ds.vars)
 
 
 class TestJson:
