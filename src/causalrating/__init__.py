@@ -53,18 +53,19 @@ from .identify import (
     CapacityReport,
     ConfoundingGap,
     EffectQuery,
+    EffectTable,
     EliminationVerdict,
     backdoor_adjust,
     confounded_direct_example,
     confounded_mediation_example,
     confounding_gap,
     frontdoor_adjust,
+    identify_effect,
     noise_verdict,
     rating_comparison,
     rule1_deletion_check,
 )
 from .road_risk import (
-    EffectTable,
     RoadRiskScenario,
     build_scenario,
     canonical_scenario,

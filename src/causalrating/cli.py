@@ -18,37 +18,28 @@ import sys
 
 import numpy as np
 
-from .errors import CausalRatingError, IdentificationError, CriterionNotMet
-from .graph import (
-    TEMPLATE_IDS,
-    Dag,
-    _drop_out_edges,
-    d_separated,
-    dag_from_json,
-    dag_to_json,
-    mutilate,
-    open_backdoor_trail,
-    open_trail,
-    satisfies_backdoor,
-    satisfies_frontdoor,
-    template,
+from .errors import CausalRatingError, IdentificationError
+from .graph import TEMPLATE_IDS, Dag, d_separated, dag_from_json, dag_to_json, open_trail, template
+from .identify import (
+    IDENTIFY_METHODS,
+    EffectQuery,
+    confounding_gap,
+    identify_effect,
+    noise_verdict,
+    rating_comparison,
 )
-from .identify import backdoor_adjust, frontdoor_adjust, noise_verdict, rating_comparison
 from .road_risk import (
     RoadRiskScenario,
     build_scenario,
     chain_factorization_residual,
-    ground_truth_effect,
     markov_consistency,
     naive_effect,
     observational_joint,
-    phyd_effect,
     _mask_stay_home,
     scenario_from_json,
 )
-from .identify import EffectQuery, confounding_gap
 from .info import mutual_information
-from .scm import _csv_bytes, do_distribution, infer, sample, scm_from_json
+from .scm import _csv_bytes, infer, sample, scm_from_json
 
 REPORT_SCHEMA_VERSION = 1
 SEED_ENV_VAR = "CAUSALRATING_SEED"
@@ -118,18 +109,18 @@ def _load_model(path: str):
 
 
 def _parse_do(items):
-    """``--do NAME`` sweeps the variable; ``--do NAME=V`` pins it."""
-    pinned, swept = {}, []
-    for item in items or []:
-        if "=" in item:
-            name, _, val = item.partition("=")
+    """``--do NAME`` sweeps the variable; ``--do NAME=V`` also keeps only
+    the cells where it is V.  Returns (names, pinned values)."""
+    names, pinned = [], {}
+    for item in items:
+        name, eq, val = item.partition("=")
+        names.append(name)
+        if eq:
             try:
                 pinned[name] = int(val)
             except ValueError:
                 raise _UsageError(f"--do {item}: value must be an integer")
-        else:
-            swept.append(item)
-    return pinned, swept
+    return names, pinned
 
 
 # -- commands --------------------------------------------------------------
@@ -155,131 +146,25 @@ def cmd_dsep(args) -> int:
     return 0
 
 
-def _rule2_movable(dag: Dag, x: str, y: str, w: str) -> bool:
-    """May do(w) be replaced by observing w in P(y | do(x), do(w))?
-
-    True iff y and w are d-separated by x after cutting x's incoming
-    and w's outgoing edges.
-    """
-    g = _drop_out_edges(mutilate(dag, {x}), {w})
-    return d_separated(g, {y}, {w}, {x})
-
-
-def _identify_cells(scm, scenario, args):
-    """Resolve the identification request into (method, cells)."""
-    dag = scm.dag
-    outcome = args.outcome
-    pinned, swept = _parse_do(args.do)
-    do_vars = [v for v in dag.topological_order if v in pinned or v in swept]
-    if not do_vars:
-        raise _UsageError("--do is required")
-    if outcome in do_vars:
-        raise _UsageError("outcome may not be intervened on")
-    given = list(args.given or [])
-    mediators = set(args.mediators or [])
-    adjust = set(args.adjust or [])
-    latent = set(dag.latent)
-    method = args.method
-
-    def sweep_configs(vars_):
-        pins = [(pinned[v],) if v in pinned else tuple(range(scm.card[v])) for v in vars_]
-        return [
-            tuple(pins[i][c] for i, c in enumerate(cfg))
-            for cfg in np.ndindex(*(len(p) for p in pins))
-        ]
-
-    if method == "oracle":
-        cells = []
-        for cfg in sweep_configs(do_vars):
-            cut_do = dict(zip(do_vars, cfg))
-            if given:
-                for g_cfg in np.ndindex(*(scm.card[v] for v in given)):
-                    g = dict(zip(given, (int(c) for c in g_cfg)))
-                    try:
-                        dist = do_distribution(scm, outcome, cut_do, given=g)
-                    except CausalRatingError:
-                        continue
-                    cells.append((cfg, tuple(g_cfg), dist))
-            else:
-                cells.append((cfg, (), do_distribution(scm, outcome, cut_do)))
-        return "oracle", do_vars, given, cells
-
-    joint = infer(scm, set(dag.nodes) - latent)
-
-    if method in ("auto", "frontdoor") and (mediators or scenario is not None):
-        if scenario is not None and not mediators:
-            mediators = set(scenario.states)
-        # Pick the treatment among the do-variables: the one whose
-        # front-door criterion holds; remaining do-variables must be
-        # convertible to observations.
-        for x in do_vars:
-            extra = [w for w in do_vars if w != x]
-            if not satisfies_frontdoor(dag, x, outcome, mediators):
-                continue
-            if all(_rule2_movable(dag, x, outcome, w) for w in extra):
-                strat = extra + given
-                raw = frontdoor_adjust(joint, dag, x, outcome, mediators, given=strat)
-                cells = []
-                for cfg in sweep_configs(do_vars):
-                    want = dict(zip(do_vars, cfg))
-                    for (xv, g_cfg), dist in raw.items():
-                        g = dict(zip(strat, g_cfg))
-                        if xv != want[x] or any(g[w] != want[w] for w in extra):
-                            continue
-                        cells.append((cfg, tuple(g_cfg[len(extra):]), dist))
-                return "frontdoor", do_vars, given, cells
-        if method == "frontdoor":
-            raise CriterionNotMet(
-                f"front-door criterion fails for do({', '.join(do_vars)}) "
-                f"on {outcome} via {sorted(mediators)}"
-            )
-
-    if method in ("auto", "backdoor"):
-        if len(do_vars) == 1 and not given:
-            x = do_vars[0]
-            for z in (adjust,) if adjust else (set(), {v for v in dag.nodes
-                                                      if v not in latent and v not in (x, outcome)
-                                                      and v not in dag.descendants(x)}):
-                if satisfies_backdoor(dag, x, outcome, z):
-                    raw = backdoor_adjust(joint, dag, x, outcome, z)
-                    cells = [(cfg, (), raw[cfg[0]]) for cfg in sweep_configs(do_vars)]
-                    return "backdoor", do_vars, given, cells
-        if method == "backdoor":
-            raise CriterionNotMet(
-                f"no admissible back-door adjustment set for do({', '.join(do_vars)}) on {outcome}"
-            )
-
-    witness = None
-    if len(do_vars) == 1 and not given:
-        witness = open_backdoor_trail(dag, do_vars[0], outcome, set())
-    raise CriterionNotMet(
-        f"effect of do({', '.join(do_vars)}) on {outcome} is not identifiable "
-        "by the available criteria; an unblockable back-door trail remains",
-        witness=witness,
-    )
-
-
 def cmd_identify(args) -> int:
     scm, scenario = _load_model(args.model)
-    if scenario is not None and not args.do:
-        args.do = ["J_o", "D"]
-    if scenario is not None and args.outcome is None:
-        args.outcome = "Y_f"
-    if args.outcome is None:
+    do, outcome, mediators = args.do, args.outcome, args.mediators
+    if scenario is not None:
+        do, outcome = do or ["J_o", "D"], outcome or "Y_f"
+        mediators = mediators or scenario.states
+    if outcome is None:
         raise _UsageError("--outcome is required")
-    method, do_vars, given, cells = _identify_cells(scm, scenario, args)
-    doc = {
-        "method": method,
-        "outcome": args.outcome,
-        "outcome_card": int(scm.card[args.outcome]),
-        "do_vars": list(do_vars),
-        "given_vars": list(given),
-        "cells": [
-            {"do": [int(c) for c in cfg], "given": [int(c) for c in g],
-             "distribution": [float(p) for p in dist]}
-            for cfg, g, dist in sorted(cells, key=lambda t: (t[0], t[1]))
-        ],
-    }
+    if not do:
+        raise _UsageError("--do is required")
+    names, pinned = _parse_do(do)
+    query = EffectQuery(outcome, names, args.given)
+    method, table = identify_effect(scm, query, args.method, mediators, args.adjust)
+    doc = {"method": method, **table.to_json()}
+    for v, val in pinned.items():
+        if not 0 <= val < scm.card[v]:
+            raise _UsageError(f"--do {v}={val}: value out of range 0..{scm.card[v] - 1}")
+        at = table.do_vars.index(v)
+        doc["cells"] = [c for c in doc["cells"] if c["do"][at] == val]
     _emit(doc, args.out)
     return 0
 
@@ -325,9 +210,10 @@ def _scenario_report(s: RoadRiskScenario) -> dict:
     j = observational_joint(s, scm=scm)
     capacity = rating_comparison(j, "Y_h", "D", "Y_f")
     gap = confounding_gap(scm, "D", "Y_f", "U")
-    pe = phyd_effect(s, joint=j)
+    query = EffectQuery("Y_f", {"J_o", "D"})
+    _, pe = identify_effect(scm, query, "frontdoor", s.states)
+    _, gt = identify_effect(scm, query, "oracle")
     ne = naive_effect(s, joint=j)
-    gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})), scm=scm)
     phyd_dev = max(float(np.abs(pe.table[k] - gt.table[k]).max()) for k in pe.table)
     naive_tv = max(
         0.5 * float(np.abs(ne.table[k] - gt.table[k]).sum()) for k in ne.table
@@ -422,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--given", nargs="*", default=[])
     i.add_argument("--mediators", nargs="*", default=[])
     i.add_argument("--adjust", nargs="*", default=[])
-    i.add_argument("--method", choices=["auto", "backdoor", "frontdoor", "oracle"], default="auto")
+    i.add_argument("--method", choices=IDENTIFY_METHODS, default="auto")
     i.add_argument("--out", default=None)
     i.set_defaults(fn=cmd_identify)
 

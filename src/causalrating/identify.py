@@ -1,8 +1,9 @@
 """Causal-effect identification and variable-elimination verdicts.
 
-Adjustment estimators consume an observational joint table that must
-not contain latent variables; only the surgery oracle
-(:func:`causalrating.scm.do_distribution`) may see the full model.
+:func:`identify_effect` is the one place that picks an identification
+strategy.  Adjustment estimators consume an observational joint table
+that must not contain latent variables; only the surgery oracle may see
+the full model.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     OverlapError,
     ParameterError,
     PositivityViolation,
+    UnknownVariable,
 )
 from .graph import (
     Dag,
@@ -37,6 +39,7 @@ from .scm import (
     JointTable,
     condition,
     infer,
+    intervene,
     marginal,
     mass_of,
     scm_from_json,
@@ -44,11 +47,13 @@ from .scm import (
 
 __all__ = [
     "EffectQuery",
+    "EffectTable",
     "EliminationVerdict",
     "CapacityReport",
     "ConfoundingGap",
     "backdoor_adjust",
     "frontdoor_adjust",
+    "identify_effect",
     "rule1_deletion_check",
     "noise_verdict",
     "confounding_gap",
@@ -67,28 +72,56 @@ UNIDENTIFIABLE = "Unidentifiable"
 
 @dataclass(frozen=True)
 class EffectQuery:
-    """An interventional quantity: P(outcome | do(do), observed)."""
+    """An interventional quantity: P(outcome | do(do), observed).
+
+    ``do`` names the intervened variables; :func:`identify_effect`
+    answers the query for every configuration of them.
+    """
 
     outcome: str
-    do: Mapping[str, int] | frozenset
+    do: frozenset
     observed: frozenset = frozenset()
 
     def __post_init__(self):
-        do = self.do if isinstance(self.do, Mapping) else frozenset(self.do)
-        observed = frozenset(self.observed)
-        do_names = frozenset(do.keys()) if isinstance(do, Mapping) else do
-        if self.outcome in do_names or self.outcome in observed:
+        if isinstance(self.do, (Mapping, str)):
+            raise ParameterError("EffectQuery.do takes a collection of variable names")
+        do, observed = frozenset(self.do), frozenset(self.observed)
+        if self.outcome in do or self.outcome in observed:
             raise OverlapError("outcome may not appear in do or observed sets")
-        if do_names & observed:
+        if do & observed:
             raise OverlapError("do and observed sets overlap")
         object.__setattr__(self, "do", do)
         object.__setattr__(self, "observed", observed)
 
-    @property
-    def do_names(self) -> tuple:
-        if isinstance(self.do, Mapping):
-            return tuple(self.do.keys())
-        return tuple(sorted(self.do))
+
+@dataclass(frozen=True)
+class EffectTable:
+    """Distributions over an outcome, per do-configuration and stratum."""
+
+    outcome: str
+    outcome_card: int
+    do_vars: tuple
+    given_vars: tuple
+    table: dict  # (do_config, given_config) -> np.ndarray over outcome
+
+    def dist(self, do_config, given_config=()) -> np.ndarray:
+        return self.table[(tuple(do_config), tuple(given_config))]
+
+    def to_json(self) -> dict:
+        return {
+            "outcome": self.outcome,
+            "outcome_card": int(self.outcome_card),
+            "do_vars": list(self.do_vars),
+            "given_vars": list(self.given_vars),
+            "cells": [
+                {
+                    "do": list(do_cfg),
+                    "given": list(g_cfg),
+                    "distribution": [float(p) for p in dist],
+                }
+                for (do_cfg, g_cfg), dist in sorted(self.table.items())
+            ],
+        }
 
 
 @dataclass(frozen=True)
@@ -265,6 +298,130 @@ def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool
         raise OverlapError("candidate/outcome may not be in the do-set")
     cut = mutilate(dag, do_set)
     return d_separated(cut, {outcome}, {candidate}, do_set)
+
+
+def _rule2_movable(dag: Dag, x: str, y: str, W, given=()) -> bool:
+    """Do-calculus Rule 2: may do(W) be replaced by observing W in
+    P(y | do(x), do(W), given)?
+
+    True iff y and W are d-separated by x and ``given`` after cutting
+    x's incoming and W's outgoing edges.
+    """
+    if not W:
+        return True
+    g = _drop_out_edges(mutilate(dag, {x}), W)
+    return d_separated(g, {y}, W, {x, *given})
+
+
+def _frontdoor_in_strata(dag: Dag, x: str, y: str, M: frozenset, strata: frozenset) -> bool:
+    """The front-door criterion for (x, y) via ``M`` within each stratum.
+
+    On top of :func:`satisfies_frontdoor`, no stratum variable may be a
+    mediator or descend from x or from ``M``, and both back-door
+    conditions must still hold with the strata added to their
+    conditioning sets.  Then the stratified formula of
+    :func:`frontdoor_adjust` equals P(y | do(x), strata).
+    """
+    if not satisfies_frontdoor(dag, x, y, M):
+        return False
+    if not strata:
+        return True
+    below = dag.descendants(x).union(*(dag.descendants(m) for m in M))
+    return (
+        not strata & (M | below)
+        and d_separated(_drop_out_edges(dag, {x}), {x}, M, strata)
+        and d_separated(_drop_out_edges(dag, M), M, {y}, {x} | strata)
+    )
+
+
+IDENTIFY_METHODS = ("auto", "frontdoor", "backdoor", "oracle")
+
+
+def identify_effect(
+    scm: DiscreteScm, query: EffectQuery, method: str = "auto", mediators=(), adjust=()
+) -> tuple:
+    """P(outcome | do(do), observed) for every do-configuration and every
+    stratum of positive mass, as ``(method, EffectTable)``.
+
+    ``auto`` tries the front-door criterion through ``mediators``, then
+    the back-door criterion, and raises :class:`CriterionNotMet` when
+    neither holds (with an open back-door trail as witness for one
+    do-variable and no ``observed``).  The front-door treatment is the
+    first do-variable, in topological order, whose criterion holds
+    within the strata of ``observed`` and the other do-variables, where
+    Rule 2 lets those other interventions be read as observations.
+    Back-door needs one do-variable and no ``observed``; it tries
+    ``adjust`` when given, else the empty set and then every observed
+    non-descendant of the treatment.  ``frontdoor`` and ``backdoor``
+    force one criterion; ``oracle`` is graph surgery on the full model,
+    one inference per do-configuration.  Each adjustment infers only the
+    observed joint it reads.  Do-variables and strata come out in
+    topological order.
+    """
+    if method not in IDENTIFY_METHODS:
+        raise ParameterError(f"method must be one of {IDENTIFY_METHODS}, got {method!r}")
+    M, adjust = frozenset(mediators), frozenset(adjust)
+    for v in (query.outcome, *query.do, *query.observed, *M, *adjust):
+        if v not in scm.card:
+            raise UnknownVariable(f"unknown variable: {v!r}")
+    dag, y = scm.dag, query.outcome
+    do_vars = tuple(v for v in dag.topological_order if v in query.do)
+    given = tuple(v for v in dag.topological_order if v in query.observed)
+
+    def effect(cells: dict) -> EffectTable:
+        return EffectTable(y, scm.card[y], do_vars, given, cells)
+
+    if method == "oracle":
+        cells = {}
+        for cfg in np.ndindex(*(scm.card[v] for v in do_vars)):
+            j = infer(intervene(scm, dict(zip(do_vars, cfg))), {y, *given})
+            for g in _configs(j, given):
+                stratum = dict(zip(given, (int(c) for c in g)))
+                if mass_of(j, stratum) > 0.0:
+                    dist = marginal(condition(j, stratum), {y}).probs
+                    cells[(cfg, tuple(stratum.values()))] = dist
+        return "oracle", effect(cells)
+
+    if method in ("auto", "frontdoor"):
+        for x in do_vars:
+            extra = frozenset(do_vars) - {x}
+            strata = extra | query.observed
+            if not (
+                _frontdoor_in_strata(dag, x, y, M, strata)
+                and _rule2_movable(dag, x, y, extra, query.observed)
+            ):
+                continue
+            j = infer(scm, {x, y, *M, *strata})
+            s_vars = _ordered(j, strata)
+            cells = {}
+            for (xv, s_cfg), dist in frontdoor_adjust(j, dag, x, y, M, given=strata).items():
+                value = {x: xv, **dict(zip(s_vars, s_cfg))}
+                cells[(tuple(value[v] for v in do_vars), tuple(value[v] for v in given))] = dist
+            return "frontdoor", effect(cells)
+        if method == "frontdoor":
+            raise CriterionNotMet(
+                f"front-door criterion fails for do({', '.join(do_vars)}) on {y} via {sorted(M)}"
+            )
+
+    if method in ("auto", "backdoor") and len(do_vars) == 1 and not given:
+        x = do_vars[0]
+        pre = {v for v in dag.nodes if v not in dag.latent and v not in (x, y)} - dag.descendants(x)
+        for Z in (adjust,) if adjust else (frozenset(), pre):
+            if satisfies_backdoor(dag, x, y, Z):
+                raw = backdoor_adjust(infer(scm, {x, y, *Z}), dag, x, y, Z)
+                return "backdoor", effect({((xv,), ()): dist for xv, dist in raw.items()})
+    if method == "backdoor":
+        raise CriterionNotMet(
+            f"no admissible back-door adjustment set for do({', '.join(do_vars)}) on {y}"
+        )
+    witness = None
+    if len(do_vars) == 1 and not given:
+        witness = open_backdoor_trail(dag, do_vars[0], y, set())
+    raise CriterionNotMet(
+        f"effect of do({', '.join(do_vars)}) on {y} is not identifiable "
+        "by the available criteria; an unblockable back-door trail remains",
+        witness=witness,
+    )
 
 
 def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> EliminationVerdict:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NegativeTta, ParameterError
 from .graph import Dag
-from .identify import EffectQuery, frontdoor_adjust
+from .identify import EffectQuery, EffectTable, identify_effect
 from .info import conditional_mutual_information
 from .scm import (
     Dataset,
@@ -29,15 +29,12 @@ from .scm import (
     JointTable,
     condition,
     infer,
-    intervene,
     marginal,
-    mass_of,
     _sample_rows,
 )
 
 __all__ = [
     "RoadRiskScenario",
-    "EffectTable",
     "tta_discretize",
     "build_scenario",
     "scenario_dag",
@@ -318,66 +315,9 @@ def simulate_journeys(s: RoadRiskScenario, n: int, seed: int) -> Dataset:
     return Dataset(order, tuple(scm.card[v] for v in order), rows, seed)
 
 
-@dataclass(frozen=True)
-class EffectTable:
-    """Distributions over an outcome, per do-configuration and stratum."""
-
-    outcome: str
-    outcome_card: int
-    do_vars: tuple
-    given_vars: tuple
-    table: dict  # (do_config, given_config) -> np.ndarray over outcome
-
-    def dist(self, do_config, given_config=()) -> np.ndarray:
-        return self.table[(tuple(do_config), tuple(given_config))]
-
-    def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "outcome_card": int(self.outcome_card),
-            "do_vars": list(self.do_vars),
-            "given_vars": list(self.given_vars),
-            "cells": [
-                {
-                    "do": list(do_cfg),
-                    "given": list(g_cfg),
-                    "distribution": [float(p) for p in dist],
-                }
-                for (do_cfg, g_cfg), dist in sorted(self.table.items())
-            ],
-        }
-
-
-def ground_truth_effect(
-    s: RoadRiskScenario, q: EffectQuery, *, scm: DiscreteScm | None = None
-) -> EffectTable:
-    """Exact interventional oracle via graph surgery on the full model.
-
-    ``scm``, when given, must be ``build_scenario(s)``.
-    """
-    scm = build_scenario(s) if scm is None else scm
-    order = scm.dag.topological_order
-    if isinstance(q.do, Mapping):
-        do_vars = tuple(v for v in order if v in q.do)
-        do_configs = [tuple(int(q.do[v]) for v in do_vars)]
-    else:
-        do_vars = tuple(v for v in order if v in q.do)
-        do_configs = [tuple(cfg) for cfg in np.ndindex(*(scm.card[v] for v in do_vars))]
-    given_vars = tuple(v for v in order if v in q.observed)
-    table = {}
-    for cfg in do_configs:
-        cut = intervene(scm, dict(zip(do_vars, (int(c) for c in cfg))))
-        j = infer(cut, {q.outcome, *given_vars})
-        if given_vars:
-            for g_cfg in np.ndindex(*(scm.card[v] for v in given_vars)):
-                g = dict(zip(given_vars, (int(c) for c in g_cfg)))
-                if mass_of(j, g) <= 0.0:
-                    continue
-                dist = marginal(condition(j, g), {q.outcome}).probs
-                table[(cfg, tuple(int(c) for c in g_cfg))] = dist
-        else:
-            table[(cfg, ())] = marginal(j, {q.outcome}).probs
-    return EffectTable(q.outcome, scm.card[q.outcome], do_vars, given_vars, table)
+def ground_truth_effect(s: RoadRiskScenario, q: EffectQuery) -> EffectTable:
+    """Exact interventional oracle via graph surgery on the full model."""
+    return identify_effect(build_scenario(s), q, "oracle")[1]
 
 
 def observational_joint(s: RoadRiskScenario, *, scm: DiscreteScm | None = None) -> JointTable:
@@ -389,19 +329,15 @@ def observational_joint(s: RoadRiskScenario, *, scm: DiscreteScm | None = None) 
     return infer(scm, {"Y_h", "J_o", "D", "Y_f", *s.states})
 
 
-def phyd_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> EffectTable:
+def phyd_effect(s: RoadRiskScenario) -> EffectTable:
     """P(Y_f | do(J_o, D)) for every (J_o, D) pair, identified from data.
 
     Front-door adjustment through the peril-state chain on the U-free
     observational joint, stratified by the journey switch; matches the
-    surgery oracle on the canonical graph to 1e-9.  ``joint``, when
-    given, must be ``observational_joint(s)``.
+    surgery oracle on the canonical graph to 1e-9.
     """
-    j = observational_joint(s) if joint is None else joint
-    dag = scenario_dag(s)
-    raw = frontdoor_adjust(j, dag, "D", "Y_f", set(s.states), given={"J_o"})
-    table = {((int(g[0]), int(d)), ()): dist for (d, g), dist in raw.items()}
-    return EffectTable("Y_f", 2, ("J_o", "D"), (), table)
+    q = EffectQuery("Y_f", {"J_o", "D"})
+    return identify_effect(build_scenario(s), q, "frontdoor", s.states)[1]
 
 
 def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> EffectTable:
@@ -431,31 +367,18 @@ def chain_factorization_residual(
     scm = build_scenario(s) if scm is None else scm
     chain = list(s.states) + ["Y_f"]
     lhs = infer(scm, chain, {"D": int(d_value)})
-    # Stage conditionals P(next | prev, D=d) from pairwise marginals.
-    pair_cond = []
-    for a, b in zip(chain, chain[1:]):
+    actual = lhs.probs.transpose([lhs.vars.index(v) for v in chain])
+    # Product of the stage conditionals P(next | prev, D=d) over every
+    # chain configuration; NaN where a conditioning event has zero mass.
+    prod = np.ones((1,) * len(chain))
+    for k, (a, b) in enumerate(zip(chain, chain[1:])):
         m = marginal(lhs, {a, b})
         p = m.probs if m.vars == (a, b) else m.probs.T
         denom = p.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pair_cond.append((np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), np.nan), denom[:, 0]))
-    worst = 0.0
-    for cfg in np.ndindex(*(2,) * len(chain)):
-        vals = list(cfg)
-        prod = 1.0
-        defined = True
-        for k in range(len(chain) - 1):
-            cond, denom = pair_cond[k]
-            if denom[vals[k]] <= 0.0:
-                defined = False
-                break
-            prod *= cond[vals[k], vals[k + 1]]
-        if not defined:
-            continue
-        idx = tuple(cfg[chain.index(v)] for v in lhs.vars)
-        actual = float(lhs.probs[idx])
-        worst = max(worst, abs(actual - prod))
-    return worst
+        cond = np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), np.nan)
+        prod = prod * cond.reshape((1,) * k + cond.shape + (1,) * (len(chain) - k - 2))
+    dev = np.abs(actual - prod)
+    return float(np.max(dev, where=~np.isnan(dev), initial=0.0))
 
 
 # -- fixtures and serialization -------------------------------------------

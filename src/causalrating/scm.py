@@ -566,10 +566,6 @@ def dataset_to_csv(d: Dataset, path_or_buf) -> None:
         path_or_buf.write(data.decode("ascii"))
 
 
-def dataset_csv_text(d: Dataset) -> str:
-    return _csv_bytes(d.rows, d.vars).decode("ascii")
-
-
 # -- random models and JSON ----------------------------------------------
 
 

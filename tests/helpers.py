@@ -11,7 +11,16 @@ import itertools
 
 import numpy as np
 
-from causalrating import Dag, DiscreteScm, JointTable, build_dag, template
+from causalrating import (
+    Dag,
+    DiscreteScm,
+    JointTable,
+    build_dag,
+    build_scenario,
+    infer,
+    marginal,
+    template,
+)
 
 
 def brute_force_joint(scm: DiscreteScm) -> JointTable:
@@ -59,6 +68,39 @@ def reference_sample_rows(scm: DiscreteScm, n: int, seed: int) -> np.ndarray:
         cum = np.cumsum(scm.cpt[v], axis=1)
         rows[:, k] = np.clip((u[:, None] >= cum[ridx, :]).sum(axis=1), 0, scm.card[v] - 1)
     return rows
+
+
+def reference_chain_factorization_residual(s, d_value: int, scm=None) -> float:
+    """Residual oracle: max |P(chain | D) - product of stage conditionals|
+    over the chain S_0..S_D, Y_f, one configuration at a time, skipping
+    those whose conditioning events have zero mass."""
+    scm = build_scenario(s) if scm is None else scm
+    chain = list(s.states) + ["Y_f"]
+    lhs = infer(scm, chain, {"D": int(d_value)})
+    pair_cond = []
+    for a, b in zip(chain, chain[1:]):
+        m = marginal(lhs, {a, b})
+        p = m.probs if m.vars == (a, b) else m.probs.T
+        denom = p.sum(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pair_cond.append((np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), np.nan), denom[:, 0]))
+    worst = 0.0
+    for cfg in np.ndindex(*(2,) * len(chain)):
+        vals = list(cfg)
+        prod = 1.0
+        defined = True
+        for k in range(len(chain) - 1):
+            cond, denom = pair_cond[k]
+            if denom[vals[k]] <= 0.0:
+                defined = False
+                break
+            prod *= cond[vals[k], vals[k + 1]]
+        if not defined:
+            continue
+        idx = tuple(cfg[chain.index(v)] for v in lhs.vars)
+        actual = float(lhs.probs[idx])
+        worst = max(worst, abs(actual - prod))
+    return worst
 
 
 def random_joint(seed: int, cards=(2, 2, 2), names=("A", "B", "C")) -> JointTable:

@@ -15,6 +15,7 @@ SCENARIO = str(DATA / "default_scenario.json")
 CONFOUNDED = str(DATA / "confounded_direct.json")
 MEDIATED = str(DATA / "confounded_mediation.json")
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "evaluate_default.json"
+IDENTIFY_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "identify_default.json"
 
 
 def run(capsys, *argv):
@@ -133,6 +134,29 @@ class TestIdentify:
             ref = want[(tuple(c["do"]), tuple(c["given"]))]
             assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-9
 
+    def test_stratified_frontdoor_matches_oracle(self, capsys):
+        # The strata of the front-door sweep (J_o and Y_h) must be read in
+        # the joint's order, not in the order they were listed.
+        code, out, _ = run(capsys, "identify", SCENARIO, "--given", "Y_h")
+        assert code == 0
+        fd = json.loads(out)
+        code, out, _ = run(capsys, "identify", SCENARIO, "--given", "Y_h", "--method", "oracle")
+        assert code == 0
+        oracle = json.loads(out)
+        assert fd["method"] == "frontdoor"
+        assert fd["given_vars"] == oracle["given_vars"] == ["Y_h"]
+        got = {(tuple(c["do"]), tuple(c["given"])): c["distribution"] for c in fd["cells"]}
+        want = {(tuple(c["do"]), tuple(c["given"])): c["distribution"] for c in oracle["cells"]}
+        assert len(want) == 18 and got.keys() == want.keys()
+        for key, dist in want.items():
+            assert max(abs(a - b) for a, b in zip(got[key], dist)) < 1e-9
+
+    @pytest.mark.parametrize("method", ["auto", "oracle"])
+    def test_matches_golden_output(self, capsys, method):
+        code, out, _ = run(capsys, "identify", SCENARIO, "--method", method)
+        assert code == 0
+        assert approx_equal(json.loads(out), json.loads(IDENTIFY_GOLDEN.read_text())[method])
+
     def test_unidentifiable_exit_3(self, capsys):
         code, out, _ = run(capsys, "identify", CONFOUNDED, "--do", "X_c", "--outcome", "Y_f")
         assert code == 3
@@ -164,6 +188,15 @@ class TestIdentify:
         doc = json.loads(out)
         assert len(doc["cells"]) == 1
         assert doc["cells"][0]["do"] == [1]
+
+    def test_pinned_do_value_out_of_range_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "identify", MEDIATED,
+            "--do", "X_c=2", "--outcome", "Y_f", "--mediators", "Z",
+        )
+        assert code == 2
+        assert out == ""
+        assert "X_c" in err
 
     def test_missing_do_exit_2(self, capsys):
         code, _, err = run(capsys, "identify", MEDIATED, "--outcome", "Y_f")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalrating import (
     NOISE,
@@ -22,6 +24,8 @@ from causalrating import (
     do_distribution,
     exact_joint,
     frontdoor_adjust,
+    identify_effect,
+    infer,
     marginal,
     mutual_information,
     noise_verdict,
@@ -30,7 +34,8 @@ from causalrating import (
     rule1_deletion_check,
     template,
 )
-from causalrating.errors import ParameterError
+from causalrating.errors import ParameterError, UnknownVariable
+from helpers import TEMPLATE_DAGS, random_dag
 
 
 def observed_joint(scm):
@@ -317,6 +322,199 @@ class TestRatingComparison:
 class TestEffectQuery:
     def test_disjointness_enforced(self):
         with pytest.raises(OverlapError):
-            EffectQuery("Y_f", {"Y_f": 1})
+            EffectQuery("Y_f", {"Y_f"})
         with pytest.raises(OverlapError):
-            EffectQuery("Y_f", {"D": 1}, frozenset({"D"}))
+            EffectQuery("Y_f", {"D"}, frozenset({"D"}))
+
+    def test_do_takes_names_only(self):
+        assert EffectQuery("Y_f", ["D", "J_o"]).do == frozenset({"D", "J_o"})
+        for do in ({"D": 1}, "D"):
+            with pytest.raises(ParameterError):
+                EffectQuery("Y_f", do)
+
+
+def assert_same_cells(got, want):
+    assert (got.do_vars, got.given_vars) == (want.do_vars, want.given_vars)
+    assert got.table.keys() == want.table.keys()
+    for key, dist in want.table.items():
+        assert np.abs(got.table[key] - dist).max() < 1e-9
+
+
+# Graphs on which X -> M -> Y meets the front-door criterion, but within
+# the strata of C (and of W, read by Rule 2) one of its conditions fails:
+# (nodes, edges, latent, do, observed).
+BROKEN_STRATA = {
+    "rule 2 opened by the stratum": (
+        ["A", "W", "C", "U", "X", "M", "Y"],
+        [("A", "W"), ("A", "C"), ("U", "C"), ("U", "Y"), ("W", "Y"), ("X", "M"), ("M", "Y")],
+        ["U"], {"X", "W"}, {"C"},
+    ),
+    "x-m trail opened by the stratum": (
+        ["A", "B", "C", "X", "M", "Y"],
+        [("A", "X"), ("A", "C"), ("B", "C"), ("B", "M"), ("X", "M"), ("M", "Y")],
+        [], {"X"}, {"C"},
+    ),
+    "m-y trail opened by the stratum": (
+        ["B", "C", "D", "X", "M", "Y"],
+        [("B", "M"), ("B", "C"), ("D", "C"), ("D", "Y"), ("X", "M"), ("M", "Y")],
+        [], {"X"}, {"C"},
+    ),
+}
+
+
+def backdoor_dag():
+    """W confounds X and Y; only {W} blocks the back-door trail."""
+    return build_dag(["W", "X", "Y"], [("W", "X"), ("W", "Y"), ("X", "Y")], [])
+
+
+class TestIdentifyEffect:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_auto_matches_oracle_or_raises(self, data):
+        name = data.draw(st.sampled_from([*sorted(TEMPLATE_DAGS), "random"]), label="dag")
+        dag = TEMPLATE_DAGS.get(name)
+        if dag is None:
+            # A random DAG of 4-6 nodes, one of them latent.
+            seed, size = data.draw(st.integers(0, 10_000)), data.draw(st.integers(4, 6))
+            base = random_dag(seed, size)
+            latent = data.draw(st.sampled_from(base.nodes), label="latent")
+            dag = build_dag(base.nodes, base.edges, [latent])
+        scm = random_scm(
+            dag, data.draw(st.integers(0, 10_000), label="seed"),
+            card=data.draw(st.sampled_from([2, 3]), label="card"),
+        )
+        pool = [v for v in dag.topological_order if v not in dag.latent]
+
+        def pick(label, lo, hi):
+            if not pool:
+                return set()
+            chosen = data.draw(
+                st.sets(st.sampled_from(pool), min_size=lo, max_size=hi), label=label
+            )
+            pool[:] = [v for v in pool if v not in chosen]
+            return chosen
+
+        # Half the draws take the last observed node as the outcome and,
+        # independently, half take every variable between the do-set and
+        # the outcome as mediators, so that the front-door branch is reached.
+        last = data.draw(st.booleans(), label="last")
+        outcome = pool[-1] if last else data.draw(st.sampled_from(pool), label="outcome")
+        pool.remove(outcome)
+        do = pick("do", 1, 2)
+        observed = pick("observed", 0, 2)
+        between = {
+            v for v in pool
+            if v in dag.ancestors(outcome) and any(v in dag.descendants(x) for x in do)
+        }
+        use_between = data.draw(st.booleans(), label="between")
+        mediators = between if use_between else pick("mediators", 0, 3)
+        q = EffectQuery(outcome, do, observed)
+        try:
+            method, got = identify_effect(scm, q, "auto", mediators)
+        except CriterionNotMet:
+            return
+        assert method in ("frontdoor", "backdoor")
+        assert_same_cells(got, identify_effect(scm, q, "oracle")[1])
+
+    def test_frontdoor_with_rule2_do_variable_and_stratum(self):
+        dag = template("Fig6Canonical", 2)
+        q = EffectQuery("Y_f", {"D", "J_o"}, {"Y_h"})
+        for seed in range(5):
+            scm = random_scm(dag, seed, card={"D": 3})
+            method, got = identify_effect(scm, q, "auto", {"S_0", "S_1", "S_2"})
+            assert method == "frontdoor"
+            assert (got.do_vars, got.given_vars) == (("J_o", "D"), ("Y_h",))
+            assert len(got.table) == 2 * 3 * 2
+            assert_same_cells(got, identify_effect(scm, q, "oracle")[1])
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_STRATA))
+    def test_strata_that_break_the_criterion_rejected(self, case):
+        nodes, edges, latent, do, observed = BROKEN_STRATA[case]
+        dag = build_dag(nodes, edges, latent)
+        scm = random_scm(dag, 1)
+        q = EffectQuery("Y", do, observed)
+        with pytest.raises(CriterionNotMet):
+            identify_effect(scm, q, "auto", {"M"})
+        # The stratified formula is off on these graphs.
+        strata = (do - {"X"}) | observed
+        j = infer(scm, set(dag.nodes) - dag.latent)
+        s_vars = tuple(v for v in j.vars if v in strata)
+        oracle = identify_effect(scm, q, "oracle")[1]
+        dev = 0.0
+        for (xv, s_cfg), dist in frontdoor_adjust(j, dag, "X", "Y", {"M"}, given=strata).items():
+            value = {"X": xv, **dict(zip(s_vars, s_cfg))}
+            key = (
+                tuple(value[v] for v in oracle.do_vars),
+                tuple(value[v] for v in oracle.given_vars),
+            )
+            dev = max(dev, float(np.abs(dist - oracle.table[key]).max()))
+        assert dev > 1e-4
+
+    def test_mediator_as_stratum_rejected(self):
+        # K meets the criterion as a mediator but does not descend from X.
+        dag = build_dag(["X", "Z", "K", "Y"], [("X", "Z"), ("Z", "Y")], [])
+        with pytest.raises(CriterionNotMet):
+            identify_effect(random_scm(dag, 2), EffectQuery("Y", {"X"}, {"K"}), "auto", {"Z", "K"})
+
+    def test_frontdoor_tried_before_backdoor(self):
+        dag = build_dag(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")], [])
+        scm = random_scm(dag, 3)
+        q = EffectQuery("Y", {"X"})
+        assert identify_effect(scm, q, "auto", {"Z"})[0] == "frontdoor"
+        assert identify_effect(scm, q, "auto")[0] == "backdoor"
+        got = identify_effect(scm, q, "auto", {"Z"})[1]
+        assert_same_cells(got, identify_effect(scm, q, "oracle")[1])
+
+    def test_backdoor_with_empty_set(self):
+        scm = random_scm(template("Fig1c"), 4)
+        q = EffectQuery("Y_f", {"X_c"})
+        method, got = identify_effect(scm, q)
+        assert method == "backdoor"
+        assert_same_cells(got, identify_effect(scm, q, "oracle")[1])
+
+    def test_backdoor_with_non_descendants(self):
+        scm = random_scm(backdoor_dag(), 5, card=3)
+        q = EffectQuery("Y", {"X"})
+        method, got = identify_effect(scm, q)
+        assert method == "backdoor"
+        assert_same_cells(got, identify_effect(scm, q, "oracle")[1])
+
+    def test_backdoor_with_given_adjustment_set(self):
+        scm = random_scm(backdoor_dag(), 6)
+        q = EffectQuery("Y", {"X"})
+        method, got = identify_effect(scm, q, "backdoor", adjust={"W"})
+        assert method == "backdoor"
+        assert_same_cells(got, identify_effect(scm, q, "oracle")[1])
+        # A given set is the only one tried.
+        wide = build_dag(["W", "V", "X", "Y"], [("W", "X"), ("W", "Y"), ("X", "Y"), ("X", "V")], [])
+        with pytest.raises(CriterionNotMet):
+            identify_effect(random_scm(wide, 6), q, "auto", adjust={"V"})
+
+    def test_forced_method_failures(self):
+        scm = random_scm(template("Fig2b"), 7)
+        q = EffectQuery("Y_f", {"X_c"})
+        with pytest.raises(CriterionNotMet, match="front-door"):
+            identify_effect(scm, q, "frontdoor", {"Y_h"})
+        with pytest.raises(CriterionNotMet, match="back-door adjustment set"):
+            identify_effect(scm, q, "backdoor")
+        mediated = random_scm(template("Fig3"), 7)
+        with pytest.raises(CriterionNotMet):
+            identify_effect(mediated, q, "backdoor", {"Z"})
+        with pytest.raises(CriterionNotMet):
+            identify_effect(mediated, EffectQuery("Y_f", {"X_c"}, {"Y_h"}), "backdoor")
+
+    def test_unidentifiable_carries_backdoor_witness(self):
+        scm = random_scm(template("Fig2b"), 8)
+        with pytest.raises(CriterionNotMet) as exc:
+            identify_effect(scm, EffectQuery("Y_f", {"X_c"}))
+        assert exc.value.witness == ["X_c", "U", "Y_f"]
+        with pytest.raises(CriterionNotMet) as exc:
+            identify_effect(scm, EffectQuery("Y_f", {"X_c"}, {"Y_h"}))
+        assert exc.value.witness is None
+
+    def test_bad_requests_rejected(self):
+        scm = random_scm(template("Fig3"), 9)
+        with pytest.raises(UnknownVariable):
+            identify_effect(scm, EffectQuery("Y_f", {"Nope"}))
+        with pytest.raises(ParameterError):
+            identify_effect(scm, EffectQuery("Y_f", {"X_c"}), "magic")

@@ -36,7 +36,8 @@ from causalrating import (
     tta_discretize,
 )
 from causalrating.errors import ParameterError
-from causalrating import empirical_joint, frontdoor_adjust
+from causalrating import empirical_joint, frontdoor_adjust, random_scm
+from helpers import reference_chain_factorization_residual
 
 THRESHOLDS = (4.0, 2.0, 0.5)
 
@@ -271,8 +272,13 @@ class TestSimulateJourneys:
 
 
 class TestGroundTruth:
+    def test_zero_mass_strata_skipped(self):
+        # S_0 is a point mass at 0, so only its 0 stratum has cells.
+        gt = ground_truth_effect(default_scenario(), EffectQuery("Y_f", {"D"}, {"S_0"}))
+        assert sorted(gt.table) == [((d,), (0,)) for d in range(3)]
+
     def test_staying_home_is_safe(self):
-        gt = ground_truth_effect(default_scenario(), EffectQuery("Y_f", {"J_o": 0}))
+        gt = ground_truth_effect(default_scenario(), EffectQuery("Y_f", {"J_o"}))
         assert np.allclose(gt.table[((0,), ())], [1.0, 0.0])
 
     def test_aggression_raises_risk(self):
@@ -330,6 +336,28 @@ class TestPhydEffect:
 
 
 class TestChainFactorization:
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_matches_reference_loop(self, depth):
+        s = canonical_scenario(depth)
+        scm = build_scenario(s)
+        for d in range(s.decision_card):
+            want = reference_chain_factorization_residual(s, d, scm)
+            assert chain_factorization_residual(s, d, scm=scm) == want
+
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    def test_matches_reference_loop_off_the_chain(self, depth):
+        # Skip edges S_0 -> S_2 and S_0 -> Y_f break the product form,
+        # so the residual is far from zero.
+        s = canonical_scenario(depth)
+        states = list(s.states)
+        edges = [("D", v) for v in states] + list(zip(states, states[1:]))
+        edges += [(states[-1], "Y_f"), ("S_0", "Y_f")] + ([("S_0", "S_2")] if depth >= 2 else [])
+        scm = random_scm(build_dag(["D", *states, "Y_f"], edges, []), depth, card={"D": 3})
+        for d in range(3):
+            want = reference_chain_factorization_residual(s, d, scm)
+            assert want > 1e-3
+            assert chain_factorization_residual(s, d, scm=scm) == want
+
     def test_residual_negligible_all_depths(self):
         for depth in (1, 2, 3):
             s = canonical_scenario(depth)

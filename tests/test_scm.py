@@ -31,7 +31,7 @@ from causalrating import (
     scm_to_json,
     template,
 )
-from causalrating.scm import _csv_bytes, dataset_csv_text, mass_of
+from causalrating.scm import _csv_bytes, mass_of
 from helpers import (
     TEMPLATE_DAGS,
     brute_force_joint,
@@ -356,7 +356,7 @@ class TestSampling:
 
     def test_csv_header_and_rows(self):
         ds = sample(copy_chain(), 3, seed=2)
-        text = dataset_csv_text(ds)
+        text = _csv_bytes(ds.rows, ds.vars).decode()
         lines = text.strip().split("\n")
         assert lines[0] == "A,B"
         assert len(lines) == 4
@@ -416,7 +416,7 @@ class TestCsvFormatter:
         ds = sample(random_scm(template("Fig2c"), 4, card=11), 500, seed=9)
         dataset_to_csv(ds, tmp_path / "d.csv")
         data = (tmp_path / "d.csv").read_bytes()
-        assert data == dataset_csv_text(ds).encode() == csv_writer_bytes(ds.rows, ds.vars)
+        assert data == _csv_bytes(ds.rows, ds.vars) == csv_writer_bytes(ds.rows, ds.vars)
 
 
 class TestJson:
