@@ -12,6 +12,7 @@ the ``CAUSALRATING_SEED`` environment variable; 0 is a valid seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -114,6 +115,8 @@ def _parse_do(items):
     names, pinned = [], {}
     for item in items:
         name, eq, val = item.partition("=")
+        if name in names:
+            raise _UsageError(f"--do {name} given more than once")
         names.append(name)
         if eq:
             try:
@@ -157,12 +160,15 @@ def cmd_identify(args) -> int:
     if not do:
         raise _UsageError("--do is required")
     names, pinned = _parse_do(do)
+    for v, val in pinned.items():
+        if v not in scm.card:
+            raise _UsageError(f"--do {v}={val}: unknown variable")
+        if not 0 <= val < scm.card[v]:
+            raise _UsageError(f"--do {v}={val}: value out of range 0..{scm.card[v] - 1}")
     query = EffectQuery(outcome, names, args.given)
     method, table = identify_effect(scm, query, args.method, mediators, args.adjust)
     doc = {"method": method, **table.to_json()}
     for v, val in pinned.items():
-        if not 0 <= val < scm.card[v]:
-            raise _UsageError(f"--do {v}={val}: value out of range 0..{scm.card[v] - 1}")
         at = table.do_vars.index(v)
         doc["cells"] = [c for c in doc["cells"] if c["do"][at] == val]
     _emit(doc, args.out)
@@ -227,9 +233,7 @@ def _scenario_report(s: RoadRiskScenario) -> dict:
         "chain_factorization_residual": max(
             chain_factorization_residual(s, d, scm=scm) for d in range(s.decision_card)
         ),
-        "traffic_markov_residual_bits": max(
-            markov_consistency(scm, d) for d in range(s.decision_card)
-        ),
+        "traffic_markov_residual_bits": markov_consistency(scm),
         "phyd_vs_oracle_max_dev": phyd_dev,
         "naive_vs_oracle_max_tv": naive_tv,
         "history_outcome_mi_bits": mutual_information(j, {"Y_h"}, {"Y_f"}),
@@ -280,7 +284,10 @@ def cmd_report(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; list defaults are
+    tuples, so no parse can change what the next one starts from."""
     p = argparse.ArgumentParser(
         prog="causalrating",
         description="Causal analysis of rating variables on discrete models.",
@@ -297,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("graph", help="graph JSON file or template id")
     d.add_argument("--x", nargs="+", required=True)
     d.add_argument("--y", nargs="+", required=True)
-    d.add_argument("--z", nargs="*", default=[])
+    d.add_argument("--z", nargs="*", default=())
     d.add_argument("--out", default=None)
     d.set_defaults(fn=cmd_dsep)
 
@@ -305,9 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("model", help="SCM or scenario JSON file")
     i.add_argument("--outcome", default=None)
     i.add_argument("--do", nargs="+", default=None, metavar="NAME[=VAL]")
-    i.add_argument("--given", nargs="*", default=[])
-    i.add_argument("--mediators", nargs="*", default=[])
-    i.add_argument("--adjust", nargs="*", default=[])
+    i.add_argument("--given", nargs="*", default=())
+    i.add_argument("--mediators", nargs="*", default=())
+    i.add_argument("--adjust", nargs="*", default=())
     i.add_argument("--method", choices=IDENTIFY_METHODS, default="auto")
     i.add_argument("--out", default=None)
     i.set_defaults(fn=cmd_identify)
@@ -316,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("graph", help="graph JSON file or template id")
     v.add_argument("--candidate", required=True)
     v.add_argument("--outcome", required=True)
-    v.add_argument("--observed", nargs="*", default=[])
+    v.add_argument("--observed", nargs="*", default=())
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verdict)
 

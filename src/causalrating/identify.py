@@ -8,6 +8,7 @@ the full model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -33,17 +34,8 @@ from .graph import (
     satisfies_backdoor,
     satisfies_frontdoor,
 )
-from .info import conditional_mutual_information, mutual_information
-from .scm import (
-    DiscreteScm,
-    JointTable,
-    condition,
-    infer,
-    intervene,
-    marginal,
-    mass_of,
-    scm_from_json,
-)
+from .info import _as_set, conditional_mutual_information, mutual_information
+from .scm import DiscreteScm, JointTable, _surgery, infer, scm_from_json
 
 __all__ = [
     "EffectQuery",
@@ -184,19 +176,43 @@ def _ordered(j: JointTable, names: Iterable[str]) -> tuple:
     return tuple(v for v in j.vars if v in names)
 
 
-def _configs(j: JointTable, names: tuple):
-    """All value tuples for ``names`` (in that order)."""
-    if not names:
-        yield ()
-        return
-    cards = [j.card(v) for v in names]
-    yield from np.ndindex(*cards)
+def _layout(j: JointTable, *groups: tuple) -> np.ndarray:
+    """The mass of ``j`` on the variables of ``groups``, one axis per
+    group running over its configurations in row-major order, as a new
+    array."""
+    axes = [j.axis(v) for g in groups for v in g]
+    p = j.probs.sum(axis=tuple(i for i in range(len(j.vars)) if i not in axes))
+    p = p.transpose([sorted(axes).index(a) for a in axes])
+    return p.reshape([math.prod(j.card(v) for v in g) for g in groups])
+
+
+def _configs(j: JointTable, names: tuple) -> list:
+    """Every value tuple of ``names``, in row-major order."""
+    return list(np.ndindex(*(j.card(v) for v in names)))
+
+
+def _divide(*pairs) -> None:
+    """``num /= den`` for each pair in turn, where ``den > 0``.  Each
+    numerator is part of its denominator's mass, so it is 0 elsewhere."""
+    for num, den in pairs:
+        np.divide(num, den, out=num, where=den > 0)
+
+
+def _check_positivity(empty: np.ndarray, cell_at) -> None:
+    """Raise :class:`PositivityViolation` at the first true cell of
+    ``empty`` in row-major order, named by ``cell_at(*index)``."""
+    hits = np.argwhere(empty)
+    if len(hits):
+        cell = cell_at(*(int(i) for i in hits[0]))
+        raise PositivityViolation(f"P{cell} = 0", cell=cell)
 
 
 def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
     """Back-door adjustment: P(y | do(x=v)) = sum_z P(y|v,z) P(z).
 
-    Returns a map from x-value to a distribution over y.
+    Returns a map from x-value to a distribution over y.  A
+    :class:`PositivityViolation` names the first cell (v, z) with
+    P(z) > 0 = P(v, z).
     """
     Z = frozenset(Z)
     if Z & dag.latent:
@@ -207,26 +223,16 @@ def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
             witness=open_backdoor_trail(dag, x, y, Z),
         )
     z_vars = _ordered(j, Z)
-    y_card = j.card(y)
-    out = {}
-    for xv in range(j.card(x)):
-        dist = np.zeros(y_card)
-        for z_cfg in _configs(j, z_vars):
-            z_assign = dict(zip(z_vars, (int(c) for c in z_cfg)))
-            pz = mass_of(j, z_assign) if z_assign else 1.0
-            if pz <= 0.0:
-                continue
-            cell = {x: xv, **z_assign}
-            if mass_of(j, cell) <= 0.0:
-                raise PositivityViolation(f"P{cell} = 0", cell=cell)
-            dist += pz * marginal(condition(j, cell), {y}).probs
-        out[xv] = dist
-    return out
+    t = _layout(j, (x,), z_vars, (y,))
+    pxz = t.sum(axis=2)
+    pz = pxz.sum(axis=0)
+    z_cfgs = _configs(j, z_vars)
+    _check_positivity((pz > 0) & (pxz <= 0), lambda v, z: {x: v, **dict(zip(z_vars, z_cfgs[z]))})
+    _divide((t, pxz[..., None]))
+    return dict(enumerate(np.einsum("z,xzy->xy", pz, t)))
 
 
-def frontdoor_adjust(
-    j: JointTable, dag: Dag, x: str, y: str, M, given=()
-) -> dict:
+def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> dict:
     """Front-door adjustment through mediator set ``M``, per stratum of ``given``.
 
     For each configuration g of ``given`` with positive mass and each
@@ -236,54 +242,42 @@ def frontdoor_adjust(
 
     With ``given`` empty this is the classic front-door formula.  The
     inner factors are conditioned on the stratum throughout, which is
-    what makes the estimate agree exactly with graph surgery.  Returns a
-    map from (x-value, given-configuration) to a distribution over y.
+    what makes the estimate agree exactly with graph surgery.  The
+    factors are ratios of sums of the {g, x, M, y} mass, joined by one
+    ``einsum``.  A :class:`PositivityViolation` names the first empty
+    cell in the order stratum, v, m, v'.  Returns a map from (x-value,
+    given-configuration) to a distribution over y.
     """
-    M = frozenset(M)
-    given = frozenset(given)
-    if dag.latent & set(j.vars):
-        raise LatentAdjustmentError(
-            f"joint table contains latent nodes: {sorted(dag.latent & set(j.vars))}"
-        )
+    M, latent = frozenset(M), dag.latent & set(j.vars)
+    if latent:
+        raise LatentAdjustmentError(f"joint table contains latent nodes: {sorted(latent)}")
     if not satisfies_frontdoor(dag, x, y, M):
         raise CriterionNotMet(
             f"front-door criterion fails for ({x}, {y}) via {sorted(M)}",
             witness=frontdoor_failure(dag, x, y, M),
         )
-    m_vars = _ordered(j, M)
-    g_vars = _ordered(j, given)
-    x_card, y_card = j.card(x), j.card(y)
-    out = {}
-    for g_cfg in _configs(j, g_vars):
-        g_assign = dict(zip(g_vars, (int(c) for c in g_cfg)))
-        if g_assign and mass_of(j, g_assign) <= 0.0:
-            continue
-        jg = condition(j, g_assign) if g_assign else j
-        px = marginal(jg, {x}).probs  # P(x' | g)
-        # P(y | x', m, g) for every needed cell, computed once per stratum.
-        for xv in range(x_card):
-            cell = {x: xv, **g_assign}
-            if mass_of(jg, {x: xv}) <= 0.0:
-                raise PositivityViolation(f"P{cell} = 0", cell=cell)
-            jm = marginal(condition(jg, {x: xv}), m_vars)
-            dist = np.zeros(y_card)
-            for m_cfg in _configs(j, m_vars):
-                pm = float(jm.probs[tuple(m_cfg)])
-                if pm <= 0.0:
-                    continue
-                m_assign = dict(zip(m_vars, (int(c) for c in m_cfg)))
-                inner = np.zeros(y_card)
-                for xp in range(x_card):
-                    w = float(px[xp])
-                    if w <= 0.0:
-                        continue
-                    cell = {x: xp, **m_assign, **g_assign}
-                    if mass_of(jg, {x: xp, **m_assign}) <= 0.0:
-                        raise PositivityViolation(f"P{cell} = 0", cell=cell)
-                    inner += w * marginal(condition(jg, {x: xp, **m_assign}), {y}).probs
-                dist += pm * inner
-            out[(xv, tuple(int(c) for c in g_cfg))] = dist
-    return out
+    m_vars, g_vars = _ordered(j, M), _ordered(j, given)
+    g_cfgs = _configs(j, g_vars)
+    t = _layout(j, g_vars, (x,), m_vars, (y,))  # P(g, v, m, y)
+    pxm = t.sum(axis=3)
+    px = pxm.sum(axis=2)
+    pg = px.sum(axis=1)
+    live = pg > 0
+    # Per stratum g and value v: first P(v, g) = 0, then the first m with
+    # P(v, m, g) > 0 at which some v' has P(v', m, g) = 0 < P(v', g).
+    hole = (pxm <= 0) & (px[..., None] > 0)
+    empty = np.concatenate([px[..., None] <= 0, (pxm > 0) & hole.any(axis=1)[:, None]], axis=2)
+
+    def cell_at(g, v, k):
+        vp = int(np.argmax(hole[g, :, k - 1]))
+        cell = {x: v} if k == 0 else {x: vp, **dict(zip(m_vars, _configs(j, m_vars)[k - 1]))}
+        return {**cell, **dict(zip(g_vars, g_cfgs[g]))}
+
+    _check_positivity(empty & live[:, None, None], cell_at)
+    # In place, in this order: P(y | v', m, g), P(m | v, g), P(v' | g).
+    _divide((t, pxm[..., None]), (pxm, px[..., None]), (px, pg[:, None]))
+    est = np.einsum("gam,gbmy,gb->gay", pxm, t, px)
+    return {(v, g_cfgs[g]): est[g, v] for g in np.flatnonzero(live) for v in range(px.shape[1])}
 
 
 def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool:
@@ -353,10 +347,12 @@ def identify_effect(
     Back-door needs one do-variable and no ``observed``; it tries
     ``adjust`` when given, else the empty set and then every observed
     non-descendant of the treatment.  ``frontdoor`` and ``backdoor``
-    force one criterion; ``oracle`` is graph surgery on the full model,
-    one inference per do-configuration.  Each adjustment infers only the
-    observed joint it reads.  Do-variables and strata come out in
-    topological order.
+    force one criterion; ``oracle`` is graph surgery on the full model:
+    the do-variables lose their parents and become uniform roots, so one
+    inference over the do-variables, the strata and the outcome holds
+    every do-configuration.  Each adjustment infers only the observed
+    joint it reads.  Whatever the method, the answer costs one
+    inference.  Do-variables and strata come out in topological order.
     """
     if method not in IDENTIFY_METHODS:
         raise ParameterError(f"method must be one of {IDENTIFY_METHODS}, got {method!r}")
@@ -372,14 +368,12 @@ def identify_effect(
         return EffectTable(y, scm.card[y], do_vars, given, cells)
 
     if method == "oracle":
+        cut = _surgery(scm, {v: np.full(scm.card[v], 1.0 / scm.card[v]) for v in do_vars})
+        q = _layout(infer(cut, {*do_vars, *given, y}), *((v,) for v in do_vars + given), (y,))
+        mass, n = q.sum(axis=-1), len(do_vars)
         cells = {}
-        for cfg in np.ndindex(*(scm.card[v] for v in do_vars)):
-            j = infer(intervene(scm, dict(zip(do_vars, cfg))), {y, *given})
-            for g in _configs(j, given):
-                stratum = dict(zip(given, (int(c) for c in g)))
-                if mass_of(j, stratum) > 0.0:
-                    dist = marginal(condition(j, stratum), {y}).probs
-                    cells[(cfg, tuple(stratum.values()))] = dist
+        for k in np.argwhere(mass > 0).tolist():
+            cells[(tuple(k[:n]), tuple(k[n:]))] = q[tuple(k)] / mass[tuple(k)]
         return "oracle", effect(cells)
 
     if method in ("auto", "frontdoor"):
@@ -483,9 +477,7 @@ def confounding_gap(scm: DiscreteScm, x: str, y: str, u: str) -> ConfoundingGap:
 
 def rating_comparison(j: JointTable, yh, xc, yf) -> CapacityReport:
     """Predictive capacities of the naive, augmented and PHYD designs."""
-    yh = frozenset([yh]) if isinstance(yh, str) else frozenset(yh)
-    xc = frozenset([xc]) if isinstance(xc, str) else frozenset(xc)
-    yf = frozenset([yf]) if isinstance(yf, str) else frozenset(yf)
+    yh, xc, yf = _as_set(yh), _as_set(xc), _as_set(yf)
     report = CapacityReport(
         naive_bms=mutual_information(j, yh, yf),
         augmented_bms=mutual_information(j, yh | xc, yf),

@@ -272,12 +272,14 @@ def build_scenario(s: RoadRiskScenario) -> DiscreteScm:
     return DiscreteScm(dag, card, cpt)
 
 
-def markov_consistency(scm: DiscreteScm, d_value: int) -> float:
-    """Max over stages of I(T_i; S_{i+1} | S_i) given the decision value.
+def markov_consistency(scm: DiscreteScm, d_value: int | None = None) -> float:
+    """Max over stages of I(T_i; S_{i+1} | S_i) given the decision value
+    ``d_value``, or given each decision value when it is None.
 
-    Structurally zero (< 1e-9) for models emitted by
-    :func:`build_scenario`; a positive value flags a traffic variable
-    leaking past its own stage.
+    Each stage costs one inference, whose joint keeps ``D`` and is then
+    conditioned on every decision value asked for.  Structurally zero
+    (< 1e-9) for models emitted by :func:`build_scenario`; a positive
+    value flags a traffic variable leaking past its own stage.
     """
     states = sorted(
         (v for v in scm.dag.nodes if v.startswith("S_")), key=lambda v: int(v.split("_")[1])
@@ -288,8 +290,10 @@ def markov_consistency(scm: DiscreteScm, d_value: int) -> float:
         t = f"T_{i}"
         if t not in scm.card or nxt not in scm.card:
             continue
-        j = infer(scm, {t, st, nxt}, {"D": int(d_value)})
-        worst = max(worst, conditional_mutual_information(j, {t}, {nxt}, {st}))
+        j = infer(scm, {"D", t, st, nxt})
+        for d in range(scm.card["D"]) if d_value is None else (d_value,):
+            jd = condition(j, {"D": int(d)})
+            worst = max(worst, conditional_mutual_information(jd, {t}, {nxt}, {st}))
     return worst
 
 

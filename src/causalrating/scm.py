@@ -360,6 +360,16 @@ def infer(
     return JointTable(out, tuple(scm.card[u] for u in out), probs)
 
 
+def _surgery(scm: DiscreteScm, rows: Mapping[str, np.ndarray]) -> DiscreteScm:
+    """Cut the incoming edges of each node in ``rows`` and make it a root
+    with that distribution."""
+    cpt, parents = dict(scm.cpt), dict(scm.parents)
+    for v, row in rows.items():
+        cpt[v] = np.asarray(row, dtype=np.float64).reshape(1, -1)
+        parents[v] = ()
+    return DiscreteScm(mutilate(scm.dag, rows.keys()), scm.card, cpt, parents=parents)
+
+
 def intervene(scm: DiscreteScm, assignment: Mapping[str, int]) -> DiscreteScm:
     """Graph surgery: cut incoming edges and pin each assigned node."""
     for v, val in assignment.items():
@@ -369,15 +379,7 @@ def intervene(scm: DiscreteScm, assignment: Mapping[str, int]) -> DiscreteScm:
             raise ValueOutOfRange(f"{v}={val} out of range 0..{scm.card[v] - 1}")
     if not assignment:
         return scm
-    new_dag = mutilate(scm.dag, assignment.keys())
-    cpt = dict(scm.cpt)
-    parents = dict(scm.parents)
-    for v, val in assignment.items():
-        row = np.zeros((1, scm.card[v]))
-        row[0, int(val)] = 1.0
-        cpt[v] = row
-        parents[v] = ()
-    return DiscreteScm(new_dag, scm.card, cpt, parents=parents)
+    return _surgery(scm, {v: np.eye(scm.card[v])[int(val)] for v, val in assignment.items()})
 
 
 def do_distribution(

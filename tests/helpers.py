@@ -14,13 +14,19 @@ import numpy as np
 from causalrating import (
     Dag,
     DiscreteScm,
+    EffectTable,
     JointTable,
+    PositivityViolation,
     build_dag,
     build_scenario,
+    condition,
     infer,
+    intervene,
     marginal,
+    random_scm,
     template,
 )
+from causalrating.scm import mass_of
 
 
 def brute_force_joint(scm: DiscreteScm) -> JointTable:
@@ -103,11 +109,115 @@ def reference_chain_factorization_residual(s, d_value: int, scm=None) -> float:
     return worst
 
 
+def _configs(j: JointTable, names: tuple):
+    """All value tuples for ``names`` (in that order)."""
+    if not names:
+        yield ()
+        return
+    yield from np.ndindex(*(j.card(v) for v in names))
+
+
+def reference_backdoor_adjust(j: JointTable, x: str, y: str, Z) -> dict:
+    """Back-door oracle: sum_z P(y|x,z) P(z), one x-value and one
+    configuration of ``Z`` at a time.  Raises :class:`PositivityViolation`
+    at the first (x, z) cell, in that order, with P(z) > 0 = P(x, z)."""
+    z_vars = tuple(v for v in j.vars if v in set(Z))
+    out = {}
+    for xv in range(j.card(x)):
+        dist = np.zeros(j.card(y))
+        for z_cfg in _configs(j, z_vars):
+            z_assign = dict(zip(z_vars, (int(c) for c in z_cfg)))
+            pz = mass_of(j, z_assign) if z_assign else 1.0
+            if pz <= 0.0:
+                continue
+            cell = {x: xv, **z_assign}
+            if mass_of(j, cell) <= 0.0:
+                raise PositivityViolation(f"P{cell} = 0", cell=cell)
+            dist += pz * marginal(condition(j, cell), {y}).probs
+        out[xv] = dist
+    return out
+
+
+def reference_frontdoor_adjust(j: JointTable, x: str, y: str, M, given=()) -> dict:
+    """Front-door oracle: sum_m P(m|v,g) sum_v' P(y|v',m,g) P(v'|g), one
+    stratum g, x-value v, mediator configuration m and x-value v' at a
+    time, skipping strata of zero mass.  Raises
+    :class:`PositivityViolation` at the first empty cell in that order."""
+    m_vars = tuple(v for v in j.vars if v in set(M))
+    g_vars = tuple(v for v in j.vars if v in set(given))
+    x_card, y_card = j.card(x), j.card(y)
+    out = {}
+    for g_cfg in _configs(j, g_vars):
+        g_assign = dict(zip(g_vars, (int(c) for c in g_cfg)))
+        if g_assign and mass_of(j, g_assign) <= 0.0:
+            continue
+        jg = condition(j, g_assign) if g_assign else j
+        px = marginal(jg, {x}).probs
+        for xv in range(x_card):
+            cell = {x: xv, **g_assign}
+            if mass_of(jg, {x: xv}) <= 0.0:
+                raise PositivityViolation(f"P{cell} = 0", cell=cell)
+            jm = marginal(condition(jg, {x: xv}), m_vars)
+            dist = np.zeros(y_card)
+            for m_cfg in _configs(j, m_vars):
+                pm = float(jm.probs[tuple(m_cfg)])
+                if pm <= 0.0:
+                    continue
+                m_assign = dict(zip(m_vars, (int(c) for c in m_cfg)))
+                inner = np.zeros(y_card)
+                for xp in range(x_card):
+                    w = float(px[xp])
+                    if w <= 0.0:
+                        continue
+                    cell = {x: xp, **m_assign, **g_assign}
+                    if mass_of(jg, {x: xp, **m_assign}) <= 0.0:
+                        raise PositivityViolation(f"P{cell} = 0", cell=cell)
+                    inner += w * marginal(condition(jg, {x: xp, **m_assign}), {y}).probs
+                dist += pm * inner
+            out[(xv, tuple(int(c) for c in g_cfg))] = dist
+    return out
+
+
+def reference_oracle_effect(scm: DiscreteScm, query) -> EffectTable:
+    """Surgery oracle: one :func:`intervene` and one :func:`infer` per
+    do-configuration, then P(outcome | stratum) for every stratum of
+    positive mass."""
+    order = scm.dag.topological_order
+    do_vars = tuple(v for v in order if v in query.do)
+    given = tuple(v for v in order if v in query.observed)
+    y = query.outcome
+    cells = {}
+    for cfg in np.ndindex(*(scm.card[v] for v in do_vars)):
+        j = infer(intervene(scm, dict(zip(do_vars, cfg))), {y, *given})
+        for g in _configs(j, given):
+            stratum = dict(zip(given, (int(c) for c in g)))
+            if mass_of(j, stratum) > 0.0:
+                cells[(cfg, tuple(stratum.values()))] = marginal(condition(j, stratum), {y}).probs
+    return EffectTable(y, scm.card[y], do_vars, given, cells)
+
+
 def random_joint(seed: int, cards=(2, 2, 2), names=("A", "B", "C")) -> JointTable:
     rng = np.random.default_rng(seed)
     mass = rng.gamma(1.0, size=cards)
     mass = np.maximum(mass, 1e-12)
     return JointTable(names, cards, mass / mass.sum())
+
+
+def sparse_scm(dag: Dag, seed: int, card=2, zero_share: float = 0.5, nodes=None) -> DiscreteScm:
+    """:func:`random_scm` with each CPT entry of ``nodes`` (default: every
+    node) zeroed with probability ``zero_share`` (every row keeps one
+    positive entry), so that strata of zero mass and empty adjustment
+    cells occur."""
+    scm = random_scm(dag, seed, card=card)
+    rng = np.random.default_rng(seed + 1)
+    cpt = {}
+    for v in dag.nodes:
+        t = np.array(scm.cpt[v])
+        keep = rng.random(t.shape) >= (zero_share if nodes is None or v in nodes else 0.0)
+        keep[np.arange(len(t)), rng.integers(t.shape[1], size=len(t))] = True
+        t = np.where(keep, t, 0.0)
+        cpt[v] = t / t.sum(axis=1, keepdims=True)
+    return DiscreteScm(dag, scm.card, cpt)
 
 
 def random_dag(seed: int, n_nodes: int) -> Dag:

@@ -16,6 +16,10 @@ CONFOUNDED = str(DATA / "confounded_direct.json")
 MEDIATED = str(DATA / "confounded_mediation.json")
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "evaluate_default.json"
 IDENTIFY_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "identify_default.json"
+# The same outputs on canonical_scenario(7), taken before the adjustment
+# estimators became array contractions.
+GOLDEN_DEPTH7 = pathlib.Path(__file__).resolve().parent / "data" / "evaluate_depth7.json"
+IDENTIFY_GOLDEN_DEPTH7 = pathlib.Path(__file__).resolve().parent / "data" / "identify_depth7.json"
 
 
 def run(capsys, *argv):
@@ -68,6 +72,14 @@ def wide_decision_doc() -> dict:
         for i in range(2)
     ]
     return doc
+
+
+def canonical_path(depth: int, tmp_path) -> str:
+    from causalrating import canonical_scenario, scenario_to_json
+
+    path = tmp_path / f"depth{depth}.json"
+    path.write_text(json.dumps(scenario_to_json(canonical_scenario(depth))))
+    return str(path)
 
 
 def golden_scenario_path(name: str, tmp_path) -> str:
@@ -157,6 +169,29 @@ class TestIdentify:
         assert code == 0
         assert approx_equal(json.loads(out), json.loads(IDENTIFY_GOLDEN.read_text())[method])
 
+    @pytest.mark.parametrize("method", ["auto", "oracle"])
+    def test_matches_depth7_golden(self, capsys, tmp_path, method):
+        code, out, _ = run(capsys, "identify", canonical_path(7, tmp_path), "--method", method)
+        assert code == 0
+        assert approx_equal(json.loads(out), json.loads(IDENTIFY_GOLDEN_DEPTH7.read_text())[method])
+
+    def test_positivity_violation_exit_3_names_cell(self, capsys, tmp_path):
+        doc = json.loads(pathlib.Path(MEDIATED).read_text())
+        doc["cpt"]["Z"] = [[1.0, 0.0], [0.3, 0.7]]  # Z = 1 never follows X_c = 0
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(
+            capsys, "identify", str(path), "--do", "X_c", "--outcome", "Y_f", "--mediators", "Z",
+        )
+        assert code == 3
+        assert json.loads(out) == {
+            "error": {
+                "type": "PositivityViolation",
+                "message": "P{'X_c': 0, 'Z': 1} = 0",
+                "cell": {"X_c": 0, "Z": 1},
+            }
+        }
+
     def test_unidentifiable_exit_3(self, capsys):
         code, out, _ = run(capsys, "identify", CONFOUNDED, "--do", "X_c", "--outcome", "Y_f")
         assert code == 3
@@ -197,6 +232,23 @@ class TestIdentify:
         assert code == 2
         assert out == ""
         assert "X_c" in err
+
+    def test_pinned_do_value_checked_before_identification(self, capsys):
+        # Unidentifiable for any value, but the out-of-range pin is the
+        # input error to report.
+        code, out, err = run(capsys, "identify", CONFOUNDED, "--do", "X_c=9", "--outcome", "Y_f")
+        assert (code, out) == (2, "")
+        assert err == "error: --do X_c=9: value out of range 0..1\n"
+        code, out, err = run(capsys, "identify", CONFOUNDED, "--do", "Q=0", "--outcome", "Y_f")
+        assert (code, out) == (2, "")
+        assert err == "error: --do Q=0: unknown variable\n"
+
+    @pytest.mark.parametrize("do", [["J_o=0", "J_o=1"], ["J_o", "D", "J_o"], ["D=1", "D"]])
+    def test_repeated_do_variable_exit_2(self, capsys, do):
+        code, out, err = run(capsys, "identify", SCENARIO, "--do", *do)
+        name = do[0].partition("=")[0]
+        assert (code, out) == (2, "")
+        assert err == f"error: --do {name} given more than once\n"
 
     def test_missing_do_exit_2(self, capsys):
         code, _, err = run(capsys, "identify", MEDIATED, "--outcome", "Y_f")
@@ -393,6 +445,29 @@ class TestEvaluate:
         assert doc["traffic_markov_residual_bits"] <= 1e-9
         assert doc["phyd_vs_oracle_max_dev"] <= 1e-9
 
+    def test_matches_depth7_golden(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "evaluate", canonical_path(7, tmp_path))
+        assert code == 0
+        assert approx_equal(json.loads(out), json.loads(GOLDEN_DEPTH7.read_text()))
+
+    def test_eliminations_per_report(self, capsys, tmp_path, monkeypatch):
+        # One inference each for the observational joint, the confounding
+        # gap, the front-door estimate and the oracle, one per decision
+        # value for the chain residual and one per stage for the Markov
+        # residual: depth + 8 on the canonical chain.
+        from causalrating import cli, identify, road_risk
+
+        calls = []
+        for mod in (identify, road_risk, cli):
+            def spy(*args, real=mod.infer, **kwargs):
+                calls.append(args[1])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "infer", spy)
+        code, _, _ = run(capsys, "evaluate", canonical_path(8, tmp_path))
+        assert code == 0
+        assert len(calls) <= 8 + 8
+
     def test_nan_parameter_exit_2(self, capsys, tmp_path):
         doc = json.loads(pathlib.Path(SCENARIO).read_text())
         doc["traffic_dist"] = [float("nan"), 0.35]
@@ -420,6 +495,37 @@ class TestReport:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (
+                ["identify", SCENARIO, "--given", "Y_h", "--mediators", "S_1", "S_2"],
+                ["identify", SCENARIO],
+            ),
+            (
+                ["identify", MEDIATED, "--do", "X_c", "--outcome", "Y_f", "--mediators", "Z"],
+                ["identify", MEDIATED, "--do", "X_c", "--outcome", "Y_f"],
+            ),
+            (
+                ["verdict", "Fig1d", "--candidate", "Y_h", "--outcome", "Y_f", "--observed", "X_c"],
+                ["verdict", "Fig1d", "--candidate", "Y_h", "--outcome", "Y_f"],
+            ),
+            (
+                ["report", CONFOUNDED, "--observed", "X_c"],
+                ["report", CONFOUNDED],
+            ),
+        ],
+    )
+    def test_parser_built_once_without_leaking_state(self, capsys, first, second):
+        from causalrating import cli
+
+        cli._build_parser.cache_clear()
+        fresh = run(capsys, *second)
+        assert cli._build_parser() is cli._build_parser()
+        run(capsys, *first)
+        assert run(capsys, *second) == fresh
+        assert run(capsys, *first) != fresh
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "evaluate", "/nonexistent.json")
         assert code == 2

@@ -1,5 +1,7 @@
 """Adjustment estimators, verdicts and capacity comparisons."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,10 +34,19 @@ from causalrating import (
     random_scm,
     rating_comparison,
     rule1_deletion_check,
+    satisfies_backdoor,
+    satisfies_frontdoor,
     template,
 )
 from causalrating.errors import ParameterError, UnknownVariable
-from helpers import TEMPLATE_DAGS, random_dag
+from helpers import (
+    TEMPLATE_DAGS,
+    random_dag,
+    reference_backdoor_adjust,
+    reference_frontdoor_adjust,
+    reference_oracle_effect,
+    sparse_scm,
+)
 
 
 def observed_joint(scm):
@@ -518,3 +529,138 @@ class TestIdentifyEffect:
             identify_effect(scm, EffectQuery("Y_f", {"Nope"}))
         with pytest.raises(ParameterError):
             identify_effect(scm, EffectQuery("Y_f", {"X_c"}), "magic")
+
+
+def compare_with_loop(array_form, loop) -> str:
+    """Assert that an array-form estimator returns the cells of its loop
+    oracle, in the same order, within 1e-12, or raises the same
+    :class:`PositivityViolation`; returns which of the two happened."""
+    try:
+        want = loop()
+    except PositivityViolation as exc:
+        with pytest.raises(PositivityViolation) as got:
+            array_form()
+        assert list(got.value.cell.items()) == list(exc.cell.items())
+        assert str(got.value) == str(exc)
+        return "positivity"
+    got = array_form()
+    assert list(got) == list(want)
+    for key, dist in want.items():
+        assert np.abs(got[key] - dist).max() <= 1e-12
+    return "cells"
+
+
+# (graph, treatment, outcome, mediators, stratum candidates) on which the
+# front-door criterion holds.
+FRONTDOOR_CASES = {
+    "Fig3": (template("Fig3"), "X_c", "Y_f", {"Z"}, ["Y_h"]),
+    "Fig6Canonical(1)": (template("Fig6Canonical", 1), "D", "Y_f", {"S_0", "S_1"}, ["Y_h", "J_o"]),
+    "Fig6Canonical(2)": (
+        template("Fig6Canonical", 2), "D", "Y_f", {"S_0", "S_1", "S_2"}, ["Y_h", "J_o"],
+    ),
+}
+
+
+def draw_scm(data, dag):
+    return sparse_scm(
+        dag,
+        data.draw(st.integers(0, 10_000), label="seed"),
+        card=data.draw(st.sampled_from([2, 3]), label="card"),
+        zero_share=data.draw(st.sampled_from([0.0, 0.2, 0.5]), label="zero share"),
+    )
+
+
+def random_query_dag(data):
+    return random_dag(data.draw(st.integers(0, 10_000), label="dag"), data.draw(st.integers(3, 6)))
+
+
+class TestArrayEstimators:
+    """The array forms against today's cell loops (``tests/helpers.py``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_frontdoor_matches_cell_loop(self, data):
+        name = data.draw(st.sampled_from([*sorted(FRONTDOOR_CASES), "random"]), label="case")
+        if name == "random":
+            dag = random_query_dag(data)
+            x, y = data.draw(st.permutations(dag.nodes), label="x, y")[:2]
+            M = {v for v in dag.descendants(x) if v in dag.ancestors(y)}
+            strata = [v for v in dag.nodes if v not in M | {x, y} | dag.descendants(x)]
+            if not satisfies_frontdoor(dag, x, y, M):
+                return
+        else:
+            dag, x, y, M, strata = FRONTDOOR_CASES[name]
+        given = data.draw(st.sets(st.sampled_from(strata)) if strata else st.just(set()))
+        j = infer(draw_scm(data, dag), set(dag.nodes) - dag.latent)
+        compare_with_loop(
+            lambda: frontdoor_adjust(j, dag, x, y, M, given),
+            lambda: reference_frontdoor_adjust(j, x, y, M, given),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_backdoor_matches_cell_loop(self, data):
+        dag = data.draw(st.sampled_from([backdoor_dag(), template("Fig1c"), None]), label="dag")
+        if dag is None:
+            dag = random_query_dag(data)
+        x, y = data.draw(st.permutations(dag.nodes), label="x, y")[:2]
+        pool = sorted(set(dag.nodes) - {x, y} - dag.descendants(x) - dag.latent)
+        Z = data.draw(st.sets(st.sampled_from(pool)) if pool else st.just(set()), label="Z")
+        if not satisfies_backdoor(dag, x, y, Z):
+            return
+        j = infer(draw_scm(data, dag), set(dag.nodes) - dag.latent)
+        compare_with_loop(
+            lambda: backdoor_adjust(j, dag, x, y, Z),
+            lambda: reference_backdoor_adjust(j, x, y, Z),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_oracle_matches_one_surgery_per_configuration(self, data):
+        dag = random_query_dag(data)
+        nodes = data.draw(st.permutations(dag.nodes), label="roles")
+        n_do = data.draw(st.integers(1, min(2, len(nodes) - 1)), label="do")
+        n_given = data.draw(st.integers(0, len(nodes) - 1 - n_do), label="given")
+        q = EffectQuery(nodes[0], nodes[1 : 1 + n_do], nodes[1 + n_do : 1 + n_do + n_given])
+        scm = draw_scm(data, dag)
+        got = identify_effect(scm, q, "oracle")[1]
+        want = reference_oracle_effect(scm, q)
+        assert (got.do_vars, got.given_vars) == (want.do_vars, want.given_vars)
+        assert list(got.table) == list(want.table)
+        for key, dist in want.table.items():
+            assert np.abs(got.table[key] - dist).max() <= 1e-12
+
+    def test_zero_mass_strata_and_positivity_cells_are_reached(self):
+        # Sparse models on the canonical graph give all three outcomes:
+        # every stratum kept, some strata skipped, and an empty cell.
+        dag, x, y, M, _ = FRONTDOOR_CASES["Fig6Canonical(2)"]
+        seen = set()
+        for seed, sparse in itertools.product(range(10), ({"Y_h", "J_o"}, {"D"}, ())):
+            scm = sparse_scm(dag, seed, card=3, zero_share=0.3, nodes=sparse)
+            j = infer(scm, set(dag.nodes) - dag.latent)
+            outcome = compare_with_loop(
+                lambda: frontdoor_adjust(j, dag, x, y, M, {"Y_h", "J_o"}),
+                lambda: reference_frontdoor_adjust(j, x, y, M, {"Y_h", "J_o"}),
+            )
+            if outcome == "cells":
+                full = len(frontdoor_adjust(j, dag, x, y, M, {"Y_h", "J_o"})) == 3 * 9
+                outcome = "all strata" if full else "strata skipped"
+            seen.add(outcome)
+        assert seen == {"all strata", "strata skipped", "positivity"}
+
+    def test_positivity_cell_key_order(self):
+        # The exit-3 cell names x first, then the mediators, then the
+        # stratum, as the cell loop did.
+        dag = template("Fig3")
+        cpt = {
+            "Y_h": [[0.5, 0.5]],
+            "U": [[0.5, 0.5]],
+            "X_c": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+            "Z": [[1.0, 0.0], [0.2, 0.8]],
+            "Y_f": [[0.5, 0.5]] * 4,
+        }
+        j = observed_joint(build_scm(dag, {v: 2 for v in dag.nodes}, cpt))
+        with pytest.raises(PositivityViolation) as exc:
+            frontdoor_adjust(j, dag, "X_c", "Y_f", {"Z"}, given={"Y_h"})
+        assert list(exc.value.cell.items()) == [("X_c", 0), ("Z", 1), ("Y_h", 0)]
+        assert str(exc.value) == "P{'X_c': 0, 'Z': 1, 'Y_h': 0} = 0"

@@ -16,6 +16,7 @@ from causalrating import (
     conditional_mutual_information,
     entropy,
     exact_joint,
+    marginal,
     mutual_information,
     random_scm,
     template,
@@ -145,3 +146,23 @@ def test_monotonicity_on_random_joints(seed):
     j = random_joint(seed, cards=(2, 2, 2), names=("Y_h", "X_c", "Y_f"))
     joint_mi = mutual_information(j, {"Y_h", "X_c"}, {"Y_f"})
     assert joint_mi >= mutual_information(j, {"Y_h"}, {"Y_f"}) - 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_entropy_equals_marginal_route(data):
+    # entropy sums the cells directly; the marginal table holds the same
+    # sums, so the two agree bit for bit, zero cells included.
+    cards = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="cards"))
+    names = tuple(f"V{i}" for i in range(len(cards)))
+    j = random_joint(data.draw(st.integers(0, 100_000), label="seed"), cards, names)
+    zeros = np.asarray(data.draw(st.lists(st.booleans(), min_size=j.probs.size, max_size=j.probs.size)))
+    if not zeros.all():
+        p = np.where(zeros.reshape(cards), 0.0, j.probs)
+        j = JointTable(names, cards, p / p.sum())
+    X = data.draw(st.sets(st.sampled_from(names), min_size=1), label="X")
+    p = marginal(j, X).probs.reshape(-1)
+    p = p[p > 0.0]
+    assert entropy(j, X) == float(-(p * np.log2(p)).sum())
+    with pytest.raises(UnknownVariable):
+        entropy(j, X | {"Nope"})
