@@ -161,9 +161,7 @@ def cmd_identify(args) -> int:
         raise _UsageError("--do is required")
     names, pinned = _parse_do(do)
     for v, val in pinned.items():
-        if v not in scm.card:
-            raise _UsageError(f"--do {v}={val}: unknown variable")
-        if not 0 <= val < scm.card[v]:
+        if v in scm.card and not 0 <= val < scm.card[v]:
             raise _UsageError(f"--do {v}={val}: value out of range 0..{scm.card[v] - 1}")
     query = EffectQuery(outcome, names, args.given)
     method, table = identify_effect(scm, query, args.method, mediators, args.adjust)

@@ -34,8 +34,8 @@ from .graph import (
     satisfies_backdoor,
     satisfies_frontdoor,
 )
-from .info import _as_set, conditional_mutual_information, mutual_information
-from .scm import DiscreteScm, JointTable, _surgery, infer, scm_from_json
+from .info import conditional_mutual_information, mutual_information
+from .scm import DiscreteScm, JointTable, _sum_to, _surgery, infer, scm_from_json
 
 __all__ = [
     "EffectQuery",
@@ -180,9 +180,9 @@ def _layout(j: JointTable, *groups: tuple) -> np.ndarray:
     """The mass of ``j`` on the variables of ``groups``, one axis per
     group running over its configurations in row-major order, as a new
     array."""
-    axes = [j.axis(v) for g in groups for v in g]
-    p = j.probs.sum(axis=tuple(i for i in range(len(j.vars)) if i not in axes))
-    p = p.transpose([sorted(axes).index(a) for a in axes])
+    names = [v for g in groups for v in g]
+    axes = [j.axis(v) for v in names]
+    p = _sum_to(j, names).transpose([sorted(axes).index(a) for a in axes])
     return p.reshape([math.prod(j.card(v) for v in g) for g in groups])
 
 
@@ -477,7 +477,9 @@ def confounding_gap(scm: DiscreteScm, x: str, y: str, u: str) -> ConfoundingGap:
 
 def rating_comparison(j: JointTable, yh, xc, yf) -> CapacityReport:
     """Predictive capacities of the naive, augmented and PHYD designs."""
-    yh, xc, yf = _as_set(yh), _as_set(xc), _as_set(yf)
+    yh = frozenset([yh]) if isinstance(yh, str) else frozenset(yh)
+    xc = frozenset([xc]) if isinstance(xc, str) else frozenset(xc)
+    yf = frozenset([yf]) if isinstance(yf, str) else frozenset(yf)
     report = CapacityReport(
         naive_bms=mutual_information(j, yh, yf),
         augmented_bms=mutual_information(j, yh | xc, yf),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, OverlapError, UnknownVariable
-from .scm import JointTable
+from .scm import JointTable, _sum_to
 
 __all__ = [
     "entropy",
@@ -50,9 +50,8 @@ def entropy(j: JointTable, X) -> float:
     X = _as_set(X)
     if not X:
         raise UnknownVariable("X must be nonempty")
-    keep = {j.axis(v) for v in X}
     # The cells are non-negative already, so this equals marginal(j, X).
-    p = j.probs.sum(axis=tuple(i for i in range(len(j.vars)) if i not in keep)).reshape(-1)
+    p = _sum_to(j, X).reshape(-1)
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum())
 

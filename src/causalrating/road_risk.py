@@ -272,14 +272,13 @@ def build_scenario(s: RoadRiskScenario) -> DiscreteScm:
     return DiscreteScm(dag, card, cpt)
 
 
-def markov_consistency(scm: DiscreteScm, d_value: int | None = None) -> float:
-    """Max over stages of I(T_i; S_{i+1} | S_i) given the decision value
-    ``d_value``, or given each decision value when it is None.
+def markov_consistency(scm: DiscreteScm) -> float:
+    """Max over stages and decision values of I(T_i; S_{i+1} | S_i, D=d).
 
     Each stage costs one inference, whose joint keeps ``D`` and is then
-    conditioned on every decision value asked for.  Structurally zero
-    (< 1e-9) for models emitted by :func:`build_scenario`; a positive
-    value flags a traffic variable leaking past its own stage.
+    conditioned on every decision value.  Structurally zero (< 1e-9) for
+    models emitted by :func:`build_scenario`; a positive value flags a
+    traffic variable leaking past its own stage.
     """
     states = sorted(
         (v for v in scm.dag.nodes if v.startswith("S_")), key=lambda v: int(v.split("_")[1])
@@ -291,8 +290,8 @@ def markov_consistency(scm: DiscreteScm, d_value: int | None = None) -> float:
         if t not in scm.card or nxt not in scm.card:
             continue
         j = infer(scm, {"D", t, st, nxt})
-        for d in range(scm.card["D"]) if d_value is None else (d_value,):
-            jd = condition(j, {"D": int(d)})
+        for d in range(scm.card["D"]):
+            jd = condition(j, {"D": d})
             worst = max(worst, conditional_mutual_information(jd, {t}, {nxt}, {st}))
     return worst
 

@@ -91,16 +91,21 @@ class JointTable:
         return self.cards[self.axis(var)]
 
 
-def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
-    """Sum out every variable not in ``keep`` (original order preserved)."""
-    keep = set(keep)
+def _sum_to(j: JointTable, keep) -> np.ndarray:
+    """The mass of ``j`` on the variables in ``keep``, as a new array with
+    its axes in ``j.vars`` order."""
     for v in keep:
         if v not in j.vars:
             raise UnknownVariable(f"unknown variable: {v!r}")
+    return j.probs.sum(axis=tuple(i for i, v in enumerate(j.vars) if v not in keep))
+
+
+def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
+    """Sum out every variable not in ``keep`` (original order preserved)."""
+    keep = set(keep)
     if not keep:
         raise UnknownVariable("keep set must be nonempty")
-    axes = tuple(i for i, v in enumerate(j.vars) if v not in keep)
-    probs = j.probs.sum(axis=axes) if axes else j.probs
+    probs = _sum_to(j, keep)
     vars_kept = tuple(v for v in j.vars if v in keep)
     cards_kept = tuple(c for v, c in zip(j.vars, j.cards) if v in keep)
     return JointTable(vars_kept, cards_kept, probs)

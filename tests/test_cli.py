@@ -241,7 +241,7 @@ class TestIdentify:
         assert err == "error: --do X_c=9: value out of range 0..1\n"
         code, out, err = run(capsys, "identify", CONFOUNDED, "--do", "Q=0", "--outcome", "Y_f")
         assert (code, out) == (2, "")
-        assert err == "error: --do Q=0: unknown variable\n"
+        assert err == "error: UnknownVariable: unknown variable: 'Q'\n"
 
     @pytest.mark.parametrize("do", [["J_o=0", "J_o=1"], ["J_o", "D", "J_o"], ["D=1", "D"]])
     def test_repeated_do_variable_exit_2(self, capsys, do):

@@ -35,7 +35,7 @@ from causalrating import (
     simulate_journeys,
     tta_discretize,
 )
-from causalrating.errors import ParameterError, ValueOutOfRange
+from causalrating.errors import ParameterError
 from causalrating import empirical_joint, frontdoor_adjust, random_scm
 from helpers import reference_chain_factorization_residual
 
@@ -196,56 +196,49 @@ class TestBuildScenario:
             assert np.abs(ne.table[k] - gt.table[k]).max() < 1e-9
 
 
-def leaky_traffic_scm():
-    """An extra edge from stage-0 traffic into stage-1 peril, stronger
-    under D = 1."""
-    dag = build_dag(
-        ["D", "T_0", "T_1", "S_0", "S_1"],
-        [("D", "S_1"), ("T_0", "S_0"), ("T_0", "S_1"), ("T_1", "S_1"), ("S_0", "S_1")],
-        [],
-    )
-    # S_1 parents in topological order: (D, T_0, T_1, S_0)
-    s1 = []
-    for d in range(2):
-        for t0 in range(2):
-            for t1 in range(2):
-                for s0 in range(2):
-                    p = (0.9 if t0 else 0.1) if d == 0 else (0.95 if t0 else 0.02)
-                    s1.append([1 - p, p])
-    cpt = {
-        "D": [[0.5, 0.5]],
-        "T_0": [[0.5, 0.5]],
-        "T_1": [[0.5, 0.5]],
-        "S_0": [[0.7, 0.3], [0.4, 0.6]],
-        "S_1": s1,
-    }
-    return build_scm(dag, {v: 2 for v in dag.nodes}, cpt)
-
-
 class TestMarkovConsistency:
     def test_default_scenario_structural_zero(self):
         scm = build_scenario(default_scenario())
-        for d in range(3):
-            assert markov_consistency(scm, d) < 1e-9
+        assert markov_consistency(scm) < 1e-9
 
     def test_depth_one(self):
         scm = build_scenario(canonical_scenario(1))
-        assert markov_consistency(scm, 0) < 1e-9
-
-    def test_every_decision_value_by_default(self):
-        # The default is the maximum over the decision values, each of
-        # which conditions the same per-stage joint.
-        scm = leaky_traffic_scm()
-        each = [markov_consistency(scm, d) for d in range(2)]
-        assert each[0] != each[1]
-        assert markov_consistency(scm) == max(each)
-        with pytest.raises(ValueOutOfRange):
-            markov_consistency(scm, 2)
+        assert markov_consistency(scm) < 1e-9
 
     def test_leaky_traffic_negative_control(self):
         # A deliberate extra edge from stage-0 traffic into stage-1
-        # peril must be flagged.
-        assert markov_consistency(leaky_traffic_scm(), 0) > 0.01
+        # peril must be flagged, also when it acts under one decision
+        # value only.
+        dag = build_dag(
+            ["D", "T_0", "T_1", "S_0", "S_1"],
+            [
+                ("D", "S_1"),
+                ("T_0", "S_0"),
+                ("T_0", "S_1"),
+                ("T_1", "S_1"),
+                ("S_0", "S_1"),
+            ],
+            [],
+        )
+        card = {v: 2 for v in dag.nodes}
+        for leaks_under in ((0, 1), (1,)):
+            # S_1 parents in topological order: (D, T_0, T_1, S_0)
+            s1 = []
+            for d in range(2):
+                for t0 in range(2):
+                    for t1 in range(2):
+                        for s0 in range(2):
+                            p = (0.9 if t0 else 0.1) if d in leaks_under else 0.5
+                            s1.append([1 - p, p])
+            cpt = {
+                "D": [[0.5, 0.5]],
+                "T_0": [[0.5, 0.5]],
+                "T_1": [[0.5, 0.5]],
+                "S_0": [[0.7, 0.3], [0.4, 0.6]],
+                "S_1": s1,
+            }
+            scm = build_scm(dag, card, cpt)
+            assert markov_consistency(scm) > 0.01
 
 
 class TestSimulateJourneys:
