@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import CausalRatingError, IdentificationError
+from .errors import CausalRatingError, IdentificationError, UnknownVariable
 from .graph import TEMPLATE_IDS, Dag, d_separated, dag_from_json, dag_to_json, open_trail, template
 from .identify import (
     IDENTIFY_METHODS,
@@ -35,7 +35,6 @@ from .road_risk import (
     chain_factorization_residual,
     markov_consistency,
     naive_effect,
-    observational_joint,
     _mask_stay_home,
     scenario_from_json,
 )
@@ -211,7 +210,7 @@ def cmd_simulate(args) -> int:
 
 def _scenario_report(s: RoadRiskScenario) -> dict:
     scm = build_scenario(s)
-    j = observational_joint(s, scm=scm)
+    j = infer(scm, {"Y_h", "J_o", "D", "Y_f"})
     capacity = rating_comparison(j, "Y_h", "D", "Y_f")
     gap = confounding_gap(scm, "D", "Y_f", "U")
     query = EffectQuery("Y_f", {"J_o", "D"})
@@ -228,9 +227,7 @@ def _scenario_report(s: RoadRiskScenario) -> dict:
         "depth": int(s.depth),
         "capacity_bits": capacity.to_json(),
         "confounding_gap_bits": gap.to_json(),
-        "chain_factorization_residual": max(
-            chain_factorization_residual(s, d, scm=scm) for d in range(s.decision_card)
-        ),
+        "chain_factorization_residual": chain_factorization_residual(scm),
         "traffic_markov_residual_bits": markov_consistency(scm),
         "phyd_vs_oracle_max_dev": phyd_dev,
         "naive_vs_oracle_max_tv": naive_tv,
@@ -253,20 +250,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     scm, scenario = _load_model(args.model)
-    dag = scm.dag
-    if scenario is not None:
-        history = args.history or "Y_h"
-        behavior = args.behavior or "D"
-        outcome = args.outcome or "Y_f"
-        observed = set(args.observed) if args.observed else {"J_o", "D"}
-        j = observational_joint(scenario, scm=scm)
-    else:
-        history = args.history or "Y_h"
-        behavior = args.behavior or "X_c"
-        outcome = args.outcome or "Y_f"
-        observed = set(args.observed or [])
-        j = infer(scm, set(dag.nodes) - set(dag.latent))
-    verdict = noise_verdict(dag, history, outcome, observed)
+    history, outcome = args.history or "Y_h", args.outcome or "Y_f"
+    behavior = args.behavior or ("D" if scenario is not None else "X_c")
+    observed = set(args.observed or (("J_o", "D") if scenario is not None else ()))
+    verdict = noise_verdict(scm.dag, history, outcome, observed)
+    for v in (history, behavior, outcome):
+        if v in scm.dag.latent:
+            raise UnknownVariable(f"unknown variable: {v!r}")
+    j = infer(scm, {history, behavior, outcome})
     capacity = rating_comparison(j, history, behavior, outcome)
     _emit(
         {

@@ -454,6 +454,6 @@ def dag_to_json(dag: Dag) -> dict:
 def dag_from_json(doc: Mapping) -> Dag:
     try:
         return Dag(doc["nodes"], [tuple(e) for e in doc["edges"]], doc.get("latent", ()))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
 

@@ -272,6 +272,13 @@ def build_scenario(s: RoadRiskScenario) -> DiscreteScm:
     return DiscreteScm(dag, card, cpt)
 
 
+def _states(scm: DiscreteScm) -> list:
+    """The model's peril states ``S_0, S_1, ...`` in chain order."""
+    return sorted(
+        (v for v in scm.dag.nodes if v.startswith("S_")), key=lambda v: int(v.split("_")[1])
+    )
+
+
 def markov_consistency(scm: DiscreteScm) -> float:
     """Max over stages and decision values of I(T_i; S_{i+1} | S_i, D=d).
 
@@ -280,9 +287,7 @@ def markov_consistency(scm: DiscreteScm) -> float:
     models emitted by :func:`build_scenario`; a positive value flags a
     traffic variable leaking past its own stage.
     """
-    states = sorted(
-        (v for v in scm.dag.nodes if v.startswith("S_")), key=lambda v: int(v.split("_")[1])
-    )
+    states = _states(scm)
     worst = 0.0
     for i, st in enumerate(states):
         nxt = states[i + 1] if i + 1 < len(states) else "Y_f"
@@ -323,13 +328,10 @@ def ground_truth_effect(s: RoadRiskScenario, q: EffectQuery) -> EffectTable:
     return identify_effect(build_scenario(s), q, "oracle")[1]
 
 
-def observational_joint(s: RoadRiskScenario, *, scm: DiscreteScm | None = None) -> JointTable:
-    """Exact joint over the observable variables (U and traffic summed out).
-
-    ``scm``, when given, must be ``build_scenario(s)``.
-    """
-    scm = build_scenario(s) if scm is None else scm
-    return infer(scm, {"Y_h", "J_o", "D", "Y_f", *s.states})
+def observational_joint(s: RoadRiskScenario) -> JointTable:
+    """Exact joint over every observable variable (U and traffic summed
+    out): 36 * 2^(depth + 1) cells on the default cardinalities."""
+    return infer(build_scenario(s), {"Y_h", "J_o", "D", "Y_f", *s.states})
 
 
 def phyd_effect(s: RoadRiskScenario) -> EffectTable:
@@ -346,7 +348,9 @@ def phyd_effect(s: RoadRiskScenario) -> EffectTable:
 def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> EffectTable:
     """Conditioning-based estimate P(Y_f | J_o, D), for bias comparison.
 
-    ``joint``, when given, must be ``observational_joint(s)``.
+    ``joint``, when given, may be any joint of ``build_scenario(s)`` that
+    holds ``J_o``, ``D`` and ``Y_f``; the default is
+    ``observational_joint(s)``.
     """
     j = observational_joint(s) if joint is None else joint
     table = {}
@@ -357,31 +361,32 @@ def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> Eff
     return EffectTable("Y_f", 2, ("J_o", "D"), (), table)
 
 
-def chain_factorization_residual(
-    s: RoadRiskScenario, d_value: int, *, scm: DiscreteScm | None = None
-) -> float:
-    """Deviation of P(chain | D) from the product of stage conditionals.
+def chain_factorization_residual(scm: DiscreteScm) -> float:
+    """Max over decision values d of the deviation of P(chain | D=d) from
+    the product of the stage conditionals P(next | prev, D=d).
 
-    The chain here is S_0..S_D followed by Y_f as the accident state.
+    The chain is the model's S_0, S_1, ... followed by Y_f as the
+    accident state; each decision value costs one inference.
     Configurations whose conditioning events have zero mass (unreachable
-    under the absorbing encoding) are skipped.  ``scm``, when given,
-    must be ``build_scenario(s)``.
+    under the absorbing encoding) are skipped.
     """
-    scm = build_scenario(s) if scm is None else scm
-    chain = list(s.states) + ["Y_f"]
-    lhs = infer(scm, chain, {"D": int(d_value)})
-    actual = lhs.probs.transpose([lhs.vars.index(v) for v in chain])
-    # Product of the stage conditionals P(next | prev, D=d) over every
-    # chain configuration; NaN where a conditioning event has zero mass.
-    prod = np.ones((1,) * len(chain))
-    for k, (a, b) in enumerate(zip(chain, chain[1:])):
-        m = marginal(lhs, {a, b})
-        p = m.probs if m.vars == (a, b) else m.probs.T
-        denom = p.sum(axis=1, keepdims=True)
-        cond = np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), np.nan)
-        prod = prod * cond.reshape((1,) * k + cond.shape + (1,) * (len(chain) - k - 2))
-    dev = np.abs(actual - prod)
-    return float(np.max(dev, where=~np.isnan(dev), initial=0.0))
+    chain = [*_states(scm), "Y_f"]
+    worst = 0.0
+    for d in range(scm.card["D"]):
+        lhs = infer(scm, chain, {"D": d})
+        actual = lhs.probs.transpose([lhs.vars.index(v) for v in chain])
+        # The product over every chain configuration; NaN where a
+        # conditioning event has zero mass.
+        prod = np.ones((1,) * len(chain))
+        for k, (a, b) in enumerate(zip(chain, chain[1:])):
+            m = marginal(lhs, {a, b})
+            p = m.probs if m.vars == (a, b) else m.probs.T
+            denom = p.sum(axis=1, keepdims=True)
+            cond = np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), np.nan)
+            prod = prod * cond.reshape((1,) * k + cond.shape + (1,) * (len(chain) - k - 2))
+        dev = np.abs(actual - prod)
+        worst = max(worst, float(np.max(dev, where=~np.isnan(dev), initial=0.0)))
+    return worst
 
 
 # -- fixtures and serialization -------------------------------------------
@@ -424,12 +429,15 @@ def scenario_to_json(s: RoadRiskScenario) -> dict:
 
 
 def scenario_from_json(doc: Mapping) -> RoadRiskScenario:
+    if not isinstance(doc, Mapping):
+        raise ParameterError("scenario document must be a JSON object")
     if "schema_version" not in doc:
         raise ParameterError("scenario document lacks schema_version")
-    if int(doc["schema_version"]) != SCENARIO_SCHEMA_VERSION:
-        raise ParameterError(
-            f"unsupported scenario schema_version {doc['schema_version']}"
-        )
+    version = doc["schema_version"]
+    if type(version) is not int:
+        raise ParameterError(f"scenario schema_version must be an integer, got {version!r}")
+    if version != SCENARIO_SCHEMA_VERSION:
+        raise ParameterError(f"unsupported scenario schema_version {version}")
     known = {f for f in RoadRiskScenario.__dataclass_fields__}
     extra = set(doc) - known
     if extra:

@@ -76,11 +76,6 @@ class JointTable:
         object.__setattr__(self, "cards", tuple(self.cards))
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def mass(self) -> np.ndarray:
-        """Flat row-major view of the table."""
-        return self.probs.reshape(-1)
-
     def axis(self, var: str) -> int:
         try:
             return self.vars.index(var)
@@ -601,7 +596,10 @@ def scm_to_json(scm: DiscreteScm) -> dict:
         "card": dict(scm.card),
         "cpt": {v: scm.cpt[v].tolist() for v in scm.dag.nodes},
     }
-    default = {v: DiscreteScm._topo_parents(scm.dag, v) for v in scm.dag.nodes}
+    # The reader orders parents by the topological order of the graph it
+    # rebuilds from sorted edges, which can break ties otherwise.
+    reader = dag_from_json(doc["graph"])
+    default = {v: DiscreteScm._topo_parents(reader, v) for v in scm.dag.nodes}
     if any(scm.parents[v] != default[v] for v in scm.dag.nodes):
         doc["parents"] = {v: list(scm.parents[v]) for v in scm.dag.nodes}
     return doc
@@ -616,4 +614,6 @@ def scm_from_json(doc: Mapping) -> DiscreteScm:
         return DiscreteScm(dag, doc["card"], doc["cpt"], parents=parents)
     except KeyError as exc:
         raise ShapeError(f"malformed SCM document: missing {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ShapeError(f"malformed SCM document: {exc}") from exc
 

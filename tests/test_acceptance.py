@@ -15,6 +15,7 @@ import pytest
 from causalrating import (
     EffectQuery,
     NOISE,
+    build_scenario,
     build_scm,
     canonical_scenario,
     chain_decompositions,
@@ -44,7 +45,7 @@ from causalrating import (
 )
 from causalrating.cli import main as cli_main
 
-from helpers import TEMPLATE_DAGS, random_joint
+from helpers import TEMPLATE_DAGS, random_joint, reference_chain_factorization_residual
 
 
 def _verdict(num: int, title: str, failures: list):
@@ -212,10 +213,13 @@ class TestAcceptance:
         failures = []
         for depth in (1, 2, 3):
             s = canonical_scenario(depth)
-            for d in range(s.decision_card):
-                r = chain_factorization_residual(s, d)
-                if r >= 1e-12:
-                    failures.append((depth, d, r))
+            scm = build_scenario(s)
+            r = chain_factorization_residual(scm)
+            want = max(
+                reference_chain_factorization_residual(s, d, scm) for d in range(s.decision_card)
+            )
+            if r != want or r >= 1e-12:
+                failures.append((depth, r, want))
         _verdict(7, "trajectory chain factorization residual < 1e-12", failures)
 
     def test_criterion_08_history_deprecation(self):

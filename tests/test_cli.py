@@ -1,12 +1,16 @@
 """Command-line interface: formats, determinism and exit codes."""
 
+import copy
 import hashlib
 import json
 import math
 import os
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from causalrating.cli import main
 
@@ -20,6 +24,8 @@ IDENTIFY_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "identify_d
 # estimators became array contractions.
 GOLDEN_DEPTH7 = pathlib.Path(__file__).resolve().parent / "data" / "evaluate_depth7.json"
 IDENTIFY_GOLDEN_DEPTH7 = pathlib.Path(__file__).resolve().parent / "data" / "identify_depth7.json"
+# ``report`` outputs taken while it still read the full observable joint.
+REPORT_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "report_golden.json"
 
 
 def run(capsys, *argv):
@@ -450,11 +456,22 @@ class TestEvaluate:
         assert code == 0
         assert approx_equal(json.loads(out), json.loads(GOLDEN_DEPTH7.read_text()))
 
+    def test_depth_18_past_the_observable_joint_cap(self, capsys, tmp_path):
+        # The full observable joint has 36 * 2^19 cells here, past the cap.
+        code, out, _ = run(capsys, "evaluate", canonical_path(18, tmp_path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["depth"] == 18
+        assert doc["chain_factorization_residual"] <= 1e-9
+        assert doc["traffic_markov_residual_bits"] <= 1e-9
+        assert doc["phyd_vs_oracle_max_dev"] <= 1e-9
+
     def test_eliminations_per_report(self, capsys, tmp_path, monkeypatch):
-        # One inference each for the observational joint, the confounding
-        # gap, the front-door estimate and the oracle, one per decision
-        # value for the chain residual and one per stage for the Markov
-        # residual: depth + 8 on the canonical chain.
+        # One inference each for the rating joint, the confounding gap,
+        # the front-door estimate and the oracle, one per decision value
+        # for the chain residual and one per stage for the Markov
+        # residual: depth + 8 on the canonical chain.  No inference keeps
+        # claim history together with the peril chain.
         from causalrating import cli, identify, road_risk
 
         calls = []
@@ -467,6 +484,9 @@ class TestEvaluate:
         code, _, _ = run(capsys, "evaluate", canonical_path(8, tmp_path))
         assert code == 0
         assert len(calls) <= 8 + 8
+        for keep in calls:
+            keep = set(keep)
+            assert "Y_h" not in keep or not any(v.startswith("S_") for v in keep), keep
 
     def test_nan_parameter_exit_2(self, capsys, tmp_path):
         doc = json.loads(pathlib.Path(SCENARIO).read_text())
@@ -492,6 +512,213 @@ class TestReport:
         code, out, _ = run(capsys, "report", CONFOUNDED, "--observed", "X_c")
         assert code == 0
         assert json.loads(out)["verdict"]["verdict"] == "Noise"
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("default", [SCENARIO]),
+            ("mediation", [MEDIATED]),
+            ("mediation_observed_X_c", [MEDIATED, "--observed", "X_c"]),
+            ("depth7", None),
+        ],
+    )
+    def test_matches_golden(self, capsys, tmp_path, name, argv):
+        argv = argv or [canonical_path(7, tmp_path)]
+        code, out, _ = run(capsys, "report", *argv)
+        assert code == 0
+        assert approx_equal(json.loads(out), json.loads(REPORT_GOLDEN.read_text())[name])
+
+    def test_depth_18(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "report", canonical_path(18, tmp_path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"]["verdict"] == "Noise"
+        cap = doc["capacity_bits"]
+        assert abs(cap["augmented_bms"] - cap["phyd_major"] - cap["phyd_minor"]) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "model,flag", [(SCENARIO, "--history"), (SCENARIO, "--outcome"), (MEDIATED, "--behavior")]
+    )
+    def test_latent_name_exit_2(self, capsys, model, flag):
+        code, out, err = run(capsys, "report", model, flag, "U")
+        assert (code, out) == (2, "")
+        assert err == "error: UnknownVariable: unknown variable: 'U'\n"
+
+    def test_unknown_name_exit_2(self, capsys):
+        code, out, err = run(capsys, "report", SCENARIO, "--history", "Q")
+        assert (code, out) == (2, "")
+        assert err == "error: UnknownNodeError: unknown node: 'Q'\n"
+
+    def test_traffic_history_matches_dense_joint(self, capsys):
+        from causalrating import (
+            build_scenario, default_scenario, exact_joint, marginal, noise_verdict, rating_comparison,
+        )
+
+        code, out, _ = run(capsys, "report", SCENARIO, "--history", "T_1")
+        assert code == 0
+        doc = json.loads(out)
+        scm = build_scenario(default_scenario())
+        dense = marginal(exact_joint(scm), {"T_1", "D", "Y_f"})
+        assert approx_equal(doc["capacity_bits"], rating_comparison(dense, "T_1", "D", "Y_f").to_json())
+        assert doc["capacity_bits"]["naive_bms"] > 0.0
+        assert doc["verdict"] == noise_verdict(scm.dag, "T_1", "Y_f", {"J_o", "D"}).to_json()
+
+
+class TestNarrowJointOracle:
+    """Each report field read from a small joint equals the same field
+    read from the full observable joint."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_report_capacity_matches_full_joint(self, capsys, data):
+        from causalrating import build_dag, infer, random_scm, rating_comparison, scm_to_json
+        from helpers import TEMPLATE_DAGS, random_dag
+
+        if data.draw(st.booleans(), label="template"):
+            dag = TEMPLATE_DAGS[data.draw(st.sampled_from(sorted(TEMPLATE_DAGS)), label="name")]
+        else:
+            base = random_dag(data.draw(st.integers(0, 10_000)), data.draw(st.integers(4, 6)))
+            latent = data.draw(st.sampled_from(base.nodes), label="latent")
+            dag = build_dag(base.nodes, base.edges, [latent])
+        observable = sorted(set(dag.nodes) - dag.latent)
+        assume(len(observable) >= 3)
+        history, behavior, outcome = data.draw(st.permutations(observable), label="roles")[:3]
+        seed, card = data.draw(st.integers(0, 10_000)), data.draw(st.integers(2, 3))
+        scm = random_scm(dag, seed, card=card)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "model.json"
+            path.write_text(json.dumps(scm_to_json(scm)))
+            code, out, _ = run(
+                capsys, "report", str(path),
+                "--history", history, "--behavior", behavior, "--outcome", outcome,
+            )
+        assert code == 0
+        got = json.loads(out)["capacity_bits"]
+        want = rating_comparison(infer(scm, observable), history, behavior, outcome).to_json()
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= 1e-12 for k in want), (got, want)
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_scenario_report_matches_observable_joint(self, depth):
+        from causalrating import (
+            canonical_scenario, mutual_information, naive_effect, observational_joint, rating_comparison,
+        )
+        from causalrating.cli import _scenario_report
+
+        s = canonical_scenario(depth)
+        rep = _scenario_report(s)
+        j = observational_joint(s)
+        want = rating_comparison(j, "Y_h", "D", "Y_f").to_json()
+        assert all(abs(rep["capacity_bits"][k] - want[k]) <= 1e-12 for k in want)
+        assert abs(rep["history_outcome_mi_bits"] - mutual_information(j, {"Y_h"}, {"Y_f"})) <= 1e-12
+        assert approx_equal(rep["effects"]["naive"], naive_effect(s, joint=j).to_json(), rel=1e-12)
+
+
+def _document_paths(doc, prefix=()):
+    """The path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _document_paths(v, prefix + (k,))
+
+
+def _replace_at(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return doc
+
+
+# Values no field of a scenario, SCM or graph document accepts: no number
+# or boolean, no string that parses as a number or names a node (node
+# names here carry capitals), and no empty container.
+_JUNK_NAME = st.text(alphabet="xyz_-", min_size=1, max_size=3)
+_JUNK = st.one_of(
+    st.none(),
+    _JUNK_NAME,
+    st.lists(st.one_of(st.none(), _JUNK_NAME), min_size=1, max_size=3),
+    st.dictionaries(_JUNK_NAME, st.none(), min_size=1, max_size=2),
+)
+_REQUIRED_KEYS = {
+    "scenario": (
+        "schema_version", "depth", "tta_thresholds", "y_h_prior", "journey_rate",
+        "decision_base", "traffic_dist", "escalation", "accident_base", "confounder_strength",
+    ),
+    "scm": ("graph", "card", "cpt"),
+    "graph": ("nodes", "edges"),
+}
+
+
+def _valid_document(kind: str) -> dict:
+    doc = json.loads(pathlib.Path(SCENARIO if kind == "scenario" else MEDIATED).read_text())
+    return doc["graph"] if kind == "graph" else doc
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid scenario, SCM or graph document with one field removed or
+    replaced by junk, or a JSON value that is not an object at all."""
+    kind = draw(st.sampled_from(sorted(_REQUIRED_KEYS)))
+    doc = _valid_document(kind)
+    how = draw(st.sampled_from(["not an object", "missing key", "junk value"]))
+    if how == "not an object":
+        return draw(st.one_of(st.none(), st.booleans(), st.integers(), _JUNK_NAME, st.lists(st.integers())))
+    if how == "missing key":
+        del doc[draw(st.sampled_from(_REQUIRED_KEYS[kind]))]
+        return doc
+    return _replace_at(doc, draw(st.sampled_from(list(_document_paths(doc)))), draw(_JUNK))
+
+
+def _every_command(path: str, out_csv: str):
+    return [
+        ["dsep", path, "--x", "Y_h", "--y", "Y_f"],
+        ["verdict", path, "--candidate", "Y_h", "--outcome", "Y_f"],
+        ["identify", path, "--do", "X_c", "--outcome", "Y_f"],
+        ["report", path],
+        ["simulate", path, "--n", "5", "--out", out_csv],
+        ["evaluate", path],
+    ]
+
+
+class TestMalformedDocuments:
+    """Every malformed input document exits 2 with a one-line error."""
+
+    @staticmethod
+    def _assert_exit_2_everywhere(capsys, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            for argv in _every_command(str(path), str(pathlib.Path(tmp) / "out.csv")):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, ""), (argv, out, err)
+                assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            5,
+            None,
+            {"schema_version": "x"},
+            _replace_at(_valid_document("scm"), ("card", "Z"), "x"),
+            {**_valid_document("scm"), "parents": 5},
+            _replace_at(_valid_document("scm"), ("graph", "edges", 0), ["U"]),
+            _replace_at(_valid_document("graph"), ("edges", 0), ["U"]),
+        ],
+        ids=["five", "null", "schema-x", "card-x", "parents-5", "scm-edge-arity", "graph-edge-arity"],
+    )
+    def test_reproduced_crashes(self, capsys, doc):
+        self._assert_exit_2_everywhere(capsys, doc)
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(doc=malformed_documents())
+    def test_fuzzed_documents(self, capsys, doc):
+        self._assert_exit_2_everywhere(capsys, doc)
 
 
 class TestUsage:

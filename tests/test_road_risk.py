@@ -341,9 +341,8 @@ class TestChainFactorization:
     def test_matches_reference_loop(self, depth):
         s = canonical_scenario(depth)
         scm = build_scenario(s)
-        for d in range(s.decision_card):
-            want = reference_chain_factorization_residual(s, d, scm)
-            assert chain_factorization_residual(s, d, scm=scm) == want
+        want = max(reference_chain_factorization_residual(s, d, scm) for d in range(s.decision_card))
+        assert chain_factorization_residual(scm) == want
 
     @pytest.mark.parametrize("depth", [1, 3, 6])
     def test_matches_reference_loop_off_the_chain(self, depth):
@@ -354,16 +353,33 @@ class TestChainFactorization:
         edges = [("D", v) for v in states] + list(zip(states, states[1:]))
         edges += [(states[-1], "Y_f"), ("S_0", "Y_f")] + ([("S_0", "S_2")] if depth >= 2 else [])
         scm = random_scm(build_dag(["D", *states, "Y_f"], edges, []), depth, card={"D": 3})
+        want = [reference_chain_factorization_residual(s, d, scm) for d in range(3)]
+        assert min(want) > 1e-3
+        assert chain_factorization_residual(scm) == max(want)
+
+    @pytest.mark.parametrize("d_star", range(3))
+    def test_sweeps_every_decision_value(self, d_star):
+        # S_0 starts safe under every decision value but d_star, so the
+        # skip edge S_0 -> Y_f breaks the product form under D = d_star
+        # only, and a sweep that skips any value misses it.
+        s = canonical_scenario(2)
+        states = list(s.states)
+        edges = [("D", v) for v in states] + list(zip(states, states[1:]))
+        edges += [(states[-1], "Y_f"), ("S_0", "Y_f")]
+        scm = random_scm(build_dag(["D", *states, "Y_f"], edges, []), 7, card={"D": 3})
+        cpt = {v: np.array(scm.cpt[v]) for v in scm.dag.nodes}
         for d in range(3):
-            want = reference_chain_factorization_residual(s, d, scm)
-            assert want > 1e-3
-            assert chain_factorization_residual(s, d, scm=scm) == want
+            if d != d_star:
+                cpt["S_0"][d] = [1.0, 0.0]
+        scm = build_scm(scm.dag, scm.card, cpt)
+        per_d = [reference_chain_factorization_residual(s, d, scm) for d in range(3)]
+        assert per_d[d_star] > 1e-3
+        assert max(r for d, r in enumerate(per_d) if d != d_star) < 1e-12
+        assert chain_factorization_residual(scm) == max(per_d)
 
     def test_residual_negligible_all_depths(self):
         for depth in (1, 2, 3):
-            s = canonical_scenario(depth)
-            for d in range(s.decision_card):
-                assert chain_factorization_residual(s, d) < 1e-12
+            assert chain_factorization_residual(build_scenario(canonical_scenario(depth))) < 1e-12
 
     def test_plain_chain_with_safe_start(self):
         # The product form also holds on the bare decision chain when

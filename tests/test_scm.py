@@ -438,6 +438,21 @@ class TestJson:
             exact_joint(back).probs - exact_joint(cut).probs
         ).max() == 0.0
 
+    def test_round_trip_when_sorted_edges_reorder_ties(self):
+        # Listed in this order, N3 precedes N2 in the topological order, so
+        # N5's CPT rows run over (N3, N2); the graph rebuilt from sorted
+        # edges puts N2 first.
+        dag = build_dag(
+            [f"N{i}" for i in range(6)],
+            [("N0", "N3"), ("N0", "N2"), ("N0", "N4"), ("N3", "N5"), ("N2", "N5")],
+        )
+        scm = random_scm(dag, 0)
+        assert scm.parents_of("N5") == ("N3", "N2")
+        back = scm_from_json(json.loads(json.dumps(scm_to_json(scm))))
+        assert back.parents_of("N5") == ("N3", "N2")
+        want, got = infer(scm, set(dag.nodes)), infer(back, set(dag.nodes))
+        assert np.abs(got.probs.transpose([got.vars.index(v) for v in want.vars]) - want.probs).max() < 1e-15
+
     def test_malformed_document(self):
         with pytest.raises(ShapeError):
             scm_from_json({"card": {}})
