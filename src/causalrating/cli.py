@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import CausalRatingError, IdentificationError, UnknownVariable
-from .graph import TEMPLATE_IDS, Dag, d_separated, dag_from_json, dag_to_json, open_trail, template
+from .graph import TEMPLATE_IDS, Dag, dag_from_json, dag_to_json, open_trail, template
 from .identify import (
     IDENTIFY_METHODS,
     EffectQuery,
@@ -140,10 +140,10 @@ def cmd_templates(args) -> int:
 def cmd_dsep(args) -> int:
     dag = _load_graph(args.graph)
     x, y, z = set(args.x), set(args.y), set(args.z or [])
-    separated = d_separated(dag, x, y, z)
-    doc = {"separated": separated}
-    if not separated:
-        doc["witness"] = list(open_trail(dag, x, y, z))
+    trail = open_trail(dag, x, y, z)
+    doc = {"separated": trail is None}
+    if trail is not None:
+        doc["witness"] = trail
     _emit(doc, args.out)
     return 0
 

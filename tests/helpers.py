@@ -220,6 +220,68 @@ def sparse_scm(dag: Dag, seed: int, card=2, zero_share: float = 0.5, nodes=None)
     return DiscreteScm(dag, scm.card, cpt)
 
 
+def _ancestral_closure(dag: Dag, Z) -> set:
+    """``Z`` together with every ancestor of a member."""
+    return set(Z).union(*(dag.ancestors(z) for z in Z))
+
+
+def reference_open_trail(dag: Dag, X, Y, Z):
+    """Trail oracle: depth-first enumeration of simple trails from
+    ``sorted(X)``, neighbours in name order, returning the first open one
+    that reaches ``Y``, or ``None``.  Exponential in the graph size."""
+    X, Y, Z = frozenset(X), frozenset(Y), frozenset(Z)
+    anc_z = _ancestral_closure(dag, Z)
+
+    def explore(trail, arrows):
+        # arrows[i] is True when the edge between trail[i] and trail[i+1]
+        # points forward (at trail[i+1]).
+        v = trail[-1]
+        if v in Y:
+            return list(trail)
+        for u in sorted(dag.parents(v) | dag.children(v)):
+            if u in trail:
+                continue
+            forward = u in dag.children(v)
+            if len(trail) >= 2:
+                if arrows[-1] and not forward:  # v is a collider
+                    if v not in anc_z:
+                        continue
+                elif v in Z:
+                    continue
+            res = explore(trail + [u], arrows + [forward])
+            if res is not None:
+                return res
+        return None
+
+    for x in sorted(X):
+        res = explore([x], [])
+        if res is not None:
+            return res
+    return None
+
+
+def open_trail_problem(dag: Dag, trail, X, Y, Z) -> str | None:
+    """Why ``trail`` is not an open trail from ``X`` to ``Y`` given ``Z``,
+    or ``None`` when it is one."""
+    if not isinstance(trail, list) or len(trail) < 2:
+        return f"{trail!r} is not a trail"
+    if trail[0] not in X or trail[-1] not in Y:
+        return f"{trail} does not run from {sorted(X)} to {sorted(Y)}"
+    if len(set(trail)) != len(trail):
+        return f"{trail} repeats a node"
+    for a, b in zip(trail, trail[1:]):
+        if (a, b) not in dag.edges and (b, a) not in dag.edges:
+            return f"{trail}: {a} and {b} are not adjacent"
+    anc_z = _ancestral_closure(dag, Z)
+    for prev, v, nxt in zip(trail, trail[1:], trail[2:]):
+        collider = (prev, v) in dag.edges and (nxt, v) in dag.edges
+        if collider and v not in anc_z:
+            return f"{trail}: collider {v} has no descendant in Z"
+        if not collider and v in Z:
+            return f"{trail}: non-collider {v} is in Z"
+    return None
+
+
 def random_dag(seed: int, n_nodes: int) -> Dag:
     """Random DAG: each pair (i < j) gets an edge with probability 1/2."""
     rng = np.random.default_rng(seed)

@@ -23,6 +23,9 @@ IDENTIFY_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "identify_d
 # The same outputs on canonical_scenario(7), taken before the adjustment
 # estimators became array contractions.
 GOLDEN_DEPTH7 = pathlib.Path(__file__).resolve().parent / "data" / "evaluate_depth7.json"
+# ``evaluate`` on canonical_scenario(12), taken before witnesses became
+# shortest trails.
+GOLDEN_DEPTH12 = pathlib.Path(__file__).resolve().parent / "data" / "evaluate_depth12.json"
 IDENTIFY_GOLDEN_DEPTH7 = pathlib.Path(__file__).resolve().parent / "data" / "identify_depth7.json"
 # ``report`` outputs taken while it still read the full observable joint.
 REPORT_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "report_golden.json"
@@ -128,6 +131,12 @@ class TestDsep:
         doc = json.loads(out)
         assert doc["separated"] is False
         assert doc["witness"] == ["Y_h", "U", "Y_f"]
+
+    def test_witness_is_a_shortest_trail(self, capsys):
+        # Y_h - U - X_c - Y_f is open too, but one node longer.
+        code, out, _ = run(capsys, "dsep", "Fig2a", "--x", "Y_h", "--y", "Y_f")
+        assert code == 0
+        assert json.loads(out) == {"separated": False, "witness": ["Y_h", "X_c", "Y_f"]}
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -455,6 +464,11 @@ class TestEvaluate:
         code, out, _ = run(capsys, "evaluate", canonical_path(7, tmp_path))
         assert code == 0
         assert approx_equal(json.loads(out), json.loads(GOLDEN_DEPTH7.read_text()))
+
+    def test_matches_depth12_golden(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "evaluate", canonical_path(12, tmp_path))
+        assert code == 0
+        assert approx_equal(json.loads(out), json.loads(GOLDEN_DEPTH12.read_text()))
 
     def test_depth_18_past_the_observable_joint_cap(self, capsys, tmp_path):
         # The full observable joint has 36 * 2^19 cells here, past the cap.

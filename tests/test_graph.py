@@ -1,6 +1,7 @@
 """Graph construction, d-separation and criterion checks."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +19,13 @@ from causalrating import (
     dag_from_json,
     dag_to_json,
     mutilate,
+    noise_verdict,
     open_trail,
     satisfies_backdoor,
     satisfies_frontdoor,
     template,
 )
-from helpers import random_dag
+from helpers import open_trail_problem, random_dag, reference_open_trail
 
 
 class TestBuildDag:
@@ -137,9 +139,25 @@ class TestDSeparation:
             d_separated(template("Fig1d"), {"Y_h"}, {"Y_h"}, set())
 
     def test_witness_on_open_trail(self):
-        trail = open_trail(template("Fig2c"), {"Y_h"}, {"Y_f"}, {"X_c"})
-        assert trail is not None
-        assert trail[0] == "Y_h" and trail[-1] == "Y_f"
+        dag = template("Fig2c")
+        trail = open_trail(dag, {"Y_h"}, {"Y_f"}, {"X_c"})
+        assert trail == ["Y_h", "U", "Y_f"]
+        assert open_trail_problem(dag, trail, {"Y_h"}, {"Y_f"}, {"X_c"}) is None
+
+    @pytest.mark.parametrize(
+        "name, X, Y, Z, want",
+        [
+            # The collider D is open only through its observed descendant.
+            ("Fig6Canonical(3)", {"Y_h"}, {"U"}, {"S_2"}, ["Y_h", "J_o", "D", "U"]),
+            # D - U - Y_f is as short; the tie goes to sorted names.
+            ("Fig6Canonical(2)", {"D"}, {"Y_f"}, set(), ["D", "S_2", "Y_f"]),
+        ],
+    )
+    def test_shortest_witness(self, name, X, Y, Z, want):
+        dag = template(name)
+        trail = open_trail(dag, X, Y, Z)
+        assert trail == want
+        assert open_trail_problem(dag, trail, X, Y, Z) is None
 
     def test_witness_none_when_separated(self):
         assert open_trail(template("Fig1d"), {"Y_h"}, {"Y_f"}, {"X_c"}) is None
@@ -195,7 +213,7 @@ class TestBackdoor:
                         bad_z = set(z) & dag.descendants(x)
                         cut = _drop_out_edges(dag, {x})
                         want = not bad_z and (
-                            open_trail(cut, {x}, {y}, set(z)) is None
+                            reference_open_trail(cut, {x}, {y}, set(z)) is None
                         )
                         assert got == want, (x, y, z)
 
@@ -229,18 +247,49 @@ class TestJson:
         assert doc["latent"] == ["U"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 6), data=st.data())
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 7), data=st.data())
 def test_dsep_symmetry_and_oracle_agreement(seed, n, data):
+    # Multi-node X and Y; the enumeration of every simple trail is the oracle.
     dag = random_dag(seed, n)
     nodes = list(dag.nodes)
-    x = data.draw(st.sampled_from(nodes))
-    y = data.draw(st.sampled_from([v for v in nodes if v != x]))
-    rest = [v for v in nodes if v not in (x, y)]
-    z = set(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else set()
-    sep = d_separated(dag, {x}, {y}, z)
-    assert sep == d_separated(dag, {y}, {x}, z)
-    assert sep == (open_trail(dag, {x}, {y}, z) is None)
+    X = set(data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=min(2, n - 1), unique=True)))
+    rest = [v for v in nodes if v not in X]
+    Y = set(data.draw(st.lists(st.sampled_from(rest), min_size=1, max_size=2, unique=True)))
+    rest = [v for v in rest if v not in Y]
+    Z = set(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else set()
+    sep = d_separated(dag, X, Y, Z)
+    assert sep == d_separated(dag, Y, X, Z)
+    trail, ref = open_trail(dag, X, Y, Z), reference_open_trail(dag, X, Y, Z)
+    assert sep == (trail is None) == (ref is None)
+    if trail is not None:
+        assert open_trail_problem(dag, trail, X, Y, Z) is None
+        assert len(trail) <= len(ref)
+
+
+def _ladder(rungs: int):
+    """Candidate C causes Y directly; its back-door trails climb two rails
+    A, B joined by rungs and end blocked at the observed fork W, while the
+    observed collider Q under the rails keeps every collider open.  The
+    number of trails doubles with every rung."""
+    a = [f"A{i}" for i in range(rungs + 1)]
+    b = [f"B{i}" for i in range(rungs + 1)]
+    edges = [("C", "Y"), ("W", "Y"), ("A0", "C"), ("W", a[-1]), ("W", b[-1]), ("A0", "Q"), ("B0", "Q")]
+    edges += list(zip(a[1:], a)) + list(zip(b[1:], b)) + list(zip(a, b))
+    return build_dag(["C", "Y", "W", "Q", *a, *b], edges)
+
+
+@pytest.mark.parametrize("rungs", [48, 200])
+def test_ladder_verdict_and_witness_in_linear_time(rungs):
+    dag = _ladder(rungs)
+    start = time.perf_counter()
+    verdict = noise_verdict(dag, "C", "Y", {"W", "Q"})
+    trail = open_trail(dag, {"C"}, {"W"}, {"Q"})
+    elapsed = time.perf_counter() - start
+    assert verdict.verdict == "Signal"
+    assert open_trail_problem(dag, trail, {"C"}, {"W"}, {"Q"}) is None
+    assert trail == ["C", *(f"A{i}" for i in range(rungs + 1)), "W"]
+    assert elapsed < 1.0
 
 
 @settings(max_examples=100, deadline=None)
