@@ -243,22 +243,26 @@ def _drop_out_edges(dag: Dag, sources) -> Dag:
 
 
 def satisfies_backdoor(dag: Dag, x: str, y: str, Z) -> bool:
-    """Pearl's back-door criterion for adjustment set ``Z`` on (x, y)."""
-    Z = frozenset(Z)
-    _check_sets(dag, {x}, {y}, Z)
-    if Z & dag.descendants(x):
-        return False
-    # Removing x's outgoing edges leaves exactly the trails that start
-    # with an edge into x.
-    return d_separated(_drop_out_edges(dag, {x}), {x}, {y}, Z)
+    """Pearl's back-door criterion for adjustment set ``Z`` on (x, y):
+    true iff :func:`open_backdoor_trail` finds no witness."""
+    return open_backdoor_trail(dag, x, y, Z) is None
 
 
 def open_backdoor_trail(dag: Dag, x: str, y: str, Z):
-    """Witness trail for a back-door criterion failure, or ``None``."""
+    """Why ``Z`` fails Pearl's back-door criterion for (x, y), or ``None``
+    when it holds.
+
+    The witness is the sorted members of ``Z`` that descend from x, when
+    there are any, else a shortest back-door trail from x to y that
+    ``Z`` leaves open.  Unknown or overlapping sets raise.
+    """
     Z = frozenset(Z)
+    _check_sets(dag, {x}, {y}, Z)
     bad = Z & dag.descendants(x)
     if bad:
         return sorted(bad)
+    # Removing x's outgoing edges leaves exactly the trails that start
+    # with an edge into x.
     return open_trail(_drop_out_edges(dag, {x}), {x}, {y}, Z)
 
 
@@ -280,36 +284,48 @@ def _directed_paths_intercepted(dag: Dag, x: str, y: str, M) -> bool:
 
 
 def satisfies_frontdoor(dag: Dag, x: str, y: str, M) -> bool:
-    """Pearl's front-door criterion for mediator set ``M`` on (x, y).
+    """Pearl's front-door criterion for mediator set ``M`` on (x, y):
+    true iff :func:`frontdoor_failure` finds no failed condition."""
+    return frontdoor_failure(dag, x, y, M) is None
 
-    (a) M intercepts every directed path from x to y; (b) no open
-    back-door trail from x to M given the empty set; (c) every back-door
-    trail from M to y is blocked by {x}.
+
+def frontdoor_failure(dag: Dag, x: str, y: str, M, strata=()):
+    """Why the front-door criterion for (x, y) via ``M`` fails within the
+    strata of ``strata``, or ``None`` when it holds.
+
+    Pearl's conditions are (a) M intercepts every directed path from x
+    to y, (b) no back-door trail from x to M is open and (c) {x} blocks
+    every back-door trail from M to y.  Within strata, no stratum may be
+    a mediator or descend from x or M, and (b) and (c) must also hold
+    with the strata added; then the stratified front-door formula equals
+    P(y | do(x), strata).  The message names the first condition that
+    fails, checked in the order: empty M, (a), the strata, then (b) and
+    (c) without and with the strata; a failed (b) or (c) carries its
+    open trail.  Unknown or overlapping sets raise.
     """
-    M = frozenset(M)
-    if not M:
-        return False
+    M, strata = frozenset(M), frozenset(strata)
     _check_sets(dag, {x}, {y}, M)
-    if not _directed_paths_intercepted(dag, x, y, M):
-        return False
-    if not d_separated(_drop_out_edges(dag, {x}), {x}, M, frozenset()):
-        return False
-    return d_separated(_drop_out_edges(dag, M), M, {y}, {x})
-
-
-def frontdoor_failure(dag: Dag, x: str, y: str, M):
-    """Description of the first failed front-door condition, or ``None``."""
-    M = frozenset(M)
+    _check_sets(dag, {x, y}, strata)
     if not M:
         return "empty mediator set"
     if not _directed_paths_intercepted(dag, x, y, M):
         return f"a directed path from {x} to {y} bypasses the mediators"
-    trail = open_trail(_drop_out_edges(dag, {x}), {x}, M, frozenset())
-    if trail is not None:
-        return f"open back-door trail from {x} to mediators: " + " - ".join(trail)
-    trail = open_trail(_drop_out_edges(dag, M), M, {y}, {x})
-    if trail is not None:
-        return f"back-door trail from mediators to {y} not blocked by {x}: " + " - ".join(trail)
+    below = strata & (M | dag.descendants(x).union(*(dag.descendants(m) for m in M)))
+    if below:
+        return f"strata {sorted(below)} are mediators or descend from {x} or the mediators"
+    cut_x, cut_m = _drop_out_edges(dag, {x}), _drop_out_edges(dag, M)
+    # Without the strata, then with them; one pass when there are none.
+    for s in dict.fromkeys((frozenset(), strata)):
+        given = f" given {sorted(s)}" if s else ""
+        trail = open_trail(cut_x, {x}, M, s)
+        if trail is not None:
+            return f"open back-door trail from {x} to mediators{given}: " + " - ".join(trail)
+        trail = open_trail(cut_m, M, {y}, {x} | s)
+        if trail is not None:
+            return (
+                f"back-door trail from mediators to {y} not blocked by {x}{given}: "
+                + " - ".join(trail)
+            )
     return None
 
 

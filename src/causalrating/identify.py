@@ -32,7 +32,6 @@ from .graph import (
     open_backdoor_trail,
     open_trail,
     satisfies_backdoor,
-    satisfies_frontdoor,
 )
 from .info import conditional_mutual_information, mutual_information
 from .scm import DiscreteScm, JointTable, _sum_to, _surgery, infer, scm_from_json
@@ -172,7 +171,11 @@ class ConfoundingGap:
 
 
 def _ordered(j: JointTable, names: Iterable[str]) -> tuple:
+    """``names`` in the order of ``j.vars``; each must be in ``j``."""
     names = set(names)
+    missing = names - set(j.vars)
+    if missing:
+        raise UnknownVariable(f"unknown variable: {min(missing)!r}")
     return tuple(v for v in j.vars if v in names)
 
 
@@ -210,17 +213,19 @@ def _check_positivity(empty: np.ndarray, cell_at) -> None:
 def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
     """Back-door adjustment: P(y | do(x=v)) = sum_z P(y|v,z) P(z).
 
-    Returns a map from x-value to a distribution over y.  A
+    Returns a map from x-value to a distribution over y.  When ``Z``
+    fails the back-door criterion, :class:`CriterionNotMet` carries the
+    witness of :func:`open_backdoor_trail`.  A
     :class:`PositivityViolation` names the first cell (v, z) with
     P(z) > 0 = P(v, z).
     """
     Z = frozenset(Z)
     if Z & dag.latent:
         raise LatentAdjustmentError(f"latent nodes in adjustment set: {sorted(Z & dag.latent)}")
-    if not satisfies_backdoor(dag, x, y, Z):
+    witness = open_backdoor_trail(dag, x, y, Z)
+    if witness is not None:
         raise CriterionNotMet(
-            f"back-door criterion fails for ({x}, {y}) given {sorted(Z)}",
-            witness=open_backdoor_trail(dag, x, y, Z),
+            f"back-door criterion fails for ({x}, {y}) given {sorted(Z)}", witness=witness
         )
     z_vars = _ordered(j, Z)
     t = _layout(j, (x,), z_vars, (y,))
@@ -242,7 +247,11 @@ def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> di
 
     With ``given`` empty this is the classic front-door formula.  The
     inner factors are conditioned on the stratum throughout, which is
-    what makes the estimate agree exactly with graph surgery.  The
+    what makes the estimate agree exactly with graph surgery when the
+    criterion holds within the strata; otherwise
+    :class:`CriterionNotMet` carries the message of
+    ``frontdoor_failure(dag, x, y, M, given)``.  A member of ``M`` or
+    ``given`` missing from ``j`` raises :class:`UnknownVariable`.  The
     factors are ratios of sums of the {g, x, M, y} mass, joined by one
     ``einsum``.  A :class:`PositivityViolation` names the first empty
     cell in the order stratum, v, m, v'.  Returns a map from (x-value,
@@ -251,10 +260,10 @@ def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> di
     M, latent = frozenset(M), dag.latent & set(j.vars)
     if latent:
         raise LatentAdjustmentError(f"joint table contains latent nodes: {sorted(latent)}")
-    if not satisfies_frontdoor(dag, x, y, M):
+    failure = frontdoor_failure(dag, x, y, M, given)
+    if failure is not None:
         raise CriterionNotMet(
-            f"front-door criterion fails for ({x}, {y}) via {sorted(M)}",
-            witness=frontdoor_failure(dag, x, y, M),
+            f"front-door criterion fails for ({x}, {y}) via {sorted(M)}", witness=failure
         )
     m_vars, g_vars = _ordered(j, M), _ordered(j, given)
     g_cfgs = _configs(j, g_vars)
@@ -305,27 +314,6 @@ def _rule2_movable(dag: Dag, x: str, y: str, W, given=()) -> bool:
         return True
     g = _drop_out_edges(mutilate(dag, {x}), W)
     return d_separated(g, {y}, W, {x, *given})
-
-
-def _frontdoor_in_strata(dag: Dag, x: str, y: str, M: frozenset, strata: frozenset) -> bool:
-    """The front-door criterion for (x, y) via ``M`` within each stratum.
-
-    On top of :func:`satisfies_frontdoor`, no stratum variable may be a
-    mediator or descend from x or from ``M``, and both back-door
-    conditions must still hold with the strata added to their
-    conditioning sets.  Then the stratified formula of
-    :func:`frontdoor_adjust` equals P(y | do(x), strata).
-    """
-    if not satisfies_frontdoor(dag, x, y, M):
-        return False
-    if not strata:
-        return True
-    below = dag.descendants(x).union(*(dag.descendants(m) for m in M))
-    return (
-        not strata & (M | below)
-        and d_separated(_drop_out_edges(dag, {x}), {x}, M, strata)
-        and d_separated(_drop_out_edges(dag, M), M, {y}, {x} | strata)
-    )
 
 
 IDENTIFY_METHODS = ("auto", "frontdoor", "backdoor", "oracle")
@@ -381,7 +369,7 @@ def identify_effect(
             extra = frozenset(do_vars) - {x}
             strata = extra | query.observed
             if not (
-                _frontdoor_in_strata(dag, x, y, M, strata)
+                frontdoor_failure(dag, x, y, M, strata) is None
                 and _rule2_movable(dag, x, y, extra, query.observed)
             ):
                 continue

@@ -207,11 +207,10 @@ def scenario_dag(s: RoadRiskScenario) -> Dag:
 def _cpt_rows(dag: Dag, card: Mapping[str, int], node: str, dist_fn) -> np.ndarray:
     """Build a CPT by enumerating parent rows in the model's own order.
 
-    Rows are mixed-radix over the parents sorted topologically, most
-    significant parent first, matching :class:`DiscreteScm`.
+    Rows are mixed-radix over the parents in the default order of
+    :class:`DiscreteScm`, most significant parent first.
     """
-    order = {v: i for i, v in enumerate(dag.topological_order)}
-    parents = sorted(dag.parents(node), key=order.__getitem__)
+    parents = DiscreteScm._topo_parents(dag, node)
     rows = [
         dist_fn(dict(zip(parents, cfg)))
         for cfg in itertools.product(*[range(card[p]) for p in parents])

@@ -127,14 +127,6 @@ def condition(j: JointTable, evidence: Mapping[str, int]) -> JointTable:
     return JointTable(vars_kept, cards_kept, sliced / total)
 
 
-def mass_of(j: JointTable, assignment: Mapping[str, int]) -> float:
-    """Total probability of a (partial) assignment."""
-    idx = [slice(None)] * len(j.vars)
-    for var, val in assignment.items():
-        idx[j.axis(var)] = int(val)
-    return float(np.sum(j.probs[tuple(idx)]))
-
-
 class DiscreteScm:
     """A :class:`Dag` with per-node cardinalities and CPTs.
 

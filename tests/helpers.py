@@ -26,7 +26,14 @@ from causalrating import (
     random_scm,
     template,
 )
-from causalrating.scm import mass_of
+
+
+def mass_of(j: JointTable, assignment) -> float:
+    """Total probability of a (partial) assignment."""
+    idx = [slice(None)] * len(j.vars)
+    for var, val in assignment.items():
+        idx[j.axis(var)] = int(val)
+    return float(np.sum(j.probs[tuple(idx)]))
 
 
 def brute_force_joint(scm: DiscreteScm) -> JointTable:

@@ -25,6 +25,7 @@ from causalrating import (
     satisfies_frontdoor,
     template,
 )
+from causalrating.graph import frontdoor_failure
 from helpers import open_trail_problem, random_dag, reference_open_trail
 
 
@@ -233,6 +234,49 @@ class TestFrontdoor:
 
     def test_empty_mediator_rejected(self):
         assert not satisfies_frontdoor(template("Fig2b"), "X_c", "Y_f", set())
+
+    @pytest.mark.parametrize(
+        "dag, x, M, strata, want",
+        [
+            (template("Fig2b"), "X_c", set(), (), "empty mediator set"),
+            (
+                template("Fig2b"), "X_c", {"Y_h"}, (),
+                "a directed path from X_c to Y_f bypasses the mediators",
+            ),
+            (
+                template("Fig3"), "X_c", {"Z"}, {"Y_h", "Z"},
+                "strata ['Z'] are mediators or descend from X_c or the mediators",
+            ),
+            (
+                template("Fig2a"), "Y_h", {"X_c"}, (),
+                "open back-door trail from Y_h to mediators: Y_h - U - X_c",
+            ),
+            (
+                template("Fig2b"), "Y_h", {"X_c"}, (),
+                "back-door trail from mediators to Y_f not blocked by Y_h: X_c - U - Y_f",
+            ),
+            (
+                build_dag(
+                    ["A", "B", "C", "X", "M", "Y_f"],
+                    [("A", "X"), ("A", "C"), ("B", "C"), ("B", "M"), ("X", "M"), ("M", "Y_f")],
+                ),
+                "X", {"M"}, {"C"},
+                "open back-door trail from X to mediators given ['C']: X - A - C - B - M",
+            ),
+            (
+                build_dag(
+                    ["B", "C", "D", "X", "M", "Y_f"],
+                    [("B", "M"), ("B", "C"), ("D", "C"), ("D", "Y_f"), ("X", "M"), ("M", "Y_f")],
+                ),
+                "X", {"M"}, {"C"},
+                "back-door trail from mediators to Y_f not blocked by X given ['C']: "
+                "M - B - C - D - Y_f",
+            ),
+            (template("Fig3"), "X_c", {"Z"}, {"Y_h"}, None),
+        ],
+    )
+    def test_failure_names_first_failed_condition(self, dag, x, M, strata, want):
+        assert frontdoor_failure(dag, x, "Y_f", M, strata) == want
 
 
 class TestJson:

@@ -35,12 +35,13 @@ from causalrating import (
     rating_comparison,
     rule1_deletion_check,
     satisfies_backdoor,
-    satisfies_frontdoor,
     template,
 )
 from causalrating.errors import ParameterError, UnknownVariable
+from causalrating.graph import frontdoor_failure, open_backdoor_trail
 from helpers import (
     TEMPLATE_DAGS,
+    open_trail_problem,
     random_dag,
     reference_backdoor_adjust,
     reference_frontdoor_adjust,
@@ -83,6 +84,14 @@ class TestBackdoorAdjust:
         with pytest.raises(LatentAdjustmentError):
             backdoor_adjust(exact_joint(scm), scm.dag, "X_c", "Y_f", {"U"})
 
+    def test_adjustment_variable_missing_from_joint_rejected(self):
+        # Dropping W from the adjustment would return P(Y | X), 0.088 off
+        # the oracle on this model.
+        dag = backdoor_dag()
+        scm = random_scm(dag, 5)
+        with pytest.raises(UnknownVariable, match="'W'"):
+            backdoor_adjust(infer(scm, {"X", "Y"}), dag, "X", "Y", {"W"})
+
 
 class TestFrontdoorAdjust:
     def test_null_confounder_reduces_to_conditioning(self):
@@ -121,6 +130,37 @@ class TestFrontdoorAdjust:
             for (x, g), dist in got.items():
                 oracle = do_distribution(scm, "Y_f", {"D": x}, given={"Y_h": g[0]})
                 assert np.abs(dist - oracle).max() < 1e-9
+
+    def test_mediator_or_stratum_missing_from_joint_rejected(self):
+        dag = template("Fig6Canonical", 2)
+        scm = random_scm(dag, 1)
+        M, observed = {"S_0", "S_1", "S_2"}, set(dag.nodes) - dag.latent
+        with pytest.raises(UnknownVariable, match="'S_2'"):
+            frontdoor_adjust(infer(scm, observed - {"S_2"}), dag, "D", "Y_f", M)
+        with pytest.raises(UnknownVariable, match="'Y_h'"):
+            frontdoor_adjust(infer(scm, observed - {"Y_h"}), dag, "D", "Y_f", M, given={"Y_h"})
+
+    def test_stratum_below_the_mediator_rejected(self):
+        # X -> M -> Y meets the criterion, but W descends from M: within
+        # the strata of W the formula is off the oracle.
+        dag = build_dag(
+            ["U", "X", "M", "W", "Y"],
+            [("U", "X"), ("U", "Y"), ("X", "M"), ("M", "Y"), ("M", "W")],
+            ["U"],
+        )
+        scm = random_scm(dag, 3)
+        j = infer(scm, {"X", "M", "W", "Y"})
+        with pytest.raises(CriterionNotMet) as exc:
+            frontdoor_adjust(j, dag, "X", "Y", {"M"}, given={"W"})
+        assert exc.value.witness == "strata ['W'] are mediators or descend from X or the mediators"
+        off = reference_frontdoor_adjust(j, "X", "Y", {"M"}, {"W"})
+        dev = max(
+            float(np.abs(dist - do_distribution(scm, "Y", {"X": x}, given={"W": g[0]})).max())
+            for (x, g), dist in off.items()
+        )
+        assert dev > 1e-4
+        with pytest.raises(CriterionNotMet):
+            identify_effect(scm, EffectQuery("Y", {"X"}, {"W"}), "auto", {"M"})
 
     def test_criterion_failure_has_witness(self):
         scm = random_scm(template("Fig2b"), 0)
@@ -446,13 +486,21 @@ class TestIdentifyEffect:
         q = EffectQuery("Y", do, observed)
         with pytest.raises(CriterionNotMet):
             identify_effect(scm, q, "auto", {"M"})
-        # The stratified formula is off on these graphs.
+        # The stratified formula is off on these graphs.  Where the
+        # stratified criterion fails, frontdoor_adjust refuses it and the
+        # reference estimator, which checks no criterion, computes it.
         strata = (do - {"X"}) | observed
         j = infer(scm, set(dag.nodes) - dag.latent)
+        if case == "rule 2 opened by the stratum":
+            cells = frontdoor_adjust(j, dag, "X", "Y", {"M"}, given=strata)
+        else:
+            with pytest.raises(CriterionNotMet):
+                frontdoor_adjust(j, dag, "X", "Y", {"M"}, given=strata)
+            cells = reference_frontdoor_adjust(j, "X", "Y", {"M"}, strata)
         s_vars = tuple(v for v in j.vars if v in strata)
         oracle = identify_effect(scm, q, "oracle")[1]
         dev = 0.0
-        for (xv, s_cfg), dist in frontdoor_adjust(j, dag, "X", "Y", {"M"}, given=strata).items():
+        for (xv, s_cfg), dist in cells.items():
             value = {"X": xv, **dict(zip(s_vars, s_cfg))}
             key = (
                 tuple(value[v] for v in oracle.do_vars),
@@ -586,11 +634,11 @@ class TestArrayEstimators:
             x, y = data.draw(st.permutations(dag.nodes), label="x, y")[:2]
             M = {v for v in dag.descendants(x) if v in dag.ancestors(y)}
             strata = [v for v in dag.nodes if v not in M | {x, y} | dag.descendants(x)]
-            if not satisfies_frontdoor(dag, x, y, M):
-                return
         else:
             dag, x, y, M, strata = FRONTDOOR_CASES[name]
         given = data.draw(st.sets(st.sampled_from(strata)) if strata else st.just(set()))
+        if frontdoor_failure(dag, x, y, M, given) is not None:
+            return
         j = infer(draw_scm(data, dag), set(dag.nodes) - dag.latent)
         compare_with_loop(
             lambda: frontdoor_adjust(j, dag, x, y, M, given),
@@ -664,3 +712,96 @@ class TestArrayEstimators:
             frontdoor_adjust(j, dag, "X_c", "Y_f", {"Z"}, given={"Y_h"})
         assert list(exc.value.cell.items()) == [("X_c", 0), ("Z", 1), ("Y_h", 0)]
         assert str(exc.value) == "P{'X_c': 0, 'Z': 1, 'Y_h': 0} = 0"
+
+
+def draw_subset(data, pool, label, min_size=0):
+    if not pool:
+        return set()
+    return data.draw(st.sets(st.sampled_from(pool), min_size=min_size), label=label)
+
+
+def draw_query_model(data):
+    """A template graph, a graph of ``BROKEN_STRATA`` or a random DAG of 4-6
+    nodes with one latent node, with a strictly positive model, and its
+    observed variables in topological order."""
+    family = data.draw(st.sampled_from(["template", "broken strata", "random"]), label="family")
+    if family == "template":
+        dag = TEMPLATE_DAGS[data.draw(st.sampled_from(sorted(TEMPLATE_DAGS)), label="dag")]
+    elif family == "broken strata":
+        nodes, edges, latent, _, _ = BROKEN_STRATA[
+            data.draw(st.sampled_from(sorted(BROKEN_STRATA)), label="dag")
+        ]
+        dag = build_dag(nodes, edges, latent)
+    else:
+        base = random_dag(data.draw(st.integers(0, 10_000)), data.draw(st.integers(4, 6)))
+        dag = build_dag(base.nodes, base.edges, [data.draw(st.sampled_from(base.nodes))])
+    scm = random_scm(
+        dag, data.draw(st.integers(0, 10_000), label="seed"),
+        card=data.draw(st.sampled_from([2, 3]), label="card"),
+    )
+    return scm, [v for v in dag.topological_order if v not in dag.latent]
+
+
+class TestCriteriaAgainstSurgery:
+    """Each adjuster raises exactly when its criterion function returns a
+    witness, and otherwise matches graph surgery."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_frontdoor_adjust_raises_exactly_when_criterion_fails(self, data):
+        scm, pool = draw_query_model(data)
+        dag = scm.dag
+
+        def between(a, b):
+            return {v for v in pool if v in dag.descendants(a) and v in dag.ancestors(b)}
+
+        # Half the draws take a pair with variables between them, all of
+        # those as mediators and some strata that do not descend from x, so
+        # that the criterion holds, with strata, often enough.
+        pairs = [(a, b) for a in pool for b in pool if between(a, b)]
+        if pairs and data.draw(st.booleans(), label="designed"):
+            x, y = data.draw(st.sampled_from(pairs), label="x, y")
+            M = between(x, y)
+            strata = draw_subset(
+                data, [v for v in pool if v != x and v not in dag.descendants(x)], "strata", 1
+            )
+        else:
+            x, y = data.draw(st.permutations(pool), label="x, y")[:2]
+            rest = [v for v in pool if v not in (x, y)]
+            M, strata = draw_subset(data, rest, "M"), draw_subset(data, rest, "strata")
+        j = infer(scm, pool)
+        failure = frontdoor_failure(dag, x, y, M, strata)
+        if failure is not None:
+            with pytest.raises(CriterionNotMet) as exc:
+                frontdoor_adjust(j, dag, x, y, M, given=strata)
+            assert exc.value.witness == failure
+            return
+        got = frontdoor_adjust(j, dag, x, y, M, given=strata)
+        s_vars = tuple(v for v in j.vars if v in strata)
+        assert len(got) == scm.card[x] * np.prod([scm.card[v] for v in s_vars], dtype=int)
+        for (xv, s_cfg), dist in got.items():
+            want = do_distribution(scm, y, {x: xv}, given=dict(zip(s_vars, s_cfg)))
+            assert np.abs(dist - want).max() < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_backdoor_adjust_raises_exactly_when_criterion_fails(self, data):
+        scm, pool = draw_query_model(data)
+        dag = scm.dag
+        x, y = data.draw(st.permutations(pool), label="x, y")[:2]
+        Z = draw_subset(data, [v for v in pool if v not in (x, y)], "Z")
+        j = infer(scm, pool)
+        witness = open_backdoor_trail(dag, x, y, Z)
+        if witness is None:
+            for xv, dist in backdoor_adjust(j, dag, x, y, Z).items():
+                assert np.abs(dist - do_distribution(scm, y, {x: xv})).max() < 1e-9
+            return
+        with pytest.raises(CriterionNotMet) as exc:
+            backdoor_adjust(j, dag, x, y, Z)
+        assert exc.value.witness == witness
+        if witness[0] == x:
+            # A trail: open on the graph without x's outgoing edges.
+            cut = build_dag(dag.nodes, [e for e in dag.edges if e[0] != x], dag.latent)
+            assert open_trail_problem(cut, witness, {x}, {y}, Z) is None
+        else:
+            assert witness == sorted(Z & dag.descendants(x))

@@ -31,11 +31,12 @@ from causalrating import (
     scm_to_json,
     template,
 )
-from causalrating.scm import _csv_bytes, mass_of
+from causalrating.scm import _csv_bytes
 from helpers import (
     TEMPLATE_DAGS,
     brute_force_joint,
     csv_writer_bytes,
+    mass_of,
     random_dag,
     reference_sample_rows,
 )
