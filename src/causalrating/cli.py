@@ -38,7 +38,6 @@ from .road_risk import (
     _mask_stay_home,
     scenario_from_json,
 )
-from .info import mutual_information
 from .scm import _csv_bytes, infer, sample, scm_from_json
 
 REPORT_SCHEMA_VERSION = 1
@@ -231,7 +230,7 @@ def _scenario_report(s: RoadRiskScenario) -> dict:
         "traffic_markov_residual_bits": markov_consistency(scm),
         "phyd_vs_oracle_max_dev": phyd_dev,
         "naive_vs_oracle_max_tv": naive_tv,
-        "history_outcome_mi_bits": mutual_information(j, {"Y_h"}, {"Y_f"}),
+        "history_outcome_mi_bits": capacity.naive_bms,
         "history_verdict": verdict.to_json(),
         "effects": {
             "oracle": gt.to_json(),

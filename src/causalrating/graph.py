@@ -156,18 +156,17 @@ def build_dag(nodes: Iterable[str], edges: Iterable, latent: Iterable[str] = ())
     return Dag(nodes, edges, latent)
 
 
-def _check_sets(dag: Dag, *sets, disjoint=True):
+def _check_sets(dag: Dag, *sets):
     node_set = set(dag.nodes)
     for s in sets:
         for v in s:
             if v not in node_set:
                 raise UnknownNodeError(f"unknown node: {v!r}")
-    if disjoint:
-        for i, a in enumerate(sets):
-            for b in sets[i + 1 :]:
-                inter = set(a) & set(b)
-                if inter:
-                    raise OverlapError(f"sets overlap on {sorted(inter)}")
+    for i, a in enumerate(sets):
+        for b in sets[i + 1 :]:
+            inter = set(a) & set(b)
+            if inter:
+                raise OverlapError(f"sets overlap on {sorted(inter)}")
 
 
 def d_separated(dag: Dag, X, Y, Z) -> bool:
@@ -436,9 +435,19 @@ def dag_to_json(dag: Dag) -> dict:
     }
 
 
+def _json_array(value, what: str, size: int | None = None):
+    """``value`` if it is an array (of ``size`` items): a string would read as one-letter names."""
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        shape = "an array" if size is None else f"an array of {size}"
+        raise TypeError(f"{what} must be {shape}, got {value!r}")
+    return value
+
+
 def dag_from_json(doc: Mapping) -> Dag:
     try:
-        return Dag(doc["nodes"], [tuple(e) for e in doc["edges"]], doc.get("latent", ()))
+        edges = [tuple(_json_array(e, "an edge", 2)) for e in _json_array(doc["edges"], "edges")]
+        latent = _json_array(doc.get("latent", ()), "latent")
+        return Dag(_json_array(doc["nodes"], "nodes"), edges, latent)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
 

@@ -9,7 +9,7 @@ the full model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,7 +33,7 @@ from .graph import (
     open_trail,
     satisfies_backdoor,
 )
-from .info import conditional_mutual_information, mutual_information
+from .info import chain_decompositions
 from .scm import DiscreteScm, JointTable, _sum_to, _surgery, infer, scm_from_json
 
 __all__ = [
@@ -129,11 +129,7 @@ class EliminationVerdict:
     justification: str
 
     def to_json(self) -> dict:
-        return {
-            "variable": self.variable,
-            "verdict": self.verdict,
-            "justification": self.justification,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -146,12 +142,7 @@ class CapacityReport:
     phyd_minor: float
 
     def to_json(self) -> dict:
-        return {
-            "naive_bms": self.naive_bms,
-            "augmented_bms": self.augmented_bms,
-            "phyd_major": self.phyd_major,
-            "phyd_minor": self.phyd_minor,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -163,11 +154,7 @@ class ConfoundingGap:
     i_u_y_given_x: float
 
     def to_json(self) -> dict:
-        return {
-            "i_x_y": self.i_x_y,
-            "i_ux_y": self.i_ux_y,
-            "i_u_y_given_x": self.i_u_y_given_x,
-        }
+        return asdict(self)
 
 
 def _ordered(j: JointTable, names: Iterable[str]) -> tuple:
@@ -213,15 +200,16 @@ def _check_positivity(empty: np.ndarray, cell_at) -> None:
 def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
     """Back-door adjustment: P(y | do(x=v)) = sum_z P(y|v,z) P(z).
 
-    Returns a map from x-value to a distribution over y.  When ``Z``
-    fails the back-door criterion, :class:`CriterionNotMet` carries the
-    witness of :func:`open_backdoor_trail`.  A
-    :class:`PositivityViolation` names the first cell (v, z) with
-    P(z) > 0 = P(v, z).
+    Returns a map from x-value to a distribution over y.  A latent node
+    in ``j`` or ``Z`` raises :class:`LatentAdjustmentError`; a ``Z`` that
+    fails the back-door criterion, :class:`CriterionNotMet` with the
+    witness of :func:`open_backdoor_trail`.  A :class:`PositivityViolation`
+    names the first cell (v, z) with P(z) > 0 = P(v, z).
     """
     Z = frozenset(Z)
-    if Z & dag.latent:
-        raise LatentAdjustmentError(f"latent nodes in adjustment set: {sorted(Z & dag.latent)}")
+    latent = dag.latent & (Z | set(j.vars))
+    if latent:
+        raise LatentAdjustmentError(f"latent nodes in joint or adjustment set: {sorted(latent)}")
     witness = open_backdoor_trail(dag, x, y, Z)
     if witness is not None:
         raise CriterionNotMet(
@@ -446,39 +434,23 @@ def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> Eliminati
 
 
 def confounding_gap(scm: DiscreteScm, x: str, y: str, u: str) -> ConfoundingGap:
-    """I(x;y), I({u,x};y) and I(u;y|x) off the exact joint of {u, x, y}.
-
-    The identity i_x_y = i_ux_y - i_u_y_given_x is verified to 1e-9.
-    """
+    """I(x;y), I({u,x};y) and I(u;y|x) off the exact joint of {u, x, y}: the
+    chain rule I(u,x;y) = I(x;y) + I(u;y|x) of :func:`chain_decompositions`."""
     if u not in scm.dag.latent:
         raise ParameterError(f"{u!r} is not flagged latent in the graph")
-    j = infer(scm, {u, x, y})
-    gap = ConfoundingGap(
-        i_x_y=mutual_information(j, {x}, {y}),
-        i_ux_y=mutual_information(j, {u, x}, {y}),
-        i_u_y_given_x=conditional_mutual_information(j, {u}, {y}, {x}),
-    )
-    if abs(gap.i_x_y - (gap.i_ux_y - gap.i_u_y_given_x)) > 1e-9:
-        raise NumericalConsistencyError("confounding-gap identity violated")
-    return gap
+    c = chain_decompositions(infer(scm, {u, x, y}), x, u, y)
+    return ConfoundingGap(i_x_y=c.i_a_y, i_ux_y=c.i_ab_y, i_u_y_given_x=c.i_b_y_given_a)
 
 
 def rating_comparison(j: JointTable, yh, xc, yf) -> CapacityReport:
-    """Predictive capacities of the naive, augmented and PHYD designs."""
-    yh = frozenset([yh]) if isinstance(yh, str) else frozenset(yh)
-    xc = frozenset([xc]) if isinstance(xc, str) else frozenset(xc)
-    yf = frozenset([yf]) if isinstance(yf, str) else frozenset(yf)
-    report = CapacityReport(
-        naive_bms=mutual_information(j, yh, yf),
-        augmented_bms=mutual_information(j, yh | xc, yf),
-        phyd_major=mutual_information(j, xc, yf),
-        phyd_minor=conditional_mutual_information(j, yh, yf, xc),
-    )
-    if report.augmented_bms < report.naive_bms - 1e-9:
+    """Predictive capacities of the naive, augmented and PHYD designs: the
+    chain rule I(yh,xc;yf) = I(xc;yf) + I(yh;yf|xc) of :func:`chain_decompositions`."""
+    c = chain_decompositions(j, xc, yh, yf)
+    if c.i_ab_y < c.i_b_y - 1e-9:
         raise NumericalConsistencyError("augmented capacity below naive capacity")
-    if abs(report.augmented_bms - (report.phyd_major + report.phyd_minor)) > 1e-9:
-        raise NumericalConsistencyError("capacity chain rule violated")
-    return report
+    return CapacityReport(
+        naive_bms=c.i_b_y, augmented_bms=c.i_ab_y, phyd_major=c.i_a_y, phyd_minor=c.i_b_y_given_a
+    )
 
 
 def _packaged_scm(name: str) -> DiscreteScm:

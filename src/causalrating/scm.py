@@ -23,7 +23,7 @@ from .errors import (
     ValueOutOfRange,
     ZeroProbabilityEvidence,
 )
-from .graph import Dag, dag_from_json, dag_to_json, mutilate
+from .graph import Dag, _json_array, dag_from_json, dag_to_json, mutilate
 
 __all__ = [
     "JointTable",
@@ -602,7 +602,9 @@ def scm_from_json(doc: Mapping) -> DiscreteScm:
         dag = dag_from_json(doc["graph"])
         parents = doc.get("parents")
         if parents is not None:
-            parents = {v: tuple(ps) for v, ps in parents.items()}
+            parents = {v: tuple(_json_array(ps, f"parents of {v}")) for v, ps in parents.items()}
+        if any(type(c) is not int for c in doc["card"].values()):  # not bool, float or str
+            raise TypeError(f"card values must be JSON integers, got {doc['card']}")
         return DiscreteScm(dag, doc["card"], doc["cpt"], parents=parents)
     except KeyError as exc:
         raise ShapeError(f"malformed SCM document: missing {exc}") from exc

@@ -12,17 +12,24 @@ import itertools
 import numpy as np
 
 from causalrating import (
+    CapacityReport,
+    ConfoundingGap,
     Dag,
     DiscreteScm,
     EffectTable,
     JointTable,
+    NumericalConsistencyError,
+    OverlapError,
+    ParameterError,
     PositivityViolation,
     build_dag,
     build_scenario,
     condition,
+    conditional_entropy,
     infer,
     intervene,
     marginal,
+    mutual_information,
     random_scm,
     template,
 )
@@ -201,6 +208,61 @@ def reference_oracle_effect(scm: DiscreteScm, query) -> EffectTable:
             if mass_of(j, stratum) > 0.0:
                 cells[(cfg, tuple(stratum.values()))] = marginal(condition(j, stratum), {y}).probs
     return EffectTable(y, scm.card[y], do_vars, given, cells)
+
+
+def reference_conditional_mutual_information(j: JointTable, X, Y, Z) -> float:
+    """CMI oracle: I(X; Y | Z) as H(Y|Z) - H(Y|X,Z), cross-checked against
+    H(X|Z) + H(Y|Z) - H(X,Y|Z), each conditional entropy on its own."""
+    from causalrating.info import AGREEMENT_TOL, _as_set, _check_disjoint, _clamp_mi
+
+    X, Y, Z = _as_set(X), _as_set(Y), _as_set(Z)
+    if not X or not Y:
+        raise OverlapError("X and Y must be nonempty")
+    _check_disjoint(X, Y, Z)
+    a = conditional_entropy(j, Y, Z) - conditional_entropy(j, Y, X | Z)
+    b = (
+        conditional_entropy(j, X, Z)
+        + conditional_entropy(j, Y, Z)
+        - conditional_entropy(j, X | Y, Z)
+    )
+    if abs(a - b) > AGREEMENT_TOL:
+        raise NumericalConsistencyError(f"CMI routes disagree: {a} vs {b}")
+    return _clamp_mi(a, "CMI")
+
+
+def reference_rating_comparison(j: JointTable, yh, xc, yf) -> CapacityReport:
+    """Capacity oracle: each MI and CMI computed on its own, and the
+    capacity chain rule checked here."""
+    yh = frozenset([yh]) if isinstance(yh, str) else frozenset(yh)
+    xc = frozenset([xc]) if isinstance(xc, str) else frozenset(xc)
+    yf = frozenset([yf]) if isinstance(yf, str) else frozenset(yf)
+    report = CapacityReport(
+        naive_bms=mutual_information(j, yh, yf),
+        augmented_bms=mutual_information(j, yh | xc, yf),
+        phyd_major=mutual_information(j, xc, yf),
+        phyd_minor=reference_conditional_mutual_information(j, yh, yf, xc),
+    )
+    if report.augmented_bms < report.naive_bms - 1e-9:
+        raise NumericalConsistencyError("augmented capacity below naive capacity")
+    if abs(report.augmented_bms - (report.phyd_major + report.phyd_minor)) > 1e-9:
+        raise NumericalConsistencyError("capacity chain rule violated")
+    return report
+
+
+def reference_confounding_gap(scm: DiscreteScm, x: str, y: str, u: str) -> ConfoundingGap:
+    """Confounding-gap oracle: each MI and CMI computed on its own off the
+    joint of {u, x, y}, and the identity checked here."""
+    if u not in scm.dag.latent:
+        raise ParameterError(f"{u!r} is not flagged latent in the graph")
+    j = infer(scm, {u, x, y})
+    gap = ConfoundingGap(
+        i_x_y=mutual_information(j, {x}, {y}),
+        i_ux_y=mutual_information(j, {u, x}, {y}),
+        i_u_y_given_x=reference_conditional_mutual_information(j, {u}, {y}, {x}),
+    )
+    if abs(gap.i_x_y - (gap.i_ux_y - gap.i_u_y_given_x)) > 1e-9:
+        raise NumericalConsistencyError("confounding-gap identity violated")
+    return gap
 
 
 def random_joint(seed: int, cards=(2, 2, 2), names=("A", "B", "C")) -> JointTable:

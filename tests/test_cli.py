@@ -215,6 +215,21 @@ class TestIdentify:
         assert "back-door" in doc["error"]["message"]
         assert doc["error"]["witness"] == ["X_c", "U", "Y_f"]
 
+    @pytest.mark.parametrize(
+        "model,do,outcome",
+        [(CONFOUNDED, "U", "Y_f"), (MEDIATED, "Y_h", "U")],
+        ids=["latent-treatment", "latent-outcome"],
+    )
+    def test_latent_treatment_or_outcome_exit_3(self, capsys, model, do, outcome):
+        code, out, _ = run(capsys, "identify", model, "--do", do, "--outcome", outcome)
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "LatentAdjustmentError"
+        # Graph surgery reads the full model, latent nodes included.
+        code, out, _ = run(
+            capsys, "identify", model, "--do", do, "--outcome", outcome, "--method", "oracle"
+        )
+        assert code == 0 and json.loads(out)["method"] == "oracle"
+
     def test_mediated_frontdoor(self, capsys):
         code, out, _ = run(
             capsys, "identify", MEDIATED,
@@ -502,6 +517,32 @@ class TestEvaluate:
             keep = set(keep)
             assert "Y_h" not in keep or not any(v.startswith("S_") for v in keep), keep
 
+    def test_entropies_per_report(self, capsys, monkeypatch):
+        # The capacities and the confounding gap are views of one chain
+        # decomposition each, the history MI is the naive capacity, and
+        # each conditional MI reads four entropies, not ten.
+        from causalrating import info, road_risk
+
+        calls, per_cmi = [0], []
+
+        def entropy(*args, real=info.entropy):
+            calls[0] += 1
+            return real(*args)
+
+        def cmi(*args, real=info.conditional_mutual_information):
+            before = calls[0]
+            value = real(*args)
+            per_cmi.append(calls[0] - before)
+            return value
+
+        monkeypatch.setattr(info, "entropy", entropy)
+        for mod in (info, road_risk):
+            monkeypatch.setattr(mod, "conditional_mutual_information", cmi)
+        code, _, _ = run(capsys, "evaluate", SCENARIO)
+        assert code == 0
+        assert per_cmi and max(per_cmi) <= 4
+        assert calls[0] <= 70
+
     def test_nan_parameter_exit_2(self, capsys, tmp_path):
         doc = json.loads(pathlib.Path(SCENARIO).read_text())
         doc["traffic_dist"] = [float("nan"), 0.35]
@@ -721,11 +762,35 @@ class TestMalformedDocuments:
             {**_valid_document("scm"), "parents": 5},
             _replace_at(_valid_document("scm"), ("graph", "edges", 0), ["U"]),
             _replace_at(_valid_document("graph"), ("edges", 0), ["U"]),
+            # A string or an object where an array is expected, which the
+            # reader once took apart into one-letter names or keys.
+            {"nodes": "XYZ", "edges": ["XY", "YZ"]},
+            _replace_at(_valid_document("graph"), ("latent",), "U"),
+            _replace_at(_valid_document("scm"), ("graph", "latent"), "U"),
+            _replace_at(_valid_document("graph"), ("nodes",), dict.fromkeys(_valid_document("graph")["nodes"])),
+            _replace_at(_valid_document("graph"), ("edges", 0), {"U": 0, "X_c": 0}),
+            {**_valid_document("scm"), "parents": {"Y_f": "UZ"}},
+            # A card that is not a JSON integer, which the reader once
+            # cast (truncating 2.7 to 2).
+            _replace_at(_valid_document("scm"), ("card", "Z"), "2"),
+            _replace_at(_valid_document("scm"), ("card", "Z"), 2.7),
         ],
-        ids=["five", "null", "schema-x", "card-x", "parents-5", "scm-edge-arity", "graph-edge-arity"],
+        ids=[
+            "five", "null", "schema-x", "card-x", "parents-5", "scm-edge-arity", "graph-edge-arity",
+            "letter-graph", "graph-latent-string", "scm-latent-string", "graph-nodes-object",
+            "graph-edge-object", "parents-string", "card-string", "card-float",
+        ],
     )
     def test_reproduced_crashes(self, capsys, doc):
         self._assert_exit_2_everywhere(capsys, doc)
+
+    def test_letter_graph_rejected_by_dsep(self, capsys, tmp_path):
+        # Read as X -> Y -> Z, this graph once answered a query on X and Z.
+        path = tmp_path / "letters.json"
+        path.write_text(json.dumps({"nodes": "XYZ", "edges": ["XY", "YZ"]}))
+        code, out, err = run(capsys, "dsep", str(path), "--x", "X", "--y", "Z")
+        assert (code, out) == (2, "")
+        assert "array" in err
 
     @settings(
         max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

@@ -14,12 +14,14 @@ from causalrating import (
     CriterionNotMet,
     EffectQuery,
     LatentAdjustmentError,
+    NumericalConsistencyError,
     OverlapError,
     PositivityViolation,
     backdoor_adjust,
     build_dag,
     build_scm,
     condition,
+    conditional_mutual_information,
     confounded_direct_example,
     confounded_mediation_example,
     confounding_gap,
@@ -44,8 +46,11 @@ from helpers import (
     open_trail_problem,
     random_dag,
     reference_backdoor_adjust,
+    reference_conditional_mutual_information,
+    reference_confounding_gap,
     reference_frontdoor_adjust,
     reference_oracle_effect,
+    reference_rating_comparison,
     sparse_scm,
 )
 
@@ -83,6 +88,18 @@ class TestBackdoorAdjust:
         scm = random_scm(template("Fig2b"), 0)
         with pytest.raises(LatentAdjustmentError):
             backdoor_adjust(exact_joint(scm), scm.dag, "X_c", "Y_f", {"U"})
+
+    @pytest.mark.parametrize(
+        "example,x,y",
+        [(confounded_direct_example, "U", "Y_f"), (confounded_mediation_example, "Y_h", "U")],
+    )
+    def test_latent_treatment_or_outcome_rejected(self, example, x, y):
+        # The back-door criterion holds for both, so without this check
+        # the joint's latent node would be read as if it were observed.
+        scm = example()
+        assert satisfies_backdoor(scm.dag, x, y, set())
+        with pytest.raises(LatentAdjustmentError, match="'U'"):
+            backdoor_adjust(infer(scm, {x, y}), scm.dag, x, y, set())
 
     def test_adjustment_variable_missing_from_joint_rejected(self):
         # Dropping W from the adjustment would return P(Y | X), 0.088 off
@@ -805,3 +822,52 @@ class TestCriteriaAgainstSurgery:
             assert open_trail_problem(cut, witness, {x}, {y}, Z) is None
         else:
             assert witness == sorted(Z & dag.descendants(x))
+
+
+def draw_disjoint(data, pool, count):
+    """``count`` disjoint nonempty sets of ``pool`` and one more, possibly
+    empty: the first ``count`` members of a random order seed the nonempty
+    sets, and every other member joins one of the ``count + 1`` or none."""
+    order = data.draw(st.permutations(pool), label="order")
+    sets = [{v} for v in order[:count]] + [set(), set()]
+    for v in order[count:]:
+        sets[data.draw(st.integers(0, count + 1), label=v)].add(v)
+    return sets[:-1]
+
+
+class TestChainRuleViews:
+    """The capacities and the confounding gap are views of
+    ``chain_decompositions``, and CMI reads each entropy once: every
+    number equals the one of the separate computations it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_floats_as_separate_computations(self, data):
+        scm, pool = draw_query_model(data)
+        j = infer(scm, pool)
+        if len(pool) >= 3:
+            yh, xc, yf, _ = draw_disjoint(data, pool, 3)
+            assert rating_comparison(j, yh, xc, yf) == reference_rating_comparison(j, yh, xc, yf)
+        X, Y, Z = draw_disjoint(data, pool, 2)
+        assert conditional_mutual_information(j, X, Y, Z) == (
+            reference_conditional_mutual_information(j, X, Y, Z)
+        )
+        u = sorted(scm.dag.latent)
+        if u:
+            x, y = data.draw(st.permutations(pool), label="x, y")[:2]
+            assert confounding_gap(scm, x, y, u[0]) == reference_confounding_gap(scm, x, y, u[0])
+
+    def test_chain_rule_checked_for_both_views(self, monkeypatch):
+        # The views hold no check of their own: a CMI that drifts by 1e-6
+        # must still be caught, by chain_decompositions.
+        from causalrating import info
+
+        real = info.conditional_mutual_information
+        monkeypatch.setattr(
+            info, "conditional_mutual_information", lambda *a: real(*a) + 1e-6
+        )
+        scm = random_scm(template("Fig2b"), 0)
+        with pytest.raises(NumericalConsistencyError, match="chain rule"):
+            rating_comparison(observed_joint(scm), "Y_h", "X_c", "Y_f")
+        with pytest.raises(NumericalConsistencyError, match="chain rule"):
+            confounding_gap(scm, "X_c", "Y_f", "U")
