@@ -68,6 +68,13 @@ def _flatten(values):
             yield v
 
 
+def _holds_string(value) -> bool:
+    """Whether a JSON value is or holds a string at any depth."""
+    if isinstance(value, list):
+        return any(_holds_string(v) for v in value)
+    return isinstance(value, str)
+
+
 @dataclass(frozen=True)
 class RoadRiskScenario:
     """Parameterization of the canonical road-risk graph.
@@ -302,9 +309,9 @@ def markov_consistency(scm: DiscreteScm) -> float:
 
 def _mask_stay_home(s: RoadRiskScenario, vars: tuple, rows: np.ndarray) -> None:
     """Set the peril states of every ``J_o = 0`` row to 0, in place."""
-    home = rows[:, vars.index("J_o")] == 0
+    journey = rows[:, vars.index("J_o")]  # 0 or 1
     for st in s.states:
-        rows[:, vars.index(st)][home] = 0
+        rows[:, vars.index(st)] *= journey
 
 
 def simulate_journeys(s: RoadRiskScenario, n: int, seed: int) -> Dataset:
@@ -441,6 +448,12 @@ def scenario_from_json(doc: Mapping) -> RoadRiskScenario:
     extra = set(doc) - known
     if extra:
         raise ParameterError(f"unknown scenario fields: {sorted(extra)}")
+    for name in ("depth", "decision_card", "traffic_card"):
+        if name in doc and type(doc[name]) is not int:  # not bool, float or str
+            raise ParameterError(f"scenario {name} must be a JSON integer, got {doc[name]!r}")
+    for name in _FLOAT_FIELDS:
+        if _holds_string(doc.get(name)):  # "421" would read as (4, 2, 1)
+            raise ParameterError(f"scenario {name} must hold numbers, not strings: {doc[name]!r}")
     try:
         return RoadRiskScenario(**{k: doc[k] for k in doc})
     except (TypeError, ValueError) as exc:

@@ -397,34 +397,32 @@ _M1 = _U64(0xBF58476D1CE4E5B9)
 _M2 = _U64(0x94D049BB133111EB)
 
 
-def _mix(x):
-    x = x + _GAMMA
-    x ^= x >> _U64(30)
+def _mix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """splitmix64's output function of ``x + gamma``, in place in the uint64
+    array ``x``; ``t`` is scratch space of the same shape."""
+    x += _GAMMA
+    x ^= np.right_shift(x, _U64(30), out=t)
     x *= _M1
-    x ^= x >> _U64(27)
+    x ^= np.right_shift(x, _U64(27), out=t)
     x *= _M2
-    x ^= x >> _U64(31)
+    x ^= np.right_shift(x, _U64(31), out=t)
     return x
 
 
-def _row_keys(seed: int, rows: np.ndarray) -> np.ndarray:
-    """The part of each row's hash that all of its draws share."""
-    with np.errstate(over="ignore"):
-        return _mix(_mix(_U64(seed & 0xFFFFFFFFFFFFFFFF)) ^ rows.astype(np.uint64))
-
-
-def _keyed_uniforms(keys: np.ndarray, draw: int) -> np.ndarray:
-    """Uniforms in [0, 1) for one draw of the rows with these keys."""
-    h = _mix(keys ^ _U64(draw % (1 << 64)))
-    h >>= _U64(11)
-    u = h.astype(np.float64)
-    u *= 2.0**-53
-    return u
+def _row_keys(seed: int, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The part of each row's hash that all of its draws share, in place in
+    the uint64 row indices ``rows``."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    rows ^= _mix(key, np.empty_like(key))
+    return _mix(rows, t)
 
 
 def _uniforms(seed: int, rows: np.ndarray, draw: int) -> np.ndarray:
     """Vectorized splitmix64 uniforms in [0, 1) for (seed, row, draw)."""
-    return _keyed_uniforms(_row_keys(seed, rows), draw)
+    t = np.empty(len(rows), dtype=np.uint64)
+    h = _row_keys(seed, rows.astype(np.uint64), t)
+    h ^= _U64(draw % (1 << 64))
+    return (_mix(h, t) >> _U64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -433,11 +431,13 @@ class Dataset:
 
     vars: tuple
     cards: tuple
-    rows: np.ndarray  # shape (n, len(vars)), dtype int
+    rows: np.ndarray  # shape (n, len(vars)); an integer dtype is kept, others become int64
     seed: int
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = np.asarray(self.rows).view()  # made read-only below; the caller's array is not
+        if rows.dtype.kind not in "iu":
+            rows = rows.astype(np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.vars):
             raise ShapeError("rows must be (n, len(vars))")
         for k, c in enumerate(self.cards):
@@ -457,32 +457,38 @@ class Dataset:
 
 def _sample_rows(scm: DiscreteScm, n: int, seed: int, start: int = 0) -> np.ndarray:
     """Rows ``start..start+n-1`` of the ancestral sample, columns in
-    topological order (a writable, column-major int64 array)."""
+    topological order: a writable, column-major array, uint8 when every
+    cardinality is at most 256 and int64 otherwise."""
     if n < 1:
         raise ValueOutOfRange("n must be >= 1")
     if start < 0:
         raise ValueOutOfRange("start must be >= 0")
     order = scm.dag.topological_order
     pos = {v: i for i, v in enumerate(order)}
-    rows = np.empty((n, len(order)), dtype=np.int64, order="F")
-    keys = _row_keys(seed, np.arange(start, start + n, dtype=np.uint64))
+    narrow = max(scm.card.values()) <= 256
+    rows = np.empty((n, len(order)), dtype=np.uint8 if narrow else np.int64, order="F")
+    h, t = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+    keys = _row_keys(seed, np.arange(start, start + n, dtype=np.uint64), t)
     ridx = np.empty(n, dtype=np.int64)
     for k, v in enumerate(order):
-        u = _keyed_uniforms(keys, k)
+        np.bitwise_xor(keys, _U64(k), out=h)
+        _mix(h, t)
+        h >>= _U64(11)  # the uniform is exactly h * 2**-53
         ps = scm.parents_of(v)
         ridx.fill(0)
         for p in ps:
             ridx *= scm.card[p]
             ridx += rows[:, pos[p]]
-        # The value is the number of cumulative thresholds at or below u.
+        # The value is the number of cumulative thresholds at or below the
+        # uniform; h * 2**-53 >= cum exactly when h >= ceil(cum * 2**53).
         # Thresholds never decrease along a row, so the last one (about 1)
         # can only lift a count of card - 1 to card; it is left out, which
         # caps the count at card - 1.
-        cum = np.cumsum(scm.cpt[v], axis=1).T
+        cum = np.ceil(np.cumsum(scm.cpt[v], axis=1).T * 2.0**53).astype(np.uint64)
         col = rows[:, k]
         col.fill(0)
         for j in range(scm.card[v] - 1):
-            col += u >= (cum[j][ridx] if ps else cum[j, 0])
+            col += h >= (cum[j][ridx] if ps else cum[j, 0])
     return rows
 
 
@@ -522,14 +528,20 @@ def _csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
     ``header`` row, if one is given, and then ``rows.tolist()``.
 
     ``rows`` holds non-negative integers and the header names are
-    identifiers (see :class:`Dag`), so no field needs quoting.  Each column
-    is laid out in a byte field as wide as its largest value, digits
-    right-aligned, followed by its separator; one boolean mask then drops
-    the unused leading bytes of shorter values (there are none when every
-    value has one digit).
+    identifiers (see :class:`Dag`), so no field needs quoting.  When every
+    value has one digit, each field is a little-endian uint16 (digit,
+    separator) pair and one addition lays out all rows.  Otherwise each
+    column is laid out in a byte field as wide as its largest value,
+    digits right-aligned, followed by its separator, and one boolean mask
+    drops the unused leading bytes of shorter values.
     """
     n, k = rows.shape
     widths = [len(str(int(rows[:, c].max()))) if n else 1 for c in range(k)]
+    head = (",".join(header) + "\n").encode() if header else b""
+    if max(widths) == 1:
+        pairs = np.full(k, ord("0") | ord(",") << 8, dtype="<u2")
+        pairs[-1] = ord("0") | ord("\n") << 8
+        return head + np.add(rows, pairs, dtype="<u2", casting="unsafe", order="C").tobytes()
     line = np.empty((n, sum(widths) + k), dtype=np.uint8)
     used = np.ones(line.shape, dtype=bool)
     at = 0
@@ -546,8 +558,7 @@ def _csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
         line[:, at + w] = ord(",")
         at += w + 1
     line[:, -1] = ord("\n")
-    head = (",".join(header) + "\n").encode() if header else b""
-    return head + (line[used] if max(widths) > 1 else line).tobytes()
+    return head + line[used].tobytes()
 
 
 def dataset_to_csv(d: Dataset, path_or_buf) -> None:

@@ -774,11 +774,21 @@ class TestMalformedDocuments:
             # cast (truncating 2.7 to 2).
             _replace_at(_valid_document("scm"), ("card", "Z"), "2"),
             _replace_at(_valid_document("scm"), ("card", "Z"), 2.7),
+            # A scenario integer that is a float or a bool, which once
+            # crashed with a TypeError.
+            _replace_at(_valid_document("scenario"), ("depth",), 2.0),
+            _replace_at(_valid_document("scenario"), ("decision_card",), 3.0),
+            _replace_at(_valid_document("scenario"), ("traffic_card",), True),
+            # A string where an array of numbers is expected, which the
+            # reader once took apart into digits.
+            _replace_at(_valid_document("scenario"), ("tta_thresholds",), "421"),
+            _replace_at(_valid_document("scenario"), ("escalation",), [["01", "01", "01"]] * 2),
         ],
         ids=[
             "five", "null", "schema-x", "card-x", "parents-5", "scm-edge-arity", "graph-edge-arity",
             "letter-graph", "graph-latent-string", "scm-latent-string", "graph-nodes-object",
             "graph-edge-object", "parents-string", "card-string", "card-float",
+            "depth-float", "decision-card-float", "traffic-card-bool", "tta-string", "escalation-strings",
         ],
     )
     def test_reproduced_crashes(self, capsys, doc):

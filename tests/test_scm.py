@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalrating import (
+    Dataset,
     DiscreteScm,
     JointTable,
     NormalizationError,
@@ -390,14 +391,64 @@ class TestSampling:
         with pytest.raises(ValueOutOfRange):
             sample(copy_chain(), 5, seed=1, start=-1)
 
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_threshold_ties_match_reference_sampler(self, step):
+        # The sampler compares integer draws with integer thresholds; a
+        # threshold at a drawn uniform, or one float step off it, must
+        # sample what the float comparison of the reference samples.
+        from causalrating.scm import _uniforms
+
+        n, seed, row = 50, 17, 7
+        u_a, u_b = (_uniforms(seed, np.arange(n, dtype=np.uint64), k)[row] for k in (0, 1))
+        p_a, p_b = (float(np.nextafter(u, u + step)) if step else float(u) for u in (u_a, u_b))
+        dag = build_dag(["A", "B"], [("A", "B")], [])
+        scm = build_scm(dag, {"A": 2, "B": 2}, {"A": [[p_a, 1 - p_a]], "B": [[p_b, 1 - p_b]] * 2})
+        rows = sample(scm, n, seed).rows
+        assert np.array_equal(rows, reference_sample_rows(scm, n, seed))
+        assert rows[row].tolist() == ([0, 0] if step > 0 else [1, 1])
+
+    @pytest.mark.parametrize("card,dtype", [(2, np.uint8), (256, np.uint8), (257, np.int64)])
+    def test_rows_dtype_is_the_narrowest_that_holds_every_card(self, card, dtype):
+        dag = build_dag(["A", "B"], [("A", "B")], [])
+        ds = sample(random_scm(dag, 3, card={"A": card}), 20, seed=4)
+        assert ds.rows.dtype == dtype
+
+    def test_dataset_keeps_an_integer_dtype(self):
+        given = np.array([[2], [0]], dtype=np.uint8)
+        narrow = Dataset(("A",), (3,), given, 0)
+        assert narrow.rows.dtype == np.uint8
+        assert given.flags.writeable and not narrow.rows.flags.writeable
+        for rows in ([[2], [0]], np.array([[2.0], [0.0]])):
+            assert Dataset(("A",), (3,), rows, 0).rows.dtype == np.int64
+        with pytest.raises(ValueOutOfRange):
+            Dataset(("A",), (3,), np.array([[3]], dtype=np.uint8), 0)
+
+    def test_card_300_takes_the_int64_path(self):
+        import io
+
+        from causalrating import dataset_to_csv
+
+        dag = build_dag(["A", "B", "C"], [("A", "B"), ("B", "C")], [])
+        scm = random_scm(dag, 8, card={"B": 300})
+        ds = sample(scm, 2000, seed=5)
+        assert ds.rows.dtype == np.int64 and ds.column("B").max() >= 100
+        assert np.array_equal(ds.rows, reference_sample_rows(scm, 2000, 5))
+        buf = io.StringIO()
+        dataset_to_csv(ds, buf)
+        assert buf.getvalue().encode() == csv_writer_bytes(ds.rows, ds.vars)
+
 
 @st.composite
 def int_matrices(draw):
-    """Non-negative int matrices, each column below a cardinality of 2..1500."""
-    cards = draw(st.lists(st.integers(2, 1500), min_size=1, max_size=6))
+    """Non-negative int64 matrices, each column below a cardinality of
+    2..1500, or uint8 ones with cardinalities of 2..256; either kind with
+    cardinalities of at most 10 half the time, so every value has one digit."""
+    dtype, top = draw(st.sampled_from([(np.int64, 1500), (np.uint8, 256)]))
+    top = draw(st.sampled_from([10, top]))
+    cards = draw(st.lists(st.integers(2, top), min_size=1, max_size=6))
     n = draw(st.integers(0, 40))
     cols = [draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)) for c in cards]
-    return np.array(cols, dtype=np.int64).T.copy(order=draw(st.sampled_from("CF")))
+    return np.array(cols, dtype=dtype).T.copy(order=draw(st.sampled_from("CF")))
 
 
 class TestCsvFormatter:
