@@ -79,7 +79,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an integer literal too long to read
         raise _UsageError(f"{path} is not valid JSON: {exc}")
 
 
@@ -179,8 +179,7 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_json(args.scenario)
-    s = scenario_from_json(doc)
+    s = scenario_from_json(_load_json(args.scenario))
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
@@ -241,9 +240,7 @@ def _scenario_report(s: RoadRiskScenario) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    doc = _load_json(args.scenario)
-    s = scenario_from_json(doc)
-    _emit(_scenario_report(s), args.out)
+    _emit(_scenario_report(scenario_from_json(_load_json(args.scenario))), args.out)
     return 0
 
 

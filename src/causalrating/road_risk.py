@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NegativeTta, ParameterError
-from .graph import Dag
+from .graph import Dag, _read_json
 from .identify import EffectQuery, EffectTable, identify_effect
 from .info import conditional_mutual_information
 from .scm import (
@@ -53,26 +53,22 @@ __all__ = [
 
 SCENARIO_SCHEMA_VERSION = 1
 _CONFOUNDER_KEYS = ("u_prob", "decision_shift", "hazard")
-_FLOAT_FIELDS = (
-    "tta_thresholds", "y_h_prior", "journey_rate", "decision_base",
-    "traffic_dist", "escalation", "accident_base",
-)
+_SCENARIO_DOC = {
+    "schema_version": int, "depth": int, "decision_card?": int, "traffic_card?": int,
+    "tta_thresholds": [float], "y_h_prior": [float], "journey_rate": [float],
+    "decision_base": [[float]], "traffic_dist": [float], "escalation": [[[float]]],
+    "accident_base": [float], "confounder_strength": dict.fromkeys(_CONFOUNDER_KEYS, float),
+}
+_FLOAT_FIELDS = [f for f, kind in _SCENARIO_DOC.items() if type(kind) is list]
 
 
-def _flatten(values):
-    """Every number in a nested tuple."""
-    for v in values:
-        if isinstance(v, tuple):
-            yield from _flatten(v)
-        else:
-            yield v
-
-
-def _holds_string(value) -> bool:
-    """Whether a JSON value is or holds a string at any depth."""
-    if isinstance(value, list):
-        return any(_holds_string(v) for v in value)
-    return isinstance(value, str)
+def _finite_floats(value, name: str) -> tuple:
+    """The array ``value`` as nested tuples of floats, which must be finite."""
+    if len(value) and isinstance(value[0], (list, tuple, np.ndarray)):
+        return tuple(_finite_floats(v, name) for v in value)
+    if all(map(math.isfinite, floats := tuple(map(float, value)))):
+        return floats
+    raise ParameterError(f"{name} must hold finite numbers")
 
 
 @dataclass(frozen=True)
@@ -104,26 +100,12 @@ class RoadRiskScenario:
     schema_version: int = SCENARIO_SCHEMA_VERSION
 
     def __post_init__(self):
-        object.__setattr__(self, "tta_thresholds", tuple(float(t) for t in self.tta_thresholds))
-        object.__setattr__(self, "y_h_prior", tuple(float(p) for p in self.y_h_prior))
-        object.__setattr__(self, "journey_rate", tuple(float(p) for p in self.journey_rate))
-        object.__setattr__(
-            self, "decision_base", tuple(tuple(float(p) for p in row) for row in self.decision_base)
-        )
-        object.__setattr__(self, "traffic_dist", tuple(float(p) for p in self.traffic_dist))
-        object.__setattr__(
-            self,
-            "escalation",
-            tuple(tuple(tuple(float(p) for p in ts) for ts in ds) for ds in self.escalation),
-        )
-        object.__setattr__(self, "accident_base", tuple(float(p) for p in self.accident_base))
+        for name in _FLOAT_FIELDS:
+            object.__setattr__(self, name, _finite_floats(getattr(self, name), name))
         object.__setattr__(self, "confounder_strength", dict(self.confounder_strength))
         self._validate()
 
     def _validate(self):
-        for name in _FLOAT_FIELDS:
-            if not all(math.isfinite(x) for x in _flatten(getattr(self, name))):
-                raise ParameterError(f"{name} must hold finite numbers")
         if self.depth < 1:
             raise ParameterError("depth must be >= 1")
         if self.decision_card < 2 or self.traffic_card < 2:
@@ -435,29 +417,10 @@ def scenario_to_json(s: RoadRiskScenario) -> dict:
 
 
 def scenario_from_json(doc: Mapping) -> RoadRiskScenario:
-    if not isinstance(doc, Mapping):
-        raise ParameterError("scenario document must be a JSON object")
-    if "schema_version" not in doc:
-        raise ParameterError("scenario document lacks schema_version")
-    version = doc["schema_version"]
-    if type(version) is not int:
-        raise ParameterError(f"scenario schema_version must be an integer, got {version!r}")
-    if version != SCENARIO_SCHEMA_VERSION:
-        raise ParameterError(f"unsupported scenario schema_version {version}")
-    known = {f for f in RoadRiskScenario.__dataclass_fields__}
-    extra = set(doc) - known
-    if extra:
-        raise ParameterError(f"unknown scenario fields: {sorted(extra)}")
-    for name in ("depth", "decision_card", "traffic_card"):
-        if name in doc and type(doc[name]) is not int:  # not bool, float or str
-            raise ParameterError(f"scenario {name} must be a JSON integer, got {doc[name]!r}")
-    for name in _FLOAT_FIELDS:
-        if _holds_string(doc.get(name)):  # "421" would read as (4, 2, 1)
-            raise ParameterError(f"scenario {name} must hold numbers, not strings: {doc[name]!r}")
-    try:
-        return RoadRiskScenario(**{k: doc[k] for k in doc})
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed scenario document: {exc}") from exc
+    doc = _read_json(doc, _SCENARIO_DOC, "scenario", ParameterError)
+    if doc["schema_version"] != SCENARIO_SCHEMA_VERSION:
+        raise ParameterError(f"unsupported scenario schema_version {doc['schema_version']}")
+    return RoadRiskScenario(**doc)
 
 
 def default_scenario() -> RoadRiskScenario:

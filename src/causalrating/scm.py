@@ -23,7 +23,7 @@ from .errors import (
     ValueOutOfRange,
     ZeroProbabilityEvidence,
 )
-from .graph import Dag, _json_array, dag_from_json, dag_to_json, mutilate
+from .graph import _GRAPH_DOC, Dag, _read_json, dag_from_json, dag_to_json, mutilate
 
 __all__ = [
     "JointTable",
@@ -46,6 +46,7 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_CELL_CAP = 1 << 24
+_SCM_DOC = {"graph": _GRAPH_DOC, "card": {str: int}, "cpt": {str: [[float]]}, "parents?": {str: [str]}}
 
 
 @dataclass(frozen=True)
@@ -173,14 +174,15 @@ class DiscreteScm:
             n_rows = 1
             for p in ps:
                 n_rows *= card[p]
-            t = np.array(cpt[v], dtype=np.float64)
+            try:
+                t = np.array(cpt[v], dtype=np.float64)
+            except ValueError as exc:  # ragged rows or non-numeric entries
+                raise ShapeError(f"CPT for {v}: {exc}") from None
             if t.shape != (n_rows, card[v]):
                 raise ShapeError(
                     f"CPT for {v}: shape {t.shape}, expected {(n_rows, card[v])}"
                 )
-            if not np.isfinite(t).all():
-                raise NormalizationError(f"CPT for {v} has non-finite entries")
-            if t.min() < 0.0 or t.max() > 1.0 + ROW_SUM_TOL:
+            if not (t.min() >= 0.0 and t.max() <= 1.0 + ROW_SUM_TOL):  # false on NaN too
                 raise NormalizationError(f"CPT for {v} has entries outside [0, 1]")
             bad = np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL
             if bad.any():
@@ -609,16 +611,5 @@ def scm_to_json(scm: DiscreteScm) -> dict:
 
 
 def scm_from_json(doc: Mapping) -> DiscreteScm:
-    try:
-        dag = dag_from_json(doc["graph"])
-        parents = doc.get("parents")
-        if parents is not None:
-            parents = {v: tuple(_json_array(ps, f"parents of {v}")) for v, ps in parents.items()}
-        if any(type(c) is not int for c in doc["card"].values()):  # not bool, float or str
-            raise TypeError(f"card values must be JSON integers, got {doc['card']}")
-        return DiscreteScm(dag, doc["card"], doc["cpt"], parents=parents)
-    except KeyError as exc:
-        raise ShapeError(f"malformed SCM document: missing {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ShapeError(f"malformed SCM document: {exc}") from exc
-
+    doc = _read_json(doc, _SCM_DOC, "scm", ShapeError)
+    return DiscreteScm(Dag(**doc["graph"]), doc["card"], doc["cpt"], parents=doc.get("parents"))

@@ -679,6 +679,12 @@ def _document_paths(doc, prefix=()):
         yield from _document_paths(v, prefix + (k,))
 
 
+def _value_at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
 def _replace_at(doc, path, value):
     doc = copy.deepcopy(doc)
     node = doc
@@ -706,6 +712,8 @@ _REQUIRED_KEYS = {
     "scm": ("graph", "card", "cpt"),
     "graph": ("nodes", "edges"),
 }
+# An integer literal that JSON reads but no float holds.
+_HUGE = 10**400
 
 
 def _valid_document(kind: str) -> dict:
@@ -713,19 +721,74 @@ def _valid_document(kind: str) -> dict:
     return doc["graph"] if kind == "graph" else doc
 
 
+def _wrong_kinds(value) -> list:
+    """Values of another kind than ``value``, a part of a shipped document.
+
+    Every array of these documents holds items of one kind at one depth,
+    so an array nested one level deeper is of a wrong kind too.  Integers
+    in them are only counts and versions, never numbers of a float field.
+    """
+    wrong = [True, False, [value], {"x": value}]
+    if type(value) is int:
+        return wrong + [value + 0.5, float(value), str(value)]
+    if type(value) is float:
+        return wrong + [str(value), _HUGE, -_HUGE]
+    if type(value) is str:
+        return wrong + [0.5, 1]
+    return wrong + [json.dumps(value), 0.5]
+
+
 @st.composite
 def malformed_documents(draw):
-    """A valid scenario, SCM or graph document with one field removed or
-    replaced by junk, or a JSON value that is not an object at all."""
+    """A valid scenario, SCM or graph document with one field removed,
+    misspelled, or replaced by junk or by a value of a wrong kind, or a
+    JSON value that is not an object at all."""
     kind = draw(st.sampled_from(sorted(_REQUIRED_KEYS)))
     doc = _valid_document(kind)
-    how = draw(st.sampled_from(["not an object", "missing key", "junk value"]))
+    how = draw(st.sampled_from(["not an object", "missing key", "junk value", "wrong kind", "misspelled field"]))
     if how == "not an object":
         return draw(st.one_of(st.none(), st.booleans(), st.integers(), _JUNK_NAME, st.lists(st.integers())))
     if how == "missing key":
         del doc[draw(st.sampled_from(_REQUIRED_KEYS[kind]))]
         return doc
-    return _replace_at(doc, draw(st.sampled_from(list(_document_paths(doc)))), draw(_JUNK))
+    paths = list(_document_paths(doc))
+    if how == "misspelled field":
+        objects = [()] + [p for p in paths if isinstance(_value_at(doc, p), dict)]
+        obj = _value_at(doc, draw(st.sampled_from(objects)))
+        key = draw(st.sampled_from(sorted(obj)))
+        spelled = draw(st.sampled_from([key.swapcase(), key + "s", key + "?", key[:-1], key.capitalize() + "_"]))
+        assume(spelled != key)
+        obj[spelled] = obj.pop(key)
+        return doc
+    path = draw(st.sampled_from(paths))
+    if how == "wrong kind":
+        return _replace_at(doc, path, draw(st.sampled_from(_wrong_kinds(_value_at(doc, path)))))
+    return _replace_at(doc, path, draw(_JUNK))
+
+
+def _misspelled(doc, path, key, spelled) -> dict:
+    doc = copy.deepcopy(doc)
+    obj = _value_at(doc, path)
+    obj[spelled] = obj.pop(key)
+    return doc
+
+
+def _confounded_direct() -> dict:
+    # Without its latent set, identify adjusts for U by the back door.
+    return json.loads(pathlib.Path(CONFOUNDED).read_text())
+
+
+def _tied_parents_scm() -> dict:
+    """An SCM document whose ``parents`` key sets Y_f's rows over (Z, X_c),
+    where the graph read from sorted edges orders them (X_c, Z)."""
+    from causalrating import build_dag, random_scm, scm_to_json
+
+    dag = build_dag(
+        ["Y_h", "Z", "X_c", "Y_f"], [("Y_h", "Z"), ("Y_h", "X_c"), ("Z", "Y_f"), ("X_c", "Y_f")]
+    )
+    doc = json.loads(json.dumps(scm_to_json(random_scm(dag, 0, card={"Z": 3}))))
+    assert doc["parents"]["Y_f"] == ["Z", "X_c"]
+    return doc
 
 
 def _every_command(path: str, out_csv: str):
@@ -750,7 +813,7 @@ class TestMalformedDocuments:
             for argv in _every_command(str(path), str(pathlib.Path(tmp) / "out.csv")):
                 code, out, err = run(capsys, *argv)
                 assert (code, out) == (2, ""), (argv, out, err)
-                assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+                assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, (argv, err)
 
     @pytest.mark.parametrize(
         "doc",
@@ -783,12 +846,32 @@ class TestMalformedDocuments:
             # reader once took apart into digits.
             _replace_at(_valid_document("scenario"), ("tta_thresholds",), "421"),
             _replace_at(_valid_document("scenario"), ("escalation",), [["01", "01", "01"]] * 2),
+            # A number of a wrong kind, or a misspelled optional field,
+            # which the readers once took for a different model.
+            _replace_at(_valid_document("scenario"), ("confounder_strength", "u_prob"), "0.3"),
+            _replace_at(_valid_document("scenario"), ("journey_rate",), [True, True, True]),
+            _replace_at(_valid_document("scenario"), ("accident_base",), [False, 0.55]),
+            _replace_at(_valid_document("scenario"), ("tta_thresholds",), {"4": 0, "2": 0, "1": 0}),
+            _replace_at(_valid_document("scm"), ("cpt", "U"), [["0.5", "0.5"]]),
+            _replace_at(_valid_document("scm"), ("cpt", "U"), [[True, False]]),
+            _misspelled(_confounded_direct(), ("graph",), "latent", "Latent"),
+            _misspelled(_tied_parents_scm(), (), "parents", "Parents"),
+            _misspelled(_valid_document("graph"), (), "latent", "latent?"),
+            # An integer literal beyond float range, which once crashed
+            # with an OverflowError.
+            _replace_at(_valid_document("scenario"), ("traffic_dist",), [_HUGE, 0.35]),
+            _replace_at(_valid_document("scm"), ("cpt", "U", 0, 0), _HUGE),
+            # CPT rows of unequal length.
+            _replace_at(_valid_document("scm"), ("cpt", "U"), [[0.5, 0.5], [1.0]]),
         ],
         ids=[
             "five", "null", "schema-x", "card-x", "parents-5", "scm-edge-arity", "graph-edge-arity",
             "letter-graph", "graph-latent-string", "scm-latent-string", "graph-nodes-object",
             "graph-edge-object", "parents-string", "card-string", "card-float",
             "depth-float", "decision-card-float", "traffic-card-bool", "tta-string", "escalation-strings",
+            "u-prob-string", "journey-rate-bools", "accident-base-false", "tta-object", "cpt-strings",
+            "cpt-bools", "graph-Latent", "scm-Parents", "graph-latent?", "traffic-dist-huge", "cpt-huge",
+            "cpt-ragged",
         ],
     )
     def test_reproduced_crashes(self, capsys, doc):
@@ -801,6 +884,90 @@ class TestMalformedDocuments:
         code, out, err = run(capsys, "dsep", str(path), "--x", "X", "--y", "Z")
         assert (code, out) == (2, "")
         assert "array" in err
+
+    @pytest.mark.parametrize(
+        "kind,doc,want",
+        [
+            (
+                "scenario", _replace_at(_valid_document("scenario"), ("depth",), 2.0),
+                "ParameterError: scenario.depth: expected an integer, got 2.0",
+            ),
+            (
+                "scenario", _replace_at(_valid_document("scenario"), ("confounder_strength", "u_prob"), "0.3"),
+                "ParameterError: scenario.confounder_strength.u_prob: expected a finite number, got '0.3'",
+            ),
+            (
+                "graph", _replace_at(_valid_document("graph"), ("edges", 0, 1), 5),
+                "GraphError: graph.edges[0][1]: expected a name, got 5",
+            ),
+            (
+                "graph", _replace_at(_valid_document("graph"), ("nodes",), "XYZ"),
+                "GraphError: graph.nodes: expected an array, got 'XYZ'",
+            ),
+            (
+                "graph", _replace_at(_valid_document("graph"), ("edges", 0), ["U"]),
+                "GraphError: graph.edges[0]: expected an array of 2, got ['U']",
+            ),
+            (
+                "scm", _replace_at(_valid_document("scm"), ("card",), [2]),
+                "ShapeError: scm.card: expected an object, got [2]",
+            ),
+            (
+                "scm", _replace_at(_valid_document("scm"), ("card", "Z"), "2"),
+                "ShapeError: scm.card.Z: expected an integer, got '2'",
+            ),
+            (
+                "scenario", _replace_at(_valid_document("scenario"), ("confounder_strength",), 0.3),
+                "ParameterError: scenario.confounder_strength: expected an object, got 0.3",
+            ),
+            (
+                "scm", _misspelled(_valid_document("scm"), ("graph",), "latent", "Latent"),
+                "ShapeError: scm.graph.Latent: unknown field",
+            ),
+            (
+                "scenario", {k: v for k, v in _valid_document("scenario").items() if k != "depth"},
+                "ParameterError: scenario.depth: missing field",
+            ),
+        ],
+        ids=[
+            "integer", "finite-number", "name", "array", "array-of-n", "object-of-kind", "object-value",
+            "fields-object", "unknown-field", "missing-field",
+        ],
+    )
+    def test_error_names_the_field(self, capsys, tmp_path, kind, doc, want):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = {"graph": ["dsep", str(path), "--x", "U", "--y", "Y_f"], "scm": ["report", str(path)],
+                "scenario": ["evaluate", str(path)]}[kind]
+        assert run(capsys, *argv) == (2, "", f"error: {want}\n")
+
+    def test_integer_literal_too_long_to_read(self, capsys, tmp_path):
+        # More digits than Python's int-string limit: json.load itself
+        # raises a ValueError, which once escaped as a traceback.
+        path = tmp_path / "long.json"
+        path.write_text('{"nodes": [' + "7" * 5000 + '], "edges": []}')
+        code, out, err = run(capsys, "dsep", str(path), "--x", "U", "--y", "Y_f")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            # Integer literals in number fields.
+            (["evaluate"], _replace_at(_valid_document("scenario"), ("traffic_dist",), [1, 0])),
+            # A graph without ``latent``.
+            (["dsep", "--x", "Y_h", "--y", "Y_f"], {"nodes": ["Y_h", "Y_f"], "edges": [["Y_h", "Y_f"]]}),
+            # An SCM without ``parents``.
+            (["report"], _valid_document("scm")),
+        ],
+        ids=["integer-numbers", "graph-without-latent", "scm-without-parents"],
+    )
+    def test_accepted_documents(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, ""), err
+        assert json.loads(out)
 
     @settings(
         max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

@@ -151,6 +151,14 @@ class TestScenarioJson:
         with pytest.raises(ParameterError):
             scenario_from_json(doc)
 
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_reader_accepts_what_the_writer_emits(self, depth):
+        s = canonical_scenario(depth)
+        doc = scenario_to_json(s)
+        back = scenario_from_json(json.loads(json.dumps(doc)))
+        assert back == s
+        assert scenario_to_json(back) == doc
+
     def test_unknown_field_rejected(self):
         doc = scenario_to_json(default_scenario())
         doc["surprise"] = 1

@@ -70,6 +70,18 @@ class TestBuildScm:
         with pytest.raises(NormalizationError):
             build_scm(dag, {"A": 2}, {"A": [[float("nan"), 1.0]]})
 
+    @pytest.mark.parametrize("row", [[0.0, float("nan")], [float("inf"), 0.0], [float("-inf"), 1.0]])
+    def test_nan_or_infinite_cell_rejected(self, row):
+        # One range check on the table's min and max refuses these too.
+        dag = build_dag(["A"], [], [])
+        with pytest.raises(NormalizationError):
+            build_scm(dag, {"A": 2}, {"A": [row]})
+
+    def test_ragged_cpt_rejected(self):
+        dag = build_dag(["A", "B"], [("A", "B")], [])
+        with pytest.raises(ShapeError):
+            build_scm(dag, {"A": 2, "B": 2}, {"A": [[0.5, 0.5]], "B": [[1.0, 0.0], [1.0]]})
+
     def test_negative_probability(self):
         dag = build_dag(["A"], [], [])
         with pytest.raises(NormalizationError):
@@ -508,6 +520,22 @@ class TestJson:
     def test_malformed_document(self):
         with pytest.raises(ShapeError):
             scm_from_json({"card": {}})
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_reader_accepts_what_the_writer_emits(self, data):
+        dag = TEMPLATE_DAGS[data.draw(st.sampled_from(sorted(TEMPLATE_DAGS)), label="dag")]
+        card = {v: data.draw(st.integers(2, 3), label=f"card {v}") for v in dag.nodes}
+        scm = random_scm(dag, data.draw(st.integers(0, 10_000), label="seed"), card=card)
+        # Surgery keeps each node's row order, which the rebuilt graph may
+        # not share, so the writer emits a custom parent order.
+        cut = data.draw(st.lists(st.sampled_from(dag.nodes), unique=True, max_size=2), label="do")
+        scm = intervene(scm, {v: card[v] - 1 for v in cut})
+        doc = scm_to_json(scm)
+        back = scm_from_json(json.loads(json.dumps(doc)))
+        assert (back.dag, back.card, back.parents) == (scm.dag, scm.card, scm.parents)
+        assert all(np.array_equal(back.cpt[v], scm.cpt[v]) for v in dag.nodes)
+        assert scm_to_json(back) == doc
 
 
 @settings(max_examples=50, deadline=None)
