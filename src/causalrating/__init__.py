@@ -16,8 +16,6 @@ from .graph import (
     dag_to_json,
     mutilate,
     open_trail,
-    satisfies_backdoor,
-    satisfies_frontdoor,
     template,
 )
 from .scm import (

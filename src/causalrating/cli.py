@@ -91,20 +91,16 @@ def _load_graph(ref: str) -> Dag:
 
 
 def _load_model(path: str):
-    """Sniff a model file: road-risk scenario or serialized SCM.
+    """Sniff a model file: serialized SCM or road-risk scenario.
 
-    Returns (scm, scenario_or_none).  Scenario documents carry a
-    ``schema_version`` field; SCM documents carry ``cpt``.
+    Returns (scm, scenario_or_none).  A JSON object with ``cpt`` is read
+    as an SCM; any other document, as a scenario.
     """
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise _UsageError(f"{path}: expected a JSON object")
-    if "schema_version" in doc:
-        s = scenario_from_json(doc)
-        return build_scenario(s), s
-    if "cpt" in doc:
+    if isinstance(doc, dict) and "cpt" in doc:
         return scm_from_json(doc), None
-    raise _UsageError(f"{path}: neither a scenario nor an SCM document")
+    s = scenario_from_json(doc)
+    return build_scenario(s), s
 
 
 def _parse_do(items):
@@ -215,10 +211,9 @@ def _scenario_report(s: RoadRiskScenario) -> dict:
     _, pe = identify_effect(scm, query, "frontdoor", s.states)
     _, gt = identify_effect(scm, query, "oracle")
     ne = naive_effect(s, joint=j)
-    phyd_dev = max(float(np.abs(pe.table[k] - gt.table[k]).max()) for k in pe.table)
-    naive_tv = max(
-        0.5 * float(np.abs(ne.table[k] - gt.table[k]).sum()) for k in ne.table
-    )
+    # Each over the live cells of the estimate.
+    phyd_dev = float(np.abs(pe.probs - gt.probs)[pe.probs.any(axis=-1)].max())
+    naive_tv = 0.5 * float(np.abs(ne.probs - gt.probs).sum(axis=-1)[ne.probs.any(axis=-1)].max())
     verdict = noise_verdict(scm.dag, "Y_h", "Y_f", {"J_o", "D"})
     return {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -27,8 +27,6 @@ __all__ = [
     "d_separated",
     "open_trail",
     "mutilate",
-    "satisfies_backdoor",
-    "satisfies_frontdoor",
     "dag_to_json",
     "dag_from_json",
 ]
@@ -43,7 +41,9 @@ class Dag:
 
     ``latent`` flags nodes as unobserved.  It is advisory metadata here:
     graphical queries ignore it, adjustment code in :mod:`identify`
-    refuses latent adjustment sets.
+    refuses latent adjustment sets.  ``_parents`` lists each node's
+    parents in topological order, the default CPT row order of
+    :class:`~causalrating.scm.DiscreteScm`.
     """
 
     __slots__ = ("nodes", "edges", "latent", "_parents", "_children", "_order")
@@ -68,30 +68,33 @@ class Dag:
         if not latent <= node_set:
             raise UnknownNodeError("latent set references undeclared node")
 
-        parents = {n: [] for n in nodes}
         children = {n: [] for n in nodes}
+        indeg = dict.fromkeys(nodes, 0)
         for a, b in edge_list:
-            parents[b].append(a)
             children[a].append(b)
+            indeg[b] += 1
 
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", frozenset(edge_list))
         object.__setattr__(self, "latent", latent)
-        object.__setattr__(self, "_parents", {n: tuple(ps) for n, ps in parents.items()})
         object.__setattr__(self, "_children", {n: tuple(cs) for n, cs in children.items()})
-        object.__setattr__(self, "_order", self._toposort())
+        parents = {n: [] for n in nodes}
+        object.__setattr__(self, "_order", self._toposort(indeg, parents))
+        object.__setattr__(self, "_parents", {n: tuple(ps) for n, ps in parents.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Dag is immutable")
 
-    def _toposort(self):
-        indeg = {n: len(self._parents[n]) for n in self.nodes}
+    def _toposort(self, indeg, parents):
+        # Kahn's algorithm on the in-degrees; appending each placed node to
+        # its children's lists in ``parents`` leaves those in this order too.
         queue = deque(n for n in self.nodes if indeg[n] == 0)
         order = []
         while queue:
             n = queue.popleft()
             order.append(n)
             for c in self._children[n]:
+                parents[c].append(n)
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
@@ -243,12 +246,6 @@ def _drop_out_edges(dag: Dag, sources) -> Dag:
     return Dag(dag.nodes, edges, dag.latent)
 
 
-def satisfies_backdoor(dag: Dag, x: str, y: str, Z) -> bool:
-    """Pearl's back-door criterion for adjustment set ``Z`` on (x, y):
-    true iff :func:`open_backdoor_trail` finds no witness."""
-    return open_backdoor_trail(dag, x, y, Z) is None
-
-
 def open_backdoor_trail(dag: Dag, x: str, y: str, Z):
     """Why ``Z`` fails Pearl's back-door criterion for (x, y), or ``None``
     when it holds.
@@ -282,12 +279,6 @@ def _directed_paths_intercepted(dag: Dag, x: str, y: str, M) -> bool:
             seen.add(c)
             stack.append(c)
     return True
-
-
-def satisfies_frontdoor(dag: Dag, x: str, y: str, M) -> bool:
-    """Pearl's front-door criterion for mediator set ``M`` on (x, y):
-    true iff :func:`frontdoor_failure` finds no failed condition."""
-    return frontdoor_failure(dag, x, y, M) is None
 
 
 def frontdoor_failure(dag: Dag, x: str, y: str, M, strata=()):

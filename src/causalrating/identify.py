@@ -31,7 +31,6 @@ from .graph import (
     mutilate,
     open_backdoor_trail,
     open_trail,
-    satisfies_backdoor,
 )
 from .info import chain_decompositions
 from .scm import DiscreteScm, JointTable, _sum_to, _surgery, infer, scm_from_json
@@ -87,30 +86,45 @@ class EffectQuery:
 
 @dataclass(frozen=True)
 class EffectTable:
-    """Distributions over an outcome, per do-configuration and stratum."""
+    """Distributions over an outcome, per do-configuration and stratum.
+
+    ``probs`` has one axis per do-variable, then one per stratum
+    variable, each group in topological order, then the outcome.  A
+    (do, given) cell of zero mass holds zeros: it is dead, so
+    :meth:`dist` raises ``KeyError`` on it and :meth:`to_json` leaves it
+    out.
+    """
 
     outcome: str
-    outcome_card: int
     do_vars: tuple
     given_vars: tuple
-    table: dict  # (do_config, given_config) -> np.ndarray over outcome
+    probs: np.ndarray
+
+    @property
+    def outcome_card(self) -> int:
+        return self.probs.shape[-1]
 
     def dist(self, do_config, given_config=()) -> np.ndarray:
-        return self.table[(tuple(do_config), tuple(given_config))]
+        do_config, given_config = tuple(do_config), tuple(given_config)
+        key = do_config + given_config
+        if (
+            (len(do_config), len(given_config)) != (len(self.do_vars), len(self.given_vars))
+            or not all(0 <= k < n for k, n in zip(key, self.probs.shape))
+            or not self.probs[key].any()
+        ):
+            raise KeyError((do_config, given_config))
+        return self.probs[key]
 
     def to_json(self) -> dict:
+        live, n = self.probs.any(axis=-1), len(self.do_vars)
         return {
             "outcome": self.outcome,
             "outcome_card": int(self.outcome_card),
             "do_vars": list(self.do_vars),
             "given_vars": list(self.given_vars),
             "cells": [
-                {
-                    "do": list(do_cfg),
-                    "given": list(g_cfg),
-                    "distribution": [float(p) for p in dist],
-                }
-                for (do_cfg, g_cfg), dist in sorted(self.table.items())
+                {"do": cell[:n], "given": cell[n:], "distribution": dist}
+                for cell, dist in zip(np.argwhere(live).tolist(), self.probs[live].tolist())
             ],
         }
 
@@ -197,6 +211,13 @@ def _check_positivity(empty: np.ndarray, cell_at) -> None:
         raise PositivityViolation(f"P{cell} = 0", cell=cell)
 
 
+def _refuse_latent(dag: Dag, names, what: str) -> None:
+    """Raise :class:`LatentAdjustmentError` naming the latent ``names``."""
+    latent = dag.latent & set(names)
+    if latent:
+        raise LatentAdjustmentError(f"{what}: {sorted(latent)}")
+
+
 def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
     """Back-door adjustment: P(y | do(x=v)) = sum_z P(y|v,z) P(z).
 
@@ -207,14 +228,18 @@ def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
     names the first cell (v, z) with P(z) > 0 = P(v, z).
     """
     Z = frozenset(Z)
-    latent = dag.latent & (Z | set(j.vars))
-    if latent:
-        raise LatentAdjustmentError(f"latent nodes in joint or adjustment set: {sorted(latent)}")
+    _refuse_latent(dag, Z | set(j.vars), "latent nodes in joint or adjustment set")
     witness = open_backdoor_trail(dag, x, y, Z)
     if witness is not None:
         raise CriterionNotMet(
             f"back-door criterion fails for ({x}, {y}) given {sorted(Z)}", witness=witness
         )
+    return dict(enumerate(_backdoor(j, x, y, Z)))
+
+
+def _backdoor(j: JointTable, x: str, y: str, Z) -> np.ndarray:
+    """The core of :func:`backdoor_adjust`, over (x, y); it checks no
+    criterion."""
     z_vars = _ordered(j, Z)
     t = _layout(j, (x,), z_vars, (y,))
     pxz = t.sum(axis=2)
@@ -222,7 +247,7 @@ def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
     z_cfgs = _configs(j, z_vars)
     _check_positivity((pz > 0) & (pxz <= 0), lambda v, z: {x: v, **dict(zip(z_vars, z_cfgs[z]))})
     _divide((t, pxz[..., None]))
-    return dict(enumerate(np.einsum("z,xzy->xy", pz, t)))
+    return np.einsum("z,xzy->xy", pz, t)
 
 
 def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> dict:
@@ -245,14 +270,20 @@ def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> di
     cell in the order stratum, v, m, v'.  Returns a map from (x-value,
     given-configuration) to a distribution over y.
     """
-    M, latent = frozenset(M), dag.latent & set(j.vars)
-    if latent:
-        raise LatentAdjustmentError(f"joint table contains latent nodes: {sorted(latent)}")
+    M = frozenset(M)
+    _refuse_latent(dag, j.vars, "joint table contains latent nodes")
     failure = frontdoor_failure(dag, x, y, M, given)
     if failure is not None:
         raise CriterionNotMet(
             f"front-door criterion fails for ({x}, {y}) via {sorted(M)}", witness=failure
         )
+    est, g_cfgs = _frontdoor(j, x, y, M, given), _configs(j, _ordered(j, given))
+    return {(v, g_cfgs[g]): est[g, v] for g, v in np.argwhere(est.any(axis=-1)).tolist()}
+
+
+def _frontdoor(j: JointTable, x: str, y: str, M, given) -> np.ndarray:
+    """The core of :func:`frontdoor_adjust`, over (stratum, x, y) with
+    zeros in the strata of zero mass; it checks no criterion."""
     m_vars, g_vars = _ordered(j, M), _ordered(j, given)
     g_cfgs = _configs(j, g_vars)
     t = _layout(j, g_vars, (x,), m_vars, (y,))  # P(g, v, m, y)
@@ -273,8 +304,7 @@ def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> di
     _check_positivity(empty & live[:, None, None], cell_at)
     # In place, in this order: P(y | v', m, g), P(m | v, g), P(v' | g).
     _divide((t, pxm[..., None]), (pxm, px[..., None]), (px, pg[:, None]))
-    est = np.einsum("gam,gbmy,gb->gay", pxm, t, px)
-    return {(v, g_cfgs[g]): est[g, v] for g in np.flatnonzero(live) for v in range(px.shape[1])}
+    return np.einsum("gam,gbmy,gb->gay", pxm, t, px)
 
 
 def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool:
@@ -328,7 +358,9 @@ def identify_effect(
     inference over the do-variables, the strata and the outcome holds
     every do-configuration.  Each adjustment infers only the observed
     joint it reads.  Whatever the method, the answer costs one
-    inference.  Do-variables and strata come out in topological order.
+    inference, and each criterion is decided once: the estimate comes
+    from the adjusters' cores, which check nothing again.  Do-variables
+    and strata come out in topological order, as the axes of ``probs``.
     """
     if method not in IDENTIFY_METHODS:
         raise ParameterError(f"method must be one of {IDENTIFY_METHODS}, got {method!r}")
@@ -340,17 +372,11 @@ def identify_effect(
     do_vars = tuple(v for v in dag.topological_order if v in query.do)
     given = tuple(v for v in dag.topological_order if v in query.observed)
 
-    def effect(cells: dict) -> EffectTable:
-        return EffectTable(y, scm.card[y], do_vars, given, cells)
-
     if method == "oracle":
         cut = _surgery(scm, {v: np.full(scm.card[v], 1.0 / scm.card[v]) for v in do_vars})
         q = _layout(infer(cut, {*do_vars, *given, y}), *((v,) for v in do_vars + given), (y,))
-        mass, n = q.sum(axis=-1), len(do_vars)
-        cells = {}
-        for k in np.argwhere(mass > 0).tolist():
-            cells[(tuple(k[:n]), tuple(k[n:]))] = q[tuple(k)] / mass[tuple(k)]
-        return "oracle", effect(cells)
+        _divide((q, q.sum(axis=-1, keepdims=True)))
+        return "oracle", EffectTable(y, do_vars, given, q)
 
     if method in ("auto", "frontdoor"):
         for x in do_vars:
@@ -361,32 +387,35 @@ def identify_effect(
                 and _rule2_movable(dag, x, y, extra, query.observed)
             ):
                 continue
+            _refuse_latent(dag, {x, y, *M, *strata}, "joint table contains latent nodes")
             j = infer(scm, {x, y, *M, *strata})
-            s_vars = _ordered(j, strata)
-            cells = {}
-            for (xv, s_cfg), dist in frontdoor_adjust(j, dag, x, y, M, given=strata).items():
-                value = {x: xv, **dict(zip(s_vars, s_cfg))}
-                cells[(tuple(value[v] for v in do_vars), tuple(value[v] for v in given))] = dist
-            return "frontdoor", effect(cells)
+            # Split the core's stratum axis per variable; reorder to (do, given, y).
+            axes = [*_ordered(j, strata), x]
+            est = _frontdoor(j, x, y, M, strata).reshape([scm.card[v] for v in (*axes, y)])
+            est = est.transpose([axes.index(v) for v in do_vars + given] + [len(axes)])
+            return "frontdoor", EffectTable(y, do_vars, given, est)
         if method == "frontdoor":
             raise CriterionNotMet(
                 f"front-door criterion fails for do({', '.join(do_vars)}) on {y} via {sorted(M)}"
             )
 
+    witnesses = {}  # back-door set tried -> why it fails
     if method in ("auto", "backdoor") and len(do_vars) == 1 and not given:
         x = do_vars[0]
-        pre = {v for v in dag.nodes if v not in dag.latent and v not in (x, y)} - dag.descendants(x)
-        for Z in (adjust,) if adjust else (frozenset(), pre):
-            if satisfies_backdoor(dag, x, y, Z):
-                raw = backdoor_adjust(infer(scm, {x, y, *Z}), dag, x, y, Z)
-                return "backdoor", effect({((xv,), ()): dist for xv, dist in raw.items()})
+        pre = frozenset(v for v in dag.nodes if v not in dag.latent and v not in (x, y)) - dag.descendants(x)
+        for Z in dict.fromkeys((adjust,) if adjust else (frozenset(), pre)):
+            witnesses[Z] = open_backdoor_trail(dag, x, y, Z)
+            if witnesses[Z] is None:
+                _refuse_latent(dag, {x, y, *Z}, "latent nodes in joint or adjustment set")
+                est = _backdoor(infer(scm, {x, y, *Z}), x, y, Z)
+                return "backdoor", EffectTable(y, do_vars, given, est)
     if method == "backdoor":
         raise CriterionNotMet(
             f"no admissible back-door adjustment set for do({', '.join(do_vars)}) on {y}"
         )
     witness = None
     if len(do_vars) == 1 and not given:
-        witness = open_backdoor_trail(dag, do_vars[0], y, set())
+        witness = witnesses.get(frozenset()) or open_backdoor_trail(dag, do_vars[0], y, set())
     raise CriterionNotMet(
         f"effect of do({', '.join(do_vars)}) on {y} is not identifiable "
         "by the available criteria; an unblockable back-door trail remains",
@@ -406,10 +435,7 @@ def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> Eliminati
     observed = frozenset(observed)
     if candidate == outcome:
         raise OverlapError("candidate and outcome must differ")
-    if observed & dag.latent:
-        raise LatentAdjustmentError(
-            f"latent nodes in observed set: {sorted(observed & dag.latent)}"
-        )
+    _refuse_latent(dag, observed, "latent nodes in observed set")
     obs = ",".join(sorted(observed))
     if d_separated(dag, {candidate}, {outcome}, observed):
         return EliminationVerdict(

@@ -199,7 +199,7 @@ def _cpt_rows(dag: Dag, card: Mapping[str, int], node: str, dist_fn) -> np.ndarr
     Rows are mixed-radix over the parents in the default order of
     :class:`DiscreteScm`, most significant parent first.
     """
-    parents = DiscreteScm._topo_parents(dag, node)
+    parents = dag._parents[node]
     rows = [
         dist_fn(dict(zip(parents, cfg)))
         for cfg in itertools.product(*[range(card[p]) for p in parents])
@@ -341,12 +341,11 @@ def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> Eff
     ``observational_joint(s)``.
     """
     j = observational_joint(s) if joint is None else joint
-    table = {}
-    for jo in range(2):
-        for d in range(s.decision_card):
-            dist = marginal(condition(j, {"J_o": jo, "D": d}), {"Y_f"}).probs
-            table[((jo, d), ())] = dist
-    return EffectTable("Y_f", 2, ("J_o", "D"), (), table)
+    probs = [
+        [marginal(condition(j, {"J_o": jo, "D": d}), {"Y_f"}).probs for d in range(s.decision_card)]
+        for jo in range(2)
+    ]
+    return EffectTable("Y_f", ("J_o", "D"), (), np.array(probs))
 
 
 def chain_factorization_residual(scm: DiscreteScm) -> float:

@@ -145,14 +145,15 @@ class DiscreteScm:
         cpt: Mapping[str, np.ndarray],
         parents: Mapping[str, tuple] | None = None,
     ):
-        missing = set(dag.nodes) - set(card)
+        nodes = set(dag.nodes)
+        missing = nodes - set(card)
         if missing:
             raise ShapeError(f"card missing nodes: {sorted(missing)}")
-        missing = set(dag.nodes) - set(cpt)
+        missing = nodes - set(cpt)
         if missing:
             raise ShapeError(f"cpt missing nodes: {sorted(missing)}")
         for k in set(card) | set(cpt):
-            if k not in set(dag.nodes):
+            if k not in nodes:
                 raise UnknownNodeError(f"unknown node: {k!r}")
         card = {n: int(card[n]) for n in dag.nodes}
         porder = {}
@@ -164,16 +165,13 @@ class DiscreteScm:
                         f"parent order for {v} does not match the graph: {ps}"
                     )
             else:
-                ps = self._topo_parents(dag, v)
+                ps = dag._parents[v]
             porder[v] = ps
         tables = {}
         for v in dag.nodes:
             if card[v] < 2:
                 raise ShapeError(f"cardinality of {v} must be >= 2")
-            ps = porder[v]
-            n_rows = 1
-            for p in ps:
-                n_rows *= card[p]
+            n_rows = math.prod(card[p] for p in porder[v])
             try:
                 t = np.array(cpt[v], dtype=np.float64)
             except ValueError as exc:  # ragged rows or non-numeric entries
@@ -199,11 +197,6 @@ class DiscreteScm:
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteScm is immutable")
-
-    @staticmethod
-    def _topo_parents(dag: Dag, v: str) -> tuple:
-        order = {n: i for i, n in enumerate(dag.topological_order)}
-        return tuple(sorted(dag.parents(v), key=order.__getitem__))
 
     def parents_of(self, v: str) -> tuple:
         """Parents of ``v`` in CPT row order."""
@@ -585,10 +578,7 @@ def random_scm(dag: Dag, seed: int, card=2, concentration: float = 1.0) -> Discr
     rng = np.random.default_rng(seed)
     cpt = {}
     for v in dag.topological_order:
-        ps = DiscreteScm._topo_parents(dag, v)
-        n_rows = 1
-        for p in ps:
-            n_rows *= cards[p]
+        n_rows = math.prod(cards[p] for p in dag._parents[v])
         g = rng.gamma(concentration, size=(n_rows, cards[v]))
         g = np.maximum(g, 1e-12)
         cpt[v] = g / g.sum(axis=1, keepdims=True)
@@ -604,8 +594,7 @@ def scm_to_json(scm: DiscreteScm) -> dict:
     # The reader orders parents by the topological order of the graph it
     # rebuilds from sorted edges, which can break ties otherwise.
     reader = dag_from_json(doc["graph"])
-    default = {v: DiscreteScm._topo_parents(reader, v) for v in scm.dag.nodes}
-    if any(scm.parents[v] != default[v] for v in scm.dag.nodes):
+    if any(scm.parents[v] != reader._parents[v] for v in scm.dag.nodes):
         doc["parents"] = {v: list(scm.parents[v]) for v in scm.dag.nodes}
     return doc
 

@@ -200,14 +200,46 @@ def reference_oracle_effect(scm: DiscreteScm, query) -> EffectTable:
     do_vars = tuple(v for v in order if v in query.do)
     given = tuple(v for v in order if v in query.observed)
     y = query.outcome
-    cells = {}
+    probs = np.zeros([scm.card[v] for v in (*do_vars, *given, y)])
     for cfg in np.ndindex(*(scm.card[v] for v in do_vars)):
         j = infer(intervene(scm, dict(zip(do_vars, cfg))), {y, *given})
         for g in _configs(j, given):
             stratum = dict(zip(given, (int(c) for c in g)))
             if mass_of(j, stratum) > 0.0:
-                cells[(cfg, tuple(stratum.values()))] = marginal(condition(j, stratum), {y}).probs
-    return EffectTable(y, scm.card[y], do_vars, given, cells)
+                probs[cfg + tuple(stratum.values())] = marginal(condition(j, stratum), {y}).probs
+    return EffectTable(y, do_vars, given, probs)
+
+
+def reference_effect_json(t: EffectTable) -> dict:
+    """Serialisation oracle: the table as a dict of its live cells keyed
+    by (do_config, given_config), written in sorted key order."""
+    n = len(t.do_vars)
+    table = {}
+    for cell in np.ndindex(*t.probs.shape[:-1]):
+        if t.probs[cell].any():
+            table[(cell[:n], cell[n:])] = t.probs[cell]
+    return {
+        "outcome": t.outcome,
+        "outcome_card": int(t.probs.shape[-1]),
+        "do_vars": list(t.do_vars),
+        "given_vars": list(t.given_vars),
+        "cells": [
+            {
+                "do": list(do_cfg),
+                "given": list(g_cfg),
+                "distribution": [float(p) for p in dist],
+            }
+            for (do_cfg, g_cfg), dist in sorted(table.items())
+        ],
+    }
+
+
+def live_cells(t: EffectTable):
+    """(do_config, given_config, distribution) for each live cell of
+    ``t``, in row-major order."""
+    n = len(t.do_vars)
+    for cell in np.argwhere(t.probs.any(axis=-1)).tolist():
+        yield tuple(cell[:n]), tuple(cell[n:]), t.probs[tuple(cell)]
 
 
 def reference_conditional_mutual_information(j: JointTable, X, Y, Z) -> float:

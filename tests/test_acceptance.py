@@ -45,7 +45,7 @@ from causalrating import (
 )
 from causalrating.cli import main as cli_main
 
-from helpers import TEMPLATE_DAGS, random_joint, reference_chain_factorization_residual
+from helpers import TEMPLATE_DAGS, live_cells, random_joint, reference_chain_factorization_residual
 
 
 def _verdict(num: int, title: str, failures: list):
@@ -203,7 +203,7 @@ class TestAcceptance:
         gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
         ne = naive_effect(s)
         worst = max(
-            0.5 * float(np.abs(ne.table[k] - gt.table[k]).sum()) for k in ne.table
+            0.5 * float(np.abs(dist - gt.dist(cfg, g)).sum()) for cfg, g, dist in live_cells(ne)
         )
         if worst <= 0.005:
             failures.append(("scenario naive tv", worst))
@@ -232,8 +232,8 @@ class TestAcceptance:
             s, EffectQuery("Y_f", frozenset({"J_o", "D"}), frozenset({"Y_h"}))
         )
         plain = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
-        for (cfg, g), dist in strat.table.items():
-            dev = float(np.abs(dist - plain.table[(cfg, ())]).max())
+        for cfg, g, dist in live_cells(strat):
+            dev = float(np.abs(dist - plain.dist(cfg)).max())
             if dev >= 1e-9:
                 failures.append((cfg, g, dev))
         mi = mutual_information(observational_joint(s), {"Y_h"}, {"Y_f"})
@@ -249,17 +249,17 @@ class TestAcceptance:
         s = default_scenario()
         gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
         pe = phyd_effect(s)
-        for k in pe.table:
-            dev = float(np.abs(pe.table[k] - gt.table[k]).max())
+        for cfg, g, dist in live_cells(pe):
+            dev = float(np.abs(dist - gt.dist(cfg, g)).max())
             if dev >= 1e-9:
-                failures.append(("exact", k, dev))
+                failures.append(("exact", (cfg, g), dev))
         ds = simulate_journeys(s, 100_000, seed=17)
         j = empirical_joint(ds, ("Y_h", "J_o", "D", *s.states, "Y_f"))
         raw = frontdoor_adjust(
             j, scenario_dag(s), "D", "Y_f", set(s.states), given={"J_o"}
         )
         for (d, g), dist in raw.items():
-            tv = 0.5 * float(np.abs(dist - gt.table[((g[0], d), ())]).sum())
+            tv = 0.5 * float(np.abs(dist - gt.dist((g[0], d))).sum())
             if tv >= 0.02:
                 failures.append(("empirical", d, g, tv))
         _verdict(9, "behavior-based effect exact and stable under sampling", failures)

@@ -29,6 +29,21 @@ GOLDEN_DEPTH12 = pathlib.Path(__file__).resolve().parent / "data" / "evaluate_de
 IDENTIFY_GOLDEN_DEPTH7 = pathlib.Path(__file__).resolve().parent / "data" / "identify_depth7.json"
 # ``report`` outputs taken while it still read the full observable joint.
 REPORT_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "report_golden.json"
+# ``identify`` with strata, a dead stratum and pinned values, taken while
+# effect tables were dicts of cells: case -> (model, arguments).
+IDENTIFY_GOLDEN_STRATA = pathlib.Path(__file__).resolve().parent / "data" / "identify_strata.json"
+IDENTIFY_STRATA_CASES = {
+    "given-auto": ("default", ["--given", "Y_h"]),
+    "given-oracle": ("default", ["--given", "Y_h", "--method", "oracle"]),
+    "dead-stratum-auto": ("dead-stratum", ["--given", "Y_h"]),
+    "dead-stratum-oracle": ("dead-stratum", ["--given", "Y_h", "--method", "oracle"]),
+    "pinned": ("default", ["--do", "J_o=1", "D"]),
+    "mediated-given": ("mediated", ["--do", "X_c", "--outcome", "Y_f", "--mediators", "Z", "--given", "Y_h"]),
+    "mediated-pinned-oracle": (
+        "mediated", ["--do", "X_c=1", "--outcome", "Y_f", "--method", "oracle", "--given", "Y_h"]
+    ),
+    "depth7-traffic": ("depth7", ["--given", "T_0", "T_1"]),
+}
 
 
 def run(capsys, *argv):
@@ -89,6 +104,17 @@ def canonical_path(depth: int, tmp_path) -> str:
     path = tmp_path / f"depth{depth}.json"
     path.write_text(json.dumps(scenario_to_json(canonical_scenario(depth))))
     return str(path)
+
+
+def strata_model_path(name: str, tmp_path) -> str:
+    """The model file of an ``IDENTIFY_STRATA_CASES`` case."""
+    if name == "dead-stratum":
+        # No driver has the third claim-history value.
+        doc = {**json.loads(pathlib.Path(SCENARIO).read_text()), "y_h_prior": [0.7, 0.3, 0.0]}
+        path = tmp_path / "dead_stratum.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+    return {"default": SCENARIO, "mediated": MEDIATED}.get(name) or canonical_path(7, tmp_path)
 
 
 def golden_scenario_path(name: str, tmp_path) -> str:
@@ -189,6 +215,13 @@ class TestIdentify:
         code, out, _ = run(capsys, "identify", canonical_path(7, tmp_path), "--method", method)
         assert code == 0
         assert approx_equal(json.loads(out), json.loads(IDENTIFY_GOLDEN_DEPTH7.read_text())[method])
+
+    @pytest.mark.parametrize("case", sorted(IDENTIFY_STRATA_CASES))
+    def test_matches_strata_golden(self, capsys, tmp_path, case):
+        model, args = IDENTIFY_STRATA_CASES[case]
+        code, out, _ = run(capsys, "identify", strata_model_path(model, tmp_path), *args)
+        assert code == 0
+        assert approx_equal(json.loads(out), json.loads(IDENTIFY_GOLDEN_STRATA.read_text())[case])
 
     def test_positivity_violation_exit_3_names_cell(self, capsys, tmp_path):
         doc = json.loads(pathlib.Path(MEDIATED).read_text())
@@ -941,6 +974,15 @@ class TestMalformedDocuments:
                 "scenario": ["evaluate", str(path)]}[kind]
         assert run(capsys, *argv) == (2, "", f"error: {want}\n")
 
+    @pytest.mark.parametrize("command", ["evaluate", "report", "identify"])
+    def test_misspelled_scenario_version_named_by_every_reader(self, capsys, tmp_path, command):
+        # report and identify once took this for neither a scenario nor an SCM.
+        doc = _misspelled(_valid_document("scenario"), (), "schema_version", "Schema_version")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        want = "error: ParameterError: scenario.Schema_version: unknown field\n"
+        assert run(capsys, command, str(path)) == (2, "", want)
+
     def test_integer_literal_too_long_to_read(self, capsys, tmp_path):
         # More digits than Python's int-string limit: json.load itself
         # raises a ValueError, which once escaped as a traceback.
@@ -975,6 +1017,50 @@ class TestMalformedDocuments:
     @given(doc=malformed_documents())
     def test_fuzzed_documents(self, capsys, doc):
         self._assert_exit_2_everywhere(capsys, doc)
+
+
+class TestDecisionCounts:
+    """Each identification criterion is decided once per request."""
+
+    @staticmethod
+    def _count(monkeypatch, argv) -> tuple:
+        from causalrating import graph, identify
+
+        counts = dict.fromkeys(["Dag", "frontdoor_failure", "open_trail"], 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("frontdoor_failure", "open_trail"):
+            wrapped = counting(name, getattr(graph, name))
+            monkeypatch.setattr(graph, name, wrapped)
+            monkeypatch.setattr(identify, name, wrapped)
+        monkeypatch.setattr(graph.Dag, "__init__", counting("Dag", graph.Dag.__init__))
+        code = main(argv)
+        return code, counts
+
+    def test_evaluate_checks_the_frontdoor_once(self, capsys, monkeypatch):
+        code, counts = self._count(monkeypatch, ["evaluate", SCENARIO])
+        assert code == 0
+        # One failure at J_o (D descends from it), one pass at D; the
+        # scenario graph, the two front-door cuts, the two Rule-2 cuts
+        # and the surgery.
+        assert (counts["frontdoor_failure"], counts["Dag"]) == (2, 6)
+
+    def test_backdoor_searched_once(self, capsys, monkeypatch):
+        code, counts = self._count(monkeypatch, ["identify", MEDIATED, "--do", "Y_h", "--outcome", "Y_f"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["method"] == "backdoor"
+        assert counts["open_trail"] == 1
+
+    def test_refusal_reuses_the_empty_set_witness(self, capsys, monkeypatch):
+        code, counts = self._count(monkeypatch, ["identify", CONFOUNDED, "--do", "X_c", "--outcome", "Y_f"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"]["witness"] == ["X_c", "U", "Y_f"]
+        # The empty set, then every observed non-descendant of X_c.
+        assert counts["open_trail"] == 2
 
 
 class TestUsage:

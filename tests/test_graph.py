@@ -21,15 +21,29 @@ from causalrating import (
     mutilate,
     noise_verdict,
     open_trail,
-    satisfies_backdoor,
-    satisfies_frontdoor,
+    random_scm,
     template,
 )
-from causalrating.graph import frontdoor_failure
+from causalrating.graph import frontdoor_failure, open_backdoor_trail
 from helpers import open_trail_problem, random_dag, reference_open_trail
 
 
 class TestBuildDag:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10_000), size=st.integers(1, 8), data=st.data())
+    def test_default_parent_order_is_topological(self, seed, size, data):
+        # The default CPT row order of a model: each node's parents sorted
+        # by their position in the topological order, whatever the order
+        # the nodes and edges were listed in.
+        base = random_dag(seed, size)
+        nodes = data.draw(st.permutations(base.nodes), label="nodes")
+        edges = data.draw(st.permutations(sorted(base.edges)), label="edges")
+        dag = build_dag(nodes, edges, [])
+        scm = random_scm(dag, 0)
+        for v in dag.nodes:
+            want = tuple(sorted(dag.parents(v), key=dag.topological_order.index))
+            assert scm.parents_of(v) == want
+
     def test_two_node_chain(self):
         dag = build_dag(["A", "B"], [("A", "B")], [])
         assert dag.topological_order == ("A", "B")
@@ -190,14 +204,14 @@ class TestMutilate:
 
 class TestBackdoor:
     def test_no_parents_trivially_satisfied(self):
-        assert satisfies_backdoor(template("Fig1c"), "X_c", "Y_f", set())
+        assert open_backdoor_trail(template("Fig1c"), "X_c", "Y_f", set()) is None
 
     def test_open_confounder_trail_fails(self):
-        assert not satisfies_backdoor(template("Fig2b"), "X_c", "Y_f", set())
+        assert open_backdoor_trail(template("Fig2b"), "X_c", "Y_f", set()) is not None
 
     def test_descendant_in_z_rejected(self):
         dag = build_dag(["X", "M", "Y"], [("X", "M"), ("M", "Y")], [])
-        assert not satisfies_backdoor(dag, "X", "Y", {"M"})
+        assert open_backdoor_trail(dag, "X", "Y", {"M"}) is not None
 
     def test_agrees_with_trail_enumeration(self, template_dags):
         import itertools
@@ -210,7 +224,7 @@ class TestBackdoor:
                 rest = [v for v in nodes if v not in (x, y)]
                 for r in range(min(3, len(rest)) + 1):
                     for z in itertools.combinations(rest, r):
-                        got = satisfies_backdoor(dag, x, y, set(z))
+                        got = open_backdoor_trail(dag, x, y, set(z)) is None
                         bad_z = set(z) & dag.descendants(x)
                         cut = _drop_out_edges(dag, {x})
                         want = not bad_z and (
@@ -221,19 +235,19 @@ class TestBackdoor:
 
 class TestFrontdoor:
     def test_designed_mediator(self):
-        assert satisfies_frontdoor(template("Fig3"), "X_c", "Y_f", {"Z"})
+        assert frontdoor_failure(template("Fig3"), "X_c", "Y_f", {"Z"}) is None
 
     def test_canonical_graph_all_depths(self):
         for depth in range(1, 5):
             dag = template("Fig6Canonical", depth)
             M = {f"S_{i}" for i in range(depth + 1)}
-            assert satisfies_frontdoor(dag, "D", "Y_f", M)
+            assert frontdoor_failure(dag, "D", "Y_f", M) is None
 
     def test_non_intercepting_mediator_fails(self):
-        assert not satisfies_frontdoor(template("Fig2b"), "X_c", "Y_f", {"Y_h"})
+        assert frontdoor_failure(template("Fig2b"), "X_c", "Y_f", {"Y_h"}) is not None
 
     def test_empty_mediator_rejected(self):
-        assert not satisfies_frontdoor(template("Fig2b"), "X_c", "Y_f", set())
+        assert frontdoor_failure(template("Fig2b"), "X_c", "Y_f", set()) is not None
 
     @pytest.mark.parametrize(
         "dag, x, M, strata, want",

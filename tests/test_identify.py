@@ -1,6 +1,8 @@
 """Adjustment estimators, verdicts and capacity comparisons."""
 
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from causalrating import (
     UNIDENTIFIABLE,
     CriterionNotMet,
     EffectQuery,
+    EffectTable,
     LatentAdjustmentError,
     NumericalConsistencyError,
     OverlapError,
@@ -36,18 +39,19 @@ from causalrating import (
     random_scm,
     rating_comparison,
     rule1_deletion_check,
-    satisfies_backdoor,
     template,
 )
 from causalrating.errors import ParameterError, UnknownVariable
 from causalrating.graph import frontdoor_failure, open_backdoor_trail
 from helpers import (
     TEMPLATE_DAGS,
+    live_cells,
     open_trail_problem,
     random_dag,
     reference_backdoor_adjust,
     reference_conditional_mutual_information,
     reference_confounding_gap,
+    reference_effect_json,
     reference_frontdoor_adjust,
     reference_oracle_effect,
     reference_rating_comparison,
@@ -97,7 +101,7 @@ class TestBackdoorAdjust:
         # The back-door criterion holds for both, so without this check
         # the joint's latent node would be read as if it were observed.
         scm = example()
-        assert satisfies_backdoor(scm.dag, x, y, set())
+        assert open_backdoor_trail(scm.dag, x, y, set()) is None
         with pytest.raises(LatentAdjustmentError, match="'U'"):
             backdoor_adjust(infer(scm, {x, y}), scm.dag, x, y, set())
 
@@ -387,6 +391,31 @@ class TestRatingComparison:
             assert abs(r.augmented_bms - (r.phyd_major + r.phyd_minor)) < 1e-9
 
 
+class TestEffectTable:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_to_json_matches_cell_dict(self, data):
+        n_do, n_given = data.draw(st.integers(0, 2), label="do"), data.draw(st.integers(0, 2), label="given")
+        shape = data.draw(st.lists(st.integers(1, 3), min_size=n_do + n_given + 1, max_size=n_do + n_given + 1))
+        value = st.sampled_from([0.0, 1e-05, 5e-324, 0.1, 1 / 3, 1.0]) | st.floats(0.0, 1.0)
+        size = math.prod(shape)
+        probs = np.array(data.draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+        dead = data.draw(st.lists(st.booleans(), min_size=size // shape[-1], max_size=size // shape[-1]))
+        probs[np.reshape(dead, shape[:-1])] = 0.0
+        names = ["A", "B", "C", "D"]
+        t = EffectTable("Y", tuple(names[:n_do]), tuple(names[n_do : n_do + n_given]), probs)
+        assert json.dumps(t.to_json()) == json.dumps(reference_effect_json(t))
+
+    def test_dist_of_a_dead_or_missing_cell_raises_key_error(self):
+        probs = np.zeros((2, 2, 2))
+        probs[0, 1] = [0.25, 0.75]
+        t = EffectTable("Y", ("X",), ("G",), probs)
+        assert list(t.dist((0,), (1,))) == [0.25, 0.75]
+        for do, g in [((0,), (0,)), ((2,), (0,)), ((-1,), (1,)), ((0, 1), ()), ((0,), ())]:
+            with pytest.raises(KeyError):
+                t.dist(do, g)
+
+
 class TestEffectQuery:
     def test_disjointness_enforced(self):
         with pytest.raises(OverlapError):
@@ -403,9 +432,9 @@ class TestEffectQuery:
 
 def assert_same_cells(got, want):
     assert (got.do_vars, got.given_vars) == (want.do_vars, want.given_vars)
-    assert got.table.keys() == want.table.keys()
-    for key, dist in want.table.items():
-        assert np.abs(got.table[key] - dist).max() < 1e-9
+    assert [c[:2] for c in live_cells(got)] == [c[:2] for c in live_cells(want)]
+    for cfg, g, dist in live_cells(want):
+        assert np.abs(got.dist(cfg, g) - dist).max() < 1e-9
 
 
 # Graphs on which X -> M -> Y meets the front-door criterion, but within
@@ -484,6 +513,19 @@ class TestIdentifyEffect:
         assert method in ("frontdoor", "backdoor")
         assert_same_cells(got, identify_effect(scm, q, "oracle")[1])
 
+    @pytest.mark.parametrize("role", ["stratum", "mediator"])
+    def test_frontdoor_refuses_a_latent_node(self, role):
+        # The criterion holds on both graphs: only the latent check stops
+        # the estimate from reading U.
+        if role == "stratum":
+            scm, q, M = confounded_mediation_example(), EffectQuery("Y_f", {"X_c"}, {"U"}), {"Z"}
+        else:
+            dag = build_dag(["X", "U", "Y"], [("X", "U"), ("U", "Y")], ["U"])
+            scm, q, M = random_scm(dag, 0), EffectQuery("Y", {"X"}), {"U"}
+        assert frontdoor_failure(scm.dag, next(iter(q.do)), q.outcome, M, q.observed) is None
+        with pytest.raises(LatentAdjustmentError, match="'U'"):
+            identify_effect(scm, q, "auto", M)
+
     def test_frontdoor_with_rule2_do_variable_and_stratum(self):
         dag = template("Fig6Canonical", 2)
         q = EffectQuery("Y_f", {"D", "J_o"}, {"Y_h"})
@@ -492,7 +534,7 @@ class TestIdentifyEffect:
             method, got = identify_effect(scm, q, "auto", {"S_0", "S_1", "S_2"})
             assert method == "frontdoor"
             assert (got.do_vars, got.given_vars) == (("J_o", "D"), ("Y_h",))
-            assert len(got.table) == 2 * 3 * 2
+            assert len(list(live_cells(got))) == 2 * 3 * 2
             assert_same_cells(got, identify_effect(scm, q, "oracle")[1])
 
     @pytest.mark.parametrize("case", sorted(BROKEN_STRATA))
@@ -523,7 +565,7 @@ class TestIdentifyEffect:
                 tuple(value[v] for v in oracle.do_vars),
                 tuple(value[v] for v in oracle.given_vars),
             )
-            dev = max(dev, float(np.abs(dist - oracle.table[key]).max()))
+            dev = max(dev, float(np.abs(dist - oracle.dist(*key)).max()))
         assert dev > 1e-4
 
     def test_mediator_as_stratum_rejected(self):
@@ -671,7 +713,7 @@ class TestArrayEstimators:
         x, y = data.draw(st.permutations(dag.nodes), label="x, y")[:2]
         pool = sorted(set(dag.nodes) - {x, y} - dag.descendants(x) - dag.latent)
         Z = data.draw(st.sets(st.sampled_from(pool)) if pool else st.just(set()), label="Z")
-        if not satisfies_backdoor(dag, x, y, Z):
+        if open_backdoor_trail(dag, x, y, Z) is not None:
             return
         j = infer(draw_scm(data, dag), set(dag.nodes) - dag.latent)
         compare_with_loop(
@@ -691,9 +733,9 @@ class TestArrayEstimators:
         got = identify_effect(scm, q, "oracle")[1]
         want = reference_oracle_effect(scm, q)
         assert (got.do_vars, got.given_vars) == (want.do_vars, want.given_vars)
-        assert list(got.table) == list(want.table)
-        for key, dist in want.table.items():
-            assert np.abs(got.table[key] - dist).max() <= 1e-12
+        assert [c[:2] for c in live_cells(got)] == [c[:2] for c in live_cells(want)]
+        for cfg, g, dist in live_cells(want):
+            assert np.abs(got.dist(cfg, g) - dist).max() <= 1e-12
 
     def test_zero_mass_strata_and_positivity_cells_are_reached(self):
         # Sparse models on the canonical graph give all three outcomes:

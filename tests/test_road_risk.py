@@ -28,7 +28,6 @@ from causalrating import (
     noise_verdict,
     observational_joint,
     phyd_effect,
-    satisfies_frontdoor,
     scenario_dag,
     scenario_from_json,
     scenario_to_json,
@@ -37,7 +36,8 @@ from causalrating import (
 )
 from causalrating.errors import ParameterError
 from causalrating import empirical_joint, frontdoor_adjust, random_scm
-from helpers import reference_chain_factorization_residual
+from causalrating.graph import frontdoor_failure
+from helpers import live_cells, reference_chain_factorization_residual
 
 THRESHOLDS = (4.0, 2.0, 0.5)
 
@@ -175,7 +175,7 @@ class TestBuildScenario:
 
     def test_frontdoor_criterion_holds(self):
         s = default_scenario()
-        assert satisfies_frontdoor(scenario_dag(s), "D", "Y_f", set(s.states))
+        assert frontdoor_failure(scenario_dag(s), "D", "Y_f", set(s.states)) is None
 
     def test_flat_escalation_is_decision_independent(self):
         s = canonical_scenario(1)
@@ -200,8 +200,8 @@ class TestBuildScenario:
         s = null_confounder(default_scenario())
         gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
         ne = naive_effect(s)
-        for k in ne.table:
-            assert np.abs(ne.table[k] - gt.table[k]).max() < 1e-9
+        for cfg, g, dist in live_cells(ne):
+            assert np.abs(dist - gt.dist(cfg, g)).max() < 1e-9
 
 
 class TestMarkovConsistency:
@@ -284,24 +284,24 @@ class TestGroundTruth:
     def test_zero_mass_strata_skipped(self):
         # S_0 is a point mass at 0, so only its 0 stratum has cells.
         gt = ground_truth_effect(default_scenario(), EffectQuery("Y_f", {"D"}, {"S_0"}))
-        assert sorted(gt.table) == [((d,), (0,)) for d in range(3)]
+        assert [(cfg, g) for cfg, g, _ in live_cells(gt)] == [((d,), (0,)) for d in range(3)]
 
     def test_staying_home_is_safe(self):
         gt = ground_truth_effect(default_scenario(), EffectQuery("Y_f", {"J_o"}))
-        assert np.allclose(gt.table[((0,), ())], [1.0, 0.0])
+        assert np.allclose(gt.dist((0,)), [1.0, 0.0])
 
     def test_aggression_raises_risk(self):
         gt = ground_truth_effect(
             default_scenario(), EffectQuery("Y_f", frozenset({"J_o", "D"}))
         )
-        acc = [float(gt.table[((1, d), ())][1]) for d in range(3)]
+        acc = [float(gt.dist((1, d))[1]) for d in range(3)]
         assert acc[0] < acc[1] < acc[2]
 
     def test_null_confounder_oracle_equals_conditioning(self):
         s = null_confounder(default_scenario())
         j = observational_joint(s)
         gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
-        for (cfg, _), dist in gt.table.items():
+        for cfg, _, dist in live_cells(gt):
             want = marginal(
                 condition(j, {"J_o": cfg[0], "D": cfg[1]}), {"Y_f"}
             ).probs
@@ -313,29 +313,29 @@ class TestPhydEffect:
         s = default_scenario()
         pe = phyd_effect(s)
         gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
-        for k in pe.table:
-            assert np.abs(pe.table[k] - gt.table[k]).max() < 1e-9
+        for cfg, g, dist in live_cells(pe):
+            assert np.abs(dist - gt.dist(cfg, g)).max() < 1e-9
 
     def test_naive_estimate_biased(self):
         s = default_scenario()
         ne = naive_effect(s)
         gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
         worst = max(
-            0.5 * float(np.abs(ne.table[k] - gt.table[k]).sum()) for k in ne.table
+            0.5 * float(np.abs(dist - gt.dist(cfg, g)).sum()) for cfg, g, dist in live_cells(ne)
         )
         assert worst > 0.005
 
     def test_columns_normalized(self):
         pe = phyd_effect(default_scenario())
-        for dist in pe.table.values():
+        for _, _, dist in live_cells(pe):
             assert abs(float(dist.sum()) - 1.0) < 1e-9
 
     def test_null_confounder_equals_naive(self):
         s = null_confounder(default_scenario())
         pe = phyd_effect(s)
         ne = naive_effect(s)
-        for k in pe.table:
-            assert np.abs(pe.table[k] - ne.table[k]).max() < 1e-9
+        for cfg, g, dist in live_cells(pe):
+            assert np.abs(dist - ne.dist(cfg, g)).max() < 1e-9
 
     def test_effect_table_json(self):
         doc = phyd_effect(default_scenario()).to_json()
@@ -424,8 +424,8 @@ class TestDeprecationHeadline:
         q = EffectQuery("Y_f", frozenset({"J_o", "D"}), frozenset({"Y_h"}))
         strat = ground_truth_effect(s, q)
         plain = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
-        for (cfg, g), dist in strat.table.items():
-            assert np.abs(dist - plain.table[(cfg, ())]).max() < 1e-9
+        for cfg, g, dist in live_cells(strat):
+            assert np.abs(dist - plain.dist(cfg)).max() < 1e-9
         j = observational_joint(s)
         assert mutual_information(j, {"Y_h"}, {"Y_f"}) > 0.001
 
@@ -446,5 +446,5 @@ class TestEmpiricalPlugIn:
         )
         gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
         for (d, g), dist in raw.items():
-            oracle = gt.table[((g[0], d), ())]
+            oracle = gt.dist((g[0], d))
             assert 0.5 * float(np.abs(dist - oracle).sum()) < 0.02
