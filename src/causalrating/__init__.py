@@ -10,7 +10,6 @@ from .errors import *  # noqa: F401,F403
 from .graph import (
     Dag,
     TEMPLATE_IDS,
-    build_dag,
     d_separated,
     dag_from_json,
     dag_to_json,
@@ -22,7 +21,6 @@ from .scm import (
     Dataset,
     DiscreteScm,
     JointTable,
-    build_scm,
     condition,
     dataset_to_csv,
     do_distribution,

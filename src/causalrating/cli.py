@@ -35,10 +35,10 @@ from .road_risk import (
     chain_factorization_residual,
     markov_consistency,
     naive_effect,
-    _mask_stay_home,
     scenario_from_json,
+    _journey_blocks,
 )
-from .scm import _csv_bytes, infer, sample, scm_from_json
+from .scm import _csv_bytes, infer, scm_from_json
 
 REPORT_SCHEMA_VERSION = 1
 SEED_ENV_VAR = "CAUSALRATING_SEED"
@@ -127,7 +127,7 @@ def cmd_templates(args) -> int:
     if args.name is None:
         _emit({"templates": sorted(TEMPLATE_IDS)}, args.out)
         return 0
-    dag = template(args.name, args.depth)
+    dag = template(args.name)
     _emit(dag_to_json(dag), args.out)
     return 0
 
@@ -179,16 +179,12 @@ def cmd_simulate(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
-    scm = build_scenario(s)
     claims = np.zeros(2, dtype=np.int64)
     try:
         with open(args.out, "wb") as fh:
-            for start in range(0, args.n, SIMULATE_BLOCK_ROWS):
-                block = sample(scm, min(SIMULATE_BLOCK_ROWS, args.n - start), seed, start=start)
-                rows = np.array(block.rows)
-                _mask_stay_home(s, block.vars, rows)
-                fh.write(_csv_bytes(rows, block.vars if start == 0 else ()))
-                claims += np.bincount(rows[:, block.vars.index("Y_f")], minlength=2)
+            for i, block in enumerate(_journey_blocks(s, args.n, seed, SIMULATE_BLOCK_ROWS)):
+                fh.write(_csv_bytes(block.rows, () if i else block.vars))
+                claims += np.bincount(block.column("Y_f"), minlength=2)
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}")
     summary = {
@@ -276,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("templates", help="list built-in graphs or print one")
     t.add_argument("name", nargs="?", help="template id, e.g. Fig1d or Fig6Canonical(2)")
-    t.add_argument("--depth", type=int, default=None, help="chain depth for parametric templates")
     t.add_argument("--out", default=None)
     t.set_defaults(fn=cmd_templates)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import reprlib
 import sys
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     CycleError,
@@ -21,7 +21,6 @@ from .errors import (
 
 __all__ = [
     "Dag",
-    "build_dag",
     "template",
     "TEMPLATE_IDS",
     "d_separated",
@@ -154,11 +153,6 @@ class Dag:
 
     def __repr__(self):
         return f"Dag(nodes={list(self.nodes)}, edges={sorted(self.edges)}, latent={sorted(self.latent)})"
-
-
-def build_dag(nodes: Iterable[str], edges: Iterable, latent: Iterable[str] = ()) -> Dag:
-    """Validate and construct a :class:`Dag`."""
-    return Dag(nodes, edges, latent)
 
 
 def _check_sets(dag: Dag, *sets):

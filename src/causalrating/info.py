@@ -7,7 +7,7 @@ computations; estimation from samples happens by composing
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class ChainDecomposition:
     i_b_y_given_a: float
     i_b_y: float
     i_a_y_given_b: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def chain_decompositions(j: JointTable, A, B, Y) -> ChainDecomposition:

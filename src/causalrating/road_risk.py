@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NegativeTta, ParameterError
+from .errors import NegativeTta, ParameterError, ValueOutOfRange
 from .graph import Dag, _read_json
 from .identify import EffectQuery, EffectTable, identify_effect
 from .info import conditional_mutual_information
@@ -289,26 +289,35 @@ def markov_consistency(scm: DiscreteScm) -> float:
     return worst
 
 
-def _mask_stay_home(s: RoadRiskScenario, vars: tuple, rows: np.ndarray) -> None:
-    """Set the peril states of every ``J_o = 0`` row to 0, in place."""
-    journey = rows[:, vars.index("J_o")]  # 0 or 1
-    for st in s.states:
-        rows[:, vars.index(st)] *= journey
+def _journey_blocks(s: RoadRiskScenario, n: int, seed: int, block_rows: int):
+    """Journey records ``0..n-1`` of the scenario, as one :class:`Dataset`
+    per block of at most ``block_rows`` rows.
+
+    Each block is drawn on its own (:func:`_sample_rows`), so the rows
+    are those of one large draw.  Rows with ``J_o = 0`` describe a
+    journey that never happened: their peril-state columns are set to
+    the all-safe trajectory in place (the sampled values are
+    counterfactual style potentials, not realized states).  ``Y_f``
+    needs no masking; the model gates it on ``J_o``.
+    """
+    if n < 1:
+        raise ValueOutOfRange("n must be >= 1")
+    scm = build_scenario(s)
+    order = scm.dag.topological_order
+    cards = tuple(scm.card[v] for v in order)
+    journey, states = order.index("J_o"), [order.index(st) for st in s.states]
+    for start in range(0, n, block_rows):
+        rows = _sample_rows(scm, min(block_rows, n - start), seed, start=start)
+        for k in states:
+            rows[:, k] *= rows[:, journey]  # J_o is 0 or 1
+        yield Dataset(order, cards, rows, seed)
 
 
 def simulate_journeys(s: RoadRiskScenario, n: int, seed: int) -> Dataset:
-    """Ancestral sampling of the scenario, one journey record per row.
-
-    Rows with ``J_o = 0`` describe a journey that never happened: their
-    peril-state columns are reported as the all-safe trajectory (the
-    sampled values are counterfactual style potentials, not realized
-    states).  ``Y_f`` needs no masking; the model gates it on ``J_o``.
-    """
-    scm = build_scenario(s)
-    order = scm.dag.topological_order
-    rows = _sample_rows(scm, n, seed)
-    _mask_stay_home(s, order, rows)
-    return Dataset(order, tuple(scm.card[v] for v in order), rows, seed)
+    """Ancestral sampling of the scenario, one journey record per row,
+    with the peril states of stay-home rows masked (see
+    :func:`_journey_blocks`)."""
+    return next(_journey_blocks(s, n, seed, n))
 
 
 def ground_truth_effect(s: RoadRiskScenario, q: EffectQuery) -> EffectTable:
@@ -337,10 +346,10 @@ def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> Eff
     """Conditioning-based estimate P(Y_f | J_o, D), for bias comparison.
 
     ``joint``, when given, may be any joint of ``build_scenario(s)`` that
-    holds ``J_o``, ``D`` and ``Y_f``; the default is
-    ``observational_joint(s)``.
+    holds ``J_o``, ``D`` and ``Y_f``; the default infers the joint of
+    those three alone, whose size does not grow with the depth.
     """
-    j = observational_joint(s) if joint is None else joint
+    j = infer(build_scenario(s), {"J_o", "D", "Y_f"}) if joint is None else joint
     probs = [
         [marginal(condition(j, {"J_o": jo, "D": d}), {"Y_f"}).probs for d in range(s.decision_card)]
         for jo in range(2)

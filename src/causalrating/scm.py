@@ -29,7 +29,6 @@ __all__ = [
     "JointTable",
     "DiscreteScm",
     "Dataset",
-    "build_scm",
     "exact_joint",
     "infer",
     "marginal",
@@ -63,6 +62,8 @@ class JointTable:
             raise ShapeError(f"probs shape {probs.shape} != cards {self.cards}")
         if len(self.vars) != len(self.cards):
             raise ShapeError("vars and cards length mismatch")
+        if len(set(self.vars)) != len(self.vars):
+            raise ShapeError(f"duplicate variable names: {tuple(self.vars)}")
         total = float(probs.sum())
         # A NaN or infinite cell makes the sum NaN or infinite.
         if not math.isfinite(total):
@@ -204,17 +205,6 @@ class DiscreteScm:
             raise UnknownNodeError(f"unknown node: {v!r}")
         return self.parents[v]
 
-    def state_space(self) -> int:
-        size = 1
-        for v in self.dag.nodes:
-            size *= self.card[v]
-        return size
-
-
-def build_scm(dag: Dag, card: Mapping[str, int], cpt: Mapping) -> DiscreteScm:
-    """Validate and construct a :class:`DiscreteScm`."""
-    return DiscreteScm(dag, card, cpt)
-
 
 def exact_joint(scm: DiscreteScm, max_cells: int = DEFAULT_CELL_CAP) -> JointTable:
     """Exact joint over all variables, in topological order.
@@ -224,12 +214,10 @@ def exact_joint(scm: DiscreteScm, max_cells: int = DEFAULT_CELL_CAP) -> JointTab
     go through :func:`infer`, which never builds this table.
     """
     order = scm.dag.topological_order
-    if scm.state_space() > max_cells:
-        raise StateSpaceTooLarge(
-            f"state space {scm.state_space()} exceeds cap {max_cells}"
-        )
-    pos = {v: i for i, v in enumerate(order)}
     cards = tuple(scm.card[v] for v in order)
+    if math.prod(cards) > max_cells:
+        raise StateSpaceTooLarge(f"state space {math.prod(cards)} exceeds cap {max_cells}")
+    pos = {v: i for i, v in enumerate(order)}
     joint = np.ones(cards, dtype=np.float64)
     for v in order:
         dims = list(scm.parents_of(v)) + [v]
@@ -435,6 +423,8 @@ class Dataset:
             rows = rows.astype(np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.vars):
             raise ShapeError("rows must be (n, len(vars))")
+        if len(set(self.vars)) != len(self.vars):
+            raise ShapeError(f"duplicate variable names: {tuple(self.vars)}")
         for k, c in enumerate(self.cards):
             if rows.size and (rows[:, k].min() < 0 or rows[:, k].max() >= c):
                 raise ValueOutOfRange(f"column {self.vars[k]} exceeds cardinality {c}")

@@ -22,7 +22,6 @@ from causalrating import (
     OverlapError,
     ParameterError,
     PositivityViolation,
-    build_dag,
     build_scenario,
     condition,
     conditional_entropy,
@@ -393,7 +392,7 @@ def random_dag(seed: int, n_nodes: int) -> Dag:
         for j in range(i + 1, n_nodes)
         if rng.random() < 0.5
     ]
-    return build_dag(names, edges, [])
+    return Dag(names, edges, [])
 
 
 TEMPLATE_DAGS = {

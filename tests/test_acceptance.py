@@ -16,7 +16,6 @@ from causalrating import (
     EffectQuery,
     NOISE,
     build_scenario,
-    build_scm,
     canonical_scenario,
     chain_decompositions,
     chain_factorization_residual,

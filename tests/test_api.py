@@ -3,6 +3,8 @@
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,20 @@ def test_other_public_names_are_errors_or_submodules():
         else:
             assert isinstance(value, type) and issubclass(value, Exception), name
             assert value.__module__ == "causalrating.errors", name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme[readme.index("## Library tour"):]
+    code = tour[tour.index("```python\n") + len("```python\n"):tour.index("```\n", tour.index("```python"))]
+    exec(compile(code, "README.md library tour", "exec"), {})
+
+
+def test_names_read_by_the_benchmark_oracle_resolve():
+    names = set(re.findall(r"\bcr\.(\w+)", (ROOT / "bench" / "test_oracle.py").read_text()))
+    assert {"exact_joint", "observational_joint", "do_distribution"} <= names
+    missing = sorted(n for n in names if not hasattr(causalrating, n))
+    assert not missing, f"bench/test_oracle.py reads causalrating.{missing}"

@@ -352,6 +352,15 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         assert out1.replace(str(a), "X") == out2.replace(str(b), "X")
 
+    def test_matches_simulate_journeys_across_blocks(self, capsys, tmp_path):
+        from causalrating import dataset_to_csv, default_scenario, simulate_journeys
+
+        out, lib = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        code, _, _ = run(capsys, "simulate", SCENARIO, "--n", "70000", "--seed", "4", "--out", str(out))
+        assert code == 0
+        dataset_to_csv(simulate_journeys(default_scenario(), 70_000, seed=4), lib)
+        assert out.read_bytes() == lib.read_bytes()
+
     def test_summary_rate_close_to_exact(self, capsys, tmp_path):
         import numpy as np
 
@@ -374,16 +383,16 @@ class TestSimulate:
     def test_streams_in_bounded_blocks(self, capsys, tmp_path, monkeypatch):
         import numpy as np
 
-        from causalrating import cli
+        from causalrating import road_risk
 
         sizes = []
-        real = cli.sample
+        real = road_risk._sample_rows
 
         def spy(scm, n, seed, **kwargs):
             sizes.append(n)
             return real(scm, n, seed, **kwargs)
 
-        monkeypatch.setattr(cli, "sample", spy)
+        monkeypatch.setattr(road_risk, "_sample_rows", spy)
         out = tmp_path / "j.csv"
         code, text, _ = run(capsys, "simulate", SCENARIO, "--n", "200000", "--seed", "3", "--out", str(out))
         assert code == 0
@@ -431,12 +440,12 @@ class TestSimulate:
 
 class TestUnwritableOutput:
     def test_simulate_out_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
-        from causalrating import cli
+        from causalrating import road_risk
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before checking --out")
 
-        monkeypatch.setattr(cli, "sample", no_sampling)
+        monkeypatch.setattr(road_risk, "_sample_rows", no_sampling)
         bad = tmp_path / "missing" / "x.csv"
         code, _, err = run(capsys, "simulate", SCENARIO, "--n", "10", "--out", str(bad))
         assert code == 2
@@ -661,7 +670,7 @@ class TestNarrowJointOracle:
     )
     @given(data=st.data())
     def test_report_capacity_matches_full_joint(self, capsys, data):
-        from causalrating import build_dag, infer, random_scm, rating_comparison, scm_to_json
+        from causalrating import Dag, infer, random_scm, rating_comparison, scm_to_json
         from helpers import TEMPLATE_DAGS, random_dag
 
         if data.draw(st.booleans(), label="template"):
@@ -669,7 +678,7 @@ class TestNarrowJointOracle:
         else:
             base = random_dag(data.draw(st.integers(0, 10_000)), data.draw(st.integers(4, 6)))
             latent = data.draw(st.sampled_from(base.nodes), label="latent")
-            dag = build_dag(base.nodes, base.edges, [latent])
+            dag = Dag(base.nodes, base.edges, [latent])
         observable = sorted(set(dag.nodes) - dag.latent)
         assume(len(observable) >= 3)
         history, behavior, outcome = data.draw(st.permutations(observable), label="roles")[:3]
@@ -814,9 +823,9 @@ def _confounded_direct() -> dict:
 def _tied_parents_scm() -> dict:
     """An SCM document whose ``parents`` key sets Y_f's rows over (Z, X_c),
     where the graph read from sorted edges orders them (X_c, Z)."""
-    from causalrating import build_dag, random_scm, scm_to_json
+    from causalrating import Dag, random_scm, scm_to_json
 
-    dag = build_dag(
+    dag = Dag(
         ["Y_h", "Z", "X_c", "Y_f"], [("Y_h", "Z"), ("Y_h", "X_c"), ("Z", "Y_f"), ("X_c", "Y_f")]
     )
     doc = json.loads(json.dumps(scm_to_json(random_scm(dag, 0, card={"Z": 3}))))

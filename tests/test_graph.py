@@ -14,7 +14,6 @@ from causalrating import (
     TEMPLATE_IDS,
     UnknownNodeError,
     UnknownTemplate,
-    build_dag,
     d_separated,
     dag_from_json,
     dag_to_json,
@@ -38,38 +37,38 @@ class TestBuildDag:
         base = random_dag(seed, size)
         nodes = data.draw(st.permutations(base.nodes), label="nodes")
         edges = data.draw(st.permutations(sorted(base.edges)), label="edges")
-        dag = build_dag(nodes, edges, [])
+        dag = Dag(nodes, edges, [])
         scm = random_scm(dag, 0)
         for v in dag.nodes:
             want = tuple(sorted(dag.parents(v), key=dag.topological_order.index))
             assert scm.parents_of(v) == want
 
     def test_two_node_chain(self):
-        dag = build_dag(["A", "B"], [("A", "B")], [])
+        dag = Dag(["A", "B"], [("A", "B")], [])
         assert dag.topological_order == ("A", "B")
         assert dag.parents("B") == {"A"}
 
     def test_two_cycle_rejected(self):
         with pytest.raises(CycleError):
-            build_dag(["A", "B"], [("A", "B"), ("B", "A")], [])
+            Dag(["A", "B"], [("A", "B"), ("B", "A")], [])
 
     def test_self_loop_rejected(self):
         with pytest.raises((CycleError, UnknownNodeError, ValueError)):
-            build_dag(["A"], [("A", "A")], [])
+            Dag(["A"], [("A", "A")], [])
 
     def test_unknown_edge_endpoint(self):
         with pytest.raises(UnknownNodeError):
-            build_dag(["A"], [("A", "B")], [])
+            Dag(["A"], [("A", "B")], [])
 
     def test_matches_template(self):
-        dag = build_dag(
+        dag = Dag(
             ["Y_h", "X_c", "Y_f"], [("Y_h", "X_c"), ("X_c", "Y_f")], []
         )
         assert dag == template("Fig1d")
 
     def test_latent_subset_of_nodes(self):
         with pytest.raises(UnknownNodeError):
-            build_dag(["A", "B"], [("A", "B")], ["C"])
+            Dag(["A", "B"], [("A", "B")], ["C"])
 
 
 class TestTemplates:
@@ -210,7 +209,7 @@ class TestBackdoor:
         assert open_backdoor_trail(template("Fig2b"), "X_c", "Y_f", set()) is not None
 
     def test_descendant_in_z_rejected(self):
-        dag = build_dag(["X", "M", "Y"], [("X", "M"), ("M", "Y")], [])
+        dag = Dag(["X", "M", "Y"], [("X", "M"), ("M", "Y")], [])
         assert open_backdoor_trail(dag, "X", "Y", {"M"}) is not None
 
     def test_agrees_with_trail_enumeration(self, template_dags):
@@ -270,7 +269,7 @@ class TestFrontdoor:
                 "back-door trail from mediators to Y_f not blocked by Y_h: X_c - U - Y_f",
             ),
             (
-                build_dag(
+                Dag(
                     ["A", "B", "C", "X", "M", "Y_f"],
                     [("A", "X"), ("A", "C"), ("B", "C"), ("B", "M"), ("X", "M"), ("M", "Y_f")],
                 ),
@@ -278,7 +277,7 @@ class TestFrontdoor:
                 "open back-door trail from X to mediators given ['C']: X - A - C - B - M",
             ),
             (
-                build_dag(
+                Dag(
                     ["B", "C", "D", "X", "M", "Y_f"],
                     [("B", "M"), ("B", "C"), ("D", "C"), ("D", "Y_f"), ("X", "M"), ("M", "Y_f")],
                 ),
@@ -334,7 +333,7 @@ def _ladder(rungs: int):
     b = [f"B{i}" for i in range(rungs + 1)]
     edges = [("C", "Y"), ("W", "Y"), ("A0", "C"), ("W", a[-1]), ("W", b[-1]), ("A0", "Q"), ("B0", "Q")]
     edges += list(zip(a[1:], a)) + list(zip(b[1:], b)) + list(zip(a, b))
-    return build_dag(["C", "Y", "W", "Q", *a, *b], edges)
+    return Dag(["C", "Y", "W", "Q", *a, *b], edges)
 
 
 @pytest.mark.parametrize("rungs", [48, 200])

@@ -14,6 +14,8 @@ from causalrating import (
     SIGNAL,
     UNIDENTIFIABLE,
     CriterionNotMet,
+    Dag,
+    DiscreteScm,
     EffectQuery,
     EffectTable,
     LatentAdjustmentError,
@@ -21,8 +23,6 @@ from causalrating import (
     OverlapError,
     PositivityViolation,
     backdoor_adjust,
-    build_dag,
-    build_scm,
     condition,
     conditional_mutual_information,
     confounded_direct_example,
@@ -73,7 +73,7 @@ class TestBackdoorAdjust:
             assert np.abs(got[x] - want).max() < 1e-12
 
     def test_observed_confounder_matches_oracle(self):
-        dag = build_dag(["W", "X", "Y"], [("W", "X"), ("W", "Y"), ("X", "Y")], [])
+        dag = Dag(["W", "X", "Y"], [("W", "X"), ("W", "Y"), ("X", "Y")], [])
         for seed in range(20):
             scm = random_scm(dag, seed)
             j = exact_joint(scm)
@@ -124,7 +124,7 @@ class TestFrontdoorAdjust:
         half = yf.shape[0] // 2
         yf[half:] = yf[:half]  # rows for U=1 copy rows for U=0
         cpt["Y_f"] = yf
-        scm = build_scm(dag, scm.card, cpt)
+        scm = DiscreteScm(dag, scm.card, cpt)
         j = observed_joint(scm)
         got = frontdoor_adjust(j, dag, "X_c", "Y_f", {"Z"})
         for x in range(2):
@@ -164,7 +164,7 @@ class TestFrontdoorAdjust:
     def test_stratum_below_the_mediator_rejected(self):
         # X -> M -> Y meets the criterion, but W descends from M: within
         # the strata of W the formula is off the oracle.
-        dag = build_dag(
+        dag = Dag(
             ["U", "X", "M", "W", "Y"],
             [("U", "X"), ("U", "Y"), ("X", "M"), ("M", "Y"), ("M", "W")],
             ["U"],
@@ -198,7 +198,7 @@ class TestFrontdoorAdjust:
             "Z": [[0.5, 0.5], [0.2, 0.8]],
             "Y_f": [[0.5, 0.5]] * 4,
         }
-        scm = build_scm(dag, {v: 2 for v in dag.nodes}, cpt)
+        scm = DiscreteScm(dag, {v: 2 for v in dag.nodes}, cpt)
         with pytest.raises(PositivityViolation) as exc:
             frontdoor_adjust(observed_joint(scm), dag, "X_c", "Y_f", {"Z"})
         assert exc.value.cell is not None
@@ -339,7 +339,7 @@ class TestConfoundingGap:
         half = yf.shape[0] // 2
         yf[half:] = yf[:half]
         cpt["Y_f"] = yf
-        scm = build_scm(dag, scm.card, cpt)
+        scm = DiscreteScm(dag, scm.card, cpt)
         g = confounding_gap(scm, "X_c", "Y_f", "U")
         assert g.i_u_y_given_x < 1e-9
         assert abs(g.i_x_y - g.i_ux_y) < 1e-9
@@ -352,7 +352,7 @@ class TestConfoundingGap:
             "X_c": [[0.5, 0.5]] * 4,
             "Y_f": [[1, 0], [1, 0], [0, 1], [0, 1]],  # Y_f = U exactly
         }
-        scm = build_scm(dag, {v: 2 for v in dag.nodes}, cpt)
+        scm = DiscreteScm(dag, {v: 2 for v in dag.nodes}, cpt)
         g = confounding_gap(scm, "X_c", "Y_f", "U")
         assert g.i_x_y < 1e-9
         assert abs(g.i_ux_y - 1.0) < 1e-9
@@ -371,7 +371,7 @@ class TestRatingComparison:
         assert abs(r.augmented_bms - r.phyd_major) < 1e-9
 
     def test_independent_outcome_all_zero(self):
-        dag = build_dag(["Y_h", "X_c", "Y_f"], [("Y_h", "X_c")], [])
+        dag = Dag(["Y_h", "X_c", "Y_f"], [("Y_h", "X_c")], [])
         j = exact_joint(random_scm(dag, 2))
         r = rating_comparison(j, "Y_h", "X_c", "Y_f")
         for val in (r.naive_bms, r.augmented_bms, r.phyd_major, r.phyd_minor):
@@ -461,7 +461,7 @@ BROKEN_STRATA = {
 
 def backdoor_dag():
     """W confounds X and Y; only {W} blocks the back-door trail."""
-    return build_dag(["W", "X", "Y"], [("W", "X"), ("W", "Y"), ("X", "Y")], [])
+    return Dag(["W", "X", "Y"], [("W", "X"), ("W", "Y"), ("X", "Y")], [])
 
 
 class TestIdentifyEffect:
@@ -475,7 +475,7 @@ class TestIdentifyEffect:
             seed, size = data.draw(st.integers(0, 10_000)), data.draw(st.integers(4, 6))
             base = random_dag(seed, size)
             latent = data.draw(st.sampled_from(base.nodes), label="latent")
-            dag = build_dag(base.nodes, base.edges, [latent])
+            dag = Dag(base.nodes, base.edges, [latent])
         scm = random_scm(
             dag, data.draw(st.integers(0, 10_000), label="seed"),
             card=data.draw(st.sampled_from([2, 3]), label="card"),
@@ -520,7 +520,7 @@ class TestIdentifyEffect:
         if role == "stratum":
             scm, q, M = confounded_mediation_example(), EffectQuery("Y_f", {"X_c"}, {"U"}), {"Z"}
         else:
-            dag = build_dag(["X", "U", "Y"], [("X", "U"), ("U", "Y")], ["U"])
+            dag = Dag(["X", "U", "Y"], [("X", "U"), ("U", "Y")], ["U"])
             scm, q, M = random_scm(dag, 0), EffectQuery("Y", {"X"}), {"U"}
         assert frontdoor_failure(scm.dag, next(iter(q.do)), q.outcome, M, q.observed) is None
         with pytest.raises(LatentAdjustmentError, match="'U'"):
@@ -540,7 +540,7 @@ class TestIdentifyEffect:
     @pytest.mark.parametrize("case", sorted(BROKEN_STRATA))
     def test_strata_that_break_the_criterion_rejected(self, case):
         nodes, edges, latent, do, observed = BROKEN_STRATA[case]
-        dag = build_dag(nodes, edges, latent)
+        dag = Dag(nodes, edges, latent)
         scm = random_scm(dag, 1)
         q = EffectQuery("Y", do, observed)
         with pytest.raises(CriterionNotMet):
@@ -570,12 +570,12 @@ class TestIdentifyEffect:
 
     def test_mediator_as_stratum_rejected(self):
         # K meets the criterion as a mediator but does not descend from X.
-        dag = build_dag(["X", "Z", "K", "Y"], [("X", "Z"), ("Z", "Y")], [])
+        dag = Dag(["X", "Z", "K", "Y"], [("X", "Z"), ("Z", "Y")], [])
         with pytest.raises(CriterionNotMet):
             identify_effect(random_scm(dag, 2), EffectQuery("Y", {"X"}, {"K"}), "auto", {"Z", "K"})
 
     def test_frontdoor_tried_before_backdoor(self):
-        dag = build_dag(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")], [])
+        dag = Dag(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")], [])
         scm = random_scm(dag, 3)
         q = EffectQuery("Y", {"X"})
         assert identify_effect(scm, q, "auto", {"Z"})[0] == "frontdoor"
@@ -604,7 +604,7 @@ class TestIdentifyEffect:
         assert method == "backdoor"
         assert_same_cells(got, identify_effect(scm, q, "oracle")[1])
         # A given set is the only one tried.
-        wide = build_dag(["W", "V", "X", "Y"], [("W", "X"), ("W", "Y"), ("X", "Y"), ("X", "V")], [])
+        wide = Dag(["W", "V", "X", "Y"], [("W", "X"), ("W", "Y"), ("X", "Y"), ("X", "V")], [])
         with pytest.raises(CriterionNotMet):
             identify_effect(random_scm(wide, 6), q, "auto", adjust={"V"})
 
@@ -766,7 +766,7 @@ class TestArrayEstimators:
             "Z": [[1.0, 0.0], [0.2, 0.8]],
             "Y_f": [[0.5, 0.5]] * 4,
         }
-        j = observed_joint(build_scm(dag, {v: 2 for v in dag.nodes}, cpt))
+        j = observed_joint(DiscreteScm(dag, {v: 2 for v in dag.nodes}, cpt))
         with pytest.raises(PositivityViolation) as exc:
             frontdoor_adjust(j, dag, "X_c", "Y_f", {"Z"}, given={"Y_h"})
         assert list(exc.value.cell.items()) == [("X_c", 0), ("Z", 1), ("Y_h", 0)]
@@ -790,10 +790,10 @@ def draw_query_model(data):
         nodes, edges, latent, _, _ = BROKEN_STRATA[
             data.draw(st.sampled_from(sorted(BROKEN_STRATA)), label="dag")
         ]
-        dag = build_dag(nodes, edges, latent)
+        dag = Dag(nodes, edges, latent)
     else:
         base = random_dag(data.draw(st.integers(0, 10_000)), data.draw(st.integers(4, 6)))
-        dag = build_dag(base.nodes, base.edges, [data.draw(st.sampled_from(base.nodes))])
+        dag = Dag(base.nodes, base.edges, [data.draw(st.sampled_from(base.nodes))])
     scm = random_scm(
         dag, data.draw(st.integers(0, 10_000), label="seed"),
         card=data.draw(st.sampled_from([2, 3]), label="card"),
@@ -860,7 +860,7 @@ class TestCriteriaAgainstSurgery:
         assert exc.value.witness == witness
         if witness[0] == x:
             # A trail: open on the graph without x's outgoing edges.
-            cut = build_dag(dag.nodes, [e for e in dag.edges if e[0] != x], dag.latent)
+            cut = Dag(dag.nodes, [e for e in dag.edges if e[0] != x], dag.latent)
             assert open_trail_problem(cut, witness, {x}, {y}, Z) is None
         else:
             assert witness == sorted(Z & dag.descendants(x))

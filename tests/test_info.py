@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalrating import (
+    Dag,
     JointTable,
     OverlapError,
     UnknownVariable,
-    build_dag,
-    build_scm,
     chain_decompositions,
     conditional_entropy,
     conditional_mutual_information,
@@ -92,7 +91,7 @@ class TestMutualInformation:
 
 class TestConditionalMutualInformation:
     def test_markov_chain_zero(self):
-        dag = build_dag(["A", "B", "C"], [("A", "B"), ("B", "C")], [])
+        dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")], [])
         j = exact_joint(random_scm(dag, 31))
         assert conditional_mutual_information(j, {"A"}, {"C"}, {"B"}) < 1e-9
 

@@ -2,18 +2,19 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from causalrating import (
+    Dag,
+    DiscreteScm,
     EffectQuery,
     NOISE,
     NegativeTta,
     RoadRiskScenario,
-    build_dag,
     build_scenario,
-    build_scm,
     canonical_scenario,
     chain_factorization_residual,
     condition,
@@ -34,7 +35,7 @@ from causalrating import (
     simulate_journeys,
     tta_discretize,
 )
-from causalrating.errors import ParameterError
+from causalrating.errors import ParameterError, ValueOutOfRange
 from causalrating import empirical_joint, frontdoor_adjust, random_scm
 from causalrating.graph import frontdoor_failure
 from helpers import live_cells, reference_chain_factorization_residual
@@ -47,6 +48,29 @@ def null_confounder(s: RoadRiskScenario) -> RoadRiskScenario:
     cs["decision_shift"] = 0.0
     cs["hazard"] = 0.0
     return dataclasses.replace(s, confounder_strength=cs)
+
+
+def naive_forward(s: RoadRiskScenario) -> np.ndarray:
+    """P(Y_f | J_o, D) by a forward pass: the chance of never leaving
+    peril level 0 is a product over stages, and U is weighed by Bayes'
+    rule on P(U) P(D | J_o, U)."""
+    cs = s.confounder_strength
+    probs = np.zeros((2, s.decision_card, 2))
+    probs[0, :, 0] = 1.0  # no journey, no claim
+    for d in range(s.decision_card):
+        safe = math.prod(1.0 - np.dot(s.traffic_dist, stage[d]) for stage in s.escalation)
+        weights, claims = [], []
+        for u, pu in ((0, 1.0 - cs["u_prob"]), (1, cs["u_prob"])):
+            pd = s.decision_base[1][d] * (1.0 - cs["decision_shift"] * u)
+            pd += cs["decision_shift"] * u * (d == s.decision_card - 1)
+            weights.append(pu * pd)
+            claims.append(sum(
+                mass * min(1.0, s.accident_base[level] + cs["hazard"] * u)
+                for level, mass in ((0, safe), (1, 1.0 - safe))
+            ))
+        p = np.dot(weights, claims) / sum(weights)
+        probs[1, d] = (1.0 - p, p)
+    return probs
 
 
 class TestTtaDiscretize:
@@ -217,7 +241,7 @@ class TestMarkovConsistency:
         # A deliberate extra edge from stage-0 traffic into stage-1
         # peril must be flagged, also when it acts under one decision
         # value only.
-        dag = build_dag(
+        dag = Dag(
             ["D", "T_0", "T_1", "S_0", "S_1"],
             [
                 ("D", "S_1"),
@@ -245,7 +269,7 @@ class TestMarkovConsistency:
                 "S_0": [[0.7, 0.3], [0.4, 0.6]],
                 "S_1": s1,
             }
-            scm = build_scm(dag, card, cpt)
+            scm = DiscreteScm(dag, card, cpt)
             assert markov_consistency(scm) > 0.01
 
 
@@ -271,6 +295,10 @@ class TestSimulateJourneys:
         out = ds.column("J_o") == 1
         for a, b in zip(s.states, s.states[1:]):
             assert (ds.column(a)[out] <= ds.column(b)[out]).all()
+
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueOutOfRange):
+            simulate_journeys(default_scenario(), 0, seed=1)
 
     def test_empirical_accident_rate(self):
         s = default_scenario()
@@ -325,6 +353,19 @@ class TestPhydEffect:
         )
         assert worst > 0.005
 
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_naive_default_matches_observational_joint(self, depth):
+        s = canonical_scenario(depth)
+        want = naive_effect(s, joint=observational_joint(s)).probs
+        assert np.abs(naive_effect(s).probs - want).max() < 1e-12
+        assert np.abs(naive_forward(s) - want).max() < 1e-12
+
+    @pytest.mark.parametrize("depth", [21, 40])
+    def test_naive_default_past_the_observational_joint(self, depth):
+        # observational_joint(canonical_scenario(21)) has 150,994,944 cells.
+        s = canonical_scenario(depth)
+        assert np.abs(naive_effect(s).probs - naive_forward(s)).max() < 1e-12
+
     def test_columns_normalized(self):
         pe = phyd_effect(default_scenario())
         for _, _, dist in live_cells(pe):
@@ -360,7 +401,7 @@ class TestChainFactorization:
         states = list(s.states)
         edges = [("D", v) for v in states] + list(zip(states, states[1:]))
         edges += [(states[-1], "Y_f"), ("S_0", "Y_f")] + ([("S_0", "S_2")] if depth >= 2 else [])
-        scm = random_scm(build_dag(["D", *states, "Y_f"], edges, []), depth, card={"D": 3})
+        scm = random_scm(Dag(["D", *states, "Y_f"], edges, []), depth, card={"D": 3})
         want = [reference_chain_factorization_residual(s, d, scm) for d in range(3)]
         assert min(want) > 1e-3
         assert chain_factorization_residual(scm) == max(want)
@@ -374,12 +415,12 @@ class TestChainFactorization:
         states = list(s.states)
         edges = [("D", v) for v in states] + list(zip(states, states[1:]))
         edges += [(states[-1], "Y_f"), ("S_0", "Y_f")]
-        scm = random_scm(build_dag(["D", *states, "Y_f"], edges, []), 7, card={"D": 3})
+        scm = random_scm(Dag(["D", *states, "Y_f"], edges, []), 7, card={"D": 3})
         cpt = {v: np.array(scm.cpt[v]) for v in scm.dag.nodes}
         for d in range(3):
             if d != d_star:
                 cpt["S_0"][d] = [1.0, 0.0]
-        scm = build_scm(scm.dag, scm.card, cpt)
+        scm = DiscreteScm(scm.dag, scm.card, cpt)
         per_d = [reference_chain_factorization_residual(s, d, scm) for d in range(3)]
         assert per_d[d_star] > 1e-3
         assert max(r for d, r in enumerate(per_d) if d != d_star) < 1e-12
@@ -398,7 +439,7 @@ class TestChainFactorization:
         scm = random_scm(dag, 4)
         cpt = {v: np.array(scm.cpt[v]) for v in dag.nodes}
         cpt["S_0"] = np.tile([1.0, 0.0], (cpt["S_0"].shape[0], 1))
-        scm = build_scm(dag, scm.card, cpt)
+        scm = DiscreteScm(dag, scm.card, cpt)
         chain = ["S_0", "S_1", "S_2", "S_3"]
         for d in range(2):
             jd = condition(exact_joint(scm), {"D": d})

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalrating import (
+    Dag,
     Dataset,
     DiscreteScm,
     JointTable,
@@ -17,8 +18,6 @@ from causalrating import (
     UnknownVariable,
     ValueOutOfRange,
     ZeroProbabilityEvidence,
-    build_dag,
-    build_scm,
     condition,
     do_distribution,
     empirical_joint,
@@ -44,8 +43,8 @@ from helpers import (
 
 
 def copy_chain(p_a=0.5):
-    dag = build_dag(["A", "B"], [("A", "B")], [])
-    return build_scm(
+    dag = Dag(["A", "B"], [("A", "B")], [])
+    return DiscreteScm(
         dag, {"A": 2, "B": 2}, {"A": [[1 - p_a, p_a]], "B": [[1, 0], [0, 1]]}
     )
 
@@ -56,53 +55,53 @@ class TestBuildScm:
         assert scm.parents_of("B") == ("A",)
 
     def test_bad_row_sum(self):
-        dag = build_dag(["A"], [], [])
+        dag = Dag(["A"], [], [])
         with pytest.raises(NormalizationError):
-            build_scm(dag, {"A": 2}, {"A": [[0.5, 0.4]]})
+            DiscreteScm(dag, {"A": 2}, {"A": [[0.5, 0.4]]})
 
     def test_bad_shape(self):
-        dag = build_dag(["A", "B"], [("A", "B")], [])
+        dag = Dag(["A", "B"], [("A", "B")], [])
         with pytest.raises(ShapeError):
-            build_scm(dag, {"A": 2, "B": 2}, {"A": [[0.5, 0.5]], "B": [[1, 0]]})
+            DiscreteScm(dag, {"A": 2, "B": 2}, {"A": [[0.5, 0.5]], "B": [[1, 0]]})
 
     def test_non_finite_cpt_rejected(self):
-        dag = build_dag(["A"], [], [])
+        dag = Dag(["A"], [], [])
         with pytest.raises(NormalizationError):
-            build_scm(dag, {"A": 2}, {"A": [[float("nan"), 1.0]]})
+            DiscreteScm(dag, {"A": 2}, {"A": [[float("nan"), 1.0]]})
 
     @pytest.mark.parametrize("row", [[0.0, float("nan")], [float("inf"), 0.0], [float("-inf"), 1.0]])
     def test_nan_or_infinite_cell_rejected(self, row):
         # One range check on the table's min and max refuses these too.
-        dag = build_dag(["A"], [], [])
+        dag = Dag(["A"], [], [])
         with pytest.raises(NormalizationError):
-            build_scm(dag, {"A": 2}, {"A": [row]})
+            DiscreteScm(dag, {"A": 2}, {"A": [row]})
 
     def test_ragged_cpt_rejected(self):
-        dag = build_dag(["A", "B"], [("A", "B")], [])
+        dag = Dag(["A", "B"], [("A", "B")], [])
         with pytest.raises(ShapeError):
-            build_scm(dag, {"A": 2, "B": 2}, {"A": [[0.5, 0.5]], "B": [[1.0, 0.0], [1.0]]})
+            DiscreteScm(dag, {"A": 2, "B": 2}, {"A": [[0.5, 0.5]], "B": [[1.0, 0.0], [1.0]]})
 
     def test_negative_probability(self):
-        dag = build_dag(["A"], [], [])
+        dag = Dag(["A"], [], [])
         with pytest.raises(NormalizationError):
-            build_scm(dag, {"A": 2}, {"A": [[1.2, -0.2]]})
+            DiscreteScm(dag, {"A": 2}, {"A": [[1.2, -0.2]]})
 
     def test_cardinality_below_two(self):
-        dag = build_dag(["A"], [], [])
+        dag = Dag(["A"], [], [])
         with pytest.raises(ShapeError):
-            build_scm(dag, {"A": 1}, {"A": [[1.0]]})
+            DiscreteScm(dag, {"A": 1}, {"A": [[1.0]]})
 
     def test_missing_node(self):
-        dag = build_dag(["A", "B"], [("A", "B")], [])
+        dag = Dag(["A", "B"], [("A", "B")], [])
         with pytest.raises(ShapeError):
-            build_scm(dag, {"A": 2}, {"A": [[0.5, 0.5]]})
+            DiscreteScm(dag, {"A": 2}, {"A": [[0.5, 0.5]]})
 
     def test_explicit_parent_order(self):
-        dag = build_dag(["A", "B", "C"], [("A", "C"), ("B", "C")], [])
+        dag = Dag(["A", "B", "C"], [("A", "C"), ("B", "C")], [])
         base = {"A": [[0.3, 0.7]], "B": [[0.6, 0.4]]}
         rows_ab = [[0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4]]
         rows_ba = [rows_ab[0], rows_ab[2], rows_ab[1], rows_ab[3]]
-        m1 = build_scm(dag, {v: 2 for v in "ABC"}, {**base, "C": rows_ab})
+        m1 = DiscreteScm(dag, {v: 2 for v in "ABC"}, {**base, "C": rows_ab})
         m2 = DiscreteScm(
             dag,
             {v: 2 for v in "ABC"},
@@ -112,7 +111,7 @@ class TestBuildScm:
         assert np.allclose(exact_joint(m1).probs, exact_joint(m2).probs)
 
     def test_parent_order_must_match_graph(self):
-        dag = build_dag(["A", "B"], [("A", "B")], [])
+        dag = Dag(["A", "B"], [("A", "B")], [])
         with pytest.raises(ShapeError):
             DiscreteScm(
                 dag,
@@ -132,7 +131,7 @@ class TestExactJoint:
         dag = template("Fig4Chain", 1)
         scm = random_scm(dag, 0)
         cpt = {v: np.full_like(scm.cpt[v], 0.5) for v in dag.nodes}
-        uniform = build_scm(dag, {v: 2 for v in dag.nodes}, cpt)
+        uniform = DiscreteScm(dag, {v: 2 for v in dag.nodes}, cpt)
         j = marginal(exact_joint(uniform), {"S_0", "S_1"})
         assert np.allclose(j.probs, 0.25)
 
@@ -158,7 +157,7 @@ class TestExactJoint:
                 assert np.abs(got - scm.cpt[v][row]).max() < 1e-9
 
     def test_state_space_cap(self):
-        dag = build_dag([f"N{i}" for i in range(6)], [], [])
+        dag = Dag([f"N{i}" for i in range(6)], [], [])
         scm = random_scm(dag, 0, card=4)
         with pytest.raises(StateSpaceTooLarge):
             exact_joint(scm, max_cells=1000)
@@ -177,20 +176,29 @@ class TestJointTable:
         with pytest.raises(NormalizationError):
             JointTable(("A",), (2,), [float("nan"), 1.0])
 
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ShapeError):
+            JointTable(("A", "A"), (2, 2), np.full((2, 2), 0.25))
+
+    def test_empirical_joint_rejects_a_repeated_name(self):
+        ds = sample(copy_chain(), 100, seed=1)
+        with pytest.raises(ShapeError):
+            empirical_joint(ds, ["B", "B"])
+
 
 class TestInfer:
     def test_intermediate_factor_over_cap(self):
         # X has five root parents: summing any of them out needs a
         # 64-cell factor, although the answer P(X) has two cells.
         parents = [f"P{i}" for i in range(5)]
-        dag = build_dag([*parents, "X"], [(p, "X") for p in parents], [])
+        dag = Dag([*parents, "X"], [(p, "X") for p in parents], [])
         scm = random_scm(dag, 0)
         assert infer(scm, {"X"}, max_cells=64).cards == (2,)
         with pytest.raises(StateSpaceTooLarge):
             infer(scm, {"X"}, max_cells=63)
 
     def test_result_over_cap(self):
-        dag = build_dag([f"N{i}" for i in range(6)], [], [])
+        dag = Dag([f"N{i}" for i in range(6)], [], [])
         scm = random_scm(dag, 0, card=4)
         with pytest.raises(StateSpaceTooLarge):
             infer(scm, set(dag.nodes), max_cells=1000)
@@ -211,7 +219,7 @@ class TestInfer:
         # Naive Bayes with 70 observed features: 71 factors over {C} meet
         # in the last product, past einsum's operand limit.
         features = [f"F{i}" for i in range(70)]
-        dag = build_dag(["C", *features], [("C", f) for f in features], [])
+        dag = Dag(["C", *features], [("C", f) for f in features], [])
         scm = random_scm(dag, 3)
         evidence = {f: i % 2 for i, f in enumerate(features)}
         got = infer(scm, {"C"}, evidence)
@@ -224,8 +232,8 @@ class TestInfer:
 
 class TestMarginalCondition:
     def test_marginal_of_independent_pair(self):
-        dag = build_dag(["A", "B"], [], [])
-        scm = build_scm(
+        dag = Dag(["A", "B"], [], [])
+        scm = DiscreteScm(
             dag, {"A": 2, "B": 2}, {"A": [[0.3, 0.7]], "B": [[0.6, 0.4]]}
         )
         j = exact_joint(scm)
@@ -305,7 +313,7 @@ class TestIntervene:
     def test_parent_order_preserved_by_surgery(self):
         # Surgery reorders the topological order; CPT rows must keep
         # their original parent interpretation.
-        dag = build_dag(
+        dag = Dag(
             ["A", "B", "C", "Y"],
             [("A", "B"), ("A", "C"), ("B", "Y"), ("C", "Y")],
             [],
@@ -326,6 +334,10 @@ class TestIntervene:
 
 
 class TestSampling:
+    def test_dataset_rejects_duplicate_names(self):
+        with pytest.raises(ShapeError):
+            Dataset(("A", "A"), (2, 2), np.zeros((3, 2), dtype=np.int64), 0)
+
     def test_determinism(self):
         scm = random_scm(template("Fig2c"), 1)
         a = sample(scm, 1000, seed=7)
@@ -413,15 +425,15 @@ class TestSampling:
         n, seed, row = 50, 17, 7
         u_a, u_b = (_uniforms(seed, np.arange(n, dtype=np.uint64), k)[row] for k in (0, 1))
         p_a, p_b = (float(np.nextafter(u, u + step)) if step else float(u) for u in (u_a, u_b))
-        dag = build_dag(["A", "B"], [("A", "B")], [])
-        scm = build_scm(dag, {"A": 2, "B": 2}, {"A": [[p_a, 1 - p_a]], "B": [[p_b, 1 - p_b]] * 2})
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        scm = DiscreteScm(dag, {"A": 2, "B": 2}, {"A": [[p_a, 1 - p_a]], "B": [[p_b, 1 - p_b]] * 2})
         rows = sample(scm, n, seed).rows
         assert np.array_equal(rows, reference_sample_rows(scm, n, seed))
         assert rows[row].tolist() == ([0, 0] if step > 0 else [1, 1])
 
     @pytest.mark.parametrize("card,dtype", [(2, np.uint8), (256, np.uint8), (257, np.int64)])
     def test_rows_dtype_is_the_narrowest_that_holds_every_card(self, card, dtype):
-        dag = build_dag(["A", "B"], [("A", "B")], [])
+        dag = Dag(["A", "B"], [("A", "B")], [])
         ds = sample(random_scm(dag, 3, card={"A": card}), 20, seed=4)
         assert ds.rows.dtype == dtype
 
@@ -440,7 +452,7 @@ class TestSampling:
 
         from causalrating import dataset_to_csv
 
-        dag = build_dag(["A", "B", "C"], [("A", "B"), ("B", "C")], [])
+        dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")], [])
         scm = random_scm(dag, 8, card={"B": 300})
         ds = sample(scm, 2000, seed=5)
         assert ds.rows.dtype == np.int64 and ds.column("B").max() >= 100
@@ -506,7 +518,7 @@ class TestJson:
         # Listed in this order, N3 precedes N2 in the topological order, so
         # N5's CPT rows run over (N3, N2); the graph rebuilt from sorted
         # edges puts N2 first.
-        dag = build_dag(
+        dag = Dag(
             [f"N{i}" for i in range(6)],
             [("N0", "N3"), ("N0", "N2"), ("N0", "N4"), ("N3", "N5"), ("N2", "N5")],
         )
