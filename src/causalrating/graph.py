@@ -386,21 +386,20 @@ def _fig6_canonical(depth: int) -> Dag:
     return Dag(nodes, edges, ("U",))
 
 
-def template(name: str, depth: int | None = None) -> Dag:
+def template(name: str) -> Dag:
     """Return a built-in diagram by id.
 
-    ``Fig4Chain`` and ``Fig6Canonical`` require ``depth >= 1`` (also
-    accepted inline, e.g. ``"Fig6Canonical(2)"``).
+    ``Fig4Chain`` and ``Fig6Canonical`` take a depth >= 1 inline, as in
+    ``"Fig6Canonical(2)"``.
     """
+    depth = None
     if "(" in name and name.endswith(")"):
         base, arg = name[:-1].split("(", 1)
         try:
-            inline = int(arg)
+            depth = int(arg)
         except ValueError:
             raise UnknownTemplate(f"bad template argument: {name!r}") from None
-        if depth is not None and depth != inline:
-            raise UnknownTemplate("conflicting depth arguments")
-        name, depth = base, inline
+        name = base
     if name in _FIXED_TEMPLATES:
         nodes, edges, latent = _FIXED_TEMPLATES[name]
         return Dag(nodes, edges, latent)

@@ -33,7 +33,7 @@ from .graph import (
     open_trail,
 )
 from .info import chain_decompositions
-from .scm import DiscreteScm, JointTable, _sum_to, _surgery, infer, scm_from_json
+from .scm import DiscreteScm, JointTable, _in_range, _sum_to, _surgery, infer, scm_from_json
 
 __all__ = [
     "EffectQuery",
@@ -109,7 +109,7 @@ class EffectTable:
         key = do_config + given_config
         if (
             (len(do_config), len(given_config)) != (len(self.do_vars), len(self.given_vars))
-            or not all(0 <= k < n for k, n in zip(key, self.probs.shape))
+            or not all(map(_in_range, key, self.probs.shape))
             or not self.probs[key].any()
         ):
             raise KeyError((do_config, given_config))

@@ -19,19 +19,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NegativeTta, ParameterError, ValueOutOfRange
+from .errors import NegativeTta, ParameterError, UnknownVariable, ValueOutOfRange
 from .graph import Dag, _read_json
-from .identify import EffectQuery, EffectTable, identify_effect
+from .identify import EffectQuery, EffectTable, _divide, _layout, identify_effect
 from .info import conditional_mutual_information
-from .scm import (
-    Dataset,
-    DiscreteScm,
-    JointTable,
-    condition,
-    infer,
-    marginal,
-    _sample_rows,
-)
+from .scm import Dataset, DiscreteScm, JointTable, _sample_rows, _sum_to, condition, infer
 
 __all__ = [
     "RoadRiskScenario",
@@ -261,10 +253,10 @@ def build_scenario(s: RoadRiskScenario) -> DiscreteScm:
 
 
 def _states(scm: DiscreteScm) -> list:
-    """The model's peril states ``S_0, S_1, ...`` in chain order."""
-    return sorted(
-        (v for v in scm.dag.nodes if v.startswith("S_")), key=lambda v: int(v.split("_")[1])
-    )
+    """The model's peril states ``S_0, S_1, ...`` in chain order: the nodes
+    named ``S_`` and then digits."""
+    states = (v for v in scm.dag.nodes if v[:2] == "S_" and v[2:].isdecimal())
+    return sorted(states, key=lambda v: int(v[2:]))
 
 
 def markov_consistency(scm: DiscreteScm) -> float:
@@ -347,14 +339,13 @@ def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> Eff
 
     ``joint``, when given, may be any joint of ``build_scenario(s)`` that
     holds ``J_o``, ``D`` and ``Y_f``; the default infers the joint of
-    those three alone, whose size does not grow with the depth.
+    those three alone, whose size does not grow with the depth.  A
+    (J_o, D) pair of zero mass is a dead cell of the table.
     """
     j = infer(build_scenario(s), {"J_o", "D", "Y_f"}) if joint is None else joint
-    probs = [
-        [marginal(condition(j, {"J_o": jo, "D": d}), {"Y_f"}).probs for d in range(s.decision_card)]
-        for jo in range(2)
-    ]
-    return EffectTable("Y_f", ("J_o", "D"), (), np.array(probs))
+    p = _layout(j, ("J_o",), ("D",), ("Y_f",))
+    _divide((p, p.sum(axis=-1, keepdims=True)))
+    return EffectTable("Y_f", ("J_o", "D"), (), p)
 
 
 def chain_factorization_residual(scm: DiscreteScm) -> float:
@@ -362,26 +353,26 @@ def chain_factorization_residual(scm: DiscreteScm) -> float:
     the product of the stage conditionals P(next | prev, D=d).
 
     The chain is the model's S_0, S_1, ... followed by Y_f as the
-    accident state; each decision value costs one inference.
-    Configurations whose conditioning events have zero mass (unreachable
-    under the absorbing encoding) are skipped.
+    accident state; each decision value costs one inference.  A stage
+    conditional whose condition has zero mass (unreachable under the
+    absorbing encoding) is 0, as is every chain cell under it, so such
+    configurations add nothing.  A model without ``D`` raises
+    :class:`UnknownVariable`.
     """
+    if "D" not in scm.card:
+        raise UnknownVariable("unknown variable: 'D'")
     chain = [*_states(scm), "Y_f"]
     worst = 0.0
     for d in range(scm.card["D"]):
         lhs = infer(scm, chain, {"D": d})
         actual = lhs.probs.transpose([lhs.vars.index(v) for v in chain])
-        # The product over every chain configuration; NaN where a
-        # conditioning event has zero mass.
         prod = np.ones((1,) * len(chain))
         for k, (a, b) in enumerate(zip(chain, chain[1:])):
-            m = marginal(lhs, {a, b})
-            p = m.probs if m.vars == (a, b) else m.probs.T
-            denom = p.sum(axis=1, keepdims=True)
-            cond = np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), np.nan)
-            prod = prod * cond.reshape((1,) * k + cond.shape + (1,) * (len(chain) - k - 2))
-        dev = np.abs(actual - prod)
-        worst = max(worst, float(np.max(dev, where=~np.isnan(dev), initial=0.0)))
+            p = _sum_to(lhs, (a, b))
+            p = p if lhs.axis(a) < lhs.axis(b) else p.T
+            _divide((p, p.sum(axis=1, keepdims=True)))
+            prod = prod * p.reshape((1,) * k + p.shape + (1,) * (len(chain) - k - 2))
+        worst = max(worst, float(np.abs(actual - prod).max()))
     return worst
 
 

@@ -108,6 +108,19 @@ def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     return JointTable(vars_kept, cards_kept, probs)
 
 
+def _in_range(val, card: int) -> bool:
+    """Whether ``val`` is an integer, not a bool, in ``0..card-1``."""
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool) and 0 <= val < card
+
+
+def _value(var: str, val, card: int) -> int:
+    """``val`` as a value of ``var``, which has ``card`` values; anything
+    else raises :class:`ValueOutOfRange`."""
+    if not _in_range(val, card):
+        raise ValueOutOfRange(f"{var}={val} out of range 0..{card - 1}")
+    return int(val)
+
+
 def condition(j: JointTable, evidence: Mapping[str, int]) -> JointTable:
     """Condition on ``evidence`` and drop the evidenced variables."""
     if not evidence:
@@ -115,9 +128,7 @@ def condition(j: JointTable, evidence: Mapping[str, int]) -> JointTable:
     idx = [slice(None)] * len(j.vars)
     for var, val in evidence.items():
         ax = j.axis(var)
-        if not 0 <= int(val) < j.cards[ax]:
-            raise ValueOutOfRange(f"{var}={val} out of range 0..{j.cards[ax] - 1}")
-        idx[ax] = int(val)
+        idx[ax] = _value(var, val, j.cards[ax])
     sliced = j.probs[tuple(idx)]
     total = float(sliced.sum())
     if total <= 0.0:
@@ -271,12 +282,11 @@ def infer(
     largest bucket, not the state space; a bucket or result of more than
     ``max_cells`` cells raises :class:`StateSpaceTooLarge`.
     """
-    evidence = {} if evidence is None else evidence
+    evidence = dict(evidence or {})
     for var, val in evidence.items():
         if var not in scm.card:
             raise UnknownVariable(f"unknown variable: {var!r}")
-        if not 0 <= int(val) < scm.card[var]:
-            raise ValueOutOfRange(f"{var}={val} out of range 0..{scm.card[var] - 1}")
+        evidence[var] = _value(var, val, scm.card[var])
     keep = set(keep)
     if not keep:
         raise UnknownVariable("keep set must be nonempty")
@@ -300,7 +310,7 @@ def infer(
         scope = scm.parents[v] + (v,)
         table = scm.cpt[v].reshape([scm.card[u] for u in scope])
         if not evidence.keys().isdisjoint(scope):
-            table = table[tuple(int(evidence[u]) if u in evidence else slice(None) for u in scope)]
+            table = table[tuple(evidence[u] if u in evidence else slice(None) for u in scope)]
             scope = tuple(u for u in scope if u not in evidence)
         factors.append((scope, table))
 
@@ -330,7 +340,7 @@ def infer(
     if evidence:
         total = float(probs.sum())
         if total <= 0.0:
-            raise ZeroProbabilityEvidence(f"P({dict(evidence)}) = 0")
+            raise ZeroProbabilityEvidence(f"P({evidence}) = 0")
         probs = probs / total
     return JointTable(out, tuple(scm.card[u] for u in out), probs)
 
@@ -347,14 +357,12 @@ def _surgery(scm: DiscreteScm, rows: Mapping[str, np.ndarray]) -> DiscreteScm:
 
 def intervene(scm: DiscreteScm, assignment: Mapping[str, int]) -> DiscreteScm:
     """Graph surgery: cut incoming edges and pin each assigned node."""
+    rows = {}
     for v, val in assignment.items():
         if v not in scm.card:
             raise UnknownNodeError(f"unknown node: {v!r}")
-        if not 0 <= int(val) < scm.card[v]:
-            raise ValueOutOfRange(f"{v}={val} out of range 0..{scm.card[v] - 1}")
-    if not assignment:
-        return scm
-    return _surgery(scm, {v: np.eye(scm.card[v])[int(val)] for v, val in assignment.items()})
+        rows[v] = np.eye(scm.card[v])[_value(v, val, scm.card[v])]
+    return _surgery(scm, rows) if rows else scm
 
 
 def do_distribution(
@@ -437,6 +445,8 @@ class Dataset:
         return self.rows.shape[0]
 
     def column(self, var: str) -> np.ndarray:
+        if var not in self.vars:
+            raise UnknownVariable(f"unknown variable: {var!r}")
         return self.rows[:, self.vars.index(var)]
 
 
@@ -493,16 +503,15 @@ def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
 def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
     """Normalized frequency table over ``vars``."""
     vars = tuple(vars)
+    if not vars:
+        raise UnknownVariable("variable list must be nonempty")
     if len(d) == 0:
         raise EmptyDataset("dataset has no rows")
-    for v in vars:
-        if v not in d.vars:
-            raise UnknownVariable(f"unknown variable: {v!r}")
-    cols = [d.vars.index(v) for v in vars]
-    cards = tuple(d.cards[c] for c in cols)
+    cols = [d.column(v) for v in vars]
+    cards = tuple(d.cards[d.vars.index(v)] for v in vars)
     codes = np.zeros(len(d), dtype=np.int64)
-    for c, card in zip(cols, cards):
-        codes = codes * card + d.rows[:, c]
+    for col, card in zip(cols, cards):
+        codes = codes * card + col
     size = int(np.prod(cards))
     counts = np.bincount(codes, minlength=size).astype(np.float64)
     return JointTable(vars, cards, (counts / len(d)).reshape(cards))

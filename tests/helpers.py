@@ -404,7 +404,7 @@ TEMPLATE_DAGS = {
     "Fig2b": template("Fig2b"),
     "Fig2c": template("Fig2c"),
     "Fig3": template("Fig3"),
-    "Fig4Chain": template("Fig4Chain", 2),
-    "Fig6Canonical": template("Fig6Canonical", 2),
+    "Fig4Chain": template("Fig4Chain(2)"),
+    "Fig6Canonical": template("Fig6Canonical(2)"),
 }
 

@@ -171,7 +171,7 @@ class TestAcceptance:
                 if dev >= 1e-9:
                     failures.append(("Fig3", seed, x, dev))
         for depth in (1, 2, 3):
-            dag = template("Fig6Canonical", depth)
+            dag = template(f"Fig6Canonical({depth})")
             mediators = {f"S_{i}" for i in range(depth + 1)}
             for seed in range(100):
                 scm = random_scm(dag, seed)

@@ -2,10 +2,12 @@
 
 import copy
 import hashlib
+import importlib
 import json
 import math
 import os
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -504,6 +506,21 @@ class TestEvaluate:
         assert doc["naive_vs_oracle_max_tv"] < 1e-9
 
 
+    @pytest.mark.parametrize("rate", [1.0, 0.0])
+    def test_a_journey_value_of_zero_mass(self, capsys, tmp_path, rate):
+        # One J_o value never occurs; the naive estimate used to exit 2
+        # with ZeroProbabilityEvidence on its cells.
+        doc = {**json.loads(pathlib.Path(SCENARIO).read_text()), "journey_rate": [rate] * 3}
+        path = tmp_path / "journeys.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert (code, err) == (0, "")
+        effects = json.loads(out)["effects"]
+        live = [c["do"] for c in effects["naive"]["cells"]]
+        assert live == [[int(rate), d] for d in range(3)]
+        assert [c["do"] for c in effects["frontdoor"]["cells"]] == live
+        assert len(effects["oracle"]["cells"]) == 6
+
     def test_depth_8_past_the_dense_joint_cap(self, capsys, tmp_path):
         from causalrating import canonical_scenario, scenario_to_json
 
@@ -711,6 +728,74 @@ class TestNarrowJointOracle:
         assert all(abs(rep["capacity_bits"][k] - want[k]) <= 1e-12 for k in want)
         assert abs(rep["history_outcome_mi_bits"] - mutual_information(j, {"Y_h"}, {"Y_f"})) <= 1e-12
         assert approx_equal(rep["effects"]["naive"], naive_effect(s, joint=j).to_json(), rel=1e-12)
+
+
+def _bench_module(name: str):
+    """A module of the benchmark harness in ``bench/``, imported as is."""
+    bench = str(pathlib.Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    return importlib.import_module(name)
+
+
+@st.composite
+def scenario_documents(draw, max_depth=12):
+    """Scenario documents of the canonical shape (three claim-history
+    values, three decisions, two traffic values) with random numbers.
+
+    Every (J_o, D, peril trajectory) keeps a positive mass well clear of
+    underflow: journey and escalation rates stay inside (0, 1) and
+    ``u_prob`` below 1.  Otherwise a cell of the front-door estimate has
+    no data, which ``evaluate`` refuses with exit 3 (PositivityViolation).
+    """
+    depth = draw(st.integers(1, max_depth), label="depth")
+    prob, inner = st.floats(0.0, 1.0), st.floats(1e-6, 1.0 - 1e-6)
+
+    def dist(n):
+        w = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        return [x / sum(w) for x in w]
+
+    hazard = draw(prob, label="hazard")
+    return {
+        "schema_version": 1,
+        "depth": depth,
+        "decision_card": 3,
+        "traffic_card": 2,
+        "tta_thresholds": [4.0 * 0.5**i for i in range(depth + 1)],
+        "y_h_prior": dist(3),
+        "journey_rate": draw(st.lists(inner, min_size=3, max_size=3), label="journey_rate"),
+        "decision_base": [dist(3), dist(3)],
+        "traffic_dist": dist(2),
+        "escalation": draw(
+            st.lists(st.lists(st.lists(inner, min_size=2, max_size=2), min_size=3, max_size=3),
+                     min_size=depth, max_size=depth),
+            label="escalation",
+        ),
+        "accident_base": draw(st.lists(st.floats(0.0, 1.0 - hazard), min_size=2, max_size=2)),
+        "confounder_strength": {
+            "u_prob": draw(st.floats(0.0, 1.0, exclude_max=True), label="u_prob"),
+            "decision_shift": draw(prob, label="decision_shift"),
+            "hazard": hazard,
+        },
+    }
+
+
+class TestClosedFormOracle:
+    """``evaluate`` against the benchmark's closed-form road-risk chain,
+    which is computed without this package."""
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(doc=scenario_documents())
+    def test_evaluate_matches_closed_form(self, capsys, doc):
+        workloads = _bench_module("workloads")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "evaluate", str(path))
+        assert (code, err) == (0, "")
+        assert workloads.check_report(doc, out) is None
 
 
 def _document_paths(doc, prefix=()):

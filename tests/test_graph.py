@@ -23,7 +23,7 @@ from causalrating import (
     random_scm,
     template,
 )
-from causalrating.graph import frontdoor_failure, open_backdoor_trail
+from causalrating.graph import _fig4_chain, _fig6_canonical, frontdoor_failure, open_backdoor_trail
 from helpers import open_trail_problem, random_dag, reference_open_trail
 
 
@@ -91,7 +91,7 @@ class TestTemplates:
         assert dag.latent == {"U"}
 
     def test_fig6_depth_one(self):
-        dag = template("Fig6Canonical", 1)
+        dag = template("Fig6Canonical(1)")
         assert set(dag.edges) == {
             ("Y_h", "J_o"),
             ("J_o", "D"),
@@ -105,7 +105,8 @@ class TestTemplates:
         assert dag.latent == {"U"}
 
     def test_inline_depth_syntax(self):
-        assert template("Fig6Canonical(2)") == template("Fig6Canonical", 2)
+        assert template("Fig6Canonical(2)") == _fig6_canonical(2)
+        assert template("Fig4Chain(3)") == _fig4_chain(3)
 
     def test_unknown_template(self):
         with pytest.raises(UnknownTemplate):
@@ -183,7 +184,7 @@ class TestMutilate:
         assert set(cut.edges) == {("X_c", "Y_f"), ("U", "Y_h"), ("U", "Y_f")}
 
     def test_canonical_surgery_separates_history(self):
-        cut = mutilate(template("Fig6Canonical", 1), {"D"})
+        cut = mutilate(template("Fig6Canonical(1)"), {"D"})
         assert d_separated(cut, {"Y_h"}, {"Y_f"}, set())
 
     def test_empty_do_is_identity(self):
@@ -191,13 +192,13 @@ class TestMutilate:
         assert mutilate(dag, set()) == dag
 
     def test_idempotent(self):
-        dag = template("Fig6Canonical", 2)
+        dag = template("Fig6Canonical(2)")
         once = mutilate(dag, {"D", "J_o"})
         assert mutilate(once, {"D", "J_o"}) == once
 
     def test_double_surgery_grounds_history(self):
         for depth in (1, 2, 3):
-            cut = mutilate(template("Fig6Canonical", depth), {"D", "J_o"})
+            cut = mutilate(template(f"Fig6Canonical({depth})"), {"D", "J_o"})
             assert d_separated(cut, {"Y_h"}, {"Y_f"}, set())
 
 
@@ -238,7 +239,7 @@ class TestFrontdoor:
 
     def test_canonical_graph_all_depths(self):
         for depth in range(1, 5):
-            dag = template("Fig6Canonical", depth)
+            dag = template(f"Fig6Canonical({depth})")
             M = {f"S_{i}" for i in range(depth + 1)}
             assert frontdoor_failure(dag, "D", "Y_f", M) is None
 

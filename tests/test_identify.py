@@ -141,7 +141,7 @@ class TestFrontdoorAdjust:
                 assert np.abs(got[(x, ())] - oracle).max() < 1e-9
 
     def test_matches_oracle_on_canonical_graph_with_stratum(self):
-        dag = template("Fig6Canonical", 2)
+        dag = template("Fig6Canonical(2)")
         M = {"S_0", "S_1", "S_2"}
         for seed in range(30):
             scm = random_scm(dag, seed)
@@ -153,7 +153,7 @@ class TestFrontdoorAdjust:
                 assert np.abs(dist - oracle).max() < 1e-9
 
     def test_mediator_or_stratum_missing_from_joint_rejected(self):
-        dag = template("Fig6Canonical", 2)
+        dag = template("Fig6Canonical(2)")
         scm = random_scm(dag, 1)
         M, observed = {"S_0", "S_1", "S_2"}, set(dag.nodes) - dag.latent
         with pytest.raises(UnknownVariable, match="'S_2'"):
@@ -223,7 +223,7 @@ class TestFrontdoorAdjust:
 class TestRule1:
     def test_canonical_deletion(self):
         for depth in (1, 2, 3):
-            dag = template("Fig6Canonical", depth)
+            dag = template(f"Fig6Canonical({depth})")
             assert rule1_deletion_check(dag, "Y_f", "Y_h", {"J_o", "D"})
 
     def test_confounded_deletion_fails(self):
@@ -239,7 +239,7 @@ class TestRule1:
     def test_deletion_soundness_against_oracle(self):
         # Whenever deletion is licensed, the oracle must not depend on
         # the candidate's observed value.
-        dag = template("Fig6Canonical", 2)
+        dag = template("Fig6Canonical(2)")
         assert rule1_deletion_check(dag, "Y_f", "Y_h", {"J_o", "D"})
         for seed in range(10):
             scm = random_scm(dag, seed)
@@ -258,7 +258,7 @@ class TestRule1:
     def test_observation_matches_intervention_on_journey_switch(self):
         # On the canonical graph P(D | do(J_o)) equals P(D | J_o): the
         # journey switch has no back-door route into the decision.
-        dag = template("Fig6Canonical", 2)
+        dag = template("Fig6Canonical(2)")
         for seed in range(20):
             scm = random_scm(dag, seed)
             j = exact_joint(scm)
@@ -286,7 +286,7 @@ class TestNoiseVerdict:
     def test_canonical_graph_noise(self):
         for depth in (1, 2, 3):
             v = noise_verdict(
-                template("Fig6Canonical", depth), "Y_h", "Y_f", {"J_o", "D"}
+                template(f"Fig6Canonical({depth})"), "Y_h", "Y_f", {"J_o", "D"}
             )
             assert v.verdict == NOISE
 
@@ -415,6 +415,15 @@ class TestEffectTable:
             with pytest.raises(KeyError):
                 t.dist(do, g)
 
+    def test_dist_of_a_bool_or_non_integer_raises_key_error(self):
+        # True used to index a new axis and return the whole table; 1.5
+        # raised NumPy's IndexError.
+        t = identify_effect(confounded_mediation_example(), EffectQuery("Y_f", {"X_c"}), "oracle")[1]
+        assert list(t.dist((np.int64(1),))) == list(t.probs[1])
+        for bad in (True, False, np.True_, 1.5, 1.0, float("nan"), "1", None):
+            with pytest.raises(KeyError):
+                t.dist((bad,))
+
 
 class TestEffectQuery:
     def test_disjointness_enforced(self):
@@ -527,7 +536,7 @@ class TestIdentifyEffect:
             identify_effect(scm, q, "auto", M)
 
     def test_frontdoor_with_rule2_do_variable_and_stratum(self):
-        dag = template("Fig6Canonical", 2)
+        dag = template("Fig6Canonical(2)")
         q = EffectQuery("Y_f", {"D", "J_o"}, {"Y_h"})
         for seed in range(5):
             scm = random_scm(dag, seed, card={"D": 3})
@@ -661,9 +670,9 @@ def compare_with_loop(array_form, loop) -> str:
 # front-door criterion holds.
 FRONTDOOR_CASES = {
     "Fig3": (template("Fig3"), "X_c", "Y_f", {"Z"}, ["Y_h"]),
-    "Fig6Canonical(1)": (template("Fig6Canonical", 1), "D", "Y_f", {"S_0", "S_1"}, ["Y_h", "J_o"]),
+    "Fig6Canonical(1)": (template("Fig6Canonical(1)"), "D", "Y_f", {"S_0", "S_1"}, ["Y_h", "J_o"]),
     "Fig6Canonical(2)": (
-        template("Fig6Canonical", 2), "D", "Y_f", {"S_0", "S_1", "S_2"}, ["Y_h", "J_o"],
+        template("Fig6Canonical(2)"), "D", "Y_f", {"S_0", "S_1", "S_2"}, ["Y_h", "J_o"],
     ),
 }
 

@@ -22,6 +22,7 @@ from causalrating import (
     do_distribution,
     exact_joint,
     ground_truth_effect,
+    infer,
     marginal,
     markov_consistency,
     mutual_information,
@@ -35,7 +36,7 @@ from causalrating import (
     simulate_journeys,
     tta_discretize,
 )
-from causalrating.errors import ParameterError, ValueOutOfRange
+from causalrating.errors import ParameterError, UnknownVariable, ValueOutOfRange
 from causalrating import empirical_joint, frontdoor_adjust, random_scm
 from causalrating.graph import frontdoor_failure
 from helpers import live_cells, reference_chain_factorization_residual
@@ -385,6 +386,35 @@ class TestPhydEffect:
         assert len(doc["cells"]) == 6
 
 
+class TestNaiveEffect:
+    @pytest.mark.parametrize("rate", [1.0, 0.0])
+    def test_pair_of_zero_mass_is_a_dead_cell(self, rate):
+        # Every driver starts a journey, or none does: one J_o value has
+        # zero mass, and its cells are dead (this used to raise
+        # ZeroProbabilityEvidence).
+        s = dataclasses.replace(default_scenario(), journey_rate=(rate,) * 3)
+        live = int(rate)
+        for joint in (None, observational_joint(s)):
+            ne = naive_effect(s, joint=joint)
+            assert ne.probs.shape == (2, s.decision_card, 2)
+            assert not ne.probs[1 - live].any()
+            for d in range(s.decision_card):
+                with pytest.raises(KeyError):
+                    ne.dist((1 - live, d))
+            assert [cfg for cfg, _, _ in live_cells(ne)] == [(live, d) for d in range(s.decision_card)]
+            assert [cfg for cfg, _, _ in live_cells(phyd_effect(s))] == [cfg for cfg, _, _ in live_cells(ne)]
+
+    @pytest.mark.parametrize("depth", [None, *range(1, 9)])
+    def test_live_cells_match_conditioning(self, depth):
+        s = default_scenario() if depth is None else canonical_scenario(depth)
+        j = infer(build_scenario(s), {"J_o", "D", "Y_f"})
+        ne = naive_effect(s)
+        assert ne.probs.any(axis=-1).all()
+        for cfg, _, dist in live_cells(ne):
+            want = marginal(condition(j, {"J_o": cfg[0], "D": cfg[1]}), {"Y_f"}).probs
+            assert np.abs(dist - want).max() < 1e-12
+
+
 class TestChainFactorization:
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_matches_reference_loop(self, depth):
@@ -430,12 +460,28 @@ class TestChainFactorization:
         for depth in (1, 2, 3):
             assert chain_factorization_residual(build_scenario(canonical_scenario(depth))) < 1e-12
 
+    def test_model_without_a_decision_raises_unknown_variable(self):
+        dag = Dag(["S_0", "S_1", "Y_f"], [("S_0", "S_1"), ("S_1", "Y_f")], [])
+        with pytest.raises(UnknownVariable, match="'D'"):
+            chain_factorization_residual(random_scm(dag, 0))
+
+    @pytest.mark.parametrize("name", ["S_x", "S_", "S_1a"])
+    def test_other_s_names_are_not_peril_states(self, name):
+        # Only S_<digits> is a peril state; an S_x node used to crash
+        # both chain diagnostics in int().
+        scm = build_scenario(default_scenario())
+        dag = Dag([*scm.dag.nodes, name], [*scm.dag.edges, ("D", name)], scm.dag.latent)
+        cpt = {**scm.cpt, name: np.full((scm.card["D"], 2), 0.5)}
+        extra = DiscreteScm(dag, {**scm.card, name: 2}, cpt, parents={**scm.parents, name: ("D",)})
+        assert chain_factorization_residual(extra) == chain_factorization_residual(scm)
+        assert markov_consistency(extra) == markov_consistency(scm)
+
     def test_plain_chain_with_safe_start(self):
         # The product form also holds on the bare decision chain when
         # the first state is a point mass.
         from causalrating import random_scm, template
 
-        dag = template("Fig4Chain", 2)
+        dag = template("Fig4Chain(2)")
         scm = random_scm(dag, 4)
         cpt = {v: np.array(scm.cpt[v]) for v in dag.nodes}
         cpt["S_0"] = np.tile([1.0, 0.0], (cpt["S_0"].shape[0], 1))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from causalrating import (
     Dag,
+    confounded_mediation_example,
     Dataset,
     DiscreteScm,
     JointTable,
@@ -128,7 +129,7 @@ class TestExactJoint:
         assert np.allclose(j.probs, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_uniform_chain_quarters(self):
-        dag = template("Fig4Chain", 1)
+        dag = template("Fig4Chain(1)")
         scm = random_scm(dag, 0)
         cpt = {v: np.full_like(scm.cpt[v], 0.5) for v in dag.nodes}
         uniform = DiscreteScm(dag, {v: 2 for v in dag.nodes}, cpt)
@@ -184,6 +185,24 @@ class TestJointTable:
         ds = sample(copy_chain(), 100, seed=1)
         with pytest.raises(ShapeError):
             empirical_joint(ds, ["B", "B"])
+
+    def test_empirical_joint_rejects_no_names(self):
+        # It used to fail inside NumPy: "Cannot set flags on array scalars".
+        ds = sample(copy_chain(), 100, seed=1)
+        with pytest.raises(UnknownVariable):
+            empirical_joint(ds, [])
+
+    def test_empirical_joint_rejects_an_unknown_name(self):
+        ds = sample(copy_chain(), 100, seed=1)
+        with pytest.raises(UnknownVariable, match="'Q'"):
+            empirical_joint(ds, ["A", "Q"])
+
+    def test_dataset_column_rejects_an_unknown_name(self):
+        # It used to raise tuple.index's bare ValueError.
+        ds = sample(copy_chain(), 10, seed=1)
+        assert ds.column("B").tolist() == ds.rows[:, 1].tolist()
+        with pytest.raises(UnknownVariable, match="'nope'"):
+            ds.column("nope")
 
 
 class TestInfer:
@@ -326,11 +345,43 @@ class TestIntervene:
         assert np.abs(j.probs - want.probs).max() < 1e-12
 
     def test_oracle_matches_brute_force_after_surgery(self):
-        scm = random_scm(template("Fig6Canonical", 2), 13)
+        scm = random_scm(template("Fig6Canonical(2)"), 13)
         cut = intervene(scm, {"D": 1, "J_o": 0})
         got = exact_joint(cut)
         want = brute_force_joint(cut)
         assert np.abs(got.probs - want.probs).max() < 1e-12
+
+
+# A bool, a non-integer or an out-of-range value: no value of a binary
+# variable.  Before one check served every assignment, 1.5 and 0.5 were
+# truncated to 1 and 0 and NaN raised a bare ValueError.
+NOT_VALUES = [True, False, np.True_, 1.5, 0.5, 1.0, float("nan"), "1", None, -1, 2]
+
+
+class TestAssignmentValues:
+    @pytest.mark.parametrize("val", NOT_VALUES, ids=repr)
+    def test_infer_evidence(self, val):
+        with pytest.raises(ValueOutOfRange, match=r"^X_c=.* out of range 0\.\.1$"):
+            infer(confounded_mediation_example(), {"Y_f"}, {"X_c": val})
+
+    @pytest.mark.parametrize("val", NOT_VALUES, ids=repr)
+    def test_condition(self, val):
+        j = exact_joint(confounded_mediation_example())
+        with pytest.raises(ValueOutOfRange, match=r"^X_c=.* out of range 0\.\.1$"):
+            condition(j, {"X_c": val})
+
+    @pytest.mark.parametrize("val", NOT_VALUES, ids=repr)
+    def test_intervene(self, val):
+        with pytest.raises(ValueOutOfRange, match=r"^X_c=.* out of range 0\.\.1$"):
+            intervene(confounded_mediation_example(), {"X_c": val})
+
+    def test_numpy_integers_are_values(self):
+        scm = confounded_mediation_example()
+        one = np.int64(1)
+        assert np.array_equal(infer(scm, {"Y_f"}, {"X_c": one}).probs, infer(scm, {"Y_f"}, {"X_c": 1}).probs)
+        j = exact_joint(scm)
+        assert np.array_equal(condition(j, {"X_c": np.uint8(1)}).probs, condition(j, {"X_c": 1}).probs)
+        assert np.array_equal(intervene(scm, {"X_c": one}).cpt["X_c"], [[0.0, 1.0]])
 
 
 class TestSampling:
@@ -505,7 +556,7 @@ class TestJson:
         ).max() == 0.0
 
     def test_round_trip_preserves_custom_parent_order(self):
-        scm = random_scm(template("Fig6Canonical", 1), 15)
+        scm = random_scm(template("Fig6Canonical(1)"), 15)
         cut = intervene(scm, {"D": 1})
         doc = json.loads(json.dumps(scm_to_json(cut)))
         back = scm_from_json(doc)
