@@ -343,7 +343,7 @@ def main(argv=None) -> int:
         doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         witness = getattr(exc, "witness", None)
         if witness is not None:
-            doc["error"]["witness"] = list(witness)
+            doc["error"]["witness"] = witness
         cell = getattr(exc, "cell", None)
         if cell is not None:
             doc["error"]["cell"] = {k: int(v) for k, v in cell.items()}

@@ -120,24 +120,28 @@ class Dag:
         self._check(v)
         return frozenset(self._children[v])
 
-    def _reach(self, v, step):
-        self._check(v)
+    def _reach(self, starts, step, stop=frozenset()) -> frozenset:
+        """The nodes outside ``stop`` that are one or more ``step``s
+        (``_parents`` or ``_children``) from ``starts`` along a path that
+        passes through no member of ``stop``.  Linear in the edge count."""
         seen = set()
-        stack = list(step[v])
+        stack = [u for v in starts for u in step[v]]
         while stack:
             u = stack.pop()
-            if u not in seen:
+            if u not in seen and u not in stop:
                 seen.add(u)
                 stack.extend(step[u])
         return frozenset(seen)
 
     def ancestors(self, v) -> frozenset:
         """Strict ancestors of ``v`` (``v`` excluded)."""
-        return self._reach(v, self._parents)
+        self._check(v)
+        return self._reach((v,), self._parents)
 
     def descendants(self, v) -> frozenset:
         """Strict descendants of ``v`` (``v`` excluded)."""
-        return self._reach(v, self._children)
+        self._check(v)
+        return self._reach((v,), self._children)
 
     def __eq__(self, other):
         if not isinstance(other, Dag):
@@ -156,11 +160,9 @@ class Dag:
 
 
 def _check_sets(dag: Dag, *sets):
-    node_set = set(dag.nodes)
     for s in sets:
         for v in s:
-            if v not in node_set:
-                raise UnknownNodeError(f"unknown node: {v!r}")
+            dag._check(v)
     for i, a in enumerate(sets):
         for b in sets[i + 1 :]:
             inter = set(a) & set(b)
@@ -194,13 +196,7 @@ def open_trail(dag: Dag, X, Y, Z):
     parents, children = dag._parents, dag._children
 
     # Z together with its ancestors: colliders are open exactly there.
-    anc_z = set(Z)
-    stack = list(Z)
-    while stack:
-        for p in parents[stack.pop()]:
-            if p not in anc_z:
-                anc_z.add(p)
-                stack.append(p)
+    anc_z = Z | dag._reach(Z, parents)
 
     # A state (v, True) arrived from a child of v or starts in X; (v,
     # False) arrived from a parent.  Each maps to the state it came from.
@@ -230,13 +226,12 @@ def mutilate(dag: Dag, do_set) -> Dag:
     """Copy of ``dag`` with every edge into a member of ``do_set`` removed."""
     do_set = frozenset(do_set)
     _check_sets(dag, do_set)
-    edges = [(a, b) for (a, b) in dag.edges if b not in do_set]
-    return Dag(dag.nodes, edges, dag.latent)
+    return _cut(dag, into=do_set)
 
 
-def _drop_out_edges(dag: Dag, sources) -> Dag:
-    sources = frozenset(sources)
-    edges = [(a, b) for (a, b) in dag.edges if a not in sources]
+def _cut(dag: Dag, into=(), out_of=()) -> Dag:
+    """Copy of ``dag`` without the edges into ``into`` and out of ``out_of``."""
+    edges = [(a, b) for (a, b) in dag.edges if b not in into and a not in out_of]
     return Dag(dag.nodes, edges, dag.latent)
 
 
@@ -255,24 +250,7 @@ def open_backdoor_trail(dag: Dag, x: str, y: str, Z):
         return sorted(bad)
     # Removing x's outgoing edges leaves exactly the trails that start
     # with an edge into x.
-    return open_trail(_drop_out_edges(dag, {x}), {x}, {y}, Z)
-
-
-def _directed_paths_intercepted(dag: Dag, x: str, y: str, M) -> bool:
-    """True iff every directed path x -> ... -> y passes through M."""
-    M = frozenset(M)
-    seen = set()
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for c in dag.children(v):
-            if c == y:
-                return False
-            if c in M or c in seen:
-                continue
-            seen.add(c)
-            stack.append(c)
-    return True
+    return open_trail(_cut(dag, out_of={x}), {x}, {y}, Z)
 
 
 def frontdoor_failure(dag: Dag, x: str, y: str, M, strata=()):
@@ -294,12 +272,12 @@ def frontdoor_failure(dag: Dag, x: str, y: str, M, strata=()):
     _check_sets(dag, {x, y}, strata)
     if not M:
         return "empty mediator set"
-    if not _directed_paths_intercepted(dag, x, y, M):
+    if y in dag._reach((x,), dag._children, stop=M):
         return f"a directed path from {x} to {y} bypasses the mediators"
-    below = strata & (M | dag.descendants(x).union(*(dag.descendants(m) for m in M)))
+    below = strata & (M | dag._reach({x} | M, dag._children))
     if below:
         return f"strata {sorted(below)} are mediators or descend from {x} or the mediators"
-    cut_x, cut_m = _drop_out_edges(dag, {x}), _drop_out_edges(dag, M)
+    cut_x, cut_m = _cut(dag, out_of={x}), _cut(dag, out_of=M)
     # Without the strata, then with them; one pass when there are none.
     for s in dict.fromkeys((frozenset(), strata)):
         given = f" given {sorted(s)}" if s else ""
@@ -389,25 +367,21 @@ def _fig6_canonical(depth: int) -> Dag:
 def template(name: str) -> Dag:
     """Return a built-in diagram by id.
 
-    ``Fig4Chain`` and ``Fig6Canonical`` take a depth >= 1 inline, as in
-    ``"Fig6Canonical(2)"``.
+    ``Fig4Chain`` and ``Fig6Canonical`` take a depth >= 1 inline, in
+    ASCII digits, as in ``"Fig6Canonical(2)"``; no other id takes one.
     """
-    depth = None
-    if "(" in name and name.endswith(")"):
-        base, arg = name[:-1].split("(", 1)
-        try:
-            depth = int(arg)
-        except ValueError:
-            raise UnknownTemplate(f"bad template argument: {name!r}") from None
-        name = base
     if name in _FIXED_TEMPLATES:
         nodes, edges, latent = _FIXED_TEMPLATES[name]
         return Dag(nodes, edges, latent)
-    if name in ("Fig4Chain", "Fig6Canonical"):
-        if depth is None or depth < 1:
-            raise UnknownTemplate(f"{name} requires depth >= 1")
-        return _fig4_chain(depth) if name == "Fig4Chain" else _fig6_canonical(depth)
-    raise UnknownTemplate(f"unknown template: {name!r}")
+    base, paren, arg = name.partition("(")
+    if base not in ("Fig4Chain", "Fig6Canonical"):
+        raise UnknownTemplate(f"unknown template: {name!r}")
+    digits = arg.removesuffix(")")
+    if paren and not (arg.endswith(")") and digits.isascii() and digits.isdecimal()):
+        raise UnknownTemplate(f"bad template argument: {name!r}")
+    if not paren or int(digits) < 1:
+        raise UnknownTemplate(f"{base} requires depth >= 1")
+    return _fig4_chain(int(digits)) if base == "Fig4Chain" else _fig6_canonical(int(digits))
 
 
 # -- JSON ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .graph import (
     Dag,
-    _drop_out_edges,
+    _cut,
     d_separated,
     frontdoor_failure,
     mutilate,
@@ -321,17 +321,16 @@ def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool
     return d_separated(cut, {outcome}, {candidate}, do_set)
 
 
-def _rule2_movable(dag: Dag, x: str, y: str, W, given=()) -> bool:
-    """Do-calculus Rule 2: may do(W) be replaced by observing W in
-    P(y | do(x), do(W), given)?
+def _rule2_trail(dag: Dag, x: str, y: str, W, given=()):
+    """Why do-calculus Rule 2 may not replace do(W) by observing W in
+    P(y | do(x), do(W), given), or ``None`` when it may.
 
-    True iff y and W are d-separated by x and ``given`` after cutting
-    x's incoming and W's outgoing edges.
+    The witness is a shortest trail from y to W that x and ``given``
+    leave open after cutting x's incoming and W's outgoing edges.
     """
     if not W:
-        return True
-    g = _drop_out_edges(mutilate(dag, {x}), W)
-    return d_separated(g, {y}, W, {x, *given})
+        return None
+    return open_trail(_cut(dag, into={x}, out_of=W), {y}, W, {x, *given})
 
 
 IDENTIFY_METHODS = ("auto", "frontdoor", "backdoor", "oracle")
@@ -353,14 +352,19 @@ def identify_effect(
     Back-door needs one do-variable and no ``observed``; it tries
     ``adjust`` when given, else the empty set and then every observed
     non-descendant of the treatment.  ``frontdoor`` and ``backdoor``
-    force one criterion; ``oracle`` is graph surgery on the full model:
-    the do-variables lose their parents and become uniform roots, so one
-    inference over the do-variables, the strata and the outcome holds
-    every do-configuration.  Each adjustment infers only the observed
-    joint it reads.  Whatever the method, the answer costs one
-    inference, and each criterion is decided once: the estimate comes
-    from the adjusters' cores, which check nothing again.  Do-variables
-    and strata come out in topological order, as the axes of ``probs``.
+    force one criterion.  The witness of a forced front-door refusal
+    is the ``frontdoor_failure`` message of the last treatment tried,
+    or its open Rule-2 trail; that of a back-door refusal is the
+    :func:`open_backdoor_trail` result of the first set tried, or a
+    line saying why none was tried.  ``oracle`` is graph surgery on the
+    full model: the do-variables lose their parents and become uniform
+    roots, so one inference over the do-variables, the strata and the
+    outcome holds every do-configuration.  Each adjustment infers only
+    the observed joint it reads.  Whatever the method, the answer costs
+    one inference, and each criterion is decided once: the estimate
+    comes from the adjusters' cores, which check nothing again.
+    Do-variables and strata come out in topological order, as the axes
+    of ``probs``.
     """
     if method not in IDENTIFY_METHODS:
         raise ParameterError(f"method must be one of {IDENTIFY_METHODS}, got {method!r}")
@@ -379,13 +383,14 @@ def identify_effect(
         return "oracle", EffectTable(y, do_vars, given, q)
 
     if method in ("auto", "frontdoor"):
+        failure = None  # why the last treatment tried fails
         for x in do_vars:
             extra = frozenset(do_vars) - {x}
             strata = extra | query.observed
-            if not (
-                frontdoor_failure(dag, x, y, M, strata) is None
-                and _rule2_movable(dag, x, y, extra, query.observed)
-            ):
+            failure = frontdoor_failure(dag, x, y, M, strata) or _rule2_trail(
+                dag, x, y, extra, query.observed
+            )
+            if failure is not None:
                 continue
             _refuse_latent(dag, {x, y, *M, *strata}, "joint table contains latent nodes")
             j = infer(scm, {x, y, *M, *strata})
@@ -396,7 +401,8 @@ def identify_effect(
             return "frontdoor", EffectTable(y, do_vars, given, est)
         if method == "frontdoor":
             raise CriterionNotMet(
-                f"front-door criterion fails for do({', '.join(do_vars)}) on {y} via {sorted(M)}"
+                f"front-door criterion fails for do({', '.join(do_vars)}) on {y} via {sorted(M)}",
+                witness=failure,
             )
 
     witnesses = {}  # back-door set tried -> why it fails
@@ -411,7 +417,11 @@ def identify_effect(
                 return "backdoor", EffectTable(y, do_vars, given, est)
     if method == "backdoor":
         raise CriterionNotMet(
-            f"no admissible back-door adjustment set for do({', '.join(do_vars)}) on {y}"
+            f"no admissible back-door adjustment set for do({', '.join(do_vars)}) on {y}",
+            witness=next(
+                iter(witnesses.values()),
+                "back-door adjustment needs one do-variable and no observed variables",
+            ),
         )
     witness = None
     if len(do_vars) == 1 and not given:
@@ -447,7 +457,7 @@ def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> Eliminati
             NOISE,
             f"interventional:({outcome} _||_ {candidate} | do({obs}))",
         )
-    trail = open_trail(_drop_out_edges(dag, {candidate}), {candidate}, {outcome}, observed)
+    trail = open_trail(_cut(dag, out_of={candidate}), {candidate}, {outcome}, observed)
     if trail is None:
         return EliminationVerdict(
             candidate,

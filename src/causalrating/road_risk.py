@@ -13,13 +13,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Mapping
 
 import numpy as np
 
-from .errors import NegativeTta, ParameterError, UnknownVariable, ValueOutOfRange
+from .errors import (
+    NegativeTta,
+    ParameterError,
+    UnknownVariable,
+    ValueOutOfRange,
+    ZeroProbabilityEvidence,
+)
 from .graph import Dag, _read_json
 from .identify import EffectQuery, EffectTable, _divide, _layout, identify_effect
 from .info import conditional_mutual_information
@@ -163,8 +170,8 @@ def tta_discretize(tta: float, thresholds) -> int:
         a >= b for a, b in zip(thresholds[1:], thresholds[:-1])
     ):
         raise ParameterError("thresholds must be strictly decreasing, positive and finite")
-    if math.isnan(tta):
-        raise ParameterError("TTA must be a number, got nan")
+    if isinstance(tta, bool) or not isinstance(tta, numbers.Real) or math.isnan(tta):
+        raise ParameterError(f"TTA must be a number, got {tta!r}")
     if tta < 0:
         raise NegativeTta(f"TTA must be nonnegative, got {tta}")
     return sum(1 for t in thresholds if tta < t)
@@ -263,10 +270,13 @@ def markov_consistency(scm: DiscreteScm) -> float:
     """Max over stages and decision values of I(T_i; S_{i+1} | S_i, D=d).
 
     Each stage costs one inference, whose joint keeps ``D`` and is then
-    conditioned on every decision value.  Structurally zero (< 1e-9) for
-    models emitted by :func:`build_scenario`; a positive value flags a
-    traffic variable leaking past its own stage.
+    conditioned on every decision value of positive mass.  Structurally
+    zero (< 1e-9) for models emitted by :func:`build_scenario`; a positive
+    value flags a traffic variable leaking past its own stage.  A model
+    without ``D`` raises :class:`UnknownVariable`.
     """
+    if "D" not in scm.card:
+        raise UnknownVariable("unknown variable: 'D'")
     states = _states(scm)
     worst = 0.0
     for i, st in enumerate(states):
@@ -275,7 +285,7 @@ def markov_consistency(scm: DiscreteScm) -> float:
         if t not in scm.card or nxt not in scm.card:
             continue
         j = infer(scm, {"D", t, st, nxt})
-        for d in range(scm.card["D"]):
+        for d in np.flatnonzero(_sum_to(j, ("D",))).tolist():
             jd = condition(j, {"D": d})
             worst = max(worst, conditional_mutual_information(jd, {t}, {nxt}, {st}))
     return worst
@@ -353,10 +363,11 @@ def chain_factorization_residual(scm: DiscreteScm) -> float:
     the product of the stage conditionals P(next | prev, D=d).
 
     The chain is the model's S_0, S_1, ... followed by Y_f as the
-    accident state; each decision value costs one inference.  A stage
-    conditional whose condition has zero mass (unreachable under the
-    absorbing encoding) is 0, as is every chain cell under it, so such
-    configurations add nothing.  A model without ``D`` raises
+    accident state; each decision value of positive mass costs one
+    inference.  A stage conditional whose condition has zero mass
+    (unreachable under the absorbing encoding) is 0, as is every chain
+    cell under it, so such configurations add nothing, as a decision
+    value of zero mass adds nothing.  A model without ``D`` raises
     :class:`UnknownVariable`.
     """
     if "D" not in scm.card:
@@ -364,7 +375,10 @@ def chain_factorization_residual(scm: DiscreteScm) -> float:
     chain = [*_states(scm), "Y_f"]
     worst = 0.0
     for d in range(scm.card["D"]):
-        lhs = infer(scm, chain, {"D": d})
+        try:
+            lhs = infer(scm, chain, {"D": d})
+        except ZeroProbabilityEvidence:
+            continue
         actual = lhs.probs.transpose([lhs.vars.index(v) for v in chain])
         prod = np.ones((1,) * len(chain))
         for k, (a, b) in enumerate(zip(chain, chain[1:])):

@@ -294,12 +294,8 @@ def infer(
         if v not in scm.card or v in evidence:
             raise UnknownVariable(f"unknown variable: {v!r}")
 
-    relevant, stack = set(), [*keep, *evidence]
-    while stack:
-        v = stack.pop()
-        if v not in relevant:
-            relevant.add(v)
-            stack.extend(scm.parents[v])
+    relevant = {*keep, *evidence}
+    relevant |= scm.dag._reach(relevant, scm.dag._parents)
     order = {v: i for i, v in enumerate(scm.dag.topological_order)}
 
     def size(scope) -> int:

@@ -146,6 +146,17 @@ class TestTemplates:
         assert code == 2
         assert "Fig9" in err
 
+    @pytest.mark.parametrize(
+        "name",
+        ["Fig1a(2)", "Fig3(1)", "Fig4Chain( 2)", "Fig4Chain(+2)", "Fig4Chain(1_0)",
+         "Fig6Canonical(\u0663)", "Fig4Chain()", "Fig4Chain(2", "Fig4Chain(0)"],
+    )
+    def test_malformed_template_id_exit_2(self, capsys, name):
+        # A depth on a fixed template, or a depth that is not ASCII digits.
+        code, out, err = run(capsys, "templates", name)
+        assert (code, out) == (2, "")
+        assert "UnknownTemplate" in err
+
 
 class TestDsep:
     def test_separated(self, capsys):
@@ -249,6 +260,26 @@ class TestIdentify:
         assert doc["error"]["type"] == "CriterionNotMet"
         assert "back-door" in doc["error"]["message"]
         assert doc["error"]["witness"] == ["X_c", "U", "Y_f"]
+
+    @pytest.mark.parametrize(
+        "extra,witness",
+        [
+            (
+                ["--method", "frontdoor", "--mediators", "Y_h"],
+                "a directed path from X_c to Y_f bypasses the mediators",
+            ),
+            (["--method", "backdoor"], ["X_c", "U", "Y_f"]),
+            (
+                ["--method", "backdoor", "--given", "Y_h"],
+                "back-door adjustment needs one do-variable and no observed variables",
+            ),
+        ],
+        ids=["frontdoor", "backdoor", "backdoor-given"],
+    )
+    def test_forced_method_refusal_carries_a_witness(self, capsys, extra, witness):
+        code, out, _ = run(capsys, "identify", CONFOUNDED, "--do", "X_c", "--outcome", "Y_f", *extra)
+        assert code == 3
+        assert json.loads(out)["error"]["witness"] == witness
 
     @pytest.mark.parametrize(
         "model,do,outcome",
@@ -1140,9 +1171,9 @@ class TestDecisionCounts:
         code, counts = self._count(monkeypatch, ["evaluate", SCENARIO])
         assert code == 0
         # One failure at J_o (D descends from it), one pass at D; the
-        # scenario graph, the two front-door cuts, the two Rule-2 cuts
+        # scenario graph, the two front-door cuts, the one Rule-2 cut
         # and the surgery.
-        assert (counts["frontdoor_failure"], counts["Dag"]) == (2, 6)
+        assert (counts["frontdoor_failure"], counts["Dag"]) == (2, 5)
 
     def test_backdoor_searched_once(self, capsys, monkeypatch):
         code, counts = self._count(monkeypatch, ["identify", MEDIATED, "--do", "Y_h", "--outcome", "Y_f"])

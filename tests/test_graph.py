@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +135,30 @@ class TestReachability:
         with pytest.raises(UnknownNodeError):
             template("Fig1a").parents("Q")
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
+    def test_ancestors_and_descendants_match_transitive_closure(self, seed, n):
+        dag = random_dag(seed, n)
+        reach = transitive_closure(dag.nodes, dag.edges)
+        for i, v in enumerate(dag.nodes):
+            assert dag.descendants(v) == {u for k, u in enumerate(dag.nodes) if reach[i, k]}
+            assert dag.ancestors(v) == {u for k, u in enumerate(dag.nodes) if reach[k, i]}
+
+
+def transitive_closure(nodes, edges) -> np.ndarray:
+    """``reach[i, k]``: a directed path of one or more edges runs from
+    ``nodes[i]`` to ``nodes[k]``; the union of the boolean powers
+    A, A^2, ..., A^n of the adjacency matrix."""
+    pos = {v: i for i, v in enumerate(nodes)}
+    adj = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
+    for a, b in edges:
+        adj[pos[a], pos[b]] = 1
+    reach, power = adj > 0, adj
+    for _ in range(len(nodes)):
+        power = np.minimum(power @ adj, 1)
+        reach |= power > 0
+    return reach
+
 
 class TestDSeparation:
     def test_chain_blocked_by_mediator(self):
@@ -216,8 +241,6 @@ class TestBackdoor:
     def test_agrees_with_trail_enumeration(self, template_dags):
         import itertools
 
-        from causalrating.graph import _drop_out_edges
-
         for dag in template_dags.values():
             nodes = list(dag.nodes)
             for x, y in itertools.permutations(nodes, 2):
@@ -226,7 +249,7 @@ class TestBackdoor:
                     for z in itertools.combinations(rest, r):
                         got = open_backdoor_trail(dag, x, y, set(z)) is None
                         bad_z = set(z) & dag.descendants(x)
-                        cut = _drop_out_edges(dag, {x})
+                        cut = Dag(dag.nodes, [e for e in dag.edges if e[0] != x], dag.latent)
                         want = not bad_z and (
                             reference_open_trail(cut, {x}, {y}, set(z)) is None
                         )
@@ -291,6 +314,39 @@ class TestFrontdoor:
     )
     def test_failure_names_first_failed_condition(self, dag, x, M, strata, want):
         assert frontdoor_failure(dag, x, "Y_f", M, strata) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 12), data=st.data())
+    def test_bypass_exactly_when_y_reachable_without_mediators(self, seed, n, data):
+        dag = random_dag(seed, n)
+        x, y = data.draw(st.permutations(dag.nodes), label="x, y")[:2]
+        rest = [v for v in dag.nodes if v not in (x, y)]
+        M = set(data.draw(st.lists(st.sampled_from(rest), min_size=1, unique=True), label="M"))
+        kept = [v for v in dag.nodes if v not in M]
+        reach = transitive_closure(kept, [e for e in dag.edges if M.isdisjoint(e)])
+        bypass = f"a directed path from {x} to {y} bypasses the mediators"
+        got = frontdoor_failure(dag, x, y, M) == bypass
+        assert got == bool(reach[kept.index(x), kept.index(y)])
+
+    def test_reach_calls_do_not_grow_with_the_mediators(self, monkeypatch):
+        # The peril chain's mediator set grows with the depth; the walks
+        # of the check must not.
+        from causalrating import graph
+        from causalrating.road_risk import canonical_scenario, scenario_dag
+
+        calls = []
+
+        def counting(self, *args, real=graph.Dag._reach, **kwargs):
+            calls[-1] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(graph.Dag, "_reach", counting)
+        for depth in (2, 50):
+            dag = scenario_dag(canonical_scenario(depth))
+            states = {v for v in dag.nodes if v.startswith("S_")}
+            calls.append(0)
+            assert frontdoor_failure(dag, "D", "Y_f", states, {"J_o"}) is None
+        assert calls[0] == calls[1]
 
 
 class TestJson:

@@ -618,17 +618,51 @@ class TestIdentifyEffect:
             identify_effect(random_scm(wide, 6), q, "auto", adjust={"V"})
 
     def test_forced_method_failures(self):
+        # Each forced refusal carries a witness: the front-door message of
+        # the last treatment tried, or the open back-door trail of the
+        # first set tried, or why back-door was not tried.
+        def backdoor_trail_ok(dag, trail, x, y, Z=()):
+            cut = Dag(dag.nodes, [e for e in dag.edges if e[0] != x], dag.latent)
+            return open_trail_problem(cut, trail, {x}, {y}, set(Z)) is None
+
         scm = random_scm(template("Fig2b"), 7)
         q = EffectQuery("Y_f", {"X_c"})
-        with pytest.raises(CriterionNotMet, match="front-door"):
+        with pytest.raises(CriterionNotMet, match="front-door") as exc:
             identify_effect(scm, q, "frontdoor", {"Y_h"})
-        with pytest.raises(CriterionNotMet, match="back-door adjustment set"):
+        assert exc.value.witness == frontdoor_failure(scm.dag, "X_c", "Y_f", {"Y_h"})
+        assert exc.value.witness == "a directed path from X_c to Y_f bypasses the mediators"
+        with pytest.raises(CriterionNotMet, match="back-door adjustment set") as exc:
             identify_effect(scm, q, "backdoor")
+        assert exc.value.witness == ["X_c", "U", "Y_f"]
+        assert backdoor_trail_ok(scm.dag, exc.value.witness, "X_c", "Y_f")
+        with pytest.raises(CriterionNotMet) as exc:
+            identify_effect(scm, q, "backdoor", adjust={"Y_h"})
+        assert exc.value.witness == open_backdoor_trail(scm.dag, "X_c", "Y_f", {"Y_h"})
+        assert backdoor_trail_ok(scm.dag, exc.value.witness, "X_c", "Y_f", {"Y_h"})
         mediated = random_scm(template("Fig3"), 7)
-        with pytest.raises(CriterionNotMet):
+        with pytest.raises(CriterionNotMet) as exc:
             identify_effect(mediated, q, "backdoor", {"Z"})
-        with pytest.raises(CriterionNotMet):
+        assert backdoor_trail_ok(mediated.dag, exc.value.witness, "X_c", "Y_f")
+        with pytest.raises(CriterionNotMet) as exc:
             identify_effect(mediated, EffectQuery("Y_f", {"X_c"}, {"Y_h"}), "backdoor")
+        assert exc.value.witness == (
+            "back-door adjustment needs one do-variable and no observed variables"
+        )
+
+    def test_forced_frontdoor_carries_the_rule2_trail(self):
+        # The criterion holds for X within the stratum W, but do(W) cannot
+        # be read as observing W: the latent L joins W to Y.
+        dag = Dag(
+            ["L", "W", "X", "M", "Y"],
+            [("L", "W"), ("L", "Y"), ("W", "X"), ("X", "M"), ("M", "Y")],
+            ["L"],
+        )
+        assert frontdoor_failure(dag, "X", "Y", {"M"}, {"W"}) is None
+        with pytest.raises(CriterionNotMet) as exc:
+            identify_effect(random_scm(dag, 3), EffectQuery("Y", {"W", "X"}), "frontdoor", {"M"})
+        assert exc.value.witness == ["Y", "L", "W"]
+        cut = Dag(dag.nodes, [e for e in dag.edges if e[1] != "X" and e[0] != "W"], dag.latent)
+        assert open_trail_problem(cut, exc.value.witness, {"Y"}, {"W"}, {"X"}) is None
 
     def test_unidentifiable_carries_backdoor_witness(self):
         scm = random_scm(template("Fig2b"), 8)

@@ -37,7 +37,7 @@ from causalrating import (
     tta_discretize,
 )
 from causalrating.errors import ParameterError, UnknownVariable, ValueOutOfRange
-from causalrating import empirical_joint, frontdoor_adjust, random_scm
+from causalrating import confounded_mediation_example, empirical_joint, frontdoor_adjust, random_scm
 from causalrating.graph import frontdoor_failure
 from helpers import live_cells, reference_chain_factorization_residual
 
@@ -98,6 +98,12 @@ class TestTtaDiscretize:
     def test_nan_tta_rejected(self):
         with pytest.raises(ParameterError):
             tta_discretize(float("nan"), THRESHOLDS)
+
+    @pytest.mark.parametrize("tta", [True, False, "3", None, 1 + 0j])
+    def test_bool_or_non_real_tta_rejected(self, tta):
+        # A bool is not a reading, and no other type may reach the comparisons.
+        with pytest.raises(ParameterError, match="TTA must be a number"):
+            tta_discretize(tta, (2.0, 1.0))
 
     def test_non_decreasing_thresholds_rejected(self):
         with pytest.raises(ParameterError):
@@ -272,6 +278,28 @@ class TestMarkovConsistency:
             }
             scm = DiscreteScm(dag, card, cpt)
             assert markov_consistency(scm) > 0.01
+
+
+def zero_mass_decision() -> DiscreteScm:
+    """The default scenario where decision value 2 never occurs."""
+    s = default_scenario()
+    cs = {**s.confounder_strength, "u_prob": 0.0}
+    return dataclasses.replace(s, decision_base=((0.5, 0.5, 0.0),) * 2, confounder_strength=cs)
+
+
+class TestChainDiagnosticsZeroMass:
+    def test_zero_mass_decision_adds_nothing(self):
+        s = zero_mass_decision()
+        scm = build_scenario(s)
+        assert infer(scm, {"D"}).probs[2] == 0.0
+        assert markov_consistency(scm) < 1e-9
+        # Each live value's residual is the oracle's, bit for bit.
+        want = max(reference_chain_factorization_residual(s, d, scm) for d in (0, 1))
+        assert chain_factorization_residual(scm) == want
+
+    def test_markov_consistency_without_a_decision_raises(self):
+        with pytest.raises(UnknownVariable, match="'D'"):
+            markov_consistency(confounded_mediation_example())
 
 
 class TestSimulateJourneys:
