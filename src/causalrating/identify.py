@@ -1,7 +1,8 @@
 """Causal-effect identification and variable-elimination verdicts.
 
-:func:`identify_effect` is the one place that picks an identification
-strategy.  Adjustment estimators consume an observational joint table
+:func:`_choose` is the one place that picks an identification strategy,
+on the graph alone; :func:`identify_effect` and both adjusters run its
+choice.  Adjustment estimators consume an observational joint table
 that must not contain latent variables; only the surgery oracle may see
 the full model.
 """
@@ -60,6 +61,14 @@ SIGNAL = "Signal"
 UNIDENTIFIABLE = "Unidentifiable"
 
 
+def _names(names, what: str) -> frozenset:
+    """``names`` as a set of variable names; a bare string is refused,
+    since it would be read as its letters."""
+    if isinstance(names, str):
+        raise ParameterError(f"{what} takes a collection of variable names")
+    return frozenset(names)
+
+
 @dataclass(frozen=True)
 class EffectQuery:
     """An interventional quantity: P(outcome | do(do), observed).
@@ -73,9 +82,10 @@ class EffectQuery:
     observed: frozenset = frozenset()
 
     def __post_init__(self):
-        if isinstance(self.do, (Mapping, str)):
+        if isinstance(self.do, Mapping):
             raise ParameterError("EffectQuery.do takes a collection of variable names")
-        do, observed = frozenset(self.do), frozenset(self.observed)
+        do = _names(self.do, "EffectQuery.do")
+        observed = _names(self.observed, "EffectQuery.observed")
         if self.outcome in do or self.outcome in observed:
             raise OverlapError("outcome may not appear in do or observed sets")
         if do & observed:
@@ -223,17 +233,14 @@ def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
 
     Returns a map from x-value to a distribution over y.  A latent node
     in ``j`` or ``Z`` raises :class:`LatentAdjustmentError`; a ``Z`` that
-    fails the back-door criterion, :class:`CriterionNotMet` with the
-    witness of :func:`open_backdoor_trail`.  A :class:`PositivityViolation`
-    names the first cell (v, z) with P(z) > 0 = P(v, z).
+    fails the back-door criterion, the :class:`CriterionNotMet` of
+    :func:`_choose`, with the witness of :func:`open_backdoor_trail`.  A
+    :class:`PositivityViolation` names the first cell (v, z) with
+    P(z) > 0 = P(v, z).
     """
-    Z = frozenset(Z)
+    Z = _names(Z, "Z")
     _refuse_latent(dag, Z | set(j.vars), "latent nodes in joint or adjustment set")
-    witness = open_backdoor_trail(dag, x, y, Z)
-    if witness is not None:
-        raise CriterionNotMet(
-            f"back-door criterion fails for ({x}, {y}) given {sorted(Z)}", witness=witness
-        )
+    _choose(dag, y, (x,), (), "backdoor", frozenset(), (Z,))
     return dict(enumerate(_backdoor(j, x, y, Z)))
 
 
@@ -261,8 +268,8 @@ def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> di
     With ``given`` empty this is the classic front-door formula.  The
     inner factors are conditioned on the stratum throughout, which is
     what makes the estimate agree exactly with graph surgery when the
-    criterion holds within the strata; otherwise
-    :class:`CriterionNotMet` carries the message of
+    criterion holds within the strata; otherwise the
+    :class:`CriterionNotMet` of :func:`_choose` carries the message of
     ``frontdoor_failure(dag, x, y, M, given)``.  A member of ``M`` or
     ``given`` missing from ``j`` raises :class:`UnknownVariable`.  The
     factors are ratios of sums of the {g, x, M, y} mass, joined by one
@@ -270,13 +277,9 @@ def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> di
     cell in the order stratum, v, m, v'.  Returns a map from (x-value,
     given-configuration) to a distribution over y.
     """
-    M = frozenset(M)
+    M, given = _names(M, "M"), _names(given, "given")
     _refuse_latent(dag, j.vars, "joint table contains latent nodes")
-    failure = frontdoor_failure(dag, x, y, M, given)
-    if failure is not None:
-        raise CriterionNotMet(
-            f"front-door criterion fails for ({x}, {y}) via {sorted(M)}", witness=failure
-        )
+    _choose(dag, y, (x,), given, "frontdoor", M)
     est, g_cfgs = _frontdoor(j, x, y, M, given), _configs(j, _ordered(j, given))
     return {(v, g_cfgs[g]): est[g, v] for g, v in np.argwhere(est.any(axis=-1)).tolist()}
 
@@ -321,19 +324,62 @@ def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool
     return d_separated(cut, {outcome}, {candidate}, do_set)
 
 
-def _rule2_trail(dag: Dag, x: str, y: str, W, given=()):
-    """Why do-calculus Rule 2 may not replace do(W) by observing W in
-    P(y | do(x), do(W), given), or ``None`` when it may.
-
-    The witness is a shortest trail from y to W that x and ``given``
-    leave open after cutting x's incoming and W's outgoing edges.
-    """
-    if not W:
-        return None
-    return open_trail(_cut(dag, into={x}, out_of=W), {y}, W, {x, *given})
-
-
 IDENTIFY_METHODS = ("auto", "frontdoor", "backdoor", "oracle")
+
+
+def _choose(dag: Dag, y: str, do_vars: tuple, given, method: str, M, sets=None) -> tuple:
+    """How to identify P(y | do(do_vars), given), decided on the graph
+    alone: ``("frontdoor", x, strata)``, ``("backdoor", x, Z)`` or
+    ``("oracle", None, frozenset())``.
+
+    ``auto`` tries the front-door criterion through ``M``, then the
+    back-door criterion; ``frontdoor`` and ``backdoor`` force one.  The
+    front-door treatment x is the first of ``do_vars`` whose criterion
+    holds within the strata of ``given`` and the other do-variables W,
+    where do-calculus Rule 2 lets do(W) be read as observing W: no trail
+    from y to W is open given x and ``given`` once x's incoming and W's
+    outgoing edges are cut.  Back-door needs one do-variable and no
+    ``given``; it tries ``sets`` in turn (by default the empty set, then
+    every observed non-descendant of x) and takes the first that holds.
+    Otherwise :class:`CriterionNotMet` carries the witness of the last
+    criterion tried: the ``frontdoor_failure`` message or open Rule-2
+    trail of the last treatment, the :func:`open_backdoor_trail` result
+    of the first set, or the line saying why back-door was not tried.
+    """
+    if method == "oracle":
+        return "oracle", None, frozenset()
+    given, witness = frozenset(given), None
+    if method != "backdoor":
+        for x in do_vars:
+            W = frozenset(do_vars) - {x}
+            witness = frontdoor_failure(dag, x, y, M, W | given)
+            if witness is None and W:
+                witness = open_trail(_cut(dag, into={x}, out_of=W), {y}, W, {x} | given)
+            if witness is None:
+                return "frontdoor", x, W | given
+    if method != "frontdoor":
+        witness = "back-door adjustment needs one do-variable and no observed variables"
+        if len(do_vars) == 1 and not given:
+            x = do_vars[0]
+            if sets is None:
+                observed = frozenset(dag.nodes) - dag.latent - {x, y}
+                sets = (frozenset(), observed - dag.descendants(x))
+            for k, Z in enumerate(dict.fromkeys(sets)):
+                trail = open_backdoor_trail(dag, x, y, Z)
+                if trail is None:
+                    return "backdoor", x, Z
+                witness = trail if k == 0 else witness
+    what = f"do({', '.join(do_vars)}) on {y}"
+    if method == "frontdoor":
+        message = f"front-door criterion fails for {what} via {sorted(M)}"
+    elif method == "backdoor":
+        message = f"no admissible back-door adjustment set for {what}"
+    else:
+        message = (
+            f"effect of {what} is not identifiable by the available criteria; "
+            "an unblockable back-door trail remains"
+        )
+    raise CriterionNotMet(message, witness=witness)
 
 
 def identify_effect(
@@ -342,95 +388,44 @@ def identify_effect(
     """P(outcome | do(do), observed) for every do-configuration and every
     stratum of positive mass, as ``(method, EffectTable)``.
 
-    ``auto`` tries the front-door criterion through ``mediators``, then
-    the back-door criterion, and raises :class:`CriterionNotMet` when
-    neither holds (with an open back-door trail as witness for one
-    do-variable and no ``observed``).  The front-door treatment is the
-    first do-variable, in topological order, whose criterion holds
-    within the strata of ``observed`` and the other do-variables, where
-    Rule 2 lets those other interventions be read as observations.
-    Back-door needs one do-variable and no ``observed``; it tries
-    ``adjust`` when given, else the empty set and then every observed
-    non-descendant of the treatment.  ``frontdoor`` and ``backdoor``
-    force one criterion.  The witness of a forced front-door refusal
-    is the ``frontdoor_failure`` message of the last treatment tried,
-    or its open Rule-2 trail; that of a back-door refusal is the
-    :func:`open_backdoor_trail` result of the first set tried, or a
-    line saying why none was tried.  ``oracle`` is graph surgery on the
-    full model: the do-variables lose their parents and become uniform
-    roots, so one inference over the do-variables, the strata and the
-    outcome holds every do-configuration.  Each adjustment infers only
-    the observed joint it reads.  Whatever the method, the answer costs
-    one inference, and each criterion is decided once: the estimate
-    comes from the adjusters' cores, which check nothing again.
-    Do-variables and strata come out in topological order, as the axes
-    of ``probs``.
+    :func:`_choose` picks the method on the graph, with ``mediators`` as
+    the front-door set and ``adjust``, when given, as the one back-door
+    set; when none applies it raises :class:`CriterionNotMet` with a
+    witness.  ``oracle`` is graph surgery on the full model: the
+    do-variables lose their parents and become uniform roots, so one
+    inference over the do-variables, the strata and the outcome holds
+    every do-configuration.  An adjustment infers only the observed
+    joint it reads and runs its adjuster's core, which checks nothing
+    again.  Do-variables and strata come out in topological order, as
+    the axes of ``probs``.
     """
     if method not in IDENTIFY_METHODS:
         raise ParameterError(f"method must be one of {IDENTIFY_METHODS}, got {method!r}")
-    M, adjust = frozenset(mediators), frozenset(adjust)
+    M, adjust = _names(mediators, "mediators"), _names(adjust, "adjust")
     for v in (query.outcome, *query.do, *query.observed, *M, *adjust):
         if v not in scm.card:
             raise UnknownVariable(f"unknown variable: {v!r}")
     dag, y = scm.dag, query.outcome
     do_vars = tuple(v for v in dag.topological_order if v in query.do)
     given = tuple(v for v in dag.topological_order if v in query.observed)
+    method, x, S = _choose(dag, y, do_vars, given, method, M, (adjust,) if adjust else None)
 
     if method == "oracle":
         cut = _surgery(scm, {v: np.full(scm.card[v], 1.0 / scm.card[v]) for v in do_vars})
         q = _layout(infer(cut, {*do_vars, *given, y}), *((v,) for v in do_vars + given), (y,))
         _divide((q, q.sum(axis=-1, keepdims=True)))
         return "oracle", EffectTable(y, do_vars, given, q)
-
-    if method in ("auto", "frontdoor"):
-        failure = None  # why the last treatment tried fails
-        for x in do_vars:
-            extra = frozenset(do_vars) - {x}
-            strata = extra | query.observed
-            failure = frontdoor_failure(dag, x, y, M, strata) or _rule2_trail(
-                dag, x, y, extra, query.observed
-            )
-            if failure is not None:
-                continue
-            _refuse_latent(dag, {x, y, *M, *strata}, "joint table contains latent nodes")
-            j = infer(scm, {x, y, *M, *strata})
-            # Split the core's stratum axis per variable; reorder to (do, given, y).
-            axes = [*_ordered(j, strata), x]
-            est = _frontdoor(j, x, y, M, strata).reshape([scm.card[v] for v in (*axes, y)])
-            est = est.transpose([axes.index(v) for v in do_vars + given] + [len(axes)])
-            return "frontdoor", EffectTable(y, do_vars, given, est)
-        if method == "frontdoor":
-            raise CriterionNotMet(
-                f"front-door criterion fails for do({', '.join(do_vars)}) on {y} via {sorted(M)}",
-                witness=failure,
-            )
-
-    witnesses = {}  # back-door set tried -> why it fails
-    if method in ("auto", "backdoor") and len(do_vars) == 1 and not given:
-        x = do_vars[0]
-        pre = frozenset(v for v in dag.nodes if v not in dag.latent and v not in (x, y)) - dag.descendants(x)
-        for Z in dict.fromkeys((adjust,) if adjust else (frozenset(), pre)):
-            witnesses[Z] = open_backdoor_trail(dag, x, y, Z)
-            if witnesses[Z] is None:
-                _refuse_latent(dag, {x, y, *Z}, "latent nodes in joint or adjustment set")
-                est = _backdoor(infer(scm, {x, y, *Z}), x, y, Z)
-                return "backdoor", EffectTable(y, do_vars, given, est)
     if method == "backdoor":
-        raise CriterionNotMet(
-            f"no admissible back-door adjustment set for do({', '.join(do_vars)}) on {y}",
-            witness=next(
-                iter(witnesses.values()),
-                "back-door adjustment needs one do-variable and no observed variables",
-            ),
-        )
-    witness = None
-    if len(do_vars) == 1 and not given:
-        witness = witnesses.get(frozenset()) or open_backdoor_trail(dag, do_vars[0], y, set())
-    raise CriterionNotMet(
-        f"effect of do({', '.join(do_vars)}) on {y} is not identifiable "
-        "by the available criteria; an unblockable back-door trail remains",
-        witness=witness,
-    )
+        _refuse_latent(dag, {x, y, *S}, "latent nodes in joint or adjustment set")
+        est = _backdoor(infer(scm, {x, y, *S}), x, y, S)
+        return "backdoor", EffectTable(y, do_vars, given, est)
+    _refuse_latent(dag, {x, y, *M, *S}, "joint table contains latent nodes")
+    j = infer(scm, {x, y, *M, *S})
+    # Split the core's stratum axis per variable; reorder to (do, given, y).
+    axes = [*_ordered(j, S), x]
+    est = _frontdoor(j, x, y, M, S).reshape([scm.card[v] for v in (*axes, y)])
+    est = est.transpose([axes.index(v) for v in do_vars + given] + [len(axes)])
+    return "frontdoor", EffectTable(y, do_vars, given, est)
 
 
 def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> EliminationVerdict:

@@ -24,13 +24,21 @@ from .errors import (
     NegativeTta,
     ParameterError,
     UnknownVariable,
-    ValueOutOfRange,
     ZeroProbabilityEvidence,
 )
 from .graph import Dag, _read_json
 from .identify import EffectQuery, EffectTable, _divide, _layout, identify_effect
 from .info import conditional_mutual_information
-from .scm import Dataset, DiscreteScm, JointTable, _sample_rows, _sum_to, condition, infer
+from .scm import (
+    Dataset,
+    DiscreteScm,
+    JointTable,
+    _check_counts,
+    _sample_rows,
+    _sum_to,
+    condition,
+    infer,
+)
 
 __all__ = [
     "RoadRiskScenario",
@@ -267,7 +275,10 @@ def _states(scm: DiscreteScm) -> list:
 
 
 def markov_consistency(scm: DiscreteScm) -> float:
-    """Max over stages and decision values of I(T_i; S_{i+1} | S_i, D=d).
+    """Max over stages and decision values of I(T_k; next | S_k, D=d),
+    where ``T_k`` is the traffic of state ``S_k``, paired by the number in
+    the name, and ``next`` is the following state in chain order, or
+    ``Y_f`` after the last.
 
     Each stage costs one inference, whose joint keeps ``D`` and is then
     conditioned on every decision value of positive mass.  Structurally
@@ -281,7 +292,7 @@ def markov_consistency(scm: DiscreteScm) -> float:
     worst = 0.0
     for i, st in enumerate(states):
         nxt = states[i + 1] if i + 1 < len(states) else "Y_f"
-        t = f"T_{i}"
+        t = "T" + st[1:]
         if t not in scm.card or nxt not in scm.card:
             continue
         j = infer(scm, {"D", t, st, nxt})
@@ -302,8 +313,7 @@ def _journey_blocks(s: RoadRiskScenario, n: int, seed: int, block_rows: int):
     counterfactual style potentials, not realized states).  ``Y_f``
     needs no masking; the model gates it on ``J_o``.
     """
-    if n < 1:
-        raise ValueOutOfRange("n must be >= 1")
+    _check_counts(n, seed)
     scm = build_scenario(s)
     order = scm.dag.topological_order
     cards = tuple(scm.card[v] for v in order)

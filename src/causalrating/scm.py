@@ -446,14 +446,24 @@ class Dataset:
         return self.rows[:, self.vars.index(var)]
 
 
-def _sample_rows(scm: DiscreteScm, n: int, seed: int, start: int = 0) -> np.ndarray:
-    """Rows ``start..start+n-1`` of the ancestral sample, columns in
-    topological order: a writable, column-major array, uint8 when every
-    cardinality is at most 256 and int64 otherwise."""
+def _check_counts(n, seed, start=0) -> None:
+    """Refuse an ``n``, ``seed`` or ``start`` that is not an integer (a
+    float or a bool would be read as some other count), an ``n`` below 1
+    and a ``start`` below 0, with :class:`ValueOutOfRange`."""
+    for name, value in (("n", n), ("seed", seed), ("start", start)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueOutOfRange(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValueOutOfRange("n must be >= 1")
     if start < 0:
         raise ValueOutOfRange("start must be >= 0")
+
+
+def _sample_rows(scm: DiscreteScm, n: int, seed: int, start: int = 0) -> np.ndarray:
+    """Rows ``start..start+n-1`` of the ancestral sample, columns in
+    topological order: a writable, column-major array, uint8 when every
+    cardinality is at most 256 and int64 otherwise."""
+    _check_counts(n, seed, start)
     order = scm.dag.topological_order
     pos = {v: i for i, v in enumerate(order)}
     narrow = max(scm.card.values()) <= 256

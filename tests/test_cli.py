@@ -282,6 +282,21 @@ class TestIdentify:
         assert json.loads(out)["error"]["witness"] == witness
 
     @pytest.mark.parametrize(
+        "args,do",
+        [(["--do", "X_c", "--given", "Y_h"], "X_c"), (["--do", "X_c", "Y_h"], "Y_h, X_c")],
+        ids=["given", "two-do"],
+    )
+    def test_auto_refusal_without_a_backdoor_attempt_carries_a_witness(self, capsys, args, do):
+        code, out, _ = run(capsys, "identify", CONFOUNDED, "--outcome", "Y_f", *args)
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "CriterionNotMet",
+            "message": f"effect of do({do}) on Y_f is not identifiable by the available "
+            "criteria; an unblockable back-door trail remains",
+            "witness": "back-door adjustment needs one do-variable and no observed variables",
+        }
+
+    @pytest.mark.parametrize(
         "model,do,outcome",
         [(CONFOUNDED, "U", "Y_f"), (MEDIATED, "Y_h", "U")],
         ids=["latent-treatment", "latent-outcome"],

@@ -23,11 +23,14 @@ from causalrating import (
     OverlapError,
     PositivityViolation,
     backdoor_adjust,
+    build_scenario,
+    canonical_scenario,
     condition,
     conditional_mutual_information,
     confounded_direct_example,
     confounded_mediation_example,
     confounding_gap,
+    default_scenario,
     do_distribution,
     exact_joint,
     frontdoor_adjust,
@@ -41,8 +44,10 @@ from causalrating import (
     rule1_deletion_check,
     template,
 )
+from causalrating import identify
 from causalrating.errors import ParameterError, UnknownVariable
 from causalrating.graph import frontdoor_failure, open_backdoor_trail
+from causalrating.identify import IDENTIFY_METHODS, _choose
 from helpers import (
     TEMPLATE_DAGS,
     live_cells,
@@ -53,6 +58,7 @@ from helpers import (
     reference_confounding_gap,
     reference_effect_json,
     reference_frontdoor_adjust,
+    reference_open_trail,
     reference_oracle_effect,
     reference_rating_comparison,
     sparse_scm,
@@ -438,6 +444,28 @@ class TestEffectQuery:
             with pytest.raises(ParameterError):
                 EffectQuery("Y_f", do)
 
+    # A string is a collection of its letters: "Y_h" would be read as
+    # {"Y", "_", "h"}, and a one-letter name would pass unnoticed.
+    BARE_STRINGS = {
+        "observed": lambda scm, j: EffectQuery("Y_f", {"X_c"}, "Y_h"),
+        "mediators": lambda scm, j: identify_effect(scm, EffectQuery("Y_f", {"X_c"}), "auto", "Z"),
+        "adjust": lambda scm, j: identify_effect(
+            scm, EffectQuery("Y_f", {"Y_h"}), "backdoor", adjust="X_c"
+        ),
+        "frontdoor M": lambda scm, j: frontdoor_adjust(j, scm.dag, "X_c", "Y_f", "Z"),
+        "frontdoor given": lambda scm, j: frontdoor_adjust(
+            j, scm.dag, "X_c", "Y_f", {"Z"}, given="Y_h"
+        ),
+        "backdoor Z": lambda scm, j: backdoor_adjust(j, scm.dag, "Y_h", "Y_f", "X_c"),
+    }
+
+    @pytest.mark.parametrize("where", sorted(BARE_STRINGS))
+    def test_a_bare_string_is_not_a_name_set(self, where):
+        scm = confounded_mediation_example()
+        j = observed_joint(scm)
+        with pytest.raises(ParameterError, match="takes a collection of variable names"):
+            self.BARE_STRINGS[where](scm, j)
+
 
 def assert_same_cells(got, want):
     assert (got.do_vars, got.given_vars) == (want.do_vars, want.given_vars)
@@ -671,7 +699,9 @@ class TestIdentifyEffect:
         assert exc.value.witness == ["X_c", "U", "Y_f"]
         with pytest.raises(CriterionNotMet) as exc:
             identify_effect(scm, EffectQuery("Y_f", {"X_c"}, {"Y_h"}))
-        assert exc.value.witness is None
+        assert exc.value.witness == (
+            "back-door adjustment needs one do-variable and no observed variables"
+        )
 
     def test_bad_requests_rejected(self):
         scm = random_scm(template("Fig3"), 9)
@@ -907,6 +937,129 @@ class TestCriteriaAgainstSurgery:
             assert open_trail_problem(cut, witness, {x}, {y}, Z) is None
         else:
             assert witness == sorted(Z & dag.descendants(x))
+
+
+def cut_edges(dag: Dag, into=(), out_of=()) -> Dag:
+    """``dag`` without the edges into ``into`` and out of ``out_of``."""
+    edges = [(a, b) for a, b in dag.edges if b not in into and a not in out_of]
+    return Dag(dag.nodes, edges, dag.latent)
+
+
+class TestChoose:
+    """The graph-only decision that identify_effect and both adjusters run."""
+
+    def test_the_decision_makes_no_inference(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return infer(*args, **kwargs)
+
+        monkeypatch.setattr(identify, "infer", counting)
+        cases = [
+            (build_scenario(s), EffectQuery("Y_f", {"J_o", "D"}), s.states)
+            for s in (default_scenario(), *map(canonical_scenario, (1, 4, 7)))
+        ] + [
+            (confounded_direct_example(), EffectQuery("Y_f", {"X_c"}), ()),
+            (confounded_mediation_example(), EffectQuery("Y_f", {"X_c"}), ("Z",)),
+            (confounded_mediation_example(), EffectQuery("Y_f", {"Y_h"}), ()),
+        ]
+        answered = set()
+        for scm, q, M in cases:
+            do_vars = tuple(v for v in scm.dag.topological_order if v in q.do)
+            for method in IDENTIFY_METHODS:
+                calls.clear()
+                try:
+                    chosen = _choose(scm.dag, q.outcome, do_vars, (), method, frozenset(M))[0]
+                except CriterionNotMet:
+                    chosen = None
+                assert calls == []
+                if chosen is None:
+                    with pytest.raises(CriterionNotMet):
+                        identify_effect(scm, q, method, M)
+                    assert calls == []
+                else:
+                    assert identify_effect(scm, q, method, M)[0] == chosen
+                    assert len(calls) == 1
+                    answered.add(chosen)
+        assert answered == {"frontdoor", "backdoor", "oracle"}
+
+    def test_a_refusal_carries_the_trail_of_the_first_set(self):
+        # Given the empty set, X - A - Y and X - L - Y are open and the tie
+        # goes to A; the next set, {A}, leaves only X - L - Y open.
+        dag = Dag(["A", "L", "X", "Y"], [("A", "X"), ("A", "Y"), ("L", "X"), ("L", "Y")], ["L"])
+        assert open_backdoor_trail(dag, "X", "Y", {"A"}) == ["X", "L", "Y"]
+        with pytest.raises(CriterionNotMet) as exc:
+            _choose(dag, "Y", ("X",), (), "auto", frozenset())
+        assert exc.value.witness == ["X", "A", "Y"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_each_method_takes_the_first_criterion_that_holds(self, data):
+        base = random_dag(data.draw(st.integers(0, 10_000), label="dag"), data.draw(st.integers(4, 7)))
+        latent = data.draw(st.sets(st.sampled_from(base.nodes), max_size=2), label="latent")
+        pool = [v for v in base.topological_order if v not in latent]
+        # Half the draws take the last observed node as y, no edge from a
+        # treatment into y and every variable between them as mediators,
+        # so that the front-door criterion holds often enough.
+        designed = data.draw(st.booleans(), label="designed")
+        y = pool[-1] if designed else data.draw(st.sampled_from(pool), label="y")
+        rest = [v for v in pool if v != y]
+        do = data.draw(st.sets(st.sampled_from(rest), min_size=1, max_size=2), label="do")
+        rest = [v for v in rest if v not in do]
+        edges = [(a, b) for a, b in base.edges if not (designed and a in do and b == y)]
+        dag = Dag(base.nodes, edges, latent)
+        observed = frozenset(draw_subset(data, rest, "observed") if data.draw(st.booleans()) else ())
+        between = {v for v in rest if v in dag.ancestors(y) and dag.ancestors(v) & do}
+        M = frozenset(between if designed else draw_subset(data, rest, "M"))
+        sets = data.draw(st.sampled_from([None, (frozenset(draw_subset(data, rest, "adjust")),)]))
+        method = data.draw(st.sampled_from(["auto", "frontdoor", "backdoor"]), label="method")
+        do_vars = tuple(v for v in dag.topological_order if v in do)
+
+        def rule2(x):
+            W = frozenset(do_vars) - {x}
+            return cut_edges(dag, into={x}, out_of=W), {y}, W, {x} | observed
+
+        def backdoor(x, Z):
+            return cut_edges(dag, out_of={x}), {x}, {y}, Z
+
+        def is_open(trail, problem):
+            cut, X, Y, Z = problem
+            return open_trail_problem(cut, trail, X, Y, Z) is None
+
+        want = None
+        if method != "backdoor":
+            for x in do_vars:
+                W = frozenset(do_vars) - {x}
+                if frontdoor_failure(dag, x, y, M, W | observed) is None and (
+                    not W or reference_open_trail(*rule2(x)) is None
+                ):
+                    want = ("frontdoor", x, W | observed)
+                    break
+        if want is None and method != "frontdoor" and len(do_vars) == 1 and not observed:
+            x = do_vars[0]
+            below = dag.descendants(x)
+            for Z in sets or (frozenset(), frozenset(pool) - {x, y} - below):
+                if not Z & below and reference_open_trail(*backdoor(x, Z)) is None:
+                    want = ("backdoor", x, Z)
+                    break
+        try:
+            assert _choose(dag, y, do_vars, observed, method, M, sets) == want
+            return
+        except CriterionNotMet as exc:
+            assert want is None
+            witness = exc.witness
+        # The witness of the last criterion tried.
+        if method == "frontdoor":
+            x = do_vars[-1]
+            failure = frontdoor_failure(dag, x, y, M, (frozenset(do_vars) - {x}) | observed)
+            assert witness == failure or failure is None and is_open(witness, rule2(x))
+        elif len(do_vars) > 1 or observed:
+            assert witness == "back-door adjustment needs one do-variable and no observed variables"
+        else:
+            x, Z = do_vars[0], sets[0] if sets else frozenset()
+            bad = sorted(Z & dag.descendants(x))
+            assert witness == bad or not bad and is_open(witness, backdoor(x, Z))
 
 
 def draw_disjoint(data, pool, count):

@@ -18,6 +18,7 @@ from causalrating import (
     canonical_scenario,
     chain_factorization_residual,
     condition,
+    conditional_mutual_information,
     default_scenario,
     do_distribution,
     exact_joint,
@@ -279,6 +280,26 @@ class TestMarkovConsistency:
             scm = DiscreteScm(dag, card, cpt)
             assert markov_consistency(scm) > 0.01
 
+    def test_traffic_paired_with_its_state_by_name(self):
+        # The chain starts at S_1, so stage k is not at list index k; the
+        # leak T_1 -> S_2 must still be measured against S_2.
+        dag = Dag(
+            ["D", "T_1", "T_2", "S_1", "S_2", "Y_f"],
+            [
+                ("D", "S_1"), ("T_1", "S_1"), ("D", "S_2"), ("S_1", "S_2"),
+                ("T_2", "S_2"), ("T_1", "S_2"), ("S_2", "Y_f"),
+            ],
+            [],
+        )
+        scm = random_scm(dag, 3)
+        j = infer(scm, {"D", "T_1", "S_1", "S_2"})
+        leak = max(
+            conditional_mutual_information(condition(j, {"D": d}), {"T_1"}, {"S_2"}, {"S_1"})
+            for d in range(2)
+        )
+        assert leak > 1e-3
+        assert markov_consistency(scm) == pytest.approx(leak, abs=1e-12)
+
 
 def zero_mass_decision() -> DiscreteScm:
     """The default scenario where decision value 2 never occurs."""
@@ -328,6 +349,11 @@ class TestSimulateJourneys:
     def test_n_below_one_rejected(self):
         with pytest.raises(ValueOutOfRange):
             simulate_journeys(default_scenario(), 0, seed=1)
+
+    @pytest.mark.parametrize("n,seed,name", [(2.5, 1, "n"), (2, 1.0, "seed"), (2, False, "seed")])
+    def test_counters_must_be_integers(self, n, seed, name):
+        with pytest.raises(ValueOutOfRange, match=f"^{name} must be an integer"):
+            simulate_journeys(default_scenario(), n, seed)
 
     def test_empirical_accident_rate(self):
         s = default_scenario()

@@ -466,6 +466,21 @@ class TestSampling:
         with pytest.raises(ValueOutOfRange):
             sample(copy_chain(), 5, seed=1, start=-1)
 
+    @pytest.mark.parametrize(
+        "n,seed,start,name",
+        [
+            (3, 1, 1.5, "start"),  # read as rows 1..3
+            (3, 1, True, "start"),  # read as 1
+            (3, True, 0, "seed"),
+            (3.0, 1, 0, "n"),
+            (3, 1.5, 0, "seed"),
+            (True, 1, 0, "n"),
+        ],
+    )
+    def test_counters_must_be_integers(self, n, seed, start, name):
+        with pytest.raises(ValueOutOfRange, match=f"^{name} must be an integer"):
+            sample(copy_chain(), n, seed, start=start)
+
     @pytest.mark.parametrize("step", [-1, 0, 1])
     def test_threshold_ties_match_reference_sampler(self, step):
         # The sampler compares integer draws with integer thresholds; a
