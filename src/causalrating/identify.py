@@ -82,8 +82,9 @@ class EffectQuery:
     observed: frozenset = frozenset()
 
     def __post_init__(self):
-        if isinstance(self.do, Mapping):
-            raise ParameterError("EffectQuery.do takes a collection of variable names")
+        for field in ("do", "observed"):
+            if isinstance(getattr(self, field), Mapping):
+                raise ParameterError(f"EffectQuery.{field} takes a collection of variable names")
         do = _names(self.do, "EffectQuery.do")
         observed = _names(self.observed, "EffectQuery.observed")
         if self.outcome in do or self.outcome in observed:
@@ -344,7 +345,8 @@ def _choose(dag: Dag, y: str, do_vars: tuple, given, method: str, M, sets=None) 
     Otherwise :class:`CriterionNotMet` carries the witness of the last
     criterion tried: the ``frontdoor_failure`` message or open Rule-2
     trail of the last treatment, the :func:`open_backdoor_trail` result
-    of the first set, or the line saying why back-door was not tried.
+    of the first set, or the line saying why back-door was not tried.  An
+    ``auto`` refusal's message says whether back-door adjustment ran.
     """
     if method == "oracle":
         return "oracle", None, frozenset()
@@ -357,9 +359,10 @@ def _choose(dag: Dag, y: str, do_vars: tuple, given, method: str, M, sets=None) 
                 witness = open_trail(_cut(dag, into={x}, out_of=W), {y}, W, {x} | given)
             if witness is None:
                 return "frontdoor", x, W | given
+    one = len(do_vars) == 1 and not given  # back-door's precondition
     if method != "frontdoor":
         witness = "back-door adjustment needs one do-variable and no observed variables"
-        if len(do_vars) == 1 and not given:
+        if one:
             x = do_vars[0]
             if sets is None:
                 observed = frozenset(dag.nodes) - dag.latent - {x, y}
@@ -375,10 +378,10 @@ def _choose(dag: Dag, y: str, do_vars: tuple, given, method: str, M, sets=None) 
     elif method == "backdoor":
         message = f"no admissible back-door adjustment set for {what}"
     else:
-        message = (
-            f"effect of {what} is not identifiable by the available criteria; "
-            "an unblockable back-door trail remains"
+        why = (
+            "an unblockable back-door trail remains" if one else "back-door adjustment was not tried"
         )
+        message = f"effect of {what} is not identifiable by the available criteria; {why}"
     raise CriterionNotMet(message, witness=witness)
 
 

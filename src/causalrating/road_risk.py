@@ -26,7 +26,7 @@ from .errors import (
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from .graph import Dag, _read_json
+from .graph import Dag, _read_json, d_separated
 from .identify import EffectQuery, EffectTable, _divide, _layout, identify_effect
 from .info import conditional_mutual_information
 from .scm import (
@@ -280,11 +280,15 @@ def markov_consistency(scm: DiscreteScm) -> float:
     the name, and ``next`` is the following state in chain order, or
     ``Y_f`` after the last.
 
-    Each stage costs one inference, whose joint keeps ``D`` and is then
-    conditioned on every decision value of positive mass.  Structurally
-    zero (< 1e-9) for models emitted by :func:`build_scenario`; a positive
-    value flags a traffic variable leaking past its own stage.  A model
-    without ``D`` raises :class:`UnknownVariable`.
+    A stage where ``{S_k, D}`` d-separates ``T_k`` from ``next`` in the
+    graph contributes exactly 0 and costs no inference: the conditional
+    independence holds in every model on that graph, for every decision
+    value.  Every other stage costs one inference, whose joint keeps
+    ``D`` and is then conditioned on every decision value of positive
+    mass.  So a model emitted by :func:`build_scenario` gives exactly 0
+    without any inference; a positive value flags a traffic variable
+    leaking past its own stage.  A model without ``D`` raises
+    :class:`UnknownVariable`.
     """
     if "D" not in scm.card:
         raise UnknownVariable("unknown variable: 'D'")
@@ -295,6 +299,8 @@ def markov_consistency(scm: DiscreteScm) -> float:
         t = "T" + st[1:]
         if t not in scm.card or nxt not in scm.card:
             continue
+        if d_separated(scm.dag, {t}, {nxt}, {st, "D"}):
+            continue  # zero in every model on this graph
         j = infer(scm, {"D", t, st, nxt})
         for d in np.flatnonzero(_sum_to(j, ("D",))).tolist():
             jd = condition(j, {"D": d})

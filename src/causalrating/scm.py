@@ -265,6 +265,54 @@ def _contract(factors: list, out: tuple) -> np.ndarray:
     return np.einsum(*args)
 
 
+def _plan(
+    scopes: list, hidden, card: Mapping[str, int], rank: Mapping[str, int], max_cells: int
+) -> list:
+    """The elimination of ``hidden`` from the factors of ``scopes``,
+    worked out on scopes alone: one ``(inside, out)`` step per variable,
+    where ``inside`` lists the indices of the factors the step multiplies
+    and ``out`` is the scope of its result, which takes the next index.
+
+    Each hidden variable keeps its bucket, the set of variables it shares
+    a factor with, and that set's cell count.  The next variable is the
+    one of fewest cells, ties broken by ``rank`` (greedy min-size order).
+    Eliminating ``v`` changes only the buckets of the variables of its
+    ``out``: each loses ``v`` and gains ``out`` (Koller & Friedman 2009,
+    §9.4.3).  ``out`` lists the bucket of ``v``, less ``v``, in factor
+    order and then scope order.  A bucket of more than ``max_cells``
+    cells raises :class:`StateSpaceTooLarge` before any table exists.
+    """
+    scopes = list(scopes)
+    holds = {v: {} for v in hidden}  # hidden variable -> its factors, in index order
+    for i, scope in enumerate(scopes):
+        for u in scope:
+            if u in holds:
+                holds[u][i] = None
+    bucket = {v: set().union(*(scopes[i] for i in holds[v])) for v in hidden}
+    cells = {v: math.prod(card[u] for u in bucket[v]) for v in hidden}
+    steps = []
+    while holds:
+        v = min(holds, key=lambda u: (cells[u], rank[u]))
+        n = cells[v]
+        if n > max_cells:
+            raise StateSpaceTooLarge(
+                f"eliminating {v} needs a factor of {n} cells, over the cap {max_cells}"
+            )
+        inside = list(holds.pop(v))
+        out = tuple(u for u in dict.fromkeys(u for i in inside for u in scopes[i]) if u != v)
+        for u in out:
+            if u in holds:
+                for i in inside:
+                    holds[u].pop(i, None)
+                holds[u][len(scopes)] = None
+                bucket[u].discard(v)
+                bucket[u].update(out)
+                cells[u] = math.prod(card[w] for w in bucket[u])
+        steps.append((inside, out))
+        scopes.append(out)
+    return steps
+
+
 def infer(
     scm: DiscreteScm,
     keep: Iterable[str],
@@ -276,11 +324,14 @@ def infer(
     Returns what ``marginal(condition(exact_joint(scm), evidence), keep)``
     returns, with ``keep`` in topological order, without building the
     joint.  The model is pruned to the ancestors of ``keep`` and the
-    evidence (the other nodes sum to one), the evidence is sliced into
-    each CPT, and the remaining variables are summed out one at a time,
-    smallest bucket first (greedy min-size order).  Cost follows the
-    largest bucket, not the state space; a bucket or result of more than
-    ``max_cells`` cells raises :class:`StateSpaceTooLarge`.
+    evidence (the other nodes sum to one), and the evidence is sliced into
+    each CPT.  :func:`_plan` then orders the remaining variables on the
+    factor scopes alone, smallest bucket first, and the plan is run: each
+    step multiplies its factors and sums its variable out.  Cost follows
+    the largest bucket, the induced width of the order, which is the one
+    exponential quantity; the state space is never laid out.  A bucket or
+    result of more than ``max_cells`` cells raises
+    :class:`StateSpaceTooLarge` before any table is built.
     """
     evidence = dict(evidence or {})
     for var, val in evidence.items():
@@ -298,9 +349,6 @@ def infer(
     relevant |= scm.dag._reach(relevant, scm.dag._parents)
     order = {v: i for i, v in enumerate(scm.dag.topological_order)}
 
-    def size(scope) -> int:
-        return math.prod(scm.card[u] for u in scope)
-
     factors = []
     for v in sorted(relevant, key=order.__getitem__):
         scope = scm.parents[v] + (v,)
@@ -311,28 +359,16 @@ def infer(
         factors.append((scope, table))
 
     hidden = relevant - keep - evidence.keys()
-    while hidden:
-        buckets = {v: {} for v in hidden}
-        for scope, _ in factors:
-            for u in scope:
-                if u in buckets:
-                    buckets[u].update(dict.fromkeys(scope))
-        cells = {u: size(bucket) for u, bucket in buckets.items()}
-        v = min(hidden, key=lambda u: (cells[u], order[u]))
-        if cells[v] > max_cells:
-            raise StateSpaceTooLarge(
-                f"eliminating {v} needs a factor of {cells[v]} cells, over the cap {max_cells}"
-            )
-        inside = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        out = tuple(u for u in buckets[v] if u != v)
-        factors.append((out, _contract(inside, out)))
-        hidden.discard(v)
-
+    steps = _plan([scope for scope, _ in factors], hidden, scm.card, order, max_cells)
     out = tuple(sorted(keep, key=order.__getitem__))
-    if size(out) > max_cells:
-        raise StateSpaceTooLarge(f"result of {size(out)} cells exceeds cap {max_cells}")
-    probs = _contract(factors, out)
+    cells = math.prod(scm.card[u] for u in out)
+    if cells > max_cells:
+        raise StateSpaceTooLarge(f"result of {cells} cells exceeds cap {max_cells}")
+    for inside, scope in steps:
+        factors.append((scope, _contract([factors[i] for i in inside], scope)))
+        for i in inside:
+            factors[i] = None  # a factor is read by one step; free its table
+    probs = _contract([f for f in factors if f is not None], out)
     if evidence:
         total = float(probs.sum())
         if total <= 0.0:

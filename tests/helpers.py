@@ -8,6 +8,7 @@ only one of them can be imported under that name.
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 
@@ -22,9 +23,13 @@ from causalrating import (
     OverlapError,
     ParameterError,
     PositivityViolation,
+    StateSpaceTooLarge,
+    UnknownVariable,
+    ZeroProbabilityEvidence,
     build_scenario,
     condition,
     conditional_entropy,
+    conditional_mutual_information,
     infer,
     intervene,
     marginal,
@@ -32,6 +37,7 @@ from causalrating import (
     random_scm,
     template,
 )
+from causalrating.scm import DEFAULT_CELL_CAP, _contract, _value
 
 
 def mass_of(j: JointTable, assignment) -> float:
@@ -58,6 +64,92 @@ def brute_force_joint(scm: DiscreteScm) -> JointTable:
             p *= scm.cpt[v][row, cfg[pos[v]]]
         probs[cfg] = p
     return JointTable(order, cards, probs)
+
+
+def reference_infer(scm: DiscreteScm, keep, evidence=None, max_cells=DEFAULT_CELL_CAP) -> JointTable:
+    """Elimination oracle: variable elimination that rescans every factor
+    at each step to rebuild every bucket, then sums out the variable of
+    fewest cells, ties broken by topological index.  It builds each
+    bucket's scope in factor order, as ``infer`` plans it, so the two
+    agree bit for bit."""
+    evidence = dict(evidence or {})
+    for var, val in evidence.items():
+        if var not in scm.card:
+            raise UnknownVariable(f"unknown variable: {var!r}")
+        evidence[var] = _value(var, val, scm.card[var])
+    keep = set(keep)
+    if not keep:
+        raise UnknownVariable("keep set must be nonempty")
+    for v in keep:
+        if v not in scm.card or v in evidence:
+            raise UnknownVariable(f"unknown variable: {v!r}")
+
+    relevant = {*keep, *evidence}
+    relevant |= scm.dag._reach(relevant, scm.dag._parents)
+    order = {v: i for i, v in enumerate(scm.dag.topological_order)}
+
+    def size(scope) -> int:
+        return math.prod(scm.card[u] for u in scope)
+
+    factors = []
+    for v in sorted(relevant, key=order.__getitem__):
+        scope = scm.parents[v] + (v,)
+        table = scm.cpt[v].reshape([scm.card[u] for u in scope])
+        if not evidence.keys().isdisjoint(scope):
+            table = table[tuple(evidence[u] if u in evidence else slice(None) for u in scope)]
+            scope = tuple(u for u in scope if u not in evidence)
+        factors.append((scope, table))
+
+    hidden = relevant - keep - evidence.keys()
+    while hidden:
+        buckets = {v: {} for v in hidden}
+        for scope, _ in factors:
+            for u in scope:
+                if u in buckets:
+                    buckets[u].update(dict.fromkeys(scope))
+        cells = {u: size(bucket) for u, bucket in buckets.items()}
+        v = min(hidden, key=lambda u: (cells[u], order[u]))
+        if cells[v] > max_cells:
+            raise StateSpaceTooLarge(
+                f"eliminating {v} needs a factor of {cells[v]} cells, over the cap {max_cells}"
+            )
+        inside = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        out = tuple(u for u in buckets[v] if u != v)
+        factors.append((out, _contract(inside, out)))
+        hidden.discard(v)
+
+    out = tuple(sorted(keep, key=order.__getitem__))
+    if size(out) > max_cells:
+        raise StateSpaceTooLarge(f"result of {size(out)} cells exceeds cap {max_cells}")
+    probs = _contract(factors, out)
+    if evidence:
+        total = float(probs.sum())
+        if total <= 0.0:
+            raise ZeroProbabilityEvidence(f"P({evidence}) = 0")
+        probs = probs / total
+    return JointTable(out, tuple(scm.card[u] for u in out), probs)
+
+
+def reference_markov_consistency(scm: DiscreteScm) -> float:
+    """Markov-residual oracle: one inference per stage, whatever the
+    graph, conditioned on every decision value of positive mass; the
+    largest I(T_k; next | S_k, D=d)."""
+    states = sorted(
+        (v for v in scm.dag.nodes if v[:2] == "S_" and v[2:].isdecimal()), key=lambda v: int(v[2:])
+    )
+    worst = 0.0
+    for i, st in enumerate(states):
+        nxt = states[i + 1] if i + 1 < len(states) else "Y_f"
+        t = "T" + st[1:]
+        if t not in scm.card or nxt not in scm.card:
+            continue
+        j = infer(scm, {"D", t, st, nxt})
+        for d in range(scm.card["D"]):
+            if mass_of(j, {"D": d}) > 0.0:
+                jd = condition(j, {"D": d})
+                worst = max(worst, conditional_mutual_information(jd, {t}, {nxt}, {st}))
+    return worst
 
 
 def csv_writer_bytes(rows: np.ndarray, header=()) -> bytes:

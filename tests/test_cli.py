@@ -257,9 +257,12 @@ class TestIdentify:
         code, out, _ = run(capsys, "identify", CONFOUNDED, "--do", "X_c", "--outcome", "Y_f")
         assert code == 3
         doc = json.loads(out)
-        assert doc["error"]["type"] == "CriterionNotMet"
-        assert "back-door" in doc["error"]["message"]
-        assert doc["error"]["witness"] == ["X_c", "U", "Y_f"]
+        assert doc["error"] == {
+            "type": "CriterionNotMet",
+            "message": "effect of do(X_c) on Y_f is not identifiable by the available "
+            "criteria; an unblockable back-door trail remains",
+            "witness": ["X_c", "U", "Y_f"],
+        }
 
     @pytest.mark.parametrize(
         "extra,witness",
@@ -292,7 +295,7 @@ class TestIdentify:
         assert json.loads(out)["error"] == {
             "type": "CriterionNotMet",
             "message": f"effect of do({do}) on Y_f is not identifiable by the available "
-            "criteria; an unblockable back-door trail remains",
+            "criteria; back-door adjustment was not tried",
             "witness": "back-door adjustment needs one do-variable and no observed variables",
         }
 
@@ -602,10 +605,11 @@ class TestEvaluate:
 
     def test_eliminations_per_report(self, capsys, tmp_path, monkeypatch):
         # One inference each for the rating joint, the confounding gap,
-        # the front-door estimate and the oracle, one per decision value
-        # for the chain residual and one per stage for the Markov
-        # residual: depth + 8 on the canonical chain.  No inference keeps
-        # claim history together with the peril chain.
+        # the front-door estimate and the oracle, and one per decision
+        # value for the chain residual: 7 on the canonical chain at every
+        # depth.  The graph d-separates every stage of the Markov
+        # residual, so it infers nothing.  No inference keeps claim
+        # history together with the peril chain.
         from causalrating import cli, identify, road_risk
 
         calls = []
@@ -615,12 +619,14 @@ class TestEvaluate:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(mod, "infer", spy)
-        code, _, _ = run(capsys, "evaluate", canonical_path(8, tmp_path))
-        assert code == 0
-        assert len(calls) <= 8 + 8
-        for keep in calls:
-            keep = set(keep)
-            assert "Y_h" not in keep or not any(v.startswith("S_") for v in keep), keep
+        for depth in (2, 8):
+            calls.clear()
+            code, _, _ = run(capsys, "evaluate", canonical_path(depth, tmp_path))
+            assert code == 0
+            assert len(calls) == 7, depth
+            for keep in calls:
+                keep = set(keep)
+                assert "Y_h" not in keep or not any(v.startswith("S_") for v in keep), keep
 
     def test_entropies_per_report(self, capsys, monkeypatch):
         # The capacities and the confounding gap are views of one chain

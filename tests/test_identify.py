@@ -444,6 +444,13 @@ class TestEffectQuery:
             with pytest.raises(ParameterError):
                 EffectQuery("Y_f", do)
 
+    def test_observed_takes_names_only(self):
+        # A mapping used to keep only its keys, so {"Y_h": 1} answered
+        # for every stratum of Y_h instead of refusing the value.
+        assert EffectQuery("Y_f", {"X_c"}, ["Y_h"]).observed == frozenset({"Y_h"})
+        with pytest.raises(ParameterError, match="EffectQuery.observed takes a collection"):
+            EffectQuery("Y_f", {"X_c"}, {"Y_h": 1})
+
     # A string is a collection of its letters: "Y_h" would be read as
     # {"Y", "_", "h"}, and a one-letter name would pass unnoticed.
     BARE_STRINGS = {

@@ -40,7 +40,15 @@ from causalrating import (
 from causalrating.errors import ParameterError, UnknownVariable, ValueOutOfRange
 from causalrating import confounded_mediation_example, empirical_joint, frontdoor_adjust, random_scm
 from causalrating.graph import frontdoor_failure
-from helpers import live_cells, reference_chain_factorization_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    live_cells,
+    reference_chain_factorization_residual,
+    reference_markov_consistency,
+    sparse_scm,
+)
 
 THRESHOLDS = (4.0, 2.0, 0.5)
 
@@ -299,6 +307,36 @@ class TestMarkovConsistency:
         )
         assert leak > 1e-3
         assert markov_consistency(scm) == pytest.approx(leak, abs=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 8, 50])
+    def test_the_graph_answers_every_stage_of_the_canonical_chain(self, depth, monkeypatch):
+        from causalrating import road_risk
+
+        scm = build_scenario(canonical_scenario(depth))
+        calls = []
+        monkeypatch.setattr(road_risk, "infer", lambda *args, **kwargs: calls.append(args))
+        assert markov_consistency(scm) == 0.0
+        assert calls == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_graph_decided_stages_match_the_per_stage_oracle(self, data):
+        """On random chain models, with and without traffic edges that
+        leak past their own stage, the graph-decided residual is the
+        per-stage inference's."""
+        depth = data.draw(st.integers(1, 4), label="depth")
+        dag = scenario_dag(canonical_scenario(depth))
+        # A leak T_k -> S_j or T_k -> Y_f, with j > k; Y_f stands at j = depth + 1.
+        later = [*(f"S_{j}" for j in range(depth + 1)), "Y_f"]
+        leak = st.integers(0, depth).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 1, depth + 1)))
+        leaks = data.draw(st.lists(leak, max_size=3, unique=True), label="leaks")
+        dag = Dag(dag.nodes, [*dag.edges, *((f"T_{k}", later[j]) for k, j in leaks)], dag.latent)
+        card = {v: data.draw(st.integers(2, 3), label=f"card {v}") if v[0] in "DT" else 2 for v in dag.nodes}
+        seed = data.draw(st.integers(0, 10_000), label="seed")
+        # Sparse decision rows give decision values of zero mass.
+        sparse = data.draw(st.booleans(), label="sparse D")
+        scm = sparse_scm(dag, seed, card=card, nodes={"D"}) if sparse else random_scm(dag, seed, card)
+        assert markov_consistency(scm) == pytest.approx(reference_markov_consistency(scm), abs=1e-12)
 
 
 def zero_mass_decision() -> DiscreteScm:
