@@ -200,9 +200,10 @@ def cmd_simulate(args) -> int:
 
 def _scenario_report(s: RoadRiskScenario) -> dict:
     scm = build_scenario(s)
-    j = infer(scm, {"Y_h", "J_o", "D", "Y_f"})
+    # One joint holds every information field and the naive estimate.
+    j = infer(scm, {"Y_h", "J_o", "U", "D", "Y_f"})
     capacity = rating_comparison(j, "Y_h", "D", "Y_f")
-    gap = confounding_gap(scm, "D", "Y_f", "U")
+    gap = confounding_gap(scm, "D", "Y_f", "U", joint=j)
     query = EffectQuery("Y_f", {"J_o", "D"})
     _, pe = identify_effect(scm, query, "frontdoor", s.states)
     _, gt = identify_effect(scm, query, "oracle")

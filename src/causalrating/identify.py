@@ -467,12 +467,21 @@ def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> Eliminati
     )
 
 
-def confounding_gap(scm: DiscreteScm, x: str, y: str, u: str) -> ConfoundingGap:
+def confounding_gap(
+    scm: DiscreteScm, x: str, y: str, u: str, *, joint: JointTable | None = None
+) -> ConfoundingGap:
     """I(x;y), I({u,x};y) and I(u;y|x) off the exact joint of {u, x, y}: the
-    chain rule I(u,x;y) = I(x;y) + I(u;y|x) of :func:`chain_decompositions`."""
+    chain rule I(u,x;y) = I(x;y) + I(u;y|x) of :func:`chain_decompositions`.
+
+    ``joint``, when given, may be any joint of ``scm`` that holds ``u``,
+    ``x`` and ``y``; the default infers the joint of those three alone.
+    A ``u`` the graph does not flag latent raises :class:`ParameterError`
+    either way.
+    """
     if u not in scm.dag.latent:
         raise ParameterError(f"{u!r} is not flagged latent in the graph")
-    c = chain_decompositions(infer(scm, {u, x, y}), x, u, y)
+    j = infer(scm, {u, x, y}) if joint is None else joint
+    c = chain_decompositions(j, x, u, y)
     return ConfoundingGap(i_x_y=c.i_a_y, i_ux_y=c.i_ab_y, i_u_y_given_x=c.i_b_y_given_a)
 
 

@@ -20,12 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    NegativeTta,
-    ParameterError,
-    UnknownVariable,
-    ZeroProbabilityEvidence,
-)
+from .errors import NegativeTta, ParameterError, UnknownVariable
 from .graph import Dag, _read_json, d_separated
 from .identify import EffectQuery, EffectTable, _divide, _layout, identify_effect
 from .info import conditional_mutual_information
@@ -379,22 +374,21 @@ def chain_factorization_residual(scm: DiscreteScm) -> float:
     the product of the stage conditionals P(next | prev, D=d).
 
     The chain is the model's S_0, S_1, ... followed by Y_f as the
-    accident state; each decision value of positive mass costs one
-    inference.  A stage conditional whose condition has zero mass
-    (unreachable under the absorbing encoding) is 0, as is every chain
-    cell under it, so such configurations add nothing, as a decision
-    value of zero mass adds nothing.  A model without ``D`` raises
-    :class:`UnknownVariable`.
+    accident state.  One inference gives the joint of ``D`` and the
+    chain, 3 * 2^(depth + 2) cells on the canonical chain; each decision
+    value of positive mass is read off it by conditioning, and a value
+    of zero mass adds nothing.  A stage conditional whose condition has
+    zero mass (unreachable under the absorbing encoding) is 0, as is
+    every chain cell under it, so such configurations add nothing too.
+    A model without ``D`` raises :class:`UnknownVariable`.
     """
     if "D" not in scm.card:
         raise UnknownVariable("unknown variable: 'D'")
     chain = [*_states(scm), "Y_f"]
+    j = infer(scm, {"D", *chain})
     worst = 0.0
-    for d in range(scm.card["D"]):
-        try:
-            lhs = infer(scm, chain, {"D": d})
-        except ZeroProbabilityEvidence:
-            continue
+    for d in np.flatnonzero(_sum_to(j, ("D",))).tolist():
+        lhs = condition(j, {"D": d})
         actual = lhs.probs.transpose([lhs.vars.index(v) for v in chain])
         prod = np.ones((1,) * len(chain))
         for k, (a, b) in enumerate(zip(chain, chain[1:])):

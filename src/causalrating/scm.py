@@ -179,33 +179,8 @@ class DiscreteScm:
             else:
                 ps = dag._parents[v]
             porder[v] = ps
-        tables = {}
-        for v in dag.nodes:
-            if card[v] < 2:
-                raise ShapeError(f"cardinality of {v} must be >= 2")
-            n_rows = math.prod(card[p] for p in porder[v])
-            try:
-                t = np.array(cpt[v], dtype=np.float64)
-            except ValueError as exc:  # ragged rows or non-numeric entries
-                raise ShapeError(f"CPT for {v}: {exc}") from None
-            if t.shape != (n_rows, card[v]):
-                raise ShapeError(
-                    f"CPT for {v}: shape {t.shape}, expected {(n_rows, card[v])}"
-                )
-            if not (t.min() >= 0.0 and t.max() <= 1.0 + ROW_SUM_TOL):  # false on NaN too
-                raise NormalizationError(f"CPT for {v} has entries outside [0, 1]")
-            bad = np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL
-            if bad.any():
-                row = int(np.argmax(bad))
-                raise NormalizationError(
-                    f"CPT row {row} of {v} sums to {t[row].sum()}, not 1"
-                )
-            t.flags.writeable = False
-            tables[v] = t
-        object.__setattr__(self, "dag", dag)
-        object.__setattr__(self, "card", card)
-        object.__setattr__(self, "cpt", tables)
-        object.__setattr__(self, "parents", porder)
+        tables = {v: _checked_cpt(v, cpt[v], card, porder[v]) for v in dag.nodes}
+        _fill(self, dag, card, tables, porder)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteScm is immutable")
@@ -215,6 +190,36 @@ class DiscreteScm:
         if v not in self.parents:
             raise UnknownNodeError(f"unknown node: {v!r}")
         return self.parents[v]
+
+
+def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.ndarray:
+    """``rows`` as the CPT of ``v`` under ``parents``: a new read-only
+    array of one row per parent configuration, each a distribution over
+    the ``card[v]`` values of ``v``."""
+    if card[v] < 2:
+        raise ShapeError(f"cardinality of {v} must be >= 2")
+    n_rows = math.prod(card[p] for p in parents)
+    try:
+        t = np.array(rows, dtype=np.float64)
+    except ValueError as exc:  # ragged rows or non-numeric entries
+        raise ShapeError(f"CPT for {v}: {exc}") from None
+    if t.shape != (n_rows, card[v]):
+        raise ShapeError(f"CPT for {v}: shape {t.shape}, expected {(n_rows, card[v])}")
+    if not (t.min() >= 0.0 and t.max() <= 1.0 + ROW_SUM_TOL):  # false on NaN too
+        raise NormalizationError(f"CPT for {v} has entries outside [0, 1]")
+    bad = np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NormalizationError(f"CPT row {row} of {v} sums to {t[row].sum()}, not 1")
+    t.flags.writeable = False
+    return t
+
+
+def _fill(scm: DiscreteScm, dag: Dag, card: dict, cpt: dict, parents: dict) -> DiscreteScm:
+    """Set the fields of ``scm`` to checked parts, which it takes as they are."""
+    for name, value in (("dag", dag), ("card", card), ("cpt", cpt), ("parents", parents)):
+        object.__setattr__(scm, name, value)
+    return scm
 
 
 def exact_joint(scm: DiscreteScm, max_cells: int = DEFAULT_CELL_CAP) -> JointTable:
@@ -379,12 +384,13 @@ def infer(
 
 def _surgery(scm: DiscreteScm, rows: Mapping[str, np.ndarray]) -> DiscreteScm:
     """Cut the incoming edges of each node in ``rows`` and make it a root
-    with that distribution."""
+    with that distribution.  The other CPTs are the model's own checked
+    tables; only the new root rows are checked."""
     cpt, parents = dict(scm.cpt), dict(scm.parents)
     for v, row in rows.items():
-        cpt[v] = np.asarray(row, dtype=np.float64).reshape(1, -1)
         parents[v] = ()
-    return DiscreteScm(mutilate(scm.dag, rows.keys()), scm.card, cpt, parents=parents)
+        cpt[v] = _checked_cpt(v, np.asarray(row, dtype=np.float64).reshape(1, -1), scm.card, ())
+    return _fill(object.__new__(DiscreteScm), mutilate(scm.dag, rows.keys()), scm.card, cpt, parents)
 
 
 def intervene(scm: DiscreteScm, assignment: Mapping[str, int]) -> DiscreteScm:

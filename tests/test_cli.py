@@ -604,12 +604,13 @@ class TestEvaluate:
         assert doc["phyd_vs_oracle_max_dev"] <= 1e-9
 
     def test_eliminations_per_report(self, capsys, tmp_path, monkeypatch):
-        # One inference each for the rating joint, the confounding gap,
-        # the front-door estimate and the oracle, and one per decision
-        # value for the chain residual: 7 on the canonical chain at every
-        # depth.  The graph d-separates every stage of the Markov
-        # residual, so it infers nothing.  No inference keeps claim
-        # history together with the peril chain.
+        # One inference each for the joint the information fields and the
+        # naive estimate share, the front-door estimate, the oracle and
+        # the chain residual, which reads every decision value off one
+        # joint that keeps D: 4 on the canonical chain at every depth.
+        # The graph d-separates every stage of the Markov residual, so it
+        # infers nothing.  No inference keeps claim history together with
+        # the peril chain.
         from causalrating import cli, identify, road_risk
 
         calls = []
@@ -623,10 +624,13 @@ class TestEvaluate:
             calls.clear()
             code, _, _ = run(capsys, "evaluate", canonical_path(depth, tmp_path))
             assert code == 0
-            assert len(calls) == 7, depth
-            for keep in calls:
-                keep = set(keep)
-                assert "Y_h" not in keep or not any(v.startswith("S_") for v in keep), keep
+            chain = {f"S_{i}" for i in range(depth + 1)} | {"Y_f"}
+            assert [set(keep) for keep in calls] == [
+                {"Y_h", "J_o", "U", "D", "Y_f"},
+                {"J_o", "D", *chain},
+                {"J_o", "D", "Y_f"},
+                {"D", *chain},
+            ], depth
 
     def test_entropies_per_report(self, capsys, monkeypatch):
         # The capacities and the confounding gap are views of one chain
@@ -780,6 +784,37 @@ class TestNarrowJointOracle:
         assert all(abs(rep["capacity_bits"][k] - want[k]) <= 1e-12 for k in want)
         assert abs(rep["history_outcome_mi_bits"] - mutual_information(j, {"Y_h"}, {"Y_f"})) <= 1e-12
         assert approx_equal(rep["effects"]["naive"], naive_effect(s, joint=j).to_json(), rel=1e-12)
+
+    def test_both_readings_of_the_decision_information_agree(self, capsys):
+        # capacity_bits.phyd_major and confounding_gap_bits.i_x_y are both
+        # I(D; Y_f).  The report reads both off one joint, so they agree
+        # bit for bit; read off two joints they differed in the last bits.
+        code, out, _ = run(capsys, "evaluate", SCENARIO)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["capacity_bits"]["phyd_major"] == doc["confounding_gap_bits"]["i_x_y"]
+
+    @pytest.mark.parametrize("depth", [None, *range(1, 9)])
+    def test_shared_joint_matches_the_standalone_functions(self, depth):
+        from causalrating import (
+            build_scenario, canonical_scenario, confounding_gap, default_scenario, infer,
+            naive_effect, rating_comparison,
+        )
+        from causalrating.cli import _scenario_report
+
+        s = default_scenario() if depth is None else canonical_scenario(depth)
+        scm = build_scenario(s)
+        rep = _scenario_report(s)
+        want = {
+            "capacity_bits": rating_comparison(
+                infer(scm, {"Y_h", "D", "Y_f"}), "Y_h", "D", "Y_f"
+            ).to_json(),
+            "confounding_gap_bits": confounding_gap(scm, "D", "Y_f", "U").to_json(),
+        }
+        for field, values in want.items():
+            assert rep[field].keys() == values.keys()
+            assert all(abs(rep[field][k] - values[k]) <= 1e-12 for k in values), field
+        assert approx_equal(rep["effects"]["naive"], naive_effect(s).to_json(), rel=1e-12)
 
 
 def _bench_module(name: str):

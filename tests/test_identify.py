@@ -368,6 +368,21 @@ class TestConfoundingGap:
         with pytest.raises(ParameterError):
             confounding_gap(scm, "X_c", "Y_f", "Y_h")
 
+    def test_non_latent_u_rejected_with_a_joint(self):
+        # The latent check comes first, so a joint given by the caller
+        # does not get a non-latent u past it.
+        scm = random_scm(template("Fig1d"), 0)
+        j = infer(scm, {"Y_h", "X_c", "Y_f"})
+        with pytest.raises(ParameterError, match="'Y_h' is not flagged latent"):
+            confounding_gap(scm, "X_c", "Y_f", "Y_h", joint=j)
+
+    def test_a_wider_joint_gives_the_same_gap(self):
+        scm = random_scm(template("Fig2b"), 3)
+        want = confounding_gap(scm, "X_c", "Y_f", "U")
+        got = confounding_gap(scm, "X_c", "Y_f", "U", joint=exact_joint(scm))
+        for k, v in want.to_json().items():
+            assert abs(getattr(got, k) - v) <= 1e-12, k
+
 
 class TestRatingComparison:
     def test_mediated_graph_minor_term_vanishes(self):

@@ -548,6 +548,36 @@ class TestChainFactorization:
         assert max(r for d, r in enumerate(per_d) if d != d_star) < 1e-12
         assert chain_factorization_residual(scm) == max(per_d)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_one_joint_matches_reference_over_live_values(self, data):
+        # Random CPTs on chain DAGs, with or without skip edges and a
+        # parent of D, and with decision values zeroed in every row of D
+        # so that they have no mass: the residual read off one joint
+        # that keeps D is the oracle's max over the live values.
+        depth = data.draw(st.integers(1, 5), label="depth")
+        s = canonical_scenario(depth)
+        chain = [*s.states, "Y_f"]
+        nodes = ["D", *chain]
+        edges = [("D", v) for v in s.states] + list(zip(chain, chain[1:]))
+        skips = [(a, b) for i, a in enumerate(chain) for b in chain[i + 2 :]]
+        edges += data.draw(st.lists(st.sampled_from(skips), unique=True, max_size=3), label="skips")
+        if data.draw(st.booleans(), label="parent of D"):
+            nodes.insert(0, "P")
+            edges += [("P", "D"), ("P", "Y_f")]
+        dc = data.draw(st.integers(2, 4), label="decision card")
+        seed = data.draw(st.integers(0, 10_000), label="seed")
+        scm = random_scm(Dag(nodes, edges, []), seed, card={"D": dc})
+        dead = data.draw(st.sets(st.integers(0, dc - 1), max_size=dc - 1), label="dead values")
+        cpt = {v: np.array(scm.cpt[v]) for v in scm.dag.nodes}
+        cpt["D"][:, sorted(dead)] = 0.0
+        cpt["D"] /= cpt["D"].sum(axis=1, keepdims=True)
+        scm = DiscreteScm(scm.dag, scm.card, cpt)
+        live = np.flatnonzero(infer(scm, {"D"}).probs).tolist()
+        assert live == sorted(set(range(dc)) - dead)
+        want = max(reference_chain_factorization_residual(s, d, scm) for d in live)
+        assert abs(chain_factorization_residual(scm) - want) <= 1e-12
+
     def test_residual_negligible_all_depths(self):
         for depth in (1, 2, 3):
             assert chain_factorization_residual(build_scenario(canonical_scenario(depth))) < 1e-12

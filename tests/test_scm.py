@@ -32,7 +32,8 @@ from causalrating import (
     scm_to_json,
     template,
 )
-from causalrating.scm import _csv_bytes
+from causalrating.graph import mutilate
+from causalrating.scm import _csv_bytes, _surgery
 from helpers import (
     TEMPLATE_DAGS,
     brute_force_joint,
@@ -351,6 +352,74 @@ class TestIntervene:
         got = exact_joint(cut)
         want = brute_force_joint(cut)
         assert np.abs(got.probs - want.probs).max() < 1e-12
+
+
+def constructed_surgery(scm, rows) -> DiscreteScm:
+    """The cut model of ``_surgery(scm, rows)``, built and checked in full
+    by the constructor."""
+    cpt = {**scm.cpt, **{v: np.reshape(row, (1, -1)) for v, row in rows.items()}}
+    parents = {**scm.parents, **dict.fromkeys(rows, ())}
+    return DiscreteScm(mutilate(scm.dag, rows), scm.card, cpt, parents=parents)
+
+
+def assert_same_model(got: DiscreteScm, want: DiscreteScm) -> None:
+    assert (got.dag.nodes, got.dag.edges, got.dag.latent) == (want.dag.nodes, want.dag.edges, want.dag.latent)
+    assert got.dag.topological_order == want.dag.topological_order
+    assert list(got.card.items()) == list(want.card.items())
+    assert list(got.parents.items()) == list(want.parents.items())
+    assert list(got.cpt) == list(want.cpt)
+    for v, table in want.cpt.items():
+        assert got.cpt[v].dtype == table.dtype and np.array_equal(got.cpt[v], table), v
+        assert not got.cpt[v].flags.writeable, v
+
+
+class TestSurgeryChecksOnce:
+    """Surgery keeps the model's checked tables and checks only the new
+    root rows, yet gives the model, and the errors, of a full
+    construction."""
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATE_DAGS))
+    def test_intervene_equals_a_constructed_model(self, name):
+        dag = TEMPLATE_DAGS[name]
+        scm = random_scm(dag, 5, card=3)
+        for v in dag.nodes:
+            assert_same_model(intervene(scm, {v: 2}), constructed_surgery(scm, {v: np.eye(3)[2]}))
+        pinned = dict.fromkeys(dag.nodes, 1)
+        rows = dict.fromkeys(dag.nodes, np.eye(3)[1])
+        assert_same_model(intervene(scm, pinned), constructed_surgery(scm, rows))
+
+    def test_oracle_cut_equals_a_constructed_model(self, monkeypatch):
+        from causalrating import EffectQuery, build_scenario, default_scenario, identify_effect
+        from causalrating import identify
+
+        cuts = []
+
+        def spy(scm, rows, real=identify._surgery):
+            cuts.append((scm, rows, real(scm, rows)))
+            return cuts[-1][2]
+
+        monkeypatch.setattr(identify, "_surgery", spy)
+        scm = build_scenario(default_scenario())
+        identify_effect(scm, EffectQuery("Y_f", {"J_o", "D"}), "oracle")
+        assert len(cuts) == 1
+        model, rows, cut = cuts[0]
+        assert model is scm and sorted(rows) == ["D", "J_o"]
+        assert_same_model(cut, constructed_surgery(scm, rows))
+        # The tables the cut keeps are the model's own, shared, not copies.
+        assert all(cut.cpt[v] is scm.cpt[v] for v in scm.dag.nodes if v not in rows)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[1.0, 0.0, 0.0], [0.5], [-0.5, 1.5], [float("nan"), 1.0], [0.3, 0.3], [0.8, 0.3]],
+        ids=["too-long", "too-short", "negative", "nan", "sum-below-1", "sum-above-1"],
+    )
+    def test_bad_root_row_raises_as_the_constructor_does(self, row):
+        scm = random_scm(template("Fig2c"), 3)
+        with pytest.raises((ShapeError, NormalizationError)) as built:
+            constructed_surgery(scm, {"X_c": row})
+        with pytest.raises((ShapeError, NormalizationError)) as cut:
+            _surgery(scm, {"X_c": row})
+        assert (type(cut.value), str(cut.value)) == (type(built.value), str(built.value))
 
 
 # A bool, a non-integer or an out-of-range value: no value of a binary
