@@ -348,7 +348,7 @@ def main(argv=None) -> int:
         cell = getattr(exc, "cell", None)
         if cell is not None:
             doc["error"]["cell"] = {k: int(v) for k, v in cell.items()}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc)
         return 3
     except CausalRatingError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

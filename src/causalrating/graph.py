@@ -1,7 +1,7 @@
 """Causal diagrams: DAGs, d-separation, adjustment criteria, templates.
 
 All graph values are immutable after construction.  Node names are
-nonempty ASCII identifiers.
+nonempty ASCII identifiers.  A set of names is never a bare string.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .errors import (
     CycleError,
     GraphError,
     OverlapError,
+    ParameterError,
     UnknownNodeError,
     UnknownTemplate,
 )
@@ -159,6 +160,14 @@ class Dag:
         return f"Dag(nodes={list(self.nodes)}, edges={sorted(self.edges)}, latent={sorted(self.latent)})"
 
 
+def _names(names, what: str, kind=frozenset):
+    """``names`` as a ``kind`` (a set by default) of variable names; a
+    bare string is refused, since it would be read as its letters."""
+    if isinstance(names, str):
+        raise ParameterError(f"{what} takes a collection of variable names")
+    return kind(names)
+
+
 def _check_sets(dag: Dag, *sets):
     for s in sets:
         for v in s:
@@ -189,7 +198,7 @@ def open_trail(dag: Dag, X, Y, Z):
     names and the result is deterministic.  A shortest walk in the state
     graph never visits a node twice, so it is already a simple trail.
     """
-    X, Y, Z = frozenset(X), frozenset(Y), frozenset(Z)
+    X, Y, Z = _names(X, "X"), _names(Y, "Y"), _names(Z, "Z")
     if not X or not Y:
         raise OverlapError("X and Y must be nonempty")
     _check_sets(dag, X, Y, Z)
@@ -224,7 +233,7 @@ def open_trail(dag: Dag, X, Y, Z):
 
 def mutilate(dag: Dag, do_set) -> Dag:
     """Copy of ``dag`` with every edge into a member of ``do_set`` removed."""
-    do_set = frozenset(do_set)
+    do_set = _names(do_set, "do_set")
     _check_sets(dag, do_set)
     return _cut(dag, into=do_set)
 

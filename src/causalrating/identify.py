@@ -27,6 +27,7 @@ from .errors import (
 from .graph import (
     Dag,
     _cut,
+    _names,
     d_separated,
     frontdoor_failure,
     mutilate,
@@ -59,14 +60,6 @@ __all__ = [
 NOISE = "Noise"
 SIGNAL = "Signal"
 UNIDENTIFIABLE = "Unidentifiable"
-
-
-def _names(names, what: str) -> frozenset:
-    """``names`` as a set of variable names; a bare string is refused,
-    since it would be read as its letters."""
-    if isinstance(names, str):
-        raise ParameterError(f"{what} takes a collection of variable names")
-    return frozenset(names)
 
 
 @dataclass(frozen=True)
@@ -318,7 +311,7 @@ def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool
     True iff outcome and candidate are d-separated by ``do_set`` in the
     surgically mutilated graph.
     """
-    do_set = frozenset(do_set)
+    do_set = _names(do_set, "do_set")
     if candidate in do_set or outcome in do_set:
         raise OverlapError("candidate/outcome may not be in the do-set")
     cut = mutilate(dag, do_set)
@@ -440,7 +433,7 @@ def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> Eliminati
     Unidentifiable when an open back-door trail (through a latent
     confounder) remains.
     """
-    observed = frozenset(observed)
+    observed = _names(observed, "observed")
     if candidate == outcome:
         raise OverlapError("candidate and outcome must differ")
     _refuse_latent(dag, observed, "latent nodes in observed set")

@@ -10,7 +10,6 @@ is the absolutely-safe start event (point mass at 0), accidents require
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -195,70 +194,49 @@ def scenario_dag(s: RoadRiskScenario) -> Dag:
     return Dag(nodes, edges, ("U",))
 
 
-def _cpt_rows(dag: Dag, card: Mapping[str, int], node: str, dist_fn) -> np.ndarray:
-    """Build a CPT by enumerating parent rows in the model's own order.
-
-    Rows are mixed-radix over the parents in the default order of
-    :class:`DiscreteScm`, most significant parent first.
-    """
-    parents = dag._parents[node]
-    rows = [
-        dist_fn(dict(zip(parents, cfg)))
-        for cfg in itertools.product(*[range(card[p]) for p in parents])
-    ]
-    return np.array(rows, dtype=float)
+def _cpt(dag: Dag, v: str, table, axes: tuple) -> np.ndarray:
+    """The CPT of ``v`` from ``table``, which has one axis per name in
+    ``axes``, ``v``'s last: transposed to ``(*parents, v)`` and reshaped to
+    one row per parent configuration, most significant parent first, in C
+    order (a model keeps the layout of the rows it is given)."""
+    t = np.asarray(table).transpose([axes.index(a) for a in (*dag._parents[v], v)])
+    return np.ascontiguousarray(t).reshape(-1, t.shape[-1])
 
 
 def build_scenario(s: RoadRiskScenario) -> DiscreteScm:
-    """Emit the scenario as a validated discrete SCM."""
+    """Emit the scenario as a validated discrete SCM.  Each CPT with
+    parents is one table with a named axis per variable, put in the
+    model's row order by :func:`_cpt`."""
     dag = scenario_dag(s)
     cs = s.confounder_strength
     u_prob, shift, hazard = float(cs["u_prob"]), float(cs["decision_shift"]), float(cs["hazard"])
     dc, tc = s.decision_card, s.traffic_card
-
     card = {"Y_h": len(s.y_h_prior), "J_o": 2, "U": 2, "D": dc, "Y_f": 2}
-    for v in s.traffic_vars + s.states:
-        card[v] = tc if v.startswith("T") else 2
+    card |= dict.fromkeys(s.traffic_vars, tc) | dict.fromkeys(s.states, 2)
 
     cpt = {
         "Y_h": np.array([s.y_h_prior]),
         "J_o": np.array([[1.0 - r, r] for r in s.journey_rate]),
         "U": np.array([[1.0 - u_prob, u_prob]]),
+        **dict.fromkeys(s.traffic_vars, np.array([s.traffic_dist])),
     }
     # D: the confounder shifts mass toward the most aggressive value.
-    aggressive = np.eye(dc)[-1]
-
-    def d_dist(a):
-        base = np.array(s.decision_base[a["J_o"]])
-        if a["U"]:
-            return (1.0 - shift) * base + shift * aggressive
-        return base
-
-    cpt["D"] = _cpt_rows(dag, card, "D", d_dist)
-
-    for t in s.traffic_vars:
-        cpt[t] = np.array([s.traffic_dist])
-
+    base = np.array(s.decision_base)  # (J_o, D)
+    table = [base, (1.0 - shift) * base + shift * np.eye(dc)[-1]]
+    cpt["D"] = _cpt(dag, "D", table, ("U", "J_o", "D"))
     # S_0: every journey starts absolutely safe.
-    cpt["S_0"] = _cpt_rows(dag, card, "S_0", lambda a: [1.0, 0.0])
+    cpt["S_0"] = _cpt(dag, "S_0", np.broadcast_to([1.0, 0.0], (tc, dc, 2)), ("T_0", "D", "S_0"))
     # S_i: absorbing escalation driven by the decision and stage traffic.
+    esc = np.array(s.escalation)  # (stage, D, T_i)
+    step = np.stack([1.0 - esc, esc], axis=-1)
+    absorbed = np.broadcast_to([0.0, 1.0], (dc, tc, 2))
     for i in range(1, s.depth + 1):
-        def s_dist(a, stage=i):
-            if a[f"S_{stage - 1}"]:
-                return [0.0, 1.0]
-            e = s.escalation[stage - 1][a["D"]][a[f"T_{stage}"]]
-            return [1.0 - e, e]
-
-        cpt[f"S_{i}"] = _cpt_rows(dag, card, f"S_{i}", s_dist)
-
+        axes = (f"S_{i - 1}", "D", f"T_{i}", f"S_{i}")
+        cpt[f"S_{i}"] = _cpt(dag, f"S_{i}", [step[i - 1], absorbed], axes)
     # Y_f: accidents require a started journey.
-    def y_dist(a):
-        if a["J_o"] == 0:
-            return [1.0, 0.0]
-        p = min(1.0, s.accident_base[a[f"S_{s.depth}"]] + hazard * a["U"])
-        return [1.0 - p, p]
-
-    cpt["Y_f"] = _cpt_rows(dag, card, "Y_f", y_dist)
+    p = np.minimum(1.0, np.array(s.accident_base) + hazard * np.arange(2)[:, None])  # (U, S_D)
+    table = [np.broadcast_to([1.0, 0.0], (2, 2, 2)), np.stack([1.0 - p, p], axis=-1)]
+    cpt["Y_f"] = _cpt(dag, "Y_f", table, ("J_o", "U", s.states[-1], "Y_f"))
     return DiscreteScm(dag, card, cpt)
 
 
@@ -371,7 +349,7 @@ def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> Eff
 
 def chain_factorization_residual(scm: DiscreteScm) -> float:
     """Max over decision values d of the deviation of P(chain | D=d) from
-    the product of the stage conditionals P(next | prev, D=d).
+    P(first | D=d) times the stage conditionals P(next | prev, D=d).
 
     The chain is the model's S_0, S_1, ... followed by Y_f as the
     accident state.  One inference gives the joint of ``D`` and the
@@ -390,7 +368,7 @@ def chain_factorization_residual(scm: DiscreteScm) -> float:
     for d in np.flatnonzero(_sum_to(j, ("D",))).tolist():
         lhs = condition(j, {"D": d})
         actual = lhs.probs.transpose([lhs.vars.index(v) for v in chain])
-        prod = np.ones((1,) * len(chain))
+        prod = _sum_to(lhs, chain[:1]).reshape((-1,) + (1,) * (len(chain) - 1))
         for k, (a, b) in enumerate(zip(chain, chain[1:])):
             p = _sum_to(lhs, (a, b))
             p = p if lhs.axis(a) < lhs.axis(b) else p.T
@@ -406,18 +384,9 @@ def chain_factorization_residual(scm: DiscreteScm) -> float:
 def canonical_scenario(depth: int) -> RoadRiskScenario:
     """Programmatic defaults for any chain depth (fixtures, not data)."""
     dc, tc = 3, 2
-    esc = []
-    for stage in range(depth):
-        base = 0.05 + 0.06 * stage
-        esc.append(
-            tuple(
-                tuple(
-                    min(0.9, base * (1.0 + 2.2 * d / (dc - 1)) * (1.0 + 0.9 * t / (tc - 1)))
-                    for t in range(tc)
-                )
-                for d in range(dc)
-            )
-        )
+    base = 0.05 + 0.06 * np.arange(depth)[:, None, None]  # (stage, D, T)
+    d, t = np.arange(dc)[:, None], np.arange(tc)
+    esc = np.minimum(0.9, base * (1.0 + 2.2 * d / (dc - 1)) * (1.0 + 0.9 * t / (tc - 1)))
     return RoadRiskScenario(
         depth=depth,
         decision_card=dc,
@@ -427,7 +396,7 @@ def canonical_scenario(depth: int) -> RoadRiskScenario:
         journey_rate=(0.90, 0.72, 0.50),
         decision_base=((0.45, 0.40, 0.15), (0.50, 0.35, 0.15)),
         traffic_dist=(0.65, 0.35),
-        escalation=tuple(esc),
+        escalation=esc,
         accident_base=(0.015, 0.55),
         confounder_strength={"u_prob": 0.30, "decision_shift": 0.55, "hazard": 0.30},
     )

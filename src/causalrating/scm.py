@@ -23,7 +23,7 @@ from .errors import (
     ValueOutOfRange,
     ZeroProbabilityEvidence,
 )
-from .graph import _GRAPH_DOC, Dag, _read_json, dag_from_json, dag_to_json, mutilate
+from .graph import _GRAPH_DOC, Dag, _names, _read_json, dag_from_json, dag_to_json, mutilate
 
 __all__ = [
     "JointTable",
@@ -99,7 +99,7 @@ def _sum_to(j: JointTable, keep) -> np.ndarray:
 
 def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     """Sum out every variable not in ``keep`` (original order preserved)."""
-    keep = set(keep)
+    keep = _names(keep, "keep")
     if not keep:
         raise UnknownVariable("keep set must be nonempty")
     probs = _sum_to(j, keep)
@@ -343,7 +343,7 @@ def infer(
         if var not in scm.card:
             raise UnknownVariable(f"unknown variable: {var!r}")
         evidence[var] = _value(var, val, scm.card[var])
-    keep = set(keep)
+    keep = _names(keep, "keep")
     if not keep:
         raise UnknownVariable("keep set must be nonempty")
     for v in keep:
@@ -446,14 +446,6 @@ def _row_keys(seed: int, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _mix(rows, t)
 
 
-def _uniforms(seed: int, rows: np.ndarray, draw: int) -> np.ndarray:
-    """Vectorized splitmix64 uniforms in [0, 1) for (seed, row, draw)."""
-    t = np.empty(len(rows), dtype=np.uint64)
-    h = _row_keys(seed, rows.astype(np.uint64), t)
-    h ^= _U64(draw % (1 << 64))
-    return (_mix(h, t) >> _U64(11)) * 2.0**-53
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Integer sample matrix with its variable order and master seed."""
@@ -550,7 +542,7 @@ def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
 
 def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
     """Normalized frequency table over ``vars``."""
-    vars = tuple(vars)
+    vars = _names(vars, "vars", tuple)
     if not vars:
         raise UnknownVariable("variable list must be nonempty")
     if len(d) == 0:

@@ -35,9 +35,10 @@ from causalrating import (
     marginal,
     mutual_information,
     random_scm,
+    scenario_dag,
     template,
 )
-from causalrating.scm import DEFAULT_CELL_CAP, _contract, _value
+from causalrating.scm import DEFAULT_CELL_CAP, _contract, _mix, _row_keys, _value
 
 
 def mass_of(j: JointTable, assignment) -> float:
@@ -162,17 +163,24 @@ def csv_writer_bytes(rows: np.ndarray, header=()) -> bytes:
     return buf.getvalue().encode()
 
 
+def uniforms(seed: int, rows: np.ndarray, draw: int) -> np.ndarray:
+    """The documented stream: splitmix64 uniforms in [0, 1) for (seed,
+    row, draw), from the sampler's own hash steps."""
+    t = np.empty(len(rows), dtype=np.uint64)
+    h = _row_keys(seed, rows.astype(np.uint64), t)
+    h ^= np.uint64(draw % (1 << 64))
+    return (_mix(h, t) >> np.uint64(11)) * 2.0**-53
+
+
 def reference_sample_rows(scm: DiscreteScm, n: int, seed: int) -> np.ndarray:
     """Sampling oracle: every row at once, each value the number of
     cumulative CPT thresholds at or below its uniform, clipped to the
     cardinality."""
-    from causalrating.scm import _uniforms
-
     order = scm.dag.topological_order
     pos = {v: i for i, v in enumerate(order)}
     rows = np.zeros((n, len(order)), dtype=np.int64)
     for k, v in enumerate(order):
-        u = _uniforms(seed, np.arange(n, dtype=np.uint64), k)
+        u = uniforms(seed, np.arange(n, dtype=np.uint64), k)
         ridx = np.zeros(n, dtype=np.int64)
         for p in scm.parents_of(v):
             ridx = ridx * scm.card[p] + rows[:, pos[p]]
@@ -181,13 +189,87 @@ def reference_sample_rows(scm: DiscreteScm, n: int, seed: int) -> np.ndarray:
     return rows
 
 
+def reference_build_scenario(s) -> DiscreteScm:
+    """Scenario oracle: every CPT row written on its own, one call of a
+    per-node function on each parent configuration, enumerated in the
+    model's row order."""
+    dag = scenario_dag(s)
+    cs = s.confounder_strength
+    u_prob, shift, hazard = float(cs["u_prob"]), float(cs["decision_shift"]), float(cs["hazard"])
+    dc, tc = s.decision_card, s.traffic_card
+    card = {"Y_h": len(s.y_h_prior), "J_o": 2, "U": 2, "D": dc, "Y_f": 2}
+    for v in s.traffic_vars + s.states:
+        card[v] = tc if v.startswith("T") else 2
+
+    def rows(node, dist_fn):
+        parents = dag._parents[node]
+        cfgs = itertools.product(*[range(card[p]) for p in parents])
+        return np.array([dist_fn(dict(zip(parents, cfg))) for cfg in cfgs], dtype=float)
+
+    cpt = {
+        "Y_h": np.array([s.y_h_prior]),
+        "J_o": np.array([[1.0 - r, r] for r in s.journey_rate]),
+        "U": np.array([[1.0 - u_prob, u_prob]]),
+    }
+    aggressive = np.eye(dc)[-1]
+
+    def d_dist(a):
+        base = np.array(s.decision_base[a["J_o"]])
+        if a["U"]:
+            return (1.0 - shift) * base + shift * aggressive
+        return base
+
+    cpt["D"] = rows("D", d_dist)
+    for t in s.traffic_vars:
+        cpt[t] = np.array([s.traffic_dist])
+    cpt["S_0"] = rows("S_0", lambda a: [1.0, 0.0])
+    for i in range(1, s.depth + 1):
+
+        def s_dist(a, stage=i):
+            if a[f"S_{stage - 1}"]:
+                return [0.0, 1.0]
+            e = s.escalation[stage - 1][a["D"]][a[f"T_{stage}"]]
+            return [1.0 - e, e]
+
+        cpt[f"S_{i}"] = rows(f"S_{i}", s_dist)
+
+    def y_dist(a):
+        if a["J_o"] == 0:
+            return [1.0, 0.0]
+        p = min(1.0, s.accident_base[a[f"S_{s.depth}"]] + hazard * a["U"])
+        return [1.0 - p, p]
+
+    cpt["Y_f"] = rows("Y_f", y_dist)
+    return DiscreteScm(dag, card, cpt)
+
+
+def reference_canonical_escalation(depth: int) -> tuple:
+    """Fixture oracle: the escalation of ``canonical_scenario(depth)``,
+    one stage, decision and traffic value at a time."""
+    dc, tc = 3, 2
+    esc = []
+    for stage in range(depth):
+        base = 0.05 + 0.06 * stage
+        esc.append(
+            tuple(
+                tuple(
+                    min(0.9, base * (1.0 + 2.2 * d / (dc - 1)) * (1.0 + 0.9 * t / (tc - 1)))
+                    for t in range(tc)
+                )
+                for d in range(dc)
+            )
+        )
+    return tuple(esc)
+
+
 def reference_chain_factorization_residual(s, d_value: int, scm=None) -> float:
-    """Residual oracle: max |P(chain | D) - product of stage conditionals|
-    over the chain S_0..S_D, Y_f, one configuration at a time, skipping
-    those whose conditioning events have zero mass."""
+    """Residual oracle: max |P(chain | D) - P(first | D) times the stage
+    conditionals| over the chain S_0..S_D, Y_f, one configuration at a
+    time, skipping those whose conditioning events have zero mass."""
     scm = build_scenario(s) if scm is None else scm
     chain = list(s.states) + ["Y_f"]
     lhs = infer(scm, chain, {"D": int(d_value)})
+    first = marginal(lhs, {chain[0]}).probs
     pair_cond = []
     for a, b in zip(chain, chain[1:]):
         m = marginal(lhs, {a, b})
@@ -198,7 +280,7 @@ def reference_chain_factorization_residual(s, d_value: int, scm=None) -> float:
     worst = 0.0
     for cfg in np.ndindex(*(2,) * len(chain)):
         vals = list(cfg)
-        prod = 1.0
+        prod = float(first[vals[0]])
         defined = True
         for k in range(len(chain) - 1):
             cond, denom = pair_cond[k]

@@ -30,18 +30,23 @@ from causalrating import (
     confounded_direct_example,
     confounded_mediation_example,
     confounding_gap,
+    d_separated,
     default_scenario,
     do_distribution,
+    empirical_joint,
     exact_joint,
     frontdoor_adjust,
     identify_effect,
     infer,
     marginal,
+    mutilate,
     mutual_information,
     noise_verdict,
+    open_trail,
     random_scm,
     rating_comparison,
     rule1_deletion_check,
+    sample,
     template,
 )
 from causalrating import identify
@@ -467,7 +472,8 @@ class TestEffectQuery:
             EffectQuery("Y_f", {"X_c"}, {"Y_h": 1})
 
     # A string is a collection of its letters: "Y_h" would be read as
-    # {"Y", "_", "h"}, and a one-letter name would pass unnoticed.
+    # {"Y", "_", "h"}, and a one-letter name would pass unnoticed.  Only
+    # the information measures read a bare string, as one name.
     BARE_STRINGS = {
         "observed": lambda scm, j: EffectQuery("Y_f", {"X_c"}, "Y_h"),
         "mediators": lambda scm, j: identify_effect(scm, EffectQuery("Y_f", {"X_c"}), "auto", "Z"),
@@ -479,6 +485,14 @@ class TestEffectQuery:
             j, scm.dag, "X_c", "Y_f", {"Z"}, given="Y_h"
         ),
         "backdoor Z": lambda scm, j: backdoor_adjust(j, scm.dag, "Y_h", "Y_f", "X_c"),
+        "d_separated Z": lambda scm, j: d_separated(scm.dag, {"Y_h"}, {"Y_f"}, "X_c"),
+        "open_trail X": lambda scm, j: open_trail(scm.dag, "Z", {"Y_f"}, ()),
+        "mutilate": lambda scm, j: mutilate(scm.dag, "Z"),
+        "marginal": lambda scm, j: marginal(j, "Z"),
+        "infer": lambda scm, j: infer(scm, "Z"),
+        "empirical_joint": lambda scm, j: empirical_joint(sample(scm, 10, seed=1), "Z"),
+        "rule1 do_set": lambda scm, j: rule1_deletion_check(scm.dag, "Y_f", "Y_h", "Z"),
+        "verdict observed": lambda scm, j: noise_verdict(scm.dag, "Y_h", "Y_f", "X_c"),
     }
 
     @pytest.mark.parametrize("where", sorted(BARE_STRINGS))

@@ -45,6 +45,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     live_cells,
+    reference_build_scenario,
+    reference_canonical_escalation,
     reference_chain_factorization_residual,
     reference_markov_consistency,
     sparse_scm,
@@ -206,7 +208,56 @@ class TestScenarioJson:
             scenario_from_json(doc)
 
 
+@st.composite
+def scenarios(draw):
+    """Valid scenarios of every shape: depths 1-12, 2-4 decisions, 2-3
+    traffic values and 2-4 claim-history values, with probabilities that
+    take 0 and 1 as well as values between."""
+    depth = draw(st.integers(1, 12), label="depth")
+    dc, tc, hc = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+    def probs(*shape):
+        if len(shape) == 1:
+            return [draw(prob) for _ in range(shape[0])]
+        return [probs(*shape[1:]) for _ in range(shape[0])]
+
+    def dist(n):
+        w = probs(n)
+        return [x / sum(w) for x in w] if sum(w) > 0 else [1.0] + [0.0] * (n - 1)
+
+    hazard = draw(prob, label="hazard")
+    return RoadRiskScenario(
+        depth=depth,
+        decision_card=dc,
+        traffic_card=tc,
+        tta_thresholds=[4.0 * 0.5**i for i in range(depth + 1)],
+        y_h_prior=dist(hc),
+        journey_rate=probs(hc),
+        decision_base=[dist(dc), dist(dc)],
+        traffic_dist=dist(tc),
+        escalation=probs(depth, dc, tc),
+        accident_base=[draw(st.sampled_from([0.0, 1.0 - hazard]) | st.floats(0.0, 1.0 - hazard))
+                       for _ in range(2)],
+        confounder_strength={"u_prob": draw(prob), "decision_shift": draw(prob), "hazard": hazard},
+    )
+
+
 class TestBuildScenario:
+    @settings(max_examples=150, deadline=None)
+    @given(s=scenarios())
+    def test_matches_the_row_by_row_oracle(self, s):
+        got, want = build_scenario(s), reference_build_scenario(s)
+        for v in want.dag.nodes:
+            assert got.parents[v] == want.parents[v]
+            assert np.array_equal(got.cpt[v], want.cpt[v]), v
+
+    def test_canonical_fixture_matches_the_oracle(self):
+        # The escalation is one broadcast product; it must keep the
+        # oracle's left-to-right order to the last bit.
+        for depth in range(1, 61):
+            assert canonical_scenario(depth).escalation == reference_canonical_escalation(depth)
+
     def test_emits_valid_model(self):
         s = default_scenario()
         scm = build_scenario(s)
@@ -577,6 +628,17 @@ class TestChainFactorization:
         assert live == sorted(set(range(dc)) - dead)
         want = max(reference_chain_factorization_residual(s, d, scm) for d in live)
         assert abs(chain_factorization_residual(scm) - want) <= 1e-12
+
+    def test_a_markov_chain_with_a_random_start_factorizes(self):
+        # S_0 is no point mass here, so the product must start from
+        # P(S_0 | D) for a first-order Markov chain to read as one.
+        edges = [("D", "S_0"), ("D", "S_1"), ("S_0", "S_1"), ("S_1", "Y_f")]
+        scm = random_scm(Dag(["D", "S_0", "S_1", "Y_f"], edges, []), 3)
+        s = canonical_scenario(1)
+        assert chain_factorization_residual(scm) <= 1e-15
+        assert max(reference_chain_factorization_residual(s, d, scm) for d in range(2)) <= 1e-15
+        skip = random_scm(Dag(["D", "S_0", "S_1", "Y_f"], [*edges, ("S_0", "Y_f")], []), 3)
+        assert chain_factorization_residual(skip) > 1e-3
 
     def test_residual_negligible_all_depths(self):
         for depth in (1, 2, 3):

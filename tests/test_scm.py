@@ -42,6 +42,7 @@ from helpers import (
     random_dag,
     reference_infer,
     reference_sample_rows,
+    uniforms,
 )
 
 
@@ -483,12 +484,10 @@ class TestSampling:
     def test_known_stream_values(self):
         # Golden values pin the documented counter-based generator so a
         # change in the stream is caught as a cross-platform break.
-        from causalrating.scm import _uniforms
-
-        got = _uniforms(42, np.arange(4, dtype=np.uint64), 0)
+        got = uniforms(42, np.arange(4, dtype=np.uint64), 0)
         want = [0.38697428, 0.5771258, 0.02546179, 0.17529561]
         assert np.abs(got - want).max() < 1e-8
-        got = _uniforms(0, np.arange(2, dtype=np.uint64), 3)
+        got = uniforms(0, np.arange(2, dtype=np.uint64), 3)
         assert np.abs(got - [0.32116735, 0.03890183]).max() < 1e-8
 
     def test_empirical_convergence(self):
@@ -556,10 +555,8 @@ class TestSampling:
         # The sampler compares integer draws with integer thresholds; a
         # threshold at a drawn uniform, or one float step off it, must
         # sample what the float comparison of the reference samples.
-        from causalrating.scm import _uniforms
-
         n, seed, row = 50, 17, 7
-        u_a, u_b = (_uniforms(seed, np.arange(n, dtype=np.uint64), k)[row] for k in (0, 1))
+        u_a, u_b = (uniforms(seed, np.arange(n, dtype=np.uint64), k)[row] for k in (0, 1))
         p_a, p_b = (float(np.nextafter(u, u + step)) if step else float(u) for u in (u_a, u_b))
         dag = Dag(["A", "B"], [("A", "B")], [])
         scm = DiscreteScm(dag, {"A": 2, "B": 2}, {"A": [[p_a, 1 - p_a]], "B": [[p_b, 1 - p_b]] * 2})
