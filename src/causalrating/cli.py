@@ -16,29 +16,24 @@ import functools
 import json
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CausalRatingError, IdentificationError, UnknownVariable
-from .graph import TEMPLATE_IDS, Dag, dag_from_json, dag_to_json, open_trail, template
-from .identify import (
+from .graph import (
     IDENTIFY_METHODS,
-    EffectQuery,
-    confounding_gap,
-    identify_effect,
+    TEMPLATE_IDS,
+    Dag,
+    dag_from_json,
+    dag_to_json,
     noise_verdict,
-    rating_comparison,
+    open_trail,
+    template,
 )
-from .road_risk import (
-    RoadRiskScenario,
-    build_scenario,
-    chain_factorization_residual,
-    markov_consistency,
-    naive_effect,
-    scenario_from_json,
-    _journey_blocks,
-)
-from .scm import _csv_bytes, infer, scm_from_json
+
+# The NumPy-backed layers are imported inside the commands that use
+# them, so ``templates``, ``dsep`` and ``verdict`` never load NumPy.
+if TYPE_CHECKING:
+    from .road_risk import RoadRiskScenario
 
 REPORT_SCHEMA_VERSION = 1
 SEED_ENV_VAR = "CAUSALRATING_SEED"
@@ -96,6 +91,9 @@ def _load_model(path: str):
     Returns (scm, scenario_or_none).  A JSON object with ``cpt`` is read
     as an SCM; any other document, as a scenario.
     """
+    from .road_risk import build_scenario, scenario_from_json
+    from .scm import scm_from_json
+
     doc = _load_json(path)
     if isinstance(doc, dict) and "cpt" in doc:
         return scm_from_json(doc), None
@@ -144,6 +142,8 @@ def cmd_dsep(args) -> int:
 
 
 def cmd_identify(args) -> int:
+    from .identify import EffectQuery, identify_effect
+
     scm, scenario = _load_model(args.model)
     do, outcome, mediators = args.do, args.outcome, args.mediators
     if scenario is not None:
@@ -175,6 +175,11 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .road_risk import _journey_blocks, scenario_from_json
+    from .scm import _csv_bytes
+
     s = scenario_from_json(_load_json(args.scenario))
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
@@ -199,6 +204,12 @@ def cmd_simulate(args) -> int:
 
 
 def _scenario_report(s: RoadRiskScenario) -> dict:
+    import numpy as np
+
+    from .identify import EffectQuery, confounding_gap, identify_effect, rating_comparison
+    from .road_risk import build_scenario, chain_factorization_residual, markov_consistency, naive_effect
+    from .scm import infer
+
     scm = build_scenario(s)
     # One joint holds every information field and the naive estimate.
     j = infer(scm, {"Y_h", "J_o", "U", "D", "Y_f"})
@@ -232,11 +243,16 @@ def _scenario_report(s: RoadRiskScenario) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    from .road_risk import scenario_from_json
+
     _emit(_scenario_report(scenario_from_json(_load_json(args.scenario))), args.out)
     return 0
 
 
 def cmd_report(args) -> int:
+    from .identify import rating_comparison
+    from .scm import infer
+
     scm, scenario = _load_model(args.model)
     history, outcome = args.history or "Y_h", args.outcome or "Y_f"
     behavior = args.behavior or ("D" if scenario is not None else "X_c")

@@ -1,7 +1,9 @@
-"""Causal diagrams: DAGs, d-separation, adjustment criteria, templates.
+"""Causal diagrams: DAGs, d-separation, adjustment criteria, noise
+verdicts, templates.
 
 All graph values are immutable after construction.  Node names are
 nonempty ASCII identifiers.  A set of names is never a bare string.
+This layer imports no NumPy.
 """
 
 from __future__ import annotations
@@ -9,11 +11,13 @@ from __future__ import annotations
 import reprlib
 import sys
 from collections import deque
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .errors import (
     CycleError,
     GraphError,
+    LatentAdjustmentError,
     OverlapError,
     ParameterError,
     UnknownNodeError,
@@ -29,6 +33,12 @@ __all__ = [
     "mutilate",
     "dag_to_json",
     "dag_from_json",
+    "EliminationVerdict",
+    "rule1_deletion_check",
+    "noise_verdict",
+    "NOISE",
+    "SIGNAL",
+    "UNIDENTIFIABLE",
 ]
 
 
@@ -300,6 +310,89 @@ def frontdoor_failure(dag: Dag, x: str, y: str, M, strata=()):
                 + " - ".join(trail)
             )
     return None
+
+
+# -- noise-vs-signal verdicts -------------------------------------------
+
+NOISE = "Noise"
+SIGNAL = "Signal"
+UNIDENTIFIABLE = "Unidentifiable"
+# The --method choices of ``identify``; here so the CLI parser needs no NumPy.
+IDENTIFY_METHODS = ("auto", "frontdoor", "backdoor", "oracle")
+
+
+@dataclass(frozen=True)
+class EliminationVerdict:
+    """Outcome of the noise-vs-signal decision for one variable.
+
+    ``justification`` is machine-parseable: a method prefix
+    (``observational`` / ``interventional`` / ``blocked-backdoor`` /
+    ``open-backdoor``) followed by the witnessing statement.
+    """
+
+    variable: str
+    verdict: str
+    justification: str
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+def _refuse_latent(dag: Dag, names, what: str) -> None:
+    """Raise :class:`LatentAdjustmentError` naming the latent ``names``."""
+    latent = dag.latent & set(names)
+    if latent:
+        raise LatentAdjustmentError(f"{what}: {sorted(latent)}")
+
+
+def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool:
+    """Do-calculus Rule 1: may ``candidate`` be deleted from
+    P(outcome | do(do_set), candidate)?
+
+    True iff outcome and candidate are d-separated by ``do_set`` in the
+    surgically mutilated graph.
+    """
+    do_set = _names(do_set, "do_set")
+    if candidate in do_set or outcome in do_set:
+        raise OverlapError("candidate/outcome may not be in the do-set")
+    cut = mutilate(dag, do_set)
+    return d_separated(cut, {outcome}, {candidate}, do_set)
+
+
+def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> EliminationVerdict:
+    """Decide whether ``candidate`` is a deprecable noise variable.
+
+    Noise when observational d-separation (checked first) or Rule-1
+    deletion under do(observed) eliminates it; Signal when it stays
+    relevant but every back-door trail to the outcome is blocked;
+    Unidentifiable when an open back-door trail (through a latent
+    confounder) remains.
+    """
+    observed = _names(observed, "observed")
+    if candidate == outcome:
+        raise OverlapError("candidate and outcome must differ")
+    _refuse_latent(dag, observed, "latent nodes in observed set")
+    obs = ",".join(sorted(observed))
+    if d_separated(dag, {candidate}, {outcome}, observed):
+        return EliminationVerdict(
+            candidate, NOISE, f"observational:({candidate} _||_ {outcome} | {obs})"
+        )
+    if rule1_deletion_check(dag, outcome, candidate, observed):
+        return EliminationVerdict(
+            candidate,
+            NOISE,
+            f"interventional:({outcome} _||_ {candidate} | do({obs}))",
+        )
+    trail = open_trail(_cut(dag, out_of={candidate}), {candidate}, {outcome}, observed)
+    if trail is None:
+        return EliminationVerdict(
+            candidate,
+            SIGNAL,
+            f"blocked-backdoor:no open back-door trail from {candidate} to {outcome} given ({obs})",
+        )
+    return EliminationVerdict(
+        candidate, UNIDENTIFIABLE, "open-backdoor:" + " - ".join(trail)
+    )
 
 
 # -- built-in diagram templates -----------------------------------------

@@ -1,4 +1,5 @@
-"""Causal-effect identification and variable-elimination verdicts.
+"""Causal-effect identification; the variable-elimination verdicts of
+:mod:`causalrating.graph` are public here too.
 
 :func:`_choose` is the one place that picks an identification strategy,
 on the graph alone; :func:`identify_effect` and both adjusters run its
@@ -17,22 +18,27 @@ import numpy as np
 
 from .errors import (
     CriterionNotMet,
-    LatentAdjustmentError,
     NumericalConsistencyError,
     OverlapError,
     ParameterError,
     PositivityViolation,
     UnknownVariable,
 )
-from .graph import (
+from .graph import (  # noqa: F401 -- the verdict names stay public here
+    IDENTIFY_METHODS,
+    NOISE,
+    SIGNAL,
+    UNIDENTIFIABLE,
     Dag,
+    EliminationVerdict,
     _cut,
     _names,
-    d_separated,
+    _refuse_latent,
     frontdoor_failure,
-    mutilate,
+    noise_verdict,
     open_backdoor_trail,
     open_trail,
+    rule1_deletion_check,
 )
 from .info import chain_decompositions
 from .scm import DiscreteScm, JointTable, _in_range, _sum_to, _surgery, infer, scm_from_json
@@ -56,10 +62,6 @@ __all__ = [
     "SIGNAL",
     "UNIDENTIFIABLE",
 ]
-
-NOISE = "Noise"
-SIGNAL = "Signal"
-UNIDENTIFIABLE = "Unidentifiable"
 
 
 @dataclass(frozen=True)
@@ -134,23 +136,6 @@ class EffectTable:
 
 
 @dataclass(frozen=True)
-class EliminationVerdict:
-    """Outcome of the noise-vs-signal decision for one variable.
-
-    ``justification`` is machine-parseable: a method prefix
-    (``observational`` / ``interventional`` / ``blocked-backdoor`` /
-    ``open-backdoor``) followed by the witnessing statement.
-    """
-
-    variable: str
-    verdict: str
-    justification: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class CapacityReport:
     """Predictive-capacity comparison of rating designs, in bits."""
 
@@ -213,13 +198,6 @@ def _check_positivity(empty: np.ndarray, cell_at) -> None:
     if len(hits):
         cell = cell_at(*(int(i) for i in hits[0]))
         raise PositivityViolation(f"P{cell} = 0", cell=cell)
-
-
-def _refuse_latent(dag: Dag, names, what: str) -> None:
-    """Raise :class:`LatentAdjustmentError` naming the latent ``names``."""
-    latent = dag.latent & set(names)
-    if latent:
-        raise LatentAdjustmentError(f"{what}: {sorted(latent)}")
 
 
 def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
@@ -302,23 +280,6 @@ def _frontdoor(j: JointTable, x: str, y: str, M, given) -> np.ndarray:
     # In place, in this order: P(y | v', m, g), P(m | v, g), P(v' | g).
     _divide((t, pxm[..., None]), (pxm, px[..., None]), (px, pg[:, None]))
     return np.einsum("gam,gbmy,gb->gay", pxm, t, px)
-
-
-def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool:
-    """Do-calculus Rule 1: may ``candidate`` be deleted from
-    P(outcome | do(do_set), candidate)?
-
-    True iff outcome and candidate are d-separated by ``do_set`` in the
-    surgically mutilated graph.
-    """
-    do_set = _names(do_set, "do_set")
-    if candidate in do_set or outcome in do_set:
-        raise OverlapError("candidate/outcome may not be in the do-set")
-    cut = mutilate(dag, do_set)
-    return d_separated(cut, {outcome}, {candidate}, do_set)
-
-
-IDENTIFY_METHODS = ("auto", "frontdoor", "backdoor", "oracle")
 
 
 def _choose(dag: Dag, y: str, do_vars: tuple, given, method: str, M, sets=None) -> tuple:
@@ -422,42 +383,6 @@ def identify_effect(
     est = _frontdoor(j, x, y, M, S).reshape([scm.card[v] for v in (*axes, y)])
     est = est.transpose([axes.index(v) for v in do_vars + given] + [len(axes)])
     return "frontdoor", EffectTable(y, do_vars, given, est)
-
-
-def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> EliminationVerdict:
-    """Decide whether ``candidate`` is a deprecable noise variable.
-
-    Noise when observational d-separation (checked first) or Rule-1
-    deletion under do(observed) eliminates it; Signal when it stays
-    relevant but every back-door trail to the outcome is blocked;
-    Unidentifiable when an open back-door trail (through a latent
-    confounder) remains.
-    """
-    observed = _names(observed, "observed")
-    if candidate == outcome:
-        raise OverlapError("candidate and outcome must differ")
-    _refuse_latent(dag, observed, "latent nodes in observed set")
-    obs = ",".join(sorted(observed))
-    if d_separated(dag, {candidate}, {outcome}, observed):
-        return EliminationVerdict(
-            candidate, NOISE, f"observational:({candidate} _||_ {outcome} | {obs})"
-        )
-    if rule1_deletion_check(dag, outcome, candidate, observed):
-        return EliminationVerdict(
-            candidate,
-            NOISE,
-            f"interventional:({outcome} _||_ {candidate} | do({obs}))",
-        )
-    trail = open_trail(_cut(dag, out_of={candidate}), {candidate}, {outcome}, observed)
-    if trail is None:
-        return EliminationVerdict(
-            candidate,
-            SIGNAL,
-            f"blocked-backdoor:no open back-door trail from {candidate} to {outcome} given ({obs})",
-        )
-    return EliminationVerdict(
-        candidate, UNIDENTIFIABLE, "open-backdoor:" + " - ".join(trail)
-    )
 
 
 def confounding_gap(

@@ -194,13 +194,13 @@ class DiscreteScm:
 
 def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.ndarray:
     """``rows`` as the CPT of ``v`` under ``parents``: a new read-only
-    array of one row per parent configuration, each a distribution over
-    the ``card[v]`` values of ``v``."""
+    C-contiguous array of one row per parent configuration, each a
+    distribution over the ``card[v]`` values of ``v``."""
     if card[v] < 2:
         raise ShapeError(f"cardinality of {v} must be >= 2")
     n_rows = math.prod(card[p] for p in parents)
     try:
-        t = np.array(rows, dtype=np.float64)
+        t = np.array(rows, dtype=np.float64, order="C")
     except ValueError as exc:  # ragged rows or non-numeric entries
         raise ShapeError(f"CPT for {v}: {exc}") from None
     if t.shape != (n_rows, card[v]):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -394,6 +395,50 @@ class TestVerdict:
         assert json.loads(out)["verdict"] == "Signal"
 
 
+# Run in a fresh interpreter: which numeric modules each step has loaded.
+_LAZY_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+NUMERIC = ("numpy", "causalrating.scm", "causalrating.identify", "causalrating.road_risk")
+import causalrating, causalrating.cli
+steps = [("import", 0, "", sorted(NUMERIC & sys.modules.keys()))]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = causalrating.cli.main(argv)
+    steps.append((" ".join(argv), code, out.getvalue(), sorted(NUMERIC & sys.modules.keys())))
+names = {}
+exec("from causalrating import *", names)
+print(json.dumps({"steps": steps, "star": sorted(names)}))
+"""
+
+
+def test_graph_commands_load_no_numpy():
+    graph_only = [
+        ["templates"],
+        ["templates", "Fig1d"],
+        ["dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f", "--z", "X_c"],
+        ["verdict", "Fig6Canonical(2)", "--candidate", "Y_h", "--outcome", "Y_f",
+         "--observed", "J_o", "D"],
+        ["dsep", "Fig1d", "--x", "Nope", "--y", "Y_f"],
+        ["templates", "Fig9"],
+    ]
+    src = pathlib.Path(importlib.import_module("causalrating").__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_SCRIPT, json.dumps(graph_only + [["evaluate", SCENARIO]])],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    doc = json.loads(proc.stdout)
+    *steps, (_, code, out, loaded) = doc["steps"]
+    assert [s[1] for s in steps] == [0, 0, 0, 0, 0, 2, 2]
+    for label, _, _, numeric in steps:
+        assert numeric == [], label
+    assert code == 0 and "numpy" in loaded
+    assert approx_equal(json.loads(out), json.loads(GOLDEN.read_text()))
+    for layer in ("graph", "scm", "info", "identify", "road_risk"):
+        assert set(importlib.import_module(f"causalrating.{layer}").__all__) <= set(doc["star"]), layer
+
+
 class TestSimulate:
     def test_byte_identical_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -610,11 +655,11 @@ class TestEvaluate:
         # joint that keeps D: 4 on the canonical chain at every depth.
         # The graph d-separates every stage of the Markov residual, so it
         # infers nothing.  No inference keeps claim history together with
-        # the peril chain.
-        from causalrating import cli, identify, road_risk
+        # the peril chain.  The CLI reads ``scm.infer`` when it runs.
+        from causalrating import identify, road_risk, scm
 
         calls = []
-        for mod in (identify, road_risk, cli):
+        for mod in (identify, road_risk, scm):
             def spy(*args, real=mod.infer, **kwargs):
                 calls.append(args[1])
                 return real(*args, **kwargs)

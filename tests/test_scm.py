@@ -114,6 +114,19 @@ class TestBuildScm:
         )
         assert np.allclose(exact_joint(m1).probs, exact_joint(m2).probs)
 
+    def test_transposed_cpt_stored_c_contiguous(self):
+        # A plain copy keeps a transposed array's strides, (8, 16) here;
+        # each infer that reshapes such a CPT would copy it again.
+        rows = np.array([[0.2, 0.3], [0.8, 0.7]]).T
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        card, cpt_a = {"A": 2, "B": 2}, [[0.4, 0.6]]
+        scm = DiscreteScm(dag, card, {"A": cpt_a, "B": rows})
+        listed = DiscreteScm(dag, card, {"A": cpt_a, "B": rows.tolist()})
+        assert scm.cpt["B"].flags.c_contiguous
+        assert np.array_equal(scm.cpt["B"], rows)
+        for keep, evidence in (({"B"}, {}), ({"A", "B"}, {}), ({"A"}, {"B": 1})):
+            assert np.array_equal(infer(scm, keep, evidence).probs, infer(listed, keep, evidence).probs)
+
     def test_parent_order_must_match_graph(self):
         dag = Dag(["A", "B"], [("A", "B")], [])
         with pytest.raises(ShapeError):
