@@ -7,10 +7,11 @@ front-door adjustment, validated against exact graph-surgery oracles.
 
 ``import causalrating`` loads only the NumPy-free layers, ``errors`` and
 ``graph`` (the verdicts included).  The NumPy-backed layers ``scm``,
-``info``, ``identify`` and ``road_risk``, and every name they export
-here, are imported on first access (PEP 562), so graph-only work never
-loads NumPy.  A missing or broken NumPy therefore raises at the first
-use of such a name, not at import.
+``info``, ``identify`` and ``road_risk``, and every name in their
+``__all__``, are imported on first access (PEP 562), so graph-only work
+never loads NumPy.  A missing or broken NumPy therefore raises at the
+first use of such a name, not at import; an unknown name,
+``causalrating.__all__`` and ``dir(causalrating)`` import every layer.
 """
 
 import importlib as _importlib
@@ -18,42 +19,30 @@ import importlib as _importlib
 from .errors import *  # noqa: F401,F403
 from .graph import *  # noqa: F401,F403
 
-# Each NumPy-backed public name, by the layer that defines it.
-_LAZY = {
-    name: layer
-    for layer, names in {
-        "scm": "Dataset DiscreteScm JointTable condition dataset_to_csv do_distribution"
-        " empirical_joint exact_joint infer intervene marginal random_scm sample"
-        " scm_from_json scm_to_json",
-        "info": "ChainDecomposition chain_decompositions conditional_entropy"
-        " conditional_mutual_information entropy mutual_information",
-        "identify": "CapacityReport ConfoundingGap EffectQuery EffectTable backdoor_adjust"
-        " confounded_direct_example confounded_mediation_example confounding_gap"
-        " frontdoor_adjust identify_effect rating_comparison",
-        "road_risk": "RoadRiskScenario build_scenario canonical_scenario default_scenario"
-        " chain_factorization_residual ground_truth_effect markov_consistency naive_effect"
-        " observational_joint phyd_effect scenario_dag scenario_from_json scenario_to_json"
-        " simulate_journeys tta_discretize",
-    }.items()
-    for name in names.split()
-}
 _LAYERS = ("scm", "info", "identify", "road_risk")
-__all__ = [name for name in globals() if not name.startswith("_")] + [*_LAYERS, *_LAZY]
+_EAGER = [name for name in globals() if not name.startswith("_")]
 
 
 def __getattr__(name):
-    """Import a NumPy-backed layer, or one of its names, on first access."""
-    layer = name if name in _LAYERS else _LAZY.get(name)
-    if layer is None:
+    """Import a NumPy-backed layer, or keep here the public name of the
+    first in ``_LAYERS`` whose ``__all__`` holds it: each imports the ones
+    before it, so the search loads no more than the name's own layer.
+    ``__all__`` imports every layer."""
+    if name in _LAYERS:
+        return _importlib.import_module(f"{__name__}.{name}")  # binds the layer here
+    names = [*_EAGER]
+    for layer in _LAYERS:
+        module = __getattr__(layer)
+        if name in module.__all__:
+            return globals().setdefault(name, getattr(module, name))
+        names += [layer, *module.__all__]
+    if name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = _importlib.import_module(f"{__name__}.{layer}")  # binds the layer here
-    if name != layer:
-        globals()[name] = getattr(module, name)
-    return globals()[name]
+    return globals().setdefault(name, list(dict.fromkeys(names)))
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__getattr__("__all__")})
 
 
 __version__ = "0.1.0"

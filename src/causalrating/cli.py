@@ -256,7 +256,8 @@ def cmd_report(args) -> int:
     scm, scenario = _load_model(args.model)
     history, outcome = args.history or "Y_h", args.outcome or "Y_f"
     behavior = args.behavior or ("D" if scenario is not None else "X_c")
-    observed = set(args.observed or (("J_o", "D") if scenario is not None else ()))
+    default = ("J_o", "D") if scenario is not None else ()
+    observed = set(default if args.observed is None else args.observed)
     verdict = noise_verdict(scm.dag, history, outcome, observed)
     for v in (history, behavior, outcome):
         if v in scm.dag.latent:

@@ -240,18 +240,19 @@ def build_scenario(s: RoadRiskScenario) -> DiscreteScm:
     return DiscreteScm(dag, card, cpt)
 
 
-def _states(scm: DiscreteScm) -> list:
-    """The model's peril states ``S_0, S_1, ...`` in chain order: the nodes
-    named ``S_`` and then digits."""
+def _chain(scm: DiscreteScm) -> list:
+    """The model's peril states ``S_<digits>`` in number order, then ``Y_f``;
+    a model without ``D`` raises :class:`UnknownVariable`."""
+    if "D" not in scm.card:
+        raise UnknownVariable("unknown variable: 'D'")
     states = (v for v in scm.dag.nodes if v[:2] == "S_" and v[2:].isdecimal())
-    return sorted(states, key=lambda v: int(v[2:]))
+    return [*sorted(states, key=lambda v: int(v[2:])), "Y_f"]
 
 
 def markov_consistency(scm: DiscreteScm) -> float:
     """Max over stages and decision values of I(T_k; next | S_k, D=d),
-    where ``T_k`` is the traffic of state ``S_k``, paired by the number in
-    the name, and ``next`` is the following state in chain order, or
-    ``Y_f`` after the last.
+    where ``T_k`` is the traffic of state ``S_k`` (paired by the number in
+    the name) and ``next`` is the link after ``S_k`` in :func:`_chain`.
 
     A stage where ``{S_k, D}`` d-separates ``T_k`` from ``next`` in the
     graph contributes exactly 0 and costs no inference: the conditional
@@ -263,12 +264,9 @@ def markov_consistency(scm: DiscreteScm) -> float:
     leaking past its own stage.  A model without ``D`` raises
     :class:`UnknownVariable`.
     """
-    if "D" not in scm.card:
-        raise UnknownVariable("unknown variable: 'D'")
-    states = _states(scm)
+    chain = _chain(scm)
     worst = 0.0
-    for i, st in enumerate(states):
-        nxt = states[i + 1] if i + 1 < len(states) else "Y_f"
+    for st, nxt in zip(chain, chain[1:]):
         t = "T" + st[1:]
         if t not in scm.card or nxt not in scm.card:
             continue
@@ -349,32 +347,36 @@ def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> Eff
 
 def chain_factorization_residual(scm: DiscreteScm) -> float:
     """Max over decision values d of the deviation of P(chain | D=d) from
-    P(first | D=d) times the stage conditionals P(next | prev, D=d).
+    P(first | D=d) times the stage conditionals P(next | prev, D=d), for the
+    chain S_0, S_1, ..., Y_f.  It is exactly 0, with no inference, where
+    ``{previous link, D}`` d-separates each link from every earlier one
+    (the chain is then Markov given ``D`` in every model on the graph, as
+    in every :func:`build_scenario` model).  A model without ``D`` raises
+    :class:`UnknownVariable`."""
+    chain = _chain(scm)
+    if "Y_f" in scm.card and all(
+        d_separated(scm.dag, {chain[k + 1]}, set(chain[:k]), {chain[k], "D"})
+        for k in range(1, len(chain) - 1)
+    ):
+        return 0.0
+    return _factorization_residual(scm, chain)
 
-    The chain is the model's S_0, S_1, ... followed by Y_f as the
-    accident state.  One inference gives the joint of ``D`` and the
-    chain, 3 * 2^(depth + 2) cells on the canonical chain; each decision
-    value of positive mass is read off it by conditioning, and a value
-    of zero mass adds nothing.  A stage conditional whose condition has
-    zero mass (unreachable under the absorbing encoding) is 0, as is
-    every chain cell under it, so such configurations add nothing too.
-    A model without ``D`` raises :class:`UnknownVariable`.
-    """
-    if "D" not in scm.card:
-        raise UnknownVariable("unknown variable: 'D'")
-    chain = [*_states(scm), "Y_f"]
+
+def _factorization_residual(scm: DiscreteScm, chain: list) -> float:
+    """:func:`chain_factorization_residual` from one inferred joint of ``D``
+    and the chain, exponential in its length (3 * 2^(depth + 2) cells on the
+    canonical chain, under the cap of :func:`infer`).  A decision value or
+    stage condition of zero mass adds nothing: its conditionals are 0."""
     j = infer(scm, {"D", *chain})
     worst = 0.0
     for d in np.flatnonzero(_sum_to(j, ("D",))).tolist():
         lhs = condition(j, {"D": d})
-        actual = lhs.probs.transpose([lhs.vars.index(v) for v in chain])
-        prod = _sum_to(lhs, chain[:1]).reshape((-1,) + (1,) * (len(chain) - 1))
-        for k, (a, b) in enumerate(zip(chain, chain[1:])):
-            p = _sum_to(lhs, (a, b))
-            p = p if lhs.axis(a) < lhs.axis(b) else p.T
+        prod = _layout(lhs, chain[:1])
+        for a, b in zip(chain, chain[1:]):
+            p = _layout(lhs, (a,), (b,))
             _divide((p, p.sum(axis=1, keepdims=True)))
-            prod = prod * p.reshape((1,) * k + p.shape + (1,) * (len(chain) - k - 2))
-        worst = max(worst, float(np.abs(actual - prod).max()))
+            prod = prod[..., None] * p
+        worst = max(worst, float(np.abs(_layout(lhs, *zip(chain)) - prod).max()))
     return worst
 
 

@@ -43,6 +43,7 @@ from causalrating import (
     template,
 )
 from causalrating.cli import main as cli_main
+from causalrating.road_risk import _chain, _factorization_residual
 
 from helpers import TEMPLATE_DAGS, live_cells, random_joint, reference_chain_factorization_residual
 
@@ -214,11 +215,12 @@ class TestAcceptance:
             s = canonical_scenario(depth)
             scm = build_scenario(s)
             r = chain_factorization_residual(scm)
+            numeric = _factorization_residual(scm, _chain(scm))
             want = max(
                 reference_chain_factorization_residual(s, d, scm) for d in range(s.decision_card)
             )
-            if r != want or r >= 1e-12:
-                failures.append((depth, r, want))
+            if r != 0.0 or numeric != want or numeric >= 1e-12:
+                failures.append((depth, r, numeric, want))
         _verdict(7, "trajectory chain factorization residual < 1e-12", failures)
 
     def test_criterion_08_history_deprecation(self):

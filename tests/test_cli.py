@@ -650,12 +650,12 @@ class TestEvaluate:
 
     def test_eliminations_per_report(self, capsys, tmp_path, monkeypatch):
         # One inference each for the joint the information fields and the
-        # naive estimate share, the front-door estimate, the oracle and
-        # the chain residual, which reads every decision value off one
-        # joint that keeps D: 4 on the canonical chain at every depth.
-        # The graph d-separates every stage of the Markov residual, so it
-        # infers nothing.  No inference keeps claim history together with
-        # the peril chain.  The CLI reads ``scm.infer`` when it runs.
+        # naive estimate share, the front-door estimate and the oracle: 3
+        # on the canonical chain at every depth.  The graph d-separates
+        # every stage of the Markov residual and every link of the chain
+        # residual, so neither infers anything.  No inference keeps claim
+        # history together with the peril chain.  The CLI reads
+        # ``scm.infer`` when it runs.
         from causalrating import identify, road_risk, scm
 
         calls = []
@@ -674,7 +674,6 @@ class TestEvaluate:
                 {"Y_h", "J_o", "U", "D", "Y_f"},
                 {"J_o", "D", *chain},
                 {"J_o", "D", "Y_f"},
-                {"D", *chain},
             ], depth
 
     def test_entropies_per_report(self, capsys, monkeypatch):
@@ -742,6 +741,17 @@ class TestReport:
         code, out, _ = run(capsys, "report", *argv)
         assert code == 0
         assert approx_equal(json.loads(out), json.loads(REPORT_GOLDEN.read_text())[name])
+
+    def test_empty_observed_conditions_on_nothing(self, capsys):
+        # An explicit --observed with no names is the empty set, not the
+        # scenario default {J_o, D}.
+        from causalrating import build_scenario, default_scenario, noise_verdict
+
+        code, out, _ = run(capsys, "report", SCENARIO, "--observed")
+        assert code == 0
+        want = noise_verdict(build_scenario(default_scenario()).dag, "Y_h", "Y_f", set()).to_json()
+        assert json.loads(out)["verdict"] == want
+        assert want["verdict"] == "Signal"
 
     def test_depth_18(self, capsys, tmp_path):
         code, out, _ = run(capsys, "report", canonical_path(18, tmp_path))

@@ -39,7 +39,8 @@ from causalrating import (
 )
 from causalrating.errors import ParameterError, UnknownVariable, ValueOutOfRange
 from causalrating import confounded_mediation_example, empirical_joint, frontdoor_adjust, random_scm
-from causalrating.graph import frontdoor_failure
+from causalrating.graph import d_separated, frontdoor_failure
+from causalrating.road_risk import _chain, _factorization_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -403,9 +404,11 @@ class TestChainDiagnosticsZeroMass:
         scm = build_scenario(s)
         assert infer(scm, {"D"}).probs[2] == 0.0
         assert markov_consistency(scm) < 1e-9
-        # Each live value's residual is the oracle's, bit for bit.
+        # The graph answers 0.0; on the numeric path each live value's
+        # residual is the oracle's, bit for bit.
+        assert chain_factorization_residual(scm) == 0.0
         want = max(reference_chain_factorization_residual(s, d, scm) for d in (0, 1))
-        assert chain_factorization_residual(scm) == want
+        assert _factorization_residual(scm, _chain(scm)) == want
 
     def test_markov_consistency_without_a_decision_raises(self):
         with pytest.raises(UnknownVariable, match="'D'"):
@@ -561,10 +564,24 @@ class TestNaiveEffect:
 class TestChainFactorization:
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_matches_reference_loop(self, depth):
+        # The graph answers 0.0; the numeric path is the oracle's, bit for bit.
         s = canonical_scenario(depth)
         scm = build_scenario(s)
+        assert chain_factorization_residual(scm) == 0.0
         want = max(reference_chain_factorization_residual(s, d, scm) for d in range(s.decision_card))
-        assert chain_factorization_residual(scm) == want
+        assert _factorization_residual(scm, _chain(scm)) == want
+
+    def test_scenario_models_infer_nothing(self, monkeypatch):
+        # Every scenario chain is Markov given D on its graph, so the
+        # residual is exactly 0.0 without any inference.
+        from causalrating import road_risk
+
+        def spy(*args, **kwargs):
+            raise AssertionError("infer called")
+
+        monkeypatch.setattr(road_risk, "infer", spy)
+        for s in (default_scenario(), *map(canonical_scenario, range(1, 65))):
+            assert chain_factorization_residual(build_scenario(s)) == 0.0, s.depth
 
     @pytest.mark.parametrize("depth", [1, 3, 6])
     def test_matches_reference_loop_off_the_chain(self, depth):
@@ -628,6 +645,48 @@ class TestChainFactorization:
         assert live == sorted(set(range(dc)) - dead)
         want = max(reference_chain_factorization_residual(s, d, scm) for d in live)
         assert abs(chain_factorization_residual(scm) - want) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_graph_route_matches_numeric_path(self, data):
+        # Random CPTs on chain DAGs as above, also with a root whose
+        # children are chain nodes.  Where {S_k, D} d-separates the
+        # whole past of every link from its whole future (for
+        # d-separation the same as separating each next link from the
+        # past, which the graph route tests), the residual is 0.0 and the
+        # numeric path reads float noise; elsewhere the residual is the
+        # numeric path's.
+        depth = data.draw(st.integers(0, 5), label="depth")
+        chain = [*(f"S_{i}" for i in range(depth + 1)), "Y_f"]
+        nodes = ["D", *chain]
+        edges = [("D", v) for v in chain[:-1]] + list(zip(chain, chain[1:]))
+        skips = [(a, b) for i, a in enumerate(chain) for b in chain[i + 2 :]]
+        if skips:
+            edges += data.draw(st.lists(st.sampled_from(skips), unique=True, max_size=3), label="skips")
+        if data.draw(st.booleans(), label="parent of D"):
+            nodes.insert(0, "P")
+            edges += [("P", "D"), ("P", "Y_f")]
+        root = data.draw(st.lists(st.sampled_from(chain), unique=True, max_size=3), label="root children")
+        if root:
+            nodes.insert(0, "R")
+            edges += [("R", v) for v in root]
+        dc = data.draw(st.integers(2, 4), label="decision card")
+        seed = data.draw(st.integers(0, 10_000), label="seed")
+        scm = random_scm(Dag(nodes, edges, []), seed, card={"D": dc})
+        dead = data.draw(st.sets(st.integers(0, dc - 1), max_size=dc - 1), label="dead values")
+        cpt = {v: np.array(scm.cpt[v]) for v in scm.dag.nodes}
+        cpt["D"][:, sorted(dead)] = 0.0
+        cpt["D"] /= cpt["D"].sum(axis=1, keepdims=True)
+        scm = DiscreteScm(scm.dag, scm.card, cpt)
+        markov = all(
+            d_separated(scm.dag, set(chain[k + 1 :]), set(chain[:k]), {chain[k], "D"})
+            for k in range(1, len(chain) - 1)
+        )
+        residual, numeric = chain_factorization_residual(scm), _factorization_residual(scm, chain)
+        if markov:
+            assert residual == 0.0 and numeric <= 1e-15
+        else:
+            assert residual == numeric
 
     def test_a_markov_chain_with_a_random_start_factorizes(self):
         # S_0 is no point mass here, so the product must start from
