@@ -11,8 +11,7 @@ from __future__ import annotations
 import reprlib
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     CycleError,
@@ -249,8 +248,10 @@ def mutilate(dag: Dag, do_set) -> Dag:
 
 
 def _cut(dag: Dag, into=(), out_of=()) -> Dag:
-    """Copy of ``dag`` without the edges into ``into`` and out of ``out_of``."""
-    edges = [(a, b) for (a, b) in dag.edges if b not in into and a not in out_of]
+    """Copy of ``dag`` without the edges into ``into`` and out of ``out_of``,
+    listed from the child lists: the set ``dag.edges`` iterates in hash order."""
+    kids = dag._children
+    edges = [(a, b) for a in dag.nodes if a not in out_of for b in kids[a] if b not in into]
     return Dag(dag.nodes, edges, dag.latent)
 
 
@@ -321,8 +322,7 @@ UNIDENTIFIABLE = "Unidentifiable"
 IDENTIFY_METHODS = ("auto", "frontdoor", "backdoor", "oracle")
 
 
-@dataclass(frozen=True)
-class EliminationVerdict:
+class EliminationVerdict(NamedTuple):
     """Outcome of the noise-vs-signal decision for one variable.
 
     ``justification`` is machine-parseable: a method prefix
@@ -335,7 +335,7 @@ class EliminationVerdict:
     justification: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _refuse_latent(dag: Dag, names, what: str) -> None:

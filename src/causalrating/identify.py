@@ -1,11 +1,10 @@
-"""Causal-effect identification; the variable-elimination verdicts of
-:mod:`causalrating.graph` are public here too.
+"""Causal-effect identification.
 
 :func:`_choose` is the one place that picks an identification strategy,
 on the graph alone; :func:`identify_effect` and both adjusters run its
-choice.  Adjustment estimators consume an observational joint table
-that must not contain latent variables; only the surgery oracle may see
-the full model.
+choice, and each returns an :class:`EffectTable`.  Adjustment estimators
+consume an observational joint table that must not contain latent
+variables; only the surgery oracle may see the full model.
 """
 
 from __future__ import annotations
@@ -24,21 +23,15 @@ from .errors import (
     PositivityViolation,
     UnknownVariable,
 )
-from .graph import (  # noqa: F401 -- the verdict names stay public here
+from .graph import (
     IDENTIFY_METHODS,
-    NOISE,
-    SIGNAL,
-    UNIDENTIFIABLE,
     Dag,
-    EliminationVerdict,
     _cut,
     _names,
     _refuse_latent,
     frontdoor_failure,
-    noise_verdict,
     open_backdoor_trail,
     open_trail,
-    rule1_deletion_check,
 )
 from .info import chain_decompositions
 from .scm import DiscreteScm, JointTable, _in_range, _sum_to, _surgery, infer, scm_from_json
@@ -46,21 +39,15 @@ from .scm import DiscreteScm, JointTable, _in_range, _sum_to, _surgery, infer, s
 __all__ = [
     "EffectQuery",
     "EffectTable",
-    "EliminationVerdict",
     "CapacityReport",
     "ConfoundingGap",
     "backdoor_adjust",
     "frontdoor_adjust",
     "identify_effect",
-    "rule1_deletion_check",
-    "noise_verdict",
     "confounding_gap",
     "rating_comparison",
     "confounded_direct_example",
     "confounded_mediation_example",
-    "NOISE",
-    "SIGNAL",
-    "UNIDENTIFIABLE",
 ]
 
 
@@ -95,10 +82,10 @@ class EffectTable:
     """Distributions over an outcome, per do-configuration and stratum.
 
     ``probs`` has one axis per do-variable, then one per stratum
-    variable, each group in topological order, then the outcome.  A
-    (do, given) cell of zero mass holds zeros: it is dead, so
-    :meth:`dist` raises ``KeyError`` on it and :meth:`to_json` leaves it
-    out.
+    variable, each group in topological order (an adjuster's in the
+    order of its joint), then the outcome.  A (do, given) cell of zero
+    mass holds zeros: it is dead, so :meth:`dist` raises ``KeyError`` on
+    it and :meth:`to_json` leaves it out.
     """
 
     outcome: str
@@ -179,9 +166,9 @@ def _layout(j: JointTable, *groups: tuple) -> np.ndarray:
     return p.reshape([math.prod(j.card(v) for v in g) for g in groups])
 
 
-def _configs(j: JointTable, names: tuple) -> list:
-    """Every value tuple of ``names``, in row-major order."""
-    return list(np.ndindex(*(j.card(v) for v in names)))
+def _cell(j: JointTable, names: tuple, k: int) -> dict:
+    """``names`` at their ``k``-th configuration in row-major order."""
+    return dict(zip(names, map(int, np.unravel_index(k, [j.card(v) for v in names]))))
 
 
 def _divide(*pairs) -> None:
@@ -200,36 +187,34 @@ def _check_positivity(empty: np.ndarray, cell_at) -> None:
         raise PositivityViolation(f"P{cell} = 0", cell=cell)
 
 
-def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> dict:
+def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> EffectTable:
     """Back-door adjustment: P(y | do(x=v)) = sum_z P(y|v,z) P(z).
 
-    Returns a map from x-value to a distribution over y.  A latent node
-    in ``j`` or ``Z`` raises :class:`LatentAdjustmentError`; a ``Z`` that
-    fails the back-door criterion, the :class:`CriterionNotMet` of
-    :func:`_choose`, with the witness of :func:`open_backdoor_trail`.  A
-    :class:`PositivityViolation` names the first cell (v, z) with
-    P(z) > 0 = P(v, z).
+    Returns the table over the one do-variable x, with no strata.  A
+    latent node in ``j`` or ``Z`` raises :class:`LatentAdjustmentError`;
+    a ``Z`` that fails the back-door criterion, the
+    :class:`CriterionNotMet` of :func:`_choose`, with the witness of
+    :func:`open_backdoor_trail`.  A :class:`PositivityViolation` names
+    the first cell (v, z) with P(z) > 0 = P(v, z).
     """
     Z = _names(Z, "Z")
     _refuse_latent(dag, Z | set(j.vars), "latent nodes in joint or adjustment set")
     _choose(dag, y, (x,), (), "backdoor", frozenset(), (Z,))
-    return dict(enumerate(_backdoor(j, x, y, Z)))
+    return _backdoor(j, x, y, Z)
 
 
-def _backdoor(j: JointTable, x: str, y: str, Z) -> np.ndarray:
-    """The core of :func:`backdoor_adjust`, over (x, y); it checks no
-    criterion."""
+def _backdoor(j: JointTable, x: str, y: str, Z) -> EffectTable:
+    """The core of :func:`backdoor_adjust`; it checks no criterion."""
     z_vars = _ordered(j, Z)
     t = _layout(j, (x,), z_vars, (y,))
     pxz = t.sum(axis=2)
     pz = pxz.sum(axis=0)
-    z_cfgs = _configs(j, z_vars)
-    _check_positivity((pz > 0) & (pxz <= 0), lambda v, z: {x: v, **dict(zip(z_vars, z_cfgs[z]))})
+    _check_positivity((pz > 0) & (pxz <= 0), lambda v, z: {x: v, **_cell(j, z_vars, z)})
     _divide((t, pxz[..., None]))
-    return np.einsum("z,xzy->xy", pz, t)
+    return EffectTable(y, (x,), (), np.einsum("z,xzy->xy", pz, t))
 
 
-def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> dict:
+def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> EffectTable:
     """Front-door adjustment through mediator set ``M``, per stratum of ``given``.
 
     For each configuration g of ``given`` with positive mass and each
@@ -246,26 +231,25 @@ def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> di
     ``given`` missing from ``j`` raises :class:`UnknownVariable`.  The
     factors are ratios of sums of the {g, x, M, y} mass, joined by one
     ``einsum``.  A :class:`PositivityViolation` names the first empty
-    cell in the order stratum, v, m, v'.  Returns a map from (x-value,
-    given-configuration) to a distribution over y.
+    cell in the order stratum, v, m, v'.  Returns the table over the one
+    do-variable x and the strata ``given``, in the order of ``j.vars``.
     """
     M, given = _names(M, "M"), _names(given, "given")
     _refuse_latent(dag, j.vars, "joint table contains latent nodes")
     _choose(dag, y, (x,), given, "frontdoor", M)
-    est, g_cfgs = _frontdoor(j, x, y, M, given), _configs(j, _ordered(j, given))
-    return {(v, g_cfgs[g]): est[g, v] for g, v in np.argwhere(est.any(axis=-1)).tolist()}
+    return _frontdoor(j, x, y, M, (x,), given)
 
 
-def _frontdoor(j: JointTable, x: str, y: str, M, given) -> np.ndarray:
-    """The core of :func:`frontdoor_adjust`, over (stratum, x, y) with
-    zeros in the strata of zero mass; it checks no criterion."""
-    m_vars, g_vars = _ordered(j, M), _ordered(j, given)
-    g_cfgs = _configs(j, g_vars)
+def _frontdoor(j: JointTable, x: str, y: str, M, do_vars, given) -> EffectTable:
+    """The core of :func:`frontdoor_adjust`, with ``do_vars`` other than x
+    as strata (Rule 2); it checks no criterion.  The table's axes are the
+    tuple ``do_vars``, then ``given`` in the order of ``j.vars``."""
+    m_vars, given = _ordered(j, M), _ordered(j, given)
+    g_vars = _ordered(j, {*do_vars, *given} - {x})
     t = _layout(j, g_vars, (x,), m_vars, (y,))  # P(g, v, m, y)
     pxm = t.sum(axis=3)
     px = pxm.sum(axis=2)
     pg = px.sum(axis=1)
-    live = pg > 0
     # Per stratum g and value v: first P(v, g) = 0, then the first m with
     # P(v, m, g) > 0 at which some v' has P(v', m, g) = 0 < P(v', g).
     hole = (pxm <= 0) & (px[..., None] > 0)
@@ -273,13 +257,18 @@ def _frontdoor(j: JointTable, x: str, y: str, M, given) -> np.ndarray:
 
     def cell_at(g, v, k):
         vp = int(np.argmax(hole[g, :, k - 1]))
-        cell = {x: v} if k == 0 else {x: vp, **dict(zip(m_vars, _configs(j, m_vars)[k - 1]))}
-        return {**cell, **dict(zip(g_vars, g_cfgs[g]))}
+        cell = {x: v} if k == 0 else {x: vp, **_cell(j, m_vars, k - 1)}
+        return {**cell, **_cell(j, g_vars, g)}
 
-    _check_positivity(empty & live[:, None, None], cell_at)
+    _check_positivity(empty & (pg > 0)[:, None, None], cell_at)
     # In place, in this order: P(y | v', m, g), P(m | v, g), P(v' | g).
     _divide((t, pxm[..., None]), (pxm, px[..., None]), (px, pg[:, None]))
-    return np.einsum("gam,gbmy,gb->gay", pxm, t, px)
+    est = np.einsum("gam,gbmy,gb->gay", pxm, t, px)
+    # Split the stratum axis per variable; reorder to (do, given, y).
+    axes = [*g_vars, x]
+    est = est.reshape([j.card(v) for v in (*axes, y)])
+    est = est.transpose([axes.index(v) for v in do_vars + given] + [len(axes)])
+    return EffectTable(y, do_vars, given, est)
 
 
 def _choose(dag: Dag, y: str, do_vars: tuple, given, method: str, M, sets=None) -> tuple:
@@ -374,15 +363,9 @@ def identify_effect(
         return "oracle", EffectTable(y, do_vars, given, q)
     if method == "backdoor":
         _refuse_latent(dag, {x, y, *S}, "latent nodes in joint or adjustment set")
-        est = _backdoor(infer(scm, {x, y, *S}), x, y, S)
-        return "backdoor", EffectTable(y, do_vars, given, est)
+        return "backdoor", _backdoor(infer(scm, {x, y, *S}), x, y, S)
     _refuse_latent(dag, {x, y, *M, *S}, "joint table contains latent nodes")
-    j = infer(scm, {x, y, *M, *S})
-    # Split the core's stratum axis per variable; reorder to (do, given, y).
-    axes = [*_ordered(j, S), x]
-    est = _frontdoor(j, x, y, M, S).reshape([scm.card[v] for v in (*axes, y)])
-    est = est.transpose([axes.index(v) for v in do_vars + given] + [len(axes)])
-    return "frontdoor", EffectTable(y, do_vars, given, est)
+    return "frontdoor", _frontdoor(infer(scm, {x, y, *M, *S}), x, y, M, do_vars, given)
 
 
 def confounding_gap(

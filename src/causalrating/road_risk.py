@@ -101,6 +101,12 @@ class RoadRiskScenario:
     schema_version: int = SCENARIO_SCHEMA_VERSION
 
     def __post_init__(self):
+        for name in ("depth", "decision_card", "traffic_card", "schema_version"):
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        if self.schema_version != SCENARIO_SCHEMA_VERSION:
+            raise ParameterError(f"unsupported scenario schema_version {self.schema_version}")
         for name in _FLOAT_FIELDS:
             object.__setattr__(self, name, _finite_floats(getattr(self, name), name))
         object.__setattr__(self, "confounder_strength", dict(self.confounder_strength))
@@ -412,8 +418,6 @@ def scenario_to_json(s: RoadRiskScenario) -> dict:
 
 def scenario_from_json(doc: Mapping) -> RoadRiskScenario:
     doc = _read_json(doc, _SCENARIO_DOC, "scenario", ParameterError)
-    if doc["schema_version"] != SCENARIO_SCHEMA_VERSION:
-        raise ParameterError(f"unsupported scenario schema_version {doc['schema_version']}")
     return RoadRiskScenario(**doc)
 
 

@@ -415,6 +415,13 @@ def live_cells(t: EffectTable):
         yield tuple(cell[:n]), tuple(cell[n:]), t.probs[tuple(cell)]
 
 
+def loop_dict(t: EffectTable, strata: bool = True) -> dict:
+    """An adjuster's table as the dict of its loop oracle: the live cells
+    in row-major order, keyed by (x-value, stratum), or by x-value alone
+    as the back-door oracle keys them (``strata=False``)."""
+    return {(do[0], g) if strata else do[0]: dist for do, g, dist in live_cells(t)}
+
+
 def reference_conditional_mutual_information(j: JointTable, X, Y, Z) -> float:
     """CMI oracle: I(X; Y | Z) as H(Y|Z) - H(Y|X,Z), cross-checked against
     H(X|Z) + H(Y|Z) - H(X,Y|Z), each conditional entropy on its own."""

@@ -167,7 +167,7 @@ class TestAcceptance:
             got = frontdoor_adjust(j, dag, "X_c", "Y_f", {"Z"})
             for x in range(2):
                 dev = np.abs(
-                    got[(x, ())] - do_distribution(scm, "Y_f", {"X_c": x})
+                    got.dist((x,)) - do_distribution(scm, "Y_f", {"X_c": x})
                 ).max()
                 if dev >= 1e-9:
                     failures.append(("Fig3", seed, x, dev))
@@ -180,7 +180,7 @@ class TestAcceptance:
                 got = frontdoor_adjust(j, dag, "D", "Y_f", mediators)
                 for x in range(2):
                     dev = np.abs(
-                        got[(x, ())] - do_distribution(scm, "Y_f", {"D": x})
+                        got.dist((x,)) - do_distribution(scm, "Y_f", {"D": x})
                     ).max()
                     if dev >= 1e-9:
                         failures.append((f"Fig6Canonical({depth})", seed, x, dev))
@@ -192,7 +192,7 @@ class TestAcceptance:
             0.5
             * float(
                 np.abs(
-                    marginal(condition(j, {"X_c": x}), {"Y_f"}).probs - fd[(x, ())]
+                    marginal(condition(j, {"X_c": x}), {"Y_f"}).probs - fd.dist((x,))
                 ).sum()
             )
             for x in range(2)
@@ -259,7 +259,7 @@ class TestAcceptance:
         raw = frontdoor_adjust(
             j, scenario_dag(s), "D", "Y_f", set(s.states), given={"J_o"}
         )
-        for (d, g), dist in raw.items():
+        for (d,), g, dist in live_cells(raw):
             tv = 0.5 * float(np.abs(dist - gt.dist((g[0], d))).sum())
             if tv >= 0.02:
                 failures.append(("empirical", d, g, tv))

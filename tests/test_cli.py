@@ -439,6 +439,41 @@ def test_graph_commands_load_no_numpy():
         assert set(importlib.import_module(f"causalrating.{layer}").__all__) <= set(doc["star"]), layer
 
 
+# Run under a given hash seed: a mutilated graph's order from the graph
+# layer alone, then the oracle table of a model on that graph.
+_HASH_SEED_SCRIPT = """
+import json, sys
+from causalrating.graph import Dag, mutilate
+nodes, edges = json.loads(sys.argv[2])
+print(mutilate(Dag(nodes, edges), {"V1"}).topological_order, "numpy" in sys.modules)
+from causalrating.cli import main
+sys.exit(main(["identify", sys.argv[1], "--do", "V1", "--outcome", "V5", "--method", "oracle"]))
+"""
+
+
+def test_oracle_output_does_not_follow_the_hash_seed(tmp_path):
+    # The cut graph was rebuilt from the edge set, so its order, and the
+    # oracle's last bits, followed the iteration order of the set.
+    from causalrating import Dag, random_scm, scm_to_json
+
+    nodes = [f"V{i}" for i in range(6)]
+    pairs = [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 4), (2, 5), (3, 5), (4, 5)]
+    edges = [(f"V{a}", f"V{b}") for a, b in pairs]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(scm_to_json(random_scm(Dag(nodes, edges), 4, card=3))))
+    src = pathlib.Path(importlib.import_module("causalrating").__file__).parents[1]
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, str(path), json.dumps([nodes, edges])],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0].startswith("('V0', 'V1', 'V2', 'V3', 'V4', 'V5') False\n")
+    assert outs[0] == outs[1]
+
+
 class TestSimulate:
     def test_byte_identical_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

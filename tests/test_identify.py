@@ -56,6 +56,7 @@ from causalrating.identify import IDENTIFY_METHODS, _choose
 from helpers import (
     TEMPLATE_DAGS,
     live_cells,
+    loop_dict,
     open_trail_problem,
     random_dag,
     reference_backdoor_adjust,
@@ -81,7 +82,7 @@ class TestBackdoorAdjust:
         got = backdoor_adjust(j, scm.dag, "X_c", "Y_f", set())
         for x in range(2):
             want = marginal(condition(j, {"X_c": x}), {"Y_f"}).probs
-            assert np.abs(got[x] - want).max() < 1e-12
+            assert np.abs(got.dist((x,)) - want).max() < 1e-12
 
     def test_observed_confounder_matches_oracle(self):
         dag = Dag(["W", "X", "Y"], [("W", "X"), ("W", "Y"), ("X", "Y")], [])
@@ -91,7 +92,7 @@ class TestBackdoorAdjust:
             got = backdoor_adjust(j, dag, "X", "Y", {"W"})
             for x in range(2):
                 oracle = do_distribution(scm, "Y", {"X": x})
-                assert np.abs(got[x] - oracle).max() < 1e-9
+                assert np.abs(got.dist((x,)) - oracle).max() < 1e-9
 
     def test_unblockable_backdoor_rejected(self):
         scm = random_scm(template("Fig2b"), 0)
@@ -140,7 +141,7 @@ class TestFrontdoorAdjust:
         got = frontdoor_adjust(j, dag, "X_c", "Y_f", {"Z"})
         for x in range(2):
             want = marginal(condition(j, {"X_c": x}), {"Y_f"}).probs
-            assert np.abs(got[(x, ())] - want).max() < 1e-9
+            assert np.abs(got.dist((x,)) - want).max() < 1e-9
 
     def test_matches_oracle_on_mediated_graph(self):
         dag = template("Fig3")
@@ -149,7 +150,7 @@ class TestFrontdoorAdjust:
             got = frontdoor_adjust(observed_joint(scm), dag, "X_c", "Y_f", {"Z"})
             for x in range(2):
                 oracle = do_distribution(scm, "Y_f", {"X_c": x})
-                assert np.abs(got[(x, ())] - oracle).max() < 1e-9
+                assert np.abs(got.dist((x,)) - oracle).max() < 1e-9
 
     def test_matches_oracle_on_canonical_graph_with_stratum(self):
         dag = template("Fig6Canonical(2)")
@@ -159,7 +160,7 @@ class TestFrontdoorAdjust:
             got = frontdoor_adjust(
                 observed_joint(scm), dag, "D", "Y_f", M, given={"Y_h"}
             )
-            for (x, g), dist in got.items():
+            for (x,), g, dist in live_cells(got):
                 oracle = do_distribution(scm, "Y_f", {"D": x}, given={"Y_h": g[0]})
                 assert np.abs(dist - oracle).max() < 1e-9
 
@@ -217,7 +218,7 @@ class TestFrontdoorAdjust:
     def test_distributions_normalized(self):
         scm = random_scm(template("Fig3"), 77)
         got = frontdoor_adjust(observed_joint(scm), scm.dag, "X_c", "Y_f", {"Z"})
-        for dist in got.values():
+        for *_, dist in live_cells(got):
             assert abs(float(dist.sum()) - 1.0) < 1e-9
 
     def test_conditioning_biased_on_shipped_fixture(self):
@@ -227,7 +228,7 @@ class TestFrontdoorAdjust:
         for x in range(2):
             oracle = do_distribution(scm, "Y_f", {"X_c": x})
             naive = marginal(condition(j, {"X_c": x}), {"Y_f"}).probs
-            assert np.abs(fd[(x, ())] - oracle).max() < 1e-9
+            assert np.abs(fd.dist((x,)) - oracle).max() < 1e-9
             assert 0.5 * np.abs(naive - oracle).sum() > 0.01
 
 
@@ -624,7 +625,7 @@ class TestIdentifyEffect:
         strata = (do - {"X"}) | observed
         j = infer(scm, set(dag.nodes) - dag.latent)
         if case == "rule 2 opened by the stratum":
-            cells = frontdoor_adjust(j, dag, "X", "Y", {"M"}, given=strata)
+            cells = loop_dict(frontdoor_adjust(j, dag, "X", "Y", {"M"}, given=strata))
         else:
             with pytest.raises(CriterionNotMet):
                 frontdoor_adjust(j, dag, "X", "Y", {"M"}, given=strata)
@@ -747,10 +748,11 @@ class TestIdentifyEffect:
             identify_effect(scm, EffectQuery("Y_f", {"X_c"}), "magic")
 
 
-def compare_with_loop(array_form, loop) -> str:
-    """Assert that an array-form estimator returns the cells of its loop
-    oracle, in the same order, within 1e-12, or raises the same
-    :class:`PositivityViolation`; returns which of the two happened."""
+def compare_with_loop(array_form, loop, strata=True) -> str:
+    """Assert that an array-form estimator's table holds the cells of its
+    loop oracle (see :func:`loop_dict`) within 1e-12, or that it raises
+    the same :class:`PositivityViolation`; returns which of the two
+    happened."""
     try:
         want = loop()
     except PositivityViolation as exc:
@@ -759,8 +761,8 @@ def compare_with_loop(array_form, loop) -> str:
         assert list(got.value.cell.items()) == list(exc.cell.items())
         assert str(got.value) == str(exc)
         return "positivity"
-    got = array_form()
-    assert list(got) == list(want)
+    got = loop_dict(array_form(), strata)
+    assert got.keys() == want.keys()
     for key, dist in want.items():
         assert np.abs(got[key] - dist).max() <= 1e-12
     return "cells"
@@ -828,6 +830,7 @@ class TestArrayEstimators:
         compare_with_loop(
             lambda: backdoor_adjust(j, dag, x, y, Z),
             lambda: reference_backdoor_adjust(j, x, y, Z),
+            strata=False,
         )
 
     @settings(max_examples=150, deadline=None)
@@ -859,7 +862,7 @@ class TestArrayEstimators:
                 lambda: reference_frontdoor_adjust(j, x, y, M, {"Y_h", "J_o"}),
             )
             if outcome == "cells":
-                full = len(frontdoor_adjust(j, dag, x, y, M, {"Y_h", "J_o"})) == 3 * 9
+                full = len(loop_dict(frontdoor_adjust(j, dag, x, y, M, {"Y_h", "J_o"}))) == 3 * 9
                 outcome = "all strata" if full else "strata skipped"
             seen.add(outcome)
         assert seen == {"all strata", "strata skipped", "positivity"}
@@ -880,6 +883,66 @@ class TestArrayEstimators:
             frontdoor_adjust(j, dag, "X_c", "Y_f", {"Z"}, given={"Y_h"})
         assert list(exc.value.cell.items()) == [("X_c", 0), ("Z", 1), ("Y_h", 0)]
         assert str(exc.value) == "P{'X_c': 0, 'Z': 1, 'Y_h': 0} = 0"
+
+
+def assert_same_answer(adjusted, identified):
+    """Assert that an adjuster returns, bit for bit, the table of
+    :func:`identify_effect`, or raises the same positivity cell."""
+    try:
+        want = identified()
+    except PositivityViolation as exc:
+        with pytest.raises(PositivityViolation) as got:
+            adjusted()
+        assert list(got.value.cell.items()) == list(exc.cell.items())
+        assert str(got.value) == str(exc)
+        return "positivity"
+    got = adjusted()
+    assert (got.outcome, got.do_vars, got.given_vars) == (want.outcome, want.do_vars, want.given_vars)
+    assert got.probs.shape == want.probs.shape
+    assert got.probs.tobytes() == want.probs.tobytes()
+    return "table"
+
+
+class TestOneAnswerType:
+    """Each adjuster, on the joint that identify_effect infers, returns
+    the EffectTable that identify_effect returns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_adjusters_return_the_table_of_identify_effect(self, data):
+        name = data.draw(st.sampled_from([*sorted(FRONTDOOR_CASES), "random"]), label="case")
+        if name == "random":
+            dag = random_query_dag(data)
+            x, y = data.draw(st.permutations(dag.nodes), label="x, y")[:2]
+            M = {v for v in dag.descendants(x) if v in dag.ancestors(y)}
+            strata = [v for v in dag.nodes if v not in M | {x, y} | dag.descendants(x)]
+        else:
+            dag, x, y, M, strata = FRONTDOOR_CASES[name]
+        S = data.draw(st.sets(st.sampled_from(strata)) if strata else st.just(set()), label="S")
+        scm = draw_scm(data, dag)
+        if frontdoor_failure(dag, x, y, M, S) is None:
+            assert_same_answer(
+                lambda: frontdoor_adjust(infer(scm, {x, y, *M, *S}), dag, x, y, M, S),
+                lambda: identify_effect(scm, EffectQuery(y, {x}, S), "frontdoor", M)[1],
+            )
+        pool = sorted(set(dag.nodes) - {x, y} - dag.descendants(x) - dag.latent)
+        Z = data.draw(st.sets(st.sampled_from(pool)) if pool else st.just(set()), label="Z")
+        if open_backdoor_trail(dag, x, y, Z) is None:
+            assert_same_answer(
+                lambda: backdoor_adjust(infer(scm, {x, y, *Z}), dag, x, y, Z),
+                lambda: identify_effect(scm, EffectQuery(y, {x}), "backdoor", adjust=Z)[1],
+            )
+
+    def test_both_outcomes_are_reached(self):
+        dag, x, y, M, _ = FRONTDOOR_CASES["Fig6Canonical(2)"]
+        S, seen = {"Y_h", "J_o"}, set()
+        for seed in range(10):
+            scm = sparse_scm(dag, seed, card=3, zero_share=0.3, nodes={"D"})
+            seen.add(assert_same_answer(
+                lambda: frontdoor_adjust(infer(scm, {x, y, *M, *S}), dag, x, y, M, S),
+                lambda: identify_effect(scm, EffectQuery(y, {x}, S), "frontdoor", M)[1],
+            ))
+        assert seen == {"table", "positivity"}
 
 
 def draw_subset(data, pool, label, min_size=0):
@@ -944,7 +1007,7 @@ class TestCriteriaAgainstSurgery:
                 frontdoor_adjust(j, dag, x, y, M, given=strata)
             assert exc.value.witness == failure
             return
-        got = frontdoor_adjust(j, dag, x, y, M, given=strata)
+        got = loop_dict(frontdoor_adjust(j, dag, x, y, M, given=strata))
         s_vars = tuple(v for v in j.vars if v in strata)
         assert len(got) == scm.card[x] * np.prod([scm.card[v] for v in s_vars], dtype=int)
         for (xv, s_cfg), dist in got.items():
@@ -961,7 +1024,7 @@ class TestCriteriaAgainstSurgery:
         j = infer(scm, pool)
         witness = open_backdoor_trail(dag, x, y, Z)
         if witness is None:
-            for xv, dist in backdoor_adjust(j, dag, x, y, Z).items():
+            for xv, dist in loop_dict(backdoor_adjust(j, dag, x, y, Z), strata=False).items():
                 assert np.abs(dist - do_distribution(scm, y, {x: xv})).max() < 1e-9
             return
         with pytest.raises(CriterionNotMet) as exc:

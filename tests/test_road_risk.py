@@ -169,6 +169,21 @@ class TestScenarioValidation:
         with pytest.raises(ParameterError):
             canonical_scenario(0)
 
+    # Each was accepted, then failed in build_scenario with a TypeError or
+    # was written by scenario_to_json as a document its reader refuses.
+    @pytest.mark.parametrize(
+        "field,value",
+        [("depth", True), ("decision_card", 3.0), ("traffic_card", 2.0), ("schema_version", 2)],
+    )
+    def test_integer_field_refused(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            dataclasses.replace(canonical_scenario(2), **{field: value})
+
+    def test_numpy_integer_field_kept_as_int(self):
+        s = dataclasses.replace(canonical_scenario(2), decision_card=np.int64(3))
+        assert type(s.decision_card) is int
+        assert scenario_from_json(scenario_to_json(s)) == s
+
 
 class TestScenarioJson:
     def test_round_trip(self):
@@ -775,6 +790,6 @@ class TestEmpiricalPlugIn:
             j, scenario_dag(s), "D", "Y_f", set(s.states), given={"J_o"}
         )
         gt = ground_truth_effect(s, EffectQuery("Y_f", frozenset({"J_o", "D"})))
-        for (d, g), dist in raw.items():
+        for (d,), g, dist in live_cells(raw):
             oracle = gt.dist((g[0], d))
             assert 0.5 * float(np.abs(dist - oracle).sum()) < 0.02
