@@ -38,8 +38,9 @@ if TYPE_CHECKING:
 REPORT_SCHEMA_VERSION = 1
 SEED_ENV_VAR = "CAUSALRATING_SEED"
 DEFAULT_SEED = 42
-# simulate draws, masks and writes this many rows at a time.
-SIMULATE_BLOCK_ROWS = 1 << 16
+# simulate draws, masks and writes this many rows at a time through one set
+# of reused buffers, whose sampler scratch (~60 B a row) fits a 2 MiB L2.
+SIMULATE_BLOCK_ROWS = 1 << 15
 
 
 class _UsageError(Exception):
@@ -178,25 +179,28 @@ def cmd_simulate(args) -> int:
     import numpy as np
 
     from .road_risk import _journey_blocks, scenario_from_json
-    from .scm import _csv_bytes
+    from .scm import _csv_lines
 
     s = scenario_from_json(_load_json(args.scenario))
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
-    claims = np.zeros(2, dtype=np.int64)
+    claims = 0
     try:
         with open(args.out, "wb") as fh:
-            for i, block in enumerate(_journey_blocks(s, args.n, seed, SIMULATE_BLOCK_ROWS)):
-                fh.write(_csv_bytes(block.rows, () if i else block.vars))
-                claims += np.bincount(block.column("Y_f"), minlength=2)
+            order, _, blocks = _journey_blocks(s, args.n, seed, SIMULATE_BLOCK_ROWS)
+            fh.write((",".join(order) + "\n").encode())
+            lines = np.empty((min(args.n, SIMULATE_BLOCK_ROWS), len(order)), dtype="<u2")
+            for rows in blocks:
+                fh.write(_csv_lines(rows, lines))
+                claims += np.count_nonzero(rows[:, order.index("Y_f")])
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}")
     summary = {
         "n": int(args.n),
         "seed": int(seed),
-        "columns": list(block.vars),
-        "empirical_accident_rate": float(claims[1] / args.n),
+        "columns": list(order),
+        "empirical_accident_rate": float(claims / args.n),
         "out": args.out,
     }
     _emit(summary, args.summary)

@@ -28,7 +28,8 @@ from .scm import (
     DiscreteScm,
     JointTable,
     _check_counts,
-    _sample_rows,
+    _check_range,
+    _Sampler,
     _sum_to,
     condition,
     infer,
@@ -60,16 +61,20 @@ _SCENARIO_DOC = {
     "decision_base": [[float]], "traffic_dist": [float], "escalation": [[[float]]],
     "accident_base": [float], "confounder_strength": dict.fromkeys(_CONFOUNDER_KEYS, float),
 }
-_FLOAT_FIELDS = [f for f, kind in _SCENARIO_DOC.items() if type(kind) is list]
+_FLOAT_FIELDS = [f for f, kind in _SCENARIO_DOC.items() if type(kind) in (list, dict)]
 
 
-def _finite_floats(value, name: str) -> tuple:
-    """The array ``value`` as nested tuples of floats, which must be finite."""
+def _finite_floats(value, name: str):
+    """The array ``value`` as nested tuples of floats, or the mapping as a dict
+    of floats: each a finite real number, not a bool (``float(True)`` is 1.0)."""
+    if isinstance(value, Mapping):
+        return dict(zip(value, _finite_floats(tuple(value.values()), name)))
     if len(value) and isinstance(value[0], (list, tuple, np.ndarray)):
         return tuple(_finite_floats(v, name) for v in value)
-    if all(map(math.isfinite, floats := tuple(map(float, value)))):
-        return floats
-    raise ParameterError(f"{name} must hold finite numbers")
+    real = (isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in value)
+    if all(real) and all(map(math.isfinite, value)):
+        return tuple(map(float, value))
+    raise ParameterError(f"{name} must hold finite numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,6 @@ class RoadRiskScenario:
             raise ParameterError(f"unsupported scenario schema_version {self.schema_version}")
         for name in _FLOAT_FIELDS:
             object.__setattr__(self, name, _finite_floats(getattr(self, name), name))
-        object.__setattr__(self, "confounder_strength", dict(self.confounder_strength))
         self._validate()
 
     def _validate(self):
@@ -151,9 +155,9 @@ class RoadRiskScenario:
         if unknown:
             raise ParameterError(f"unknown confounder_strength keys: {sorted(unknown)}")
         for key in _CONFOUNDER_KEYS:
-            if key not in cs or not 0.0 <= float(cs[key]) <= 1.0:
+            if key not in cs or not 0.0 <= cs[key] <= 1.0:
                 raise ParameterError(f"confounder_strength.{key} must be a probability")
-        if max(self.accident_base) + float(cs["hazard"]) > 1.0 + 1e-12:
+        if max(self.accident_base) + cs["hazard"] > 1.0 + 1e-12:
             raise ParameterError("accident_base + hazard exceeds 1")
 
     @property
@@ -215,7 +219,7 @@ def build_scenario(s: RoadRiskScenario) -> DiscreteScm:
     model's row order by :func:`_cpt`."""
     dag = scenario_dag(s)
     cs = s.confounder_strength
-    u_prob, shift, hazard = float(cs["u_prob"]), float(cs["decision_shift"]), float(cs["hazard"])
+    u_prob, shift, hazard = (cs[k] for k in _CONFOUNDER_KEYS)
     dc, tc = s.decision_card, s.traffic_card
     card = {"Y_h": len(s.y_h_prior), "J_o": 2, "U": 2, "D": dc, "Y_f": 2}
     card |= dict.fromkeys(s.traffic_vars, tc) | dict.fromkeys(s.states, 2)
@@ -286,33 +290,37 @@ def markov_consistency(scm: DiscreteScm) -> float:
 
 
 def _journey_blocks(s: RoadRiskScenario, n: int, seed: int, block_rows: int):
-    """Journey records ``0..n-1`` of the scenario, as one :class:`Dataset`
-    per block of at most ``block_rows`` rows.
+    """Journey records ``0..n-1`` of the scenario: the column names, their
+    cardinalities and an iterator of blocks of at most ``block_rows`` rows,
+    each a view of one buffer that the next block overwrites.
 
-    Each block is drawn on its own (:func:`_sample_rows`), so the rows
-    are those of one large draw.  Rows with ``J_o = 0`` describe a
-    journey that never happened: their peril-state columns are set to
-    the all-safe trajectory in place (the sampled values are
-    counterfactual style potentials, not realized states).  ``Y_f``
-    needs no masking; the model gates it on ``J_o``.
+    Rows with ``J_o = 0`` describe a journey that never happened: their
+    peril-state columns are set to the all-safe trajectory in place (the
+    sampled values are counterfactual style potentials, not realized
+    states).  ``Y_f`` needs no masking; the model gates it on ``J_o``.
     """
     _check_counts(n, seed)
-    scm = build_scenario(s)
-    order = scm.dag.topological_order
-    cards = tuple(scm.card[v] for v in order)
+    sampler = _Sampler(build_scenario(s), min(n, block_rows))
+    order, cards = sampler.order, sampler.cards
     journey, states = order.index("J_o"), [order.index(st) for st in s.states]
-    for start in range(0, n, block_rows):
-        rows = _sample_rows(scm, min(block_rows, n - start), seed, start=start)
-        for k in states:
-            rows[:, k] *= rows[:, journey]  # J_o is 0 or 1
-        yield Dataset(order, cards, rows, seed)
+
+    def blocks():
+        for start in range(0, n, block_rows):
+            rows = sampler.draw(seed, start, min(block_rows, n - start))
+            for k in states:
+                rows[:, k] *= rows[:, journey]  # J_o is 0 or 1
+            _check_range(order, cards, rows)
+            yield rows
+
+    return order, cards, blocks()
 
 
 def simulate_journeys(s: RoadRiskScenario, n: int, seed: int) -> Dataset:
     """Ancestral sampling of the scenario, one journey record per row,
     with the peril states of stay-home rows masked (see
     :func:`_journey_blocks`)."""
-    return next(_journey_blocks(s, n, seed, n))
+    order, cards, blocks = _journey_blocks(s, n, seed, n)
+    return Dataset(order, cards, next(blocks), seed)  # one block, so the rows are the caller's
 
 
 def ground_truth_effect(s: RoadRiskScenario, q: EffectQuery) -> EffectTable:

@@ -463,9 +463,7 @@ class Dataset:
             raise ShapeError("rows must be (n, len(vars))")
         if len(set(self.vars)) != len(self.vars):
             raise ShapeError(f"duplicate variable names: {tuple(self.vars)}")
-        for k, c in enumerate(self.cards):
-            if rows.size and (rows[:, k].min() < 0 or rows[:, k].max() >= c):
-                raise ValueOutOfRange(f"column {self.vars[k]} exceeds cardinality {c}")
+        _check_range(self.vars, self.cards, rows)
         rows.flags.writeable = False
         object.__setattr__(self, "vars", tuple(self.vars))
         object.__setattr__(self, "cards", tuple(self.cards))
@@ -478,6 +476,13 @@ class Dataset:
         if var not in self.vars:
             raise UnknownVariable(f"unknown variable: {var!r}")
         return self.rows[:, self.vars.index(var)]
+
+
+def _check_range(vars: tuple, cards: tuple, rows: np.ndarray) -> None:
+    """Refuse a column of ``rows`` with a value outside ``0..card-1``."""
+    for k, c in enumerate(cards):
+        if rows.size and (rows[:, k].min() < 0 or rows[:, k].max() >= c):
+            raise ValueOutOfRange(f"column {vars[k]} exceeds cardinality {c}")
 
 
 def _check_counts(n, seed, start=0) -> None:
@@ -493,38 +498,53 @@ def _check_counts(n, seed, start=0) -> None:
         raise ValueOutOfRange("start must be >= 0")
 
 
-def _sample_rows(scm: DiscreteScm, n: int, seed: int, start: int = 0) -> np.ndarray:
-    """Rows ``start..start+n-1`` of the ancestral sample, columns in
-    topological order: a writable, column-major array, uint8 when every
-    cardinality is at most 256 and int64 otherwise."""
-    _check_counts(n, seed, start)
-    order = scm.dag.topological_order
-    pos = {v: i for i, v in enumerate(order)}
-    narrow = max(scm.card.values()) <= 256
-    rows = np.empty((n, len(order)), dtype=np.uint8 if narrow else np.int64, order="F")
-    h, t = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
-    keys = _row_keys(seed, np.arange(start, start + n, dtype=np.uint64), t)
-    ridx = np.empty(n, dtype=np.int64)
-    for k, v in enumerate(order):
-        np.bitwise_xor(keys, _U64(k), out=h)
-        _mix(h, t)
-        h >>= _U64(11)  # the uniform is exactly h * 2**-53
-        ps = scm.parents_of(v)
-        ridx.fill(0)
-        for p in ps:
-            ridx *= scm.card[p]
-            ridx += rows[:, pos[p]]
+class _Sampler:
+    """The ancestral sampler of one model, compiled once: per node its
+    column, its parents' (column, cardinality) pairs and its thresholds,
+    with the scratch arrays of one block of at most ``block`` rows."""
+
+    def __init__(self, scm: DiscreteScm, block: int):
+        self.order = order = scm.dag.topological_order
+        self.cards = tuple(scm.card[v] for v in order)
+        pos = {v: i for i, v in enumerate(order)}
         # The value is the number of cumulative thresholds at or below the
         # uniform; h * 2**-53 >= cum exactly when h >= ceil(cum * 2**53).
         # Thresholds never decrease along a row, so the last one (about 1)
         # can only lift a count of card - 1 to card; it is left out, which
         # caps the count at card - 1.
-        cum = np.ceil(np.cumsum(scm.cpt[v], axis=1).T * 2.0**53).astype(np.uint64)
-        col = rows[:, k]
-        col.fill(0)
-        for j in range(scm.card[v] - 1):
-            col += h >= (cum[j][ridx] if ps else cum[j, 0])
-    return rows
+        self.nodes = [
+            (k, tuple((pos[p], scm.card[p]) for p in scm.parents_of(v)),
+             np.ceil(np.cumsum(scm.cpt[v], axis=1).T[:-1] * 2.0**53).astype(np.uint64, order="C"))
+            for k, v in enumerate(order)
+        ]
+        narrow = max(self.cards) <= 256
+        self.rows = np.empty((block, len(order)), dtype=np.uint8 if narrow else np.int64, order="F")
+        self.index = np.arange(block, dtype=np.uint64)
+        self.keys, self.h, self.t = (np.empty(block, dtype=np.uint64) for _ in range(3))
+        self.ridx, self.hit = np.empty(block, dtype=np.int64), np.empty(block, dtype=bool)
+
+    def draw(self, seed: int, start: int, n: int) -> np.ndarray:
+        """Rows ``start..start+n-1`` (``n`` at most the block) in topological
+        column order, written in place: a view of the scratch rows that the
+        next draw overwrites."""
+        scratch = (self.rows, self.keys, self.h, self.t, self.ridx, self.hit)
+        rows, keys, h, t, ridx, hit = (a[:n] for a in scratch)
+        _row_keys(seed, np.add(self.index[:n], _U64(start), out=keys), t)
+        for k, parents, cum in self.nodes:
+            np.bitwise_xor(keys, _U64(k), out=h)
+            _mix(h, t)
+            h >>= _U64(11)  # the uniform is exactly h * 2**-53
+            ridx.fill(0)
+            for p, c in parents:
+                ridx *= c
+                ridx += rows[:, p]
+            col = rows[:, k]
+            col.fill(0)
+            for row in cum:
+                # t takes the gathered thresholds; mode="clip" keeps np.take unbuffered.
+                cut = np.take(row, ridx, out=t, mode="clip") if parents else row[0]
+                col += np.greater_equal(h, cut, out=hit)
+        return rows
 
 
 def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
@@ -533,11 +553,12 @@ def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
 
     Each row's draws depend only on (seed, row index, node), so
     ``sample(scm, n, seed, start=a)`` holds rows ``a..a+n-1`` of
-    ``sample(scm, a + n, seed)``.
+    ``sample(scm, a + n, seed)``.  The rows are uint8 when every
+    cardinality is at most 256 and int64 otherwise.
     """
-    rows = _sample_rows(scm, n, seed, start)
-    order = scm.dag.topological_order
-    return Dataset(order, tuple(scm.card[v] for v in order), rows, seed)
+    _check_counts(n, seed, start)
+    sampler = _Sampler(scm, n)  # dropped on return, so the rows are the caller's
+    return Dataset(sampler.order, sampler.cards, sampler.draw(seed, start, n), seed)
 
 
 def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
@@ -559,23 +580,30 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
 
 def _csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
     """The bytes ``csv.writer(fh, lineterminator="\\n")`` writes for the
-    ``header`` row, if one is given, and then ``rows.tolist()``.
+    ``header`` row, if one is given, and then ``rows.tolist()``.  The header
+    names are identifiers (see :class:`Dag`), so none needs quoting."""
+    head = (",".join(header) + "\n").encode() if header else b""
+    return head + _csv_lines(rows).tobytes()
 
-    ``rows`` holds non-negative integers and the header names are
-    identifiers (see :class:`Dag`), so no field needs quoting.  When every
-    value has one digit, each field is a little-endian uint16 (digit,
-    separator) pair and one addition lays out all rows.  Otherwise each
-    column is laid out in a byte field as wide as its largest value,
-    digits right-aligned, followed by its separator, and one boolean mask
-    drops the unused leading bytes of shorter values.
+
+def _csv_lines(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A C-contiguous array holding the bytes ``csv.writer`` writes for
+    ``rows.tolist()``; ``rows`` holds non-negative integers, so no field
+    needs quoting.  When every value has one digit, each field is a
+    little-endian uint16 (digit, separator) pair and one addition lays out
+    all rows, into ``out[:n]`` when a ``<u2`` buffer of at least ``n``
+    rows is given.  Otherwise each column is laid out in a byte field as
+    wide as its largest value, digits right-aligned, followed by its
+    separator, and one boolean mask drops the unused leading bytes of
+    shorter values.
     """
     n, k = rows.shape
     widths = [len(str(int(rows[:, c].max()))) if n else 1 for c in range(k)]
-    head = (",".join(header) + "\n").encode() if header else b""
     if max(widths) == 1:
         pairs = np.full(k, ord("0") | ord(",") << 8, dtype="<u2")
         pairs[-1] = ord("0") | ord("\n") << 8
-        return head + np.add(rows, pairs, dtype="<u2", casting="unsafe", order="C").tobytes()
+        out = None if out is None else out[:n]
+        return np.add(rows, pairs, out=out, dtype="<u2", casting="unsafe", order="C")
     line = np.empty((n, sum(widths) + k), dtype=np.uint8)
     used = np.ones(line.shape, dtype=bool)
     at = 0
@@ -592,7 +620,7 @@ def _csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
         line[:, at + w] = ord(",")
         at += w + 1
     line[:, -1] = ord("\n")
-    return head + line[used].tobytes()
+    return line[used]
 
 
 def dataset_to_csv(d: Dataset, path_or_buf) -> None:

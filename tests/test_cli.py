@@ -514,21 +514,21 @@ class TestSimulate:
     def test_streams_in_bounded_blocks(self, capsys, tmp_path, monkeypatch):
         import numpy as np
 
-        from causalrating import road_risk
+        from causalrating.scm import _Sampler
 
         sizes = []
-        real = road_risk._sample_rows
+        real = _Sampler.draw
 
-        def spy(scm, n, seed, **kwargs):
+        def spy(self, seed, start, n):
             sizes.append(n)
-            return real(scm, n, seed, **kwargs)
+            return real(self, seed, start, n)
 
-        monkeypatch.setattr(road_risk, "_sample_rows", spy)
+        monkeypatch.setattr(_Sampler, "draw", spy)
         out = tmp_path / "j.csv"
         code, text, _ = run(capsys, "simulate", SCENARIO, "--n", "200000", "--seed", "3", "--out", str(out))
         assert code == 0
         assert sum(sizes) == 200_000
-        assert max(sizes) <= 1 << 16
+        assert max(sizes) <= 1 << 15
         header, _, body = out.read_bytes().partition(b"\n")
         cols = header.decode().split(",")
         vals = np.frombuffer(body, dtype=np.uint8).reshape(200_000, 2 * len(cols))[:, ::2] - ord("0")
@@ -571,12 +571,12 @@ class TestSimulate:
 
 class TestUnwritableOutput:
     def test_simulate_out_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
-        from causalrating import road_risk
+        from causalrating.scm import _Sampler
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before checking --out")
 
-        monkeypatch.setattr(road_risk, "_sample_rows", no_sampling)
+        monkeypatch.setattr(_Sampler, "draw", no_sampling)
         bad = tmp_path / "missing" / "x.csv"
         code, _, err = run(capsys, "simulate", SCENARIO, "--n", "10", "--out", str(bad))
         assert code == 2

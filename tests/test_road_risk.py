@@ -1,8 +1,14 @@
 """The built-in road-risk scenario and its oracles."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,18 +44,20 @@ from causalrating import (
     tta_discretize,
 )
 from causalrating.errors import ParameterError, UnknownVariable, ValueOutOfRange
-from causalrating import confounded_mediation_example, empirical_joint, frontdoor_adjust, random_scm
+from causalrating import cli, confounded_mediation_example, empirical_joint, frontdoor_adjust, random_scm
 from causalrating.graph import d_separated, frontdoor_failure
-from causalrating.road_risk import _chain, _factorization_residual
+from causalrating.road_risk import _FLOAT_FIELDS, _chain, _factorization_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    csv_writer_bytes,
     live_cells,
     reference_build_scenario,
     reference_canonical_escalation,
     reference_chain_factorization_residual,
     reference_markov_consistency,
+    reference_sample_rows,
     sparse_scm,
 )
 
@@ -185,11 +193,39 @@ class TestScenarioValidation:
         assert scenario_from_json(scenario_to_json(s)) == s
 
 
+def map_leaves(value, f):
+    """A scenario float field with ``f`` applied to every number."""
+    if isinstance(value, dict):
+        return {k: f(v) for k, v in value.items()}
+    if value and isinstance(value[0], tuple):
+        return tuple(map_leaves(v, f) for v in value)
+    return tuple(map(f, value))
+
+
 class TestScenarioJson:
     def test_round_trip(self):
         s = default_scenario()
         doc = json.loads(json.dumps(scenario_to_json(s)))
         assert scenario_from_json(doc) == s
+
+    # Each field given as exact fractions is kept as floats, so the writer
+    # emits JSON numbers its reader takes back; confounder_strength kept
+    # the fractions, and scenario_to_json raised TypeError.
+    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
+    def test_float_field_stored_as_floats_round_trips(self, field):
+        s = default_scenario()
+        given = dataclasses.replace(s, **{field: map_leaves(getattr(s, field), Fraction)})
+        assert given == s
+        assert map_leaves(getattr(given, field), type) == map_leaves(getattr(s, field), lambda v: float)
+        assert scenario_from_json(json.loads(json.dumps(scenario_to_json(given)))) == s
+
+    # float(True) is 1.0, so a bool was read as a probability or a threshold;
+    # scenario_to_json then wrote ``true``, which scenario_from_json refuses.
+    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
+    def test_bool_in_float_field_refused(self, field):
+        s = default_scenario()
+        with pytest.raises(ParameterError, match=f"^{field} must hold finite numbers"):
+            dataclasses.replace(s, **{field: map_leaves(getattr(s, field), lambda v: True)})
 
     def test_schema_version_mandatory(self):
         doc = scenario_to_json(default_scenario())
@@ -452,6 +488,32 @@ class TestSimulateJourneys:
         out = ds.column("J_o") == 1
         for a, b in zip(s.states, s.states[1:]):
             assert (ds.column(a)[out] <= ds.column(b)[out]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=scenarios(),
+        seed=st.integers(0, 2**63),
+        n=st.integers(1, 150),
+        block=st.sampled_from([1, 1000]) | st.integers(1, 50).map(lambda k: 2 * k + 1),
+    )
+    def test_simulate_blocks_match_masked_reference(self, s, seed, n, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            doc, out = Path(tmp) / "s.json", Path(tmp) / "j.csv"
+            doc.write_text(json.dumps(scenario_to_json(s)))
+            argv = ["simulate", str(doc), "--n", str(n), "--seed", str(seed), "--out", str(out)]
+            with mock.patch.object(cli, "SIMULATE_BLOCK_ROWS", block):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+            data = out.read_bytes()
+        scm = build_scenario(s)
+        order = scm.dag.topological_order
+        want = reference_sample_rows(scm, n, seed)
+        for v in s.states:
+            want[:, order.index(v)] *= want[:, order.index("J_o")]
+        assert data == csv_writer_bytes(want, order)
+        kept = simulate_journeys(s, n, seed)
+        simulate_journeys(s, n, seed + 1)
+        assert np.array_equal(kept.rows, want)  # a later draw leaves returned rows alone
 
     def test_n_below_one_rejected(self):
         with pytest.raises(ValueOutOfRange):

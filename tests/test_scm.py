@@ -33,7 +33,7 @@ from causalrating import (
     template,
 )
 from causalrating.graph import mutilate
-from causalrating.scm import _csv_bytes, _surgery
+from causalrating.scm import _csv_bytes, _csv_lines, _Sampler, _surgery
 from helpers import (
     TEMPLATE_DAGS,
     brute_force_joint,
@@ -543,6 +543,32 @@ class TestSampling:
         scm = random_scm(random_dag(dag_seed, 4), dag_seed, card=3)
         block = sample(scm, k, seed, start=start)
         assert np.array_equal(block.rows, sample(scm, start + k, seed).rows[start:])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dag_seed=st.integers(0, 10_000),
+        cards=st.lists(st.integers(2, 12), min_size=1, max_size=5),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 500),
+        n=st.integers(1, 200),
+        block=st.sampled_from([1, 1000]) | st.integers(1, 50).map(lambda k: 2 * k + 1),
+    )
+    def test_csv_written_block_by_block_matches_reference(self, dag_seed, cards, seed, start, n, block):
+        # One sampler and one line buffer serve every block, as in simulate;
+        # cards of 11 and 12 take the wide CSV path.
+        dag = random_dag(dag_seed, len(cards))
+        scm = random_scm(dag, dag_seed, card=dict(zip(dag.nodes, cards)), concentration=0.3)
+        kept = sample(scm, n, seed, start=start)
+        want = reference_sample_rows(scm, start + n, seed)[start:]
+        sampler = _Sampler(scm, min(block, n))
+        lines = np.empty((min(block, n), len(dag.nodes)), dtype="<u2")
+        got = b"".join(
+            _csv_lines(sampler.draw(seed, start + a, min(block, n - a)), lines).tobytes()
+            for a in range(0, n, block)
+        )
+        assert got == csv_writer_bytes(want)
+        sample(scm, n, seed + 1, start=start)
+        assert np.array_equal(kept.rows, want)  # a later draw leaves a returned sample alone
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueOutOfRange):
