@@ -38,9 +38,6 @@ if TYPE_CHECKING:
 REPORT_SCHEMA_VERSION = 1
 SEED_ENV_VAR = "CAUSALRATING_SEED"
 DEFAULT_SEED = 42
-# simulate draws, masks and writes this many rows at a time through one set
-# of reused buffers, whose sampler scratch (~60 B a row) fits a 2 MiB L2.
-SIMULATE_BLOCK_ROWS = 1 << 15
 
 
 class _UsageError(Exception):
@@ -178,8 +175,8 @@ def cmd_verdict(args) -> int:
 def cmd_simulate(args) -> int:
     import numpy as np
 
-    from .road_risk import _journey_blocks, scenario_from_json
-    from .scm import _csv_lines
+    from .road_risk import _JourneySampler, scenario_from_json
+    from .scm import _csv_writer
 
     s = scenario_from_json(_load_json(args.scenario))
     if args.n < 1:
@@ -188,18 +185,17 @@ def cmd_simulate(args) -> int:
     claims = 0
     try:
         with open(args.out, "wb") as fh:
-            order, _, blocks = _journey_blocks(s, args.n, seed, SIMULATE_BLOCK_ROWS)
-            fh.write((",".join(order) + "\n").encode())
-            lines = np.empty((min(args.n, SIMULATE_BLOCK_ROWS), len(order)), dtype="<u2")
-            for rows in blocks:
-                fh.write(_csv_lines(rows, lines))
-                claims += np.count_nonzero(rows[:, order.index("Y_f")])
+            sampler = _JourneySampler(s)
+            write = _csv_writer(fh.write, sampler.order)
+            for rows in sampler.blocks(seed, 0, args.n, sampler.rows):
+                write(rows)
+                claims += np.count_nonzero(rows[:, sampler.order.index("Y_f")])
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}")
     summary = {
         "n": int(args.n),
         "seed": int(seed),
-        "columns": list(order),
+        "columns": list(sampler.order),
         "empirical_accident_rate": float(claims / args.n),
         "out": args.out,
     }

@@ -27,7 +27,6 @@ from .scm import (
     Dataset,
     DiscreteScm,
     JointTable,
-    _check_counts,
     _check_range,
     _Sampler,
     _sum_to,
@@ -177,11 +176,11 @@ def tta_discretize(tta: float, thresholds) -> int:
     below, so boundary values land in the less perilous state.  An
     infinite reading (no collision course) is the safest state.
     """
-    thresholds = tuple(float(t) for t in thresholds)
-    if not thresholds or any(not 0 < x < math.inf for x in thresholds) or any(
+    thresholds = _finite_floats(tuple(thresholds), "thresholds")
+    if not thresholds or any(x <= 0 for x in thresholds) or any(
         a >= b for a, b in zip(thresholds[1:], thresholds[:-1])
     ):
-        raise ParameterError("thresholds must be strictly decreasing, positive and finite")
+        raise ParameterError("thresholds must be strictly decreasing and positive")
     if isinstance(tta, bool) or not isinstance(tta, numbers.Real) or math.isnan(tta):
         raise ParameterError(f"TTA must be a number, got {tta!r}")
     if tta < 0:
@@ -289,38 +288,33 @@ def markov_consistency(scm: DiscreteScm) -> float:
     return worst
 
 
-def _journey_blocks(s: RoadRiskScenario, n: int, seed: int, block_rows: int):
-    """Journey records ``0..n-1`` of the scenario: the column names, their
-    cardinalities and an iterator of blocks of at most ``block_rows`` rows,
-    each a view of one buffer that the next block overwrites.
+class _JourneySampler(_Sampler):
+    """The sampler of the scenario's model, which masks and range-checks
+    each block of journey records it draws.
 
     Rows with ``J_o = 0`` describe a journey that never happened: their
     peril-state columns are set to the all-safe trajectory in place (the
     sampled values are counterfactual style potentials, not realized
     states).  ``Y_f`` needs no masking; the model gates it on ``J_o``.
     """
-    _check_counts(n, seed)
-    sampler = _Sampler(build_scenario(s), min(n, block_rows))
-    order, cards = sampler.order, sampler.cards
-    journey, states = order.index("J_o"), [order.index(st) for st in s.states]
 
-    def blocks():
-        for start in range(0, n, block_rows):
-            rows = sampler.draw(seed, start, min(block_rows, n - start))
-            for k in states:
-                rows[:, k] *= rows[:, journey]  # J_o is 0 or 1
-            _check_range(order, cards, rows)
-            yield rows
+    def __init__(self, s: RoadRiskScenario):
+        super().__init__(build_scenario(s))
+        self.journey, self.states = self.order.index("J_o"), [self.order.index(st) for st in s.states]
 
-    return order, cards, blocks()
+    def draw(self, seed: int, start: int, rows: np.ndarray) -> np.ndarray:
+        super().draw(seed, start, rows)
+        for k in self.states:
+            rows[:, k] *= rows[:, self.journey]  # J_o is 0 or 1
+        _check_range(self.order, self.cards, rows)
+        return rows
 
 
 def simulate_journeys(s: RoadRiskScenario, n: int, seed: int) -> Dataset:
     """Ancestral sampling of the scenario, one journey record per row,
     with the peril states of stay-home rows masked (see
-    :func:`_journey_blocks`)."""
-    order, cards, blocks = _journey_blocks(s, n, seed, n)
-    return Dataset(order, cards, next(blocks), seed)  # one block, so the rows are the caller's
+    :class:`_JourneySampler`)."""
+    return _JourneySampler(s).dataset(seed, 0, n)
 
 
 def ground_truth_effect(s: RoadRiskScenario, q: EffectQuery) -> EffectTable:

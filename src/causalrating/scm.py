@@ -7,6 +7,7 @@ first, with parents listed in the graph's topological order by default.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -485,25 +486,17 @@ def _check_range(vars: tuple, cards: tuple, rows: np.ndarray) -> None:
             raise ValueOutOfRange(f"column {vars[k]} exceeds cardinality {c}")
 
 
-def _check_counts(n, seed, start=0) -> None:
-    """Refuse an ``n``, ``seed`` or ``start`` that is not an integer (a
-    float or a bool would be read as some other count), an ``n`` below 1
-    and a ``start`` below 0, with :class:`ValueOutOfRange`."""
-    for name, value in (("n", n), ("seed", seed), ("start", start)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueOutOfRange(f"{name} must be an integer, got {value!r}")
-    if n < 1:
-        raise ValueOutOfRange("n must be >= 1")
-    if start < 0:
-        raise ValueOutOfRange("start must be >= 0")
+# Rows are drawn, masked and written this many at a time, so the sampler's
+# scratch (~60 B a row at depth 6) fits a 2 MiB L2.
+BLOCK_ROWS = 1 << 15
 
 
 class _Sampler:
     """The ancestral sampler of one model, compiled once: per node its
     column, its parents' (column, cardinality) pairs and its thresholds,
-    with the scratch arrays of one block of at most ``block`` rows."""
+    with the scratch arrays of one block of ``BLOCK_ROWS`` rows."""
 
-    def __init__(self, scm: DiscreteScm, block: int):
+    def __init__(self, scm: DiscreteScm):
         self.order = order = scm.dag.topological_order
         self.cards = tuple(scm.card[v] for v in order)
         pos = {v: i for i, v in enumerate(order)}
@@ -518,18 +511,39 @@ class _Sampler:
             for k, v in enumerate(order)
         ]
         narrow = max(self.cards) <= 256
-        self.rows = np.empty((block, len(order)), dtype=np.uint8 if narrow else np.int64, order="F")
-        self.index = np.arange(block, dtype=np.uint64)
-        self.keys, self.h, self.t = (np.empty(block, dtype=np.uint64) for _ in range(3))
-        self.ridx, self.hit = np.empty(block, dtype=np.int64), np.empty(block, dtype=bool)
+        self.rows = np.empty((BLOCK_ROWS, len(order)), dtype=np.uint8 if narrow else np.int64, order="F")
+        self.index = np.arange(BLOCK_ROWS, dtype=np.uint64)
+        self.keys, self.h, self.t = (np.empty(BLOCK_ROWS, dtype=np.uint64) for _ in range(3))
+        self.ridx, self.hit = np.empty(BLOCK_ROWS, dtype=np.int64), np.empty(BLOCK_ROWS, dtype=bool)
 
-    def draw(self, seed: int, start: int, n: int) -> np.ndarray:
-        """Rows ``start..start+n-1`` (``n`` at most the block) in topological
-        column order, written in place: a view of the scratch rows that the
-        next draw overwrites."""
-        scratch = (self.rows, self.keys, self.h, self.t, self.ridx, self.hit)
-        rows, keys, h, t, ridx, hit = (a[:n] for a in scratch)
-        _row_keys(seed, np.add(self.index[:n], _U64(start), out=keys), t)
+    def dataset(self, seed: int, start: int, n: int) -> Dataset:
+        """Rows ``start..start+n-1``, drawn block by block into a new array.
+        An ``n``, ``seed`` or ``start`` that is not an integer (a float or a
+        bool would be read as some other count), an ``n`` below 1 and a
+        ``start`` below 0 are refused first, with :class:`ValueOutOfRange`."""
+        for name, value in (("n", n), ("seed", seed), ("start", start)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueOutOfRange(f"{name} must be an integer, got {value!r}")
+        if n < 1:
+            raise ValueOutOfRange("n must be >= 1")
+        if start < 0:
+            raise ValueOutOfRange("start must be >= 0")
+        rows = np.empty((n, len(self.order)), self.rows.dtype, order="F")
+        for _ in self.blocks(seed, start, n, rows):
+            pass  # each block is drawn in its place in rows
+        return Dataset(self.order, self.cards, rows, seed)
+
+    def blocks(self, seed: int, start: int, n: int, rows: np.ndarray):
+        """Draw rows ``start..start+n-1`` one block at a time into ``rows``, all
+        ``n`` rows or the one block that each block overwrites, and yield each."""
+        for a in range(0, n, BLOCK_ROWS):
+            yield self.draw(seed, start + a, rows[a % len(rows):][:min(BLOCK_ROWS, n - a)])
+
+    def draw(self, seed: int, start: int, rows: np.ndarray) -> np.ndarray:
+        """Fill ``rows``, at most one block, with rows ``start..`` and return it."""
+        scratch = (self.keys, self.h, self.t, self.ridx, self.hit)
+        keys, h, t, ridx, hit = (a[:len(rows)] for a in scratch)
+        _row_keys(seed, np.add(self.index[:len(rows)], _U64(start), out=keys), t)
         for k, parents, cum in self.nodes:
             np.bitwise_xor(keys, _U64(k), out=h)
             _mix(h, t)
@@ -556,9 +570,7 @@ def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
     ``sample(scm, a + n, seed)``.  The rows are uint8 when every
     cardinality is at most 256 and int64 otherwise.
     """
-    _check_counts(n, seed, start)
-    sampler = _Sampler(scm, n)  # dropped on return, so the rows are the caller's
-    return Dataset(sampler.order, sampler.cards, sampler.draw(seed, start, n), seed)
+    return _Sampler(scm).dataset(seed, start, n)
 
 
 def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
@@ -578,32 +590,30 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
     return JointTable(vars, cards, (counts / len(d)).reshape(cards))
 
 
-def _csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
-    """The bytes ``csv.writer(fh, lineterminator="\\n")`` writes for the
-    ``header`` row, if one is given, and then ``rows.tolist()``.  The header
-    names are identifiers (see :class:`Dag`), so none needs quoting."""
-    head = (",".join(header) + "\n").encode() if header else b""
-    return head + _csv_lines(rows).tobytes()
+def _csv_writer(write, header: tuple):
+    """Write ``header``, whose names need no quoting (see :class:`Dag`), to ``write``
+    and return the function that writes each block of rows to it via one ``<u2`` buffer."""
+    write((",".join(header) + "\n").encode())
+    lines = np.empty((BLOCK_ROWS, len(header)), dtype="<u2")
+    return lambda rows: write(_csv_lines(rows, lines))
 
 
-def _csv_lines(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _csv_lines(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """A C-contiguous array holding the bytes ``csv.writer`` writes for
     ``rows.tolist()``; ``rows`` holds non-negative integers, so no field
     needs quoting.  When every value has one digit, each field is a
     little-endian uint16 (digit, separator) pair and one addition lays out
-    all rows, into ``out[:n]`` when a ``<u2`` buffer of at least ``n``
-    rows is given.  Otherwise each column is laid out in a byte field as
-    wide as its largest value, digits right-aligned, followed by its
-    separator, and one boolean mask drops the unused leading bytes of
-    shorter values.
+    all rows into ``out[:n]``, a ``<u2`` buffer of at least ``n`` rows.
+    Otherwise each column is laid out in a byte field as wide as its
+    largest value, digits right-aligned, followed by its separator, and
+    one boolean mask drops the unused leading bytes of shorter values.
     """
     n, k = rows.shape
     widths = [len(str(int(rows[:, c].max()))) if n else 1 for c in range(k)]
     if max(widths) == 1:
         pairs = np.full(k, ord("0") | ord(",") << 8, dtype="<u2")
         pairs[-1] = ord("0") | ord("\n") << 8
-        out = None if out is None else out[:n]
-        return np.add(rows, pairs, out=out, dtype="<u2", casting="unsafe", order="C")
+        return np.add(rows, pairs, out=out[:n], dtype="<u2", casting="unsafe", order="C")
     line = np.empty((n, sum(widths) + k), dtype=np.uint8)
     used = np.ones(line.shape, dtype=bool)
     at = 0
@@ -624,13 +634,12 @@ def _csv_lines(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def dataset_to_csv(d: Dataset, path_or_buf) -> None:
-    """Write the dataset as CSV with a header row."""
-    data = _csv_bytes(d.rows, d.vars)
-    if isinstance(path_or_buf, (str,)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "wb") as fh:
-            fh.write(data)
-    else:
-        path_or_buf.write(data.decode("ascii"))
+    """Write the dataset as CSV with a header row, one block at a time."""
+    path = isinstance(path_or_buf, str) or hasattr(path_or_buf, "__fspath__")
+    with open(path_or_buf, "wb") if path else contextlib.nullcontext(path_or_buf) as fh:
+        write = _csv_writer(fh.write if path else lambda b: fh.write(bytes(b).decode("ascii")), d.vars)
+        for a in range(0, len(d), BLOCK_ROWS):
+            write(d.rows[a:a + BLOCK_ROWS])
 
 
 # -- random models and JSON ----------------------------------------------

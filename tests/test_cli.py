@@ -519,9 +519,9 @@ class TestSimulate:
         sizes = []
         real = _Sampler.draw
 
-        def spy(self, seed, start, n):
-            sizes.append(n)
-            return real(self, seed, start, n)
+        def spy(self, seed, start, rows):
+            sizes.append(len(rows))
+            return real(self, seed, start, rows)
 
         monkeypatch.setattr(_Sampler, "draw", spy)
         out = tmp_path / "j.csv"
@@ -539,6 +539,34 @@ class TestSimulate:
         }
         home = col["J_o"] == 0
         assert home.any() and not any(col[v][home].any() for v in cols if v.startswith("S_"))
+
+    def test_library_draws_and_writes_in_bounded_blocks(self, tmp_path, monkeypatch):
+        import io
+
+        from causalrating import build_scenario, dataset_to_csv, default_scenario, sample, scm, simulate_journeys
+
+        drawn, written = [], []
+        real_draw, real_lines = scm._Sampler.draw, scm._csv_lines
+
+        def draw(self, seed, start, rows):
+            drawn.append(len(rows))
+            return real_draw(self, seed, start, rows)
+
+        def lines(rows, out):
+            written.append(len(rows))
+            return real_lines(rows, out)
+
+        monkeypatch.setattr(scm._Sampler, "draw", draw)
+        monkeypatch.setattr(scm, "_csv_lines", lines)
+        blocks = [1 << 15, 1 << 15, 70_000 - 2 * (1 << 15)]
+        ds = simulate_journeys(default_scenario(), 70_000, seed=4)
+        sample(build_scenario(default_scenario()), 70_000, 4)
+        assert drawn == blocks * 2
+        assert not written
+        dataset_to_csv(ds, tmp_path / "j.csv")
+        dataset_to_csv(ds, io.StringIO())
+        assert written == blocks * 2
+        assert drawn == blocks * 2  # writing draws nothing
 
     def test_seed_env_override(self, capsys, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

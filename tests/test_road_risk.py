@@ -46,6 +46,7 @@ from causalrating import (
 from causalrating.errors import ParameterError, UnknownVariable, ValueOutOfRange
 from causalrating import cli, confounded_mediation_example, empirical_joint, frontdoor_adjust, random_scm
 from causalrating.graph import d_separated, frontdoor_failure
+from causalrating import scm as scm_module
 from causalrating.road_risk import _FLOAT_FIELDS, _chain, _factorization_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,14 @@ class TestTtaDiscretize:
         # A bool is not a reading, and no other type may reach the comparisons.
         with pytest.raises(ParameterError, match="TTA must be a number"):
             tta_discretize(tta, (2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "thresholds", [[True], [4.0, np.bool_(True)], ["4", "2", "1"], [b"4"], [4.0, math.inf], [math.nan]]
+    )
+    def test_threshold_that_is_not_a_finite_number_rejected(self, thresholds):
+        # A bool was read as 1.0 and a string or bytes as the number it spells.
+        with pytest.raises(ParameterError, match="thresholds must hold finite numbers"):
+            tta_discretize(0.5, thresholds)
 
     def test_non_decreasing_thresholds_rejected(self):
         with pytest.raises(ParameterError):
@@ -501,9 +510,11 @@ class TestSimulateJourneys:
             doc, out = Path(tmp) / "s.json", Path(tmp) / "j.csv"
             doc.write_text(json.dumps(scenario_to_json(s)))
             argv = ["simulate", str(doc), "--n", str(n), "--seed", str(seed), "--out", str(out)]
-            with mock.patch.object(cli, "SIMULATE_BLOCK_ROWS", block):
+            with mock.patch.object(scm_module, "BLOCK_ROWS", block):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0
+                kept = simulate_journeys(s, n, seed)
+                simulate_journeys(s, n, seed + 1)
             data = out.read_bytes()
         scm = build_scenario(s)
         order = scm.dag.topological_order
@@ -511,8 +522,6 @@ class TestSimulateJourneys:
         for v in s.states:
             want[:, order.index(v)] *= want[:, order.index("J_o")]
         assert data == csv_writer_bytes(want, order)
-        kept = simulate_journeys(s, n, seed)
-        simulate_journeys(s, n, seed + 1)
         assert np.array_equal(kept.rows, want)  # a later draw leaves returned rows alone
 
     def test_n_below_one_rejected(self):

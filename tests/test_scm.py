@@ -1,6 +1,8 @@
 """Discrete models: joints, surgery, sampling, serialization."""
 
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from causalrating import (
     ValueOutOfRange,
     ZeroProbabilityEvidence,
     condition,
+    dataset_to_csv,
     do_distribution,
     empirical_joint,
     exact_joint,
@@ -33,7 +36,8 @@ from causalrating import (
     template,
 )
 from causalrating.graph import mutilate
-from causalrating.scm import _csv_bytes, _csv_lines, _Sampler, _surgery
+from causalrating import scm as scm_module
+from causalrating.scm import _csv_lines, _csv_writer, _Sampler, _surgery
 from helpers import (
     TEMPLATE_DAGS,
     brute_force_joint,
@@ -515,8 +519,9 @@ class TestSampling:
 
     def test_csv_header_and_rows(self):
         ds = sample(copy_chain(), 3, seed=2)
-        text = _csv_bytes(ds.rows, ds.vars).decode()
-        lines = text.strip().split("\n")
+        buf = io.StringIO()
+        dataset_to_csv(ds, buf)
+        lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "A,B"
         assert len(lines) == 4
 
@@ -558,16 +563,18 @@ class TestSampling:
         # cards of 11 and 12 take the wide CSV path.
         dag = random_dag(dag_seed, len(cards))
         scm = random_scm(dag, dag_seed, card=dict(zip(dag.nodes, cards)), concentration=0.3)
-        kept = sample(scm, n, seed, start=start)
+        order = dag.topological_order
         want = reference_sample_rows(scm, start + n, seed)[start:]
-        sampler = _Sampler(scm, min(block, n))
-        lines = np.empty((min(block, n), len(dag.nodes)), dtype="<u2")
-        got = b"".join(
-            _csv_lines(sampler.draw(seed, start + a, min(block, n - a)), lines).tobytes()
-            for a in range(0, n, block)
-        )
-        assert got == csv_writer_bytes(want)
-        sample(scm, n, seed + 1, start=start)
+        got, text = io.BytesIO(), io.StringIO()
+        with mock.patch.object(scm_module, "BLOCK_ROWS", block):
+            kept = sample(scm, n, seed, start=start)
+            sampler = _Sampler(scm)
+            write = _csv_writer(got.write, order)
+            for rows in sampler.blocks(seed, start, n, sampler.rows):
+                write(rows)
+            sample(scm, n, seed + 1, start=start)
+            dataset_to_csv(kept, text)
+        assert got.getvalue() == text.getvalue().encode() == csv_writer_bytes(want, order)
         assert np.array_equal(kept.rows, want)  # a later draw leaves a returned sample alone
 
     def test_negative_start_rejected(self):
@@ -620,10 +627,6 @@ class TestSampling:
             Dataset(("A",), (3,), np.array([[3]], dtype=np.uint8), 0)
 
     def test_card_300_takes_the_int64_path(self):
-        import io
-
-        from causalrating import dataset_to_csv
-
         dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")], [])
         scm = random_scm(dag, 8, card={"B": 300})
         ds = sample(scm, 2000, seed=5)
@@ -647,24 +650,42 @@ def int_matrices(draw):
     return np.array(cols, dtype=dtype).T.copy(order=draw(st.sampled_from("CF")))
 
 
+def csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
+    """What the CSV writer writes for ``header`` and ``rows`` (one block);
+    with no header, the lines alone."""
+    if not header:
+        return _csv_lines(rows, np.empty(rows.shape, dtype="<u2")).tobytes()
+    buf = io.BytesIO()
+    _csv_writer(buf.write, header)(rows)
+    return buf.getvalue()
+
+
 class TestCsvFormatter:
     @settings(max_examples=200, deadline=None)
     @given(rows=int_matrices(), with_header=st.booleans())
     def test_matches_csv_writer(self, rows, with_header):
         header = tuple(f"V{i}" for i in range(rows.shape[1])) if with_header else ()
-        assert _csv_bytes(rows, header) == csv_writer_bytes(rows, header)
+        assert csv_bytes(rows, header) == csv_writer_bytes(rows, header)
 
     def test_powers_of_ten(self):
         rows = np.array([[0, 9, 10], [99, 100, 1499], [1000, 1, 0]], dtype=np.int64)
-        assert _csv_bytes(rows) == b"0,9,10\n99,100,1499\n1000,1,0\n"
+        assert csv_bytes(rows) == b"0,9,10\n99,100,1499\n1000,1,0\n"
 
     def test_dataset_to_csv_file_matches_text(self, tmp_path):
-        from causalrating import dataset_to_csv
-
         ds = sample(random_scm(template("Fig2c"), 4, card=11), 500, seed=9)
         dataset_to_csv(ds, tmp_path / "d.csv")
+        buf = io.StringIO()
+        dataset_to_csv(ds, buf)
         data = (tmp_path / "d.csv").read_bytes()
-        assert data == _csv_bytes(ds.rows, ds.vars) == csv_writer_bytes(ds.rows, ds.vars)
+        assert data == buf.getvalue().encode() == csv_writer_bytes(ds.rows, ds.vars)
+
+    def test_dataset_without_rows_writes_its_header_only(self, tmp_path):
+        ds = Dataset(("A", "B"), (2, 3), np.empty((0, 2), dtype=np.uint8), 0)
+        buf = io.StringIO()
+        dataset_to_csv(ds, buf)
+        dataset_to_csv(ds, tmp_path / "d.csv")
+        assert buf.getvalue() == "A,B\n"
+        assert (tmp_path / "d.csv").read_bytes() == b"A,B\n"
 
 
 class TestJson:
