@@ -9,14 +9,11 @@ failure.  The default sampling seed is 42 and can be overridden with
 the ``CAUSALRATING_SEED`` environment variable; 0 is a valid seed.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import CausalRatingError, IdentificationError, UnknownVariable
 from .graph import (
@@ -32,8 +29,6 @@ from .graph import (
 
 # The NumPy-backed layers are imported inside the commands that use
 # them, so ``templates``, ``dsep`` and ``verdict`` never load NumPy.
-if TYPE_CHECKING:
-    from .road_risk import RoadRiskScenario
 
 REPORT_SCHEMA_VERSION = 1
 SEED_ENV_VAR = "CAUSALRATING_SEED"
@@ -173,79 +168,27 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    import numpy as np
-
-    from .road_risk import _JourneySampler, scenario_from_json
-    from .scm import _csv_writer
+    from .road_risk import scenario_from_json, write_journeys
 
     s = scenario_from_json(_load_json(args.scenario))
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
-    claims = 0
     try:
         with open(args.out, "wb") as fh:
-            sampler = _JourneySampler(s)
-            write = _csv_writer(fh.write, sampler.order)
-            for rows in sampler.blocks(seed, 0, args.n, sampler.rows):
-                write(rows)
-                claims += np.count_nonzero(rows[:, sampler.order.index("Y_f")])
+            columns, claims = write_journeys(s, args.n, seed, fh.write)
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}")
-    summary = {
-        "n": int(args.n),
-        "seed": int(seed),
-        "columns": list(sampler.order),
-        "empirical_accident_rate": float(claims / args.n),
-        "out": args.out,
-    }
-    _emit(summary, args.summary)
+    _emit({"n": args.n, "seed": seed, "columns": list(columns), "out": args.out,
+           "empirical_accident_rate": float(claims / args.n)}, args.summary)
     return 0
 
 
-def _scenario_report(s: RoadRiskScenario) -> dict:
-    import numpy as np
-
-    from .identify import EffectQuery, confounding_gap, identify_effect, rating_comparison
-    from .road_risk import build_scenario, chain_factorization_residual, markov_consistency, naive_effect
-    from .scm import infer
-
-    scm = build_scenario(s)
-    # One joint holds every information field and the naive estimate.
-    j = infer(scm, {"Y_h", "J_o", "U", "D", "Y_f"})
-    capacity = rating_comparison(j, "Y_h", "D", "Y_f")
-    gap = confounding_gap(scm, "D", "Y_f", "U", joint=j)
-    query = EffectQuery("Y_f", {"J_o", "D"})
-    _, pe = identify_effect(scm, query, "frontdoor", s.states)
-    _, gt = identify_effect(scm, query, "oracle")
-    ne = naive_effect(s, joint=j)
-    # Each over the live cells of the estimate.
-    phyd_dev = float(np.abs(pe.probs - gt.probs)[pe.probs.any(axis=-1)].max())
-    naive_tv = 0.5 * float(np.abs(ne.probs - gt.probs).sum(axis=-1)[ne.probs.any(axis=-1)].max())
-    verdict = noise_verdict(scm.dag, "Y_h", "Y_f", {"J_o", "D"})
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "depth": int(s.depth),
-        "capacity_bits": capacity.to_json(),
-        "confounding_gap_bits": gap.to_json(),
-        "chain_factorization_residual": chain_factorization_residual(scm),
-        "traffic_markov_residual_bits": markov_consistency(scm),
-        "phyd_vs_oracle_max_dev": phyd_dev,
-        "naive_vs_oracle_max_tv": naive_tv,
-        "history_outcome_mi_bits": capacity.naive_bms,
-        "history_verdict": verdict.to_json(),
-        "effects": {
-            "oracle": gt.to_json(),
-            "frontdoor": pe.to_json(),
-            "naive": ne.to_json(),
-        },
-    }
-
-
 def cmd_evaluate(args) -> int:
-    from .road_risk import scenario_from_json
+    from .road_risk import evaluate_scenario, scenario_from_json
 
-    _emit(_scenario_report(scenario_from_json(_load_json(args.scenario))), args.out)
+    s = scenario_from_json(_load_json(args.scenario))
+    _emit({"schema_version": REPORT_SCHEMA_VERSION, **evaluate_scenario(s)}, args.out)
     return 0
 
 

@@ -58,14 +58,16 @@ class Dag:
     __slots__ = ("nodes", "edges", "latent", "_parents", "_children", "_order")
 
     def __init__(self, nodes, edges, latent=()):
-        nodes = tuple(nodes)
+        nodes = _names(nodes, "nodes", tuple)
         if len(set(nodes)) != len(nodes):
             raise GraphError("duplicate node names")
         for n in nodes:
             if not _valid_name(n):
                 raise GraphError(f"invalid node name: {n!r}")
         node_set = set(nodes)
-        edge_list = [tuple(e) for e in edges]
+        edge_list = [e if isinstance(e, str) else tuple(e) for e in edges]
+        if bad := [e for e in edge_list if type(e) is not tuple or len(e) != 2]:
+            raise GraphError(f"an edge must be a pair of node names, got {bad[0]!r}")
         if len(set(edge_list)) != len(edge_list):
             raise GraphError("duplicate edges")
         for a, b in edge_list:
@@ -73,7 +75,7 @@ class Dag:
                 raise UnknownNodeError(f"edge ({a}, {b}) references undeclared node")
             if a == b:
                 raise CycleError([a, a])
-        latent = frozenset(latent)
+        latent = _names(latent, "latent")
         if not latent <= node_set:
             raise UnknownNodeError("latent set references undeclared node")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Mapping
@@ -20,18 +21,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NegativeTta, ParameterError, UnknownVariable
-from .graph import Dag, _read_json, d_separated
-from .identify import EffectQuery, EffectTable, _divide, _layout, identify_effect
+from .graph import Dag, _read_json, d_separated, noise_verdict
+from .identify import (
+    EffectQuery, EffectTable, _divide, _layout, confounding_gap, identify_effect, rating_comparison,
+)
 from .info import conditional_mutual_information
 from .scm import (
-    Dataset,
-    DiscreteScm,
-    JointTable,
-    _check_range,
-    _Sampler,
-    _sum_to,
-    condition,
-    infer,
+    Dataset, DiscreteScm, JointTable, _check_counts, _check_range, _csv_writer, _integer, _Sampler,
+    _sum_to, condition, infer,
 )
 
 __all__ = [
@@ -41,6 +38,8 @@ __all__ = [
     "scenario_dag",
     "markov_consistency",
     "simulate_journeys",
+    "write_journeys",
+    "evaluate_scenario",
     "ground_truth_effect",
     "phyd_effect",
     "naive_effect",
@@ -63,17 +62,26 @@ _SCENARIO_DOC = {
 _FLOAT_FIELDS = [f for f, kind in _SCENARIO_DOC.items() if type(kind) in (list, dict)]
 
 
-def _finite_floats(value, name: str):
-    """The array ``value`` as nested tuples of floats, or the mapping as a dict
-    of floats: each a finite real number, not a bool (``float(True)`` is 1.0)."""
-    if isinstance(value, Mapping):
-        return dict(zip(value, _finite_floats(tuple(value.values()), name)))
-    if len(value) and isinstance(value[0], (list, tuple, np.ndarray)):
-        return tuple(_finite_floats(v, name) for v in value)
-    real = (isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in value)
-    if all(real) and all(map(math.isfinite, value)):
-        return tuple(map(float, value))
-    raise ParameterError(f"{name} must hold finite numbers, got {value!r}")
+def _typed(value, kind, name: str):
+    """``value`` as its ``kind`` in ``_SCENARIO_DOC`` says: an ``int`` or a finite
+    ``float``, neither from a bool (``float(True)`` is 1.0); a tuple of the item
+    kind from a list, tuple or array; or a dict with exactly the fields of a dict
+    kind.  Anything else raises :class:`ParameterError` naming the field ``name``."""
+    value = value.tolist() if isinstance(value, np.ndarray) and value.ndim else value
+    if kind is int and _integer(value):
+        return int(value)
+    # float goes first: an exact type check, where the numbers.Real ABC check is slow.
+    if kind is float and isinstance(value, (float, numbers.Real)) and not isinstance(value, (bool, np.bool_)):
+        if abs(value) <= sys.float_info.max:  # false on NaN and infinity
+            return float(value)
+    if type(kind) is list and isinstance(value, (list, tuple)):
+        return tuple(_typed(v, kind[0], name) for v in value)
+    if type(kind) is dict and isinstance(value, Mapping) and value.keys() == kind.keys():
+        return {k: _typed(v, kind[k], name) for k, v in value.items()}
+    if kind is int:
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    keys = f" under the keys {', '.join(kind)}" if type(kind) is dict else ""
+    raise ParameterError(f"{name} must hold finite numbers{keys}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,14 +113,11 @@ class RoadRiskScenario:
     schema_version: int = SCENARIO_SCHEMA_VERSION
 
     def __post_init__(self):
-        for name in ("depth", "decision_card", "traffic_card", "schema_version"):
-            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+        for field, kind in _SCENARIO_DOC.items():
+            name = field.rstrip("?")
+            object.__setattr__(self, name, _typed(getattr(self, name), kind, name))
         if self.schema_version != SCENARIO_SCHEMA_VERSION:
             raise ParameterError(f"unsupported scenario schema_version {self.schema_version}")
-        for name in _FLOAT_FIELDS:
-            object.__setattr__(self, name, _finite_floats(getattr(self, name), name))
         self._validate()
 
     def _validate(self):
@@ -150,11 +155,8 @@ class RoadRiskScenario:
         if len(self.accident_base) != 2 or not all(0.0 <= p <= 1.0 for p in self.accident_base):
             raise ParameterError("accident_base must be two probabilities")
         cs = self.confounder_strength
-        unknown = set(cs) - set(_CONFOUNDER_KEYS)
-        if unknown:
-            raise ParameterError(f"unknown confounder_strength keys: {sorted(unknown)}")
         for key in _CONFOUNDER_KEYS:
-            if key not in cs or not 0.0 <= cs[key] <= 1.0:
+            if not 0.0 <= cs[key] <= 1.0:
                 raise ParameterError(f"confounder_strength.{key} must be a probability")
         if max(self.accident_base) + cs["hazard"] > 1.0 + 1e-12:
             raise ParameterError("accident_base + hazard exceeds 1")
@@ -176,16 +178,14 @@ def tta_discretize(tta: float, thresholds) -> int:
     below, so boundary values land in the less perilous state.  An
     infinite reading (no collision course) is the safest state.
     """
-    thresholds = _finite_floats(tuple(thresholds), "thresholds")
-    if not thresholds or any(x <= 0 for x in thresholds) or any(
-        a >= b for a, b in zip(thresholds[1:], thresholds[:-1])
-    ):
+    t = _typed(thresholds, _SCENARIO_DOC["tta_thresholds"], "thresholds")
+    if not t or any(x <= 0 for x in t) or any(a >= b for a, b in zip(t[1:], t[:-1])):
         raise ParameterError("thresholds must be strictly decreasing and positive")
     if isinstance(tta, bool) or not isinstance(tta, numbers.Real) or math.isnan(tta):
         raise ParameterError(f"TTA must be a number, got {tta!r}")
     if tta < 0:
         raise NegativeTta(f"TTA must be nonnegative, got {tta}")
-    return sum(1 for t in thresholds if tta < t)
+    return sum(1 for x in t if tta < x)
 
 
 def scenario_dag(s: RoadRiskScenario) -> Dag:
@@ -317,6 +317,20 @@ def simulate_journeys(s: RoadRiskScenario, n: int, seed: int) -> Dataset:
     return _JourneySampler(s).dataset(seed, 0, n)
 
 
+def write_journeys(s: RoadRiskScenario, n: int, seed: int, write) -> tuple:
+    """Write the CSV of ``simulate_journeys(s, n, seed)`` as bytes to ``write``: the
+    header, then each block of rows as it is drawn into the sampler's one reused
+    block.  Returns the columns and the count of rows with ``Y_f = 1``.  Counts
+    are refused as by :func:`simulate_journeys`, before anything is written."""
+    sampler = _JourneySampler(s)
+    _check_counts(seed, 0, n)
+    write_rows, claims = _csv_writer(write, sampler.order), 0
+    for rows in sampler.blocks(seed, 0, n, sampler.rows):
+        write_rows(rows)
+        claims += np.count_nonzero(rows[:, sampler.order.index("Y_f")])
+    return sampler.order, claims
+
+
 def ground_truth_effect(s: RoadRiskScenario, q: EffectQuery) -> EffectTable:
     """Exact interventional oracle via graph surgery on the full model."""
     return identify_effect(build_scenario(s), q, "oracle")[1]
@@ -359,8 +373,8 @@ def chain_factorization_residual(scm: DiscreteScm) -> float:
     chain S_0, S_1, ..., Y_f.  It is exactly 0, with no inference, where
     ``{previous link, D}`` d-separates each link from every earlier one
     (the chain is then Markov given ``D`` in every model on the graph, as
-    in every :func:`build_scenario` model).  A model without ``D`` raises
-    :class:`UnknownVariable`."""
+    in every :func:`build_scenario` model).  A model without ``D`` or
+    ``Y_f`` raises :class:`UnknownVariable`."""
     chain = _chain(scm)
     if "Y_f" in scm.card and all(
         d_separated(scm.dag, {chain[k + 1]}, set(chain[:k]), {chain[k], "D"})
@@ -386,6 +400,37 @@ def _factorization_residual(scm: DiscreteScm, chain: list) -> float:
             prod = prod[..., None] * p
         worst = max(worst, float(np.abs(_layout(lhs, *zip(chain)) - prod).max()))
     return worst
+
+
+def evaluate_scenario(s: RoadRiskScenario) -> dict:
+    """The ``evaluate`` report of the scenario, every field but the document's
+    ``schema_version``: the history verdict, the capacities, the confounding
+    gap, both chain diagnostics and the front-door and naive estimates, each
+    with its largest deviation from the surgery oracle over its live cells."""
+    scm = build_scenario(s)
+    # One joint holds every information field and the naive estimate.
+    j = infer(scm, {"Y_h", "J_o", "U", "D", "Y_f"})
+    capacity = rating_comparison(j, "Y_h", "D", "Y_f")
+    gap = confounding_gap(scm, "D", "Y_f", "U", joint=j)
+    query = EffectQuery("Y_f", {"J_o", "D"})
+    _, pe = identify_effect(scm, query, "frontdoor", s.states)
+    _, gt = identify_effect(scm, query, "oracle")
+    ne = naive_effect(s, joint=j)
+    phyd_dev = float(np.abs(pe.probs - gt.probs)[pe.probs.any(axis=-1)].max())
+    naive_tv = 0.5 * float(np.abs(ne.probs - gt.probs).sum(axis=-1)[ne.probs.any(axis=-1)].max())
+    verdict = noise_verdict(scm.dag, "Y_h", "Y_f", {"J_o", "D"})
+    return {
+        "depth": int(s.depth),
+        "capacity_bits": capacity.to_json(),
+        "confounding_gap_bits": gap.to_json(),
+        "chain_factorization_residual": chain_factorization_residual(scm),
+        "traffic_markov_residual_bits": markov_consistency(scm),
+        "phyd_vs_oracle_max_dev": phyd_dev,
+        "naive_vs_oracle_max_tv": naive_tv,
+        "history_outcome_mi_bits": capacity.naive_bms,
+        "history_verdict": verdict.to_json(),
+        "effects": {"oracle": gt.to_json(), "frontdoor": pe.to_json(), "naive": ne.to_json()},
+    }
 
 
 # -- fixtures and serialization -------------------------------------------

@@ -109,9 +109,14 @@ def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     return JointTable(vars_kept, cards_kept, probs)
 
 
+def _integer(val) -> bool:
+    """Whether ``val`` is an integer, not a bool, float or string that ``int`` reads as one."""
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
 def _in_range(val, card: int) -> bool:
-    """Whether ``val`` is an integer, not a bool, in ``0..card-1``."""
-    return isinstance(val, (int, np.integer)) and not isinstance(val, bool) and 0 <= val < card
+    """Whether ``val`` is an :func:`_integer` in ``0..card-1``."""
+    return _integer(val) and 0 <= val < card
 
 
 def _value(var: str, val, card: int) -> int:
@@ -168,7 +173,7 @@ class DiscreteScm:
         for k in set(card) | set(cpt):
             if k not in nodes:
                 raise UnknownNodeError(f"unknown node: {k!r}")
-        card = {n: int(card[n]) for n in dag.nodes}
+        card = {n: _cardinality(n, card[n]) for n in dag.nodes}
         porder = {}
         for v in dag.nodes:
             if parents is not None and v in parents:
@@ -193,12 +198,17 @@ class DiscreteScm:
         return self.parents[v]
 
 
+def _cardinality(v: str, card) -> int:
+    """``card`` as the cardinality of ``v``: an :func:`_integer` of at least 2."""
+    if not _integer(card) or card < 2:
+        raise ShapeError(f"cardinality of {v} must be an integer >= 2, got {card!r}")
+    return int(card)
+
+
 def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.ndarray:
     """``rows`` as the CPT of ``v`` under ``parents``: a new read-only
     C-contiguous array of one row per parent configuration, each a
     distribution over the ``card[v]`` values of ``v``."""
-    if card[v] < 2:
-        raise ShapeError(f"cardinality of {v} must be >= 2")
     n_rows = math.prod(card[p] for p in parents)
     try:
         t = np.array(rows, dtype=np.float64, order="C")
@@ -486,6 +496,17 @@ def _check_range(vars: tuple, cards: tuple, rows: np.ndarray) -> None:
             raise ValueOutOfRange(f"column {vars[k]} exceeds cardinality {c}")
 
 
+def _check_counts(seed: int, start: int, n: int) -> None:
+    """Refuse an ``n``, ``seed`` or ``start`` that is not an :func:`_integer`, ``n < 1`` and ``start < 0``."""
+    for name, value in (("n", n), ("seed", seed), ("start", start)):
+        if not _integer(value):
+            raise ValueOutOfRange(f"{name} must be an integer, got {value!r}")
+    if n < 1:
+        raise ValueOutOfRange("n must be >= 1")
+    if start < 0:
+        raise ValueOutOfRange("start must be >= 0")
+
+
 # Rows are drawn, masked and written this many at a time, so the sampler's
 # scratch (~60 B a row at depth 6) fits a 2 MiB L2.
 BLOCK_ROWS = 1 << 15
@@ -517,17 +538,9 @@ class _Sampler:
         self.ridx, self.hit = np.empty(BLOCK_ROWS, dtype=np.int64), np.empty(BLOCK_ROWS, dtype=bool)
 
     def dataset(self, seed: int, start: int, n: int) -> Dataset:
-        """Rows ``start..start+n-1``, drawn block by block into a new array.
-        An ``n``, ``seed`` or ``start`` that is not an integer (a float or a
-        bool would be read as some other count), an ``n`` below 1 and a
-        ``start`` below 0 are refused first, with :class:`ValueOutOfRange`."""
-        for name, value in (("n", n), ("seed", seed), ("start", start)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueOutOfRange(f"{name} must be an integer, got {value!r}")
-        if n < 1:
-            raise ValueOutOfRange("n must be >= 1")
-        if start < 0:
-            raise ValueOutOfRange("start must be >= 0")
+        """Rows ``start..start+n-1``, drawn block by block into a new array
+        once :func:`_check_counts` has passed."""
+        _check_counts(seed, start, n)
         rows = np.empty((n, len(self.order)), self.rows.dtype, order="F")
         for _ in self.blocks(seed, start, n, rows):
             pass  # each block is drawn in its place in rows
@@ -647,10 +660,7 @@ def dataset_to_csv(d: Dataset, path_or_buf) -> None:
 
 def random_scm(dag: Dag, seed: int, card=2, concentration: float = 1.0) -> DiscreteScm:
     """Model on ``dag`` with Dirichlet-distributed CPT rows (strictly positive)."""
-    if isinstance(card, Mapping):
-        cards = {v: int(card.get(v, 2)) for v in dag.nodes}
-    else:
-        cards = {v: int(card) for v in dag.nodes}
+    cards = {v: _cardinality(v, card.get(v, 2) if isinstance(card, Mapping) else card) for v in dag.nodes}
     rng = np.random.default_rng(seed)
     cpt = {}
     for v in dag.topological_order:

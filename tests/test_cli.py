@@ -439,6 +439,26 @@ def test_graph_commands_load_no_numpy():
         assert set(importlib.import_module(f"causalrating.{layer}").__all__) <= set(doc["star"]), layer
 
 
+def test_cli_imports_no_numpy_and_no_private_package_name():
+    # Each command parses, loads, makes one library call and emits: the
+    # work, NumPy included, lives in the layers behind their public names.
+    import ast
+
+    path = pathlib.Path(importlib.import_module("causalrating.cli").__file__)
+    offending = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            offending += [a.name for a in node.names if a.name.partition(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module.partition(".")[0] == "numpy":
+                offending.append(module)
+            elif node.level or module.partition(".")[0] == "causalrating":
+                parts = [p for p in module.split(".") if p] + [a.name for a in node.names]
+                offending += [f"{module}:{p}" for p in parts if p.startswith("_")]
+    assert offending == []
+
+
 # Run under a given hash seed: a mutilated graph's order from the graph
 # layer alone, then the oracle table of a model on that graph.
 _HASH_SEED_SCRIPT = """
@@ -893,10 +913,10 @@ class TestNarrowJointOracle:
         from causalrating import (
             canonical_scenario, mutual_information, naive_effect, observational_joint, rating_comparison,
         )
-        from causalrating.cli import _scenario_report
+        from causalrating import evaluate_scenario
 
         s = canonical_scenario(depth)
-        rep = _scenario_report(s)
+        rep = evaluate_scenario(s)
         j = observational_joint(s)
         want = rating_comparison(j, "Y_h", "D", "Y_f").to_json()
         assert all(abs(rep["capacity_bits"][k] - want[k]) <= 1e-12 for k in want)
@@ -918,11 +938,11 @@ class TestNarrowJointOracle:
             build_scenario, canonical_scenario, confounding_gap, default_scenario, infer,
             naive_effect, rating_comparison,
         )
-        from causalrating.cli import _scenario_report
+        from causalrating import evaluate_scenario
 
         s = default_scenario() if depth is None else canonical_scenario(depth)
         scm = build_scenario(s)
-        rep = _scenario_report(s)
+        rep = evaluate_scenario(s)
         want = {
             "capacity_bits": rating_comparison(
                 infer(scm, {"Y_h", "D", "Y_f"}), "Y_h", "D", "Y_f"

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from causalrating import (
     CycleError,
     Dag,
+    GraphError,
     OverlapError,
+    ParameterError,
     TEMPLATE_IDS,
     UnknownNodeError,
     UnknownTemplate,
@@ -70,6 +72,26 @@ class TestBuildDag:
     def test_latent_subset_of_nodes(self):
         with pytest.raises(UnknownNodeError):
             Dag(["A", "B"], [("A", "B")], ["C"])
+
+    def test_bare_string_nodes_refused(self):
+        # "AB" was read as its letters, the nodes A and B.
+        with pytest.raises(ParameterError, match="nodes takes a collection"):
+            Dag("AB", [])
+
+    def test_bare_string_latent_refused(self):
+        # latent="U1" was read as the letters U and 1 and refused as undeclared.
+        with pytest.raises(ParameterError, match="latent takes a collection"):
+            Dag(["U1", "Y"], [("U1", "Y")], "U1")
+
+    def test_string_edge_refused(self):
+        # The edge "AB" was read as the pair of its letters, A -> B.
+        with pytest.raises(GraphError, match="an edge must be a pair of node names, got 'AB'"):
+            Dag(["A", "B"], ["AB"])
+
+    def test_edge_that_is_not_a_pair_refused(self):
+        # A 3-tuple escaped as ValueError: too many values to unpack.
+        with pytest.raises(GraphError, match="an edge must be a pair"):
+            Dag(["A", "B", "C"], [("A", "B", "C")])
 
 
 class TestTemplates:

@@ -42,9 +42,10 @@ from causalrating import (
     scenario_to_json,
     simulate_journeys,
     tta_discretize,
+    write_journeys,
 )
 from causalrating.errors import ParameterError, UnknownVariable, ValueOutOfRange
-from causalrating import cli, confounded_mediation_example, empirical_joint, frontdoor_adjust, random_scm
+from causalrating import cli, confounded_mediation_example, dataset_to_csv, empirical_joint, frontdoor_adjust, random_scm
 from causalrating.graph import d_separated, frontdoor_failure
 from causalrating import scm as scm_module
 from causalrating.road_risk import _FLOAT_FIELDS, _chain, _factorization_residual
@@ -134,6 +135,13 @@ class TestTtaDiscretize:
         with pytest.raises(ParameterError, match="thresholds must hold finite numbers"):
             tta_discretize(0.5, thresholds)
 
+    # Bytes were iterated as integers, so b"421" read as (52.0, 50.0, 49.0);
+    # a nested or scalar threshold escaped as TypeError.
+    @pytest.mark.parametrize("thresholds", [b"421", [[4.0]], 4.0])
+    def test_thresholds_that_are_not_an_array_of_numbers_rejected(self, thresholds):
+        with pytest.raises(ParameterError, match="^thresholds must hold finite numbers"):
+            tta_discretize(0.5, thresholds)
+
     def test_non_decreasing_thresholds_rejected(self):
         with pytest.raises(ParameterError):
             tta_discretize(1.0, (2.0, 2.0))
@@ -174,6 +182,29 @@ class TestScenarioValidation:
         cs = {**s.confounder_strength, "bogus": 5}
         with pytest.raises(ParameterError, match="bogus"):
             dataclasses.replace(s, confounder_strength=cs)
+
+    def test_missing_confounder_key_rejected(self):
+        s = default_scenario()
+        cs = {k: v for k, v in s.confounder_strength.items() if k != "hazard"}
+        with pytest.raises(ParameterError, match="^confounder_strength must hold finite numbers under the keys"):
+            dataclasses.replace(s, confounder_strength=cs)
+
+    # Each escaped as TypeError, or (bytes) was read as the numbers of its bytes.
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("y_h_prior", 0.5),
+            ("y_h_prior", None),
+            ("y_h_prior", {"a": 1.0}),
+            ("y_h_prior", np.array([[0.62], [0.28], [0.10]])),
+            ("escalation", (((0.1, 0.2), 0.3, (0.1, 0.2)), ((0.1, 0.2),) * 3)),
+            ("confounder_strength", None),
+            ("tta_thresholds", b"\x04\x02\x01"),
+        ],
+    )
+    def test_value_not_of_its_declared_kind_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must hold finite numbers"):
+            dataclasses.replace(default_scenario(), **{field: value})
 
     def test_hazard_overflow_rejected(self):
         s = default_scenario()
@@ -532,6 +563,23 @@ class TestSimulateJourneys:
     def test_counters_must_be_integers(self, n, seed, name):
         with pytest.raises(ValueOutOfRange, match=f"^{name} must be an integer"):
             simulate_journeys(default_scenario(), n, seed)
+
+    @pytest.mark.parametrize("n,seed,name", [(0, 1, "n"), (2.5, 1, "n"), (2, 1.0, "seed"), (2, False, "seed")])
+    def test_write_journeys_refuses_what_simulate_journeys_refuses(self, n, seed, name):
+        written = []
+        with pytest.raises(ValueOutOfRange, match=f"^{name} must be"):
+            write_journeys(default_scenario(), n, seed, written.append)
+        assert written == []
+
+    def test_write_journeys_writes_the_csv_of_simulate_journeys(self, tmp_path):
+        s, n = canonical_scenario(3), 70_000
+        buf = io.BytesIO()
+        columns, claims = write_journeys(s, n, 4, buf.write)
+        ds = simulate_journeys(s, n, 4)
+        dataset_to_csv(ds, tmp_path / "j.csv")
+        assert buf.getvalue() == (tmp_path / "j.csv").read_bytes()
+        assert columns == ds.vars
+        assert claims == int(ds.column("Y_f").sum())
 
     def test_empirical_accident_rate(self):
         s = default_scenario()

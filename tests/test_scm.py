@@ -99,6 +99,24 @@ class TestBuildScm:
         with pytest.raises(ShapeError):
             DiscreteScm(dag, {"A": 1}, {"A": [[1.0]]})
 
+    # int() read 2.9 and 2.0 as 2, "2" as 2 and True as 1.
+    @pytest.mark.parametrize("card", [True, 2.9, 2.0, "2"])
+    def test_cardinality_that_is_not_an_integer_refused(self, card):
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        cpt = {"A": [[0.5, 0.5]], "B": [[0.5, 0.5], [0.5, 0.5]]}
+        with pytest.raises(ShapeError, match="cardinality of A must be an integer"):
+            DiscreteScm(dag, {"A": card, "B": 2}, cpt)
+        with pytest.raises(ShapeError, match="cardinality of A must be an integer"):
+            random_scm(dag, 0, card)
+        with pytest.raises(ShapeError, match="cardinality of A must be an integer"):
+            random_scm(dag, 0, {"A": card})
+
+    def test_numpy_integer_cardinality_kept_as_int(self):
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        scm = DiscreteScm(dag, {"A": np.int64(2), "B": 2}, {"A": [[0.5, 0.5]], "B": [[0.5, 0.5], [0.5, 0.5]]})
+        assert type(scm.card["A"]) is int
+        assert random_scm(dag, 0, np.int64(3)).card == {"A": 3, "B": 3}
+
     def test_missing_node(self):
         dag = Dag(["A", "B"], [("A", "B")], [])
         with pytest.raises(ShapeError):
