@@ -324,7 +324,7 @@ def write_journeys(s: RoadRiskScenario, n: int, seed: int, write) -> tuple:
     are refused as by :func:`simulate_journeys`, before anything is written."""
     sampler = _JourneySampler(s)
     _check_counts(seed, 0, n)
-    write_rows, claims = _csv_writer(write, sampler.order), 0
+    write_rows, claims = _csv_writer(write, sampler.order, sampler.cards), 0
     for rows in sampler.blocks(seed, 0, n, sampler.rows):
         write_rows(rows)
         claims += np.count_nonzero(rows[:, sampler.order.index("Y_f")])

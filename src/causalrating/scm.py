@@ -474,6 +474,8 @@ class Dataset:
             raise ShapeError("rows must be (n, len(vars))")
         if len(set(self.vars)) != len(self.vars):
             raise ShapeError(f"duplicate variable names: {tuple(self.vars)}")
+        if len(self.cards) != len(self.vars):
+            raise ShapeError("vars and cards length mismatch")
         _check_range(self.vars, self.cards, rows)
         rows.flags.writeable = False
         object.__setattr__(self, "vars", tuple(self.vars))
@@ -490,10 +492,12 @@ class Dataset:
 
 
 def _check_range(vars: tuple, cards: tuple, rows: np.ndarray) -> None:
-    """Refuse a column of ``rows`` with a value outside ``0..card-1``."""
-    for k, c in enumerate(cards):
-        if rows.size and (rows[:, k].min() < 0 or rows[:, k].max() >= c):
-            raise ValueOutOfRange(f"column {vars[k]} exceeds cardinality {c}")
+    """Refuse the first column of ``rows`` with a value outside ``0..card-1``."""
+    if rows.size:
+        low = rows.min(axis=0).tolist() if rows.dtype.kind == "i" else [0] * len(cards)
+        for k, (lo, hi, c) in enumerate(zip(low, rows.max(axis=0).tolist(), cards)):
+            if lo < 0 or hi >= c:
+                raise ValueOutOfRange(f"column {vars[k]} exceeds cardinality {c}")
 
 
 def _check_counts(seed: int, start: int, n: int) -> None:
@@ -508,7 +512,8 @@ def _check_counts(seed: int, start: int, n: int) -> None:
 
 
 # Rows are drawn, masked and written this many at a time, so the sampler's
-# scratch (~60 B a row at depth 6) fits a 2 MiB L2.
+# scratch (~61 B a row at depth 6: five uint64 or intp arrays, one byte of
+# comparison, one of parent code and one per column) fits a 2 MiB L2.
 BLOCK_ROWS = 1 << 15
 
 
@@ -521,21 +526,26 @@ class _Sampler:
         self.order = order = scm.dag.topological_order
         self.cards = tuple(scm.card[v] for v in order)
         pos = {v: i for i, v in enumerate(order)}
-        # The value is the number of cumulative thresholds at or below the
-        # uniform; h * 2**-53 >= cum exactly when h >= ceil(cum * 2**53).
-        # Thresholds never decrease along a row, so the last one (about 1)
-        # can only lift a count of card - 1 to card; it is left out, which
-        # caps the count at card - 1.
-        self.nodes = [
-            (k, tuple((pos[p], scm.card[p]) for p in scm.parents_of(v)),
-             np.ceil(np.cumsum(scm.cpt[v], axis=1).T[:-1] * 2.0**53).astype(np.uint64, order="C"))
-            for k, v in enumerate(order)
-        ]
+        codes = {}  # the parent-code scratch of each dtype in use
+        self.nodes = []
+        for k, v in enumerate(order):
+            parents = tuple((pos[p], scm.card[p]) for p in scm.parents_of(v))
+            # Two or more parents are coded in the narrowest unsigned dtype that
+            # holds the node's count of parent configurations.
+            dtype = np.min_scalar_type(len(scm.cpt[v]) - 1)
+            code = codes.setdefault(dtype, np.empty(BLOCK_ROWS, dtype)) if len(parents) > 1 else None
+            # The value is the number of cumulative thresholds at or below the
+            # uniform; h * 2**-53 >= cum exactly when h >= ceil(cum * 2**53).
+            # Thresholds never decrease along a row, so the last one (about 1)
+            # can only lift a count of card - 1 to card; it is left out, which
+            # caps the count at card - 1.
+            cum = np.ceil(np.cumsum(scm.cpt[v], axis=1).T[:-1] * 2.0**53).astype(np.uint64, order="C")
+            self.nodes.append((k, parents, code, cum))
         narrow = max(self.cards) <= 256
         self.rows = np.empty((BLOCK_ROWS, len(order)), dtype=np.uint8 if narrow else np.int64, order="F")
         self.index = np.arange(BLOCK_ROWS, dtype=np.uint64)
         self.keys, self.h, self.t = (np.empty(BLOCK_ROWS, dtype=np.uint64) for _ in range(3))
-        self.ridx, self.hit = np.empty(BLOCK_ROWS, dtype=np.int64), np.empty(BLOCK_ROWS, dtype=bool)
+        self.ridx, self.hit = np.empty(BLOCK_ROWS, dtype=np.intp), np.empty(BLOCK_ROWS, dtype=bool)
 
     def dataset(self, seed: int, start: int, n: int) -> Dataset:
         """Rows ``start..start+n-1``, drawn block by block into a new array
@@ -554,23 +564,30 @@ class _Sampler:
 
     def draw(self, seed: int, start: int, rows: np.ndarray) -> np.ndarray:
         """Fill ``rows``, at most one block, with rows ``start..`` and return it."""
-        scratch = (self.keys, self.h, self.t, self.ridx, self.hit)
-        keys, h, t, ridx, hit = (a[:len(rows)] for a in scratch)
-        _row_keys(seed, np.add(self.index[:len(rows)], _U64(start), out=keys), t)
-        for k, parents, cum in self.nodes:
+        n = len(rows)
+        keys, h, t, ridx, hit = (a[:n] for a in (self.keys, self.h, self.t, self.ridx, self.hit))
+        _row_keys(seed, np.add(self.index[:n], _U64(start), out=keys), t)
+        # A comparison is written into a uint8 column through its bool view.
+        bits = rows.view(bool) if rows.dtype == np.uint8 else rows
+        for k, parents, code, cum in self.nodes:
             np.bitwise_xor(keys, _U64(k), out=h)
             _mix(h, t)
             h >>= _U64(11)  # the uniform is exactly h * 2**-53
-            ridx.fill(0)
-            for p, c in parents:
-                ridx *= c
-                ridx += rows[:, p]
-            col = rows[:, k]
-            col.fill(0)
-            for row in cum:
+            if code is not None:
+                code = code[:n]
+                np.copyto(code, rows[:, parents[0][0]], casting="unsafe")
+                for p, c in parents[1:]:
+                    code *= c
+                    np.add(code, rows[:, p], out=code, casting="unsafe")
+            if parents:
+                np.copyto(ridx, rows[:, parents[0][0]] if code is None else code)  # np.take reads intp
+            for j, row in enumerate(cum):
                 # t takes the gathered thresholds; mode="clip" keeps np.take unbuffered.
                 cut = np.take(row, ridx, out=t, mode="clip") if parents else row[0]
-                col += np.greater_equal(h, cut, out=hit)
+                if j:
+                    rows[:, k] += np.greater_equal(h, cut, out=hit)
+                else:
+                    np.greater_equal(h, cut, out=bits[:, k])
         return rows
 
 
@@ -603,30 +620,36 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
     return JointTable(vars, cards, (counts / len(d)).reshape(cards))
 
 
-def _csv_writer(write, header: tuple):
+def _csv_writer(write, header: tuple, cards: tuple = ()):
     """Write ``header``, whose names need no quoting (see :class:`Dag`), to ``write``
-    and return the function that writes each block of rows to it via one ``<u2`` buffer."""
+    and return the function that writes each block of rows to it.  When ``cards``
+    are given and none is over 10, every value has one digit: each field is a
+    little-endian ``<u2`` (digit, separator) pair of one reused buffer whose
+    separators are set once, and each block adds ``"0"`` to each column into its
+    digit bytes.  Otherwise each block is laid out by :func:`_csv_lines`."""
     write((",".join(header) + "\n").encode())
-    lines = np.empty((BLOCK_ROWS, len(header)), dtype="<u2")
-    return lambda rows: write(_csv_lines(rows, lines))
+    if not cards or max(cards) > 10:
+        return lambda rows: write(_csv_lines(rows))
+    lines = np.full((BLOCK_ROWS, len(header)), ord(",") << 8, dtype="<u2")
+    lines[:, -1] = ord("\n") << 8
+    digits = lines.view(np.uint8)[:, ::2]
+
+    def write_rows(rows):
+        for c in range(rows.shape[1]):
+            np.add(rows[:, c], ord("0"), out=digits[:len(rows), c], casting="unsafe")
+        write(lines[:len(rows)])
+    return write_rows
 
 
-def _csv_lines(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _csv_lines(rows: np.ndarray) -> np.ndarray:
     """A C-contiguous array holding the bytes ``csv.writer`` writes for
     ``rows.tolist()``; ``rows`` holds non-negative integers, so no field
-    needs quoting.  When every value has one digit, each field is a
-    little-endian uint16 (digit, separator) pair and one addition lays out
-    all rows into ``out[:n]``, a ``<u2`` buffer of at least ``n`` rows.
-    Otherwise each column is laid out in a byte field as wide as its
+    needs quoting.  Each column is laid out in a byte field as wide as its
     largest value, digits right-aligned, followed by its separator, and
     one boolean mask drops the unused leading bytes of shorter values.
     """
     n, k = rows.shape
     widths = [len(str(int(rows[:, c].max()))) if n else 1 for c in range(k)]
-    if max(widths) == 1:
-        pairs = np.full(k, ord("0") | ord(",") << 8, dtype="<u2")
-        pairs[-1] = ord("0") | ord("\n") << 8
-        return np.add(rows, pairs, out=out[:n], dtype="<u2", casting="unsafe", order="C")
     line = np.empty((n, sum(widths) + k), dtype=np.uint8)
     used = np.ones(line.shape, dtype=bool)
     at = 0
@@ -650,7 +673,7 @@ def dataset_to_csv(d: Dataset, path_or_buf) -> None:
     """Write the dataset as CSV with a header row, one block at a time."""
     path = isinstance(path_or_buf, str) or hasattr(path_or_buf, "__fspath__")
     with open(path_or_buf, "wb") if path else contextlib.nullcontext(path_or_buf) as fh:
-        write = _csv_writer(fh.write if path else lambda b: fh.write(bytes(b).decode("ascii")), d.vars)
+        write = _csv_writer(fh.write if path else lambda b: fh.write(bytes(b).decode("ascii")), d.vars, d.cards)
         for a in range(0, len(d), BLOCK_ROWS):
             write(d.rows[a:a + BLOCK_ROWS])
 
@@ -660,6 +683,9 @@ def dataset_to_csv(d: Dataset, path_or_buf) -> None:
 
 def random_scm(dag: Dag, seed: int, card=2, concentration: float = 1.0) -> DiscreteScm:
     """Model on ``dag`` with Dirichlet-distributed CPT rows (strictly positive)."""
+    for v in card if isinstance(card, Mapping) else ():
+        if v not in dag._parents:
+            raise UnknownNodeError(f"unknown node: {v!r}")
     cards = {v: _cardinality(v, card.get(v, 2) if isinstance(card, Mapping) else card) for v in dag.nodes}
     rng = np.random.default_rng(seed)
     cpt = {}

@@ -189,6 +189,15 @@ def reference_sample_rows(scm: DiscreteScm, n: int, seed: int) -> np.ndarray:
     return rows
 
 
+def reference_check_range(vars: tuple, cards: tuple, rows: np.ndarray):
+    """Range-check oracle: the message for the first column, checked one
+    column at a time, with a value outside ``0..card-1``; None if none."""
+    for k, c in enumerate(cards):
+        if rows.size and (rows[:, k].min() < 0 or rows[:, k].max() >= c):
+            return f"column {vars[k]} exceeds cardinality {c}"
+    return None
+
+
 def reference_build_scenario(s) -> DiscreteScm:
     """Scenario oracle: every CPT row written on its own, one call of a
     per-node function on each parent configuration, enumerated in the

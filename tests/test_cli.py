@@ -566,18 +566,22 @@ class TestSimulate:
         from causalrating import build_scenario, dataset_to_csv, default_scenario, sample, scm, simulate_journeys
 
         drawn, written = [], []
-        real_draw, real_lines = scm._Sampler.draw, scm._csv_lines
+        real_draw, real_writer = scm._Sampler.draw, scm._csv_writer
 
         def draw(self, seed, start, rows):
             drawn.append(len(rows))
             return real_draw(self, seed, start, rows)
 
-        def lines(rows, out):
-            written.append(len(rows))
-            return real_lines(rows, out)
+        def writer(*args):
+            write_rows = real_writer(*args)
+
+            def write(rows):  # the per-block write
+                written.append(len(rows))
+                return write_rows(rows)
+            return write
 
         monkeypatch.setattr(scm._Sampler, "draw", draw)
-        monkeypatch.setattr(scm, "_csv_lines", lines)
+        monkeypatch.setattr(scm, "_csv_writer", writer)
         blocks = [1 << 15, 1 << 15, 70_000 - 2 * (1 << 15)]
         ds = simulate_journeys(default_scenario(), 70_000, seed=4)
         sample(build_scenario(default_scenario()), 70_000, 4)

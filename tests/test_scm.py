@@ -18,6 +18,7 @@ from causalrating import (
     NormalizationError,
     ShapeError,
     StateSpaceTooLarge,
+    UnknownNodeError,
     UnknownVariable,
     ValueOutOfRange,
     ZeroProbabilityEvidence,
@@ -37,13 +38,14 @@ from causalrating import (
 )
 from causalrating.graph import mutilate
 from causalrating import scm as scm_module
-from causalrating.scm import _csv_lines, _csv_writer, _Sampler, _surgery
+from causalrating.scm import _check_range, _csv_lines, _csv_writer, _Sampler, _surgery
 from helpers import (
     TEMPLATE_DAGS,
     brute_force_joint,
     csv_writer_bytes,
     mass_of,
     random_dag,
+    reference_check_range,
     reference_infer,
     reference_sample_rows,
     uniforms,
@@ -116,6 +118,14 @@ class TestBuildScm:
         scm = DiscreteScm(dag, {"A": np.int64(2), "B": 2}, {"A": [[0.5, 0.5]], "B": [[0.5, 0.5], [0.5, 0.5]]})
         assert type(scm.card["A"]) is int
         assert random_scm(dag, 0, np.int64(3)).card == {"A": 3, "B": 3}
+
+    # The card of a name that is no node was dropped, so a misspelled node
+    # silently kept the default of 2.
+    @pytest.mark.parametrize("card,name", [({"Z": 3}, "Z"), ({"A": 3, "a": 5}, "a")])
+    def test_random_scm_refuses_a_card_of_no_node(self, card, name):
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        with pytest.raises(UnknownNodeError, match=f"^unknown node: '{name}'$"):
+            random_scm(dag, 0, card)
 
     def test_missing_node(self):
         dag = Dag(["A", "B"], [("A", "B")], [])
@@ -644,6 +654,12 @@ class TestSampling:
         with pytest.raises(ValueOutOfRange):
             Dataset(("A",), (3,), np.array([[3]], dtype=np.uint8), 0)
 
+    @pytest.mark.parametrize("cards", [(2,), (2, 2, 2)])
+    def test_dataset_refuses_a_card_count_unlike_its_columns(self, cards):
+        # One card too few went unchecked; one too many raised IndexError.
+        with pytest.raises(ShapeError, match="^vars and cards length mismatch$"):
+            Dataset(("A", "B"), cards, np.zeros((3, 2), dtype=np.uint8), 0)
+
     def test_card_300_takes_the_int64_path(self):
         dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")], [])
         scm = random_scm(dag, 8, card={"B": 300})
@@ -653,6 +669,56 @@ class TestSampling:
         buf = io.StringIO()
         dataset_to_csv(ds, buf)
         assert buf.getvalue().encode() == csv_writer_bytes(ds.rows, ds.vars)
+
+
+def parent_code_case(case: str, child_card: int) -> DiscreteScm:
+    """A model whose node C (and F) has the parents that ``case`` names."""
+    if case == "eight binary parents":
+        parents, cards = [f"P{i}" for i in range(8)], {}
+    elif case == "nine binary parents":
+        parents, cards = [f"P{i}" for i in range(9)], {}
+    elif case == "a 16x16 pair":
+        parents, cards = ["A", "B"], {"A": 16, "B": 16}
+    elif case == "one parent":
+        parents, cards = ["A"], {"A": 5}
+    else:  # int64 rows: a card-257 parent, and a small pair coded from int64 rows
+        parents, cards = ["A", "B"], {"A": 257, "E": 3}
+    edges = [(p, "C") for p in parents]
+    if case == "a card-257 parent":
+        edges += [("B", "F"), ("E", "F")]
+        cards["F"] = child_card
+    nodes = sorted({u for e in edges for u in e})
+    return random_scm(Dag(nodes, edges), 7, card={**cards, "C": child_card}, concentration=0.3)
+
+
+class TestParentCodes:
+    @pytest.mark.parametrize("child_card", [2, 3])
+    @pytest.mark.parametrize(
+        "case,codes",
+        [
+            ("eight binary parents", {"C": np.uint8}),  # 256 parent configurations
+            ("nine binary parents", {"C": np.uint16}),  # 512
+            ("a 16x16 pair", {"C": np.uint8}),  # 256, a radix of 16
+            ("one parent", {}),  # the parent's column is widened as it is
+            ("a card-257 parent", {"C": np.uint16, "F": np.uint8}),  # 514 and 6, from int64 rows
+        ],
+    )
+    def test_matches_reference_sampler_and_csv_writer(self, case, codes, child_card):
+        scm = parent_code_case(case, child_card)
+        n, seed = 700, 29
+        want = reference_sample_rows(scm, n, seed)
+        got, text = io.BytesIO(), io.StringIO()
+        with mock.patch.object(scm_module, "BLOCK_ROWS", 64):  # 11 blocks
+            sampler = _Sampler(scm)
+            ds = sampler.dataset(seed, 0, n)
+            dataset_to_csv(ds, text)
+            write = _csv_writer(got.write, sampler.order, sampler.cards)
+            for rows in sampler.blocks(seed, 0, n, sampler.rows):
+                write(rows)
+        assert np.array_equal(ds.rows, want)
+        assert got.getvalue() == text.getvalue().encode() == csv_writer_bytes(want, sampler.order)
+        assert ds.rows.dtype == (np.int64 if case == "a card-257 parent" else np.uint8)
+        assert {sampler.order[k]: code.dtype for k, _, code, _ in sampler.nodes if code is not None} == codes
 
 
 @st.composite
@@ -672,7 +738,7 @@ def csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
     """What the CSV writer writes for ``header`` and ``rows`` (one block);
     with no header, the lines alone."""
     if not header:
-        return _csv_lines(rows, np.empty(rows.shape, dtype="<u2")).tobytes()
+        return _csv_lines(rows).tobytes()
     buf = io.BytesIO()
     _csv_writer(buf.write, header)(rows)
     return buf.getvalue()
@@ -684,6 +750,25 @@ class TestCsvFormatter:
     def test_matches_csv_writer(self, rows, with_header):
         header = tuple(f"V{i}" for i in range(rows.shape[1])) if with_header else ()
         assert csv_bytes(rows, header) == csv_writer_bytes(rows, header)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_writer_reused_across_blocks_matches_csv_writer(self, data):
+        # Cards of at most 10 take the one-digit path, any card of 11 or more
+        # the multi-digit one; the buffer holds 8 rows and each block up to 8.
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.int64]), label="dtype")
+        top = data.draw(st.sampled_from([10, 11, 256 if dtype == np.uint8 else 1500]), label="top")
+        cards = data.draw(st.lists(st.integers(2, top), min_size=1, max_size=6), label="cards")
+        order = data.draw(st.sampled_from("CF"), label="order")
+        header = tuple(f"V{i}" for i in range(len(cards)))
+        got, blocks = io.BytesIO(), []
+        with mock.patch.object(scm_module, "BLOCK_ROWS", 8):
+            write = _csv_writer(got.write, header, tuple(cards))
+        for size in data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=10), label="sizes"):
+            cols = [data.draw(st.lists(st.integers(0, c - 1), min_size=size, max_size=size)) for c in cards]
+            blocks.append(np.array(cols, dtype=dtype).reshape(len(cards), size).T.copy(order=order))
+            write(blocks[-1])
+        assert got.getvalue() == csv_writer_bytes(np.concatenate(blocks), header)
 
     def test_powers_of_ten(self):
         rows = np.array([[0, 9, 10], [99, 100, 1499], [1000, 1, 0]], dtype=np.int64)
@@ -704,6 +789,34 @@ class TestCsvFormatter:
         dataset_to_csv(ds, tmp_path / "d.csv")
         assert buf.getvalue() == "A,B\n"
         assert (tmp_path / "d.csv").read_bytes() == b"A,B\n"
+
+
+class TestRangeCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_names_the_first_bad_column_as_one_column_at_a_time(self, data):
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.int8, np.int64]), label="dtype")
+        cards = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=5), label="cards")
+        n = data.draw(st.integers(0, 20), label="n")
+        cols = [data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)) for c in cards]
+        rows = np.array(cols, dtype=dtype).reshape(len(cards), n).T.copy(order=data.draw(st.sampled_from("CF")))
+        low = -3 if np.dtype(dtype).kind == "i" else 0
+        for _ in range(data.draw(st.integers(0, 3), label="bad cells") if n else 0):
+            k = data.draw(st.integers(0, len(cards) - 1))
+            bad = st.integers(cards[k], 20) | st.integers(low, -1) if low else st.integers(cards[k], 20)
+            rows[data.draw(st.integers(0, n - 1)), k] = data.draw(bad)
+        names = tuple(f"V{i}" for i in range(len(cards)))
+        want = reference_check_range(names, cards, rows)
+        if want is None:
+            _check_range(names, cards, rows)
+        else:
+            with pytest.raises(ValueOutOfRange, match=f"^{want}$"):
+                _check_range(names, cards, rows)
+
+    def test_negative_value_of_a_signed_dtype_named_before_a_later_column(self):
+        rows = np.array([[0, -1, 5], [1, 0, 0]], dtype=np.int8)
+        with pytest.raises(ValueOutOfRange, match="^column B exceeds cardinality 2$"):
+            _check_range(("A", "B", "C"), (2, 2, 3), rows)
 
 
 class TestJson:
