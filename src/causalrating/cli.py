@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .errors import CausalRatingError, IdentificationError, UnknownVariable
+from .errors import CausalRatingError, IdentificationError
 from .graph import (
     IDENTIFY_METHODS,
     TEMPLATE_IDS,
@@ -136,11 +136,12 @@ def cmd_dsep(args) -> int:
 
 def cmd_identify(args) -> int:
     from .identify import EffectQuery, identify_effect
+    from .road_risk import EFFECT_QUERY
 
     scm, scenario = _load_model(args.model)
     do, outcome, mediators = args.do, args.outcome, args.mediators
     if scenario is not None:
-        do, outcome = do or ["J_o", "D"], outcome or "Y_f"
+        do, outcome = do or sorted(EFFECT_QUERY.do), outcome or EFFECT_QUERY.outcome
         mediators = mediators or scenario.states
     if outcome is None:
         raise _UsageError("--outcome is required")
@@ -193,28 +194,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .identify import rating_comparison
-    from .scm import infer
+    from .identify import rating_report
+    from .road_risk import REPORT_ROLES
 
     scm, scenario = _load_model(args.model)
-    history, outcome = args.history or "Y_h", args.outcome or "Y_f"
-    behavior = args.behavior or ("D" if scenario is not None else "X_c")
-    default = ("J_o", "D") if scenario is not None else ()
-    observed = set(default if args.observed is None else args.observed)
-    verdict = noise_verdict(scm.dag, history, outcome, observed)
-    for v in (history, behavior, outcome):
-        if v in scm.dag.latent:
-            raise UnknownVariable(f"unknown variable: {v!r}")
-    j = infer(scm, {history, behavior, outcome})
-    capacity = rating_comparison(j, history, behavior, outcome)
-    _emit(
-        {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "verdict": verdict.to_json(),
-            "capacity_bits": capacity.to_json(),
-        },
-        args.out,
-    )
+    # A flag overrides the scenario's roles, which override rating_report's.
+    roles = dict(REPORT_ROLES) if scenario is not None else {}
+    roles |= {k: getattr(args, k) for k in ("history", "behavior", "outcome") if getattr(args, k)}
+    if args.observed is not None:
+        roles["observed"] = args.observed
+    _emit({"schema_version": REPORT_SCHEMA_VERSION, **rating_report(scm, **roles)}, args.out)
     return 0
 
 

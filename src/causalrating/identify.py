@@ -30,6 +30,7 @@ from .graph import (
     _names,
     _refuse_latent,
     frontdoor_failure,
+    noise_verdict,
     open_backdoor_trail,
     open_trail,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "identify_effect",
     "confounding_gap",
     "rating_comparison",
+    "rating_report",
     "confounded_direct_example",
     "confounded_mediation_example",
 ]
@@ -395,6 +397,24 @@ def rating_comparison(j: JointTable, yh, xc, yf) -> CapacityReport:
     return CapacityReport(
         naive_bms=c.i_b_y, augmented_bms=c.i_ab_y, phyd_major=c.i_a_y, phyd_minor=c.i_b_y_given_a
     )
+
+
+def rating_report(
+    scm: DiscreteScm, history="Y_h", behavior="X_c", outcome="Y_f", observed=(), *,
+    joint: JointTable | None = None,
+) -> dict:
+    """The ``report`` document less its ``schema_version``: the :func:`noise_verdict`
+    on ``history`` given ``observed``, then the :func:`rating_comparison` of the
+    three roles.  An unknown name raises :class:`UnknownNodeError`, then a latent
+    role :class:`UnknownVariable`.  ``joint``, when given, may be any joint of
+    ``scm`` that holds the three roles; the default infers theirs alone."""
+    verdict = noise_verdict(scm.dag, history, outcome, observed)
+    for v in (history, behavior, outcome):
+        if v in scm.dag.latent:
+            raise UnknownVariable(f"unknown variable: {v!r}")
+    j = infer(scm, {history, behavior, outcome}) if joint is None else joint
+    capacity = rating_comparison(j, history, behavior, outcome)
+    return {"verdict": verdict.to_json(), "capacity_bits": capacity.to_json()}
 
 
 def _packaged_scm(name: str) -> DiscreteScm:

@@ -11,7 +11,6 @@ is the absolutely-safe start event (point mass at 0), accidents require
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass
@@ -21,9 +20,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NegativeTta, ParameterError, UnknownVariable
-from .graph import Dag, _read_json, d_separated, noise_verdict
+from .graph import Dag, _read_json, d_separated
 from .identify import (
-    EffectQuery, EffectTable, _divide, _layout, confounding_gap, identify_effect, rating_comparison,
+    EffectQuery, EffectTable, _divide, _layout, confounding_gap, identify_effect, rating_report,
 )
 from .info import conditional_mutual_information
 from .scm import (
@@ -60,6 +59,9 @@ _SCENARIO_DOC = {
     "accident_base": [float], "confounder_strength": dict.fromkeys(_CONFOUNDER_KEYS, float),
 }
 _FLOAT_FIELDS = [f for f, kind in _SCENARIO_DOC.items() if type(kind) in (list, dict)]
+# The scenario's questions: the effect of (J_o, D) on Y_f, and the rating_report roles.
+EFFECT_QUERY = EffectQuery("Y_f", {"J_o", "D"})
+REPORT_ROLES = {"history": "Y_h", "behavior": "D", "outcome": "Y_f", "observed": ("J_o", "D")}
 
 
 def _typed(value, kind, name: str):
@@ -176,12 +178,13 @@ def tta_discretize(tta: float, thresholds) -> int:
     ``thresholds`` are strictly decreasing seconds t_1 > ... > t_{D+1};
     the returned index counts how many thresholds the reading falls
     below, so boundary values land in the less perilous state.  An
-    infinite reading (no collision course) is the safest state.
+    infinite reading (no collision course) is the safest state, and so is
+    an integer past the float range: each comparison is exact.
     """
     t = _typed(thresholds, _SCENARIO_DOC["tta_thresholds"], "thresholds")
     if not t or any(x <= 0 for x in t) or any(a >= b for a, b in zip(t[1:], t[:-1])):
         raise ParameterError("thresholds must be strictly decreasing and positive")
-    if isinstance(tta, bool) or not isinstance(tta, numbers.Real) or math.isnan(tta):
+    if isinstance(tta, bool) or not isinstance(tta, numbers.Real) or tta != tta:  # NaN
         raise ParameterError(f"TTA must be a number, got {tta!r}")
     if tta < 0:
         raise NegativeTta(f"TTA must be nonnegative, got {tta}")
@@ -349,8 +352,7 @@ def phyd_effect(s: RoadRiskScenario) -> EffectTable:
     observational joint, stratified by the journey switch; matches the
     surgery oracle on the canonical graph to 1e-9.
     """
-    q = EffectQuery("Y_f", {"J_o", "D"})
-    return identify_effect(build_scenario(s), q, "frontdoor", s.states)[1]
+    return identify_effect(build_scenario(s), EFFECT_QUERY, "frontdoor", s.states)[1]
 
 
 def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> EffectTable:
@@ -410,25 +412,23 @@ def evaluate_scenario(s: RoadRiskScenario) -> dict:
     scm = build_scenario(s)
     # One joint holds every information field and the naive estimate.
     j = infer(scm, {"Y_h", "J_o", "U", "D", "Y_f"})
-    capacity = rating_comparison(j, "Y_h", "D", "Y_f")
+    report = rating_report(scm, **REPORT_ROLES, joint=j)
     gap = confounding_gap(scm, "D", "Y_f", "U", joint=j)
-    query = EffectQuery("Y_f", {"J_o", "D"})
-    _, pe = identify_effect(scm, query, "frontdoor", s.states)
-    _, gt = identify_effect(scm, query, "oracle")
+    _, pe = identify_effect(scm, EFFECT_QUERY, "frontdoor", s.states)
+    _, gt = identify_effect(scm, EFFECT_QUERY, "oracle")
     ne = naive_effect(s, joint=j)
     phyd_dev = float(np.abs(pe.probs - gt.probs)[pe.probs.any(axis=-1)].max())
     naive_tv = 0.5 * float(np.abs(ne.probs - gt.probs).sum(axis=-1)[ne.probs.any(axis=-1)].max())
-    verdict = noise_verdict(scm.dag, "Y_h", "Y_f", {"J_o", "D"})
     return {
         "depth": int(s.depth),
-        "capacity_bits": capacity.to_json(),
+        "capacity_bits": report["capacity_bits"],
         "confounding_gap_bits": gap.to_json(),
         "chain_factorization_residual": chain_factorization_residual(scm),
         "traffic_markov_residual_bits": markov_consistency(scm),
         "phyd_vs_oracle_max_dev": phyd_dev,
         "naive_vs_oracle_max_tv": naive_tv,
-        "history_outcome_mi_bits": capacity.naive_bms,
-        "history_verdict": verdict.to_json(),
+        "history_outcome_mi_bits": report["capacity_bits"]["naive_bms"],
+        "history_verdict": report["verdict"],
         "effects": {"oracle": gt.to_json(), "frontdoor": pe.to_json(), "naive": ne.to_json()},
     }
 

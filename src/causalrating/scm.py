@@ -463,19 +463,19 @@ class Dataset:
 
     vars: tuple
     cards: tuple
-    rows: np.ndarray  # shape (n, len(vars)); an integer dtype is kept, others become int64
+    rows: np.ndarray  # shape (n, len(vars)); an integer dtype is kept, others become int64 if exact
     seed: int
 
     def __post_init__(self):
         rows = np.asarray(self.rows).view()  # made read-only below; the caller's array is not
-        if rows.dtype.kind not in "iu":
-            rows = rows.astype(np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.vars):
             raise ShapeError("rows must be (n, len(vars))")
         if len(set(self.vars)) != len(self.vars):
             raise ShapeError(f"duplicate variable names: {tuple(self.vars)}")
         if len(self.cards) != len(self.vars):
             raise ShapeError("vars and cards length mismatch")
+        if rows.dtype.kind not in "iu":
+            rows = _exact_int64(self.vars, self.cards, rows)
         _check_range(self.vars, self.cards, rows)
         rows.flags.writeable = False
         object.__setattr__(self, "vars", tuple(self.vars))
@@ -489,6 +489,22 @@ class Dataset:
         if var not in self.vars:
             raise UnknownVariable(f"unknown variable: {var!r}")
         return self.rows[:, self.vars.index(var)]
+
+
+def _exact_int64(vars: tuple, cards: tuple, rows: np.ndarray) -> np.ndarray:
+    """``rows`` as int64, refusing with :class:`ValueOutOfRange` the first
+    column that holds anything but an exact integer: a fraction, NaN, an
+    infinity, a bool or a string.  Values are clipped to ``-1..max(cards)``
+    first, so no cast overflows and :func:`_check_range` still refuses
+    every value out of range."""
+    if rows.dtype.kind == "f":
+        exact = np.isfinite(rows) & (rows == np.floor(rows))
+    else:
+        exact = np.vectorize(_integer, otypes=[bool])(rows)
+    bad = np.flatnonzero(~exact.all(axis=0))
+    if bad.size:
+        raise ValueOutOfRange(f"column {vars[bad[0]]} holds a value that is not an integer")
+    return np.clip(rows, -1, max(cards, default=0)).astype(np.int64)
 
 
 def _check_range(vars: tuple, cards: tuple, rows: np.ndarray) -> None:
@@ -604,7 +620,9 @@ def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
 
 
 def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
-    """Normalized frequency table over ``vars``."""
+    """Normalized frequency table over ``vars``.  Its size is the product
+    of their cardinalities: one over ``DEFAULT_CELL_CAP`` raises
+    :class:`StateSpaceTooLarge` before any table exists."""
     vars = _names(vars, "vars", tuple)
     if not vars:
         raise UnknownVariable("variable list must be nonempty")
@@ -612,10 +630,12 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
         raise EmptyDataset("dataset has no rows")
     cols = [d.column(v) for v in vars]
     cards = tuple(d.cards[d.vars.index(v)] for v in vars)
+    size = math.prod(cards)
+    if size > DEFAULT_CELL_CAP:
+        raise StateSpaceTooLarge(f"state space {size} exceeds cap {DEFAULT_CELL_CAP}")
     codes = np.zeros(len(d), dtype=np.int64)
     for col, card in zip(cols, cards):
         codes = codes * card + col
-    size = int(np.prod(cards))
     counts = np.bincount(codes, minlength=size).astype(np.float64)
     return JointTable(vars, cards, (counts / len(d)).reshape(cards))
 

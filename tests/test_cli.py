@@ -441,8 +441,12 @@ def test_graph_commands_load_no_numpy():
 
 def test_cli_imports_no_numpy_and_no_private_package_name():
     # Each command parses, loads, makes one library call and emits: the
-    # work, NumPy included, lives in the layers behind their public names.
+    # work, NumPy included, lives in the layers behind their public names,
+    # and so do the variable names of the shipped models and scenarios.
     import ast
+    import re
+
+    model_name = re.compile(r"\b(Y_h|Y_f|J_o|D|U|X_c|Z|[ST]_\d+)\b")
 
     path = pathlib.Path(importlib.import_module("causalrating.cli").__file__)
     offending = []
@@ -456,6 +460,8 @@ def test_cli_imports_no_numpy_and_no_private_package_name():
             elif node.level or module.partition(".")[0] == "causalrating":
                 parts = [p for p in module.split(".") if p] + [a.name for a in node.names]
                 offending += [f"{module}:{p}" for p in parts if p.startswith("_")]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and model_name.search(node.value):
+            offending.append(f"line {node.lineno}: {node.value!r}")
     assert offending == []
 
 
@@ -861,6 +867,14 @@ class TestReport:
         assert (code, out) == (2, "")
         assert err == "error: UnknownNodeError: unknown node: 'Q'\n"
 
+    @pytest.mark.parametrize("name,observed", [("mediation", ()), ("mediation_observed_X_c", {"X_c"})])
+    def test_library_call_matches_golden(self, name, observed):
+        from causalrating import confounded_mediation_example, rating_report
+
+        want = json.loads(REPORT_GOLDEN.read_text())[name]
+        got = rating_report(confounded_mediation_example(), observed=observed)
+        assert approx_equal({"schema_version": want["schema_version"], **got}, want)
+
     def test_traffic_history_matches_dense_joint(self, capsys):
         from causalrating import (
             build_scenario, default_scenario, exact_joint, marginal, noise_verdict, rating_comparison,
@@ -940,13 +954,16 @@ class TestNarrowJointOracle:
     def test_shared_joint_matches_the_standalone_functions(self, depth):
         from causalrating import (
             build_scenario, canonical_scenario, confounding_gap, default_scenario, infer,
-            naive_effect, rating_comparison,
+            naive_effect, rating_comparison, rating_report,
         )
         from causalrating import evaluate_scenario
 
         s = default_scenario() if depth is None else canonical_scenario(depth)
         scm = build_scenario(s)
         rep = evaluate_scenario(s)
+        report = rating_report(scm, "Y_h", "D", "Y_f", {"J_o", "D"})
+        assert rep["history_verdict"] == report["verdict"]
+        assert all(abs(rep["capacity_bits"][k] - v) <= 1e-12 for k, v in report["capacity_bits"].items())
         want = {
             "capacity_bits": rating_comparison(
                 infer(scm, {"Y_h", "D", "Y_f"}), "Y_h", "D", "Y_f"

@@ -117,6 +117,13 @@ class TestTtaDiscretize:
         with pytest.raises(NegativeTta):
             tta_discretize(-0.1, THRESHOLDS)
 
+    def test_integer_past_the_float_range(self):
+        # math.isnan raised a bare OverflowError on both; each comparison
+        # of an int with a float is exact.
+        assert tta_discretize(10**400, (4.0, 2.0, 1.0)) == 0
+        with pytest.raises(NegativeTta):
+            tta_discretize(-(10**400), (4.0, 2.0, 1.0))
+
     def test_nan_tta_rejected(self):
         with pytest.raises(ParameterError):
             tta_discretize(float("nan"), THRESHOLDS)

@@ -245,6 +245,18 @@ class TestJointTable:
         with pytest.raises(UnknownVariable, match="'Q'"):
             empirical_joint(ds, ["A", "Q"])
 
+    @pytest.mark.parametrize("width", [25, 64])
+    def test_empirical_joint_refuses_a_table_over_the_cap(self, width, monkeypatch):
+        # 25 binary columns built 2^25-cell count and probability arrays
+        # past the cap of ``infer``; 64 overflowed the int64 codes and
+        # raised np.bincount's bare ValueError.  Neither counts now (nor,
+        # should the check go, allocates the table in this test).
+        names = [f"V{i}" for i in range(width)]
+        ds = sample(random_scm(Dag(names, []), 3), 10, seed=1)
+        monkeypatch.setattr(scm_module.np, "bincount", None)
+        with pytest.raises(StateSpaceTooLarge, match=f"state space {2**width} exceeds cap"):
+            empirical_joint(ds, names)
+
     def test_dataset_column_rejects_an_unknown_name(self):
         # It used to raise tuple.index's bare ValueError.
         ds = sample(copy_chain(), 10, seed=1)
@@ -653,6 +665,29 @@ class TestSampling:
             assert Dataset(("A",), (3,), rows, 0).rows.dtype == np.int64
         with pytest.raises(ValueOutOfRange):
             Dataset(("A",), (3,), np.array([[3]], dtype=np.uint8), 0)
+
+    @pytest.mark.parametrize(
+        "rows,column",
+        [
+            ([[0.0, 1.0], [1.0, 1.7]], "B"),
+            ([["1", "0"]], "A"),
+            ([[0.0, float("nan")]], "B"),
+            ([[float("inf"), 0.0]], "A"),
+            (np.array([[False, True]]), "A"),
+        ],
+    )
+    def test_dataset_refuses_a_value_that_is_not_an_integer(self, rows, column):
+        # 1.7 was stored as 1, "1" as 1, and NaN as an int64 cast's
+        # garbage after a RuntimeWarning.
+        with pytest.raises(ValueOutOfRange, match=f"^column {column} holds a value that is not an integer$"):
+            Dataset(("A", "B"), (2, 3), rows, 0)
+
+    @pytest.mark.parametrize("value", [3.0, -1.0, 1e30, 10**30])
+    def test_dataset_refuses_an_integer_value_out_of_range(self, value):
+        # An exact integer past int64 is clipped before the cast, so it
+        # cannot wrap into range.
+        with pytest.raises(ValueOutOfRange, match="^column A exceeds cardinality 3$"):
+            Dataset(("A",), (3,), [[value]], 0)
 
     @pytest.mark.parametrize("cards", [(2,), (2, 2, 2)])
     def test_dataset_refuses_a_card_count_unlike_its_columns(self, cards):
