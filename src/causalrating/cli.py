@@ -69,6 +69,8 @@ def _load_json(path: str):
         raise _UsageError(f"cannot read {path}: {exc}")
     except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an integer literal too long to read
         raise _UsageError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:  # RFC 8259 section 9 lets a parser limit the nesting depth
+        raise _UsageError(f"{path} nests arrays or objects deeper than the JSON reader allows")
 
 
 def _load_graph(ref: str) -> Dag:

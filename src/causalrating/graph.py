@@ -8,10 +8,14 @@ This layer imports no NumPy.
 
 from __future__ import annotations
 
+import contextlib
+import numbers
 import reprlib
 import sys
 from collections import deque
-from typing import Mapping, NamedTuple
+from collections.abc import Mapping
+from itertools import islice
+from typing import NamedTuple
 
 from .errors import (
     CycleError,
@@ -499,66 +503,97 @@ def dag_to_json(dag: Dag) -> dict:
     }
 
 
-_TYPES = {int: {int}, float: {int, float}, str: {str}, list: {list}, dict: {dict}}
-_FINITE = sys.float_info.max.__ge__  # applied to abs(x): false on NaN, infinity and huge ints
+_FINITE = sys.float_info.max.__ge__  # applied to abs(x) of an int or float: false on NaN, inf, huge ints
 _EXPECTED = {int: "an integer", float: "a finite number", str: "a name", list: "an array", dict: "an object"}
 _GRAPH_DOC = {"nodes": [str], "edges": [[str, 2]], "latent?": [str]}
 
 
-def _all_of(values: list, kind) -> bool:
-    """Whether every JSON value in ``values`` is of ``kind``, which is not
-    an object with fields, checked a level at a time in a few C loops."""
+class _Shown(reprlib.Repr):
+    def repr_int(self, x, level):  # repr refuses more digits than sys.get_int_max_str_digits(), at least 640
+        big = x.bit_length() >= 2000
+        return f"<{'negative ' * (x < 0)}{x.bit_length()}-bit integer>" if big else super().repr_int(x, level)
+
+
+_shown = _Shown().repr  # a value as an error message shows it, abbreviated
+
+
+def _integer(v) -> bool:
+    """Whether ``v`` is an ``int`` or a NumPy integer, not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    """Whether ``v`` is an int, float, ``Fraction`` or NumPy number, not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _all_of(values: list, kind) -> list | None:
+    """``values`` read as ``kind``, not an object with fields, a level at a time in a few
+    C loops; None unless every part is a JSON value (a list or tuple for an array) of its kind."""
+    types = set(map(type, values))
+    if kind is float:  # a sum of floats is finite only if every term is; an overflow checks each term
+        if types <= {float} and _FINITE(abs(sum(values))):
+            return values
+        return list(map(float, values)) if types <= {float, int} and all(map(_FINITE, map(abs, values))) else None
     if type(kind) is type:
-        return set(map(type, values)) <= _TYPES[kind] and (
-            kind is not float or all(map(_FINITE, map(abs, values)))
-        )
+        return values if types <= {kind} else None
     if type(kind) is list:
-        return (
-            set(map(type, values)) <= _TYPES[list]
-            and (len(kind) == 1 or set(map(len, values)) <= {kind[1]})
-            and _all_of([v for a in values for v in a], kind[0])
-        )
-    return set(map(type, values)) <= _TYPES[dict] and _all_of([v for d in values for v in d.values()], kind[str])
-
-
-def _misread(value, kind) -> str | None:
-    """The path below ``value`` of its first part that is not of ``kind``,
-    and why, e.g. ``.depth: expected an integer, got 2.0``; None if none."""
-    if type(kind) is dict and str not in kind and type(value) is dict:
-        for f, v in value.items():
-            k = None if f.endswith("?") else kind.get(f) or kind.get(f"{f}?")
-            if why := ": unknown field" if k is None else _misread(v, k):
-                return f".{f}{why}"
-        missing = [f for f in kind if f[-1] != "?" and f not in value]
-        return f".{missing[0]}: missing field" if missing else None
-    if type(kind) is list and type(value) is list and (len(kind) == 1 or kind[1] == len(value)):
-        if _all_of(value, kind[0]):
+        if not types <= {list, tuple} or len(kind) > 1 and set(map(len, values)) - {kind[1]}:
             return None
-        steps = ((f"[{i}]", v, kind[0]) for i, v in enumerate(value))
-    elif type(kind) is dict and type(value) is dict:
-        if _all_of(list(value.values()), kind[str]):
-            return None
-        steps = ((f".{f}", v, kind[str]) for f, v in value.items())
-    elif _all_of([value], kind):
-        return None
+        read = _all_of(flat := [v for a in values for v in a], kind[0])
+        if read is flat:
+            return list(map(tuple, values))
+    elif types <= {dict}:
+        read = _all_of([v for d in values for v in d.values()], kind[str])
     else:
-        expected = _EXPECTED[kind if type(kind) is type else type(kind)]
-        expected += f" of {kind[1]}" if type(kind) is list and len(kind) > 1 else ""
-        return f": expected {expected}, got {reprlib.repr(value)}"
-    return next((step + why for step, v, k in steps if (why := _misread(v, k))), None)
+        return None
+    if read is None:
+        return None
+    parts = iter(read)
+    return [tuple(islice(parts, len(a))) if type(kind) is list else dict(zip(a, parts)) for a in values]
 
 
-def _read_json(doc, kind, what: str, error):
-    """``doc`` if it is a JSON document of ``kind``, else raise ``error``
-    naming the path of its first misread part.  A kind is ``int`` (a JSON
-    integer, not a bool), ``float`` (a finite number, not a bool), ``str``
-    (a name), ``[k]`` (an array of k), ``[k, n]`` (an array of n k),
-    ``{str: k}`` (an object of k values) or a dict of fields (an object with
-    exactly these fields, where a name ending in "?" is optional)."""
-    if why := _misread(doc, kind):
-        raise error(what + why)
-    return doc
+def _at(path: str, key) -> str:
+    """The path of the part under ``key`` of the object at ``path``."""
+    return f"{path}.{key if type(key) is str else _shown(key)}".lstrip(".")
+
+
+def _read(value, kind, path: str, error, low=None):
+    """``value`` read as ``kind``, else raise ``error`` naming the first misread part
+    below ``path``: ``scenario.depth: expected an integer, got 2.0``.  A kind is ``int``,
+    ``float`` (a finite :func:`_real`), ``str``, ``[k]`` (a list, tuple or NumPy array of
+    k), ``[k, n]`` (of n k), ``{str: k}`` (a mapping of k) or a dict of fields (a mapping
+    with exactly these, where a name ending in "?" is optional).  Arrays come back as
+    tuples.  A number less than ``low``, when it is given, is misread."""
+    if type(kind) is dict and str not in kind:
+        if isinstance(value, Mapping):
+            fields, read = {f.rstrip("?"): k for f, k in kind.items()}, {}
+            for f, v in value.items():
+                if f not in fields:
+                    raise error(f"{_at(path, f)}: unknown field")
+                read[f] = _read(v, fields[f], _at(path, f), error)
+            if missing := [f for f in kind if f[-1] != "?" and f not in value]:
+                raise error(f"{_at(path, missing[0])}: missing field")
+            return read
+    elif (read := _all_of([value], kind)) is not None and (low is None or read[0] >= low):
+        return read[0]
+    elif type(kind) is list:
+        np = sys.modules.get("numpy")  # loaded, if value is a NumPy array
+        if np and isinstance(value, np.ndarray) and value.ndim:
+            return _read(value.tolist(), kind, path, error)
+        if isinstance(value, (list, tuple)) and (len(kind) == 1 or len(value) == kind[1]):
+            return tuple(_read(v, kind[0], f"{path}[{i}]", error) for i, v in enumerate(value))
+    elif type(kind) is dict:
+        if isinstance(value, Mapping):
+            return {f: _read(v, kind[str], _at(path, f), error) for f, v in value.items()}
+    elif _real(value) and type(value) not in (int, float):  # a Fraction or NumPy number, as an int or float
+        with contextlib.suppress(OverflowError):  # a Fraction past the float range
+            return _read(int(value) if _integer(value) else float(value), kind, path, error, low)
+    expected = _EXPECTED[kind if type(kind) is type else type(kind)]
+    expected += f" of {kind[1]}" if type(kind) is list and len(kind) > 1 else ""
+    expected += "" if low is None else f" >= {low}"
+    raise error(f"{path}: expected {expected}, got {_shown(value)}")
 
 
 def dag_from_json(doc: Mapping) -> Dag:
-    return Dag(**_read_json(doc, _GRAPH_DOC, "graph", GraphError))
+    return Dag(**_read(doc, _GRAPH_DOC, "graph", GraphError))

@@ -11,23 +11,20 @@ is the absolutely-safe start event (point mass at 0), accidents require
 from __future__ import annotations
 
 import json
-import numbers
-import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Mapping
 
 import numpy as np
 
-from .errors import NegativeTta, ParameterError, UnknownVariable
-from .graph import Dag, _read_json, d_separated
+from .errors import NegativeTta, ParameterError, UnknownVariable, ValueOutOfRange
+from .graph import Dag, _read, _real, _shown, d_separated
 from .identify import (
     EffectQuery, EffectTable, _divide, _layout, confounding_gap, identify_effect, rating_report,
 )
 from .info import conditional_mutual_information
 from .scm import (
-    Dataset, DiscreteScm, JointTable, _check_counts, _check_range, _csv_writer, _integer, _Sampler,
-    _sum_to, condition, infer,
+    Dataset, DiscreteScm, JointTable, _check_range, _csv_writer, _Sampler, _sum_to, condition, infer,
 )
 
 __all__ = [
@@ -58,32 +55,9 @@ _SCENARIO_DOC = {
     "decision_base": [[float]], "traffic_dist": [float], "escalation": [[[float]]],
     "accident_base": [float], "confounder_strength": dict.fromkeys(_CONFOUNDER_KEYS, float),
 }
-_FLOAT_FIELDS = [f for f, kind in _SCENARIO_DOC.items() if type(kind) in (list, dict)]
 # The scenario's questions: the effect of (J_o, D) on Y_f, and the rating_report roles.
 EFFECT_QUERY = EffectQuery("Y_f", {"J_o", "D"})
 REPORT_ROLES = {"history": "Y_h", "behavior": "D", "outcome": "Y_f", "observed": ("J_o", "D")}
-
-
-def _typed(value, kind, name: str):
-    """``value`` as its ``kind`` in ``_SCENARIO_DOC`` says: an ``int`` or a finite
-    ``float``, neither from a bool (``float(True)`` is 1.0); a tuple of the item
-    kind from a list, tuple or array; or a dict with exactly the fields of a dict
-    kind.  Anything else raises :class:`ParameterError` naming the field ``name``."""
-    value = value.tolist() if isinstance(value, np.ndarray) and value.ndim else value
-    if kind is int and _integer(value):
-        return int(value)
-    # float goes first: an exact type check, where the numbers.Real ABC check is slow.
-    if kind is float and isinstance(value, (float, numbers.Real)) and not isinstance(value, (bool, np.bool_)):
-        if abs(value) <= sys.float_info.max:  # false on NaN and infinity
-            return float(value)
-    if type(kind) is list and isinstance(value, (list, tuple)):
-        return tuple(_typed(v, kind[0], name) for v in value)
-    if type(kind) is dict and isinstance(value, Mapping) and value.keys() == kind.keys():
-        return {k: _typed(v, kind[k], name) for k, v in value.items()}
-    if kind is int:
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    keys = f" under the keys {', '.join(kind)}" if type(kind) is dict else ""
-    raise ParameterError(f"{name} must hold finite numbers{keys}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +89,8 @@ class RoadRiskScenario:
     schema_version: int = SCENARIO_SCHEMA_VERSION
 
     def __post_init__(self):
-        for field, kind in _SCENARIO_DOC.items():
-            name = field.rstrip("?")
-            object.__setattr__(self, name, _typed(getattr(self, name), kind, name))
+        for name, value in _read(vars(self), _SCENARIO_DOC, "", ParameterError).items():
+            object.__setattr__(self, name, value)
         if self.schema_version != SCENARIO_SCHEMA_VERSION:
             raise ParameterError(f"unsupported scenario schema_version {self.schema_version}")
         self._validate()
@@ -181,13 +154,13 @@ def tta_discretize(tta: float, thresholds) -> int:
     infinite reading (no collision course) is the safest state, and so is
     an integer past the float range: each comparison is exact.
     """
-    t = _typed(thresholds, _SCENARIO_DOC["tta_thresholds"], "thresholds")
+    t = _read(thresholds, _SCENARIO_DOC["tta_thresholds"], "thresholds", ParameterError)
     if not t or any(x <= 0 for x in t) or any(a >= b for a, b in zip(t[1:], t[:-1])):
         raise ParameterError("thresholds must be strictly decreasing and positive")
-    if isinstance(tta, bool) or not isinstance(tta, numbers.Real) or tta != tta:  # NaN
-        raise ParameterError(f"TTA must be a number, got {tta!r}")
+    if not _real(tta) or tta != tta:  # NaN
+        raise ParameterError(f"TTA must be a number, got {_shown(tta)}")
     if tta < 0:
-        raise NegativeTta(f"TTA must be nonnegative, got {tta}")
+        raise NegativeTta(f"TTA must be nonnegative, got {_shown(tta)}")
     return sum(1 for x in t if tta < x)
 
 
@@ -326,7 +299,7 @@ def write_journeys(s: RoadRiskScenario, n: int, seed: int, write) -> tuple:
     block.  Returns the columns and the count of rows with ``Y_f = 1``.  Counts
     are refused as by :func:`simulate_journeys`, before anything is written."""
     sampler = _JourneySampler(s)
-    _check_counts(seed, 0, n)
+    seed, n = _read(seed, int, "seed", ValueOutOfRange), _read(n, int, "n", ValueOutOfRange, low=1)
     write_rows, claims = _csv_writer(write, sampler.order, sampler.cards), 0
     for rows in sampler.blocks(seed, 0, n, sampler.rows):
         write_rows(rows)
@@ -438,7 +411,7 @@ def evaluate_scenario(s: RoadRiskScenario) -> dict:
 
 def canonical_scenario(depth: int) -> RoadRiskScenario:
     """Programmatic defaults for any chain depth (fixtures, not data)."""
-    dc, tc = 3, 2
+    depth, dc, tc = _read(depth, int, "depth", ParameterError), 3, 2
     base = 0.05 + 0.06 * np.arange(depth)[:, None, None]  # (stage, D, T)
     d, t = np.arange(dc)[:, None], np.arange(tc)
     esc = np.minimum(0.9, base * (1.0 + 2.2 * d / (dc - 1)) * (1.0 + 0.9 * t / (tc - 1)))
@@ -464,8 +437,7 @@ def scenario_to_json(s: RoadRiskScenario) -> dict:
 
 
 def scenario_from_json(doc: Mapping) -> RoadRiskScenario:
-    doc = _read_json(doc, _SCENARIO_DOC, "scenario", ParameterError)
-    return RoadRiskScenario(**doc)
+    return RoadRiskScenario(**_read(doc, _SCENARIO_DOC, "scenario", ParameterError))
 
 
 def default_scenario() -> RoadRiskScenario:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     EmptyDataset,
     NormalizationError,
+    ParameterError,
     ShapeError,
     StateSpaceTooLarge,
     UnknownNodeError,
@@ -24,7 +25,7 @@ from .errors import (
     ValueOutOfRange,
     ZeroProbabilityEvidence,
 )
-from .graph import _GRAPH_DOC, Dag, _names, _read_json, dag_from_json, dag_to_json, mutilate
+from .graph import _GRAPH_DOC, Dag, _integer, _names, _read, _shown, dag_from_json, dag_to_json, mutilate
 
 __all__ = [
     "JointTable",
@@ -58,7 +59,10 @@ class JointTable:
     probs: np.ndarray  # shape == cards
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        try:
+            probs = np.asarray(self.probs, dtype=np.float64)
+        except (OverflowError, ValueError):  # an int past the float range, a string
+            raise ShapeError(f"probs: expected finite numbers, got {_shown(self.probs)}") from None
         if probs.shape != tuple(self.cards):
             raise ShapeError(f"probs shape {probs.shape} != cards {self.cards}")
         if len(self.vars) != len(self.cards):
@@ -109,11 +113,6 @@ def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     return JointTable(vars_kept, cards_kept, probs)
 
 
-def _integer(val) -> bool:
-    """Whether ``val`` is an integer, not a bool, float or string that ``int`` reads as one."""
-    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
-
-
 def _in_range(val, card: int) -> bool:
     """Whether ``val`` is an :func:`_integer` in ``0..card-1``."""
     return _integer(val) and 0 <= val < card
@@ -123,7 +122,7 @@ def _value(var: str, val, card: int) -> int:
     """``val`` as a value of ``var``, which has ``card`` values; anything
     else raises :class:`ValueOutOfRange`."""
     if not _in_range(val, card):
-        raise ValueOutOfRange(f"{var}={val} out of range 0..{card - 1}")
+        raise ValueOutOfRange(f"{var}={_shown(val)} out of range 0..{card - 1}")
     return int(val)
 
 
@@ -173,7 +172,7 @@ class DiscreteScm:
         for k in set(card) | set(cpt):
             if k not in nodes:
                 raise UnknownNodeError(f"unknown node: {k!r}")
-        card = {n: _cardinality(n, card[n]) for n in dag.nodes}
+        card = {n: _read(card[n], int, f"card.{n}", ShapeError, low=2) for n in dag.nodes}
         porder = {}
         for v in dag.nodes:
             if parents is not None and v in parents:
@@ -198,13 +197,6 @@ class DiscreteScm:
         return self.parents[v]
 
 
-def _cardinality(v: str, card) -> int:
-    """``card`` as the cardinality of ``v``: an :func:`_integer` of at least 2."""
-    if not _integer(card) or card < 2:
-        raise ShapeError(f"cardinality of {v} must be an integer >= 2, got {card!r}")
-    return int(card)
-
-
 def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.ndarray:
     """``rows`` as the CPT of ``v`` under ``parents``: a new read-only
     C-contiguous array of one row per parent configuration, each a
@@ -212,10 +204,10 @@ def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.nd
     n_rows = math.prod(card[p] for p in parents)
     try:
         t = np.array(rows, dtype=np.float64, order="C")
-    except ValueError as exc:  # ragged rows or non-numeric entries
+    except (OverflowError, ValueError) as exc:  # ragged rows, non-numeric entries, an int past float range
         raise ShapeError(f"CPT for {v}: {exc}") from None
     if t.shape != (n_rows, card[v]):
-        raise ShapeError(f"CPT for {v}: shape {t.shape}, expected {(n_rows, card[v])}")
+        raise ShapeError(f"CPT for {v}: shape {t.shape}, expected {_shown((n_rows, card[v]))}")
     if not (t.min() >= 0.0 and t.max() <= 1.0 + ROW_SUM_TOL):  # false on NaN too
         raise NormalizationError(f"CPT for {v} has entries outside [0, 1]")
     bad = np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL
@@ -243,7 +235,7 @@ def exact_joint(scm: DiscreteScm, max_cells: int = DEFAULT_CELL_CAP) -> JointTab
     order = scm.dag.topological_order
     cards = tuple(scm.card[v] for v in order)
     if math.prod(cards) > max_cells:
-        raise StateSpaceTooLarge(f"state space {math.prod(cards)} exceeds cap {max_cells}")
+        raise StateSpaceTooLarge(f"state space {math.prod(cards)} exceeds cap {_shown(max_cells)}")
     pos = {v: i for i, v in enumerate(order)}
     joint = np.ones(cards, dtype=np.float64)
     for v in order:
@@ -312,7 +304,7 @@ def _plan(
         n = cells[v]
         if n > max_cells:
             raise StateSpaceTooLarge(
-                f"eliminating {v} needs a factor of {n} cells, over the cap {max_cells}"
+                f"eliminating {v} needs a factor of {n} cells, over the cap {_shown(max_cells)}"
             )
         inside = list(holds.pop(v))
         out = tuple(u for u in dict.fromkeys(u for i in inside for u in scopes[i]) if u != v)
@@ -379,7 +371,7 @@ def infer(
     out = tuple(sorted(keep, key=order.__getitem__))
     cells = math.prod(scm.card[u] for u in out)
     if cells > max_cells:
-        raise StateSpaceTooLarge(f"result of {cells} cells exceeds cap {max_cells}")
+        raise StateSpaceTooLarge(f"result of {cells} cells exceeds cap {_shown(max_cells)}")
     for inside, scope in steps:
         factors.append((scope, _contract([factors[i] for i in inside], scope)))
         for i in inside:
@@ -516,17 +508,6 @@ def _check_range(vars: tuple, cards: tuple, rows: np.ndarray) -> None:
                 raise ValueOutOfRange(f"column {vars[k]} exceeds cardinality {c}")
 
 
-def _check_counts(seed: int, start: int, n: int) -> None:
-    """Refuse an ``n``, ``seed`` or ``start`` that is not an :func:`_integer`, ``n < 1`` and ``start < 0``."""
-    for name, value in (("n", n), ("seed", seed), ("start", start)):
-        if not _integer(value):
-            raise ValueOutOfRange(f"{name} must be an integer, got {value!r}")
-    if n < 1:
-        raise ValueOutOfRange("n must be >= 1")
-    if start < 0:
-        raise ValueOutOfRange("start must be >= 0")
-
-
 # Rows are drawn, masked and written this many at a time, so the sampler's
 # scratch (~61 B a row at depth 6: five uint64 or intp arrays, one byte of
 # comparison, one of parent code and one per column) fits a 2 MiB L2.
@@ -564,9 +545,10 @@ class _Sampler:
         self.ridx, self.hit = np.empty(BLOCK_ROWS, dtype=np.intp), np.empty(BLOCK_ROWS, dtype=bool)
 
     def dataset(self, seed: int, start: int, n: int) -> Dataset:
-        """Rows ``start..start+n-1``, drawn block by block into a new array
-        once :func:`_check_counts` has passed."""
-        _check_counts(seed, start, n)
+        """Rows ``start..start+n-1``, drawn block by block into a new array."""
+        seed = _read(seed, int, "seed", ValueOutOfRange)
+        start = _read(start, int, "start", ValueOutOfRange, low=0)
+        n = _read(n, int, "n", ValueOutOfRange, low=1)
         rows = np.empty((n, len(self.order)), self.rows.dtype, order="F")
         for _ in self.blocks(seed, start, n, rows):
             pass  # each block is drawn in its place in rows
@@ -703,11 +685,12 @@ def dataset_to_csv(d: Dataset, path_or_buf) -> None:
 
 def random_scm(dag: Dag, seed: int, card=2, concentration: float = 1.0) -> DiscreteScm:
     """Model on ``dag`` with Dirichlet-distributed CPT rows (strictly positive)."""
-    for v in card if isinstance(card, Mapping) else ():
-        if v not in dag._parents:
-            raise UnknownNodeError(f"unknown node: {v!r}")
-    cards = {v: _cardinality(v, card.get(v, 2) if isinstance(card, Mapping) else card) for v in dag.nodes}
-    rng = np.random.default_rng(seed)
+    # The card of a name that is no node is read too, and DiscreteScm refuses it.
+    cards = dict.fromkeys(dag.nodes, 2)
+    cards |= card if isinstance(card, Mapping) else dict.fromkeys(dag.nodes, card)
+    cards = {v: _read(c, int, f"card.{v}", ShapeError, low=2) for v, c in cards.items()}
+    rng = np.random.default_rng(_read(seed, int, "seed", ValueOutOfRange, low=0))
+    concentration = _read(concentration, float, "concentration", ParameterError, low=0)
     cpt = {}
     for v in dag.topological_order:
         n_rows = math.prod(cards[p] for p in dag._parents[v])
@@ -732,5 +715,5 @@ def scm_to_json(scm: DiscreteScm) -> dict:
 
 
 def scm_from_json(doc: Mapping) -> DiscreteScm:
-    doc = _read_json(doc, _SCM_DOC, "scm", ShapeError)
+    doc = _read(doc, _SCM_DOC, "scm", ShapeError)
     return DiscreteScm(Dag(**doc["graph"]), doc["card"], doc["cpt"], parents=doc.get("parents"))

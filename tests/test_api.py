@@ -9,6 +9,10 @@ from pathlib import Path
 import pytest
 
 import causalrating
+from causalrating import (
+    CausalRatingError, Dag, DiscreteScm, confounded_mediation_example, dag_from_json, infer, intervene,
+    tta_discretize,
+)
 
 LAYERS = ("graph", "scm", "info", "identify", "road_risk")
 
@@ -49,3 +53,23 @@ def test_names_read_by_the_benchmark_oracle_resolve():
     assert {"exact_joint", "observational_joint", "do_distribution"} <= names
     missing = sorted(n for n in names if not hasattr(causalrating, n))
     assert not missing, f"bench/test_oracle.py reads causalrating.{missing}"
+
+
+# Each raised a bare ValueError ("Exceeds the limit (4300 digits) for integer
+# string conversion") from the message that formats the integer.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: infer(confounded_mediation_example(), {"Y_f"}, {"Z": -10**5000}),
+        lambda: intervene(confounded_mediation_example(), {"Z": -10**5000}),
+        lambda: infer(confounded_mediation_example(), {"Y_f"}, max_cells=-10**5000),
+        lambda: tta_discretize(-10**5000, (4.0, 2.0)),
+        lambda: dag_from_json({"nodes": [10**5000], "edges": []}),
+        lambda: DiscreteScm(Dag(["A"], []), {"A": 10**5000}, {"A": [[1.0]]}),
+    ],
+    ids=["evidence", "intervention", "max-cells", "tta", "node-name", "card"],
+)
+def test_huge_integer_refused_with_a_short_message(call):
+    with pytest.raises(CausalRatingError) as raised:
+        call()
+    assert len(str(raised.value)) < 200, str(raised.value)

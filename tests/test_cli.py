@@ -412,11 +412,14 @@ print(json.dumps({"steps": steps, "star": sorted(names)}))
 """
 
 
-def test_graph_commands_load_no_numpy():
+def test_graph_commands_load_no_numpy(tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"nodes": ["A", "B", "C"], "edges": [["A", "B"], ["B", "C"]]}))
     graph_only = [
         ["templates"],
         ["templates", "Fig1d"],
         ["dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f", "--z", "X_c"],
+        ["dsep", str(graph), "--x", "A", "--y", "C", "--z", "B"],
         ["verdict", "Fig6Canonical(2)", "--candidate", "Y_h", "--outcome", "Y_f",
          "--observed", "J_o", "D"],
         ["dsep", "Fig1d", "--x", "Nope", "--y", "Y_f"],
@@ -430,7 +433,8 @@ def test_graph_commands_load_no_numpy():
     )
     doc = json.loads(proc.stdout)
     *steps, (_, code, out, loaded) = doc["steps"]
-    assert [s[1] for s in steps] == [0, 0, 0, 0, 0, 2, 2]
+    assert [s[1] for s in steps] == [0, 0, 0, 0, 0, 0, 2, 2]
+    assert json.loads(steps[4][2]) == {"separated": True}
     for label, _, _, numeric in steps:
         assert numeric == [], label
     assert code == 0 and "numpy" in loaded
@@ -1331,6 +1335,18 @@ class TestMalformedDocuments:
         code, out, err = run(capsys, "dsep", str(path), "--x", "U", "--y", "Y_f")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+    def test_nesting_too_deep_to_read(self, tmp_path):
+        # json.load's RecursionError once escaped as a traceback and exit 1.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        src = pathlib.Path(importlib.import_module("causalrating").__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "causalrating.cli", "evaluate", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
     @pytest.mark.parametrize(
         "argv,doc",

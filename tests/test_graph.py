@@ -1,7 +1,12 @@
 """Graph construction, d-separation and criterion checks."""
 
 import json
+import math
+import pathlib
 import time
+import types
+from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from causalrating import (
     GraphError,
     OverlapError,
     ParameterError,
+    ShapeError,
     TEMPLATE_IDS,
     UnknownNodeError,
     UnknownTemplate,
@@ -26,7 +32,10 @@ from causalrating import (
     random_scm,
     template,
 )
-from causalrating.graph import _fig4_chain, _fig6_canonical, frontdoor_failure, open_backdoor_trail
+import causalrating
+from causalrating.graph import _fig4_chain, _fig6_canonical, _read, frontdoor_failure, open_backdoor_trail
+from causalrating.road_risk import _SCENARIO_DOC
+from causalrating.scm import _SCM_DOC
 from helpers import open_trail_problem, random_dag, reference_open_trail
 
 
@@ -435,3 +444,109 @@ def test_mutilation_idempotent_on_random_dags(seed, n, data):
     do = set(data.draw(st.lists(st.sampled_from(list(dag.nodes)), unique=True)))
     once = mutilate(dag, do)
     assert mutilate(once, do) == once
+
+
+# -- the schema reader ---------------------------------------------------
+
+DATA = pathlib.Path(causalrating.__file__).parent / "data"
+SHIPPED = [
+    ("default_scenario.json", _SCENARIO_DOC, "scenario", ParameterError),
+    ("confounded_direct.json", _SCM_DOC, "scm", ShapeError),
+    ("confounded_mediation.json", _SCM_DOC, "scm", ShapeError),
+]
+# Values that no leaf of a shipped document may hold, except that an
+# integer leaf takes ±10**5000 and a name takes "1.5".
+HOSTILE = [True, False, np.bool_(True), math.nan, math.inf, -math.inf, 10**5000, -10**5000, b"1", "1.5", None, [[1.0]]]
+
+
+def _kind_at(kind, key):
+    """The kind of the part under ``key`` of a value of ``kind``."""
+    if type(kind) is list:
+        return kind[0]
+    return kind[str] if str in kind else kind.get(key) or kind[f"{key}?"]
+
+
+def _leaves(value, kind, path=()) -> list:
+    """``(path, kind)`` of every number and name in the JSON ``value``."""
+    if not isinstance(value, (list, dict)):
+        return [(path, kind)]
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    return [leaf for k, v in items for leaf in _leaves(v, _kind_at(kind, k), (*path, k))]
+
+
+def _canonical(value, kind):
+    """The JSON ``value`` as the reader returns it: arrays as tuples, numbers of kind float as floats."""
+    if isinstance(value, dict):
+        return {k: _canonical(v, _kind_at(kind, k)) for k, v in value.items()}
+    if isinstance(value, list):
+        return tuple(_canonical(v, kind[0]) for v in value)
+    return float(value) if kind is float else value
+
+
+def _types(value):
+    """The type of ``value`` and of each of its parts."""
+    if isinstance(value, Mapping):
+        return (type(value), {k: _types(v) for k, v in value.items()})
+    return (type(value), tuple(map(_types, value))) if isinstance(value, tuple) else type(value)
+
+
+def python_form(value, kind, rnd, arrays=True):
+    """``value``, a part of a JSON document of ``kind``, in a form a Python
+    caller may give, each part drawn with ``rnd``: a mapping proxy for an
+    object, a tuple or NumPy array for an array, a NumPy number or
+    ``Fraction`` for a number."""
+    if isinstance(value, dict):
+        wrap = rnd.choice([dict, types.MappingProxyType])
+        return wrap({k: python_form(v, _kind_at(kind, k), rnd, arrays) for k, v in value.items()})
+    if isinstance(value, list):
+        if arrays and rnd.random() < 0.3:
+            try:
+                return np.array(value)
+            except ValueError:  # ragged
+                pass
+        return rnd.choice([list, tuple])(python_form(v, kind[0], rnd, arrays) for v in value)
+    if kind is float:  # a float32 holds few of the shipped numbers exactly
+        return rnd.choice([float, Fraction, np.float64, np.float32 if value in (0, 1) else float])(value)
+    return rnd.choice([int, np.int64, np.int32])(value) if kind is int else value
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    if isinstance(value, Mapping):
+        return {**value, path[0]: _replaced(value[path[0]], path[1:], new)}
+    items = list(value)
+    items[path[0]] = _replaced(items[path[0]], path[1:], new)
+    return type(value)(items)
+
+
+class TestReader:
+    """``graph._read`` over the shipped model files, in JSON and Python forms."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_python_forms_read_as_the_json_form(self, data):
+        name, kind, what, error = data.draw(st.sampled_from(SHIPPED))
+        doc = json.loads((DATA / name).read_text())
+        want = _canonical(doc, kind)
+        for given in (doc, python_form(doc, kind, data.draw(st.randoms(use_true_random=False)))):
+            read = _read(given, kind, what, error)
+            assert read == want
+            assert _types(read) == _types(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_hostile_leaf_is_named_by_its_path(self, data):
+        name, kind, what, error = data.draw(st.sampled_from(SHIPPED))
+        doc = json.loads((DATA / name).read_text())
+        path, leaf = data.draw(st.sampled_from(_leaves(doc, kind)))
+        hostile = data.draw(st.sampled_from([
+            v for v in HOSTILE if not (leaf is int and type(v) is int or leaf is str and type(v) is str)
+        ]))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        given = _replaced(python_form(doc, kind, rnd, arrays=False), path, hostile)
+        with pytest.raises(error) as raised:
+            _read(given, kind, what, error)
+        at = what + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+        assert str(raised.value).startswith(f"{at}: expected "), str(raised.value)
+        assert len(str(raised.value)) < 200

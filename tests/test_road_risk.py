@@ -48,7 +48,7 @@ from causalrating.errors import ParameterError, UnknownVariable, ValueOutOfRange
 from causalrating import cli, confounded_mediation_example, dataset_to_csv, empirical_joint, frontdoor_adjust, random_scm
 from causalrating.graph import d_separated, frontdoor_failure
 from causalrating import scm as scm_module
-from causalrating.road_risk import _FLOAT_FIELDS, _chain, _factorization_residual
+from causalrating.road_risk import _SCENARIO_DOC, _chain, _factorization_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,14 +139,14 @@ class TestTtaDiscretize:
     )
     def test_threshold_that_is_not_a_finite_number_rejected(self, thresholds):
         # A bool was read as 1.0 and a string or bytes as the number it spells.
-        with pytest.raises(ParameterError, match="thresholds must hold finite numbers"):
+        with pytest.raises(ParameterError, match=r"^thresholds\[\d\]: expected a finite number, got "):
             tta_discretize(0.5, thresholds)
 
     # Bytes were iterated as integers, so b"421" read as (52.0, 50.0, 49.0);
     # a nested or scalar threshold escaped as TypeError.
     @pytest.mark.parametrize("thresholds", [b"421", [[4.0]], 4.0])
     def test_thresholds_that_are_not_an_array_of_numbers_rejected(self, thresholds):
-        with pytest.raises(ParameterError, match="^thresholds must hold finite numbers"):
+        with pytest.raises(ParameterError, match=r"^thresholds(\[0\])?: expected a"):
             tta_discretize(0.5, thresholds)
 
     def test_non_decreasing_thresholds_rejected(self):
@@ -193,7 +193,7 @@ class TestScenarioValidation:
     def test_missing_confounder_key_rejected(self):
         s = default_scenario()
         cs = {k: v for k, v in s.confounder_strength.items() if k != "hazard"}
-        with pytest.raises(ParameterError, match="^confounder_strength must hold finite numbers under the keys"):
+        with pytest.raises(ParameterError, match=r"^confounder_strength\.hazard: missing field$"):
             dataclasses.replace(s, confounder_strength=cs)
 
     # Each escaped as TypeError, or (bytes) was read as the numbers of its bytes.
@@ -210,7 +210,7 @@ class TestScenarioValidation:
         ],
     )
     def test_value_not_of_its_declared_kind_rejected(self, field, value):
-        with pytest.raises(ParameterError, match=f"^{field} must hold finite numbers"):
+        with pytest.raises(ParameterError, match=rf"^{field}(\[\d\])*: expected an? "):
             dataclasses.replace(default_scenario(), **{field: value})
 
     def test_hazard_overflow_rejected(self):
@@ -223,6 +223,20 @@ class TestScenarioValidation:
     def test_depth_must_be_positive(self):
         with pytest.raises(ParameterError):
             canonical_scenario(0)
+
+    # NumPy raised TypeError on 1.5 and 2.0, and ValueError on NaN and infinity.
+    @pytest.mark.parametrize("depth", [1.5, 2.0, math.nan, math.inf])
+    def test_canonical_depth_must_be_an_integer(self, depth):
+        with pytest.raises(ParameterError, match="^depth: expected an integer, got "):
+            canonical_scenario(depth)
+
+    def test_python_and_json_misreads_share_one_message(self):
+        with pytest.raises(ParameterError) as python:
+            dataclasses.replace(default_scenario(), depth=2.0)
+        with pytest.raises(ParameterError) as doc:
+            scenario_from_json({**scenario_to_json(default_scenario()), "depth": 2.0})
+        assert str(python.value) == "depth: expected an integer, got 2.0"
+        assert str(doc.value) == "scenario." + str(python.value)
 
     # Each was accepted, then failed in build_scenario with a TypeError or
     # was written by scenario_to_json as a document its reader refuses.
@@ -238,6 +252,9 @@ class TestScenarioValidation:
         s = dataclasses.replace(canonical_scenario(2), decision_card=np.int64(3))
         assert type(s.decision_card) is int
         assert scenario_from_json(scenario_to_json(s)) == s
+
+
+FLOAT_FIELDS = [f for f, kind in _SCENARIO_DOC.items() if type(kind) in (list, dict)]
 
 
 def map_leaves(value, f):
@@ -258,7 +275,7 @@ class TestScenarioJson:
     # Each field given as exact fractions is kept as floats, so the writer
     # emits JSON numbers its reader takes back; confounder_strength kept
     # the fractions, and scenario_to_json raised TypeError.
-    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
     def test_float_field_stored_as_floats_round_trips(self, field):
         s = default_scenario()
         given = dataclasses.replace(s, **{field: map_leaves(getattr(s, field), Fraction)})
@@ -268,10 +285,10 @@ class TestScenarioJson:
 
     # float(True) is 1.0, so a bool was read as a probability or a threshold;
     # scenario_to_json then wrote ``true``, which scenario_from_json refuses.
-    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
     def test_bool_in_float_field_refused(self, field):
         s = default_scenario()
-        with pytest.raises(ParameterError, match=f"^{field} must hold finite numbers"):
+        with pytest.raises(ParameterError, match=rf"^{field}(\[0\])*(\.\w+)?: expected a finite number, got True$"):
             dataclasses.replace(s, **{field: map_leaves(getattr(s, field), lambda v: True)})
 
     def test_schema_version_mandatory(self):
@@ -568,13 +585,13 @@ class TestSimulateJourneys:
 
     @pytest.mark.parametrize("n,seed,name", [(2.5, 1, "n"), (2, 1.0, "seed"), (2, False, "seed")])
     def test_counters_must_be_integers(self, n, seed, name):
-        with pytest.raises(ValueOutOfRange, match=f"^{name} must be an integer"):
+        with pytest.raises(ValueOutOfRange, match=rf"^{name}: expected an integer( >= 1)?, got "):
             simulate_journeys(default_scenario(), n, seed)
 
     @pytest.mark.parametrize("n,seed,name", [(0, 1, "n"), (2.5, 1, "n"), (2, 1.0, "seed"), (2, False, "seed")])
     def test_write_journeys_refuses_what_simulate_journeys_refuses(self, n, seed, name):
         written = []
-        with pytest.raises(ValueOutOfRange, match=f"^{name} must be"):
+        with pytest.raises(ValueOutOfRange, match=f"^{name}: expected an integer"):
             write_journeys(default_scenario(), n, seed, written.append)
         assert written == []
 

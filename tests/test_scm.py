@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from causalrating import (
     DiscreteScm,
     JointTable,
     NormalizationError,
+    ParameterError,
     ShapeError,
     StateSpaceTooLarge,
     UnknownNodeError,
@@ -106,12 +109,36 @@ class TestBuildScm:
     def test_cardinality_that_is_not_an_integer_refused(self, card):
         dag = Dag(["A", "B"], [("A", "B")], [])
         cpt = {"A": [[0.5, 0.5]], "B": [[0.5, 0.5], [0.5, 0.5]]}
-        with pytest.raises(ShapeError, match="cardinality of A must be an integer"):
+        with pytest.raises(ShapeError, match=r"^card\.A: expected an integer >= 2, got "):
             DiscreteScm(dag, {"A": card, "B": 2}, cpt)
-        with pytest.raises(ShapeError, match="cardinality of A must be an integer"):
+        with pytest.raises(ShapeError, match=r"^card\.A: expected an integer >= 2, got "):
             random_scm(dag, 0, card)
-        with pytest.raises(ShapeError, match="cardinality of A must be an integer"):
+        with pytest.raises(ShapeError, match=r"^card\.A: expected an integer >= 2, got "):
             random_scm(dag, 0, {"A": card})
+
+    # NumPy raised ValueError (a negative seed or concentration), TypeError
+    # (a fractional seed) or, on a NaN concentration, a RuntimeWarning.
+    @pytest.mark.parametrize(
+        "args,error,want",
+        [
+            ((-1,), ValueOutOfRange, "seed: expected an integer >= 0, got -1"),
+            ((1.5,), ValueOutOfRange, "seed: expected an integer >= 0, got 1.5"),
+            ((0, 2, -1), ParameterError, "concentration: expected a finite number >= 0, got -1"),
+            ((0, 2, math.nan), ParameterError, "concentration: expected a finite number >= 0, got nan"),
+        ],
+        ids=["negative-seed", "fractional-seed", "negative-concentration", "nan-concentration"],
+    )
+    def test_random_scm_refuses_a_bad_seed_or_concentration(self, args, error, want):
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as raised:
+                random_scm(dag, *args)
+        assert str(raised.value) == want
+
+    def test_random_scm_takes_concentration_zero(self):
+        scm = random_scm(Dag(["A"], [], []), 0, 3, 0)
+        assert np.allclose(scm.cpt["A"], 1 / 3)
 
     def test_numpy_integer_cardinality_kept_as_int(self):
         dag = Dag(["A", "B"], [("A", "B")], [])
@@ -228,6 +255,16 @@ class TestJointTable:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ShapeError):
             JointTable(("A", "A"), (2, 2), np.full((2, 2), 0.25))
+
+    # NumPy's OverflowError and ValueError escaped from the float cast.
+    @pytest.mark.parametrize("probs", [[10**400, 0.5], "ab"])
+    def test_probs_that_are_not_numbers_refused(self, probs):
+        with pytest.raises(ShapeError, match="^probs: expected finite numbers, got "):
+            JointTable(("A",), (2,), probs)
+
+    def test_cpt_entry_past_the_float_range_refused(self):
+        with pytest.raises(ShapeError, match="^CPT for A: int too large to convert to float$"):
+            DiscreteScm(Dag(["A"], []), {"A": 2}, {"A": [[10**400, 0.5]]})
 
     def test_empirical_joint_rejects_a_repeated_name(self):
         ds = sample(copy_chain(), 100, seed=1)
@@ -617,6 +654,10 @@ class TestSampling:
         assert got.getvalue() == text.getvalue().encode() == csv_writer_bytes(want, order)
         assert np.array_equal(kept.rows, want)  # a later draw leaves a returned sample alone
 
+    def test_numpy_seed_is_read_as_an_int(self):
+        # -1 & (2**64 - 1) overflowed int64 in the seed's hash.
+        assert np.array_equal(sample(copy_chain(), 3, np.int64(-1)).rows, sample(copy_chain(), 3, -1).rows)
+
     def test_negative_start_rejected(self):
         with pytest.raises(ValueOutOfRange):
             sample(copy_chain(), 5, seed=1, start=-1)
@@ -633,7 +674,7 @@ class TestSampling:
         ],
     )
     def test_counters_must_be_integers(self, n, seed, start, name):
-        with pytest.raises(ValueOutOfRange, match=f"^{name} must be an integer"):
+        with pytest.raises(ValueOutOfRange, match=rf"^{name}: expected an integer( >= \d)?, got "):
             sample(copy_chain(), n, seed, start=start)
 
     @pytest.mark.parametrize("step", [-1, 0, 1])
