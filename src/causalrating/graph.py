@@ -14,7 +14,7 @@ import reprlib
 import sys
 from collections import deque
 from collections.abc import Mapping
-from itertools import islice
+from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import (
@@ -45,10 +45,6 @@ __all__ = [
 ]
 
 
-def _valid_name(name) -> bool:
-    return isinstance(name, str) and name.isascii() and name.isidentifier()
-
-
 class Dag:
     """Directed acyclic graph over named variables.
 
@@ -62,16 +58,16 @@ class Dag:
     __slots__ = ("nodes", "edges", "latent", "_parents", "_children", "_order")
 
     def __init__(self, nodes, edges, latent=()):
-        nodes = _names(nodes, "nodes", tuple)
+        nodes = _names(nodes, "nodes", kind=tuple)
         if len(set(nodes)) != len(nodes):
             raise GraphError("duplicate node names")
         for n in nodes:
-            if not _valid_name(n):
-                raise GraphError(f"invalid node name: {n!r}")
+            if not (n.isascii() and n.isidentifier()):
+                raise GraphError(f"invalid node name: {_shown(n)}")
         node_set = set(nodes)
         edge_list = [e if isinstance(e, str) else tuple(e) for e in edges]
         if bad := [e for e in edge_list if type(e) is not tuple or len(e) != 2]:
-            raise GraphError(f"an edge must be a pair of node names, got {bad[0]!r}")
+            raise GraphError(f"an edge must be a pair of node names, got {_shown(bad[0])}")
         if len(set(edge_list)) != len(edge_list):
             raise GraphError("duplicate edges")
         for a, b in edge_list:
@@ -79,9 +75,7 @@ class Dag:
                 raise UnknownNodeError(f"edge ({a}, {b}) references undeclared node")
             if a == b:
                 raise CycleError([a, a])
-        latent = _names(latent, "latent")
-        if not latent <= node_set:
-            raise UnknownNodeError("latent set references undeclared node")
+        latent = _names(latent, "latent", node_set)
 
         children = {n: [] for n in nodes}
         indeg = dict.fromkeys(nodes, 0)
@@ -124,16 +118,12 @@ class Dag:
     def topological_order(self) -> tuple:
         return self._order
 
-    def _check(self, v):
-        if v not in self._parents:
-            raise UnknownNodeError(f"unknown node: {v!r}")
-
     def parents(self, v) -> frozenset:
-        self._check(v)
+        _name(v, "v", self._parents)
         return frozenset(self._parents[v])
 
     def children(self, v) -> frozenset:
-        self._check(v)
+        _name(v, "v", self._parents)
         return frozenset(self._children[v])
 
     def _reach(self, starts, step, stop=frozenset()) -> frozenset:
@@ -151,12 +141,12 @@ class Dag:
 
     def ancestors(self, v) -> frozenset:
         """Strict ancestors of ``v`` (``v`` excluded)."""
-        self._check(v)
+        _name(v, "v", self._parents)
         return self._reach((v,), self._parents)
 
     def descendants(self, v) -> frozenset:
         """Strict descendants of ``v`` (``v`` excluded)."""
-        self._check(v)
+        _name(v, "v", self._parents)
         return self._reach((v,), self._children)
 
     def __eq__(self, other):
@@ -175,23 +165,44 @@ class Dag:
         return f"Dag(nodes={list(self.nodes)}, edges={sorted(self.edges)}, latent={sorted(self.latent)})"
 
 
-def _names(names, what: str, kind=frozenset):
-    """``names`` as a ``kind`` (a set by default) of variable names; a
-    bare string is refused, since it would be read as its letters."""
-    if isinstance(names, str):
-        raise ParameterError(f"{what} takes a collection of variable names")
-    return kind(names)
+_NAME_SETS = (list, tuple, set, frozenset, type({}.keys()))
 
 
-def _check_sets(dag: Dag, *sets):
-    for s in sets:
-        for v in s:
-            dag._check(v)
-    for i, a in enumerate(sets):
-        for b in sets[i + 1 :]:
-            inter = set(a) & set(b)
-            if inter:
-                raise OverlapError(f"sets overlap on {sorted(inter)}")
+def _name(value, path: str, known=None, error=UnknownNodeError) -> str:
+    """``value`` read as one variable name, else :class:`ParameterError`; a name
+    not in ``known``, when it is given, raises ``error``: ``unknown node: 'Q'``."""
+    if not isinstance(value, str):
+        raise ParameterError(f"{path}: expected a name, got {_shown(value)}")
+    if known is not None and value not in known:
+        raise error(f"unknown {'node' if error is UnknownNodeError else 'variable'}: {_shown(value)}")
+    return value
+
+
+def _names(value, path: str, known=None, error=UnknownNodeError, kind=frozenset):
+    """``value``, a list, tuple, set, frozenset or dict keys view of names, as a
+    ``kind`` (a set by default).  Anything else, a bare string (its letters), a
+    mapping or ``None``, raises :class:`ParameterError`, as does a member that
+    is no name; then the first name, sorted in a set, not in ``known`` raises
+    ``error``: ``observed[0]: expected a name, got 1``, ``unknown node: 'Q'``."""
+    if type(value) not in _NAME_SETS:
+        raise ParameterError(f"{path}: expected a collection of names, got {_shown(value)}")
+    try:  # the all-good case in a few C loops; a member of ``known`` is a name
+        names = kind(value)
+        if set(map(type, names)) <= {str} if known is None else not frozenset(names).difference(known):
+            return names
+    except TypeError:  # an unhashable member
+        pass
+    for i, v in enumerate(value):
+        _name(v, f"{path}[{i}]")
+    for v in sorted(value) if type(value) in (set, frozenset) else value:
+        _name(v, path, known, error)
+    return kind(value)
+
+
+def _disjoint(*sets) -> None:
+    for a, b in combinations(sets, 2):
+        if inter := a & b:
+            raise OverlapError(f"sets overlap on {sorted(inter)}")
 
 
 def d_separated(dag: Dag, X, Y, Z) -> bool:
@@ -213,10 +224,10 @@ def open_trail(dag: Dag, X, Y, Z):
     names and the result is deterministic.  A shortest walk in the state
     graph never visits a node twice, so it is already a simple trail.
     """
-    X, Y, Z = _names(X, "X"), _names(Y, "Y"), _names(Z, "Z")
+    X, Y, Z = (_names(s, path, dag._parents) for s, path in ((X, "X"), (Y, "Y"), (Z, "Z")))
     if not X or not Y:
         raise OverlapError("X and Y must be nonempty")
-    _check_sets(dag, X, Y, Z)
+    _disjoint(X, Y, Z)
     parents, children = dag._parents, dag._children
 
     # Z together with its ancestors: colliders are open exactly there.
@@ -248,9 +259,7 @@ def open_trail(dag: Dag, X, Y, Z):
 
 def mutilate(dag: Dag, do_set) -> Dag:
     """Copy of ``dag`` with every edge into a member of ``do_set`` removed."""
-    do_set = _names(do_set, "do_set")
-    _check_sets(dag, do_set)
-    return _cut(dag, into=do_set)
+    return _cut(dag, into=_names(do_set, "do_set", dag._parents))
 
 
 def _cut(dag: Dag, into=(), out_of=()) -> Dag:
@@ -269,8 +278,8 @@ def open_backdoor_trail(dag: Dag, x: str, y: str, Z):
     there are any, else a shortest back-door trail from x to y that
     ``Z`` leaves open.  Unknown or overlapping sets raise.
     """
-    Z = frozenset(Z)
-    _check_sets(dag, {x}, {y}, Z)
+    x, y, Z = _name(x, "x", dag._parents), _name(y, "y", dag._parents), _names(Z, "Z", dag._parents)
+    _disjoint({x}, {y}, Z)
     bad = Z & dag.descendants(x)
     if bad:
         return sorted(bad)
@@ -293,9 +302,10 @@ def frontdoor_failure(dag: Dag, x: str, y: str, M, strata=()):
     (c) without and with the strata; a failed (b) or (c) carries its
     open trail.  Unknown or overlapping sets raise.
     """
-    M, strata = frozenset(M), frozenset(strata)
-    _check_sets(dag, {x}, {y}, M)
-    _check_sets(dag, {x, y}, strata)
+    x, y = _name(x, "x", dag._parents), _name(y, "y", dag._parents)
+    M, strata = _names(M, "M", dag._parents), _names(strata, "strata", dag._parents)
+    _disjoint({x}, {y}, M)
+    _disjoint({x, y}, strata)
     if not M:
         return "empty mediator set"
     if y in dag._reach((x,), dag._children, stop=M):
@@ -358,7 +368,8 @@ def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool
     True iff outcome and candidate are d-separated by ``do_set`` in the
     surgically mutilated graph.
     """
-    do_set = _names(do_set, "do_set")
+    outcome, candidate = _name(outcome, "outcome", dag._parents), _name(candidate, "candidate", dag._parents)
+    do_set = _names(do_set, "do_set", dag._parents)
     if candidate in do_set or outcome in do_set:
         raise OverlapError("candidate/outcome may not be in the do-set")
     cut = mutilate(dag, do_set)
@@ -374,7 +385,8 @@ def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> Eliminati
     Unidentifiable when an open back-door trail (through a latent
     confounder) remains.
     """
-    observed = _names(observed, "observed")
+    candidate, outcome = _name(candidate, "candidate", dag._parents), _name(outcome, "outcome", dag._parents)
+    observed = _names(observed, "observed", dag._parents)
     if candidate == outcome:
         raise OverlapError("candidate and outcome must differ")
     _refuse_latent(dag, observed, "latent nodes in observed set")
@@ -478,15 +490,15 @@ def template(name: str) -> Dag:
     ``Fig4Chain`` and ``Fig6Canonical`` take a depth >= 1 inline, in
     ASCII digits, as in ``"Fig6Canonical(2)"``; no other id takes one.
     """
-    if name in _FIXED_TEMPLATES:
+    if _name(name, "name") in _FIXED_TEMPLATES:
         nodes, edges, latent = _FIXED_TEMPLATES[name]
         return Dag(nodes, edges, latent)
     base, paren, arg = name.partition("(")
     if base not in ("Fig4Chain", "Fig6Canonical"):
-        raise UnknownTemplate(f"unknown template: {name!r}")
+        raise UnknownTemplate(f"unknown template: {_shown(name)}")
     digits = arg.removesuffix(")")
     if paren and not (arg.endswith(")") and digits.isascii() and digits.isdecimal()):
-        raise UnknownTemplate(f"bad template argument: {name!r}")
+        raise UnknownTemplate(f"bad template argument: {_shown(name)}")
     if not paren or int(digits) < 1:
         raise UnknownTemplate(f"{base} requires depth >= 1")
     return _fig4_chain(int(digits)) if base == "Fig4Chain" else _fig6_canonical(int(digits))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -27,8 +27,10 @@ from .graph import (
     IDENTIFY_METHODS,
     Dag,
     _cut,
+    _name,
     _names,
     _refuse_latent,
+    _shown,
     frontdoor_failure,
     noise_verdict,
     open_backdoor_trail,
@@ -66,9 +68,7 @@ class EffectQuery:
     observed: frozenset = frozenset()
 
     def __post_init__(self):
-        for field in ("do", "observed"):
-            if isinstance(getattr(self, field), Mapping):
-                raise ParameterError(f"EffectQuery.{field} takes a collection of variable names")
+        _name(self.outcome, "EffectQuery.outcome")
         do = _names(self.do, "EffectQuery.do")
         observed = _names(self.observed, "EffectQuery.observed")
         if self.outcome in do or self.outcome in observed:
@@ -151,10 +151,7 @@ class ConfoundingGap:
 
 def _ordered(j: JointTable, names: Iterable[str]) -> tuple:
     """``names`` in the order of ``j.vars``; each must be in ``j``."""
-    names = set(names)
-    missing = names - set(j.vars)
-    if missing:
-        raise UnknownVariable(f"unknown variable: {min(missing)!r}")
+    names = _names(names, "names", j.vars, UnknownVariable)
     return tuple(v for v in j.vars if v in names)
 
 
@@ -199,7 +196,7 @@ def backdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, Z) -> EffectTable:
     :func:`open_backdoor_trail`.  A :class:`PositivityViolation` names
     the first cell (v, z) with P(z) > 0 = P(v, z).
     """
-    Z = _names(Z, "Z")
+    x, y, Z = _name(x, "x", dag._parents), _name(y, "y", dag._parents), _names(Z, "Z")
     _refuse_latent(dag, Z | set(j.vars), "latent nodes in joint or adjustment set")
     _choose(dag, y, (x,), (), "backdoor", frozenset(), (Z,))
     return _backdoor(j, x, y, Z)
@@ -236,6 +233,7 @@ def frontdoor_adjust(j: JointTable, dag: Dag, x: str, y: str, M, given=()) -> Ef
     cell in the order stratum, v, m, v'.  Returns the table over the one
     do-variable x and the strata ``given``, in the order of ``j.vars``.
     """
+    x, y = _name(x, "x", dag._parents), _name(y, "y", dag._parents)
     M, given = _names(M, "M"), _names(given, "given")
     _refuse_latent(dag, j.vars, "joint table contains latent nodes")
     _choose(dag, y, (x,), given, "frontdoor", M)
@@ -348,11 +346,10 @@ def identify_effect(
     the axes of ``probs``.
     """
     if method not in IDENTIFY_METHODS:
-        raise ParameterError(f"method must be one of {IDENTIFY_METHODS}, got {method!r}")
-    M, adjust = _names(mediators, "mediators"), _names(adjust, "adjust")
-    for v in (query.outcome, *query.do, *query.observed, *M, *adjust):
-        if v not in scm.card:
-            raise UnknownVariable(f"unknown variable: {v!r}")
+        raise ParameterError(f"method must be one of {IDENTIFY_METHODS}, got {_shown(method)}")
+    _names({query.outcome, *query.do, *query.observed}, "query", scm.card, UnknownVariable)
+    M = _names(mediators, "mediators", scm.card, UnknownVariable)
+    adjust = _names(adjust, "adjust", scm.card, UnknownVariable)
     dag, y = scm.dag, query.outcome
     do_vars = tuple(v for v in dag.topological_order if v in query.do)
     given = tuple(v for v in dag.topological_order if v in query.observed)
@@ -381,9 +378,9 @@ def confounding_gap(
     A ``u`` the graph does not flag latent raises :class:`ParameterError`
     either way.
     """
-    if u not in scm.dag.latent:
-        raise ParameterError(f"{u!r} is not flagged latent in the graph")
-    j = infer(scm, {u, x, y}) if joint is None else joint
+    if _name(u, "u") not in scm.dag.latent:
+        raise ParameterError(f"{_shown(u)} is not flagged latent in the graph")
+    j = infer(scm, {u, _name(x, "x"), _name(y, "y")}) if joint is None else joint
     c = chain_decompositions(j, x, u, y)
     return ConfoundingGap(i_x_y=c.i_a_y, i_ux_y=c.i_ab_y, i_u_y_given_x=c.i_b_y_given_a)
 
@@ -409,9 +406,7 @@ def rating_report(
     role :class:`UnknownVariable`.  ``joint``, when given, may be any joint of
     ``scm`` that holds the three roles; the default infers theirs alone."""
     verdict = noise_verdict(scm.dag, history, outcome, observed)
-    for v in (history, behavior, outcome):
-        if v in scm.dag.latent:
-            raise UnknownVariable(f"unknown variable: {v!r}")
+    _names([history, behavior, outcome], "roles", scm.card.keys() - scm.dag.latent, UnknownVariable)
     j = infer(scm, {history, behavior, outcome}) if joint is None else joint
     capacity = rating_comparison(j, history, behavior, outcome)
     return {"verdict": verdict.to_json(), "capacity_bits": capacity.to_json()}

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, OverlapError, UnknownVariable
+from .graph import _names
 from .scm import JointTable, _sum_to
 
 __all__ = [
@@ -27,8 +28,9 @@ MI_CLAMP_TOL = 1e-9
 AGREEMENT_TOL = 1e-9
 
 
-def _as_set(X) -> frozenset:
-    return frozenset([X]) if isinstance(X, str) else frozenset(X)
+def _as_set(X, path: str) -> frozenset:
+    """``X`` read by :func:`_names`, where a bare string is one name."""
+    return _names((X,) if isinstance(X, str) else X, path)
 
 
 def _check_disjoint(*sets):
@@ -47,7 +49,7 @@ def _clamp_mi(value: float, what: str) -> float:
 
 def entropy(j: JointTable, X) -> float:
     """H(X) = -sum p log2 p over the marginal of X, with 0 log 0 := 0."""
-    X = _as_set(X)
+    X = _as_set(X, "X")
     if not X:
         raise UnknownVariable("X must be nonempty")
     # The cells are non-negative already, so this equals marginal(j, X).
@@ -58,14 +60,14 @@ def entropy(j: JointTable, X) -> float:
 
 def conditional_entropy(j: JointTable, X, Z) -> float:
     """H(X | Z) = H(X, Z) - H(Z); H(X) when Z is empty."""
-    X, Z = _as_set(X), _as_set(Z)
+    X, Z = _as_set(X, "X"), _as_set(Z, "Z")
     _check_disjoint(X, Z)
     return entropy(j, X | Z) - (entropy(j, Z) if Z else 0.0)
 
 
 def mutual_information(j: JointTable, X, Y) -> float:
     """I(X; Y) = H(Y) - H(Y | X), clamped at zero."""
-    X, Y = _as_set(X), _as_set(Y)
+    X, Y = _as_set(X, "X"), _as_set(Y, "Y")
     if not X or not Y:
         raise OverlapError("X and Y must be nonempty")
     _check_disjoint(X, Y)
@@ -79,7 +81,7 @@ def conditional_mutual_information(j: JointTable, X, Y, Z) -> float:
     The two must agree within 1e-9 or a consistency error is raised.
     Both read H(Z), H(X,Z), H(Y,Z), H(X,Y,Z), each once; H(Z) = 0 for empty Z.
     """
-    X, Y, Z = _as_set(X), _as_set(Y), _as_set(Z)
+    X, Y, Z = _as_set(X, "X"), _as_set(Y, "Y"), _as_set(Z, "Z")
     if not X or not Y:
         raise OverlapError("X and Y must be nonempty")
     _check_disjoint(X, Y, Z)
@@ -109,7 +111,7 @@ def chain_decompositions(j: JointTable, A, B, Y) -> ChainDecomposition:
     Both decompositions are guaranteed to recompose within 1e-9.  The
     capacities and the confounding gap of :mod:`identify` are its views.
     """
-    A, B, Y = _as_set(A), _as_set(B), _as_set(Y)
+    A, B, Y = _as_set(A, "A"), _as_set(B, "B"), _as_set(Y, "Y")
     _check_disjoint(A, B, Y)
     rec = ChainDecomposition(
         i_ab_y=mutual_information(j, A | B, Y),

@@ -25,7 +25,7 @@ from .errors import (
     ValueOutOfRange,
     ZeroProbabilityEvidence,
 )
-from .graph import _GRAPH_DOC, Dag, _integer, _names, _read, _shown, dag_from_json, dag_to_json, mutilate
+from .graph import _GRAPH_DOC, Dag, _integer, _name, _names, _read, _shown, dag_from_json, dag_to_json, mutilate
 
 __all__ = [
     "JointTable",
@@ -47,6 +47,7 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_CELL_CAP = 1 << 24
+_INT64_CLIP = 2**63 - 1024  # the largest float64 below 2**63: clipped there, a float casts to int64
 _SCM_DOC = {"graph": _GRAPH_DOC, "card": {str: int}, "cpt": {str: [[float]]}, "parents?": {str: [str]}}
 
 
@@ -84,10 +85,7 @@ class JointTable:
         object.__setattr__(self, "probs", probs)
 
     def axis(self, var: str) -> int:
-        try:
-            return self.vars.index(var)
-        except ValueError:
-            raise UnknownVariable(f"unknown variable: {var!r}") from None
+        return self.vars.index(_name(var, "var", self.vars, UnknownVariable))
 
     def card(self, var: str) -> int:
         return self.cards[self.axis(var)]
@@ -96,15 +94,13 @@ class JointTable:
 def _sum_to(j: JointTable, keep) -> np.ndarray:
     """The mass of ``j`` on the variables in ``keep``, as a new array with
     its axes in ``j.vars`` order."""
-    for v in keep:
-        if v not in j.vars:
-            raise UnknownVariable(f"unknown variable: {v!r}")
+    keep = _names(keep, "keep", j.vars, UnknownVariable)
     return j.probs.sum(axis=tuple(i for i, v in enumerate(j.vars) if v not in keep))
 
 
 def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     """Sum out every variable not in ``keep`` (original order preserved)."""
-    keep = _names(keep, "keep")
+    keep = _names(keep, "keep", j.vars, UnknownVariable)
     if not keep:
         raise UnknownVariable("keep set must be nonempty")
     probs = _sum_to(j, keep)
@@ -126,18 +122,29 @@ def _value(var: str, val, card: int) -> int:
     return int(val)
 
 
+def _keys(values, path: str, known, error=UnknownNodeError) -> frozenset:
+    """The keys of the mapping ``values``, read by :func:`_names`."""
+    if not isinstance(values, Mapping):
+        raise ParameterError(f"{path}: expected an object, got {_shown(values)}")
+    return _names(tuple(values), path, known, error)
+
+
+def _assignment(values, path: str, card: Mapping[str, int], error=UnknownVariable) -> dict:
+    """``values``, a mapping of names in ``card`` to values, as a dict of
+    ints: its keys read by :func:`_keys`, each value by :func:`_value`."""
+    _keys(values, path, card, error)
+    return {v: _value(v, val, card[v]) for v, val in values.items()}
+
+
 def condition(j: JointTable, evidence: Mapping[str, int]) -> JointTable:
     """Condition on ``evidence`` and drop the evidenced variables."""
+    evidence = _assignment(evidence, "evidence", dict(zip(j.vars, j.cards)))
     if not evidence:
         return j
-    idx = [slice(None)] * len(j.vars)
-    for var, val in evidence.items():
-        ax = j.axis(var)
-        idx[ax] = _value(var, val, j.cards[ax])
-    sliced = j.probs[tuple(idx)]
+    sliced = j.probs[tuple(evidence.get(v, slice(None)) for v in j.vars)]
     total = float(sliced.sum())
     if total <= 0.0:
-        raise ZeroProbabilityEvidence(f"P({dict(evidence)}) = 0")
+        raise ZeroProbabilityEvidence(f"P({evidence}) = 0")
     vars_kept = tuple(v for v in j.vars if v not in evidence)
     cards_kept = tuple(c for v, c in zip(j.vars, j.cards) if v not in evidence)
     if not vars_kept:
@@ -162,21 +169,14 @@ class DiscreteScm:
         cpt: Mapping[str, np.ndarray],
         parents: Mapping[str, tuple] | None = None,
     ):
-        nodes = set(dag.nodes)
-        missing = nodes - set(card)
-        if missing:
-            raise ShapeError(f"card missing nodes: {sorted(missing)}")
-        missing = nodes - set(cpt)
-        if missing:
-            raise ShapeError(f"cpt missing nodes: {sorted(missing)}")
-        for k in set(card) | set(cpt):
-            if k not in nodes:
-                raise UnknownNodeError(f"unknown node: {k!r}")
+        for path, table in (("card", card), ("cpt", cpt)):
+            if missing := set(dag.nodes) - _keys(table, path, dag._parents):
+                raise ShapeError(f"{path} missing nodes: {sorted(missing)}")
         card = {n: _read(card[n], int, f"card.{n}", ShapeError, low=2) for n in dag.nodes}
         porder = {}
         for v in dag.nodes:
             if parents is not None and v in parents:
-                ps = tuple(parents[v])
+                ps = _names(parents[v], f"parents.{v}", kind=tuple)
                 if frozenset(ps) != dag.parents(v) or len(ps) != len(set(ps)):
                     raise ShapeError(
                         f"parent order for {v} does not match the graph: {ps}"
@@ -192,9 +192,7 @@ class DiscreteScm:
 
     def parents_of(self, v: str) -> tuple:
         """Parents of ``v`` in CPT row order."""
-        if v not in self.parents:
-            raise UnknownNodeError(f"unknown node: {v!r}")
-        return self.parents[v]
+        return self.parents[_name(v, "v", self.parents)]
 
 
 def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.ndarray:
@@ -341,17 +339,11 @@ def infer(
     result of more than ``max_cells`` cells raises
     :class:`StateSpaceTooLarge` before any table is built.
     """
-    evidence = dict(evidence or {})
-    for var, val in evidence.items():
-        if var not in scm.card:
-            raise UnknownVariable(f"unknown variable: {var!r}")
-        evidence[var] = _value(var, val, scm.card[var])
-    keep = _names(keep, "keep")
+    evidence = _assignment({} if evidence is None else evidence, "evidence", scm.card)
+    # A name in both keep and evidence is refused as unknown.
+    keep = _names(keep, "keep", scm.card.keys() - evidence.keys() if evidence else scm.card, UnknownVariable)
     if not keep:
         raise UnknownVariable("keep set must be nonempty")
-    for v in keep:
-        if v not in scm.card or v in evidence:
-            raise UnknownVariable(f"unknown variable: {v!r}")
 
     relevant = {*keep, *evidence}
     relevant |= scm.dag._reach(relevant, scm.dag._parents)
@@ -398,11 +390,8 @@ def _surgery(scm: DiscreteScm, rows: Mapping[str, np.ndarray]) -> DiscreteScm:
 
 def intervene(scm: DiscreteScm, assignment: Mapping[str, int]) -> DiscreteScm:
     """Graph surgery: cut incoming edges and pin each assigned node."""
-    rows = {}
-    for v, val in assignment.items():
-        if v not in scm.card:
-            raise UnknownNodeError(f"unknown node: {v!r}")
-        rows[v] = np.eye(scm.card[v])[_value(v, val, scm.card[v])]
+    assignment = _assignment(assignment, "assignment", scm.card, UnknownNodeError)
+    rows = {v: np.eye(scm.card[v])[val] for v, val in assignment.items()}
     return _surgery(scm, rows) if rows else scm
 
 
@@ -413,7 +402,7 @@ def do_distribution(
     given: Mapping[str, int] | None = None,
 ) -> np.ndarray:
     """Surgery oracle: P(outcome | do(do), given) on the mutilated model."""
-    return infer(intervene(scm, do), {outcome}, given).probs
+    return infer(intervene(scm, do), {_name(outcome, "outcome")}, given).probs
 
 
 # -- sampling ------------------------------------------------------------
@@ -459,36 +448,38 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
+        vars = _names(self.vars, "vars", kind=tuple)
+        cards = _read(self.cards, [int], "cards", ShapeError)
+        cards = tuple(_read(c, int, f"cards[{i}]", ShapeError, low=1) for i, c in enumerate(cards))
         rows = np.asarray(self.rows).view()  # made read-only below; the caller's array is not
-        if rows.ndim != 2 or rows.shape[1] != len(self.vars):
+        if rows.ndim != 2 or rows.shape[1] != len(vars):
             raise ShapeError("rows must be (n, len(vars))")
-        if len(set(self.vars)) != len(self.vars):
-            raise ShapeError(f"duplicate variable names: {tuple(self.vars)}")
-        if len(self.cards) != len(self.vars):
+        if len(set(vars)) != len(vars):
+            raise ShapeError(f"duplicate variable names: {vars}")
+        if len(cards) != len(vars):
             raise ShapeError("vars and cards length mismatch")
         if rows.dtype.kind not in "iu":
-            rows = _exact_int64(self.vars, self.cards, rows)
-        _check_range(self.vars, self.cards, rows)
+            rows = _exact_int64(vars, cards, rows)
+        _check_range(vars, cards, rows)
         rows.flags.writeable = False
-        object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "cards", tuple(self.cards))
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "rows", rows)
 
     def __len__(self):
         return self.rows.shape[0]
 
     def column(self, var: str) -> np.ndarray:
-        if var not in self.vars:
-            raise UnknownVariable(f"unknown variable: {var!r}")
-        return self.rows[:, self.vars.index(var)]
+        return self.rows[:, self.vars.index(_name(var, "var", self.vars, UnknownVariable))]
 
 
 def _exact_int64(vars: tuple, cards: tuple, rows: np.ndarray) -> np.ndarray:
     """``rows`` as int64, refusing with :class:`ValueOutOfRange` the first
     column that holds anything but an exact integer: a fraction, NaN, an
-    infinity, a bool or a string.  Values are clipped to ``-1..max(cards)``
-    first, so no cast overflows and :func:`_check_range` still refuses
-    every value out of range."""
+    infinity, a bool or a string.  Values are clipped to ``-1..max(cards)``,
+    and to at most ``_INT64_CLIP``, first, so no cast overflows and
+    :func:`_check_range` still refuses every value out of range of a card up
+    to that clip."""
     if rows.dtype.kind == "f":
         exact = np.isfinite(rows) & (rows == np.floor(rows))
     else:
@@ -496,7 +487,7 @@ def _exact_int64(vars: tuple, cards: tuple, rows: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~exact.all(axis=0))
     if bad.size:
         raise ValueOutOfRange(f"column {vars[bad[0]]} holds a value that is not an integer")
-    return np.clip(rows, -1, max(cards, default=0)).astype(np.int64)
+    return np.clip(rows, -1, min(max(cards, default=0), _INT64_CLIP)).astype(np.int64)
 
 
 def _check_range(vars: tuple, cards: tuple, rows: np.ndarray) -> None:
@@ -549,6 +540,8 @@ class _Sampler:
         seed = _read(seed, int, "seed", ValueOutOfRange)
         start = _read(start, int, "start", ValueOutOfRange, low=0)
         n = _read(n, int, "n", ValueOutOfRange, low=1)
+        if n * len(self.order) * self.rows.itemsize > np.iinfo(np.intp).max:
+            raise ValueOutOfRange(f"n: {_shown(n)} rows of {len(self.order)} columns are past NumPy's array size")
         rows = np.empty((n, len(self.order)), self.rows.dtype, order="F")
         for _ in self.blocks(seed, start, n, rows):
             pass  # each block is drawn in its place in rows
@@ -596,7 +589,8 @@ def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
     Each row's draws depend only on (seed, row index, node), so
     ``sample(scm, n, seed, start=a)`` holds rows ``a..a+n-1`` of
     ``sample(scm, a + n, seed)``.  The rows are uint8 when every
-    cardinality is at most 256 and int64 otherwise.
+    cardinality is at most 256 and int64 otherwise, all held at once; an
+    ``n`` past NumPy's array size raises :class:`ValueOutOfRange`.
     """
     return _Sampler(scm).dataset(seed, start, n)
 
@@ -605,7 +599,7 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
     """Normalized frequency table over ``vars``.  Its size is the product
     of their cardinalities: one over ``DEFAULT_CELL_CAP`` raises
     :class:`StateSpaceTooLarge` before any table exists."""
-    vars = _names(vars, "vars", tuple)
+    vars = _names(vars, "vars", d.vars, UnknownVariable, tuple)
     if not vars:
         raise UnknownVariable("variable list must be nonempty")
     if len(d) == 0:
@@ -694,6 +688,8 @@ def random_scm(dag: Dag, seed: int, card=2, concentration: float = 1.0) -> Discr
     cpt = {}
     for v in dag.topological_order:
         n_rows = math.prod(cards[p] for p in dag._parents[v])
+        if (cells := n_rows * cards[v]) > DEFAULT_CELL_CAP:
+            raise StateSpaceTooLarge(f"CPT of {v} has {_shown(cells)} cells, over the cap {DEFAULT_CELL_CAP}")
         g = rng.gamma(concentration, size=(n_rows, cards[v]))
         g = np.maximum(g, 1e-12)
         cpt[v] = g / g.sum(axis=1, keepdims=True)

@@ -436,7 +436,7 @@ def reference_conditional_mutual_information(j: JointTable, X, Y, Z) -> float:
     H(X|Z) + H(Y|Z) - H(X,Y|Z), each conditional entropy on its own."""
     from causalrating.info import AGREEMENT_TOL, _as_set, _check_disjoint, _clamp_mi
 
-    X, Y, Z = _as_set(X), _as_set(Y), _as_set(Z)
+    X, Y, Z = _as_set(X, "X"), _as_set(Y, "Y"), _as_set(Z, "Z")
     if not X or not Y:
         raise OverlapError("X and Y must be nonempty")
     _check_disjoint(X, Y, Z)

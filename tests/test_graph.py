@@ -84,12 +84,12 @@ class TestBuildDag:
 
     def test_bare_string_nodes_refused(self):
         # "AB" was read as its letters, the nodes A and B.
-        with pytest.raises(ParameterError, match="nodes takes a collection"):
+        with pytest.raises(ParameterError, match="^nodes: expected a collection of names, got 'AB'$"):
             Dag("AB", [])
 
     def test_bare_string_latent_refused(self):
         # latent="U1" was read as the letters U and 1 and refused as undeclared.
-        with pytest.raises(ParameterError, match="latent takes a collection"):
+        with pytest.raises(ParameterError, match="^latent: expected a collection of names, got 'U1'$"):
             Dag(["U1", "Y"], [("U1", "Y")], "U1")
 
     def test_string_edge_refused(self):

@@ -469,7 +469,7 @@ class TestEffectQuery:
         # A mapping used to keep only its keys, so {"Y_h": 1} answered
         # for every stratum of Y_h instead of refusing the value.
         assert EffectQuery("Y_f", {"X_c"}, ["Y_h"]).observed == frozenset({"Y_h"})
-        with pytest.raises(ParameterError, match="EffectQuery.observed takes a collection"):
+        with pytest.raises(ParameterError, match="^EffectQuery.observed: expected a collection of names, got {'Y_h': 1}$"):
             EffectQuery("Y_f", {"X_c"}, {"Y_h": 1})
 
     # A string is a collection of its letters: "Y_h" would be read as
@@ -500,7 +500,7 @@ class TestEffectQuery:
     def test_a_bare_string_is_not_a_name_set(self, where):
         scm = confounded_mediation_example()
         j = observed_joint(scm)
-        with pytest.raises(ParameterError, match="takes a collection of variable names"):
+        with pytest.raises(ParameterError, match=": expected a collection of names, got '"):
             self.BARE_STRINGS[where](scm, j)
 
 

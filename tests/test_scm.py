@@ -136,6 +136,14 @@ class TestBuildScm:
                 random_scm(dag, *args)
         assert str(raised.value) == want
 
+    def test_random_scm_bounds_each_cpt_before_drawing(self):
+        # rng.gamma raised a bare ValueError: Maximum allowed dimension exceeded.
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        with pytest.raises(StateSpaceTooLarge, match=r"^CPT of A has <\d+-bit integer> cells, over the cap 16777216$"):
+            random_scm(dag, 0, 10**5000)
+        with pytest.raises(StateSpaceTooLarge, match="^CPT of B has 16777218 cells, over the cap 16777216$"):
+            random_scm(dag, 0, {"A": 2, "B": 2**23 + 1})
+
     def test_random_scm_takes_concentration_zero(self):
         scm = random_scm(Dag(["A"], [], []), 0, 3, 0)
         assert np.allclose(scm.cpt["A"], 1 / 3)
@@ -454,7 +462,7 @@ def constructed_surgery(scm, rows) -> DiscreteScm:
     by the constructor."""
     cpt = {**scm.cpt, **{v: np.reshape(row, (1, -1)) for v, row in rows.items()}}
     parents = {**scm.parents, **dict.fromkeys(rows, ())}
-    return DiscreteScm(mutilate(scm.dag, rows), scm.card, cpt, parents=parents)
+    return DiscreteScm(mutilate(scm.dag, rows.keys()), scm.card, cpt, parents=parents)
 
 
 def assert_same_model(got: DiscreteScm, want: DiscreteScm) -> None:
@@ -735,6 +743,32 @@ class TestSampling:
         # One card too few went unchecked; one too many raised IndexError.
         with pytest.raises(ShapeError, match="^vars and cards length mismatch$"):
             Dataset(("A", "B"), cards, np.zeros((3, 2), dtype=np.uint8), 0)
+
+    @pytest.mark.parametrize(
+        "cards,want",
+        [((2.5,), "cards[0]: expected an integer, got 2.5"), ((0,), "cards[0]: expected an integer >= 1, got 0")],
+        ids=["fractional", "zero"],
+    )
+    def test_dataset_reads_its_cards(self, cards, want):
+        # Both were accepted: a card was never read as an integer.
+        with pytest.raises(ShapeError) as raised:
+            Dataset(("A",), cards, [[0]], 0)
+        assert str(raised.value) == want
+
+    def test_dataset_takes_a_card_past_int64(self):
+        # np.clip to max(cards) raised a bare OverflowError.
+        assert Dataset(("A",), (10**5000,), [[0.0]], 0).rows.tolist() == [[0]]
+        with pytest.raises(ValueOutOfRange, match="^column A exceeds cardinality 3$"):
+            Dataset(("A", "B"), (3, 10**5000), [[1e30, 0.0]], 0)
+
+    def test_dataset_reads_its_vars(self):
+        with pytest.raises(ParameterError, match="^vars: expected a collection of names, got 'AB'$"):
+            Dataset("AB", (2, 2), [[0, 0]], 0)
+
+    def test_rows_past_the_array_size_refused_before_allocating(self):
+        # np.empty raised a bare ValueError: Maximum allowed dimension exceeded.
+        with pytest.raises(ValueOutOfRange, match=r"^n: \d+ rows of 2 columns are past NumPy's array size$"):
+            sample(copy_chain(), 2**70, 1)
 
     def test_card_300_takes_the_int64_path(self):
         dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")], [])
