@@ -65,14 +65,20 @@ class Dag:
             if not (n.isascii() and n.isidentifier()):
                 raise GraphError(f"invalid node name: {_shown(n)}")
         node_set = set(nodes)
-        edge_list = [e if isinstance(e, str) else tuple(e) for e in edges]
+        if type(edges) not in _NAME_SETS:
+            raise ParameterError(f"edges: expected a collection of edges, got {_shown(edges)}")
+        ordered = type(edges) not in (set, frozenset)  # a set's order changes from run to run
+        edge_list = [tuple(e) if type(e) in (tuple, list) else e for e in edges]
         if bad := [e for e in edge_list if type(e) is not tuple or len(e) != 2]:
-            raise GraphError(f"an edge must be a pair of node names, got {_shown(bad[0])}")
+            bad = bad[0] if ordered else min(bad, key=_shown)
+            raise GraphError(f"an edge must be a pair of node names, got {_shown(bad)}")
+        ends = [v for e in edge_list for v in e]
+        if not (set(map(type, ends)) <= {str} and node_set.issuperset(ends)):
+            for i, v in enumerate(ends if ordered else sorted(set(ends), key=_shown)):
+                _name(v, f"edges[{i // 2}][{i % 2}]" if ordered else "edges", node_set)
         if len(set(edge_list)) != len(edge_list):
             raise GraphError("duplicate edges")
         for a, b in edge_list:
-            if a not in node_set or b not in node_set:
-                raise UnknownNodeError(f"edge ({a}, {b}) references undeclared node")
             if a == b:
                 raise CycleError([a, a])
         latent = _names(latent, "latent", node_set)
@@ -182,8 +188,9 @@ def _names(value, path: str, known=None, error=UnknownNodeError, kind=frozenset)
     """``value``, a list, tuple, set, frozenset or dict keys view of names, as a
     ``kind`` (a set by default).  Anything else, a bare string (its letters), a
     mapping or ``None``, raises :class:`ParameterError`, as does a member that
-    is no name; then the first name, sorted in a set, not in ``known`` raises
-    ``error``: ``observed[0]: expected a name, got 1``, ``unknown node: 'Q'``."""
+    is no name (in a set, the least shown, without an index); then the first
+    name, sorted in a set, not in ``known`` raises ``error``:
+    ``observed[0]: expected a name, got 1``, ``unknown node: 'Q'``."""
     if type(value) not in _NAME_SETS:
         raise ParameterError(f"{path}: expected a collection of names, got {_shown(value)}")
     try:  # the all-good case in a few C loops; a member of ``known`` is a name
@@ -192,9 +199,10 @@ def _names(value, path: str, known=None, error=UnknownNodeError, kind=frozenset)
             return names
     except TypeError:  # an unhashable member
         pass
-    for i, v in enumerate(value):
-        _name(v, f"{path}[{i}]")
-    for v in sorted(value) if type(value) in (set, frozenset) else value:
+    unordered = type(value) in (set, frozenset)  # a set's order changes from run to run
+    for i, v in enumerate(sorted(value, key=_shown) if unordered else value):
+        _name(v, path if unordered else f"{path}[{i}]")
+    for v in sorted(value) if unordered else value:
         _name(v, path, known, error)
     return kind(value)
 
@@ -576,7 +584,7 @@ def _read(value, kind, path: str, error, low=None):
     ``float`` (a finite :func:`_real`), ``str``, ``[k]`` (a list, tuple or NumPy array of
     k), ``[k, n]`` (of n k), ``{str: k}`` (a mapping of k) or a dict of fields (a mapping
     with exactly these, where a name ending in "?" is optional).  Arrays come back as
-    tuples.  A number less than ``low``, when it is given, is misread."""
+    tuples.  A number less than ``low``, when it is given, alone or in an array, is misread."""
     if type(kind) is dict and str not in kind:
         if isinstance(value, Mapping):
             fields, read = {f.rstrip("?"): k for f, k in kind.items()}, {}
@@ -587,14 +595,14 @@ def _read(value, kind, path: str, error, low=None):
             if missing := [f for f in kind if f[-1] != "?" and f not in value]:
                 raise error(f"{_at(path, missing[0])}: missing field")
             return read
-    elif (read := _all_of([value], kind)) is not None and (low is None or read[0] >= low):
+    elif (read := _all_of([value], kind)) is not None and (low is None or type(kind) is type and read[0] >= low):
         return read[0]
     elif type(kind) is list:
         np = sys.modules.get("numpy")  # loaded, if value is a NumPy array
         if np and isinstance(value, np.ndarray) and value.ndim:
-            return _read(value.tolist(), kind, path, error)
+            return _read(value.tolist(), kind, path, error, low)
         if isinstance(value, (list, tuple)) and (len(kind) == 1 or len(value) == kind[1]):
-            return tuple(_read(v, kind[0], f"{path}[{i}]", error) for i, v in enumerate(value))
+            return tuple(_read(v, kind[0], f"{path}[{i}]", error, low) for i, v in enumerate(value))
     elif type(kind) is dict:
         if isinstance(value, Mapping):
             return {f: _read(v, kind[str], _at(path, f), error) for f, v in value.items()}
@@ -603,7 +611,7 @@ def _read(value, kind, path: str, error, low=None):
             return _read(int(value) if _integer(value) else float(value), kind, path, error, low)
     expected = _EXPECTED[kind if type(kind) is type else type(kind)]
     expected += f" of {kind[1]}" if type(kind) is list and len(kind) > 1 else ""
-    expected += "" if low is None else f" >= {low}"
+    expected += "" if low is None or type(kind) is list else f" >= {low}"
     raise error(f"{path}: expected {expected}, got {_shown(value)}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, OverlapError, UnknownVariable
-from .graph import _names
+from .graph import _disjoint, _names
 from .scm import JointTable, _sum_to
 
 __all__ = [
@@ -28,17 +28,9 @@ MI_CLAMP_TOL = 1e-9
 AGREEMENT_TOL = 1e-9
 
 
-def _as_set(X, path: str) -> frozenset:
+def _as_set(X, path: str, known=None) -> frozenset:
     """``X`` read by :func:`_names`, where a bare string is one name."""
-    return _names((X,) if isinstance(X, str) else X, path)
-
-
-def _check_disjoint(*sets):
-    for i, a in enumerate(sets):
-        for b in sets[i + 1 :]:
-            inter = a & b
-            if inter:
-                raise OverlapError(f"variable sets overlap on {sorted(inter)}")
+    return _names((X,) if isinstance(X, str) else X, path, known, UnknownVariable)
 
 
 def _clamp_mi(value: float, what: str) -> float:
@@ -49,7 +41,7 @@ def _clamp_mi(value: float, what: str) -> float:
 
 def entropy(j: JointTable, X) -> float:
     """H(X) = -sum p log2 p over the marginal of X, with 0 log 0 := 0."""
-    X = _as_set(X, "X")
+    X = _as_set(X, "X", j.vars)
     if not X:
         raise UnknownVariable("X must be nonempty")
     # The cells are non-negative already, so this equals marginal(j, X).
@@ -61,7 +53,7 @@ def entropy(j: JointTable, X) -> float:
 def conditional_entropy(j: JointTable, X, Z) -> float:
     """H(X | Z) = H(X, Z) - H(Z); H(X) when Z is empty."""
     X, Z = _as_set(X, "X"), _as_set(Z, "Z")
-    _check_disjoint(X, Z)
+    _disjoint(X, Z)
     return entropy(j, X | Z) - (entropy(j, Z) if Z else 0.0)
 
 
@@ -70,7 +62,7 @@ def mutual_information(j: JointTable, X, Y) -> float:
     X, Y = _as_set(X, "X"), _as_set(Y, "Y")
     if not X or not Y:
         raise OverlapError("X and Y must be nonempty")
-    _check_disjoint(X, Y)
+    _disjoint(X, Y)
     return _clamp_mi(entropy(j, Y) - conditional_entropy(j, Y, X), "MI")
 
 
@@ -84,7 +76,7 @@ def conditional_mutual_information(j: JointTable, X, Y, Z) -> float:
     X, Y, Z = _as_set(X, "X"), _as_set(Y, "Y"), _as_set(Z, "Z")
     if not X or not Y:
         raise OverlapError("X and Y must be nonempty")
-    _check_disjoint(X, Y, Z)
+    _disjoint(X, Y, Z)
     h_z = entropy(j, Z) if Z else 0.0
     h_xz, h_yz, h_xyz = entropy(j, X | Z), entropy(j, Y | Z), entropy(j, X | Y | Z)
     a = (h_yz - h_z) - (h_xyz - h_xz)
@@ -112,7 +104,7 @@ def chain_decompositions(j: JointTable, A, B, Y) -> ChainDecomposition:
     capacities and the confounding gap of :mod:`identify` are its views.
     """
     A, B, Y = _as_set(A, "A"), _as_set(B, "B"), _as_set(Y, "Y")
-    _check_disjoint(A, B, Y)
+    _disjoint(A, B, Y)
     rec = ChainDecomposition(
         i_ab_y=mutual_information(j, A | B, Y),
         i_a_y=mutual_information(j, A, Y),

@@ -47,7 +47,6 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_CELL_CAP = 1 << 24
-_INT64_CLIP = 2**63 - 1024  # the largest float64 below 2**63: clipped there, a float casts to int64
 _SCM_DOC = {"graph": _GRAPH_DOC, "card": {str: int}, "cpt": {str: [[float]]}, "parents?": {str: [str]}}
 
 
@@ -92,9 +91,8 @@ class JointTable:
 
 
 def _sum_to(j: JointTable, keep) -> np.ndarray:
-    """The mass of ``j`` on the variables in ``keep``, as a new array with
-    its axes in ``j.vars`` order."""
-    keep = _names(keep, "keep", j.vars, UnknownVariable)
+    """The mass of ``j`` on the variables in ``keep``, names of ``j`` read
+    already, as a new array with its axes in ``j.vars`` order."""
     return j.probs.sum(axis=tuple(i for i, v in enumerate(j.vars) if v not in keep))
 
 
@@ -449,8 +447,7 @@ class Dataset:
 
     def __post_init__(self):
         vars = _names(self.vars, "vars", kind=tuple)
-        cards = _read(self.cards, [int], "cards", ShapeError)
-        cards = tuple(_read(c, int, f"cards[{i}]", ShapeError, low=1) for i, c in enumerate(cards))
+        cards = _read(self.cards, [int], "cards", ShapeError, low=1)
         rows = np.asarray(self.rows).view()  # made read-only below; the caller's array is not
         if rows.ndim != 2 or rows.shape[1] != len(vars):
             raise ShapeError("rows must be (n, len(vars))")
@@ -458,9 +455,10 @@ class Dataset:
             raise ShapeError(f"duplicate variable names: {vars}")
         if len(cards) != len(vars):
             raise ShapeError("vars and cards length mismatch")
-        if rows.dtype.kind not in "iu":
+        if rows.dtype.kind in "iu":
+            _check_range(vars, cards, rows)
+        else:
             rows = _exact_int64(vars, cards, rows)
-        _check_range(vars, cards, rows)
         rows.flags.writeable = False
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "cards", cards)
@@ -475,11 +473,10 @@ class Dataset:
 
 def _exact_int64(vars: tuple, cards: tuple, rows: np.ndarray) -> np.ndarray:
     """``rows`` as int64, refusing with :class:`ValueOutOfRange` the first
-    column that holds anything but an exact integer: a fraction, NaN, an
-    infinity, a bool or a string.  Values are clipped to ``-1..max(cards)``,
-    and to at most ``_INT64_CLIP``, first, so no cast overflows and
-    :func:`_check_range` still refuses every value out of range of a card up
-    to that clip."""
+    column that holds anything but an exact integer (a fraction, NaN, an
+    infinity, a bool or a string), a value out of :func:`_check_range`, or
+    one past int64, which a card over ``2**63`` allows.  The values are
+    compared as they are, before the cast."""
     if rows.dtype.kind == "f":
         exact = np.isfinite(rows) & (rows == np.floor(rows))
     else:
@@ -487,16 +484,19 @@ def _exact_int64(vars: tuple, cards: tuple, rows: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~exact.all(axis=0))
     if bad.size:
         raise ValueOutOfRange(f"column {vars[bad[0]]} holds a value that is not an integer")
-    return np.clip(rows, -1, min(max(cards, default=0), _INT64_CLIP)).astype(np.int64)
+    _check_range(vars, cards, rows)
+    if past := [v for v, hi in zip(vars, rows.max(axis=0).tolist() if rows.size else ()) if hi >= 2**63]:
+        raise ValueOutOfRange(f"column {past[0]} holds a value past int64")
+    return rows.astype(np.int64)
 
 
 def _check_range(vars: tuple, cards: tuple, rows: np.ndarray) -> None:
     """Refuse the first column of ``rows`` with a value outside ``0..card-1``."""
     if rows.size:
-        low = rows.min(axis=0).tolist() if rows.dtype.kind == "i" else [0] * len(cards)
+        low = [0] * len(cards) if rows.dtype.kind == "u" else rows.min(axis=0).tolist()
         for k, (lo, hi, c) in enumerate(zip(low, rows.max(axis=0).tolist(), cards)):
             if lo < 0 or hi >= c:
-                raise ValueOutOfRange(f"column {vars[k]} exceeds cardinality {c}")
+                raise ValueOutOfRange(f"column {vars[k]} exceeds cardinality {_shown(c)}")
 
 
 # Rows are drawn, masked and written this many at a time, so the sampler's
@@ -608,7 +608,7 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
     cards = tuple(d.cards[d.vars.index(v)] for v in vars)
     size = math.prod(cards)
     if size > DEFAULT_CELL_CAP:
-        raise StateSpaceTooLarge(f"state space {size} exceeds cap {DEFAULT_CELL_CAP}")
+        raise StateSpaceTooLarge(f"state space {_shown(size)} exceeds cap {DEFAULT_CELL_CAP}")
     codes = np.zeros(len(d), dtype=np.int64)
     for col, card in zip(cols, cards):
         codes = codes * card + col

@@ -434,12 +434,13 @@ def loop_dict(t: EffectTable, strata: bool = True) -> dict:
 def reference_conditional_mutual_information(j: JointTable, X, Y, Z) -> float:
     """CMI oracle: I(X; Y | Z) as H(Y|Z) - H(Y|X,Z), cross-checked against
     H(X|Z) + H(Y|Z) - H(X,Y|Z), each conditional entropy on its own."""
-    from causalrating.info import AGREEMENT_TOL, _as_set, _check_disjoint, _clamp_mi
+    from causalrating.graph import _disjoint
+    from causalrating.info import AGREEMENT_TOL, _as_set, _clamp_mi
 
     X, Y, Z = _as_set(X, "X"), _as_set(Y, "Y"), _as_set(Z, "Z")
     if not X or not Y:
         raise OverlapError("X and Y must be nonempty")
-    _check_disjoint(X, Y, Z)
+    _disjoint(X, Y, Z)
     a = conditional_entropy(j, Y, Z) - conditional_entropy(j, Y, X | Z)
     b = (
         conditional_entropy(j, X, Z)

@@ -69,7 +69,8 @@ class TestBuildDag:
             Dag(["A"], [("A", "A")], [])
 
     def test_unknown_edge_endpoint(self):
-        with pytest.raises(UnknownNodeError):
+        # Was "edge (A, B) references undeclared node".
+        with pytest.raises(UnknownNodeError, match="^unknown node: 'B'$"):
             Dag(["A"], [("A", "B")], [])
 
     def test_matches_template(self):
@@ -101,6 +102,24 @@ class TestBuildDag:
         # A 3-tuple escaped as ValueError: too many values to unpack.
         with pytest.raises(GraphError, match="an edge must be a pair"):
             Dag(["A", "B", "C"], [("A", "B", "C")])
+
+    @pytest.mark.parametrize(
+        "edges,want",
+        [
+            # Each escaped as TypeError, the last as a bare ValueError from
+            # formatting a huge integer.
+            (None, "edges: expected a collection of edges, got None"),
+            ([(["A"], "A")], "edges[0][0]: expected a name, got ['A']"),
+            ([("A", "B"), ("B", 1)], "edges[1][1]: expected a name, got 1"),
+            ({("A", "B"), ("B", 2.5), ("A", 1)}, "edges: expected a name, got 1"),
+            ([(10**5000, "A")], "edges[0][0]: expected a name, got <16610-bit integer>"),
+        ],
+        ids=["None", "unhashable", "number", "set", "huge"],
+    )
+    def test_edge_endpoints_read_as_names(self, edges, want):
+        with pytest.raises(ParameterError) as raised:
+            Dag(["A", "B"], edges)
+        assert str(raised.value) == want
 
 
 class TestTemplates:

@@ -302,6 +302,12 @@ class TestJointTable:
         with pytest.raises(StateSpaceTooLarge, match=f"state space {2**width} exceeds cap"):
             empirical_joint(ds, names)
 
+    def test_empirical_joint_shows_a_huge_size_abbreviated(self):
+        # Formatting the size raised a bare ValueError past 4,300 digits.
+        ds = Dataset(("A",), (10**5000,), [[0]], 0)
+        with pytest.raises(StateSpaceTooLarge, match=r"^state space <16610-bit integer> exceeds cap 16777216$"):
+            empirical_joint(ds, ["A"])
+
     def test_dataset_column_rejects_an_unknown_name(self):
         # It used to raise tuple.index's bare ValueError.
         ds = sample(copy_chain(), 10, seed=1)
@@ -746,7 +752,7 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "cards,want",
-        [((2.5,), "cards[0]: expected an integer, got 2.5"), ((0,), "cards[0]: expected an integer >= 1, got 0")],
+        [((2.5,), "cards[0]: expected an integer >= 1, got 2.5"), ((0,), "cards[0]: expected an integer >= 1, got 0")],
         ids=["fractional", "zero"],
     )
     def test_dataset_reads_its_cards(self, cards, want):
@@ -760,6 +766,23 @@ class TestSampling:
         assert Dataset(("A",), (10**5000,), [[0.0]], 0).rows.tolist() == [[0]]
         with pytest.raises(ValueOutOfRange, match="^column A exceeds cardinality 3$"):
             Dataset(("A", "B"), (3, 10**5000), [[1e30, 0.0]], 0)
+        with pytest.raises(ValueOutOfRange, match=r"^column A exceeds cardinality <16610-bit integer>$"):
+            Dataset(("A",), (10**5000,), [[-1.0]], 0)
+
+    @pytest.mark.parametrize(
+        "card,value,want",
+        [
+            (10**5000, 1e30, "column A holds a value past int64"),
+            (2**64, 2.0**63, "column A holds a value past int64"),
+            (2**63, 2.0**63 + 4096, "column A exceeds cardinality 9223372036854775808"),
+        ],
+        ids=["1e30", "2**63", "past the card"],
+    )
+    def test_dataset_refuses_a_value_int64_cannot_hold(self, card, value, want):
+        # Each value was clipped to 2**63 - 1024 before the cast and stored as that.
+        with pytest.raises(ValueOutOfRange) as raised:
+            Dataset(("A",), (card,), [[value]], 0)
+        assert str(raised.value) == want
 
     def test_dataset_reads_its_vars(self):
         with pytest.raises(ParameterError, match="^vars: expected a collection of names, got 'AB'$"):
