@@ -610,7 +610,7 @@ def _read(value, kind, path: str, error, low=None):
         with contextlib.suppress(OverflowError):  # a Fraction past the float range
             return _read(int(value) if _integer(value) else float(value), kind, path, error, low)
     expected = _EXPECTED[kind if type(kind) is type else type(kind)]
-    expected += f" of {kind[1]}" if type(kind) is list and len(kind) > 1 else ""
+    expected += f" of {_shown(kind[1])}" if type(kind) is list and len(kind) > 1 else ""
     expected += "" if low is None or type(kind) is list else f" >= {low}"
     raise error(f"{path}: expected {expected}, got {_shown(value)}")
 

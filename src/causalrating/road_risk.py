@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from importlib import resources
+from operator import gt
 from typing import Mapping
 
 import numpy as np
@@ -55,6 +56,17 @@ _SCENARIO_DOC = {
     "decision_base": [[float]], "traffic_dist": [float], "escalation": [[[float]]],
     "accident_base": [float], "confounder_strength": dict.fromkeys(_CONFOUNDER_KEYS, float),
 }
+_COUNTS = {"depth": 1, "decision_card": 2, "traffic_card": 2}  # the least value of each count
+_THRESHOLDS = "positive, strictly decreasing numbers", lambda t: t and t[-1] > 0 and all(map(gt, t, t[1:]))
+# Each rule: what it expects, its test and {field: levels down the field to one value}.
+_VALUE_RULES = (
+    (str(SCENARIO_SCHEMA_VERSION), lambda v: v == SCENARIO_SCHEMA_VERSION, {"schema_version": 0}),
+    (*_THRESHOLDS, {"tta_thresholds": 0}),
+    ("a distribution", lambda r: abs(sum(r) - 1.0) <= 1e-9 and min(r) >= 0.0,
+     {"y_h_prior": 0, "traffic_dist": 0, "decision_base": 1}),
+    ("a probability", lambda p: 0.0 <= p <= 1.0,
+     {"journey_rate": 1, "escalation": 3, "accident_base": 1, "confounder_strength": 1}),
+)
 # The scenario's questions: the effect of (J_o, D) on Y_f, and the rating_report roles.
 EFFECT_QUERY = EffectQuery("Y_f", {"J_o", "D"})
 REPORT_ROLES = {"history": "Y_h", "behavior": "D", "outcome": "Y_f", "observed": ("J_o", "D")}
@@ -89,52 +101,21 @@ class RoadRiskScenario:
     schema_version: int = SCENARIO_SCHEMA_VERSION
 
     def __post_init__(self):
-        for name, value in _read(vars(self), _SCENARIO_DOC, "", ParameterError).items():
+        depth, dc, tc = counts = [_read(getattr(self, f), int, f, ParameterError) for f in _COUNTS]
+        for (f, low), n in zip(_COUNTS.items(), counts):
+            _check(n, f, 0, f"an integer >= {low}", low.__le__)
+        hc = len(_read(self.y_h_prior, [float], "y_h_prior", ParameterError))
+        doc = _SCENARIO_DOC | {"tta_thresholds": [float, depth + 1], "journey_rate": [float, hc],
+                               "traffic_dist": [float, tc], "accident_base": [float, 2],
+                               "decision_base": [[float, dc], 2], "escalation": [[[float, tc], dc], depth]}
+        for name, value in _read(vars(self), doc, "", ParameterError).items():
             object.__setattr__(self, name, value)
-        if self.schema_version != SCENARIO_SCHEMA_VERSION:
-            raise ParameterError(f"unsupported scenario schema_version {self.schema_version}")
-        self._validate()
-
-    def _validate(self):
-        if self.depth < 1:
-            raise ParameterError("depth must be >= 1")
-        if self.decision_card < 2 or self.traffic_card < 2:
-            raise ParameterError("decision and traffic cardinalities must be >= 2")
-        t = self.tta_thresholds
-        if len(t) != self.depth + 1:
-            raise ParameterError(f"need {self.depth + 1} TTA thresholds, got {len(t)}")
-        if any(x <= 0 for x in t) or any(a >= b for a, b in zip(t[1:], t[:-1])):
-            raise ParameterError("TTA thresholds must be strictly decreasing and positive")
-        for name, dist in (("y_h_prior", self.y_h_prior), ("traffic_dist", self.traffic_dist)):
-            if abs(sum(dist) - 1.0) > 1e-9 or min(dist) < 0:
-                raise ParameterError(f"{name} is not a distribution")
-        if len(self.traffic_dist) != self.traffic_card:
-            raise ParameterError("traffic_dist length != traffic_card")
-        if len(self.journey_rate) != len(self.y_h_prior):
-            raise ParameterError("journey_rate must have one entry per claim-history value")
-        if not all(0.0 <= r <= 1.0 for r in self.journey_rate):
-            raise ParameterError("journey rates must be probabilities")
-        if len(self.decision_base) != 2:
-            raise ParameterError("decision_base needs one row per journey-switch value")
-        for row in self.decision_base:
-            if len(row) != self.decision_card or abs(sum(row) - 1.0) > 1e-9 or min(row) < 0:
-                raise ParameterError("decision_base rows must be distributions over decisions")
-        if len(self.escalation) != self.depth:
-            raise ParameterError(f"need {self.depth} escalation stages")
-        for stage in self.escalation:
-            if len(stage) != self.decision_card:
-                raise ParameterError("escalation stage must cover every decision value")
-            for row in stage:
-                if len(row) != self.traffic_card or not all(0.0 <= p <= 1.0 for p in row):
-                    raise ParameterError("escalation entries must be probabilities per traffic value")
-        if len(self.accident_base) != 2 or not all(0.0 <= p <= 1.0 for p in self.accident_base):
-            raise ParameterError("accident_base must be two probabilities")
-        cs = self.confounder_strength
-        for key in _CONFOUNDER_KEYS:
-            if not 0.0 <= cs[key] <= 1.0:
-                raise ParameterError(f"confounder_strength.{key} must be a probability")
-        if max(self.accident_base) + cs["hazard"] > 1.0 + 1e-12:
-            raise ParameterError("accident_base + hazard exceeds 1")
+        for expected, ok, fields in _VALUE_RULES:
+            for field, levels in fields.items():
+                _check(getattr(self, field), field, levels, expected, ok)
+        if max(self.accident_base) + (hazard := self.confounder_strength["hazard"]) > 1.0 + 1e-12:
+            raise ParameterError(
+                f"confounder_strength.hazard: expected <= 1 - max(accident_base), got {_shown(hazard)}")
 
     @property
     def states(self) -> tuple:
@@ -143,6 +124,16 @@ class RoadRiskScenario:
     @property
     def traffic_vars(self) -> tuple:
         return tuple(f"T_{i}" for i in range(self.depth + 1))
+
+
+def _check(value, path: str, levels: int, expected: str, ok) -> None:
+    """Raise :class:`ParameterError` at the first part ``levels`` levels down ``value`` that fails ``ok``."""
+    if not levels:
+        if not ok(value):
+            raise ParameterError(f"{path}: expected {expected}, got {_shown(value)}")
+        return
+    for k, v in value.items() if type(value) is dict else enumerate(value):
+        _check(v, f"{path}.{k}" if type(k) is str else f"{path}[{k}]", levels - 1, expected, ok)
 
 
 def tta_discretize(tta: float, thresholds) -> int:
@@ -154,9 +145,7 @@ def tta_discretize(tta: float, thresholds) -> int:
     infinite reading (no collision course) is the safest state, and so is
     an integer past the float range: each comparison is exact.
     """
-    t = _read(thresholds, _SCENARIO_DOC["tta_thresholds"], "thresholds", ParameterError)
-    if not t or any(x <= 0 for x in t) or any(a >= b for a, b in zip(t[1:], t[:-1])):
-        raise ParameterError("thresholds must be strictly decreasing and positive")
+    _check(t := _read(thresholds, [float], "thresholds", ParameterError), "thresholds", 0, *_THRESHOLDS)
     if not _real(tta) or tta != tta:  # NaN
         raise ParameterError(f"TTA must be a number, got {_shown(tta)}")
     if tta < 0:
@@ -410,8 +399,11 @@ def evaluate_scenario(s: RoadRiskScenario) -> dict:
 
 
 def canonical_scenario(depth: int) -> RoadRiskScenario:
-    """Programmatic defaults for any chain depth (fixtures, not data)."""
+    """Programmatic defaults for chain depths 1 to 1074 (fixtures, not data):
+    past 1074, the last threshold, ``4 * 0.5**depth``, underflows to 0."""
     depth, dc, tc = _read(depth, int, "depth", ParameterError), 3, 2
+    if not 1 <= depth <= 1074:
+        raise ParameterError(f"depth: expected an integer from 1 to 1074, got {_shown(depth)}")
     base = 0.05 + 0.06 * np.arange(depth)[:, None, None]  # (stage, D, T)
     d, t = np.arange(dc)[:, None], np.arange(tc)
     esc = np.minimum(0.9, base * (1.0 + 2.2 * d / (dc - 1)) * (1.0 + 0.9 * t / (tc - 1)))

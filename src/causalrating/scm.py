@@ -59,16 +59,17 @@ class JointTable:
     probs: np.ndarray  # shape == cards
 
     def __post_init__(self):
+        names = _names(self.vars, "vars", kind=tuple)
         try:
             probs = np.asarray(self.probs, dtype=np.float64)
         except (OverflowError, ValueError):  # an int past the float range, a string
             raise ShapeError(f"probs: expected finite numbers, got {_shown(self.probs)}") from None
         if probs.shape != tuple(self.cards):
             raise ShapeError(f"probs shape {probs.shape} != cards {self.cards}")
-        if len(self.vars) != len(self.cards):
+        if len(names) != len(self.cards):
             raise ShapeError("vars and cards length mismatch")
-        if len(set(self.vars)) != len(self.vars):
-            raise ShapeError(f"duplicate variable names: {tuple(self.vars)}")
+        if len(set(names)) != len(names):
+            raise ShapeError(f"duplicate variable names: {names}")
         total = float(probs.sum())
         # A NaN or infinite cell makes the sum NaN or infinite.
         if not math.isfinite(total):
@@ -79,7 +80,7 @@ class JointTable:
             raise NormalizationError(f"mass sums to {total}, not 1")
         probs = np.clip(probs, 0.0, None)
         probs.flags.writeable = False
-        object.__setattr__(self, "vars", tuple(self.vars))
+        object.__setattr__(self, "vars", names)
         object.__setattr__(self, "cards", tuple(self.cards))
         object.__setattr__(self, "probs", probs)
 

@@ -2,6 +2,7 @@
 ``causalrating`` re-exports."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 import causalrating
 from causalrating import (
-    CausalRatingError, Dag, DiscreteScm, EffectQuery, Dataset, backdoor_adjust, chain_decompositions, condition,
-    conditional_entropy, conditional_mutual_information, confounded_mediation_example, confounding_gap,
-    d_separated, dag_from_json, do_distribution, empirical_joint, entropy, frontdoor_adjust, identify_effect, infer,
+    CausalRatingError, Dag, DiscreteScm, EffectQuery, Dataset, backdoor_adjust, canonical_scenario,
+    chain_decompositions, condition, conditional_entropy, conditional_mutual_information,
+    confounded_mediation_example, confounding_gap, d_separated, dag_from_json, default_scenario, do_distribution, empirical_joint, entropy, frontdoor_adjust, identify_effect, infer,
     intervene, marginal, mutilate, mutual_information, noise_verdict, open_trail, rating_comparison, rating_report,
     rule1_deletion_check, sample, template, tta_discretize,
 )
@@ -74,8 +75,16 @@ def test_names_read_by_the_benchmark_oracle_resolve():
         lambda: tta_discretize(-10**5000, (4.0, 2.0)),
         lambda: dag_from_json({"nodes": [10**5000], "edges": []}),
         lambda: DiscreteScm(Dag(["A"], []), {"A": 10**5000}, {"A": [[1.0]]}),
+        lambda: dataclasses.replace(default_scenario(), schema_version=10**5000),
+        lambda: dataclasses.replace(default_scenario(), depth=10**5000),
+        lambda: dataclasses.replace(default_scenario(), decision_card=10**5000),
+        lambda: dataclasses.replace(default_scenario(), traffic_card=10**5000),
+        lambda: canonical_scenario(10**5000),
     ],
-    ids=["evidence", "intervention", "max-cells", "tta", "node-name", "card"],
+    ids=[
+        "evidence", "intervention", "max-cells", "tta", "node-name", "card", "scenario-schema-version",
+        "scenario-depth", "scenario-decision-card", "scenario-traffic-card", "canonical-depth",
+    ],
 )
 def test_huge_integer_refused_with_a_short_message(call):
     with pytest.raises(CausalRatingError) as raised:

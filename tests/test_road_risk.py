@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -149,11 +150,55 @@ class TestTtaDiscretize:
         with pytest.raises(ParameterError, match=r"^thresholds(\[0\])?: expected a"):
             tta_discretize(0.5, thresholds)
 
+    # The scenario's threshold rule; the message named no value.
+    @pytest.mark.parametrize("thresholds", [(), (2.0, 2.0), (1.0, 3.0), (2.0, 0.0)])
+    def test_thresholds_share_the_scenario_rule(self, thresholds):
+        with pytest.raises(ParameterError) as raised:
+            tta_discretize(0.5, thresholds)
+        assert str(raised.value) == f"thresholds: expected positive, strictly decreasing numbers, got {thresholds}"
+
     def test_non_decreasing_thresholds_rejected(self):
         with pytest.raises(ParameterError):
             tta_discretize(1.0, (2.0, 2.0))
         with pytest.raises(ParameterError):
             tta_discretize(1.0, (1.0, 3.0))
+
+
+# One bad value per rule of the shipped depth-2 scenario (3 decisions, 2
+# traffic values, 3 claim-history values): the field, the index of the part
+# replaced, its new value (or a function of the old) and the start of the
+# message.  Each value was refused before too, but no length message named
+# the misread part.
+SCENARIO_RULES = [
+    ("tta_thresholds", (), (4.0, 2.0), "tta_thresholds: expected an array of 3, got (4.0, 2.0)"),
+    ("journey_rate", (), (0.9, 0.72), "journey_rate: expected an array of 3, got (0.9, 0.72)"),
+    ("decision_base", (), lambda a: a[:1], "decision_base: expected an array of 2, got ((0.45, 0.4, 0.15),)"),
+    ("decision_base", (1,), (0.5, 0.5), "decision_base[1]: expected an array of 3, got (0.5, 0.5)"),
+    ("traffic_dist", (), (0.5, 0.3, 0.2), "traffic_dist: expected an array of 2, got (0.5, 0.3, 0.2)"),
+    ("escalation", (), lambda a: a[:1], "escalation: expected an array of 2, got "),
+    ("escalation", (1,), lambda a: a[:2], "escalation[1]: expected an array of 3, got "),
+    ("escalation", (1, 2), (0.1,), "escalation[1][2]: expected an array of 2, got (0.1,)"),
+    ("accident_base", (), (0.015,), "accident_base: expected an array of 2, got (0.015,)"),
+    ("y_h_prior", (), (0.62, 0.28, 0.2), "y_h_prior: expected a distribution, got (0.62, 0.28, 0.2)"),
+    ("y_h_prior", (), (0.9, 0.2, -0.1), "y_h_prior: expected a distribution, got (0.9, 0.2, -0.1)"),
+    ("traffic_dist", (), (0.65, 0.3), "traffic_dist: expected a distribution, got (0.65, 0.3)"),
+    ("decision_base", (1,), (0.5, 0.35, 0.1), "decision_base[1]: expected a distribution, got (0.5, 0.35, 0.1)"),
+    ("journey_rate", (1,), 1.2, "journey_rate[1]: expected a probability, got 1.2"),
+    ("escalation", (0, 2, 1), -0.1, "escalation[0][2][1]: expected a probability, got -0.1"),
+    ("accident_base", (0,), -0.5, "accident_base[0]: expected a probability, got -0.5"),
+    ("confounder_strength", ("u_prob",), 1.5, "confounder_strength.u_prob: expected a probability, got 1.5"),
+    ("confounder_strength", ("decision_shift",), -0.5,
+     "confounder_strength.decision_shift: expected a probability, got -0.5"),
+    ("confounder_strength", ("hazard",), 0.5,
+     "confounder_strength.hazard: expected <= 1 - max(accident_base), got 0.5"),
+    ("tta_thresholds", (), (1.0, 2.0, 4.0), "tta_thresholds: expected positive, strictly decreasing numbers, got "),
+    ("tta_thresholds", (), (4.0, 2.0, 2.0), "tta_thresholds: expected positive, strictly decreasing numbers, got "),
+    ("tta_thresholds", (), (4.0, 2.0, -1.0), "tta_thresholds: expected positive, strictly decreasing numbers, got "),
+    ("depth", (), 0, "depth: expected an integer >= 1, got 0"),
+    ("decision_card", (), 1, "decision_card: expected an integer >= 2, got 1"),
+    ("traffic_card", (), 1, "traffic_card: expected an integer >= 2, got 1"),
+    ("schema_version", (), 2, "schema_version: expected 1, got 2"),
+]
 
 
 class TestScenarioValidation:
@@ -220,6 +265,31 @@ class TestScenarioValidation:
         with pytest.raises(ParameterError):
             dataclasses.replace(s, accident_base=(0.2, 0.6), confounder_strength=cs)
 
+    @pytest.mark.parametrize(
+        "field,index,part,message", SCENARIO_RULES, ids=[m.split(", got")[0] for *_, m in SCENARIO_RULES]
+    )
+    def test_each_rule_refuses_its_bad_value_by_path(self, field, index, part, message):
+        s = default_scenario()
+        with pytest.raises(ParameterError) as raised:
+            dataclasses.replace(s, **{field: replaced(getattr(s, field), index, part)})
+        assert str(raised.value).startswith(message), str(raised.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_an_array_of_the_wrong_length_is_named_by_its_path(self, data):
+        s = data.draw(scenarios())
+        field = data.draw(st.sampled_from(
+            ["tta_thresholds", "journey_rate", "decision_base", "traffic_dist", "escalation", "accident_base"]))
+        value, index = getattr(s, field), ()
+        for _ in range(data.draw(st.integers(0, {"decision_base": 1, "escalation": 2}.get(field, 0)))):
+            index += (data.draw(st.integers(0, len(value) - 1)),)
+            value = value[index[-1]]
+        part = value[:-1] if data.draw(st.booleans(), label="shorten") else value + value[-1:]
+        with pytest.raises(ParameterError) as raised:
+            dataclasses.replace(s, **{field: replaced(getattr(s, field), index, part)})
+        path = field + "".join(f"[{i}]" for i in index)
+        assert str(raised.value).startswith(f"{path}: expected an array of {len(value)}, got "), str(raised.value)
+
     def test_depth_must_be_positive(self):
         with pytest.raises(ParameterError):
             canonical_scenario(0)
@@ -229,6 +299,18 @@ class TestScenarioValidation:
     def test_canonical_depth_must_be_an_integer(self, depth):
         with pytest.raises(ParameterError, match="^depth: expected an integer, got "):
             canonical_scenario(depth)
+
+    # 10**5000 raised a bare ValueError from NumPy, and 2000 built its
+    # escalation before its last threshold, 0.0, was refused.
+    @pytest.mark.parametrize("depth", [1075, 2000, 10**9, 10**5000], ids=["1075", "2000", "1e9", "1e5000"])
+    def test_canonical_depth_past_the_threshold_underflow_refused_first(self, depth):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="^depth: expected an integer from 1 to 1074, got "):
+            canonical_scenario(depth)
+        assert time.perf_counter() - start < 0.1
+
+    def test_canonical_deepest_depth_accepted(self):
+        assert canonical_scenario(1074).tta_thresholds[-1] > 0.0
 
     def test_python_and_json_misreads_share_one_message(self):
         with pytest.raises(ParameterError) as python:
@@ -252,6 +334,15 @@ class TestScenarioValidation:
         s = dataclasses.replace(canonical_scenario(2), decision_card=np.int64(3))
         assert type(s.decision_card) is int
         assert scenario_from_json(scenario_to_json(s)) == s
+
+
+def replaced(value, index: tuple, part):
+    """The nested tuples or object ``value`` with the part at ``index``
+    replaced by ``part``, or by ``part(old)`` when it is a function."""
+    if not index:
+        return part(value) if callable(part) else part
+    k, new = index[0], replaced(value[index[0]], index[1:], part)
+    return {**value, k: new} if isinstance(value, dict) else (*value[:k], new, *value[k + 1:])
 
 
 FLOAT_FIELDS = [f for f, kind in _SCENARIO_DOC.items() if type(kind) in (list, dict)]

@@ -270,6 +270,15 @@ class TestJointTable:
         with pytest.raises(ShapeError, match="^probs: expected finite numbers, got "):
             JointTable(("A",), (2,), probs)
 
+    # Each was accepted; a name set read against such a table then trusted 1 as a name.
+    @pytest.mark.parametrize(
+        "names,message",
+        [([1], r"^vars\[0\]: expected a name, got 1$"), ("A", r"^vars: expected a collection of names, got 'A'$")],
+    )
+    def test_vars_read_as_names(self, names, message):
+        with pytest.raises(ParameterError, match=message):
+            JointTable(names, (2,), [0.5, 0.5])
+
     def test_cpt_entry_past_the_float_range_refused(self):
         with pytest.raises(ShapeError, match="^CPT for A: int too large to convert to float$"):
             DiscreteScm(Dag(["A"], []), {"A": 2}, {"A": [[10**400, 0.5]]})
