@@ -525,7 +525,7 @@ def dag_to_json(dag: Dag) -> dict:
 
 _FINITE = sys.float_info.max.__ge__  # applied to abs(x) of an int or float: false on NaN, inf, huge ints
 _EXPECTED = {int: "an integer", float: "a finite number", str: "a name", list: "an array", dict: "an object"}
-_GRAPH_DOC = {"nodes": [str], "edges": [[str, 2]], "latent?": [str]}
+_GRAPH_DOC = {"nodes": object, "edges": object, "latent?": object}  # Dag reads the values
 
 
 class _Shown(reprlib.Repr):
@@ -548,29 +548,24 @@ def _real(v) -> bool:
 
 
 def _all_of(values: list, kind) -> list | None:
-    """``values`` read as ``kind``, not an object with fields, a level at a time in a few
-    C loops; None unless every part is a JSON value (a list or tuple for an array) of its kind."""
+    """``values`` read as ``kind``, not an object with fields, a level at a time in a few C loops;
+    None unless every part is a JSON value (a list or tuple for an array) of its kind, any for ``object``."""
     types = set(map(type, values))
     if kind is float:  # a sum of floats is finite only if every term is; an overflow checks each term
         if types <= {float} and _FINITE(abs(sum(values))):
             return values
         return list(map(float, values)) if types <= {float, int} and all(map(_FINITE, map(abs, values))) else None
     if type(kind) is type:
-        return values if types <= {kind} else None
-    if type(kind) is list:
-        if not types <= {list, tuple} or len(kind) > 1 and set(map(len, values)) - {kind[1]}:
-            return None
-        read = _all_of(flat := [v for a in values for v in a], kind[0])
-        if read is flat:
-            return list(map(tuple, values))
-    elif types <= {dict}:
-        read = _all_of([v for d in values for v in d.values()], kind[str])
-    else:
+        return values if kind is object or types <= {kind} else None
+    if type(kind) is not list or not types <= {list, tuple} or len(kind) > 1 and set(map(len, values)) - {kind[1]}:
         return None
+    read = _all_of(flat := [v for a in values for v in a], kind[0])
     if read is None:
         return None
+    if read is flat:
+        return list(map(tuple, values))
     parts = iter(read)
-    return [tuple(islice(parts, len(a))) if type(kind) is list else dict(zip(a, parts)) for a in values]
+    return [tuple(islice(parts, len(a))) for a in values]
 
 
 def _at(path: str, key) -> str:
@@ -582,10 +577,11 @@ def _read(value, kind, path: str, error, low=None):
     """``value`` read as ``kind``, else raise ``error`` naming the first misread part
     below ``path``: ``scenario.depth: expected an integer, got 2.0``.  A kind is ``int``,
     ``float`` (a finite :func:`_real`), ``str``, ``[k]`` (a list, tuple or NumPy array of
-    k), ``[k, n]`` (of n k), ``{str: k}`` (a mapping of k) or a dict of fields (a mapping
-    with exactly these, where a name ending in "?" is optional).  Arrays come back as
-    tuples.  A number less than ``low``, when it is given, alone or in an array, is misread."""
-    if type(kind) is dict and str not in kind:
+    k), ``[k, n]`` (of n k), ``object`` (any value, as it is, for a model's constructor to
+    read) or a dict of fields (a mapping with exactly these, where a name ending in "?" is
+    optional).  Arrays come back as tuples.  A number less than ``low``, when it is given,
+    alone or in an array, is misread."""
+    if type(kind) is dict:
         if isinstance(value, Mapping):
             fields, read = {f.rstrip("?"): k for f, k in kind.items()}, {}
             for f, v in value.items():
@@ -603,9 +599,6 @@ def _read(value, kind, path: str, error, low=None):
             return _read(value.tolist(), kind, path, error, low)
         if isinstance(value, (list, tuple)) and (len(kind) == 1 or len(value) == kind[1]):
             return tuple(_read(v, kind[0], f"{path}[{i}]", error, low) for i, v in enumerate(value))
-    elif type(kind) is dict:
-        if isinstance(value, Mapping):
-            return {f: _read(v, kind[str], _at(path, f), error) for f, v in value.items()}
     elif _real(value) and type(value) not in (int, float):  # a Fraction or NumPy number, as an int or float
         with contextlib.suppress(OverflowError):  # a Fraction past the float range
             return _read(int(value) if _integer(value) else float(value), kind, path, error, low)

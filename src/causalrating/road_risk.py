@@ -104,8 +104,9 @@ class RoadRiskScenario:
         depth, dc, tc = counts = [_read(getattr(self, f), int, f, ParameterError) for f in _COUNTS]
         for (f, low), n in zip(_COUNTS.items(), counts):
             _check(n, f, 0, f"an integer >= {low}", low.__le__)
-        hc = len(_read(self.y_h_prior, [float], "y_h_prior", ParameterError))
-        doc = _SCENARIO_DOC | {"tta_thresholds": [float, depth + 1], "journey_rate": [float, hc],
+        y_h = _read(self.y_h_prior, [float], "y_h_prior", ParameterError)
+        _check(y_h, "y_h_prior", 0, "an array of 2 or more", lambda a: len(a) >= 2)
+        doc = _SCENARIO_DOC | {"tta_thresholds": [float, depth + 1], "journey_rate": [float, len(y_h)],
                                "traffic_dist": [float, tc], "accident_base": [float, 2],
                                "decision_base": [[float, dc], 2], "escalation": [[[float, tc], dc], depth]}
         for name, value in _read(vars(self), doc, "", ParameterError).items():
@@ -429,7 +430,7 @@ def scenario_to_json(s: RoadRiskScenario) -> dict:
 
 
 def scenario_from_json(doc: Mapping) -> RoadRiskScenario:
-    return RoadRiskScenario(**_read(doc, _SCENARIO_DOC, "scenario", ParameterError))
+    return RoadRiskScenario(**_read(doc, dict.fromkeys(_SCENARIO_DOC, object), "scenario", ParameterError))
 
 
 def default_scenario() -> RoadRiskScenario:

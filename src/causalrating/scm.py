@@ -25,7 +25,9 @@ from .errors import (
     ValueOutOfRange,
     ZeroProbabilityEvidence,
 )
-from .graph import _GRAPH_DOC, Dag, _integer, _name, _names, _read, _shown, dag_from_json, dag_to_json, mutilate
+from .graph import (
+    _GRAPH_DOC, Dag, _integer, _name, _names, _read, _real, _shown, dag_from_json, dag_to_json, mutilate,
+)
 
 __all__ = [
     "JointTable",
@@ -47,7 +49,12 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_CELL_CAP = 1 << 24
-_SCM_DOC = {"graph": _GRAPH_DOC, "card": {str: int}, "cpt": {str: [[float]]}, "parents?": {str: [str]}}
+_SCM_DOC = {"graph": _GRAPH_DOC, "card": object, "cpt": object, "parents?": object}  # DiscreteScm reads the values
+
+
+def _numeric(a) -> bool:
+    """Whether ``a`` is a NumPy array of numbers, not bools, which a table keeps in NumPy."""
+    return isinstance(a, np.ndarray) and a.dtype.kind in "fiu"
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,9 @@ class JointTable:
 
     def __post_init__(self):
         names = _names(self.vars, "vars", kind=tuple)
-        try:
+        try:  # each cell a real number, as in a CPT: no bool, string or bytes
+            if not (_numeric(self.probs) or all(map(_real, np.asarray(self.probs, dtype=object).flat))):
+                raise ValueError
             probs = np.asarray(self.probs, dtype=np.float64)
         except (OverflowError, ValueError):  # an int past the float range, a string
             raise ShapeError(f"probs: expected finite numbers, got {_shown(self.probs)}") from None
@@ -172,17 +181,14 @@ class DiscreteScm:
             if missing := set(dag.nodes) - _keys(table, path, dag._parents):
                 raise ShapeError(f"{path} missing nodes: {sorted(missing)}")
         card = {n: _read(card[n], int, f"card.{n}", ShapeError, low=2) for n in dag.nodes}
-        porder = {}
+        parents = {} if parents is None else parents
+        _keys(parents, "parents", dag._parents)
+        porder = dict(dag._parents)
         for v in dag.nodes:
-            if parents is not None and v in parents:
-                ps = _names(parents[v], f"parents.{v}", kind=tuple)
+            if v in parents:
+                ps = porder[v] = _names(parents[v], f"parents.{v}", kind=tuple)
                 if frozenset(ps) != dag.parents(v) or len(ps) != len(set(ps)):
-                    raise ShapeError(
-                        f"parent order for {v} does not match the graph: {ps}"
-                    )
-            else:
-                ps = dag._parents[v]
-            porder[v] = ps
+                    raise ShapeError(f"parent order for {v} does not match the graph: {ps}")
         tables = {v: _checked_cpt(v, cpt[v], card, porder[v]) for v in dag.nodes}
         _fill(self, dag, card, tables, porder)
 
@@ -197,15 +203,17 @@ class DiscreteScm:
 def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.ndarray:
     """``rows`` as the CPT of ``v`` under ``parents``: a new read-only
     C-contiguous array of one row per parent configuration, each a
-    distribution over the ``card[v]`` values of ``v``."""
+    distribution over the ``card[v]`` values of ``v``.  A numeric NumPy
+    array stays in NumPy; anything else is read by :func:`_read`."""
     n_rows = math.prod(card[p] for p in parents)
-    try:
-        t = np.array(rows, dtype=np.float64, order="C")
-    except (OverflowError, ValueError) as exc:  # ragged rows, non-numeric entries, an int past float range
-        raise ShapeError(f"CPT for {v}: {exc}") from None
+    if not _numeric(rows):
+        rows = _read(rows, [[float, card[v]], n_rows], f"cpt.{v}", ShapeError)
+    t = np.array(rows, dtype=np.float64, order="C")
     if t.shape != (n_rows, card[v]):
         raise ShapeError(f"CPT for {v}: shape {t.shape}, expected {_shown((n_rows, card[v]))}")
     if not (t.min() >= 0.0 and t.max() <= 1.0 + ROW_SUM_TOL):  # false on NaN too
+        for r, c in np.argwhere(~np.isfinite(t))[:1]:  # the first non-finite cell, misread as in a list
+            _read(float(t[r, c]), float, f"cpt.{v}[{r}][{c}]", ShapeError)
         raise NormalizationError(f"CPT for {v} has entries outside [0, 1]")
     bad = np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL
     if bad.any():

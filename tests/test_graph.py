@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalrating import (
+    CausalRatingError,
     CycleError,
     Dag,
+    DiscreteScm,
     GraphError,
     OverlapError,
     ParameterError,
-    ShapeError,
+    RoadRiskScenario,
     TEMPLATE_IDS,
     UnknownNodeError,
     UnknownTemplate,
@@ -30,12 +32,13 @@ from causalrating import (
     noise_verdict,
     open_trail,
     random_scm,
+    scenario_from_json,
+    scm_from_json,
+    scm_to_json,
     template,
 )
 import causalrating
-from causalrating.graph import _fig4_chain, _fig6_canonical, _read, frontdoor_failure, open_backdoor_trail
-from causalrating.road_risk import _SCENARIO_DOC
-from causalrating.scm import _SCM_DOC
+from causalrating.graph import _fig4_chain, _fig6_canonical, frontdoor_failure, open_backdoor_trail
 from helpers import open_trail_problem, random_dag, reference_open_trail
 
 
@@ -465,41 +468,46 @@ def test_mutilation_idempotent_on_random_dags(seed, n, data):
     assert mutilate(once, do) == once
 
 
-# -- the schema reader ---------------------------------------------------
+# -- the model readers ---------------------------------------------------
 
 DATA = pathlib.Path(causalrating.__file__).parent / "data"
+
+
+def _scm(doc):
+    return DiscreteScm(Dag(**doc["graph"]), doc["card"], doc["cpt"], parents=doc.get("parents"))
+
+
+def _scm_fields(scm):
+    return {**scm_to_json(scm), "parents": scm.parents, "card types": _types(scm.card)}
+
+
+# Each shipped document, or the graph of one: its file, the part read,
+# its loader, the constructor of its model and the model's fields.
 SHIPPED = [
-    ("default_scenario.json", _SCENARIO_DOC, "scenario", ParameterError),
-    ("confounded_direct.json", _SCM_DOC, "scm", ShapeError),
-    ("confounded_mediation.json", _SCM_DOC, "scm", ShapeError),
+    ("default_scenario.json", (), scenario_from_json, lambda d: RoadRiskScenario(**d),
+     lambda s: (s, _types(vars(s)))),
+    ("confounded_direct.json", (), scm_from_json, _scm, _scm_fields),
+    ("confounded_mediation.json", (), scm_from_json, _scm, _scm_fields),
+    ("confounded_mediation.json", ("graph",), dag_from_json, lambda d: Dag(**d), lambda g: (g, g.nodes)),
 ]
 # Values that no leaf of a shipped document may hold, except that an
 # integer leaf takes ±10**5000 and a name takes "1.5".
 HOSTILE = [True, False, np.bool_(True), math.nan, math.inf, -math.inf, 10**5000, -10**5000, b"1", "1.5", None, [[1.0]]]
 
 
-def _kind_at(kind, key):
-    """The kind of the part under ``key`` of a value of ``kind``."""
-    if type(kind) is list:
-        return kind[0]
-    return kind[str] if str in kind else kind.get(key) or kind[f"{key}?"]
+def _document(name, part):
+    doc = json.loads((DATA / name).read_text())
+    for key in part:
+        doc = doc[key]
+    return doc
 
 
-def _leaves(value, kind, path=()) -> list:
-    """``(path, kind)`` of every number and name in the JSON ``value``."""
+def _leaves(value, path=()) -> list:
+    """``(path, type)`` of every number and name in the JSON ``value``."""
     if not isinstance(value, (list, dict)):
-        return [(path, kind)]
+        return [(path, type(value))]
     items = value.items() if isinstance(value, dict) else enumerate(value)
-    return [leaf for k, v in items for leaf in _leaves(v, _kind_at(kind, k), (*path, k))]
-
-
-def _canonical(value, kind):
-    """The JSON ``value`` as the reader returns it: arrays as tuples, numbers of kind float as floats."""
-    if isinstance(value, dict):
-        return {k: _canonical(v, _kind_at(kind, k)) for k, v in value.items()}
-    if isinstance(value, list):
-        return tuple(_canonical(v, kind[0]) for v in value)
-    return float(value) if kind is float else value
+    return [leaf for k, v in items for leaf in _leaves(v, (*path, k))]
 
 
 def _types(value):
@@ -509,24 +517,26 @@ def _types(value):
     return (type(value), tuple(map(_types, value))) if isinstance(value, tuple) else type(value)
 
 
-def python_form(value, kind, rnd, arrays=True):
-    """``value``, a part of a JSON document of ``kind``, in a form a Python
-    caller may give, each part drawn with ``rnd``: a mapping proxy for an
-    object, a tuple or NumPy array for an array, a NumPy number or
-    ``Fraction`` for a number."""
+def python_form(value, rnd, arrays=True):
+    """``value``, a part of a JSON document, in a form a Python caller may
+    give, each part drawn with ``rnd``: a mapping proxy for an object, a
+    tuple or numeric NumPy array for an array, a NumPy number or
+    ``Fraction`` for a number.  An array of names stays a list or tuple:
+    a name set is never a NumPy array."""
     if isinstance(value, dict):
         wrap = rnd.choice([dict, types.MappingProxyType])
-        return wrap({k: python_form(v, _kind_at(kind, k), rnd, arrays) for k, v in value.items()})
+        return wrap({k: python_form(v, rnd, arrays) for k, v in value.items()})
     if isinstance(value, list):
         if arrays and rnd.random() < 0.3:
             try:
-                return np.array(value)
+                if (array := np.array(value)).dtype.kind in "fiu":
+                    return array
             except ValueError:  # ragged
                 pass
-        return rnd.choice([list, tuple])(python_form(v, kind[0], rnd, arrays) for v in value)
-    if kind is float:  # a float32 holds few of the shipped numbers exactly
+        return rnd.choice([list, tuple])(python_form(v, rnd, arrays) for v in value)
+    if type(value) is float:  # a float32 holds few of the shipped numbers exactly
         return rnd.choice([float, Fraction, np.float64, np.float32 if value in (0, 1) else float])(value)
-    return rnd.choice([int, np.int64, np.int32])(value) if kind is int else value
+    return rnd.choice([int, np.int64, np.int32])(value) if type(value) is int else value
 
 
 def _replaced(value, path, new):
@@ -540,32 +550,34 @@ def _replaced(value, path, new):
 
 
 class TestReader:
-    """``graph._read`` over the shipped model files, in JSON and Python forms."""
+    """The loaders and the model constructors over the shipped model files, in JSON and Python forms."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_python_forms_read_as_the_json_form(self, data):
-        name, kind, what, error = data.draw(st.sampled_from(SHIPPED))
-        doc = json.loads((DATA / name).read_text())
-        want = _canonical(doc, kind)
-        for given in (doc, python_form(doc, kind, data.draw(st.randoms(use_true_random=False)))):
-            read = _read(given, kind, what, error)
-            assert read == want
-            assert _types(read) == _types(want)
+        name, part, load, _, fields = data.draw(st.sampled_from(SHIPPED))
+        doc = _document(name, part)
+        want = fields(load(doc))
+        assert fields(load(python_form(doc, data.draw(st.randoms(use_true_random=False))))) == want
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_hostile_leaf_is_named_by_its_path(self, data):
-        name, kind, what, error = data.draw(st.sampled_from(SHIPPED))
-        doc = json.loads((DATA / name).read_text())
-        path, leaf = data.draw(st.sampled_from(_leaves(doc, kind)))
+        name, part, load, build, _ = data.draw(st.sampled_from(SHIPPED))
+        doc = _document(name, part)
+        path, leaf = data.draw(st.sampled_from(_leaves(doc)))
         hostile = data.draw(st.sampled_from([
             v for v in HOSTILE if not (leaf is int and type(v) is int or leaf is str and type(v) is str)
         ]))
         rnd = data.draw(st.randoms(use_true_random=False))
-        given = _replaced(python_form(doc, kind, rnd, arrays=False), path, hostile)
-        with pytest.raises(error) as raised:
-            _read(given, kind, what, error)
-        at = what + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
-        assert str(raised.value).startswith(f"{at}: expected "), str(raised.value)
-        assert len(str(raised.value)) < 200
+        given = _replaced(python_form(doc, rnd, arrays=False), path, hostile)
+        with pytest.raises(CausalRatingError) as loaded:
+            load(given)
+        with pytest.raises(CausalRatingError) as built:
+            build(given)
+        assert (type(loaded.value), str(loaded.value)) == (type(built.value), str(built.value))
+        # Dag reads the fields of an SCM's graph, so their paths start below it.
+        path = path[1:] if path[0] == "graph" else path
+        at = path[0] + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path[1:])
+        assert str(loaded.value).startswith(f"{at}: expected "), str(loaded.value)
+        assert len(str(loaded.value)) < 200

@@ -179,6 +179,8 @@ SCENARIO_RULES = [
     ("escalation", (1,), lambda a: a[:2], "escalation[1]: expected an array of 3, got "),
     ("escalation", (1, 2), (0.1,), "escalation[1][2]: expected an array of 2, got (0.1,)"),
     ("accident_base", (), (0.015,), "accident_base: expected an array of 2, got (0.015,)"),
+    ("y_h_prior", (), (1.0,), "y_h_prior: expected an array of 2 or more, got (1.0,)"),
+    ("y_h_prior", (), (), "y_h_prior: expected an array of 2 or more, got ()"),
     ("y_h_prior", (), (0.62, 0.28, 0.2), "y_h_prior: expected a distribution, got (0.62, 0.28, 0.2)"),
     ("y_h_prior", (), (0.9, 0.2, -0.1), "y_h_prior: expected a distribution, got (0.9, 0.2, -0.1)"),
     ("traffic_dist", (), (0.65, 0.3), "traffic_dist: expected a distribution, got (0.65, 0.3)"),
@@ -312,13 +314,18 @@ class TestScenarioValidation:
     def test_canonical_deepest_depth_accepted(self):
         assert canonical_scenario(1074).tta_thresholds[-1] > 0.0
 
+    def test_one_claim_history_value_refused(self):
+        # Accepted once, then build_scenario raised ShapeError: card.Y_h: ...
+        with pytest.raises(ParameterError, match=r"^y_h_prior: expected an array of 2 or more, got \(1\.0,\)$"):
+            dataclasses.replace(default_scenario(), y_h_prior=(1.0,), journey_rate=(0.5,))
+
     def test_python_and_json_misreads_share_one_message(self):
         with pytest.raises(ParameterError) as python:
             dataclasses.replace(default_scenario(), depth=2.0)
         with pytest.raises(ParameterError) as doc:
             scenario_from_json({**scenario_to_json(default_scenario()), "depth": 2.0})
         assert str(python.value) == "depth: expected an integer, got 2.0"
-        assert str(doc.value) == "scenario." + str(python.value)
+        assert str(doc.value) == str(python.value)
 
     # Each was accepted, then failed in build_scenario with a TypeError or
     # was written by scenario_to_json as a document its reader refuses.

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -79,15 +80,42 @@ class TestBuildScm:
 
     def test_non_finite_cpt_rejected(self):
         dag = Dag(["A"], [], [])
-        with pytest.raises(NormalizationError):
+        with pytest.raises(ShapeError, match=r"^cpt\.A\[0\]\[0\]: expected a finite number, got nan$"):
             DiscreteScm(dag, {"A": 2}, {"A": [[float("nan"), 1.0]]})
 
     @pytest.mark.parametrize("row", [[0.0, float("nan")], [float("inf"), 0.0], [float("-inf"), 1.0]])
     def test_nan_or_infinite_cell_rejected(self, row):
-        # One range check on the table's min and max refuses these too.
+        # The reader of a CPT's cells refuses these, as it refuses them in a document.
         dag = Dag(["A"], [], [])
-        with pytest.raises(NormalizationError):
+        with pytest.raises(ShapeError, match=r"^cpt\.A\[0\]\[[01]\]: expected a finite number, got -?(nan|inf)$"):
             DiscreteScm(dag, {"A": 2}, {"A": [row]})
+
+    def test_non_finite_cell_of_an_array_named_as_in_a_list(self):
+        # A numeric array stays in NumPy; its first non-finite cell gets the list's message.
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        rows = [[0.5, 0.5], [1.0, math.inf]]
+        for given in (rows, np.array(rows), np.array(rows, dtype=np.float32)):
+            with pytest.raises(ShapeError, match=r"^cpt\.B\[1\]\[1\]: expected a finite number, got inf$"):
+                DiscreteScm(dag, {"A": 2, "B": 2}, {"A": [[0.5, 0.5]], "B": given})
+
+    # Each was accepted as a number, or raised a bare TypeError, or was ignored.
+    @pytest.mark.parametrize(
+        "cpt_a,parents,error,message",
+        [
+            ([[True, False]], None, ShapeError, r"^cpt\.A\[0\]\[0\]: expected a finite number, got True$"),
+            ([["0.5", "0.5"]], None, ShapeError, r"^cpt\.A\[0\]\[0\]: expected a finite number, got '0\.5'$"),
+            ([[0.0, b"1"]], None, ShapeError, r"^cpt\.A\[0\]\[1\]: expected a finite number, got b'1'$"),
+            (np.array([[True, False]]), None, ShapeError, r"^cpt\.A\[0\]\[0\]: expected a finite number, got True$"),
+            ([[0.5, 0.5]], 5, ParameterError, r"^parents: expected an object, got 5$"),
+            ([[0.5, 0.5]], ["B"], ParameterError, r"^parents: expected an object, got \['B'\]$"),
+            ([[0.5, 0.5]], {"Z": ["A"]}, UnknownNodeError, r"^unknown node: 'Z'$"),
+        ],
+        ids=["true", "string", "bytes", "bool-array", "parents-5", "parents-list", "parents-unknown-node"],
+    )
+    def test_hostile_python_input_refused(self, cpt_a, parents, error, message):
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        with pytest.raises(error, match=message):
+            DiscreteScm(dag, {"A": 2, "B": 2}, {"A": cpt_a, "B": [[1, 0], [0, 1]]}, parents=parents)
 
     def test_ragged_cpt_rejected(self):
         dag = Dag(["A", "B"], [("A", "B")], [])
@@ -264,6 +292,20 @@ class TestJointTable:
         with pytest.raises(ShapeError):
             JointTable(("A", "A"), (2, 2), np.full((2, 2), 0.25))
 
+    # Each was accepted as a number; a CPT refuses them too.
+    @pytest.mark.parametrize(
+        "probs", [[True, False], ["0.5", "0.5"], [b"1", 0], np.array([True, False])],
+        ids=["bools", "strings", "bytes", "bool-array"],
+    )
+    def test_probs_that_are_no_real_numbers_refused(self, probs):
+        with pytest.raises(ShapeError, match="^probs: expected finite numbers, got "):
+            JointTable(("A",), (2,), probs)
+
+    def test_probs_read_as_numbers_in_any_form(self):
+        for probs in ([0.5, 0.5], (Fraction(1, 2), np.float32(0.5)), np.array([1, 1]) / 2):
+            assert JointTable(("A",), (2,), probs).probs.tolist() == [0.5, 0.5]
+        assert JointTable(("A",), (2,), np.array([0, 1])).probs.tolist() == [0.0, 1.0]
+
     # NumPy's OverflowError and ValueError escaped from the float cast.
     @pytest.mark.parametrize("probs", [[10**400, 0.5], "ab"])
     def test_probs_that_are_not_numbers_refused(self, probs):
@@ -280,7 +322,7 @@ class TestJointTable:
             JointTable(names, (2,), [0.5, 0.5])
 
     def test_cpt_entry_past_the_float_range_refused(self):
-        with pytest.raises(ShapeError, match="^CPT for A: int too large to convert to float$"):
+        with pytest.raises(ShapeError, match=r"^cpt\.A\[0\]\[0\]: expected a finite number, got 10+\.\.\.0+$"):
             DiscreteScm(Dag(["A"], []), {"A": 2}, {"A": [[10**400, 0.5]]})
 
     def test_empirical_joint_rejects_a_repeated_name(self):
