@@ -215,7 +215,8 @@ def cmd_report(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; list defaults are
-    tuples, so no parse can change what the next one starts from."""
+    tuples, so no parse can change what the next one starts from.  Its
+    ``commands`` maps each command name to that command's parser."""
     p = argparse.ArgumentParser(
         prog="causalrating",
         description="Causal analysis of rating variables on discrete models.",
@@ -277,13 +278,29 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", default=None)
     r.set_defaults(fn=cmd_report)
 
+    p.commands = sub.choices
     return p
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` read as ``_build_parser().parse_args`` reads it.  A
+    command name first is read by that command's parser alone, which
+    skips the top-level pass; left-over arguments are refused by the
+    top-level parser, with its usage, as that pass would refuse them."""
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -69,9 +69,11 @@ class Dag:
             raise ParameterError(f"edges: expected a collection of edges, got {_shown(edges)}")
         ordered = type(edges) not in (set, frozenset)  # a set's order changes from run to run
         edge_list = [tuple(e) if type(e) in (tuple, list) else e for e in edges]
-        if bad := [e for e in edge_list if type(e) is not tuple or len(e) != 2]:
-            bad = bad[0] if ordered else min(bad, key=_shown)
-            raise GraphError(f"an edge must be a pair of node names, got {_shown(bad)}")
+        if not (set(map(type, edge_list)) <= {tuple} and set(map(len, edge_list)) <= {2}):
+            bad = [(i, e) for i, (e, p) in enumerate(zip(edges, edge_list)) if type(p) is not tuple or len(p) != 2]
+            i, e = bad[0] if ordered else min(bad, key=lambda b: _shown(b[1]))
+            at = f"edges[{i}]" if ordered else "edges"
+            raise GraphError(f"{at}: expected a pair of node names, got {_shown(e)}")
         ends = [v for e in edge_list for v in e]
         if not (set(map(type, ends)) <= {str} and node_set.issuperset(ends)):
             for i, v in enumerate(ends if ordered else sorted(set(ends), key=_shown)):
@@ -83,40 +85,36 @@ class Dag:
                 raise CycleError([a, a])
         latent = _names(latent, "latent", node_set)
 
-        children = {n: [] for n in nodes}
-        indeg = dict.fromkeys(nodes, 0)
+        children, indeg = {n: [] for n in nodes}, dict.fromkeys(nodes, 0)
         for a, b in edge_list:
             children[a].append(b)
             indeg[b] += 1
-
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", frozenset(edge_list))
-        object.__setattr__(self, "latent", latent)
-        object.__setattr__(self, "_children", {n: tuple(cs) for n, cs in children.items()})
-        parents = {n: [] for n in nodes}
-        object.__setattr__(self, "_order", self._toposort(indeg, parents))
-        object.__setattr__(self, "_parents", {n: tuple(ps) for n, ps in parents.items()})
+        self._fill(nodes, frozenset(edge_list), latent, {n: tuple(cs) for n, cs in children.items()}, indeg)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dag is immutable")
 
-    def _toposort(self, indeg, parents):
-        # Kahn's algorithm on the in-degrees; appending each placed node to
-        # its children's lists in ``parents`` leaves those in this order too.
-        queue = deque(n for n in self.nodes if indeg[n] == 0)
-        order = []
-        while queue:
-            n = queue.popleft()
-            order.append(n)
-            for c in self._children[n]:
+    def _fill(self, nodes, edges, latent, children, indeg) -> None:
+        """Set the fields to checked parts; ``_parents`` and the order
+        follow from ``children`` and the in-degrees ``indeg``, which this
+        uses up, by Kahn's algorithm."""
+        for name, value in (("nodes", nodes), ("edges", edges), ("latent", latent), ("_children", children)):
+            object.__setattr__(self, name, value)
+        # ``order`` is the queue too: a node is placed once all its parents
+        # are.  Appending each placed node to its children's lists in
+        # ``parents`` leaves those in this order too.
+        parents = {n: [] for n in nodes}
+        order = [n for n in nodes if indeg[n] == 0]
+        for n in order:
+            for c in children[n]:
                 parents[c].append(n)
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    queue.append(c)
-        if len(order) != len(self.nodes):
-            cyc = [n for n in self.nodes if indeg[n] > 0]
-            raise CycleError(cyc)
-        return tuple(order)
+                    order.append(c)
+        if len(order) != len(nodes):
+            raise CycleError([n for n in nodes if indeg[n] > 0])
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_parents", {n: tuple(ps) for n, ps in parents.items()})
 
     # -- basic queries ---------------------------------------------------
 
@@ -231,6 +229,8 @@ def open_trail(dag: Dag, X, Y, Z):
     in name order, so ties between shortest trails are broken by sorted
     names and the result is deterministic.  A shortest walk in the state
     graph never visits a node twice, so it is already a simple trail.
+    It reads only the adjacency maps, so inside this package ``dag`` may
+    also be a :func:`_cut` view.
     """
     X, Y, Z = (_names(s, path, dag._parents) for s, path in ((X, "X"), (Y, "Y"), (Z, "Z")))
     if not X or not Y:
@@ -239,7 +239,7 @@ def open_trail(dag: Dag, X, Y, Z):
     parents, children = dag._parents, dag._children
 
     # Z together with its ancestors: colliders are open exactly there.
-    anc_z = Z | dag._reach(Z, parents)
+    anc_z = Z | Dag._reach(dag, Z, parents)
 
     # A state (v, True) arrived from a child of v or starts in X; (v,
     # False) arrived from a parent.  Each maps to the state it came from.
@@ -266,16 +266,48 @@ def open_trail(dag: Dag, X, Y, Z):
 
 
 def mutilate(dag: Dag, do_set) -> Dag:
-    """Copy of ``dag`` with every edge into a member of ``do_set`` removed."""
-    return _cut(dag, into=_names(do_set, "do_set", dag._parents))
+    """Copy of ``dag`` with every edge into a member of ``do_set`` removed.
+
+    The parts of ``dag`` were checked, so the copy is not read again: its
+    edges are listed from the :func:`_cut` child lists (the set
+    ``dag.edges`` iterates in hash order) and its order and ``_parents``
+    are Kahn's on the cut, as a new :class:`Dag` of those edges has them."""
+    view = _cut(dag, into=_names(do_set, "do_set", dag._parents))
+    edges = frozenset((a, b) for a in dag.nodes for b in view._children[a])
+    cut = object.__new__(Dag)
+    cut._fill(dag.nodes, edges, dag.latent, view._children, {n: len(ps) for n, ps in view._parents.items()})
+    return cut
 
 
-def _cut(dag: Dag, into=(), out_of=()) -> Dag:
-    """Copy of ``dag`` without the edges into ``into`` and out of ``out_of``,
-    listed from the child lists: the set ``dag.edges`` iterates in hash order."""
-    kids = dag._children
-    edges = [(a, b) for a in dag.nodes if a not in out_of for b in kids[a] if b not in into]
-    return Dag(dag.nodes, edges, dag.latent)
+class _Cut:
+    """A :class:`Dag` without some edges, as the graph questions read it:
+    the maps ``_parents`` and ``_children``, nothing else.  It is made by
+    :func:`_cut` only, and never leaves this package."""
+
+    __slots__ = ("_parents", "_children")
+
+    def __init__(self, parents: dict, children: dict):
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_children", children)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a cut is read-only")
+
+
+def _cut(dag: Dag, into=(), out_of=()) -> _Cut:
+    """A view of ``dag`` without the edges into ``into`` and out of
+    ``out_of``: its adjacency maps, copied, with the entries of the cut
+    nodes and of their neighbours replaced.  The copy is linear in the
+    node count; nothing is checked again.  A parent list keeps the order
+    of ``dag``, which no graph question reads."""
+    parents, children = dict(dag._parents), dict(dag._children)
+    for a in {a for b in into for a in parents[b]}:
+        children[a] = tuple(c for c in children[a] if c not in into)
+    for b in {b for a in out_of for b in dag._children[a]}:
+        parents[b] = tuple(p for p in parents[b] if p not in out_of)
+    parents.update(dict.fromkeys(into, ()))
+    children.update(dict.fromkeys(out_of, ()))
+    return _Cut(parents, children)
 
 
 def open_backdoor_trail(dag: Dag, x: str, y: str, Z):
@@ -380,8 +412,7 @@ def rule1_deletion_check(dag: Dag, outcome: str, candidate: str, do_set) -> bool
     do_set = _names(do_set, "do_set", dag._parents)
     if candidate in do_set or outcome in do_set:
         raise OverlapError("candidate/outcome may not be in the do-set")
-    cut = mutilate(dag, do_set)
-    return d_separated(cut, {outcome}, {candidate}, do_set)
+    return d_separated(_cut(dag, into=do_set), {outcome}, {candidate}, do_set)
 
 
 def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> EliminationVerdict:

@@ -67,15 +67,16 @@ class JointTable:
 
     def __post_init__(self):
         names = _names(self.vars, "vars", kind=tuple)
+        cards = _read(self.cards, [int], "cards", ShapeError, low=1)
         try:  # each cell a real number, as in a CPT: no bool, string or bytes
             if not (_numeric(self.probs) or all(map(_real, np.asarray(self.probs, dtype=object).flat))):
                 raise ValueError
             probs = np.asarray(self.probs, dtype=np.float64)
         except (OverflowError, ValueError):  # an int past the float range, a string
             raise ShapeError(f"probs: expected finite numbers, got {_shown(self.probs)}") from None
-        if probs.shape != tuple(self.cards):
-            raise ShapeError(f"probs shape {probs.shape} != cards {self.cards}")
-        if len(names) != len(self.cards):
+        if probs.shape != cards:
+            raise ShapeError(f"probs shape {probs.shape} != cards {cards}")
+        if len(names) != len(cards):
             raise ShapeError("vars and cards length mismatch")
         if len(set(names)) != len(names):
             raise ShapeError(f"duplicate variable names: {names}")
@@ -90,7 +91,7 @@ class JointTable:
         probs = np.clip(probs, 0.0, None)
         probs.flags.writeable = False
         object.__setattr__(self, "vars", names)
-        object.__setattr__(self, "cards", tuple(self.cards))
+        object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "probs", probs)
 
     def axis(self, var: str) -> int:
@@ -204,13 +205,12 @@ def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.nd
     """``rows`` as the CPT of ``v`` under ``parents``: a new read-only
     C-contiguous array of one row per parent configuration, each a
     distribution over the ``card[v]`` values of ``v``.  A numeric NumPy
-    array stays in NumPy; anything else is read by :func:`_read`."""
+    array of that shape stays in NumPy; anything else is read by
+    :func:`_read`, so a shape misread has one message in every form."""
     n_rows = math.prod(card[p] for p in parents)
-    if not _numeric(rows):
+    if not (_numeric(rows) and rows.shape == (n_rows, card[v])):
         rows = _read(rows, [[float, card[v]], n_rows], f"cpt.{v}", ShapeError)
     t = np.array(rows, dtype=np.float64, order="C")
-    if t.shape != (n_rows, card[v]):
-        raise ShapeError(f"CPT for {v}: shape {t.shape}, expected {_shown((n_rows, card[v]))}")
     if not (t.min() >= 0.0 and t.max() <= 1.0 + ROW_SUM_TOL):  # false on NaN too
         for r, c in np.argwhere(~np.isfinite(t))[:1]:  # the first non-finite cell, misread as in a list
             _read(float(t[r, c]), float, f"cpt.{v}[{r}][{c}]", ShapeError)

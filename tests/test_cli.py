@@ -1283,7 +1283,7 @@ class TestMalformedDocuments:
             ),
             (
                 "graph", _replace_at(_valid_document("graph"), ("edges", 0), ["U"]),
-                "GraphError: an edge must be a pair of node names, got ('U',)",
+                "GraphError: edges[0]: expected a pair of node names, got ['U']",
             ),
             (
                 "scm", _replace_at(_valid_document("scm"), ("card",), [2]),
@@ -1401,10 +1401,10 @@ class TestDecisionCounts:
     def test_evaluate_checks_the_frontdoor_once(self, capsys, monkeypatch):
         code, counts = self._count(monkeypatch, ["evaluate", SCENARIO])
         assert code == 0
-        # One failure at J_o (D descends from it), one pass at D; the
-        # scenario graph, the two front-door cuts, the one Rule-2 cut
-        # and the surgery.
-        assert (counts["frontdoor_failure"], counts["Dag"]) == (2, 5)
+        # One failure at J_o (D descends from it), one pass at D.  Only the
+        # scenario graph is read: the front-door and Rule-2 cuts are views
+        # of it, and the surgery copies it without reading it again.
+        assert (counts["frontdoor_failure"], counts["Dag"]) == (2, 1)
 
     def test_backdoor_searched_once(self, capsys, monkeypatch):
         code, counts = self._count(monkeypatch, ["identify", MEDIATED, "--do", "Y_h", "--outcome", "Y_f"])
@@ -1450,6 +1450,69 @@ class TestUsage:
         run(capsys, *first)
         assert run(capsys, *second) == fresh
         assert run(capsys, *first) != fresh
+
+    # A command name first is read by that command's parser alone; each
+    # outcome must be the full parser's: namespace, output and exit code.
+    DISPATCH_CASES = {
+        "templates": ["templates"],
+        "templates-name": ["templates", "Fig6Canonical(2)", "--out", "t.json"],
+        "dsep": ["dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f", "--z", "X_c"],
+        "identify": ["identify", MEDIATED, "--do", "X_c=1", "--outcome", "Y_f", "--given", "Y_h",
+                     "--mediators", "Z", "--adjust", "--method", "frontdoor", "--out", "o.json"],
+        "verdict": ["verdict", "Fig2b", "--candidate", "X_c", "--outcome", "Y_f", "--observed", "Y_h"],
+        "simulate": ["simulate", SCENARIO, "--n", "10", "--seed", "0", "--out", "o.csv", "--summary", "s.json"],
+        "evaluate": ["evaluate", SCENARIO, "--out", "o.json"],
+        "report": ["report", CONFOUNDED, "--history", "Y_h", "--behavior", "X_c", "--outcome", "Y_f",
+                   "--observed"],
+        "extra-flag": ["dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f", "--bogus"],
+        "extra-flags-and-words": ["templates", "a", "b", "--bogus", "c"],
+        "extra-word": ["evaluate", SCENARIO, "extra"],
+        "missing-required-flag": ["dsep", "Fig1d", "--x", "Y_h"],
+        "missing-required-flags": ["simulate", SCENARIO],
+        "bad-method": ["identify", MEDIATED, "--method", "exact"],
+        "bad-integer": ["simulate", SCENARIO, "--n", "ten", "--out", "o.csv"],
+        "help": ["-h"],
+        "long-help": ["--help"],
+        "command-help": ["dsep", "-h"],
+        "command-long-help": ["identify", "--help"],
+        "help-prefix": ["dsep", "Fig1d", "--x", "A", "--y", "B", "--he"],
+        "help-before-extra": ["verdict", "Fig1d", "-h", "--bogus"],
+        "empty": [],
+        "unknown-command": ["frobnicate"],
+        "command-prefix": ["dse", "Fig1d", "--x", "Y_h", "--y", "Y_f"],
+        "command-case": ["Dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f"],
+        "flag-first": ["--bogus", "dsep"],
+        "separator-before-positional": ["templates", "--", "Fig1a"],
+        "separator-before-flags": ["dsep", "--", "Fig1d", "--x", "A", "--y", "B"],
+        "separator-then-extra": ["dsep", "Fig1d", "--x", "A", "--y", "B", "--", "extra"],
+        "separator-first": ["--", "dsep", "Fig1d", "--x", "A", "--y", "B"],
+        "separator-dash-name": ["evaluate", "--", "-scenario.json"],
+    }
+
+    @pytest.mark.parametrize("argv", DISPATCH_CASES.values(), ids=DISPATCH_CASES.keys())
+    def test_each_command_parsed_as_by_the_full_parser(self, capsys, argv):
+        from causalrating import cli
+
+        def outcome(parse):
+            try:
+                args, code = parse(list(argv)), None
+            except SystemExit as exc:
+                args, code = None, exc.code
+            out = capsys.readouterr()
+            return args, out.out, out.err, code
+
+        want = outcome(cli._build_parser().parse_args)
+        assert outcome(cli._parse) == want
+        if want[3] is None:
+            assert want[0].command == argv[0]
+        else:
+            assert main(list(argv)) == (0 if want[3] == 0 else 2)
+
+    def test_extra_arguments_refused_with_the_top_level_usage(self, capsys):
+        code, out, err = run(capsys, "dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: causalrating [-h]")
+        assert err.endswith("causalrating: error: unrecognized arguments: --bogus\n")
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "evaluate", "/nonexistent.json")

@@ -7,6 +7,7 @@ import time
 import types
 from fractions import Fraction
 from typing import Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from causalrating import (
     template,
 )
 import causalrating
-from causalrating.graph import _fig4_chain, _fig6_canonical, frontdoor_failure, open_backdoor_trail
+from causalrating.graph import _cut, _fig4_chain, _fig6_canonical, frontdoor_failure, open_backdoor_trail
 from helpers import open_trail_problem, random_dag, reference_open_trail
 
 
@@ -98,12 +99,26 @@ class TestBuildDag:
 
     def test_string_edge_refused(self):
         # The edge "AB" was read as the pair of its letters, A -> B.
-        with pytest.raises(GraphError, match="an edge must be a pair of node names, got 'AB'"):
+        with pytest.raises(GraphError, match=r"^edges\[0\]: expected a pair of node names, got 'AB'$"):
             Dag(["A", "B"], ["AB"])
+
+    # An edge misread named no path and showed the edge as a tuple: ('U',) for ["U"].
+    @pytest.mark.parametrize(
+        "edges,want",
+        [
+            ([("A", "B"), ["B"]], "edges[1]: expected a pair of node names, got ['B']"),
+            ({("A", "B"), ("B",), ("A", "B", "C")}, "edges: expected a pair of node names, got ('A', 'B', 'C')"),
+        ],
+        ids=["list", "set"],
+    )
+    def test_edge_misread_names_its_path(self, edges, want):
+        with pytest.raises(GraphError) as raised:
+            Dag(["A", "B", "C"], edges)
+        assert str(raised.value) == want
 
     def test_edge_that_is_not_a_pair_refused(self):
         # A 3-tuple escaped as ValueError: too many values to unpack.
-        with pytest.raises(GraphError, match="an edge must be a pair"):
+        with pytest.raises(GraphError, match=r"^edges\[0\]: expected a pair of node names, got \('A', 'B', 'C'\)$"):
             Dag(["A", "B", "C"], [("A", "B", "C")])
 
     @pytest.mark.parametrize(
@@ -466,6 +481,76 @@ def test_mutilation_idempotent_on_random_dags(seed, n, data):
     do = set(data.draw(st.lists(st.sampled_from(list(dag.nodes)), unique=True)))
     once = mutilate(dag, do)
     assert mutilate(once, do) == once
+
+
+# -- cut views against the validated cuts they replace ---------------------
+
+
+def _validated_cut(dag, into=(), out_of=()):
+    """``dag`` without the edges into ``into`` and out of ``out_of``, read
+    again as a new Dag of the kept edges, listed from the child lists."""
+    edges = [(a, b) for a in dag.nodes if a not in out_of for b in dag._children[a] if b not in into]
+    return Dag(dag.nodes, edges, dag.latent)
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A ``random_dag`` with its nodes and edges listed in any order, so the
+    node list need not be topological, and any latent set."""
+    base = random_dag(draw(st.integers(0, 10_000)), draw(st.integers(2, 7)))
+    nodes = draw(st.permutations(base.nodes))
+    return Dag(nodes, draw(st.permutations(sorted(base.edges))), draw(st.sets(st.sampled_from(nodes))))
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class and message of the package error it raises."""
+    try:
+        return fn(*args)
+    except CausalRatingError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dag=shuffled_dags(), data=st.data())
+def test_cut_view_answers_as_the_validated_cut(dag, data):
+    names = st.sets(st.sampled_from(dag.nodes))
+    into, out_of = data.draw(names), data.draw(names)
+    view, cut = _cut(dag, into, out_of), _validated_cut(dag, into, out_of)
+    # A view's parent lists keep the parent graph's order, which no question reads.
+    assert {v: set(ps) for v, ps in view._parents.items()} == {v: set(ps) for v, ps in cut._parents.items()}
+    assert view._children == cut._children
+    order = data.draw(st.permutations(dag.nodes))
+    i = data.draw(st.integers(1, len(order) - 1))
+    j = data.draw(st.integers(i + 1, len(order)))
+    X, Y, rest = set(order[:i]), set(order[i:j]), order[j:]
+    Z = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
+    assert _outcome(open_trail, view, X, Y, Z) == _outcome(open_trail, cut, X, Y, Z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dag=shuffled_dags(), data=st.data())
+def test_graph_questions_answer_as_on_validated_cuts(dag, data):
+    x, y, *rest = data.draw(st.permutations(dag.nodes))
+    subset = st.sets(st.sampled_from(rest)) if rest else st.just(set())
+    M, strata, Z = data.draw(subset), data.draw(subset), data.draw(subset)
+    calls = [
+        (open_backdoor_trail, dag, x, y, Z),
+        (frontdoor_failure, dag, x, y, M, strata - M),
+        (noise_verdict, dag, x, y, Z),
+    ]
+    on_views = [_outcome(*call) for call in calls]
+    with mock.patch.object(causalrating.graph, "_cut", _validated_cut):
+        assert [_outcome(*call) for call in calls] == on_views
+
+
+@settings(max_examples=80, deadline=None)
+@given(dag=shuffled_dags(), data=st.data())
+def test_mutilate_equals_a_new_dag_of_the_kept_edges(dag, data):
+    do = data.draw(st.sets(st.sampled_from(dag.nodes)))
+    got, want = mutilate(dag, do), _validated_cut(dag, into=do)
+    for field in ("nodes", "topological_order", "_parents", "_children", "edges", "latent"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert list(got.edges) == list(want.edges)  # the set iterates in the same order too
 
 
 # -- the model readers ---------------------------------------------------

@@ -78,6 +78,19 @@ class TestBuildScm:
         with pytest.raises(ShapeError):
             DiscreteScm(dag, {"A": 2, "B": 2}, {"A": [[0.5, 0.5]], "B": [[1, 0]]})
 
+    # A NumPy array of the wrong shape was refused as "CPT for B: shape (1, 2), expected (2, 2)".
+    @pytest.mark.parametrize(
+        "rows,message",
+        [([[1, 0]], r"^cpt\.B: expected an array of 2, got \[\[1, 0\]\]$"),
+         ([[1, 0, 0], [0, 1, 0]], r"^cpt\.B\[0\]: expected an array of 2, got \[1, 0, 0\]$")],
+        ids=["rows", "cells"],
+    )
+    def test_wrong_shape_has_one_message_in_every_form(self, rows, message):
+        dag = Dag(["A", "B"], [("A", "B")], [])
+        for given in (rows, np.array(rows)):
+            with pytest.raises(ShapeError, match=message):
+                DiscreteScm(dag, {"A": 2, "B": 2}, {"A": [[0.5, 0.5]], "B": given})
+
     def test_non_finite_cpt_rejected(self):
         dag = Dag(["A"], [], [])
         with pytest.raises(ShapeError, match=r"^cpt\.A\[0\]\[0\]: expected a finite number, got nan$"):
@@ -291,6 +304,21 @@ class TestJointTable:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ShapeError):
             JointTable(("A", "A"), (2, 2), np.full((2, 2), 0.25))
+
+    # A bare int escaped as TypeError: 'int' object is not iterable; 2.0 was kept as a card.
+    @pytest.mark.parametrize(
+        "cards,message",
+        [(5, r"^cards: expected an array, got 5$"), ((2.0,), r"^cards\[0\]: expected an integer >= 1, got 2\.0$"),
+         ((0,), r"^cards\[0\]: expected an integer >= 1, got 0$")],
+        ids=["int", "float", "zero"],
+    )
+    def test_cards_read_as_integers(self, cards, message):
+        with pytest.raises(ShapeError, match=message):
+            JointTable(("A",), cards, np.array([0.5, 0.5]))
+
+    def test_cards_kept_as_ints(self):
+        table = JointTable(("A",), np.array([2]), np.array([0.5, 0.5]))
+        assert table.cards == (2,) and type(table.cards[0]) is int
 
     # Each was accepted as a number; a CPT refuses them too.
     @pytest.mark.parametrize(
