@@ -455,47 +455,35 @@ def noise_verdict(dag: Dag, candidate: str, outcome: str, observed) -> Eliminati
 # -- built-in diagram templates -----------------------------------------
 #
 # Canonical edge sets for the chain, confounder, mediator and road-risk
-# diagrams.  Fig4Chain and Fig6Canonical take a chain depth >= 1.
-
-TEMPLATE_IDS = (
-    "Fig1a",
-    "Fig1b",
-    "Fig1c",
-    "Fig1d",
-    "Fig2a",
-    "Fig2b",
-    "Fig2c",
-    "Fig3",
-    "Fig4Chain",
-    "Fig6Canonical",
-)
+# diagrams.  A Dag is immutable, so each fixed template is built once.
 
 _FIXED_TEMPLATES = {
-    "Fig1a": (("Y_h", "Y_f"), [("Y_h", "Y_f")], ()),
-    "Fig1b": (("Y_h", "X_c", "Y_f"), [("Y_h", "Y_f"), ("X_c", "Y_f")], ()),
-    "Fig1c": (("Y_h", "X_c", "Y_f"), [("X_c", "Y_h"), ("X_c", "Y_f")], ()),
-    "Fig1d": (("Y_h", "X_c", "Y_f"), [("Y_h", "X_c"), ("X_c", "Y_f")], ()),
-    "Fig2a": (
+    "Fig1a": Dag(("Y_h", "Y_f"), [("Y_h", "Y_f")]),
+    "Fig1b": Dag(("Y_h", "X_c", "Y_f"), [("Y_h", "Y_f"), ("X_c", "Y_f")]),
+    "Fig1c": Dag(("Y_h", "X_c", "Y_f"), [("X_c", "Y_h"), ("X_c", "Y_f")]),
+    "Fig1d": Dag(("Y_h", "X_c", "Y_f"), [("Y_h", "X_c"), ("X_c", "Y_f")]),
+    "Fig2a": Dag(
         ("Y_h", "X_c", "Y_f", "U"),
         [("Y_h", "X_c"), ("X_c", "Y_f"), ("U", "Y_h"), ("U", "X_c")],
         ("U",),
     ),
-    "Fig2b": (
+    "Fig2b": Dag(
         ("Y_h", "X_c", "Y_f", "U"),
         [("Y_h", "X_c"), ("X_c", "Y_f"), ("U", "X_c"), ("U", "Y_f")],
         ("U",),
     ),
-    "Fig2c": (
+    "Fig2c": Dag(
         ("Y_h", "X_c", "Y_f", "U"),
         [("Y_h", "X_c"), ("X_c", "Y_f"), ("U", "Y_h"), ("U", "Y_f")],
         ("U",),
     ),
-    "Fig3": (
+    "Fig3": Dag(
         ("Y_h", "X_c", "Z", "Y_f", "U"),
         [("Y_h", "X_c"), ("X_c", "Z"), ("Z", "Y_f"), ("U", "X_c"), ("U", "Y_f")],
         ("U",),
     ),
 }
+_MAX_DEPTH = 1074  # of a chain template, as of the deepest canonical road-risk scenario
 
 
 def _fig4_chain(depth: int) -> Dag:
@@ -523,24 +511,28 @@ def _fig6_canonical(depth: int) -> Dag:
     return Dag(nodes, edges, ("U",))
 
 
+_CHAIN_TEMPLATES = {"Fig4Chain": _fig4_chain, "Fig6Canonical": _fig6_canonical}
+TEMPLATE_IDS = (*_FIXED_TEMPLATES, *_CHAIN_TEMPLATES)
+
+
 def template(name: str) -> Dag:
     """Return a built-in diagram by id.
 
-    ``Fig4Chain`` and ``Fig6Canonical`` take a depth >= 1 inline, in
-    ASCII digits, as in ``"Fig6Canonical(2)"``; no other id takes one.
+    ``Fig4Chain`` and ``Fig6Canonical`` take a depth of 1 to 1074 inline,
+    in ASCII digits, as in ``"Fig6Canonical(2)"``; no other id takes one.
     """
     if _name(name, "name") in _FIXED_TEMPLATES:
-        nodes, edges, latent = _FIXED_TEMPLATES[name]
-        return Dag(nodes, edges, latent)
+        return _FIXED_TEMPLATES[name]
     base, paren, arg = name.partition("(")
-    if base not in ("Fig4Chain", "Fig6Canonical"):
+    if base not in _CHAIN_TEMPLATES:
         raise UnknownTemplate(f"unknown template: {_shown(name)}")
     digits = arg.removesuffix(")")
     if paren and not (arg.endswith(")") and digits.isascii() and digits.isdecimal()):
         raise UnknownTemplate(f"bad template argument: {_shown(name)}")
-    if not paren or int(digits) < 1:
-        raise UnknownTemplate(f"{base} requires depth >= 1")
-    return _fig4_chain(int(digits)) if base == "Fig4Chain" else _fig6_canonical(int(digits))
+    depth = digits.lstrip("0")  # its length is bounded first: int() refuses over 4,300 digits
+    if not 0 < len(depth) <= len(str(_MAX_DEPTH)) or int(depth) > _MAX_DEPTH:
+        raise UnknownTemplate(f"{base} requires a depth from 1 to {_MAX_DEPTH}")
+    return _CHAIN_TEMPLATES[base](int(depth))
 
 
 # -- JSON ---------------------------------------------------------------
@@ -555,7 +547,7 @@ def dag_to_json(dag: Dag) -> dict:
 
 
 _FINITE = sys.float_info.max.__ge__  # applied to abs(x) of an int or float: false on NaN, inf, huge ints
-_EXPECTED = {int: "an integer", float: "a finite number", str: "a name", list: "an array", dict: "an object"}
+_EXPECTED = {int: "an integer", float: "a finite number", list: "an array", dict: "an object"}
 _GRAPH_DOC = {"nodes": object, "edges": object, "latent?": object}  # Dag reads the values
 
 
@@ -607,7 +599,7 @@ def _at(path: str, key) -> str:
 def _read(value, kind, path: str, error, low=None):
     """``value`` read as ``kind``, else raise ``error`` naming the first misread part
     below ``path``: ``scenario.depth: expected an integer, got 2.0``.  A kind is ``int``,
-    ``float`` (a finite :func:`_real`), ``str``, ``[k]`` (a list, tuple or NumPy array of
+    ``float`` (a finite :func:`_real`), ``[k]`` (a list, tuple or NumPy array of
     k), ``[k, n]`` (of n k), ``object`` (any value, as it is, for a model's constructor to
     read) or a dict of fields (a mapping with exactly these, where a name ending in "?" is
     optional).  Arrays come back as tuples.  A number less than ``low``, when it is given,

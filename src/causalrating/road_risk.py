@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NegativeTta, ParameterError, UnknownVariable, ValueOutOfRange
-from .graph import Dag, _read, _real, _shown, d_separated
+from .graph import _MAX_DEPTH, Dag, _read, _real, _shown, d_separated
 from .identify import (
     EffectQuery, EffectTable, _divide, _layout, confounding_gap, identify_effect, rating_report,
 )
@@ -403,8 +403,8 @@ def canonical_scenario(depth: int) -> RoadRiskScenario:
     """Programmatic defaults for chain depths 1 to 1074 (fixtures, not data):
     past 1074, the last threshold, ``4 * 0.5**depth``, underflows to 0."""
     depth, dc, tc = _read(depth, int, "depth", ParameterError), 3, 2
-    if not 1 <= depth <= 1074:
-        raise ParameterError(f"depth: expected an integer from 1 to 1074, got {_shown(depth)}")
+    if not 1 <= depth <= _MAX_DEPTH:
+        raise ParameterError(f"depth: expected an integer from 1 to {_MAX_DEPTH}, got {_shown(depth)}")
     base = 0.05 + 0.06 * np.arange(depth)[:, None, None]  # (stage, D, T)
     d, t = np.arange(dc)[:, None], np.arange(tc)
     esc = np.minimum(0.9, base * (1.0 + 2.2 * d / (dc - 1)) * (1.0 + 0.9 * t / (tc - 1)))

@@ -57,6 +57,23 @@ def _numeric(a) -> bool:
     return isinstance(a, np.ndarray) and a.dtype.kind in "fiu"
 
 
+def _cells(cards: Iterable[int], what: str, cap: int = DEFAULT_CELL_CAP) -> int:
+    """The cell count of a table of ``cards``, checked before the table exists: one
+    over ``cap`` raises :class:`StateSpaceTooLarge` (``result has 4096 cells, over the cap 1000``)."""
+    if (n := math.prod(cards)) > cap:
+        raise StateSpaceTooLarge(f"{what} has {_shown(n)} cells, over the cap {_shown(cap)}")
+    return n
+
+
+def _axes(vars, cards) -> tuple:
+    """The axes of a table: ``vars``, one or more distinct names, as a
+    tuple, and ``cards``, one integer >= 1 per name, as a tuple."""
+    vars = _names(vars, "vars", kind=tuple)
+    if not vars or len(set(vars)) != len(vars):
+        raise ShapeError(f"vars: expected one or more distinct names, got {_shown(vars)}")
+    return vars, _read(cards, [int, len(vars)], "cards", ShapeError, low=1)
+
+
 @dataclass(frozen=True)
 class JointTable:
     """Exact probability mass function over an ordered variable subset."""
@@ -66,8 +83,7 @@ class JointTable:
     probs: np.ndarray  # shape == cards
 
     def __post_init__(self):
-        names = _names(self.vars, "vars", kind=tuple)
-        cards = _read(self.cards, [int], "cards", ShapeError, low=1)
+        names, cards = _axes(self.vars, self.cards)
         try:  # each cell a real number, as in a CPT: no bool, string or bytes
             if not (_numeric(self.probs) or all(map(_real, np.asarray(self.probs, dtype=object).flat))):
                 raise ValueError
@@ -76,15 +92,11 @@ class JointTable:
             raise ShapeError(f"probs: expected finite numbers, got {_shown(self.probs)}") from None
         if probs.shape != cards:
             raise ShapeError(f"probs shape {probs.shape} != cards {cards}")
-        if len(names) != len(cards):
-            raise ShapeError("vars and cards length mismatch")
-        if len(set(names)) != len(names):
-            raise ShapeError(f"duplicate variable names: {names}")
         total = float(probs.sum())
         # A NaN or infinite cell makes the sum NaN or infinite.
         if not math.isfinite(total):
             raise NormalizationError("non-finite mass")
-        if probs.size and probs.min() < -1e-12:
+        if probs.min() < -1e-12:
             raise NormalizationError(f"negative mass: {probs.min()}")
         if abs(total - 1.0) > ROW_SUM_TOL:
             raise NormalizationError(f"mass sums to {total}, not 1")
@@ -178,6 +190,8 @@ class DiscreteScm:
         cpt: Mapping[str, np.ndarray],
         parents: Mapping[str, tuple] | None = None,
     ):
+        if not dag.nodes:
+            raise ShapeError(f"dag.nodes: expected one or more names, got {_shown(dag.nodes)}")
         for path, table in (("card", card), ("cpt", cpt)):
             if missing := set(dag.nodes) - _keys(table, path, dag._parents):
                 raise ShapeError(f"{path} missing nodes: {sorted(missing)}")
@@ -237,10 +251,10 @@ def exact_joint(scm: DiscreteScm, max_cells: int = DEFAULT_CELL_CAP) -> JointTab
     space, so its cost is exponential in the number of nodes.  Queries
     go through :func:`infer`, which never builds this table.
     """
+    max_cells = _read(max_cells, int, "max_cells", ParameterError, low=1)
     order = scm.dag.topological_order
     cards = tuple(scm.card[v] for v in order)
-    if math.prod(cards) > max_cells:
-        raise StateSpaceTooLarge(f"state space {math.prod(cards)} exceeds cap {_shown(max_cells)}")
+    _cells(cards, "joint", max_cells)
     pos = {v: i for i, v in enumerate(order)}
     joint = np.ones(cards, dtype=np.float64)
     for v in order:
@@ -306,11 +320,7 @@ def _plan(
     steps = []
     while holds:
         v = min(holds, key=lambda u: (cells[u], rank[u]))
-        n = cells[v]
-        if n > max_cells:
-            raise StateSpaceTooLarge(
-                f"eliminating {v} needs a factor of {n} cells, over the cap {_shown(max_cells)}"
-            )
+        _cells(map(card.__getitem__, bucket[v]), f"factor to eliminate {v}", max_cells)
         inside = list(holds.pop(v))
         out = tuple(u for u in dict.fromkeys(u for i in inside for u in scopes[i]) if u != v)
         for u in out:
@@ -344,8 +354,10 @@ def infer(
     the largest bucket, the induced width of the order, which is the one
     exponential quantity; the state space is never laid out.  A bucket or
     result of more than ``max_cells`` cells raises
-    :class:`StateSpaceTooLarge` before any table is built.
+    :class:`StateSpaceTooLarge` before any table is built; ``max_cells``
+    is an integer >= 1, else :class:`ParameterError`.
     """
+    max_cells = _read(max_cells, int, "max_cells", ParameterError, low=1)
     evidence = _assignment({} if evidence is None else evidence, "evidence", scm.card)
     # A name in both keep and evidence is refused as unknown.
     keep = _names(keep, "keep", scm.card.keys() - evidence.keys() if evidence else scm.card, UnknownVariable)
@@ -368,9 +380,7 @@ def infer(
     hidden = relevant - keep - evidence.keys()
     steps = _plan([scope for scope, _ in factors], hidden, scm.card, order, max_cells)
     out = tuple(sorted(keep, key=order.__getitem__))
-    cells = math.prod(scm.card[u] for u in out)
-    if cells > max_cells:
-        raise StateSpaceTooLarge(f"result of {cells} cells exceeds cap {_shown(max_cells)}")
+    _cells([scm.card[u] for u in out], "result", max_cells)
     for inside, scope in steps:
         factors.append((scope, _contract([factors[i] for i in inside], scope)))
         for i in inside:
@@ -455,15 +465,10 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
-        vars = _names(self.vars, "vars", kind=tuple)
-        cards = _read(self.cards, [int], "cards", ShapeError, low=1)
+        vars, cards = _axes(self.vars, self.cards)
         rows = np.asarray(self.rows).view()  # made read-only below; the caller's array is not
         if rows.ndim != 2 or rows.shape[1] != len(vars):
             raise ShapeError("rows must be (n, len(vars))")
-        if len(set(vars)) != len(vars):
-            raise ShapeError(f"duplicate variable names: {vars}")
-        if len(cards) != len(vars):
-            raise ShapeError("vars and cards length mismatch")
         if rows.dtype.kind in "iu":
             _check_range(vars, cards, rows)
         else:
@@ -551,6 +556,8 @@ class _Sampler:
         n = _read(n, int, "n", ValueOutOfRange, low=1)
         if n * len(self.order) * self.rows.itemsize > np.iinfo(np.intp).max:
             raise ValueOutOfRange(f"n: {_shown(n)} rows of {len(self.order)} columns are past NumPy's array size")
+        if start + n > 2**64:  # the row counter is a uint64
+            raise ValueOutOfRange(f"start: expected an integer <= {2**64 - n} (2**64 - n), got {_shown(start)}")
         rows = np.empty((n, len(self.order)), self.rows.dtype, order="F")
         for _ in self.blocks(seed, start, n, rows):
             pass  # each block is drawn in its place in rows
@@ -599,7 +606,8 @@ def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
     ``sample(scm, n, seed, start=a)`` holds rows ``a..a+n-1`` of
     ``sample(scm, a + n, seed)``.  The rows are uint8 when every
     cardinality is at most 256 and int64 otherwise, all held at once; an
-    ``n`` past NumPy's array size raises :class:`ValueOutOfRange`.
+    ``n`` past NumPy's array size, or a row past ``2**64 - 1``, the last
+    index of the 64-bit row counter, raises :class:`ValueOutOfRange`.
     """
     return _Sampler(scm).dataset(seed, start, n)
 
@@ -615,9 +623,7 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
         raise EmptyDataset("dataset has no rows")
     cols = [d.column(v) for v in vars]
     cards = tuple(d.cards[d.vars.index(v)] for v in vars)
-    size = math.prod(cards)
-    if size > DEFAULT_CELL_CAP:
-        raise StateSpaceTooLarge(f"state space {_shown(size)} exceeds cap {DEFAULT_CELL_CAP}")
+    size = _cells(cards, "frequency table")
     codes = np.zeros(len(d), dtype=np.int64)
     for col, card in zip(cols, cards):
         codes = codes * card + col
@@ -697,8 +703,7 @@ def random_scm(dag: Dag, seed: int, card=2, concentration: float = 1.0) -> Discr
     cpt = {}
     for v in dag.topological_order:
         n_rows = math.prod(cards[p] for p in dag._parents[v])
-        if (cells := n_rows * cards[v]) > DEFAULT_CELL_CAP:
-            raise StateSpaceTooLarge(f"CPT of {v} has {_shown(cells)} cells, over the cap {DEFAULT_CELL_CAP}")
+        _cells((n_rows, cards[v]), f"CPT of {v}")
         g = rng.gamma(concentration, size=(n_rows, cards[v]))
         g = np.maximum(g, 1e-12)
         cpt[v] = g / g.sum(axis=1, keepdims=True)

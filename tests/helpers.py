@@ -111,9 +111,7 @@ def reference_infer(scm: DiscreteScm, keep, evidence=None, max_cells=DEFAULT_CEL
         cells = {u: size(bucket) for u, bucket in buckets.items()}
         v = min(hidden, key=lambda u: (cells[u], order[u]))
         if cells[v] > max_cells:
-            raise StateSpaceTooLarge(
-                f"eliminating {v} needs a factor of {cells[v]} cells, over the cap {max_cells}"
-            )
+            raise StateSpaceTooLarge(f"factor to eliminate {v} has {cells[v]} cells, over the cap {max_cells}")
         inside = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         out = tuple(u for u in buckets[v] if u != v)
@@ -122,7 +120,7 @@ def reference_infer(scm: DiscreteScm, keep, evidence=None, max_cells=DEFAULT_CEL
 
     out = tuple(sorted(keep, key=order.__getitem__))
     if size(out) > max_cells:
-        raise StateSpaceTooLarge(f"result of {size(out)} cells exceeds cap {max_cells}")
+        raise StateSpaceTooLarge(f"result has {size(out)} cells, over the cap {max_cells}")
     probs = _contract(factors, out)
     if evidence:
         total = float(probs.sum())

@@ -158,6 +158,12 @@ class TestTemplates:
         assert (code, out) == (2, "")
         assert "UnknownTemplate" in err
 
+    @pytest.mark.parametrize("depth", ["1075", "9" * 5000], ids=["past-the-bound", "5000-digits"])
+    def test_chain_depth_past_the_bound_exit_2(self, capsys, depth):
+        # 1075 was built; 5000 digits printed a traceback and exited 1.
+        code, out, err = run(capsys, "templates", f"Fig4Chain({depth})")
+        assert (code, out, err) == (2, "", "error: UnknownTemplate: Fig4Chain requires a depth from 1 to 1074\n")
+
 
 class TestDsep:
     def test_separated(self, capsys):

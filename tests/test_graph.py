@@ -185,6 +185,23 @@ class TestTemplates:
         with pytest.raises(UnknownTemplate):
             template("Fig4Chain")
 
+    def test_fixed_template_built_once(self):
+        assert template("Fig1d") is template("Fig1d")
+
+    @pytest.mark.parametrize(
+        "name", ["Fig4Chain(0)", "Fig6Canonical(1075)", f"Fig4Chain({'9' * 5000})", f"Fig6Canonical({'0' * 5000})"],
+        ids=["zero", "past-the-bound", "5000-digits", "5000-zeros"],
+    )
+    def test_chain_depth_is_bounded_before_it_is_parsed(self, name):
+        # 1075 was built; 5000 digits raised int()'s bare ValueError.
+        with pytest.raises(UnknownTemplate) as raised:
+            template(name)
+        assert str(raised.value) == f"{name.partition('(')[0]} requires a depth from 1 to 1074"
+
+    def test_deepest_chain_is_built(self):
+        assert len(template("Fig6Canonical(1074)").nodes) == 1074 + 6
+        assert template(f"Fig4Chain({'0' * 5000}2)") == template("Fig4Chain(2)")
+
 
 class TestReachability:
     def test_ancestors_chain(self):

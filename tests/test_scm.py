@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import types
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalrating import (
+    CausalRatingError,
     Dag,
     confounded_mediation_example,
     Dataset,
@@ -40,7 +42,7 @@ from causalrating import (
     scm_to_json,
     template,
 )
-from causalrating.graph import mutilate
+from causalrating.graph import _shown, mutilate
 from causalrating import scm as scm_module
 from causalrating.scm import _check_range, _csv_lines, _csv_writer, _Sampler, _surgery
 from helpers import (
@@ -284,7 +286,7 @@ class TestExactJoint:
     def test_state_space_cap(self):
         dag = Dag([f"N{i}" for i in range(6)], [], [])
         scm = random_scm(dag, 0, card=4)
-        with pytest.raises(StateSpaceTooLarge):
+        with pytest.raises(StateSpaceTooLarge, match="^joint has 4096 cells, over the cap 1000$"):
             exact_joint(scm, max_cells=1000)
 
     def test_sampling_cross_check(self):
@@ -308,7 +310,7 @@ class TestJointTable:
     # A bare int escaped as TypeError: 'int' object is not iterable; 2.0 was kept as a card.
     @pytest.mark.parametrize(
         "cards,message",
-        [(5, r"^cards: expected an array, got 5$"), ((2.0,), r"^cards\[0\]: expected an integer >= 1, got 2\.0$"),
+        [(5, r"^cards: expected an array of 1, got 5$"), ((2.0,), r"^cards\[0\]: expected an integer >= 1, got 2\.0$"),
          ((0,), r"^cards\[0\]: expected an integer >= 1, got 0$")],
         ids=["int", "float", "zero"],
     )
@@ -378,13 +380,15 @@ class TestJointTable:
         names = [f"V{i}" for i in range(width)]
         ds = sample(random_scm(Dag(names, []), 3), 10, seed=1)
         monkeypatch.setattr(scm_module.np, "bincount", None)
-        with pytest.raises(StateSpaceTooLarge, match=f"state space {2**width} exceeds cap"):
+        want = f"^frequency table has {2**width} cells, over the cap 16777216$"
+        with pytest.raises(StateSpaceTooLarge, match=want):
             empirical_joint(ds, names)
 
     def test_empirical_joint_shows_a_huge_size_abbreviated(self):
         # Formatting the size raised a bare ValueError past 4,300 digits.
         ds = Dataset(("A",), (10**5000,), [[0]], 0)
-        with pytest.raises(StateSpaceTooLarge, match=r"^state space <16610-bit integer> exceeds cap 16777216$"):
+        want = r"^frequency table has <16610-bit integer> cells, over the cap 16777216$"
+        with pytest.raises(StateSpaceTooLarge, match=want):
             empirical_joint(ds, ["A"])
 
     def test_dataset_column_rejects_an_unknown_name(self):
@@ -403,13 +407,13 @@ class TestInfer:
         dag = Dag([*parents, "X"], [(p, "X") for p in parents], [])
         scm = random_scm(dag, 0)
         assert infer(scm, {"X"}, max_cells=64).cards == (2,)
-        with pytest.raises(StateSpaceTooLarge):
+        with pytest.raises(StateSpaceTooLarge, match="^factor to eliminate P0 has 64 cells, over the cap 63$"):
             infer(scm, {"X"}, max_cells=63)
 
     def test_result_over_cap(self):
         dag = Dag([f"N{i}" for i in range(6)], [], [])
         scm = random_scm(dag, 0, card=4)
-        with pytest.raises(StateSpaceTooLarge):
+        with pytest.raises(StateSpaceTooLarge, match="^result has 4096 cells, over the cap 1000$"):
             infer(scm, set(dag.nodes), max_cells=1000)
 
     def test_zero_probability_evidence(self):
@@ -437,6 +441,93 @@ class TestInfer:
             log_post = log_post + np.log(scm.cpt[f][:, val])
         want = np.exp(log_post - log_post.max())
         assert np.abs(got.probs - want / want.sum()).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def wide_star():
+    """A hidden binary root H with 14,299 binary children: its joint, and
+    the bucket of H, have 2**14300 cells, more decimal digits than
+    ``str`` of an int writes (4,300)."""
+    children = [f"C{i}" for i in range(14_299)]
+    dag = Dag(["H", *children], [("H", c) for c in children], ["H"])
+    cpt = dict.fromkeys(children, np.full((2, 2), 0.5)) | {"H": np.full((1, 2), 0.5)}
+    return DiscreteScm(dag, dict.fromkeys(dag.nodes, 2), cpt)
+
+
+# Each of the five tables that is checked against the cell cap, and the
+# NumPy function that would lay it out, replaced by a stand-in that cannot:
+# (call, what, cells, cap, allocator, stand-in).
+CAP_REFUSALS = {
+    "joint": (lambda star: exact_joint(star), "joint", 2**14300, 1 << 24, "numpy.ones", None),
+    "factor": (lambda star: infer(star, set(star.dag.nodes) - {"H"}), "factor to eliminate H", 2**14300, 1 << 24,
+               "numpy.einsum", None),
+    "result": (lambda star: infer(star, star.dag.nodes, max_cells=10**400), "result", 2**14300, 10**400,
+               "numpy.einsum", None),
+    "frequency table": (lambda _: empirical_joint(Dataset(("A",), (10**5000,), [[0]], 0), ["A"]),
+                        "frequency table", 10**5000, 1 << 24, "numpy.bincount", None),
+    "CPT": (lambda _: random_scm(Dag(["A"], []), 0, 10**5000), "CPT of A", 10**5000, 1 << 24,
+            "numpy.random.default_rng", lambda seed: types.SimpleNamespace(gamma=None)),
+}
+# Hostile values of a count parameter: those refused as a cap, then those taken as one.
+NOT_CAPS = [True, float("nan"), float("inf"), -10**5000, b"64", "64", [64], None, np.float64(64.0), 1.5, -1, 0]
+CAPS = [10**400, np.int64(64), 2**70]
+CAP_ENTRIES = [lambda scm, cap: infer(scm, {"Y_f"}, max_cells=cap), lambda scm, cap: exact_joint(scm, max_cells=cap)]
+
+
+class TestTableRules:
+    """One check per table rule: the cell cap and a table's axes."""
+
+    @pytest.mark.parametrize("case", CAP_REFUSALS)
+    def test_every_cap_refusal_has_one_shape_before_allocation(self, case, wide_star, monkeypatch):
+        # The joint and result sizes raised a bare ValueError past 4,300 digits.
+        call, what, cells, cap, allocator, stand_in = CAP_REFUSALS[case]
+        monkeypatch.setattr(allocator, stand_in)
+        with pytest.raises(StateSpaceTooLarge) as raised:
+            call(wide_star)
+        assert str(raised.value) == f"{what} has {_shown(cells)} cells, over the cap {_shown(cap)}"
+        assert len(str(raised.value)) < 200
+
+    @pytest.mark.parametrize("value", NOT_CAPS, ids=_shown)
+    @pytest.mark.parametrize("entry", CAP_ENTRIES, ids=["infer", "exact_joint"])
+    def test_max_cells_is_read_as_a_count(self, entry, value):
+        # A str, bytes, a list or None escaped as a bare TypeError; a float
+        # or a bool was taken as the cap.
+        with pytest.raises(ParameterError) as raised:
+            entry(confounded_mediation_example(), value)
+        shown = _shown(value.item() if isinstance(value, np.generic) else value)  # a NumPy float is read as a float
+        assert str(raised.value) == f"max_cells: expected an integer >= 1, got {shown}"
+        assert len(str(raised.value)) < 200
+
+    @pytest.mark.parametrize("value", CAPS, ids=_shown)
+    @pytest.mark.parametrize("entry", CAP_ENTRIES, ids=["infer", "exact_joint"])
+    def test_max_cells_takes_any_count(self, entry, value):
+        assert entry(confounded_mediation_example(), value).probs.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "call,want",
+        [
+            (lambda: JointTable((), (), np.array(1.0)), "vars: expected one or more distinct names, got ()"),
+            (lambda: JointTable(("A", "A"), (2, 2), np.full((2, 2), 0.25)),
+             "vars: expected one or more distinct names, got ('A', 'A')"),
+            (lambda: JointTable(("A", "B"), (2,), np.full(2, 0.5)), "cards: expected an array of 2, got (2,)"),
+            (lambda: Dataset((), (), np.zeros((3, 0), dtype=np.uint8), 0),
+             "vars: expected one or more distinct names, got ()"),
+            (lambda: Dataset(("A", "A"), (2, 2), [[0, 1]], 0),
+             "vars: expected one or more distinct names, got ('A', 'A')"),
+            (lambda: DiscreteScm(Dag([], []), {}, {}), "dag.nodes: expected one or more names, got ()"),
+            (lambda: random_scm(Dag([], []), 0), "dag.nodes: expected one or more names, got ()"),
+        ],
+        ids=["table-no-vars", "table-duplicate", "table-cards", "dataset-no-columns", "dataset-duplicate",
+             "model-no-nodes", "random-model-no-nodes"],
+    )
+    def test_a_table_has_one_or_more_distinct_axes(self, call, want):
+        # A table or a model with no variables raised a bare ValueError
+        # (array scalar flags), and a dataset without columns was kept,
+        # so dataset_to_csv raised a bare IndexError and a model without
+        # nodes made sample raise a bare ValueError (max() of nothing).
+        with pytest.raises(ShapeError) as raised:
+            call()
+        assert str(raised.value) == want
 
 
 class TestMarginalCondition:
@@ -751,6 +842,18 @@ class TestSampling:
         # -1 & (2**64 - 1) overflowed int64 in the seed's hash.
         assert np.array_equal(sample(copy_chain(), 3, np.int64(-1)).rows, sample(copy_chain(), 3, -1).rows)
 
+    @pytest.mark.parametrize("n,start", [(3, 2**64 - 2), (1, 2**64), (3, 2**70)])
+    def test_rows_must_fit_the_row_counter(self, n, start):
+        # 2**64 - 2 wrapped: its third row drew row 0's values.  2**64
+        # raised a bare OverflowError.
+        with pytest.raises(ValueOutOfRange) as raised:
+            sample(copy_chain(), n, 1, start=start)
+        assert str(raised.value) == f"start: expected an integer <= {2**64 - n} (2**64 - n), got {start}"
+
+    def test_the_last_row_of_the_counter_is_drawn(self):
+        top = sample(copy_chain(), 3, 1, start=2**64 - 3)
+        assert np.array_equal(top.rows[2:], sample(copy_chain(), 1, 1, start=2**64 - 1).rows)
+
     def test_negative_start_rejected(self):
         with pytest.raises(ValueOutOfRange):
             sample(copy_chain(), 5, seed=1, start=-1)
@@ -826,8 +929,9 @@ class TestSampling:
     @pytest.mark.parametrize("cards", [(2,), (2, 2, 2)])
     def test_dataset_refuses_a_card_count_unlike_its_columns(self, cards):
         # One card too few went unchecked; one too many raised IndexError.
-        with pytest.raises(ShapeError, match="^vars and cards length mismatch$"):
+        with pytest.raises(ShapeError) as raised:
             Dataset(("A", "B"), cards, np.zeros((3, 2), dtype=np.uint8), 0)
+        assert str(raised.value) == f"cards: expected an array of 2, got {cards}"
 
     @pytest.mark.parametrize(
         "cards,want",
