@@ -144,7 +144,7 @@ def cmd_identify(args) -> int:
     do, outcome, mediators = args.do, args.outcome, args.mediators
     if scenario is not None:
         do, outcome = do or sorted(EFFECT_QUERY.do), outcome or EFFECT_QUERY.outcome
-        mediators = mediators or scenario.states
+        mediators = mediators or scenario.mediators
     if outcome is None:
         raise _UsageError("--outcome is required")
     if not do:

@@ -126,6 +126,12 @@ class RoadRiskScenario:
     def traffic_vars(self) -> tuple:
         return tuple(f"T_{i}" for i in range(self.depth + 1))
 
+    @property
+    def mediators(self) -> tuple:
+        """The front-door set of ``EFFECT_QUERY``, ``S_depth``: every directed path D -> Y_f passes it,
+        given the stratum J_o no back-door trail from D reaches it, and given D none reaches Y_f from it."""
+        return (f"S_{self.depth}",)
+
 
 def _check(value, path: str, levels: int, expected: str, ok) -> None:
     """Raise :class:`ParameterError` at the first part ``levels`` levels down ``value`` that fails ``ok``."""
@@ -311,11 +317,11 @@ def observational_joint(s: RoadRiskScenario) -> JointTable:
 def phyd_effect(s: RoadRiskScenario) -> EffectTable:
     """P(Y_f | do(J_o, D)) for every (J_o, D) pair, identified from data.
 
-    Front-door adjustment through the peril-state chain on the U-free
-    observational joint, stratified by the journey switch; matches the
-    surgery oracle on the canonical graph to 1e-9.
+    Front-door adjustment through ``s.mediators``, the last peril state,
+    on the U-free observational joint, stratified by the journey switch;
+    matches the surgery oracle on the canonical graph to 1e-9.
     """
-    return identify_effect(build_scenario(s), EFFECT_QUERY, "frontdoor", s.states)[1]
+    return identify_effect(build_scenario(s), EFFECT_QUERY, "frontdoor", s.mediators)[1]
 
 
 def naive_effect(s: RoadRiskScenario, *, joint: JointTable | None = None) -> EffectTable:
@@ -368,16 +374,16 @@ def _factorization_residual(scm: DiscreteScm, chain: list) -> float:
 
 
 def evaluate_scenario(s: RoadRiskScenario) -> dict:
-    """The ``evaluate`` report of the scenario, every field but the document's
-    ``schema_version``: the history verdict, the capacities, the confounding
-    gap, both chain diagnostics and the front-door and naive estimates, each
-    with its largest deviation from the surgery oracle over its live cells."""
+    """The ``evaluate`` report of the scenario, every field but the document's ``schema_version``:
+    the history verdict, the capacities, the confounding gap, both chain diagnostics and the
+    front-door (through ``s.mediators``) and naive estimates, each with its largest deviation
+    from the surgery oracle over its live cells."""
     scm = build_scenario(s)
     # One joint holds every information field and the naive estimate.
     j = infer(scm, {"Y_h", "J_o", "U", "D", "Y_f"})
     report = rating_report(scm, **REPORT_ROLES, joint=j)
     gap = confounding_gap(scm, "D", "Y_f", "U", joint=j)
-    _, pe = identify_effect(scm, EFFECT_QUERY, "frontdoor", s.states)
+    _, pe = identify_effect(scm, EFFECT_QUERY, "frontdoor", s.mediators)
     _, gt = identify_effect(scm, EFFECT_QUERY, "oracle")
     ne = naive_effect(s, joint=j)
     phyd_dev = float(np.abs(pe.probs - gt.probs)[pe.probs.any(axis=-1)].max())

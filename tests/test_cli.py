@@ -65,6 +65,20 @@ def approx_equal(a, b, rel=1e-9):
     return a == b
 
 
+def oracle_dev(capsys, path: str, *args) -> float:
+    """The largest difference between the cells ``identify`` writes on the
+    model at ``path`` and those of ``--method oracle``; both must exit 0
+    with the same cells."""
+    docs = []
+    for method in ("auto", "oracle"):
+        code, out, err = run(capsys, "identify", path, *args, "--method", method)
+        assert (code, err) == (0, "")
+        docs.append({(tuple(c["do"]), tuple(c["given"])): c["distribution"] for c in json.loads(out)["cells"]})
+    got, want = docs
+    assert got.keys() == want.keys()
+    return max(abs(a - b) for key in got for a, b in zip(got[key], want[key]))
+
+
 # SHA-256 of the CSV and the summary's accident rate of ``simulate``, by
 # (scenario, seed, n).  The digests come from the unchunked writer that
 # formatted ``rows.tolist()`` with ``csv.writer``; 3 * 2**16 + 7 rows
@@ -363,6 +377,12 @@ class TestIdentify:
         code, out, err = run(capsys, "identify", CONFOUNDED, "--do", "Q=0", "--outcome", "Y_f")
         assert (code, out) == (2, "")
         assert err == "error: UnknownVariable: unknown variable: 'Q'\n"
+
+    @pytest.mark.parametrize("depth", [20, 64, 200])
+    def test_past_the_chain_table_cap(self, capsys, tmp_path, depth):
+        # Through the whole chain, the front-door table would have
+        # 2^(depth + 1) mediator cells, over the cell cap from depth 20 on.
+        assert oracle_dev(capsys, canonical_path(depth, tmp_path)) <= 1e-12
 
     @pytest.mark.parametrize("do", [["J_o=0", "J_o=1"], ["J_o", "D", "J_o"], ["D=1", "D"]])
     def test_repeated_do_variable_exit_2(self, capsys, do):
@@ -751,14 +771,50 @@ class TestEvaluate:
         assert doc["traffic_markov_residual_bits"] <= 1e-9
         assert doc["phyd_vs_oracle_max_dev"] <= 1e-9
 
+    @pytest.mark.parametrize("depth", [20, 64, 200])
+    def test_past_the_chain_table_cap(self, capsys, tmp_path, depth):
+        code, out, err = run(capsys, "evaluate", canonical_path(depth, tmp_path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["phyd_vs_oracle_max_dev"] <= 1e-12
+
+    def test_positivity_needs_only_the_last_peril_state(self, capsys, tmp_path):
+        # Decision 0 never escalates at stage 0 when J_o = 0, so the chain
+        # cell {D: 0, J_o: 0, S_0: 0, S_1: 1, S_2: 1} has no data, and the
+        # whole chain as front-door set would be refused on it.  Every cell
+        # of the front-door formula through S_2 alone has data.
+        doc = json.loads(pathlib.Path(SCENARIO).read_text())
+        doc["escalation"][0][0] = [0.0, 0.0]
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["phyd_vs_oracle_max_dev"] <= 1e-12
+        assert oracle_dev(capsys, str(path)) <= 1e-12
+
+    @pytest.mark.parametrize("command", ["evaluate", "identify"])
+    def test_positivity_refusal_of_a_decision_never_taken(self, capsys, tmp_path, command):
+        # No driver of J_o = 0 takes decision 0, yet J_o = 0 has mass: the
+        # front-door formula needs P(D = 0, J_o = 0), whatever the mediators.
+        doc = json.loads(pathlib.Path(SCENARIO).read_text())
+        doc["decision_base"][0] = [0.0, 0.6, 0.4]
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 3
+        assert out == (
+            '{\n  "error": {\n    "cell": {\n      "D": 0,\n      "J_o": 0\n    },\n'
+            '    "message": "P{\'D\': 0, \'J_o\': 0} = 0",\n    "type": "PositivityViolation"\n  }\n}\n'
+        )
+
     def test_eliminations_per_report(self, capsys, tmp_path, monkeypatch):
         # One inference each for the joint the information fields and the
         # naive estimate share, the front-door estimate and the oracle: 3
-        # on the canonical chain at every depth.  The graph d-separates
-        # every stage of the Markov residual and every link of the chain
-        # residual, so neither infers anything.  No inference keeps claim
-        # history together with the peril chain.  The CLI reads
-        # ``scm.infer`` when it runs.
+        # on the canonical chain at every depth.  The front-door estimate
+        # reads the last peril state alone, so no kept set grows with the
+        # depth.  The graph d-separates every stage of the Markov residual
+        # and every link of the chain residual, so neither infers anything.
+        # No inference keeps claim history together with a peril state.
+        # The CLI reads ``scm.infer`` when it runs.
         from causalrating import identify, road_risk, scm
 
         calls = []
@@ -768,14 +824,13 @@ class TestEvaluate:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(mod, "infer", spy)
-        for depth in (2, 8):
+        for depth in (2, 8, 64):
             calls.clear()
             code, _, _ = run(capsys, "evaluate", canonical_path(depth, tmp_path))
             assert code == 0
-            chain = {f"S_{i}" for i in range(depth + 1)} | {"Y_f"}
             assert [set(keep) for keep in calls] == [
                 {"Y_h", "J_o", "U", "D", "Y_f"},
-                {"J_o", "D", *chain},
+                {"J_o", "D", f"S_{depth}", "Y_f"},
                 {"J_o", "D", "Y_f"},
             ], depth
 
@@ -1001,8 +1056,11 @@ def scenario_documents(draw, max_depth=12):
 
     Every (J_o, D, peril trajectory) keeps a positive mass well clear of
     underflow: journey and escalation rates stay inside (0, 1) and
-    ``u_prob`` below 1.  Otherwise a cell of the front-door estimate has
-    no data, which ``evaluate`` refuses with exit 3 (PositivityViolation).
+    ``u_prob`` below 1.  So the front-door formula has data through the
+    whole chain as well as through ``S_depth``, the set ``evaluate``
+    reads; a cell without data exits 3 (PositivityViolation).  The
+    escalation rates are one flat draw, which generates faster than
+    nested lists.
     """
     depth = draw(st.integers(1, max_depth), label="depth")
     prob, inner = st.floats(0.0, 1.0), st.floats(1e-6, 1.0 - 1e-6)
@@ -1012,6 +1070,7 @@ def scenario_documents(draw, max_depth=12):
         return [x / sum(w) for x in w]
 
     hazard = draw(prob, label="hazard")
+    rates = draw(st.lists(inner, min_size=6 * depth, max_size=6 * depth), label="escalation")
     return {
         "schema_version": 1,
         "depth": depth,
@@ -1022,11 +1081,7 @@ def scenario_documents(draw, max_depth=12):
         "journey_rate": draw(st.lists(inner, min_size=3, max_size=3), label="journey_rate"),
         "decision_base": [dist(3), dist(3)],
         "traffic_dist": dist(2),
-        "escalation": draw(
-            st.lists(st.lists(st.lists(inner, min_size=2, max_size=2), min_size=3, max_size=3),
-                     min_size=depth, max_size=depth),
-            label="escalation",
-        ),
+        "escalation": [[rates[k:k + 2] for k in range(i, i + 6, 2)] for i in range(0, 6 * depth, 6)],
         "accident_base": draw(st.lists(st.floats(0.0, 1.0 - hazard), min_size=2, max_size=2)),
         "confounder_strength": {
             "u_prob": draw(st.floats(0.0, 1.0, exclude_max=True), label="u_prob"),
@@ -1043,7 +1098,7 @@ class TestClosedFormOracle:
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(doc=scenario_documents())
+    @given(doc=scenario_documents(max_depth=64))
     def test_evaluate_matches_closed_form(self, capsys, doc):
         workloads = _bench_module("workloads")
         with tempfile.TemporaryDirectory() as tmp:
@@ -1052,6 +1107,51 @@ class TestClosedFormOracle:
             code, out, err = run(capsys, "evaluate", str(path))
         assert (code, err) == (0, "")
         assert workloads.check_report(doc, out) is None
+
+
+@st.composite
+def scenario_queries(draw):
+    """A scenario of :func:`scenario_documents` up to depth 6, with an effect
+    query on ``Y_f``: a nonempty do set and a given set of observed nodes.
+    Half the draws keep ``D`` in the do set and the peril states out of
+    both sets, where the front-door criterion holds."""
+    from causalrating import EffectQuery, scenario_from_json
+
+    s = scenario_from_json(draw(scenario_documents(max_depth=6)))
+    observed = ["Y_h", "J_o", "D", *s.traffic_vars, *s.states]
+    do = draw(st.sets(st.sampled_from(observed), min_size=1), label="do")
+    given = draw(st.sets(st.sampled_from(observed)), label="given") - do
+    if draw(st.booleans(), label="front-door"):
+        do, given = do - set(s.states) | {"D"}, given - set(s.states) - {"D"}
+    return s, EffectQuery("Y_f", do, given)
+
+
+class TestFrontDoorSet:
+    """The scenario's front-door set, the last peril state, against the
+    whole chain it replaced: every valid front-door set gives the same
+    effect (Pearl 1995)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=scenario_queries())
+    def test_the_last_peril_state_answers_what_the_chain_answers(self, case):
+        import numpy as np
+
+        from causalrating import build_scenario, identify_effect
+        from causalrating.errors import CausalRatingError
+
+        s, query = case
+        scm = build_scenario(s)
+        try:
+            method, chain = identify_effect(scm, query, "auto", s.states)
+        except CausalRatingError:
+            return
+        got_method, got = identify_effect(scm, query, "auto", s.mediators)
+        assert got_method == method
+        _, oracle = identify_effect(scm, query, "oracle")
+        live = chain.probs.any(axis=-1)
+        assert np.array_equal(got.probs.any(axis=-1), live)
+        assert np.abs(got.probs - chain.probs)[live].max() <= 1e-12
+        assert np.abs(got.probs - oracle.probs)[live].max() <= 1e-12
 
 
 def _document_paths(doc, prefix=()):
