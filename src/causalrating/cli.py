@@ -39,6 +39,16 @@ class _UsageError(Exception):
     pass
 
 
+class _Once(argparse.Action):
+    """A list flag's action: a second use of the flag is refused, where
+    argparse would let its list replace the first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _emit(doc, out_path=None):
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
@@ -138,18 +148,15 @@ def cmd_dsep(args) -> int:
 
 def cmd_identify(args) -> int:
     from .identify import EffectQuery, identify_effect
-    from .road_risk import EFFECT_QUERY
 
     scm, scenario = _load_model(args.model)
-    do, outcome, mediators = args.do, args.outcome, args.mediators
+    (names, pinned), outcome, mediators = _parse_do(args.do or ()), args.outcome, args.mediators
     if scenario is not None:
-        do, outcome = do or sorted(EFFECT_QUERY.do), outcome or EFFECT_QUERY.outcome
-        mediators = mediators or scenario.mediators
+        names, outcome, mediators = scenario.query(names, outcome, args.given, mediators)
     if outcome is None:
         raise _UsageError("--outcome is required")
-    if not do:
+    if not names:
         raise _UsageError("--do is required")
-    names, pinned = _parse_do(do)
     for v, val in pinned.items():
         if v in scm.card and not 0 <= val < scm.card[v]:
             raise _UsageError(f"--do {v}={val}: value out of range 0..{scm.card[v] - 1}")
@@ -230,19 +237,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dsep", help="d-separation query against a graph")
     d.add_argument("graph", help="graph JSON file or template id")
-    d.add_argument("--x", nargs="+", required=True)
-    d.add_argument("--y", nargs="+", required=True)
-    d.add_argument("--z", nargs="*", default=())
+    d.add_argument("--x", nargs="+", action=_Once, required=True)
+    d.add_argument("--y", nargs="+", action=_Once, required=True)
+    d.add_argument("--z", nargs="*", action=_Once, default=())
     d.add_argument("--out", default=None)
     d.set_defaults(fn=cmd_dsep)
 
     i = sub.add_parser("identify", help="identify an interventional distribution")
     i.add_argument("model", help="SCM or scenario JSON file")
     i.add_argument("--outcome", default=None)
-    i.add_argument("--do", nargs="+", default=None, metavar="NAME[=VAL]")
-    i.add_argument("--given", nargs="*", default=())
-    i.add_argument("--mediators", nargs="*", default=())
-    i.add_argument("--adjust", nargs="*", default=())
+    i.add_argument("--do", nargs="+", action=_Once, default=None, metavar="NAME[=VAL]")
+    i.add_argument("--given", nargs="*", action=_Once, default=())
+    i.add_argument("--mediators", nargs="*", action=_Once, default=())
+    i.add_argument("--adjust", nargs="*", action=_Once, default=())
     i.add_argument("--method", choices=IDENTIFY_METHODS, default="auto")
     i.add_argument("--out", default=None)
     i.set_defaults(fn=cmd_identify)
@@ -251,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("graph", help="graph JSON file or template id")
     v.add_argument("--candidate", required=True)
     v.add_argument("--outcome", required=True)
-    v.add_argument("--observed", nargs="*", default=())
+    v.add_argument("--observed", nargs="*", action=_Once, default=())
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verdict)
 
@@ -274,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--history", default=None)
     r.add_argument("--behavior", default=None)
     r.add_argument("--outcome", default=None)
-    r.add_argument("--observed", nargs="*", default=None)
+    r.add_argument("--observed", nargs="*", action=_Once, default=None)
     r.add_argument("--out", default=None)
     r.set_defaults(fn=cmd_report)
 

@@ -132,6 +132,14 @@ class RoadRiskScenario:
         given the stratum J_o no back-door trail from D reaches it, and given D none reaches Y_f from it."""
         return (f"S_{self.depth}",)
 
+    def query(self, do=(), outcome=None, given=(), mediators=()) -> tuple:
+        """``(do, outcome, mediators)`` of an ``identify`` query.  Each left empty takes its default
+        (``EFFECT_QUERY``'s, :attr:`mediators`) where it names nothing in ``do``, ``outcome``, ``given``."""
+        gave, q = {*do, outcome, *given}, EFFECT_QUERY
+        do = do or (sorted(q.do) if gave.isdisjoint(q.do) else ())
+        outcome = outcome or (q.outcome if q.outcome not in gave else None)
+        return do, outcome, mediators or (self.mediators if gave.isdisjoint(self.mediators) else ())
+
 
 def _check(value, path: str, levels: int, expected: str, ok) -> None:
     """Raise :class:`ParameterError` at the first part ``levels`` levels down ``value`` that fails ``ok``."""

@@ -473,10 +473,15 @@ def test_cli_imports_no_numpy_and_no_private_package_name():
     # Each command parses, loads, makes one library call and emits: the
     # work, NumPy included, lives in the layers behind their public names,
     # and so do the variable names of the shipped models and scenarios.
+    # From road_risk it takes only what it calls or passes on: the
+    # scenario's query defaults are read through RoadRiskScenario.query.
     import ast
     import re
 
     model_name = re.compile(r"\b(Y_h|Y_f|J_o|D|U|X_c|Z|[ST]_\d+)\b")
+    road_risk_names = {
+        "REPORT_ROLES", "build_scenario", "evaluate_scenario", "scenario_from_json", "write_journeys",
+    }
 
     path = pathlib.Path(importlib.import_module("causalrating.cli").__file__)
     offending = []
@@ -490,6 +495,8 @@ def test_cli_imports_no_numpy_and_no_private_package_name():
             elif node.level or module.partition(".")[0] == "causalrating":
                 parts = [p for p in module.split(".") if p] + [a.name for a in node.names]
                 offending += [f"{module}:{p}" for p in parts if p.startswith("_")]
+                if module.rpartition(".")[2] == "road_risk":
+                    offending += [f"{module}:{a.name}" for a in node.names if a.name not in road_risk_names]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and model_name.search(node.value):
             offending.append(f"line {node.lineno}: {node.value!r}")
     assert offending == []
@@ -1154,6 +1161,79 @@ class TestFrontDoorSet:
         assert np.abs(got.probs - oracle.probs)[live].max() <= 1e-12
 
 
+def _one_flag_queries(observed):
+    """The bare call, every lone ``--do``, ``--outcome`` and ``--given`` of
+    an observed node and every ``--do X --outcome Y`` pair."""
+    yield []
+    yield from ([flag, v] for flag in ("--do", "--outcome", "--given") for v in observed)
+    yield from (["--do", x, "--outcome", y] for x in observed for y in observed if x != y)
+
+
+class TestScenarioDefaults:
+    """``identify`` on a scenario fills a flag left empty with the
+    scenario's default (``EFFECT_QUERY``'s do set and outcome, and the
+    front-door set ``S_depth``) only where that default names nothing the
+    user gave; otherwise the flag stays empty."""
+
+    @pytest.mark.parametrize("model", ["default", 1, 2])
+    def test_no_refusal_names_a_set_the_user_did_not_give(self, capsys, tmp_path, model):
+        from causalrating import scenario_dag, scenario_from_json
+
+        path = SCENARIO if model == "default" else canonical_path(model, tmp_path)
+        dag = scenario_dag(scenario_from_json(json.loads(pathlib.Path(path).read_text())))
+        methods = ("auto", "frontdoor", "backdoor") if model == "default" else ("auto",)
+        for query in _one_flag_queries([v for v in dag.nodes if v not in dag.latent]):
+            oracle = None
+            for method in methods:
+                code, out, err = run(capsys, "identify", path, *query, "--method", method)
+                if code == 2:
+                    # No set the user gave meets another: only a flag left empty is refused.
+                    assert err in {f"error: {f} is required\n" for f in ("--do", "--outcome") if f not in query}
+                    continue
+                assert (code, err) in {(0, ""), (3, "")}, (query, method)
+                if code == 3:
+                    continue  # a criterion or positivity refusal, with its witness
+                if oracle is None:
+                    code, want, _ = run(capsys, "identify", path, *query, "--method", "oracle")
+                    assert code == 0
+                    oracle = {(tuple(c["do"]), tuple(c["given"])): c["distribution"]
+                              for c in json.loads(want)["cells"]}
+                got = {(tuple(c["do"]), tuple(c["given"])): c["distribution"] for c in json.loads(out)["cells"]}
+                assert got.keys() == oracle.keys()
+                assert max(abs(a - b) for k in got for a, b in zip(got[k], oracle[k])) <= 1e-12
+
+    def test_a_query_on_the_front_door_set_goes_past_the_front_door(self, capsys):
+        # S_2 is the treatment, so the default front-door set stays empty and
+        # back-door adjustment runs. Its set holds S_1, and S_2 = 0 never
+        # follows S_1 = 1: escalation is absorbing.
+        code, out, _ = run(capsys, "identify", SCENARIO, "--do", "S_2")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "PositivityViolation"
+
+    def test_an_outcome_on_the_front_door_set_is_answered_by_back_door(self, capsys):
+        code, out, _ = run(capsys, "identify", SCENARIO, "--do", "D", "--outcome", "S_2")
+        assert code == 0
+        assert json.loads(out)["method"] == "backdoor"
+
+    def test_a_given_front_door_set_that_meets_the_query_exit_2(self, capsys):
+        code, out, err = run(capsys, "identify", SCENARIO, "--do", "S_2", "--mediators", "S_2")
+        assert (code, out) == (2, "")
+        assert err == "error: OverlapError: sets overlap on ['S_2']\n"
+
+    def test_an_outcome_the_do_set_names_is_left_empty(self, capsys):
+        code, out, err = run(capsys, "identify", SCENARIO, "--do", "Y_f")
+        assert (code, out, err) == (2, "", "error: --outcome is required\n")
+
+    def test_a_stratum_on_the_front_door_set_leaves_it_empty(self, capsys):
+        code, out, _ = run(capsys, "identify", SCENARIO, "--given", "S_2", "--method", "frontdoor")
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "CriterionNotMet",
+            "message": "front-door criterion fails for do(J_o, D) on Y_f via []",
+            "witness": "empty mediator set",
+        }
+
+
 def _document_paths(doc, prefix=()):
     """The path of every value below the root of a JSON document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
@@ -1593,6 +1673,11 @@ class TestUsage:
         "separator-then-extra": ["dsep", "Fig1d", "--x", "A", "--y", "B", "--", "extra"],
         "separator-first": ["--", "dsep", "Fig1d", "--x", "A", "--y", "B"],
         "separator-dash-name": ["evaluate", "--", "-scenario.json"],
+        "dsep-repeated-list-flag": ["dsep", "Fig1d", "--x", "Y_h", "--x", "X_c", "--y", "Y_f"],
+        "identify-repeated-list-flag": ["identify", SCENARIO, "--do", "D=1", "--do", "J_o"],
+        "verdict-repeated-list-flag": ["verdict", "Fig2b", "--candidate", "X_c", "--outcome", "Y_f",
+                                       "--observed", "Y_h", "--observed"],
+        "report-repeated-list-flag": ["report", CONFOUNDED, "--observed", "--observed", "X_c"],
     }
 
     @pytest.mark.parametrize("argv", DISPATCH_CASES.values(), ids=DISPATCH_CASES.keys())
@@ -1613,6 +1698,26 @@ class TestUsage:
             assert want[0].command == argv[0]
         else:
             assert main(list(argv)) == (0 if want[3] == 0 else 2)
+
+    # argparse would let a second list replace the first: each is refused.
+    REPEATED_LIST_FLAGS = [
+        ("--x", ["dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f", "--x", "X_c"]),
+        ("--y", ["dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f", "--y", "Y_f"]),
+        ("--z", ["dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f", "--z", "--z", "X_c"]),
+        ("--do", ["identify", SCENARIO, "--do", "D", "--do", "D"]),
+        ("--given", ["identify", SCENARIO, "--given", "Y_h", "--given"]),
+        ("--mediators", ["identify", SCENARIO, "--mediators", "S_2", "--mediators", "S_1"]),
+        ("--adjust", ["identify", CONFOUNDED, "--do", "X_c", "--outcome", "Y_f", "--adjust", "--adjust", "Y_h"]),
+        ("--observed", ["verdict", "Fig1d", "--candidate", "Y_h", "--outcome", "Y_f", "--observed", "--observed"]),
+        ("--observed", ["report", SCENARIO, "--observed", "J_o", "--observed", "D"]),
+    ]
+
+    @pytest.mark.parametrize("flag,argv", REPEATED_LIST_FLAGS, ids=[a[0] + f for f, a in REPEATED_LIST_FLAGS])
+    def test_a_list_flag_given_twice_exit_2_with_the_command_usage(self, capsys, flag, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: causalrating {argv[0]} [-h]")
+        assert err.endswith(f"causalrating {argv[0]}: error: argument {flag}: given more than once\n")
 
     def test_extra_arguments_refused_with_the_top_level_usage(self, capsys):
         code, out, err = run(capsys, "dsep", "Fig1d", "--x", "Y_h", "--y", "Y_f", "--bogus")

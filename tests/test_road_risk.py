@@ -788,6 +788,29 @@ class TestPhydEffect:
         assert len(doc["cells"]) == 6
 
 
+class TestScenarioQuery:
+    """``RoadRiskScenario.query``: a default fills a value left empty only
+    where it names none of the do names, outcome and strata given."""
+
+    @pytest.mark.parametrize(
+        "gave,want",
+        [
+            ({}, (["D", "J_o"], "Y_f", ("S_2",))),
+            ({"do": ["S_2"]}, (["S_2"], "Y_f", ())),
+            ({"do": ["Y_f"]}, (["Y_f"], None, ("S_2",))),
+            ({"outcome": "D"}, ((), "D", ("S_2",))),
+            ({"outcome": "S_2"}, (["D", "J_o"], "S_2", ())),
+            ({"given": ["J_o"]}, ((), "Y_f", ("S_2",))),
+            ({"given": ["S_2"]}, (["D", "J_o"], "Y_f", ())),
+            ({"do": ["S_2"], "mediators": ["S_2"]}, (["S_2"], "Y_f", ["S_2"])),
+        ],
+        ids=["bare", "do-mediator", "do-outcome", "outcome-do", "outcome-mediator", "given-do",
+             "given-mediator", "mediators-given"],
+    )
+    def test_default_fills_only_what_meets_nothing_given(self, gave, want):
+        assert default_scenario().query(**gave) == want
+
+
 class TestNaiveEffect:
     @pytest.mark.parametrize("rate", [1.0, 0.0])
     def test_pair_of_zero_mass_is_a_dead_cell(self, rate):
