@@ -150,18 +150,16 @@ def cmd_identify(args) -> int:
     from .identify import EffectQuery, identify_effect
 
     scm, scenario = _load_model(args.model)
-    (names, pinned), outcome, mediators = _parse_do(args.do or ()), args.outcome, args.mediators
-    if scenario is not None:
-        names, outcome, mediators = scenario.query(names, outcome, args.given, mediators)
-    if outcome is None:
-        raise _UsageError("--outcome is required")
-    if not names:
-        raise _UsageError("--do is required")
+    names, pinned = _parse_do(args.do or ())
+    q = {"do": names or None, "outcome": args.outcome, "given": args.given, "mediators": args.mediators or None}
+    q = scenario.query(**q) if scenario is not None else q
+    for k in (k for k in ("outcome", "do") if q[k] is None):
+        raise _UsageError(f"--{k} is required")
     for v, val in pinned.items():
         if v in scm.card and not 0 <= val < scm.card[v]:
             raise _UsageError(f"--do {v}={val}: value out of range 0..{scm.card[v] - 1}")
-    query = EffectQuery(outcome, names, args.given)
-    method, table = identify_effect(scm, query, args.method, mediators, args.adjust)
+    query = EffectQuery(q["outcome"], q["do"], args.given)
+    method, table = identify_effect(scm, query, args.method, q["mediators"] or (), args.adjust)
     doc = {"method": method, **table.to_json()}
     for v, val in pinned.items():
         at = table.do_vars.index(v)
@@ -204,14 +202,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     from .identify import rating_report
-    from .road_risk import REPORT_ROLES
 
     scm, scenario = _load_model(args.model)
-    # A flag overrides the scenario's roles, which override rating_report's.
-    roles = dict(REPORT_ROLES) if scenario is not None else {}
-    roles |= {k: getattr(args, k) for k in ("history", "behavior", "outcome") if getattr(args, k)}
-    if args.observed is not None:
-        roles["observed"] = args.observed
+    roles = {k: getattr(args, k) for k in ("history", "behavior", "outcome", "observed")}
+    if scenario is not None:
+        roles = scenario.query(**roles)
+        for k in (k for k, v in roles.items() if v is None):
+            raise _UsageError(f"--{k} is required")
     _emit({"schema_version": REPORT_SCHEMA_VERSION, **rating_report(scm, **roles)}, args.out)
     return 0
 

@@ -396,15 +396,33 @@ def rating_comparison(j: JointTable, yh, xc, yf) -> CapacityReport:
     )
 
 
+def _fill(defaults: dict, flags: dict) -> dict:
+    """``flags`` read as names, each left ``None`` set to its default where that names nothing given in another
+    flag but ``mediators``; ``behavior`` may meet ``observed``.  A flag whose default is a name is read as one."""
+    one = {k for k, d in defaults.items() if isinstance(d, str)}
+    read = {k: v if v is None else _name(v, k) if k in one else _names(v, k, kind=tuple) for k, v in flags.items()}
+    gave = {k: {v} if k in one else {*v} for k, v in read.items() if v is not None}
+    for k in defaults.keys() & read.keys() - gave.keys():
+        d = {defaults[k]} if k in one else {*defaults[k]}
+        if all(d.isdisjoint(gave[j]) for j in gave if j != "mediators" and {j, k} != {"behavior", "observed"}):
+            read[k] = defaults[k]
+    return read
+
+
 def rating_report(
-    scm: DiscreteScm, history="Y_h", behavior="X_c", outcome="Y_f", observed=(), *,
+    scm: DiscreteScm, history=None, behavior=None, outcome=None, observed=None, *,
     joint: JointTable | None = None,
 ) -> dict:
-    """The ``report`` document less its ``schema_version``: the :func:`noise_verdict`
-    on ``history`` given ``observed``, then the :func:`rating_comparison` of the
-    three roles.  An unknown name raises :class:`UnknownNodeError`, then a latent
-    role :class:`UnknownVariable`.  ``joint``, when given, may be any joint of
-    ``scm`` that holds the three roles; the default infers theirs alone."""
+    """The ``report`` document less its ``schema_version``: the :func:`noise_verdict` on ``history`` given
+    ``observed``, then the :func:`rating_comparison` of the three roles.  A role left ``None`` takes its default
+    (``Y_h``, ``X_c``, ``Y_f``, no names) where that names no other role given, though ``behavior`` may be
+    ``observed``; else :class:`ParameterError`.  An unknown name raises :class:`UnknownNodeError`, then a latent
+    role :class:`UnknownVariable`.  ``joint``, any joint of ``scm`` holding the roles, spares inferring theirs."""
+    defaults = {"history": "Y_h", "behavior": "X_c", "outcome": "Y_f", "observed": ()}
+    roles = _fill(defaults, {"history": history, "behavior": behavior, "outcome": outcome, "observed": observed})
+    for k in (k for k, v in roles.items() if v is None):
+        raise ParameterError(f"{k} is required: its default {_shown(defaults[k])} meets a role given")
+    history, behavior, outcome, observed = roles.values()
     verdict = noise_verdict(scm.dag, history, outcome, observed)
     _names([history, behavior, outcome], "roles", scm.card.keys() - scm.dag.latent, UnknownVariable)
     j = infer(scm, {history, behavior, outcome}) if joint is None else joint

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NegativeTta, ParameterError, UnknownVariable, ValueOutOfRange
 from .graph import _MAX_DEPTH, Dag, _read, _real, _shown, d_separated
 from .identify import (
-    EffectQuery, EffectTable, _divide, _layout, confounding_gap, identify_effect, rating_report,
+    EffectQuery, EffectTable, _divide, _fill, _layout, confounding_gap, identify_effect, rating_report,
 )
 from .info import conditional_mutual_information
 from .scm import (
@@ -69,7 +69,7 @@ _VALUE_RULES = (
 )
 # The scenario's questions: the effect of (J_o, D) on Y_f, and the rating_report roles.
 EFFECT_QUERY = EffectQuery("Y_f", {"J_o", "D"})
-REPORT_ROLES = {"history": "Y_h", "behavior": "D", "outcome": "Y_f", "observed": ("J_o", "D")}
+REPORT_ROLES = {"history": "Y_h", "behavior": "D", "outcome": EFFECT_QUERY.outcome, "observed": ("J_o", "D")}
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,10 @@ class RoadRiskScenario:
         given the stratum J_o no back-door trail from D reaches it, and given D none reaches Y_f from it."""
         return (f"S_{self.depth}",)
 
-    def query(self, do=(), outcome=None, given=(), mediators=()) -> tuple:
-        """``(do, outcome, mediators)`` of an ``identify`` query.  Each left empty takes its default
-        (``EFFECT_QUERY``'s, :attr:`mediators`) where it names nothing in ``do``, ``outcome``, ``given``."""
-        gave, q = {*do, outcome, *given}, EFFECT_QUERY
-        do = do or (sorted(q.do) if gave.isdisjoint(q.do) else ())
-        outcome = outcome or (q.outcome if q.outcome not in gave else None)
-        return do, outcome, mediators or (self.mediators if gave.isdisjoint(self.mediators) else ())
+    def query(self, **flags) -> dict:
+        """An ``identify`` or ``report`` query's flags, each left ``None`` filled by :func:`identify._fill`
+        from one table: ``REPORT_ROLES``, ``EFFECT_QUERY``'s do set and :attr:`mediators`."""
+        return _fill({**REPORT_ROLES, "do": tuple(sorted(EFFECT_QUERY.do)), "mediators": self.mediators}, flags)
 
 
 def _check(value, path: str, levels: int, expected: str, ok) -> None:

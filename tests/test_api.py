@@ -98,6 +98,7 @@ def test_huge_integer_refused_with_a_short_message(call):
 def name_parameters() -> dict:
     scm = confounded_mediation_example()
     dag, j, d = scm.dag, infer(scm, {"Y_h", "X_c", "Z", "Y_f"}), sample(scm, 10, 1)
+    scenario = default_scenario()
     return {
         "Dag nodes": lambda h: Dag(h, []),
         "Dag latent": lambda h: Dag(["A"], [], h),
@@ -166,6 +167,8 @@ def name_parameters() -> dict:
         "rating_report behavior": lambda h: rating_report(scm, behavior=h),
         "rating_report outcome": lambda h: rating_report(scm, outcome=h),
         "rating_report observed": lambda h: rating_report(scm, observed=h),
+        **{f"RoadRiskScenario.query {flag}": lambda h, flag=flag: scenario.query(**{flag: h})
+           for flag in ("do", "outcome", "given", "mediators", "history", "behavior", "observed")},
         "entropy": lambda h: entropy(j, h),
         "conditional_entropy X": lambda h: conditional_entropy(j, h, {"Y_f"}),
         "conditional_entropy Z": lambda h: conditional_entropy(j, {"Y_f"}, h),

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
@@ -474,14 +475,13 @@ def test_cli_imports_no_numpy_and_no_private_package_name():
     # work, NumPy included, lives in the layers behind their public names,
     # and so do the variable names of the shipped models and scenarios.
     # From road_risk it takes only what it calls or passes on: the
-    # scenario's query defaults are read through RoadRiskScenario.query.
+    # scenario's identify and report defaults are read through
+    # RoadRiskScenario.query, so no role table enters the CLI.
     import ast
     import re
 
     model_name = re.compile(r"\b(Y_h|Y_f|J_o|D|U|X_c|Z|[ST]_\d+)\b")
-    road_risk_names = {
-        "REPORT_ROLES", "build_scenario", "evaluate_scenario", "scenario_from_json", "write_journeys",
-    }
+    road_risk_names = {"build_scenario", "evaluate_scenario", "scenario_from_json", "write_journeys"}
 
     path = pathlib.Path(importlib.import_module("causalrating.cli").__file__)
     offending = []
@@ -1232,6 +1232,119 @@ class TestScenarioDefaults:
             "message": "front-door criterion fails for do(J_o, D) on Y_f via []",
             "witness": "empty mediator set",
         }
+
+
+_ROLES = ("history", "behavior", "outcome", "observed")
+# The pair families of the report matrix.  The verdict reads history,
+# outcome and observed, the capacities history, behavior and outcome, so
+# behavior alone may share names with observed.
+_ROLE_PAIRS = (("history", "behavior"), ("history", "outcome"), ("behavior", "outcome"),
+               ("history", "observed"), ("behavior", "observed"))
+
+
+def _role_names(value):
+    return {value} if isinstance(value, str) else set(value)
+
+
+def _report_queries(observed, pairs):
+    """The bare call, ``--observed`` with no names and every lone role of
+    an observed node; with ``pairs``, every two different nodes in each
+    pair of ``_ROLE_PAIRS``.  ``--observed`` names are given as a list."""
+    yield {}
+    yield {"observed": []}
+    yield from ({flag: [v] if flag == "observed" else v} for flag in _ROLES for v in observed)
+    if pairs:
+        yield from ({a: x, b: [y] if b == "observed" else y} for a, b in _ROLE_PAIRS
+                    for x in observed for y in observed if x != y)
+
+
+def _rule_roles(defaults, gave):
+    """The roles of a report query by the rule, written out apart from the
+    library: a role left empty takes its default only where that names
+    nothing given in another role, but behavior and observed may share."""
+    roles = dict(gave)
+    for k, d in defaults.items():
+        if k not in gave and all(_role_names(d).isdisjoint(_role_names(v))
+                                 for j, v in gave.items() if {j, k} != {"behavior", "observed"}):
+            roles[k] = d
+    return roles
+
+
+class TestReportDefaults:
+    """``report`` fills a role left empty with its default (the scenario's
+    ``REPORT_ROLES``, or ``rating_report``'s on an SCM file) only where that
+    default names nothing given in another role, ``behavior`` and
+    ``observed`` excepted; a role it cannot fill exits 2 and names it."""
+
+    @pytest.mark.parametrize("model", ["default", 1, "direct", "mediation"])
+    def test_no_refusal_names_a_role_the_user_did_not_give(self, capsys, tmp_path, model):
+        from causalrating import build_scenario, rating_report, scenario_from_json, scm_from_json
+        from causalrating.errors import CausalRatingError, OverlapError
+
+        path = {"default": SCENARIO, "direct": CONFOUNDED, "mediation": MEDIATED}.get(model)
+        path = path or canonical_path(model, tmp_path)
+        doc = json.loads(pathlib.Path(path).read_text())
+        scm = scm_from_json(doc) if "cpt" in doc else build_scenario(scenario_from_json(doc))
+        defaults = {"history": "Y_h", "behavior": "X_c", "outcome": "Y_f", "observed": ()} if "cpt" in doc else {
+            "history": "Y_h", "behavior": "D", "outcome": "Y_f", "observed": ("J_o", "D")}
+        observed = [v for v in scm.dag.nodes if v not in scm.dag.latent]
+        for gave in _report_queries(observed, pairs=model == 1):
+            argv = [a for k, v in gave.items() for a in [f"--{k}", *([v] if isinstance(v, str) else v)]]
+            code, out, err = run(capsys, "report", path, *argv)
+            roles = _rule_roles(defaults, gave)
+            if len(roles) < len(_ROLES):
+                # The first role the rule leaves empty is named, and the user left it empty.
+                left = next(k for k in _ROLES if k not in roles)
+                assert left not in gave
+                assert (code, out) == (2, ""), gave
+                why = f"ParameterError: {left} is required: its default {defaults[left]!r} meets a role given"
+                assert err == f"error: {why if 'cpt' in doc else f'--{left} is required'}\n", gave
+                continue
+            try:
+                want = rating_report(scm, **roles)
+            except CausalRatingError as exc:
+                assert (code, out, err) == (2, "", f"error: {type(exc).__name__}: {exc}\n"), gave
+                if isinstance(exc, OverlapError):
+                    # Only values the user gave clash.
+                    assert any(_role_names(gave[a]) & _role_names(gave[b]) for a, b in
+                               itertools.combinations(gave, 2) if {a, b} != {"behavior", "observed"}), gave
+                continue
+            assert (code, err) == (0, ""), gave
+            assert json.loads(out) == {"schema_version": 1, **want}, gave
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            ([SCENARIO, "--history", "D"], "error: --behavior is required\n"),
+            ([SCENARIO, "--history", "J_o"], "error: --observed is required\n"),
+            ([SCENARIO, "--history", "Y_f"], "error: --outcome is required\n"),
+            ([CONFOUNDED, "--history", "X_c"],
+             "error: ParameterError: behavior is required: its default 'X_c' meets a role given\n"),
+            ([SCENARIO, "--history", "Y_h", "--behavior", "Y_h"],
+             "error: OverlapError: sets overlap on ['Y_h']\n"),
+        ],
+        ids=["history-behavior", "history-observed", "history-outcome", "scm-history-behavior", "both-given"],
+    )
+    def test_refusal(self, capsys, argv, err):
+        assert run(capsys, "report", *argv) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv,roles",
+        [
+            ([SCENARIO, "--behavior", "J_o"], {"behavior": "J_o", "observed": ("J_o", "D")}),
+            ([SCENARIO, "--observed", "D"], {"observed": ["D"]}),
+            ([MEDIATED, "--observed", "X_c"], {"observed": ["X_c"]}),
+        ],
+        ids=["behavior-in-default-observed", "default-behavior-observed", "scm-default-behavior-observed"],
+    )
+    def test_behavior_may_be_observed(self, capsys, argv, roles):
+        from causalrating import build_scenario, confounded_mediation_example, default_scenario, rating_report
+
+        scm = confounded_mediation_example() if argv[0] == MEDIATED else build_scenario(default_scenario())
+        roles = ({} if argv[0] == MEDIATED else {"history": "Y_h", "behavior": "D", "outcome": "Y_f"}) | roles
+        code, out, err = run(capsys, "report", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"schema_version": 1, **rating_report(scm, **roles)}
 
 
 def _document_paths(doc, prefix=()):

@@ -788,27 +788,66 @@ class TestPhydEffect:
         assert len(doc["cells"]) == 6
 
 
+# Each command's flags as its CLI hands them to RoadRiskScenario.query, all left empty.
+_EMPTY_FLAGS = {
+    "identify": {"do": None, "outcome": None, "given": (), "mediators": None},
+    "report": {"history": None, "behavior": None, "outcome": None, "observed": None},
+}
+
+
 class TestScenarioQuery:
-    """``RoadRiskScenario.query``: a default fills a value left empty only
-    where it names none of the do names, outcome and strata given."""
+    """``RoadRiskScenario.query``: a flag left ``None`` takes its default only
+    where that names nothing given in another flag; a given ``mediators``
+    meets no default, and ``behavior`` may meet ``observed``.  Otherwise
+    the flag stays ``None``."""
 
     @pytest.mark.parametrize(
-        "gave,want",
+        "command,gave,want",
         [
-            ({}, (["D", "J_o"], "Y_f", ("S_2",))),
-            ({"do": ["S_2"]}, (["S_2"], "Y_f", ())),
-            ({"do": ["Y_f"]}, (["Y_f"], None, ("S_2",))),
-            ({"outcome": "D"}, ((), "D", ("S_2",))),
-            ({"outcome": "S_2"}, (["D", "J_o"], "S_2", ())),
-            ({"given": ["J_o"]}, ((), "Y_f", ("S_2",))),
-            ({"given": ["S_2"]}, (["D", "J_o"], "Y_f", ())),
-            ({"do": ["S_2"], "mediators": ["S_2"]}, (["S_2"], "Y_f", ["S_2"])),
+            ("identify", {}, {"do": ("D", "J_o"), "outcome": "Y_f", "mediators": ("S_2",)}),
+            ("identify", {"do": ["S_2"]}, {"do": ("S_2",), "outcome": "Y_f", "mediators": None}),
+            ("identify", {"do": ["Y_f"]}, {"do": ("Y_f",), "outcome": None, "mediators": ("S_2",)}),
+            ("identify", {"outcome": "D"}, {"do": None, "outcome": "D", "mediators": ("S_2",)}),
+            ("identify", {"outcome": "S_2"}, {"do": ("D", "J_o"), "outcome": "S_2", "mediators": None}),
+            ("identify", {"given": ["J_o"]}, {"do": None, "outcome": "Y_f", "mediators": ("S_2",)}),
+            ("identify", {"given": ["S_2"]}, {"do": ("D", "J_o"), "outcome": "Y_f", "mediators": None}),
+            ("identify", {"do": ["S_2"], "mediators": ["S_2"]},
+             {"do": ("S_2",), "outcome": "Y_f", "mediators": ("S_2",)}),
+            ("identify", {"mediators": ["D"]}, {"do": ("D", "J_o"), "outcome": "Y_f", "mediators": ("D",)}),
+            ("report", {}, {"history": "Y_h", "behavior": "D", "outcome": "Y_f", "observed": ("J_o", "D")}),
+            ("report", {"history": "D"}, {"history": "D", "behavior": None, "outcome": "Y_f", "observed": None}),
+            ("report", {"behavior": "J_o"},
+             {"history": "Y_h", "behavior": "J_o", "outcome": "Y_f", "observed": ("J_o", "D")}),
+            ("report", {"history": "J_o"},
+             {"history": "J_o", "behavior": "D", "outcome": "Y_f", "observed": None}),
+            ("report", {"observed": []}, {"history": "Y_h", "behavior": "D", "outcome": "Y_f", "observed": ()}),
         ],
         ids=["bare", "do-mediator", "do-outcome", "outcome-do", "outcome-mediator", "given-do",
-             "given-mediator", "mediators-given"],
+             "given-mediator", "mediators-given", "mediators-do", "report-bare", "report-history-behavior",
+             "report-behavior-observed", "report-history-observed", "report-observed-empty"],
     )
-    def test_default_fills_only_what_meets_nothing_given(self, gave, want):
-        assert default_scenario().query(**gave) == want
+    def test_default_fills_only_what_meets_nothing_given(self, command, gave, want):
+        got = default_scenario().query(**_EMPTY_FLAGS[command] | gave)
+        assert {k: got[k] for k in want} == want
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("do", [["D"]], "do[0]: expected a name, got ['D']"),
+            ("outcome", ["Y_f"], "outcome: expected a name, got ['Y_f']"),
+            ("given", "J_o", "given: expected a collection of names, got 'J_o'"),
+            ("mediators", 5, "mediators: expected a collection of names, got 5"),
+            ("behavior", {"D"}, "behavior: expected a name, got {'D'}"),
+            ("observed", "J_o", "observed: expected a collection of names, got 'J_o'"),
+        ],
+    )
+    def test_a_flag_is_read_as_names_before_it_is_compared(self, flag, value, message):
+        # A list as the outcome, or a nested list in --do, raised a bare TypeError;
+        # a string as --given was read as its letters, and 5 as --mediators was
+        # returned as given.
+        with pytest.raises(ParameterError) as raised:
+            default_scenario().query(**_EMPTY_FLAGS["identify"] | _EMPTY_FLAGS["report"] | {flag: value})
+        assert str(raised.value) == message
 
 
 class TestNaiveEffect:
