@@ -6,7 +6,7 @@ evaluation report, and emits JSON (CSV for bulk samples).
 
 Exit codes: 0 success, 2 input or usage error, 3 identification
 failure.  The default sampling seed is 42 and can be overridden with
-the ``CAUSALRATING_SEED`` environment variable; 0 is a valid seed.
+the ``CAUSALRATING_SEED`` environment variable; a seed is an integer in 0..2**64 - 1.
 """
 
 import argparse
@@ -179,12 +179,9 @@ def cmd_simulate(args) -> int:
     from .road_risk import scenario_from_json, write_journeys
 
     s = scenario_from_json(_load_json(args.scenario))
-    if args.n < 1:
-        raise _UsageError("--n must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
     try:
-        with open(args.out, "wb") as fh:
-            columns, claims = write_journeys(s, args.n, seed, fh.write)
+        columns, claims = write_journeys(s, args.n, seed, args.out)
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}")
     _emit({"n": args.n, "seed": seed, "columns": list(columns), "out": args.out,

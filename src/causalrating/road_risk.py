@@ -25,7 +25,7 @@ from .identify import (
 )
 from .info import conditional_mutual_information
 from .scm import (
-    Dataset, DiscreteScm, JointTable, _check_range, _csv_writer, _Sampler, _sum_to, condition, infer,
+    Dataset, DiscreteScm, JointTable, _check_range, _csv_writer, _Sampler, _seed, _sum_to, condition, infer,
 )
 
 __all__ = [
@@ -288,23 +288,24 @@ class _JourneySampler(_Sampler):
 
 
 def simulate_journeys(s: RoadRiskScenario, n: int, seed: int) -> Dataset:
-    """Ancestral sampling of the scenario, one journey record per row,
-    with the peril states of stay-home rows masked (see
-    :class:`_JourneySampler`)."""
+    """Ancestral sampling of the scenario, one journey record per row, with
+    ``n`` and ``seed`` read and the rows held as by :func:`scm.sample`, and
+    the peril states of stay-home rows masked (see :class:`_JourneySampler`)."""
     return _JourneySampler(s).dataset(seed, 0, n)
 
 
-def write_journeys(s: RoadRiskScenario, n: int, seed: int, write) -> tuple:
-    """Write the CSV of ``simulate_journeys(s, n, seed)`` as bytes to ``write``: the
-    header, then each block of rows as it is drawn into the sampler's one reused
-    block.  Returns the columns and the count of rows with ``Y_f = 1``.  Counts
-    are refused as by :func:`simulate_journeys`, before anything is written."""
-    sampler = _JourneySampler(s)
-    seed, n = _read(seed, int, "seed", ValueOutOfRange), _read(n, int, "n", ValueOutOfRange, low=1)
-    write_rows, claims = _csv_writer(write, sampler.order, sampler.cards), 0
-    for rows in sampler.blocks(seed, 0, n, sampler.rows):
-        write_rows(rows)
-        claims += np.count_nonzero(rows[:, sampler.order.index("Y_f")])
+def write_journeys(s: RoadRiskScenario, n: int, seed: int, path) -> tuple:
+    """Stream the CSV of ``simulate_journeys(s, n, seed)`` to the file at ``path``: the
+    header, then each block of rows as it is drawn into the sampler's one reused block.
+    Returns the columns and the count of rows with ``Y_f = 1``.  ``n`` and ``seed`` are
+    read, and the sampler compiled, before ``path`` is opened: a refusal leaves it as it was."""
+    seed, n = _seed(seed), _read(n, int, "n", ValueOutOfRange, low=1)
+    sampler, claims = _JourneySampler(s), 0
+    with open(path, "wb") as fh:
+        write_rows = _csv_writer(fh.write, sampler.order, sampler.cards)
+        for rows in sampler.blocks(seed, 0, n, sampler.rows):
+            write_rows(rows)
+            claims += np.count_nonzero(rows[:, sampler.order.index("Y_f")])
     return sampler.order, claims
 
 

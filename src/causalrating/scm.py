@@ -447,10 +447,17 @@ def _mix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return x
 
 
+def _seed(seed) -> int:
+    """``seed`` as a draw's seed, one 64-bit word in ``0..2**64 - 1``, else :class:`ValueOutOfRange`."""
+    if not 0 <= (seed := _read(seed, int, "seed", ValueOutOfRange)) < 2**64:
+        raise ValueOutOfRange(f"seed: expected an integer in 0..2**64 - 1, got {_shown(seed)}")
+    return seed
+
+
 def _row_keys(seed: int, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The part of each row's hash that all of its draws share, in place in
-    the uint64 row indices ``rows``."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    the uint64 row indices ``rows``; ``seed`` is read by :func:`_seed`."""
+    key = np.array([seed], dtype=np.uint64)
     rows ^= _mix(key, np.empty_like(key))
     return _mix(rows, t)
 
@@ -551,7 +558,7 @@ class _Sampler:
 
     def dataset(self, seed: int, start: int, n: int) -> Dataset:
         """Rows ``start..start+n-1``, drawn block by block into a new array."""
-        seed = _read(seed, int, "seed", ValueOutOfRange)
+        seed = _seed(seed)
         start = _read(start, int, "start", ValueOutOfRange, low=0)
         n = _read(n, int, "n", ValueOutOfRange, low=1)
         if n * len(self.order) * self.rows.itemsize > np.iinfo(np.intp).max:
@@ -600,14 +607,14 @@ class _Sampler:
 
 def sample(scm: DiscreteScm, n: int, seed: int, *, start: int = 0) -> Dataset:
     """Ancestral sampling of rows ``start..start+n-1``; bit-reproducible
-    for a fixed seed.
+    for a fixed seed, an integer in ``0..2**64 - 1``.
 
     Each row's draws depend only on (seed, row index, node), so
     ``sample(scm, n, seed, start=a)`` holds rows ``a..a+n-1`` of
-    ``sample(scm, a + n, seed)``.  The rows are uint8 when every
-    cardinality is at most 256 and int64 otherwise, all held at once; an
-    ``n`` past NumPy's array size, or a row past ``2**64 - 1``, the last
-    index of the 64-bit row counter, raises :class:`ValueOutOfRange`.
+    ``sample(scm, a + n, seed)``.  All rows are allocated up front: n x
+    columns bytes when every cardinality is at most 256, else 8 times that.
+    A seed out of range, an ``n`` past NumPy's array size, or a row past
+    ``2**64 - 1`` (the 64-bit row counter's last) raises :class:`ValueOutOfRange`.
     """
     return _Sampler(scm).dataset(seed, start, n)
 
@@ -631,15 +638,15 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
     return JointTable(vars, cards, (counts / len(d)).reshape(cards))
 
 
-def _csv_writer(write, header: tuple, cards: tuple = ()):
+def _csv_writer(write, header: tuple, cards: tuple):
     """Write ``header``, whose names need no quoting (see :class:`Dag`), to ``write``
-    and return the function that writes each block of rows to it.  When ``cards``
-    are given and none is over 10, every value has one digit: each field is a
+    and return the function that writes each block of rows to it, one card per
+    column.  When no card is over 10, every value has one digit: each field is a
     little-endian ``<u2`` (digit, separator) pair of one reused buffer whose
     separators are set once, and each block adds ``"0"`` to each column into its
     digit bytes.  Otherwise each block is laid out by :func:`_csv_lines`."""
     write((",".join(header) + "\n").encode())
-    if not cards or max(cards) > 10:
+    if max(cards) > 10:
         return lambda rows: write(_csv_lines(rows))
     lines = np.full((BLOCK_ROWS, len(header)), ord(",") << 8, dtype="<u2")
     lines[:, -1] = ord("\n") << 8

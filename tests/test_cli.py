@@ -502,6 +502,22 @@ def test_cli_imports_no_numpy_and_no_private_package_name():
     assert offending == []
 
 
+def test_cli_opens_files_only_to_load_json_and_emit():
+    # A command hands each path it names to _load_json, _emit or the library
+    # call, so no command holds a file rule of its own (when to open --out).
+    import ast
+
+    path = pathlib.Path(importlib.import_module("causalrating.cli").__file__)
+    opens = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and name in {"open", "read_bytes", "read_text", "write_bytes", "write_text"}:
+                opens.append(getattr(top, "name", "<module>"))
+    assert sorted(opens) == ["_emit", "_load_json"]
+
+
 # Run under a given hash seed: a mutilated graph's order from the graph
 # layer alone, then the oracle table of a model on that graph.
 _HASH_SEED_SCRIPT = """
@@ -568,11 +584,35 @@ class TestSimulate:
         sigma = math.sqrt(exact * (1 - exact) / 100000)
         assert abs(emp - exact) < 3 * sigma
 
-    def test_n_zero_usage_error(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "simulate", SCENARIO, "--n", "0", "--out", str(tmp_path / "x.csv")
-        )
-        assert code == 2
+    @staticmethod
+    def _refused(capsys, tmp_path, monkeypatch, *flags) -> str:
+        """Run ``simulate`` with ``flags`` onto an ``--out`` that exists: it must
+        exit 2, draw nothing and leave ``--out`` as it was.  Returns stderr."""
+        from causalrating.scm import _Sampler
+
+        drawn, real = [], _Sampler.draw
+        monkeypatch.setattr(_Sampler, "draw", lambda *args: drawn.append(args) or real(*args))
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"kept\n")
+        code, text, err = run(capsys, "simulate", SCENARIO, *flags, "--out", str(out))
+        assert (code, text, drawn, out.read_bytes()) == (2, "", [], b"kept\n")
+        return err
+
+    def test_n_zero_usage_error(self, capsys, tmp_path, monkeypatch):
+        err = self._refused(capsys, tmp_path, monkeypatch, "--n", "0")
+        assert err == "error: ValueOutOfRange: n: expected an integer >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "flag,env",
+        [("-1", None), ("18446744073709551658", None), (None, "-1")],
+        ids=["flag-negative", "flag-2^64+42", "env-negative"],
+    )
+    def test_seed_out_of_range_usage_error(self, capsys, tmp_path, monkeypatch, flag, env):
+        # 2**64 + 42 once wrote the CSV of seed 42 under a summary naming 2**64 + 42.
+        if env is not None:
+            monkeypatch.setenv("CAUSALRATING_SEED", env)
+        err = self._refused(capsys, tmp_path, monkeypatch, "--n", "5", *(["--seed", flag] if flag else []))
+        assert err == f"error: ValueOutOfRange: seed: expected an integer in 0..2**64 - 1, got {flag or env}\n"
 
     def test_streams_in_bounded_blocks(self, capsys, tmp_path, monkeypatch):
         import numpy as np

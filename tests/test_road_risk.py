@@ -46,7 +46,9 @@ from causalrating import (
     write_journeys,
 )
 from causalrating.errors import ParameterError, UnknownVariable, ValueOutOfRange
-from causalrating import cli, confounded_mediation_example, dataset_to_csv, empirical_joint, frontdoor_adjust, random_scm
+from causalrating import (
+    cli, confounded_mediation_example, dataset_to_csv, empirical_joint, frontdoor_adjust, random_scm, sample,
+)
 from causalrating.graph import d_separated, frontdoor_failure
 from causalrating import scm as scm_module
 from causalrating.road_risk import _SCENARIO_DOC, _chain, _factorization_residual
@@ -628,7 +630,40 @@ class TestChainDiagnosticsZeroMass:
             markov_consistency(confounded_mediation_example())
 
 
+def written_journeys(seed, path) -> bytes:
+    write_journeys(default_scenario(), 3, seed, path)
+    return path.read_bytes()
+
+
+# Each library call that draws, at a seed, as the bytes of what it draws:
+# the rows it returns, or the file it writes at ``path``.
+DRAWS = {
+    "sample": lambda seed, path: sample(build_scenario(default_scenario()), 3, seed).rows.tobytes(),
+    "simulate_journeys": lambda seed, path: simulate_journeys(default_scenario(), 3, seed).rows.tobytes(),
+    "write_journeys": written_journeys,
+}
+
+
 class TestSimulateJourneys:
+    @pytest.mark.parametrize("draw", DRAWS)
+    @pytest.mark.parametrize(
+        "seed", [-1, np.int64(-1), 2**64, 2**64 + 42, 42 - 2**64], ids=["-1", "int64-1", "2^64", "2^64+42", "42-2^64"]
+    )
+    def test_a_seed_out_of_range_is_refused_before_any_draw(self, draw, seed, tmp_path, monkeypatch):
+        # Each was once read modulo 2**64: 2**64 + 42 drew the rows of 42.
+        drawn, real = [], scm_module._Sampler.draw
+        monkeypatch.setattr(scm_module._Sampler, "draw", lambda *args: drawn.append(args) or real(*args))
+        path = tmp_path / "j.csv"
+        with pytest.raises(ValueOutOfRange, match=r"^seed: expected an integer in 0\.\.2\*\*64 - 1, got -?\d+$"):
+            DRAWS[draw](seed, path)
+        assert drawn == [] and not path.exists()
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_every_64_bit_seed_is_accepted(self, draw, tmp_path):
+        seeds = [0, 2**64 - 1, np.uint64(2**64 - 1)]
+        got = [DRAWS[draw](seed, tmp_path / f"{i}.csv") for i, seed in enumerate(seeds)]
+        assert got[0] != got[1] == got[2]
+
     def test_determinism(self):
         s = default_scenario()
         a = simulate_journeys(s, 1000, seed=7)
@@ -687,19 +722,19 @@ class TestSimulateJourneys:
             simulate_journeys(default_scenario(), n, seed)
 
     @pytest.mark.parametrize("n,seed,name", [(0, 1, "n"), (2.5, 1, "n"), (2, 1.0, "seed"), (2, False, "seed")])
-    def test_write_journeys_refuses_what_simulate_journeys_refuses(self, n, seed, name):
-        written = []
+    def test_write_journeys_refuses_what_simulate_journeys_refuses(self, n, seed, name, tmp_path):
+        path = tmp_path / "j.csv"
         with pytest.raises(ValueOutOfRange, match=f"^{name}: expected an integer"):
-            write_journeys(default_scenario(), n, seed, written.append)
-        assert written == []
+            write_journeys(default_scenario(), n, seed, path)
+        assert not path.exists()
 
     def test_write_journeys_writes_the_csv_of_simulate_journeys(self, tmp_path):
         s, n = canonical_scenario(3), 70_000
-        buf = io.BytesIO()
-        columns, claims = write_journeys(s, n, 4, buf.write)
+        path, buf = tmp_path / "j.csv", io.StringIO()
+        columns, claims = write_journeys(s, n, 4, path)
         ds = simulate_journeys(s, n, 4)
-        dataset_to_csv(ds, tmp_path / "j.csv")
-        assert buf.getvalue() == (tmp_path / "j.csv").read_bytes()
+        dataset_to_csv(ds, buf)
+        assert path.read_bytes() == buf.getvalue().encode()
         assert columns == ds.vars
         assert claims == int(ds.column("Y_f").sum())
 

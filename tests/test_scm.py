@@ -44,7 +44,7 @@ from causalrating import (
 )
 from causalrating.graph import _shown, mutilate
 from causalrating import scm as scm_module
-from causalrating.scm import _check_range, _csv_lines, _csv_writer, _Sampler, _surgery
+from causalrating.scm import _check_range, _csv_lines, _csv_writer, _row_keys, _Sampler, _surgery
 from helpers import (
     TEMPLATE_DAGS,
     brute_force_joint,
@@ -830,17 +830,28 @@ class TestSampling:
         with mock.patch.object(scm_module, "BLOCK_ROWS", block):
             kept = sample(scm, n, seed, start=start)
             sampler = _Sampler(scm)
-            write = _csv_writer(got.write, order)
+            write = _csv_writer(got.write, order, sampler.cards)
             for rows in sampler.blocks(seed, start, n, sampler.rows):
                 write(rows)
-            sample(scm, n, seed + 1, start=start)
+            sample(scm, n, seed ^ 1, start=start)
             dataset_to_csv(kept, text)
         assert got.getvalue() == text.getvalue().encode() == csv_writer_bytes(want, order)
         assert np.array_equal(kept.rows, want)  # a later draw leaves a returned sample alone
 
     def test_numpy_seed_is_read_as_an_int(self):
-        # -1 & (2**64 - 1) overflowed int64 in the seed's hash.
-        assert np.array_equal(sample(copy_chain(), 3, np.int64(-1)).rows, sample(copy_chain(), 3, -1).rows)
+        # A NumPy seed past int64 once overflowed int64 in the seed's hash.
+        top = 2**64 - 1
+        assert np.array_equal(sample(copy_chain(), 3, np.uint64(top)).rows, sample(copy_chain(), 3, top).rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.integers(0, 2**64 - 1), b=st.integers(0, 2**64 - 1), start=st.integers(0, 2**64 - 8))
+    def test_each_seed_is_its_own_stream(self, a, b, start):
+        # splitmix64's mix is a bijection of 64-bit words, so at any one row
+        # two seeds share a row key only if they are the same seed.
+        assume(a != b)
+        rows = np.arange(8, dtype=np.uint64) + np.uint64(start)
+        keys = [_row_keys(s, rows.copy(), np.empty_like(rows)) for s in (a, b)]
+        assert not (keys[0] == keys[1]).any()
 
     @pytest.mark.parametrize("n,start", [(3, 2**64 - 2), (1, 2**64), (3, 2**70)])
     def test_rows_must_fit_the_row_counter(self, n, start):
@@ -1056,7 +1067,7 @@ def csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
     if not header:
         return _csv_lines(rows).tobytes()
     buf = io.BytesIO()
-    _csv_writer(buf.write, header)(rows)
+    _csv_writer(buf.write, header, (11,) * len(header))(rows)  # a card over 10: the _csv_lines layout
     return buf.getvalue()
 
 
