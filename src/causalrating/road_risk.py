@@ -18,14 +18,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NegativeTta, ParameterError, UnknownVariable, ValueOutOfRange
+from .errors import NegativeTta, ParameterError, UnknownVariable
 from .graph import _MAX_DEPTH, Dag, _read, _real, _shown, d_separated
 from .identify import (
     EffectQuery, EffectTable, _divide, _fill, _layout, confounding_gap, identify_effect, rating_report,
 )
 from .info import conditional_mutual_information
 from .scm import (
-    Dataset, DiscreteScm, JointTable, _check_range, _csv_writer, _Sampler, _seed, _sum_to, condition, infer,
+    Dataset, DiscreteScm, JointTable, _check_range, _csv_writer, _Sampler, _sum_to, condition, infer,
 )
 
 __all__ = [
@@ -299,8 +299,8 @@ def write_journeys(s: RoadRiskScenario, n: int, seed: int, path) -> tuple:
     header, then each block of rows as it is drawn into the sampler's one reused block.
     Returns the columns and the count of rows with ``Y_f = 1``.  ``n`` and ``seed`` are
     read, and the sampler compiled, before ``path`` is opened: a refusal leaves it as it was."""
-    seed, n = _seed(seed), _read(n, int, "n", ValueOutOfRange, low=1)
     sampler, claims = _JourneySampler(s), 0
+    seed, _, n = sampler.request(seed, 0, n, held=False)
     with open(path, "wb") as fh:
         write_rows = _csv_writer(fh.write, sampler.order, sampler.cards)
         for rows in sampler.blocks(seed, 0, n, sampler.rows):

@@ -204,8 +204,7 @@ class DiscreteScm:
                 ps = porder[v] = _names(parents[v], f"parents.{v}", kind=tuple)
                 if frozenset(ps) != dag.parents(v) or len(ps) != len(set(ps)):
                     raise ShapeError(f"parent order for {v} does not match the graph: {ps}")
-        tables = {v: _checked_cpt(v, cpt[v], card, porder[v]) for v in dag.nodes}
-        _fill(self, dag, card, tables, porder)
+        _fill(self, dag, card, _checked_cpts(dag.nodes, cpt, card, porder), porder)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteScm is immutable")
@@ -215,26 +214,44 @@ class DiscreteScm:
         return self.parents[_name(v, "v", self.parents)]
 
 
-def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.ndarray:
-    """``rows`` as the CPT of ``v`` under ``parents``: a new read-only
-    C-contiguous array of one row per parent configuration, each a
-    distribution over the ``card[v]`` values of ``v``.  A numeric NumPy
-    array of that shape stays in NumPy; anything else is read by
-    :func:`_read`, so a shape misread has one message in every form."""
+def _cpt_rows(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.ndarray:
+    """``rows`` as a new read-only C-contiguous array of one row of ``card[v]``
+    cells per parent configuration, values unchecked.  A numeric NumPy array of
+    that shape stays in NumPy; anything else is read by :func:`_read`, so a
+    shape misread has one message in every form."""
     n_rows = math.prod(card[p] for p in parents)
     if not (_numeric(rows) and rows.shape == (n_rows, card[v])):
         rows = _read(rows, [[float, card[v]], n_rows], f"cpt.{v}", ShapeError)
-    t = np.array(rows, dtype=np.float64, order="C")
-    if not (t.min() >= 0.0 and t.max() <= 1.0 + ROW_SUM_TOL):  # false on NaN too
-        for r, c in np.argwhere(~np.isfinite(t))[:1]:  # the first non-finite cell, misread as in a list
-            _read(float(t[r, c]), float, f"cpt.{v}[{r}][{c}]", ShapeError)
-        raise NormalizationError(f"CPT for {v} has entries outside [0, 1]")
-    bad = np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise NormalizationError(f"CPT row {row} of {v} sums to {t[row].sum()}, not 1")
-    t.flags.writeable = False
+    (t := np.array(rows, dtype=np.float64, order="C")).flags.writeable = False
     return t
+
+
+def _distributions(t: np.ndarray) -> bool:
+    """Each cell of ``t`` in [0, 1] and each row summing to 1, within ``ROW_SUM_TOL``; false on NaN."""
+    return t.min() >= 0.0 and t.max() <= 1.0 + ROW_SUM_TOL and not (np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL).any()
+
+
+def _checked_cpt(v: str, rows, card: Mapping[str, int], parents: tuple) -> np.ndarray:
+    """The CPT of ``v`` read by :func:`_cpt_rows`, its rows distributions, else its first fault raised."""
+    if _distributions(t := _cpt_rows(v, rows, card, parents)):
+        return t
+    for r, c in np.argwhere(~np.isfinite(t))[:1]:  # the first non-finite cell, misread as in a list
+        _read(float(t[r, c]), float, f"cpt.{v}[{r}][{c}]", ShapeError)
+    if not (t.min() >= 0.0 and t.max() <= 1.0 + ROW_SUM_TOL):
+        raise NormalizationError(f"CPT for {v} has entries outside [0, 1]")
+    row = int(np.argmax(np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL))
+    raise NormalizationError(f"CPT row {row} of {v} sums to {t[row].sum()}, not 1")
+
+
+def _checked_cpts(nodes: tuple, cpt: Mapping, card: Mapping[str, int], parents: Mapping) -> dict:
+    """:func:`_checked_cpt` of each of ``nodes``, values checked once per cardinality
+    on its tables joined.  Only where a read or that fails does :func:`_checked_cpt`
+    run node by node, in ``nodes`` order, to raise the first fault."""
+    with contextlib.suppress(ShapeError):  # a misread: raised below unless an earlier node has a fault
+        t = {v: _cpt_rows(v, cpt[v], card, parents[v]) for v in nodes}
+        if all(_distributions(np.concatenate([t[v] for v in nodes if card[v] == c])) for c in set(card.values())):
+            return t
+    return {v: _checked_cpt(v, cpt[v], card, parents[v]) for v in nodes}
 
 
 def _fill(scm: DiscreteScm, dag: Dag, card: dict, cpt: dict, parents: dict) -> DiscreteScm:
@@ -447,16 +464,9 @@ def _mix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return x
 
 
-def _seed(seed) -> int:
-    """``seed`` as a draw's seed, one 64-bit word in ``0..2**64 - 1``, else :class:`ValueOutOfRange`."""
-    if not 0 <= (seed := _read(seed, int, "seed", ValueOutOfRange)) < 2**64:
-        raise ValueOutOfRange(f"seed: expected an integer in 0..2**64 - 1, got {_shown(seed)}")
-    return seed
-
-
 def _row_keys(seed: int, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The part of each row's hash that all of its draws share, in place in
-    the uint64 row indices ``rows``; ``seed`` is read by :func:`_seed`."""
+    the uint64 row indices ``rows``; ``seed`` is read by :meth:`_Sampler.request`."""
     key = np.array([seed], dtype=np.uint64)
     rows ^= _mix(key, np.empty_like(key))
     return _mix(rows, t)
@@ -556,15 +566,23 @@ class _Sampler:
         self.keys, self.h, self.t = (np.empty(BLOCK_ROWS, dtype=np.uint64) for _ in range(3))
         self.ridx, self.hit = np.empty(BLOCK_ROWS, dtype=np.intp), np.empty(BLOCK_ROWS, dtype=bool)
 
-    def dataset(self, seed: int, start: int, n: int) -> Dataset:
-        """Rows ``start..start+n-1``, drawn block by block into a new array."""
-        seed = _seed(seed)
+    def request(self, seed, start, n, held: bool) -> tuple:
+        """``seed``, ``start`` and ``n`` of rows ``start..start+n-1``, read; a seed out of 0..2**64 - 1, a row
+        past the uint64 row counter or an ``n`` past NumPy's array size when ``held`` raises ValueOutOfRange."""
+        if not 0 <= (seed := _read(seed, int, "seed", ValueOutOfRange)) < 2**64:
+            raise ValueOutOfRange(f"seed: expected an integer in 0..2**64 - 1, got {_shown(seed)}")
         start = _read(start, int, "start", ValueOutOfRange, low=0)
         n = _read(n, int, "n", ValueOutOfRange, low=1)
-        if n * len(self.order) * self.rows.itemsize > np.iinfo(np.intp).max:
+        if held and n * len(self.order) * self.rows.itemsize > np.iinfo(np.intp).max:
             raise ValueOutOfRange(f"n: {_shown(n)} rows of {len(self.order)} columns are past NumPy's array size")
-        if start + n > 2**64:  # the row counter is a uint64
-            raise ValueOutOfRange(f"start: expected an integer <= {2**64 - n} (2**64 - n), got {_shown(start)}")
+        if start + n > 2**64:
+            raise ValueOutOfRange(f"n: expected an integer <= 2**64, got {_shown(n)}" if n > 2**64 else
+                                  f"start: expected an integer <= {2**64 - n} (2**64 - n), got {_shown(start)}")
+        return seed, start, n
+
+    def dataset(self, seed: int, start: int, n: int) -> Dataset:
+        """Rows ``start..start+n-1``, drawn block by block into a new array."""
+        seed, start, n = self.request(seed, start, n, held=True)
         rows = np.empty((n, len(self.order)), self.rows.dtype, order="F")
         for _ in self.blocks(seed, start, n, rows):
             pass  # each block is drawn in its place in rows

@@ -602,6 +602,15 @@ class TestSimulate:
         err = self._refused(capsys, tmp_path, monkeypatch, "--n", "0")
         assert err == "error: ValueOutOfRange: n: expected an integer >= 1, got 0\n"
 
+    def test_n_past_the_row_counter_usage_error(self, capsys, tmp_path, monkeypatch):
+        # 2**64 + 1 once streamed CSV without end, its row 2**64 a copy of row 0.
+        # A draw raises here, so that a regression fails and does not stream.
+        from causalrating.scm import _Sampler
+
+        monkeypatch.setattr(_Sampler, "draw", lambda *args: pytest.fail("drew a block"))
+        err = self._refused(capsys, tmp_path, monkeypatch, "--n", str(2**64 + 1))
+        assert err == f"error: ValueOutOfRange: n: expected an integer <= 2**64, got {2**64 + 1}\n"
+
     @pytest.mark.parametrize(
         "flag,env",
         [("-1", None), ("18446744073709551658", None), (None, "-1")],
@@ -881,31 +890,35 @@ class TestEvaluate:
                 {"J_o", "D", "Y_f"},
             ], depth
 
-    def test_entropies_per_report(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "command,depth,chains", [("evaluate", 1, 2), ("evaluate", 2, 2), ("evaluate", 8, 2), ("report", 2, 1)]
+    )
+    def test_entropies_per_report(self, capsys, tmp_path, monkeypatch, command, depth, chains):
         # The capacities and the confounding gap are views of one chain
-        # decomposition each, the history MI is the naive capacity, and
-        # each conditional MI reads four entropies, not ten.
-        from causalrating import info, road_risk
+        # decomposition each, the history MI is the naive capacity, and each
+        # decomposition computes each of its seven entropies once: 14 per
+        # evaluate (34 when each MI and CMI read its own) and 7 per report.
+        from causalrating import identify, info
 
-        calls, per_cmi = [0], []
+        calls, per_chain = [0], []
 
         def entropy(*args, real=info.entropy):
             calls[0] += 1
             return real(*args)
 
-        def cmi(*args, real=info.conditional_mutual_information):
+        def chain(*args, real=info.chain_decompositions):
             before = calls[0]
             value = real(*args)
-            per_cmi.append(calls[0] - before)
+            per_chain.append(calls[0] - before)
             return value
 
         monkeypatch.setattr(info, "entropy", entropy)
-        for mod in (info, road_risk):
-            monkeypatch.setattr(mod, "conditional_mutual_information", cmi)
-        code, _, _ = run(capsys, "evaluate", SCENARIO)
+        monkeypatch.setattr(identify, "chain_decompositions", chain)
+        path = SCENARIO if depth == 2 else canonical_path(depth, tmp_path)
+        code, _, _ = run(capsys, command, path)
         assert code == 0
-        assert per_cmi and max(per_cmi) <= 4
-        assert calls[0] <= 70
+        assert per_chain == [7] * chains
+        assert calls[0] == 7 * chains
 
     def test_nan_parameter_exit_2(self, capsys, tmp_path):
         doc = json.loads(pathlib.Path(SCENARIO).read_text())

@@ -1196,13 +1196,12 @@ class TestChainRuleViews:
 
     def test_chain_rule_checked_for_both_views(self, monkeypatch):
         # The views hold no check of their own: a CMI that drifts by 1e-6
-        # must still be caught, by chain_decompositions.
+        # must still be caught, by chain_decompositions.  It reads each CMI
+        # through the shared formula, not the public function.
         from causalrating import info
 
-        real = info.conditional_mutual_information
-        monkeypatch.setattr(
-            info, "conditional_mutual_information", lambda *a: real(*a) + 1e-6
-        )
+        real = info._cmi
+        monkeypatch.setattr(info, "_cmi", lambda *a: real(*a) + 1e-6)
         scm = random_scm(template("Fig2b"), 0)
         with pytest.raises(NumericalConsistencyError, match="chain rule"):
             rating_comparison(observed_joint(scm), "Y_h", "X_c", "Y_f")

@@ -124,6 +124,22 @@ class TestChainDecompositions:
         assert abs(d.i_ab_y - 1.0) < 1e-12
         assert abs(d.i_b_y_given_a) < 1e-12
 
+    def test_each_entropy_computed_once(self, monkeypatch):
+        # A decomposition reads the seven nonempty unions of its sets, each
+        # once; an MI reads three entropies and a CMI four, as they did alone.
+        from causalrating import info
+
+        read, real = [], info.entropy
+        monkeypatch.setattr(info, "entropy", lambda j, S: read.append(frozenset(S)) or real(j, S))
+        j = exact_joint(random_scm(template("Fig3"), 2))
+        A, B, Y = frozenset({"Y_h"}), frozenset({"X_c", "Z"}), frozenset({"Y_f"})
+        chain_decompositions(j, A, B, Y)
+        assert sorted(read, key=sorted) == sorted({A, B, Y, A | B, A | Y, B | Y, A | B | Y}, key=sorted)
+        for call, count in ((lambda: mutual_information(j, A, Y), 3), (lambda: conditional_mutual_information(j, A, Y, B), 4)):
+            read.clear()
+            call()
+            assert len(read) == len(set(read)) == count
+
     def test_both_expansions_recompose(self):
         j = exact_joint(random_scm(template("Fig2b"), 19))
         d = chain_decompositions(j, {"Y_h"}, {"X_c"}, {"Y_f"})

@@ -728,6 +728,34 @@ class TestSimulateJourneys:
             write_journeys(default_scenario(), n, seed, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("n", [2**64 + 1, 2**70], ids=["2^64+1", "2^70"])
+    def test_a_row_past_the_counter_is_refused_before_any_draw(self, n, tmp_path, monkeypatch):
+        # 2**64 + 1 journeys once streamed, with row 2**64 drawing row 0's
+        # values, while sample refused the same count.  A draw fails the test
+        # at once, not after a stream without end.
+        monkeypatch.setattr(scm_module._Sampler, "draw", lambda *args: pytest.fail("drew a block"))
+        path = tmp_path / "j.csv"
+        with pytest.raises(ValueOutOfRange, match=rf"^n: expected an integer <= 2\*\*64, got {n}$"):
+            write_journeys(default_scenario(), n, 1, path)
+        with pytest.raises(ValueOutOfRange, match=rf"^n: {n} rows of \d+ columns are past NumPy's array size$"):
+            simulate_journeys(default_scenario(), n, 1)
+        assert not path.exists()
+
+    def test_the_whole_row_counter_is_accepted(self, tmp_path, monkeypatch):
+        # 2**64 rows end at the counter's last, 2**64 - 1: the request is
+        # read, the header written and the first block is where this test stops.
+        class Drawn(Exception):
+            pass
+
+        def draw(self, seed, start, rows):
+            raise Drawn(start)
+
+        monkeypatch.setattr(scm_module._Sampler, "draw", draw)
+        path = tmp_path / "j.csv"
+        with pytest.raises(Drawn, match="^0$"):
+            write_journeys(default_scenario(), 2**64, 1, path)
+        assert path.read_bytes().startswith(b"Y_h,") and path.read_bytes().count(b"\n") == 1
+
     def test_write_journeys_writes_the_csv_of_simulate_journeys(self, tmp_path):
         s, n = canonical_scenario(3), 70_000
         path, buf = tmp_path / "j.csv", io.StringIO()

@@ -44,7 +44,7 @@ from causalrating import (
 )
 from causalrating.graph import _shown, mutilate
 from causalrating import scm as scm_module
-from causalrating.scm import _check_range, _csv_lines, _csv_writer, _row_keys, _Sampler, _surgery
+from causalrating.scm import _check_range, _checked_cpt, _csv_lines, _csv_writer, _row_keys, _Sampler, _surgery
 from helpers import (
     TEMPLATE_DAGS,
     brute_force_joint,
@@ -54,6 +54,7 @@ from helpers import (
     reference_check_range,
     reference_infer,
     reference_sample_rows,
+    sparse_scm,
     uniforms,
 )
 
@@ -699,6 +700,103 @@ class TestSurgeryChecksOnce:
         with pytest.raises((ShapeError, NormalizationError)) as cut:
             _surgery(scm, {"X_c": row})
         assert (type(cut.value), str(cut.value)) == (type(built.value), str(built.value))
+
+
+def with_fault(data, t: np.ndarray, kind: str) -> np.ndarray:
+    """A copy of the CPT ``t`` with one fault of ``kind`` at a drawn cell or row."""
+    t = t.copy()
+    r, c = data.draw(st.integers(0, len(t) - 1), label="row"), data.draw(st.integers(0, t.shape[1] - 1), label="cell")
+    if kind == "nan":
+        t[r, c] = np.nan
+    elif kind == "negative":
+        t[r, c] = -data.draw(st.sampled_from([1e-300, 1e-9, 0.25]), label="below zero")
+    elif kind == "sum":  # off by 2e-9: past ROW_SUM_TOL
+        t[r, c] += 2e-9
+    elif kind == "rows":
+        t = np.vstack([t, t[-1:]]) if len(t) == 1 or data.draw(st.booleans(), label="extra row") else t[:-1]
+    else:  # "width"
+        t = np.hstack([t, np.zeros((len(t), 1))]) if data.draw(st.booleans(), label="wider") else t[:, :-1]
+    return t
+
+
+def first_fault(dag, card, cpt, parents) -> tuple:
+    """The type and message of the first fault that :func:`_checked_cpt`
+    finds node by node in ``dag.nodes`` order."""
+    for v in dag.nodes:
+        try:
+            _checked_cpt(v, cpt[v], card, parents[v])
+        except (ShapeError, NormalizationError) as e:
+            return type(e), str(e)
+    raise AssertionError("no node has a fault")
+
+
+def spy_checked_cpt(monkeypatch) -> list:
+    calls, real = [], scm_module._checked_cpt
+    monkeypatch.setattr(scm_module, "_checked_cpt", lambda *args: calls.append(args[0]) or real(*args))
+    return calls
+
+
+class TestCptCheckedOncePerCardinality:
+    """The constructor checks a model's CPT values once per cardinality, on
+    that group's tables joined, and falls back to :func:`_checked_cpt` node
+    by node only to name the first fault, which it names as before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_fault_is_named_as_node_by_node(self, data):
+        dag = random_dag(data.draw(st.integers(0, 10_000), label="dag seed"), data.draw(st.integers(2, 6), label="nodes"))
+        dag = Dag(data.draw(st.permutations(dag.nodes), label="node order"), dag.edges, [])
+        scm = random_scm(dag, 3, card={v: data.draw(st.integers(2, 4), label=f"card {v}") for v in dag.nodes})
+        cpt = dict(scm.cpt)
+        faulty = data.draw(st.lists(st.sampled_from(dag.nodes), min_size=1, max_size=2, unique=True), label="faulty")
+        for v in faulty:
+            cpt[v] = with_fault(data, cpt[v], data.draw(st.sampled_from(["nan", "negative", "sum", "rows", "width"]), label=v))
+        if data.draw(st.booleans(), label="as lists"):  # read by _read, where a NaN is a misread
+            cpt = {v: t.tolist() for v, t in cpt.items()}
+        want = first_fault(dag, scm.card, cpt, scm.parents)
+        with pytest.raises((ShapeError, NormalizationError)) as got:
+            DiscreteScm(dag, scm.card, cpt, scm.parents)
+        assert (type(got.value), str(got.value)) == want
+
+    @pytest.mark.parametrize("value", ["nan", "negative", "sum"])
+    @pytest.mark.parametrize("shape", ["rows", "width"])
+    def test_a_shape_fault_after_a_value_fault(self, value, shape):
+        # The last node's shape fault stops the grouped pass as its table is
+        # read; node by node, the first node's value fault is found first.
+        dag = template("Fig2c")
+        scm = random_scm(dag, 4, card=3)
+        first, last = dag.nodes[0], dag.nodes[-1]
+        cpt = dict(scm.cpt)
+        t = cpt[first].copy()
+        t[0, 0] = {"nan": np.nan, "negative": -0.25, "sum": t[0, 0] + 2e-9}[value]
+        cpt[first] = t
+        cpt[last] = np.vstack([cpt[last], cpt[last][:1]]) if shape == "rows" else cpt[last][:, :-1]
+        with pytest.raises((ShapeError, NormalizationError)) as got:
+            DiscreteScm(dag, scm.card, cpt, scm.parents)
+        assert (type(got.value), str(got.value)) == first_fault(dag, scm.card, cpt, scm.parents)
+        assert f" {first}" in str(got.value) or f".{first}" in str(got.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(1, 6), card=st.integers(2, 4))
+    def test_a_valid_model_makes_no_node_by_node_check(self, seed, n_nodes, card):
+        # Zero cells sit on the range check's bound: a `>` there sends a
+        # valid model down the node-by-node path.
+        with pytest.MonkeyPatch.context() as m:
+            calls = spy_checked_cpt(m)
+            scm = sparse_scm(random_dag(seed, n_nodes), seed, card={f"N{i}": card + i % 2 for i in range(n_nodes)})
+            assert calls == []
+        for v in scm.dag.nodes:
+            want = _checked_cpt(v, scm.cpt[v], scm.card, scm.parents[v])
+            assert np.array_equal(scm.cpt[v], want) and scm.cpt[v].flags.c_contiguous
+            assert not scm.cpt[v].flags.writeable
+
+    def test_the_scenario_model_makes_no_node_by_node_check(self, monkeypatch):
+        from causalrating import build_scenario, canonical_scenario, default_scenario
+
+        calls = spy_checked_cpt(monkeypatch)
+        for s in (default_scenario(), canonical_scenario(8)):
+            build_scenario(s)
+        assert calls == []
 
 
 # A bool, a non-integer or an out-of-range value: no value of a binary
