@@ -8,6 +8,7 @@ first, with parents listed in the graph's topological order by default.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -659,54 +660,47 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
 def _csv_writer(write, header: tuple, cards: tuple):
     """Write ``header``, whose names need no quoting (see :class:`Dag`), to ``write``
     and return the function that writes each block of rows to it, one card per
-    column.  When no card is over 10, every value has one digit: each field is a
-    little-endian ``<u2`` (digit, separator) pair of one reused buffer whose
-    separators are set once, and each block adds ``"0"`` to each column into its
-    digit bytes.  Otherwise each block is laid out by :func:`_csv_lines`."""
+    column, as ``csv.writer`` writes ``rows.tolist()``.  One reused line buffer
+    holds each block: every field is as wide as the largest value of its column in
+    the block (one digit when its card is at most 10), its digits right-aligned by
+    adding ``"0"``, and its separator is set once per layout.  The layout changes
+    only when a block's widths do.  A block of one-digit fields is written as laid
+    out; any other through one reused mask that drops the unused leading bytes of
+    shorter values."""
     write((",".join(header) + "\n").encode())
-    if max(cards) > 10:
-        return lambda rows: write(_csv_lines(rows))
-    lines = np.full((BLOCK_ROWS, len(header)), ord(",") << 8, dtype="<u2")
-    lines[:, -1] = ord("\n") << 8
-    digits = lines.view(np.uint8)[:, ::2]
+    wide = [c for c, card in enumerate(cards) if card > 10]
+    widths = lines = used = fields = None
 
     def write_rows(rows):
-        for c in range(rows.shape[1]):
-            np.add(rows[:, c], ord("0"), out=digits[:len(rows), c], casting="unsafe")
-        write(lines[:len(rows)])
+        nonlocal widths, lines, used, fields
+        n = len(rows)
+        if not n:
+            return
+        block = [len(str(int(rows[:, c].max()))) for c in wide]
+        if block != widths:
+            widths, sizes = block, [1] * len(cards)
+            for c, w in zip(wide, block):
+                sizes[c] = w
+            ends = [e + c - 1 for c, e in enumerate(itertools.accumulate(sizes))]  # each field's last digit
+            lines = np.full((BLOCK_ROWS, ends[-1] + 2), ord(","), dtype=np.uint8)
+            lines[:, -1] = ord("\n")
+            used = np.ones(lines.shape, dtype=bool) if max(sizes) > 1 else None
+            fields = [(end, w, lines[:, end + 1 - w]) for end, w in zip(ends, sizes)]
+        for v, (end, w, lead) in zip(rows.T, fields):
+            q = v
+            for d in range(w - 1):  # digit d counted from the right; the leading one needs no % 10
+                p = q // 10  # np.divmod takes several times as long
+                np.add(q - p * 10, ord("0"), out=lines[:n, end - d], casting="unsafe")
+                q = p
+                np.greater_equal(v, 10 ** (d + 1), out=used[:n, end - d - 1])
+            np.add(q, ord("0"), out=lead[:n], casting="unsafe")
+        write(lines[:n] if used is None else lines[:n].ravel().compress(used[:n].ravel()))
     return write_rows
 
 
-def _csv_lines(rows: np.ndarray) -> np.ndarray:
-    """A C-contiguous array holding the bytes ``csv.writer`` writes for
-    ``rows.tolist()``; ``rows`` holds non-negative integers, so no field
-    needs quoting.  Each column is laid out in a byte field as wide as its
-    largest value, digits right-aligned, followed by its separator, and
-    one boolean mask drops the unused leading bytes of shorter values.
-    """
-    n, k = rows.shape
-    widths = [len(str(int(rows[:, c].max()))) if n else 1 for c in range(k)]
-    line = np.empty((n, sum(widths) + k), dtype=np.uint8)
-    used = np.ones(line.shape, dtype=bool)
-    at = 0
-    for c, w in enumerate(widths):
-        v = rows[:, c]
-        for d in range(w):
-            # Digit d counted from the right; the leading one needs no % 10.
-            digit = v // 10**d if d else v
-            if d < w - 1:
-                digit = digit % 10
-            line[:, at + w - 1 - d] = digit + ord("0")
-            if d:
-                used[:, at + w - 1 - d] = v >= 10**d
-        line[:, at + w] = ord(",")
-        at += w + 1
-    line[:, -1] = ord("\n")
-    return line[used]
-
-
 def dataset_to_csv(d: Dataset, path_or_buf) -> None:
-    """Write the dataset as CSV with a header row, one block at a time."""
+    """Write the dataset as CSV with a header row, one block at a time through
+    :func:`_csv_writer`, to a path (as bytes) or a text buffer."""
     path = isinstance(path_or_buf, str) or hasattr(path_or_buf, "__fspath__")
     with open(path_or_buf, "wb") if path else contextlib.nullcontext(path_or_buf) as fh:
         write = _csv_writer(fh.write if path else lambda b: fh.write(bytes(b).decode("ascii")), d.vars, d.cards)

@@ -51,7 +51,7 @@ from causalrating import (
 )
 from causalrating.graph import d_separated, frontdoor_failure
 from causalrating import scm as scm_module
-from causalrating.road_risk import _SCENARIO_DOC, _chain, _factorization_residual
+from causalrating.road_risk import _SCENARIO_DOC, _chain, _factorization_residual, evaluate_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1159,3 +1159,25 @@ class TestEmpiricalPlugIn:
         for (d,), g, dist in live_cells(raw):
             oracle = gt.dist((g[0], d))
             assert 0.5 * float(np.abs(dist - oracle).sum()) < 0.02
+
+
+class TestZeroStage:
+    """A metamorphic relation where no oracle reaches: a stage that never
+    escalates, under one more halved TTA threshold, changes no answer."""
+
+    @staticmethod
+    def grown(s, at_end: bool):
+        zero = ((0.0,) * s.traffic_card,) * s.decision_card
+        t = s.tta_thresholds
+        if at_end:
+            return dataclasses.replace(s, depth=s.depth + 1, tta_thresholds=(*t, t[-1] / 2), escalation=(*s.escalation, zero))
+        return dataclasses.replace(s, depth=s.depth + 1, tta_thresholds=(2 * t[0], *t), escalation=(zero, *s.escalation))
+
+    @pytest.mark.parametrize("at_end", [False, True], ids=["first", "last"])
+    @pytest.mark.parametrize("make", [default_scenario, lambda: canonical_scenario(1), lambda: canonical_scenario(50)],
+                             ids=["shipped", "depth1", "depth50"])
+    def test_every_field_but_depth_is_bit_identical(self, make, at_end):
+        s = make()
+        want, got = evaluate_scenario(s), evaluate_scenario(self.grown(s, at_end))
+        assert got.pop("depth") == want.pop("depth") + 1
+        assert got == want

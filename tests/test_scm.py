@@ -44,7 +44,7 @@ from causalrating import (
 )
 from causalrating.graph import _shown, mutilate
 from causalrating import scm as scm_module
-from causalrating.scm import _check_range, _checked_cpt, _csv_lines, _csv_writer, _row_keys, _Sampler, _surgery
+from causalrating.scm import _check_range, _checked_cpt, _csv_writer, _row_keys, _Sampler, _surgery
 from helpers import (
     TEMPLATE_DAGS,
     brute_force_joint,
@@ -919,7 +919,7 @@ class TestSampling:
     )
     def test_csv_written_block_by_block_matches_reference(self, dag_seed, cards, seed, start, n, block):
         # One sampler and one line buffer serve every block, as in simulate;
-        # cards of 11 and 12 take the wide CSV path.
+        # cards of 11 and 12 lay a column out as wide as its block's largest value.
         dag = random_dag(dag_seed, len(cards))
         scm = random_scm(dag, dag_seed, card=dict(zip(dag.nodes, cards)), concentration=0.3)
         order = dag.topological_order
@@ -1160,13 +1160,11 @@ def int_matrices(draw):
 
 
 def csv_bytes(rows: np.ndarray, header: tuple = ()) -> bytes:
-    """What the CSV writer writes for ``header`` and ``rows`` (one block);
-    with no header, the lines alone."""
-    if not header:
-        return _csv_lines(rows).tobytes()
+    """What the CSV writer writes for ``header`` and ``rows`` (one block), every
+    column declared a card over 10; with no header, the lines alone."""
     buf = io.BytesIO()
-    _csv_writer(buf.write, header, (11,) * len(header))(rows)  # a card over 10: the _csv_lines layout
-    return buf.getvalue()
+    _csv_writer(buf.write, header or tuple(f"V{i}" for i in range(rows.shape[1])), (11,) * rows.shape[1])(rows)
+    return buf.getvalue() if header else buf.getvalue().partition(b"\n")[2]
 
 
 class TestCsvFormatter:
@@ -1179,8 +1177,8 @@ class TestCsvFormatter:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_one_writer_reused_across_blocks_matches_csv_writer(self, data):
-        # Cards of at most 10 take the one-digit path, any card of 11 or more
-        # the multi-digit one; the buffer holds 8 rows and each block up to 8.
+        # A card of at most 10 is one digit wide, any card of 11 or more as wide
+        # as its block's largest value; the buffer holds 8 rows and each block up to 8.
         dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.int64]), label="dtype")
         top = data.draw(st.sampled_from([10, 11, 256 if dtype == np.uint8 else 1500]), label="top")
         cards = data.draw(st.lists(st.integers(2, top), min_size=1, max_size=6), label="cards")
@@ -1194,6 +1192,27 @@ class TestCsvFormatter:
             blocks.append(np.array(cols, dtype=dtype).reshape(len(cards), size).T.copy(order=order))
             write(blocks[-1])
         assert got.getvalue() == csv_writer_bytes(np.concatenate(blocks), header)
+
+    @pytest.mark.parametrize(
+        "dtype,card,blocks",
+        [
+            # The layout changes with each block's largest value.
+            (np.int64, 1500, [[5, 0, 3], [1499, 7, 12], [0, 0], [10, 9, 1]]),
+            # Card 11 with one-digit values stays one digit wide, then widens for 10.
+            (np.uint8, 11, [[9, 0, 4, 1, 7, 2, 3, 8], [10, 0, 9]]),
+            # An empty block writes nothing and leaves the layout alone.
+            (np.int64, 1500, [[12, 3], [], [5], [], [999, 1000]]),
+            (np.uint64, 2**64, [[2**64 - 1, 0, 10**19], [7], [2**63, 10**19 - 1]]),
+        ],
+    )
+    def test_one_writer_across_block_layouts(self, dtype, card, blocks):
+        blocks = [np.array([[v, v % 11] for v in b], dtype=dtype).reshape(len(b), 2) for b in blocks]
+        got = io.BytesIO()
+        with mock.patch.object(scm_module, "BLOCK_ROWS", 8):
+            write = _csv_writer(got.write, ("A", "B"), (card, 11))
+        for rows in blocks:
+            write(rows)
+        assert got.getvalue() == csv_writer_bytes(np.concatenate(blocks), ("A", "B"))
 
     def test_powers_of_ten(self):
         rows = np.array([[0, 9, 10], [99, 100, 1499], [1000, 1, 0]], dtype=np.int64)
