@@ -10,6 +10,7 @@ the ``CAUSALRATING_SEED`` environment variable; a seed is an integer in 0..2**64
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -49,14 +50,24 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}")
+
+
+def _required(roles: dict, *flags) -> None:
+    for k in (k for k in flags if roles[k] is None):
+        raise _UsageError(f"--{k} is required")
+
+
 def _emit(doc, out_path=None):
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise _UsageError(f"cannot write {out_path}: {exc}")
+        with _writing(out_path), open(out_path, "w") as fh:
+            fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
@@ -153,8 +164,7 @@ def cmd_identify(args) -> int:
     names, pinned = _parse_do(args.do or ())
     q = {"do": names or None, "outcome": args.outcome, "given": args.given, "mediators": args.mediators or None}
     q = scenario.query(**q) if scenario is not None else q
-    for k in (k for k in ("outcome", "do") if q[k] is None):
-        raise _UsageError(f"--{k} is required")
+    _required(q, "outcome", "do")
     for v, val in pinned.items():
         if v in scm.card and not 0 <= val < scm.card[v]:
             raise _UsageError(f"--do {v}={val}: value out of range 0..{scm.card[v] - 1}")
@@ -180,10 +190,8 @@ def cmd_simulate(args) -> int:
 
     s = scenario_from_json(_load_json(args.scenario))
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
+    with _writing(args.out):
         columns, claims = write_journeys(s, args.n, seed, args.out)
-    except OSError as exc:
-        raise _UsageError(f"cannot write {args.out}: {exc}")
     _emit({"n": args.n, "seed": seed, "columns": list(columns), "out": args.out,
            "empirical_accident_rate": float(claims / args.n)}, args.summary)
     return 0
@@ -204,8 +212,7 @@ def cmd_report(args) -> int:
     roles = {k: getattr(args, k) for k in ("history", "behavior", "outcome", "observed")}
     if scenario is not None:
         roles = scenario.query(**roles)
-        for k in (k for k, v in roles.items() if v is None):
-            raise _UsageError(f"--{k} is required")
+        _required(roles, *roles)
     _emit({"schema_version": REPORT_SCHEMA_VERSION, **rating_report(scm, **roles)}, args.out)
     return 0
 

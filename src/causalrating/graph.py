@@ -182,15 +182,17 @@ def _name(value, path: str, known=None, error=UnknownNodeError) -> str:
     return value
 
 
-def _names(value, path: str, known=None, error=UnknownNodeError, kind=frozenset):
+def _names(value, path: str, known=None, error=UnknownNodeError, kind=frozenset, empty=None):
     """``value``, a list, tuple, set, frozenset or dict keys view of names, as a
     ``kind`` (a set by default).  Anything else, a bare string (its letters), a
-    mapping or ``None``, raises :class:`ParameterError`, as does a member that
-    is no name (in a set, the least shown, without an index); then the first
-    name, sorted in a set, not in ``known`` raises ``error``:
-    ``observed[0]: expected a name, got 1``, ``unknown node: 'Q'``."""
+    mapping or ``None``, raises :class:`ParameterError`; then, if ``empty`` is given,
+    an empty ``value`` raises ``error(empty)``; then a member that is no name (in a
+    set, the least shown, without an index) raises ParameterError, and the first name,
+    sorted in a set, not in ``known`` raises ``error``: ``unknown node: 'Q'``."""
     if type(value) not in _NAME_SETS:
         raise ParameterError(f"{path}: expected a collection of names, got {_shown(value)}")
+    if empty and not value:
+        raise error(empty)
     try:  # the all-good case in a few C loops; a member of ``known`` is a name
         names = kind(value)
         if set(map(type, names)) <= {str} if known is None else not frozenset(names).difference(known):
@@ -209,6 +211,12 @@ def _disjoint(*sets) -> None:
     for a, b in combinations(sets, 2):
         if inter := a & b:
             raise OverlapError(f"sets overlap on {sorted(inter)}")
+
+
+def _sides(X, Y, *others) -> None:
+    if not X or not Y:
+        raise OverlapError("X and Y must be nonempty")
+    _disjoint(X, Y, *others)
 
 
 def d_separated(dag: Dag, X, Y, Z) -> bool:
@@ -233,9 +241,7 @@ def open_trail(dag: Dag, X, Y, Z):
     also be a :func:`_cut` view.
     """
     X, Y, Z = (_names(s, path, dag._parents) for s, path in ((X, "X"), (Y, "Y"), (Z, "Z")))
-    if not X or not Y:
-        raise OverlapError("X and Y must be nonempty")
-    _disjoint(X, Y, Z)
+    _sides(X, Y, Z)
     parents, children = dag._parents, dag._children
 
     # Z together with its ancestors: colliders are open exactly there.

@@ -12,8 +12,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, OverlapError, UnknownVariable
-from .graph import _disjoint, _names
+from .errors import NumericalConsistencyError, UnknownVariable
+from .graph import _disjoint, _names, _sides
 from .scm import JointTable, _sum_to
 
 __all__ = [
@@ -29,9 +29,9 @@ MI_CLAMP_TOL = 1e-9
 AGREEMENT_TOL = 1e-9
 
 
-def _as_set(X, path: str, known=None) -> frozenset:
+def _as_set(X, path: str) -> frozenset:
     """``X`` read by :func:`_names`, where a bare string is one name."""
-    return _names((X,) if isinstance(X, str) else X, path, known, UnknownVariable)
+    return _names((X,) if isinstance(X, str) else X, path, error=UnknownVariable)
 
 
 def _clamp_mi(value: float, what: str) -> float:
@@ -42,9 +42,7 @@ def _clamp_mi(value: float, what: str) -> float:
 
 def entropy(j: JointTable, X) -> float:
     """H(X) = -sum p log2 p over the marginal of X, with 0 log 0 := 0."""
-    X = _as_set(X, "X", j.vars)
-    if not X:
-        raise UnknownVariable("X must be nonempty")
+    X = _names((X,) if isinstance(X, str) else X, "X", j.vars, UnknownVariable, empty="X must be nonempty")
     # The cells are non-negative already, so this equals marginal(j, X).
     p = _sum_to(j, X).reshape(-1)
     p = p[p > 0.0]
@@ -60,9 +58,7 @@ def conditional_entropy(j: JointTable, X, Z) -> float:
 
 def _mi(h, X, Y) -> float:
     """I(X; Y) = H(Y) - H(Y | X), clamped at zero, from the entropy function ``h``."""
-    if not X or not Y:
-        raise OverlapError("X and Y must be nonempty")
-    _disjoint(X, Y)
+    _sides(X, Y)
     return _clamp_mi(h(Y) - (h(Y | X) - h(X)), "MI")
 
 
@@ -70,9 +66,7 @@ def _cmi(h, X, Y, Z) -> float:
     """I(X; Y | Z) from the entropy function ``h``, two ways: H(Y|Z) - H(Y|X,Z) and
     H(X|Z) + H(Y|Z) - H(X,Y|Z), which must agree within 1e-9 or a consistency error
     is raised.  Both read H(Z), H(X,Z), H(Y,Z), H(X,Y,Z), each once; H(Z) = 0 for empty Z."""
-    if not X or not Y:
-        raise OverlapError("X and Y must be nonempty")
-    _disjoint(X, Y, Z)
+    _sides(X, Y, Z)
     h_z = h(Z) if Z else 0.0
     h_xz, h_yz, h_xyz = h(X | Z), h(Y | Z), h(X | Y | Z)
     a = (h_yz - h_z) - (h_xyz - h_xz)

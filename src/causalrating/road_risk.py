@@ -266,8 +266,7 @@ def markov_consistency(scm: DiscreteScm) -> float:
 
 
 class _JourneySampler(_Sampler):
-    """The sampler of the scenario's model, which masks and range-checks
-    each block of journey records it draws.
+    """The sampler of the scenario's model, which masks each block of journey records it draws.
 
     Rows with ``J_o = 0`` describe a journey that never happened: their
     peril-state columns are set to the all-safe trajectory in place (the
@@ -283,7 +282,6 @@ class _JourneySampler(_Sampler):
         super().draw(seed, start, rows)
         for k in self.states:
             rows[:, k] *= rows[:, self.journey]  # J_o is 0 or 1
-        _check_range(self.order, self.cards, rows)
         return rows
 
 
@@ -304,6 +302,7 @@ def write_journeys(s: RoadRiskScenario, n: int, seed: int, path) -> tuple:
     with open(path, "wb") as fh:
         write_rows = _csv_writer(fh.write, sampler.order, sampler.cards)
         for rows in sampler.blocks(seed, 0, n, sampler.rows):
+            _check_range(sampler.order, sampler.cards, rows)  # the Dataset of simulate_journeys checks its rows
             write_rows(rows)
             claims += np.count_nonzero(rows[:, sampler.order.index("Y_f")])
     return sampler.order, claims

@@ -122,9 +122,7 @@ def _sum_to(j: JointTable, keep) -> np.ndarray:
 
 def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     """Sum out every variable not in ``keep`` (original order preserved)."""
-    keep = _names(keep, "keep", j.vars, UnknownVariable)
-    if not keep:
-        raise UnknownVariable("keep set must be nonempty")
+    keep = _names(keep, "keep", j.vars, UnknownVariable, empty="keep set must be nonempty")
     probs = _sum_to(j, keep)
     vars_kept = tuple(v for v in j.vars if v in keep)
     cards_kept = tuple(c for v, c in zip(j.vars, j.cards) if v in keep)
@@ -158,20 +156,25 @@ def _assignment(values, path: str, card: Mapping[str, int], error=UnknownVariabl
     return {v: _value(v, val, card[v]) for v, val in values.items()}
 
 
+def _given(p: np.ndarray, evidence: dict) -> np.ndarray:
+    """The cells ``p`` of ``evidence`` over their sum; a sum of 0 raises :class:`ZeroProbabilityEvidence`."""
+    total = float(p.sum())
+    if total <= 0.0:
+        raise ZeroProbabilityEvidence(f"P({evidence}) = 0")
+    return p / total
+
+
 def condition(j: JointTable, evidence: Mapping[str, int]) -> JointTable:
     """Condition on ``evidence`` and drop the evidenced variables."""
     evidence = _assignment(evidence, "evidence", dict(zip(j.vars, j.cards)))
     if not evidence:
         return j
-    sliced = j.probs[tuple(evidence.get(v, slice(None)) for v in j.vars)]
-    total = float(sliced.sum())
-    if total <= 0.0:
-        raise ZeroProbabilityEvidence(f"P({evidence}) = 0")
+    probs = _given(j.probs[tuple(evidence.get(v, slice(None)) for v in j.vars)], evidence)
     vars_kept = tuple(v for v in j.vars if v not in evidence)
     cards_kept = tuple(c for v, c in zip(j.vars, j.cards) if v not in evidence)
     if not vars_kept:
         raise UnknownVariable("conditioning on every variable leaves nothing")
-    return JointTable(vars_kept, cards_kept, sliced / total)
+    return JointTable(vars_kept, cards_kept, probs)
 
 
 class DiscreteScm:
@@ -377,10 +380,8 @@ def infer(
     """
     max_cells = _read(max_cells, int, "max_cells", ParameterError, low=1)
     evidence = _assignment({} if evidence is None else evidence, "evidence", scm.card)
-    # A name in both keep and evidence is refused as unknown.
-    keep = _names(keep, "keep", scm.card.keys() - evidence.keys() if evidence else scm.card, UnknownVariable)
-    if not keep:
-        raise UnknownVariable("keep set must be nonempty")
+    known = scm.card.keys() - evidence.keys() if evidence else scm.card  # a name in keep and evidence is unknown
+    keep = _names(keep, "keep", known, UnknownVariable, empty="keep set must be nonempty")
 
     relevant = {*keep, *evidence}
     relevant |= scm.dag._reach(relevant, scm.dag._parents)
@@ -404,12 +405,7 @@ def infer(
         for i in inside:
             factors[i] = None  # a factor is read by one step; free its table
     probs = _contract([f for f in factors if f is not None], out)
-    if evidence:
-        total = float(probs.sum())
-        if total <= 0.0:
-            raise ZeroProbabilityEvidence(f"P({evidence}) = 0")
-        probs = probs / total
-    return JointTable(out, tuple(scm.card[u] for u in out), probs)
+    return JointTable(out, tuple(scm.card[u] for u in out), _given(probs, evidence) if evidence else probs)
 
 
 def _surgery(scm: DiscreteScm, rows: Mapping[str, np.ndarray]) -> DiscreteScm:
@@ -642,9 +638,7 @@ def empirical_joint(d: Dataset, vars: Iterable[str]) -> JointTable:
     """Normalized frequency table over ``vars``.  Its size is the product
     of their cardinalities: one over ``DEFAULT_CELL_CAP`` raises
     :class:`StateSpaceTooLarge` before any table exists."""
-    vars = _names(vars, "vars", d.vars, UnknownVariable, tuple)
-    if not vars:
-        raise UnknownVariable("variable list must be nonempty")
+    vars = _names(vars, "vars", d.vars, UnknownVariable, tuple, empty="variable list must be nonempty")
     if len(d) == 0:
         raise EmptyDataset("dataset has no rows")
     cols = [d.column(v) for v in vars]

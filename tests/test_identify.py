@@ -13,6 +13,7 @@ from causalrating import (
     NOISE,
     SIGNAL,
     UNIDENTIFIABLE,
+    CausalRatingError,
     CriterionNotMet,
     Dag,
     DiscreteScm,
@@ -1207,3 +1208,101 @@ class TestChainRuleViews:
             rating_comparison(observed_joint(scm), "Y_h", "X_c", "Y_f")
         with pytest.raises(NumericalConsistencyError, match="chain rule"):
             confounding_gap(scm, "X_c", "Y_f", "U")
+
+
+def _answers(scm, q, mediators, adjust) -> list:
+    """Each method's answer to ``q``, without and then with ``adjust``: the
+    method and table, or the refusal's type, message and witness."""
+    out = []
+    for method, given_set in itertools.product(IDENTIFY_METHODS, ((), adjust)):
+        try:
+            chosen, t = identify_effect(scm, q, method, mediators, given_set)
+            out.append((chosen, t.outcome, t.do_vars, t.given_vars, t.probs))
+        except CausalRatingError as exc:
+            out.append((type(exc), str(exc), getattr(exc, "witness", None)))
+    return out
+
+
+class TestBarrenNode:
+    """A node Bz that no query names, a child of one node or an isolated
+    root, appended after the nodes and the edges, changes no answer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_barren_node_changes_no_answer(self, data):
+        base = random_dag(data.draw(st.integers(0, 10_000), label="dag"), data.draw(st.integers(4, 9), label="n"))
+        edges = sorted(base.edges)  # one list for both graphs: a set's order would reorder Kahn's ties
+        latent = data.draw(st.lists(st.sampled_from(base.nodes), max_size=1), label="latent")
+        cards = {v: data.draw(st.sampled_from([2, 3]), label=f"card.{v}") for v in base.nodes}
+        scm = random_scm(Dag(base.nodes, edges, latent), data.draw(st.integers(0, 10_000), label="seed"), cards)
+        parent = data.draw(st.sampled_from([None, *base.nodes]), label="parent of Bz")
+        bz_card = data.draw(st.sampled_from([2, 3]), label="card.Bz")
+        bz_rows = np.random.default_rng(0).dirichlet(np.ones(bz_card), size=cards[parent] if parent else 1)
+        barren = DiscreteScm(
+            Dag([*base.nodes, "Bz"], edges + ([(parent, "Bz")] if parent else []), latent),
+            {**scm.card, "Bz": bz_card}, {**scm.cpt, "Bz": bz_rows},
+        )
+        assert all(barren.parents[v] == scm.parents[v] for v in base.nodes)
+
+        pool = [v for v in scm.dag.topological_order if v not in latent]
+        outcome, *rest = data.draw(st.permutations(pool), label="pool")
+        k = data.draw(st.integers(1, 2), label="|do|")
+        do, rest = set(rest[:k]), rest[k:]
+
+        def some(label, size):
+            if not rest:
+                return set()
+            return set(data.draw(st.lists(st.sampled_from(rest), max_size=size, unique=True), label=label))
+
+        observed = some("observed", 2)
+        rest = [v for v in rest if v not in observed]
+        mediators, adjust = some("mediators", 3), some("adjust", 2)
+        q = EffectQuery(outcome, do, observed)
+
+        keep, evidence = {outcome, *do}, dict.fromkeys(observed, 0)
+        for names, given_values in ((keep, evidence), (pool, None)):
+            a, b = infer(scm, names, given_values), infer(barren, names, given_values)
+            assert (a.vars, a.cards) == (b.vars, b.cards) and np.array_equal(a.probs, b.probs)
+        for (method, given_set), want, got in zip(
+            itertools.product(IDENTIFY_METHODS, ((), adjust)),
+            _answers(scm, q, mediators, adjust), _answers(barren, q, mediators, adjust),
+        ):
+            assert got[:-1] == want[:-1], (method, given_set)
+            if isinstance(want[-1], np.ndarray) and want[0] == "backdoor" and not given_set:
+                # The default set takes every observed non-descendant of x, Bz
+                # too when it is one; summing Bz out moves the last bits.
+                assert np.abs(got[-1] - want[-1]).max() <= 1e-12, (method, given_set)
+            elif isinstance(want[-1], np.ndarray):
+                assert np.array_equal(got[-1], want[-1]), (method, given_set)
+            else:
+                assert got[-1] == want[-1], (method, given_set)
+
+
+def six_node_backdoor_model() -> DiscreteScm:
+    """C confounds X and Y; the latent U and V meet at W, a collider that
+    every observed non-descendant of X includes, so that set fails where
+    {C} holds."""
+    dag = Dag(
+        ["C", "U", "V", "X", "W", "Y"],
+        [("C", "X"), ("C", "Y"), ("X", "Y"), ("U", "X"), ("U", "W"), ("V", "W"), ("V", "Y")],
+        ["U", "V"],
+    )
+    return random_scm(dag, 7)
+
+
+class TestSixNodeBackdoor:
+    def test_adjusting_for_c_matches_the_oracle(self):
+        scm, q = six_node_backdoor_model(), EffectQuery("Y", {"X"})
+        method, got = identify_effect(scm, q, "backdoor", adjust={"C"})
+        assert method == "backdoor"
+        assert np.abs(got.probs - identify_effect(scm, q, "oracle")[1].probs).max() <= 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=CriterionNotMet, reason=(
+        "ROADMAP item 13: auto tries every observed non-descendant of X, which holds the collider W, "
+        "and refuses with the witness X - C - Y although {C} holds"
+    ))
+    def test_auto_answers_as_the_oracle(self):
+        scm, q = six_node_backdoor_model(), EffectQuery("Y", {"X"})
+        method, got = identify_effect(scm, q, "auto")
+        assert method == "backdoor"
+        assert np.abs(got.probs - identify_effect(scm, q, "oracle")[1].probs).max() <= 1e-12
